@@ -163,18 +163,20 @@ fn main() {
     }
 }
 
-/// E17: pipelined lazy evaluation ablation. Two early-exit read
-/// shapes over the ETL employee table — a `fn:subsequence` page and a
-/// `fn:exists` probe — run lazily (streamed FLWOR tuples, early-exit
-/// interception) and eagerly (`Engine::set_lazy(false)`) *in the same
-/// session*, so both arms share the warmed materialization caches and
-/// differ only in evaluation order. The queries deliberately use
-/// plain construction and `fn:contains` predicates so neither the
-/// pushdown nor the join/batch rewrites claim them — the ablation
-/// isolates streaming. Serialization is asserted byte-identical
-/// between the arms on every run, and the `tuples_pulled` counter
-/// must stay below the table size (proof the stream engaged and
-/// exited early rather than draining).
+/// E17: pipelined lazy evaluation ablation. Three early-exit read
+/// shapes over the ETL employee table — a `fn:subsequence` page, a
+/// `fn:exists` probe, and a page over a pushed-down department select
+/// (the benchmark's `page_query` text) — run lazily (streamed FLWOR
+/// tuples, early-exit interception) and eagerly
+/// (`Engine::set_lazy(false)`) *in the same session*, so both arms
+/// share the warmed materialization caches and differ only in
+/// evaluation order. The first two use `fn:contains` predicates that
+/// no rewrite applies to, isolating streaming; the third proves a
+/// rewritten `for` streams too. Serialization is asserted
+/// byte-identical between the arms on every run, and the
+/// `tuples_pulled` counter must stay below the table size (the
+/// department size for the pushdown page, whose rewrite must fire):
+/// proof the stream engaged and exited early rather than draining.
 fn e17_lazy_streaming(full: bool, reps: usize, r: &Reporter) {
     let sizes: &[i64] = if full { &[1000, 5000, 10000] } else { &[200, 1000] };
     const NS: &[(&str, &str)] = &[("ens1", "ld:hr/EMPLOYEE")];
@@ -191,11 +193,21 @@ fn e17_lazy_streaming(full: bool, reps: usize, r: &Reporter) {
     const PROBE: &str = "fn:exists(for $e in ens1:EMPLOYEE() \
          where fn:contains(fn:string($e/Name), 'First2 ') \
          return <row>{fn:data($e/Name)}</row>)";
+    // A page of 20 over one department, selected through the
+    // pushed-down index: the lazy arm re-checks and builds 20 rows.
+    const PAGE_PUSHDOWN: &str = "fn:subsequence(for $e in ens1:EMPLOYEE() \
+         where $e/DeptNo eq 'D3' \
+         return <row><id>{fn:data($e/EmployeeID)}</id>\
+         <name>{fn:data($e/Name)}</name></row>, 1, 20)";
     let mut rows = Vec::new();
     for &n in sizes {
         let f = etl_space(n);
         let engine = f.space.engine();
-        for (workload, query) in [("page", PAGE), ("probe", PROBE)] {
+        // `etl_space` puts row i in department `D{i % 7}`.
+        let dept = (1..=n).filter(|i| i % 7 == 3).count() as u64;
+        for (workload, query) in
+            [("page", PAGE), ("probe", PROBE), ("page_pushdown", PAGE_PUSHDOWN)]
+        {
             let run = |lazy: bool| {
                 engine.set_lazy(lazy);
                 let out = engine.eval_expr_str(query, NS).expect("E17 query");
@@ -214,11 +226,21 @@ fn e17_lazy_streaming(full: bool, reps: usize, r: &Reporter) {
             // stopped well short of the table.
             engine.reset_opt_stats();
             run(true);
-            let pulled = engine.opt_stats().tuples_pulled;
+            let stats = engine.opt_stats();
+            let pulled = stats.tuples_pulled;
+            let bound = if workload == "page_pushdown" {
+                assert!(
+                    stats.pushdown_rewrites >= 1,
+                    "the department select must be pushed down (n={n})"
+                );
+                dept
+            } else {
+                n as u64
+            };
             assert!(
-                pulled >= 1 && pulled < n as u64,
+                pulled >= 1 && pulled < bound,
                 "stream must engage and exit early ({workload}, n={n}): \
-                 pulled={pulled}"
+                 pulled={pulled}, bound={bound}"
             );
             let lazy_secs = median_secs(reps, || {
                 run(true);
@@ -246,7 +268,7 @@ fn e17_lazy_streaming(full: bool, reps: usize, r: &Reporter) {
     }
     r.table(
         "E17",
-        "E17 pipelined lazy evaluation (paged read + exists probe, lazy vs eager)",
+        "E17 pipelined lazy evaluation (paged read + exists probe + pushed-down page, lazy vs eager)",
         &[
             "rows",
             "workload",

@@ -345,114 +345,7 @@ impl<'m> Validator<'m> {
 /// Generic expression walker (pre-order).
 fn walk(e: &Expr, f: &mut impl FnMut(&Expr)) {
     f(e);
-    match e {
-        Expr::Literal(_) | Expr::VarRef(_) | Expr::ContextItem => {}
-        Expr::Comma(v) => v.iter().for_each(|x| walk(x, f)),
-        Expr::Range(a, b)
-        | Expr::Binary(_, a, b)
-        | Expr::And(a, b)
-        | Expr::Or(a, b)
-        | Expr::General(_, a, b)
-        | Expr::Value(_, a, b)
-        | Expr::Node(_, a, b)
-        | Expr::Set(_, a, b) => {
-            walk(a, f);
-            walk(b, f);
-        }
-        Expr::Unary(_, a)
-        | Expr::ComputedText(a)
-        | Expr::ComputedComment(a)
-        | Expr::ComputedDocument(a)
-        | Expr::Delete(a) => walk(a, f),
-        Expr::If(c, t, e2) => {
-            walk(c, f);
-            walk(t, f);
-            walk(e2, f);
-        }
-        Expr::Flwor { clauses, ret } => {
-            for c in clauses {
-                match c {
-                    FlworClause::For { source, .. } => walk(source, f),
-                    FlworClause::Let { value, .. } => walk(value, f),
-                    FlworClause::Where(w) => walk(w, f),
-                    FlworClause::OrderBy(specs) => {
-                        specs.iter().for_each(|s| walk(&s.key, f))
-                    }
-                }
-            }
-            walk(ret, f);
-        }
-        Expr::Quantified { bindings, satisfies, .. } => {
-            bindings.iter().for_each(|(_, s)| walk(s, f));
-            walk(satisfies, f);
-        }
-        Expr::Typeswitch { operand, cases } => {
-            walk(operand, f);
-            cases.iter().for_each(|c| walk(&c.body, f));
-        }
-        Expr::Path { start, steps } => {
-            if let PathStart::Expr(b) = start {
-                walk(b, f);
-            }
-            steps
-                .iter()
-                .for_each(|s| s.predicates.iter().for_each(|p| walk(p, f)));
-        }
-        Expr::Filter { base, predicates } => {
-            walk(base, f);
-            predicates.iter().for_each(|p| walk(p, f));
-        }
-        Expr::FunctionCall { args, .. } => args.iter().for_each(|a| walk(a, f)),
-        Expr::DirectElement(de) => walk_direct(de, f),
-        Expr::ComputedElement(n, c)
-        | Expr::ComputedAttribute(n, c)
-        | Expr::ComputedPi(n, c) => {
-            if let NameExpr::Computed(e2) = n {
-                walk(e2, f);
-            }
-            if let Some(c) = c {
-                walk(c, f);
-            }
-        }
-        Expr::InstanceOf(a, _)
-        | Expr::TreatAs(a, _)
-        | Expr::CastAs(a, _, _)
-        | Expr::CastableAs(a, _, _) => walk(a, f),
-        Expr::Insert { source, target, .. } => {
-            walk(source, f);
-            walk(target, f);
-        }
-        Expr::Replace { target, with, .. } => {
-            walk(target, f);
-            walk(with, f);
-        }
-        Expr::Rename { target, new_name } => {
-            walk(target, f);
-            walk(new_name, f);
-        }
-        Expr::Transform { copies, modify, ret } => {
-            copies.iter().for_each(|(_, e2)| walk(e2, f));
-            walk(modify, f);
-            walk(ret, f);
-        }
-    }
-}
-
-fn walk_direct(de: &DirectElement, f: &mut impl FnMut(&Expr)) {
-    for (_, parts) in &de.attributes {
-        for p in parts {
-            if let AttrContent::Expr(e) = p {
-                walk(e, f);
-            }
-        }
-    }
-    for c in &de.content {
-        match c {
-            DirectContent::Expr(e) => walk(e, f),
-            DirectContent::Element(child) => walk_direct(child, f),
-            _ => {}
-        }
-    }
+    e.for_each_child(&mut |c| walk(c, f));
 }
 
 #[cfg(test)]

@@ -387,11 +387,13 @@ impl Sequence {
         if other.is_empty() {
             return;
         }
-        let buf = self.buf().clone();
-        let mut buf = match Rc::try_unwrap(buf) {
-            Ok(v) => v,
-            Err(rc) => (*rc).clone(),
-        };
+        // Copy-on-write, as in `push`: a uniquely owned buffer grows in
+        // place, so accumulating a result piece by piece stays linear.
+        if let Repr::Eager(v) = &mut self.repr {
+            Rc::make_mut(v).extend(other.into_items());
+            return;
+        }
+        let mut buf = (**self.buf()).clone();
         buf.extend(other.into_items());
         self.repr = Repr::Eager(Rc::new(buf));
     }
@@ -544,6 +546,24 @@ mod tests {
         assert_eq!(s.len(), 3);
         let t = Sequence::one(Item::integer(0)).concat(s.clone());
         assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn extend_grows_a_unique_buffer_in_place_and_leaves_clones_alone() {
+        let mut items = Vec::with_capacity(8);
+        items.extend([Item::integer(1), Item::integer(2)]);
+        let mut s = Sequence::from_items(items);
+        let before = s.items().as_ptr();
+        s.extend(Sequence::one(Item::integer(3)));
+        assert_eq!(
+            s.items().as_ptr(),
+            before,
+            "a uniquely owned buffer must grow in place, not be copied"
+        );
+        let original = s.clone();
+        s.extend(Sequence::one(Item::integer(4)));
+        assert_eq!(original.len(), 3, "extending a clone must not touch the original");
+        assert_eq!(s.len(), 4);
     }
 
     #[test]

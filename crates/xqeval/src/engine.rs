@@ -1253,14 +1253,14 @@ impl Engine {
     }
 
     /// Like [`Engine::eval_query`], but the top-level result may be
-    /// **lazy**: when the body is an eligible FLWOR chain, the
+    /// **lazy**: when the body is a FLWOR expression, the
     /// returned sequence is a live pull stream, and the caller drains
     /// it through the fallible API (`Sequence::try_item`) — the
     /// streaming serializers in `xqsh` and the serving pool do exactly
     /// that, emitting output while tuples are still being produced.
     /// Mid-stream errors (including budget expiry charged per pulled
     /// tuple) surface from the drain, so callers of this entry MUST
-    /// consume the result fallibly. Everything else — ineligible
+    /// consume the result fallibly. Everything else — other
     /// bodies, the kill switch, non-expression bodies — degrades to
     /// the eager [`Engine::eval_query`] result.
     pub fn eval_query_lazy(&self, src: &str) -> XdmResult<Sequence> {
@@ -1273,7 +1273,7 @@ impl Engine {
         match &module.body {
             QueryBody::Expr(e) => {
                 let mut env = Env::new();
-                Evaluator::new(self).eval_stream(e, &mut env)
+                Evaluator::new(self).eval_lazy(e, &mut env)
             }
             QueryBody::None => Ok(Sequence::empty()),
             QueryBody::Block(_) => Err(XdmError::new(
@@ -1291,8 +1291,8 @@ impl Engine {
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         match (&pq.folded_body, &pq.module.body) {
-            (Some(e), _) => Evaluator::new(self).eval_stream(e, env),
-            (None, QueryBody::Expr(e)) => Evaluator::new(self).eval_stream(e, env),
+            (Some(e), _) => Evaluator::new(self).eval_lazy(e, env),
+            (None, QueryBody::Expr(e)) => Evaluator::new(self).eval_lazy(e, env),
             (None, QueryBody::None) => Ok(Sequence::empty()),
             (None, QueryBody::Block(_)) => Err(XdmError::new(
                 ErrorCode::XPST0003,

@@ -35,7 +35,7 @@ use crate::update::{Pul, Update};
 /// The expression evaluator. Stateless besides the engine reference;
 /// all dynamic state lives in [`Env`].
 pub struct Evaluator<'e> {
-    engine: &'e Engine,
+    pub(crate) engine: &'e Engine,
 }
 
 /// A memoized join index: the materialized source sequence plus hash
@@ -57,7 +57,7 @@ impl JoinIdx {
     }
 
     /// Index one value at offset `i`.
-    fn insert(&mut self, v: &AtomicValue, i: usize) {
+    pub(crate) fn insert(&mut self, v: &AtomicValue, i: usize) {
         match v {
             _ if v.type_of().is_numeric() => {
                 if let Ok(d) = to_f64(v) {
@@ -85,7 +85,7 @@ impl JoinIdx {
 
     /// Offsets whose indexed value equals `p` under general-comparison
     /// semantics.
-    fn probe(&self, p: &AtomicValue) -> Vec<usize> {
+    pub(crate) fn probe(&self, p: &AtomicValue) -> Vec<usize> {
         match p {
             _ if p.type_of().is_numeric() => match to_f64(p) {
                 Ok(d) if !d.is_nan() => self
@@ -140,7 +140,7 @@ pub enum CacheStamp {
 }
 
 impl CacheStamp {
-    fn is_current(&self, env: &Env) -> bool {
+    pub(crate) fn is_current(&self, env: &Env) -> bool {
         match self {
             CacheStamp::Epoch(e) => *e == env.write_epoch,
             CacheStamp::Source { version_fn, version } => version_fn() == *version,
@@ -152,13 +152,12 @@ impl CacheStamp {
 pub struct JoinCacheEntry {
     /// The materialized source sequence.
     pub seq: Sequence,
-    /// The hash index over the key path.
-    pub idx: JoinIdx,
+    /// The hash index over the key path; `None` when some row's key
+    /// is beyond it, and the clause then runs plainly.
+    pub idx: Option<JoinIdx>,
     /// Revalidation stamp.
     pub stamp: CacheStamp,
 }
-
-type JoinIndex = JoinCacheEntry;
 
 impl<'e> Evaluator<'e> {
     /// Create an evaluator over an engine.
@@ -166,77 +165,25 @@ impl<'e> Evaluator<'e> {
         Evaluator { engine }
     }
 
-    /// Evaluate an expression, allowing a **lazy** result: an eligible
-    /// top-level FLWOR chain comes back as a pull stream whose tuples
-    /// are produced on demand (see `crate::stream`). This is the
-    /// engine's streaming entry point (`Engine::eval_query_lazy`);
-    /// callers must consume the result through the fallible Sequence
-    /// API (`try_item` / `into_forced`) so deferred errors surface.
-    pub fn eval_stream(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
-        self.eval_lazy(expr, env)
-    }
-
-    /// Like [`Evaluator::eval`], but an eligible FLWOR chain is
-    /// returned as a lazy sequence instead of being materialized.
-    /// Everything else falls through to strict evaluation, so the
-    /// result is lazy *only* for the one shape the stream understands
-    /// — the invariant that `eval` itself never returns a lazy
-    /// sequence is what keeps the legacy infallible accessors safe.
+    /// Like [`Evaluator::eval`], but a FLWOR expression comes back as
+    /// a lazy sequence whose tuples are produced on demand (see
+    /// `crate::flwor`) when the lazy engine is enabled and no
+    /// pending-update list is open. Everything else falls through to
+    /// strict evaluation. `eval` itself never returns a lazy sequence:
+    /// that invariant keeps the infallible accessors safe, so callers
+    /// of this method consume the result through the fallible
+    /// Sequence API (`try_item` / `into_forced`).
     pub(crate) fn eval_lazy(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
         if let Expr::Flwor { clauses, ret } = expr {
-            if self.flwor_streamable(clauses, env) {
+            if self.engine.lazy_enabled() && env.pul.is_none() {
                 // Mirror eval()'s per-step fuel charge for the
                 // expression node itself; per-tuple charges follow as
                 // the stream is pulled.
                 self.engine.budget_step()?;
-                return Ok(crate::stream::flwor_stream(self.engine, clauses, ret, env));
+                return Ok(crate::flwor::stream(self.engine, clauses, ret, env));
             }
         }
         self.eval(expr, env)
-    }
-
-    /// Can this clause chain run on the pull pipeline? Requires the
-    /// lazy engine to be enabled, expression context (no open
-    /// pending-update list), no `order by` (a sort is a full barrier),
-    /// and that none of the eager rewrites (predicate pushdown,
-    /// hash-join, batched source access) would claim a `for`/`where`
-    /// pair — those skip work outright, which beats deferring it, and
-    /// the kill switch must not change when they fire.
-    fn flwor_streamable(&self, clauses: &[FlworClause], env: &Env) -> bool {
-        if !self.engine.lazy_enabled() || env.pul.is_some() {
-            return false;
-        }
-        for (i, c) in clauses.iter().enumerate() {
-            match c {
-                FlworClause::OrderBy(_) => return false,
-                FlworClause::For { var, pos, source } => {
-                    let next = clauses.get(i + 1);
-                    if self.engine.optimize_enabled()
-                        && pos.is_none()
-                        && self.detect_pushdown(var, source, next).is_some()
-                    {
-                        return false;
-                    }
-                    if pos.is_none()
-                        && self.engine.join_rewrite_enabled()
-                        && self.detect_join(var, source, next).is_some()
-                    {
-                        return false;
-                    }
-                    if self.engine.optimize_enabled() && self.engine.batch_enabled() {
-                        if let Expr::FunctionCall { name, args } = source {
-                            if args.len() == 1
-                                && self.engine.batchable(name, 1).is_some()
-                            {
-                                return false;
-                            }
-                        }
-                    }
-                }
-                FlworClause::Let { .. } | FlworClause::Where(_) => {}
-            }
-        }
-        true
     }
 
     /// Evaluate an expression to a sequence.
@@ -410,7 +357,7 @@ impl<'e> Evaluator<'e> {
                     self.eval(e, env)
                 }
             }
-            Expr::Flwor { clauses, ret } => self.eval_flwor(clauses, ret, env),
+            Expr::Flwor { clauses, ret } => crate::flwor::drain(self, clauses, ret, env),
             Expr::Quantified { quantifier, bindings, satisfies } => {
                 self.eval_quantified(*quantifier, bindings, satisfies, env)
             }
@@ -727,498 +674,6 @@ impl<'e> Evaluator<'e> {
         Ok(Sequence::empty())
     }
 
-    // ------------------------------------------------------------ FLWOR
-
-    fn eval_flwor(
-        &self,
-        clauses: &[FlworClause],
-        ret: &Expr,
-        env: &mut Env,
-    ) -> XdmResult<Sequence> {
-        // A "tuple" is a set of variable bindings produced by the
-        // clause pipeline.
-        type Tuple = Vec<(QName, Sequence)>;
-        let mut tuples: Vec<Tuple> = vec![Vec::new()];
-
-        let with_tuple = |this: &Self,
-                          env: &mut Env,
-                          tuple: &Tuple,
-                          e: &Expr|
-         -> XdmResult<Sequence> {
-            env.push_scope();
-            for (n, v) in tuple {
-                env.bind(n.clone(), v.clone());
-            }
-            let out = this.eval(e, env);
-            env.pop_scope();
-            out
-        };
-
-        let mut i = 0usize;
-        while i < clauses.len() {
-            match &clauses[i] {
-                FlworClause::For { var, pos, source } => {
-                    // Predicate pushdown (§II.B "push computation to
-                    // the sources"): `for $v in src() where $v/COL eq K`
-                    // over a capability-bearing source becomes one
-                    // indexed point-select per outer tuple — the whole
-                    // table is never materialized in the middle tier.
-                    if self.engine.optimize_enabled() && pos.is_none() {
-                        if let Some(pd) =
-                            self.detect_pushdown(var, source, clauses.get(i + 1))
-                        {
-                            // Every outer key must be a pushable
-                            // singleton; otherwise the rewrite is
-                            // abandoned wholesale so normal evaluation
-                            // preserves error semantics exactly.
-                            let mut keys: Vec<(AtomicValue, String)> =
-                                Vec::with_capacity(tuples.len());
-                            let mut pushable = true;
-                            for tuple in &tuples {
-                                let k = with_tuple(self, env, tuple, pd.key_expr)?;
-                                let atoms = k.atomized();
-                                let lex = match &atoms[..] {
-                                    [a] => pushdown_key(pd.class, a),
-                                    _ => None,
-                                };
-                                match lex {
-                                    Some(lex) => {
-                                        let a = atoms
-                                            .into_iter()
-                                            .next()
-                                            .expect("singleton checked");
-                                        keys.push((a, lex));
-                                    }
-                                    None => {
-                                        pushable = false;
-                                        break;
-                                    }
-                                }
-                            }
-                            if pushable {
-                                let opt = self.engine.opt_counters();
-                                crate::engine::OptCounters::bump(
-                                    &opt.pushdown_rewrites,
-                                );
-                                let mut next = Vec::new();
-                                for (tuple, (key_atom, lex)) in
-                                    tuples.iter().zip(&keys)
-                                {
-                                    let candidates =
-                                        (pd.cap.select)(env, &pd.col, lex)?;
-                                    for item in candidates.iter() {
-                                        // Re-verify each candidate under
-                                        // XQuery comparison semantics:
-                                        // the index may only narrow,
-                                        // never decide.
-                                        let keyed = self.eval_steps_from(
-                                            item.clone(),
-                                            &pd.key_steps,
-                                            env,
-                                        )?;
-                                        let mut hit = false;
-                                        for a in keyed.atomized().iter() {
-                                            if general_pair_matches(
-                                                GeneralComp::Eq,
-                                                a,
-                                                key_atom,
-                                            )? {
-                                                hit = true;
-                                                break;
-                                            }
-                                        }
-                                        if hit {
-                                            let mut t = tuple.clone();
-                                            t.push((
-                                                var.clone(),
-                                                Sequence::one(item.clone()),
-                                            ));
-                                            next.push(t);
-                                        }
-                                    }
-                                }
-                                tuples = next;
-                                i += 2; // consumed the Where too
-                                continue;
-                            }
-                        }
-                    }
-                    // Hash-join rewrite: `for $v in E where key($v) eq K`
-                    // with E independent of all in-scope variables.
-                    // Gated on `join_rewrite_enabled`, NOT on
-                    // `optimize_enabled`: the rewrite predates the
-                    // pushdown/versioning layer, and the kill-switch
-                    // must restore exactly that baseline. (With
-                    // optimization off, entries are epoch-stamped
-                    // below, so invalidation is the baseline's blanket
-                    // any-write policy.) Sequential XQueryP runs and
-                    // the E11 ablation turn the rewrite itself off via
-                    // `Engine::set_join_rewrite(false)`.
-                    let join = if pos.is_none()
-                        && self.engine.join_rewrite_enabled()
-                    {
-                        self.detect_join(var, source, clauses.get(i + 1))
-                    } else {
-                        None
-                    };
-                    if let Some((key_steps, outer_key_expr)) = join {
-                        let index =
-                            self.join_index(source, &key_steps, env)?;
-                        let mut next = Vec::new();
-                        for tuple in &tuples {
-                            let k =
-                                with_tuple(self, env, tuple, outer_key_expr)?;
-                            let atoms = k.atomized();
-                            if atoms.len() != 1 {
-                                continue;
-                            }
-                            for idx in index.idx.probe(&atoms[0]) {
-                                let mut t = tuple.clone();
-                                t.push((
-                                    var.clone(),
-                                    Sequence::one(index.seq.items()[idx].clone()),
-                                ));
-                                next.push(t);
-                            }
-                        }
-                        tuples = next;
-                        i += 2; // consumed the Where too
-                        continue;
-                    }
-                    // Batched source access: a for-clause whose source
-                    // calls a *batchable* function (web-service
-                    // operations) is not issued per tuple. The request
-                    // expression is evaluated for every pending tuple
-                    // first, then the calls are flushed through the
-                    // source's batch entry point in one coalesced
-                    // round trip at the iteration boundary. A
-                    // loop-invariant call (request references no
-                    // variables) is hoisted and issued once. Requests
-                    // are flushed in tuple order, so the first failing
-                    // request surfaces exactly the error sequential
-                    // evaluation would have raised. Because request
-                    // *expressions* are all evaluated before any call
-                    // is issued, a later tuple whose request
-                    // expression itself raises aborts the whole flush
-                    // before the first source call — sequential
-                    // evaluation would have performed (and counted,
-                    // and breaker/injector-accounted) the earlier
-                    // tuples' calls first. The final value and error
-                    // are identical either way; only handler side
-                    // effects, ws_* counters, and resilience
-                    // accounting for those never-issued calls differ.
-                    if pos.is_none()
-                        && !tuples.is_empty()
-                        && self.engine.optimize_enabled()
-                        && self.engine.batch_enabled()
-                    {
-                        if let Expr::FunctionCall { name, args } = source {
-                            if args.len() == 1 {
-                                if let Some(batch) =
-                                    self.engine.batchable(name, 1)
-                                {
-                                    let mut next = Vec::new();
-                                    if tuples.len() > 1
-                                        && !expr_refs_any_var(&args[0])
-                                    {
-                                        // Hoisted: one request serves
-                                        // every tuple.
-                                        let req = self.eval(&args[0], env)?;
-                                        let resp = batch(env, &[req])?
-                                            .into_iter()
-                                            .next()
-                                            .unwrap_or_else(Sequence::empty);
-                                        for tuple in &tuples {
-                                            for item in resp.iter() {
-                                                let mut t = tuple.clone();
-                                                t.push((
-                                                    var.clone(),
-                                                    Sequence::one(item.clone()),
-                                                ));
-                                                next.push(t);
-                                            }
-                                        }
-                                    } else {
-                                        let mut requests =
-                                            Vec::with_capacity(tuples.len());
-                                        for tuple in &tuples {
-                                            requests.push(with_tuple(
-                                                self, env, tuple, &args[0],
-                                            )?);
-                                        }
-                                        let responses = batch(env, &requests)?;
-                                        for (tuple, resp) in
-                                            tuples.iter().zip(responses)
-                                        {
-                                            for item in resp.iter() {
-                                                let mut t = tuple.clone();
-                                                t.push((
-                                                    var.clone(),
-                                                    Sequence::one(item.clone()),
-                                                ));
-                                                next.push(t);
-                                            }
-                                        }
-                                    }
-                                    tuples = next;
-                                    i += 1;
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    let mut next = Vec::new();
-                    for tuple in &tuples {
-                        let seq = with_tuple(self, env, tuple, source)?;
-                        for (n, item) in seq.iter().enumerate() {
-                            let mut t = tuple.clone();
-                            t.push((var.clone(), Sequence::one(item.clone())));
-                            if let Some(p) = pos {
-                                t.push((
-                                    p.clone(),
-                                    Sequence::one(Item::integer(n as i64 + 1)),
-                                ));
-                            }
-                            next.push(t);
-                        }
-                    }
-                    tuples = next;
-                }
-                FlworClause::Let { var, ty, value } => {
-                    for tuple in &mut tuples {
-                        let v = {
-                            env.push_scope();
-                            for (n, val) in tuple.iter() {
-                                env.bind(n.clone(), val.clone());
-                            }
-                            let out = self.eval(value, env);
-                            env.pop_scope();
-                            out?
-                        };
-                        if let Some(ty) = ty {
-                            ty.check(&v, &format!("let ${var}"))?;
-                        }
-                        tuple.push((var.clone(), v));
-                    }
-                }
-                FlworClause::Where(cond) => {
-                    let mut kept = Vec::new();
-                    for tuple in tuples {
-                        let b = with_tuple(self, env, &tuple, cond)?
-                            .effective_boolean()?;
-                        if b {
-                            kept.push(tuple);
-                        }
-                    }
-                    tuples = kept;
-                }
-                FlworClause::OrderBy(specs) => {
-                    // Compute keys per tuple, then stable sort through
-                    // the one shared sorter (error capture included).
-                    let mut keyed: Vec<(Vec<Option<AtomicValue>>, Tuple)> =
-                        Vec::with_capacity(tuples.len());
-                    for tuple in tuples {
-                        let mut keys = Vec::with_capacity(specs.len());
-                        for spec in specs {
-                            let k = with_tuple(self, env, &tuple, &spec.key)?;
-                            keys.push(opt_one_atomic(&k, "order by")?);
-                        }
-                        keyed.push((keys, tuple));
-                    }
-                    tuples = order_by_sort(keyed, specs)?;
-                }
-            }
-            i += 1;
-        }
-        let mut out = Sequence::empty();
-        for tuple in &tuples {
-            out.extend(with_tuple(self, env, tuple, ret)?);
-        }
-        Ok(out)
-    }
-
-    /// Detect the equi-join pattern `for $v in E where P($v) eq K`
-    /// where `E` and `K` are independent of `$v` and `P` is a simple
-    /// child/attribute path on `$v`. Returns the key steps and the
-    /// outer key expression.
-    fn detect_join<'a>(
-        &self,
-        var: &QName,
-        source: &Expr,
-        next: Option<&'a FlworClause>,
-    ) -> Option<(Vec<Step>, &'a Expr)> {
-        let FlworClause::Where(cond) = next? else { return None };
-        // Source must be a closed expression (no variable references)
-        // so its index can be memoized across outer iterations.
-        if expr_refs_any_var(source) {
-            return None;
-        }
-        let (l, r) = match cond {
-            Expr::Value(ValueComp::Eq, l, r) => (&**l, &**r),
-            Expr::General(GeneralComp::Eq, l, r) => (&**l, &**r),
-            _ => return None,
-        };
-        let key_of = |e: &Expr| -> Option<Vec<Step>> {
-            if let Expr::Path { start: PathStart::Expr(base), steps } = e {
-                if let Expr::VarRef(v) = &**base {
-                    if v == var
-                        && steps.iter().all(|s| {
-                            matches!(s.axis, Axis::Child | Axis::Attribute)
-                                && s.predicates.is_empty()
-                        })
-                    {
-                        return Some(steps.clone());
-                    }
-                }
-            }
-            None
-        };
-        if let Some(steps) = key_of(l) {
-            if !expr_refs_var(r, var) {
-                return Some((steps, r));
-            }
-        }
-        if let Some(steps) = key_of(r) {
-            if !expr_refs_var(l, var) {
-                return Some((steps, l));
-            }
-        }
-        None
-    }
-
-    /// Detect the *pushdown* pattern `for $v in src() where $v/COL
-    /// (eq|=) K` where `src` is an arity-0 read function with an
-    /// advertised [`SourceCapability`], `COL` is one of its filterable
-    /// columns (single child step, no predicates, unqualified name —
-    /// the shape of relational row XML), and `K` does not reference
-    /// `$v`.
-    fn detect_pushdown<'a>(
-        &self,
-        var: &QName,
-        source: &Expr,
-        next: Option<&'a FlworClause>,
-    ) -> Option<Pushdown<'a>> {
-        let Expr::FunctionCall { name, args } = source else { return None };
-        if !args.is_empty() {
-            return None;
-        }
-        let cap = self.engine.source_capability(name)?;
-        let FlworClause::Where(cond) = next? else { return None };
-        let (l, r) = match cond {
-            Expr::Value(ValueComp::Eq, l, r) => (&**l, &**r),
-            Expr::General(GeneralComp::Eq, l, r) => (&**l, &**r),
-            _ => return None,
-        };
-        let col_of = |e: &Expr| -> Option<(String, Vec<Step>)> {
-            let Expr::Path { start: PathStart::Expr(base), steps } = e else {
-                return None;
-            };
-            let Expr::VarRef(v) = &**base else { return None };
-            if v != var || steps.len() != 1 {
-                return None;
-            }
-            let st = &steps[0];
-            if st.axis != Axis::Child || !st.predicates.is_empty() {
-                return None;
-            }
-            let NodeTest::Name(q) = &st.test else { return None };
-            if q.ns.is_some() {
-                return None;
-            }
-            Some((q.local.to_string(), steps.clone()))
-        };
-        let build = |col: String, steps: Vec<Step>, key: &'a Expr| -> Option<Pushdown<'a>> {
-            if expr_refs_var(key, var) {
-                return None;
-            }
-            let class = cap
-                .columns
-                .iter()
-                .find(|(c, _)| c == &col)
-                .map(|(_, cl)| *cl)?;
-            Some(Pushdown { cap: cap.clone(), col, class, key_steps: steps, key_expr: key })
-        };
-        if let Some((col, steps)) = col_of(l) {
-            if let Some(pd) = build(col, steps, r) {
-                return Some(pd);
-            }
-        }
-        if let Some((col, steps)) = col_of(r) {
-            if let Some(pd) = build(col, steps, l) {
-                return Some(pd);
-            }
-        }
-        None
-    }
-
-    /// Build (or fetch from the per-evaluation cache) a hash index
-    /// over the join source keyed by the key path. Cached entries are
-    /// revalidated against their [`CacheStamp`]; stale entries are
-    /// discarded and rebuilt.
-    fn join_index(
-        &self,
-        source: &Expr,
-        key_steps: &[Step],
-        env: &mut Env,
-    ) -> XdmResult<Rc<JoinIndex>> {
-        let opt = self.engine.opt_counters();
-        let cache_key = (source as *const Expr as usize, steps_fingerprint(key_steps));
-        if let Some(hit) = env_join_cache(env).get(&cache_key).cloned() {
-            if hit.stamp.is_current(env) {
-                crate::engine::OptCounters::bump(&opt.join_hits);
-                return Ok(hit);
-            }
-            crate::engine::OptCounters::bump(&opt.join_invalidations);
-            env_join_cache(env).remove(&cache_key);
-        }
-        crate::engine::OptCounters::bump(&opt.join_misses);
-        // Capability-bearing arity-0 read functions get a precise
-        // source-version stamp; anything else falls back to the
-        // write-epoch stamp. With the optimizer off, *everything* is
-        // epoch-stamped — any write then invalidates, which is the
-        // baseline's blanket policy.
-        let cap = if self.engine.optimize_enabled() {
-            match source {
-                Expr::FunctionCall { name, args } if args.is_empty() => {
-                    self.engine.source_capability(name)
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let seq = self.eval(source, env)?;
-        let stamp = match cap {
-            // Stamp with the version of the snapshot actually served
-            // (under stale-read degradation this is older than the
-            // live version, so the entry immediately fails
-            // revalidation — stale data is never retained).
-            Some(c) => CacheStamp::Source {
-                version: (c.served_version)(),
-                version_fn: c.version.clone(),
-            },
-            None => CacheStamp::Epoch(env.write_epoch),
-        };
-        let mut index = JoinIdx::default();
-        for (i, item) in seq.iter().enumerate() {
-            if let Item::Node(_) = item {
-                let keyed = self.eval_steps_from(item.clone(), key_steps, env)?;
-                let atoms = keyed.atomized();
-                if atoms.len() == 1 {
-                    index.insert(&atoms[0], i);
-                }
-            }
-        }
-        let entry = Rc::new(JoinCacheEntry { seq, idx: index, stamp });
-        // Cached entries must be fully materialized: `eval` never
-        // returns a lazy sequence (the §11 choke-point invariant), so
-        // a stream can never be stored — and later replayed with its
-        // pull state half-consumed — through this cache.
-        debug_assert!(!entry.seq.is_lazy(), "join cache must not hold lazy sequences");
-        env_join_cache(env).insert(cache_key, entry.clone());
-        Ok(entry)
-    }
-
     fn eval_quantified(
         &self,
         quantifier: Quantifier,
@@ -1317,7 +772,7 @@ impl<'e> Evaluator<'e> {
 
     /// Evaluate a pre-parsed step list from a single origin item (used
     /// by the join-index builder).
-    fn eval_steps_from(
+    pub(crate) fn eval_steps_from(
         &self,
         origin: Item,
         steps: &[Step],
@@ -1823,62 +1278,6 @@ impl<'e> Evaluator<'e> {
     }
 }
 
-/// A detected pushdown opportunity.
-struct Pushdown<'a> {
-    cap: crate::engine::SourceCapability,
-    col: String,
-    class: crate::engine::ColClass,
-    key_steps: Vec<Step>,
-    key_expr: &'a Expr,
-}
-
-/// Canonicalize a comparison key for a source column class, or `None`
-/// when the key cannot be pushed without risking *false negatives*
-/// (the source answers by canonical-lexical hash equality; the rewrite
-/// re-verifies candidates, so false positives are harmless but missed
-/// rows are not):
-///
-/// - `Integer` columns store canonical `i64` lexicals. Numeric keys
-///   compare numerically (push the integral value; non-integral or
-///   out-of-range values fall back). Untyped keys compare *stringly*
-///   against untyped column values, and only canonical lexicals can
-///   ever match — parsing and re-rendering is safe because a
-///   non-canonical key matches nothing either way.
-/// - `String` columns: string/untyped keys push verbatim; numeric keys
-///   would compare numerically against e.g. `"007"` and must fall back.
-/// - `Boolean` columns store `true`/`false`. Boolean keys push their
-///   canonical lexical; untyped keys are normalized (`1` → `true`),
-///   with re-verification discarding the lexical mismatches.
-fn pushdown_key(class: crate::engine::ColClass, a: &AtomicValue) -> Option<String> {
-    use crate::engine::ColClass;
-    match class {
-        ColClass::Integer => {
-            let d = match a {
-                v if v.type_of().is_numeric() => to_f64(v).ok()?,
-                AtomicValue::Untyped(s) => s.trim().parse::<f64>().ok()?,
-                _ => return None,
-            };
-            if !d.is_finite() || d.fract() != 0.0 || d.abs() >= 9.007_199_254_740_992e15 {
-                return None;
-            }
-            Some(format!("{}", d as i64))
-        }
-        ColClass::String => match a {
-            AtomicValue::String(s) | AtomicValue::Untyped(s) => Some(s.clone()),
-            _ => None,
-        },
-        ColClass::Boolean => match a {
-            AtomicValue::Boolean(b) => Some(b.to_string()),
-            AtomicValue::Untyped(s) => match s.trim() {
-                "true" | "1" => Some("true".to_string()),
-                "false" | "0" => Some("false".to_string()),
-                _ => None,
-            },
-            _ => None,
-        },
-    }
-}
-
 // ---------------------------------------------------------------- utils
 
 fn overflow() -> XdmError {
@@ -1891,7 +1290,7 @@ fn one_atomic(seq: &Sequence, what: &str) -> XdmResult<AtomicValue> {
     })
 }
 
-fn opt_one_atomic(seq: &Sequence, what: &str) -> XdmResult<Option<AtomicValue>> {
+pub(crate) fn opt_one_atomic(seq: &Sequence, what: &str) -> XdmResult<Option<AtomicValue>> {
     let atoms = seq.atomized();
     match atoms.len() {
         0 => Ok(None),
@@ -2429,152 +1828,4 @@ fn content_nodes(
         content.push(NodeHandle::new_text(arena, t));
     }
     Ok((content, attrs))
-}
-
-// ------------------------------------------------- join-cache plumbing
-
-fn env_join_cache(env: &mut Env) -> &mut HashMap<(usize, u64), Rc<JoinIndex>> {
-    &mut env.join_cache
-}
-
-fn steps_fingerprint(steps: &[Step]) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    for s in steps {
-        format!("{:?}|{:?}", s.axis, s.test).hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Does the expression reference any variable at all?
-fn expr_refs_any_var(e: &Expr) -> bool {
-    let mut found = false;
-    walk_expr(e, &mut |x| {
-        if matches!(x, Expr::VarRef(_)) {
-            found = true;
-        }
-    });
-    found
-}
-
-/// Does the expression reference the given variable?
-fn expr_refs_var(e: &Expr, var: &QName) -> bool {
-    let mut found = false;
-    walk_expr(e, &mut |x| {
-        if matches!(x, Expr::VarRef(v) if v == var) {
-            found = true;
-        }
-    });
-    found
-}
-
-fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::Literal(_) | Expr::VarRef(_) | Expr::ContextItem => {}
-        Expr::Comma(v) => v.iter().for_each(|x| walk_expr(x, f)),
-        Expr::Range(a, b)
-        | Expr::Binary(_, a, b)
-        | Expr::And(a, b)
-        | Expr::Or(a, b)
-        | Expr::General(_, a, b)
-        | Expr::Value(_, a, b)
-        | Expr::Node(_, a, b)
-        | Expr::Set(_, a, b) => {
-            walk_expr(a, f);
-            walk_expr(b, f);
-        }
-        Expr::Unary(_, a)
-        | Expr::ComputedText(a)
-        | Expr::ComputedComment(a)
-        | Expr::ComputedDocument(a)
-        | Expr::Delete(a) => walk_expr(a, f),
-        Expr::If(c, t, e2) => {
-            walk_expr(c, f);
-            walk_expr(t, f);
-            walk_expr(e2, f);
-        }
-        Expr::Flwor { clauses, ret } => {
-            for c in clauses {
-                match c {
-                    FlworClause::For { source, .. } => walk_expr(source, f),
-                    FlworClause::Let { value, .. } => walk_expr(value, f),
-                    FlworClause::Where(w) => walk_expr(w, f),
-                    FlworClause::OrderBy(specs) => {
-                        specs.iter().for_each(|s| walk_expr(&s.key, f))
-                    }
-                }
-            }
-            walk_expr(ret, f);
-        }
-        Expr::Quantified { bindings, satisfies, .. } => {
-            bindings.iter().for_each(|(_, s)| walk_expr(s, f));
-            walk_expr(satisfies, f);
-        }
-        Expr::Typeswitch { operand, cases } => {
-            walk_expr(operand, f);
-            cases.iter().for_each(|c| walk_expr(&c.body, f));
-        }
-        Expr::Path { start, steps } => {
-            if let PathStart::Expr(b) = start {
-                walk_expr(b, f);
-            }
-            for s in steps {
-                s.predicates.iter().for_each(|p| walk_expr(p, f));
-            }
-        }
-        Expr::Filter { base, predicates } => {
-            walk_expr(base, f);
-            predicates.iter().for_each(|p| walk_expr(p, f));
-        }
-        Expr::FunctionCall { args, .. } => args.iter().for_each(|a| walk_expr(a, f)),
-        Expr::DirectElement(de) => walk_direct(de, f),
-        Expr::ComputedElement(n, c) | Expr::ComputedAttribute(n, c) | Expr::ComputedPi(n, c) => {
-            if let NameExpr::Computed(e2) = n {
-                walk_expr(e2, f);
-            }
-            if let Some(c) = c {
-                walk_expr(c, f);
-            }
-        }
-        Expr::InstanceOf(a, _)
-        | Expr::TreatAs(a, _)
-        | Expr::CastAs(a, _, _)
-        | Expr::CastableAs(a, _, _) => walk_expr(a, f),
-        Expr::Insert { source, target, .. } => {
-            walk_expr(source, f);
-            walk_expr(target, f);
-        }
-        Expr::Replace { target, with, .. } => {
-            walk_expr(target, f);
-            walk_expr(with, f);
-        }
-        Expr::Rename { target, new_name } => {
-            walk_expr(target, f);
-            walk_expr(new_name, f);
-        }
-        Expr::Transform { copies, modify, ret } => {
-            copies.iter().for_each(|(_, e2)| walk_expr(e2, f));
-            walk_expr(modify, f);
-            walk_expr(ret, f);
-        }
-    }
-}
-
-fn walk_direct(de: &DirectElement, f: &mut impl FnMut(&Expr)) {
-    for (_, parts) in &de.attributes {
-        for p in parts {
-            if let AttrContent::Expr(e) = p {
-                walk_expr(e, f);
-            }
-        }
-    }
-    for c in &de.content {
-        match c {
-            DirectContent::Expr(e) => walk_expr(e, f),
-            DirectContent::Element(child) => walk_direct(child, f),
-            _ => {}
-        }
-    }
 }

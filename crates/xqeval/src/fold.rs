@@ -303,116 +303,7 @@ fn collect_calls(e: &Expr, f: &mut impl FnMut(&QName, usize)) {
     if let Expr::FunctionCall { name, args } = e {
         f(name, args.len());
     }
-    each_child(e, &mut |child| collect_calls(child, f));
-}
-
-/// Visit each direct child expression of a node (structural walk used
-/// by the binding collector).
-fn each_child(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    match e {
-        Expr::Literal(_) | Expr::VarRef(_) | Expr::ContextItem => {}
-        Expr::Comma(v) => v.iter().for_each(&mut *f),
-        Expr::Range(a, b)
-        | Expr::Binary(_, a, b)
-        | Expr::And(a, b)
-        | Expr::Or(a, b)
-        | Expr::General(_, a, b)
-        | Expr::Value(_, a, b)
-        | Expr::Node(_, a, b)
-        | Expr::Set(_, a, b) => {
-            f(a);
-            f(b);
-        }
-        Expr::Unary(_, a)
-        | Expr::ComputedText(a)
-        | Expr::ComputedComment(a)
-        | Expr::ComputedDocument(a)
-        | Expr::Delete(a)
-        | Expr::InstanceOf(a, _)
-        | Expr::TreatAs(a, _)
-        | Expr::CastableAs(a, _, _)
-        | Expr::CastAs(a, _, _) => f(a),
-        Expr::If(c, t, e2) => {
-            f(c);
-            f(t);
-            f(e2);
-        }
-        Expr::Flwor { clauses, ret } => {
-            for c in clauses {
-                match c {
-                    FlworClause::For { source, .. } => f(source),
-                    FlworClause::Let { value, .. } => f(value),
-                    FlworClause::Where(w) => f(w),
-                    FlworClause::OrderBy(specs) => specs.iter().for_each(|s| f(&s.key)),
-                }
-            }
-            f(ret);
-        }
-        Expr::Quantified { bindings, satisfies, .. } => {
-            bindings.iter().for_each(|(_, s)| f(s));
-            f(satisfies);
-        }
-        Expr::Typeswitch { operand, cases } => {
-            f(operand);
-            cases.iter().for_each(|c| f(&c.body));
-        }
-        Expr::Path { start, steps } => {
-            if let PathStart::Expr(b) = start {
-                f(b);
-            }
-            steps.iter().for_each(|s| s.predicates.iter().for_each(&mut *f));
-        }
-        Expr::Filter { base, predicates } => {
-            f(base);
-            predicates.iter().for_each(&mut *f);
-        }
-        Expr::FunctionCall { args, .. } => args.iter().for_each(&mut *f),
-        Expr::DirectElement(d) => each_direct_child(d, f),
-        Expr::ComputedElement(n, content)
-        | Expr::ComputedAttribute(n, content)
-        | Expr::ComputedPi(n, content) => {
-            if let NameExpr::Computed(x) = n {
-                f(x);
-            }
-            if let Some(x) = content {
-                f(x);
-            }
-        }
-        Expr::Insert { source, target, .. } => {
-            f(source);
-            f(target);
-        }
-        Expr::Replace { target, with, .. } => {
-            f(target);
-            f(with);
-        }
-        Expr::Rename { target, new_name } => {
-            f(target);
-            f(new_name);
-        }
-        Expr::Transform { copies, modify, ret } => {
-            copies.iter().for_each(|(_, x)| f(x));
-            f(modify);
-            f(ret);
-        }
-    }
-}
-
-fn each_direct_child(d: &DirectElement, f: &mut impl FnMut(&Expr)) {
-    for (_, parts) in &d.attributes {
-        for p in parts {
-            if let AttrContent::Expr(e) = p {
-                f(e);
-            }
-        }
-    }
-    for c in &d.content {
-        match c {
-            DirectContent::Expr(e) => f(e),
-            DirectContent::Element(el) => each_direct_child(el, f),
-            _ => {}
-        }
-    }
+    e.for_each_child(&mut |child| collect_calls(child, f));
 }
 
 #[cfg(test)]

@@ -25,10 +25,10 @@ pub mod cache;
 pub mod context;
 pub mod engine;
 pub mod eval;
+pub(crate) mod flwor;
 pub mod fold;
 pub mod functions;
 pub mod regex_lite;
-pub(crate) mod stream;
 pub mod update;
 
 pub use budget::{Budget, BudgetClock, BudgetExceeded};

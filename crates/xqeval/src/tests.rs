@@ -1161,7 +1161,9 @@ fn nested_streams_compose() {
 }
 
 #[test]
-fn order_by_falls_back_to_eager() {
+fn order_by_streams_its_post_sort_return() {
+    // The sort drains its input, but the `return` after it still runs
+    // per pulled tuple: a page of two evaluates it twice.
     let engine = Engine::new();
     let out = engine
         .eval_query(
@@ -1169,7 +1171,10 @@ fn order_by_falls_back_to_eager() {
         )
         .unwrap();
     assert_eq!(ints(&out), vec![3, 2]);
-    assert_eq!(engine.opt_stats().tuples_pulled, 0, "sorts are a barrier");
+    let s = engine.opt_stats();
+    assert_eq!(s.tuples_pulled, 2, "only the page's tuples reach `return`");
+    assert_eq!(s.early_exits, 1);
+    assert_eq!(s.items_never_built, 1, "the third sorted tuple is skipped");
 }
 
 #[test]

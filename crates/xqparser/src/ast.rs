@@ -469,6 +469,121 @@ impl Expr {
                 | Expr::Rename { .. }
         )
     }
+
+    /// Visit each direct child expression, in source order. Direct
+    /// element constructors are transparent: the expressions enclosed
+    /// in their attributes and (nested) content are children. Pre-order
+    /// walks are short recursions over this.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Literal(_) | Expr::VarRef(_) | Expr::ContextItem => {}
+            Expr::Comma(v) => v.iter().for_each(f),
+            Expr::Range(a, b)
+            | Expr::Binary(_, a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b)
+            | Expr::General(_, a, b)
+            | Expr::Value(_, a, b)
+            | Expr::Node(_, a, b)
+            | Expr::Set(_, a, b) => {
+                f(a);
+                f(b);
+            }
+            Expr::Unary(_, a)
+            | Expr::ComputedText(a)
+            | Expr::ComputedComment(a)
+            | Expr::ComputedDocument(a)
+            | Expr::Delete(a)
+            | Expr::InstanceOf(a, _)
+            | Expr::TreatAs(a, _)
+            | Expr::CastableAs(a, _, _)
+            | Expr::CastAs(a, _, _) => f(a),
+            Expr::If(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+            Expr::Flwor { clauses, ret } => {
+                for c in clauses {
+                    match c {
+                        FlworClause::For { source, .. } => f(source),
+                        FlworClause::Let { value, .. } => f(value),
+                        FlworClause::Where(w) => f(w),
+                        FlworClause::OrderBy(specs) => specs.iter().for_each(|s| f(&s.key)),
+                    }
+                }
+                f(ret);
+            }
+            Expr::Quantified { bindings, satisfies, .. } => {
+                bindings.iter().for_each(|(_, s)| f(s));
+                f(satisfies);
+            }
+            Expr::Typeswitch { operand, cases } => {
+                f(operand);
+                cases.iter().for_each(|c| f(&c.body));
+            }
+            Expr::Path { start, steps } => {
+                if let PathStart::Expr(b) = start {
+                    f(b);
+                }
+                steps.iter().for_each(|s| s.predicates.iter().for_each(&mut *f));
+            }
+            Expr::Filter { base, predicates } => {
+                f(base);
+                predicates.iter().for_each(f);
+            }
+            Expr::FunctionCall { args, .. } => args.iter().for_each(f),
+            Expr::DirectElement(d) => d.for_each_expr(f),
+            Expr::ComputedElement(n, content)
+            | Expr::ComputedAttribute(n, content)
+            | Expr::ComputedPi(n, content) => {
+                if let NameExpr::Computed(x) = n {
+                    f(x);
+                }
+                if let Some(x) = content {
+                    f(x);
+                }
+            }
+            Expr::Insert { source, target, .. } => {
+                f(source);
+                f(target);
+            }
+            Expr::Replace { target, with, .. } => {
+                f(target);
+                f(with);
+            }
+            Expr::Rename { target, new_name } => {
+                f(target);
+                f(new_name);
+            }
+            Expr::Transform { copies, modify, ret } => {
+                copies.iter().for_each(|(_, x)| f(x));
+                f(modify);
+                f(ret);
+            }
+        }
+    }
+}
+
+impl DirectElement {
+    /// Visit the expressions enclosed in this constructor's attributes
+    /// and content, descending through nested direct constructors.
+    fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        for (_, parts) in &self.attributes {
+            for p in parts {
+                if let AttrContent::Expr(e) = p {
+                    f(e);
+                }
+            }
+        }
+        for c in &self.content {
+            match c {
+                DirectContent::Expr(e) => f(e),
+                DirectContent::Element(child) => child.for_each_expr(f),
+                _ => {}
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
