@@ -18,15 +18,19 @@ use xqeval::Env;
 
 pub use aldsp::demo;
 
-/// The E14 read workload: one `getProfileById` request per distinct
-/// customer (`1..=n`), so per-worker response caches cannot swallow
-/// the simulated source latency — every request pays the wire.
-pub fn serve_profile_requests(n: usize) -> Vec<aldsp::pool::ServeRequest> {
-    (0..n.max(1))
+/// The E14 read workload: `requests` `getProfileById` requests cycling
+/// through customers `1..=customers`. Against the delayed credit-rating
+/// service (response cache off) each request makes one round trip to
+/// the source: the view-unfold operator builds only the requested
+/// profile, and a fresh `Env` per request keeps the per-evaluation
+/// memo from answering a repeated customer.
+pub fn serve_profile_requests(customers: usize, requests: usize) -> Vec<aldsp::pool::ServeRequest> {
+    let customers = customers.max(1);
+    (0..requests.max(1))
         .map(|i| aldsp::pool::ServeRequest::Get {
             service: "CustomerProfile".to_string(),
             method: "getProfileById".to_string(),
-            args: vec![aldsp::pool::ServeArg::Str((i + 1).to_string())],
+            args: vec![aldsp::pool::ServeArg::Str((i % customers + 1).to_string())],
         })
         .collect()
 }

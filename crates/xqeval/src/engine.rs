@@ -127,6 +127,9 @@ pub struct OptStats {
     pub mat_invalidations: u64,
     /// FLWOR where-clauses rewritten to source point-selects.
     pub pushdown_rewrites: u64,
+    /// FLWOR `for` clauses over a view function that built only the
+    /// view rows their `where` accepts (one per operator).
+    pub view_unfolds: u64,
     /// Optimize-gated reads answered via a secondary index.
     pub indexed_selects: u64,
     /// Prepared-plan cache hits (parse + prolog load skipped).
@@ -204,6 +207,7 @@ impl OptStats {
         self.mat_misses += other.mat_misses;
         self.mat_invalidations += other.mat_invalidations;
         self.pushdown_rewrites += other.pushdown_rewrites;
+        self.view_unfolds += other.view_unfolds;
         self.indexed_selects += other.indexed_selects;
         self.plan_hits += other.plan_hits;
         self.plan_misses += other.plan_misses;
@@ -251,6 +255,8 @@ pub struct OptCounters {
     pub mat_invalidations: Cell<u64>,
     /// See [`OptStats::pushdown_rewrites`].
     pub pushdown_rewrites: Cell<u64>,
+    /// See [`OptStats::view_unfolds`].
+    pub view_unfolds: Cell<u64>,
     /// See [`OptStats::indexed_selects`].
     pub indexed_selects: Cell<u64>,
     /// See [`OptStats::plan_hits`].
@@ -929,6 +935,7 @@ impl Engine {
             mat_misses: self.inner.opt.mat_misses.get(),
             mat_invalidations: self.inner.opt.mat_invalidations.get(),
             pushdown_rewrites: self.inner.opt.pushdown_rewrites.get(),
+            view_unfolds: self.inner.opt.view_unfolds.get(),
             indexed_selects: self.inner.opt.indexed_selects.get(),
             plan_hits: self.inner.opt.plan_hits.get(),
             plan_misses: self.inner.opt.plan_misses.get(),
@@ -966,6 +973,7 @@ impl Engine {
         o.mat_misses.set(0);
         o.mat_invalidations.set(0);
         o.pushdown_rewrites.set(0);
+        o.view_unfolds.set(0);
         o.indexed_selects.set(0);
         o.plan_hits.set(0);
         o.plan_misses.set(0);

@@ -1124,13 +1124,8 @@ impl<'e> Evaluator<'e> {
     ) -> XdmResult<Sequence> {
         env.push_scope();
         let result = (|| {
-            for (p, a) in decl.params.iter().zip(args) {
-                let a = match &p.ty {
-                    Some(ty) => ty
-                        .convert(a, &format!("parameter ${} of {}", p.name, decl.name))?,
-                    None => a,
-                };
-                env.bind(p.name.clone(), a);
+            for (name, a) in convert_params(decl, args)? {
+                env.bind(name, a);
             }
             // Function bodies see no outer focus.
             let saved_focus = env.focus.take();
@@ -1288,6 +1283,23 @@ fn one_atomic(seq: &Sequence, what: &str) -> XdmResult<AtomicValue> {
     opt_one_atomic(seq, what)?.ok_or_else(|| {
         XdmError::new(ErrorCode::XPTY0004, format!("{what}: empty sequence"))
     })
+}
+
+/// A user function's parameters bound to its arguments, each converted
+/// to its declared type by the function conversion rules, in order.
+pub(crate) fn convert_params(
+    decl: &FunctionDecl,
+    args: Vec<Sequence>,
+) -> XdmResult<Vec<(QName, Sequence)>> {
+    let mut params = Vec::with_capacity(args.len());
+    for (p, a) in decl.params.iter().zip(args) {
+        let a = match &p.ty {
+            Some(ty) => ty.convert(a, &format!("parameter ${} of {}", p.name, decl.name))?,
+            None => a,
+        };
+        params.push((p.name.clone(), a));
+    }
+    Ok(params)
 }
 
 pub(crate) fn opt_one_atomic(seq: &Sequence, what: &str) -> XdmResult<Option<AtomicValue>> {

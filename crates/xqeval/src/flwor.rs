@@ -4,25 +4,31 @@
 //! pulling binding tuples from the one before it: `for`, `let` and
 //! `where`, plus `order by`, a barrier that drains its input, sorts it
 //! through [`order_by_sort`], then emits. The source of a `for` is one
-//! of four interchangeable operators, chosen when the FLWOR is entered:
+//! of five interchangeable operators, chosen when the FLWOR is entered:
 //!
 //! - **plain** — evaluate the source expression per input tuple;
 //! - **pushdown** — `for $v in src() where $v/COL eq K` over a
 //!   capability-bearing source becomes one indexed point-select per
 //!   input tuple (§II.B "push computation to the sources");
+//! - **view unfold** — `for $v in f(args) where P` over a user function
+//!   whose body is a FLWOR returning `<E>…</E>` runs `f`'s own pipeline,
+//!   tests `P` on a skeleton `<E>` holding only the children `P` reads,
+//!   and constructs the full `<E>` only for the rows that pass (§II.A's
+//!   layered logical services, filtered before they are built);
 //! - **hash-join probe** — `for $v in E where P($v) eq K` with `E`
 //!   closed probes a memoized index over `E`;
 //! - **batched flight** — a source calling a batchable (web-service)
 //!   function drains its input and issues one `call_many` flight for
 //!   every tuple: a barrier, like `order by`.
 //!
-//! The pushdown and join operators consume the `where` clause after
-//! them. Whatever the index does not decide is checked against that
-//! clause: every pushed-down candidate as it is pulled, and a tuple
-//! whose key is beyond the index takes the plain path for that tuple
-//! only, so a rewrite only narrows what plain evaluation examines
-//! (DESIGN §11 notes the one exception: join keys that plain comparison
-//! rejects as incomparable simply do not match).
+//! The pushdown, view-unfold and join operators consume the `where`
+//! clause after them. Whatever the index does not decide is checked
+//! against that clause: every pushed-down candidate as it is pulled,
+//! and a tuple whose key is beyond the index takes the plain path for
+//! that tuple only, so a rewrite only narrows what plain evaluation
+//! examines (DESIGN §11 notes the exceptions: join keys that plain
+//! comparison rejects as incomparable simply do not match, and a view
+//! row the `where` rejects is never constructed).
 //!
 //! Two drivers run the same pipeline. [`drain`] (what `eval` does)
 //! pulls every tuple on the caller's `Env` and borrows the AST, so the
@@ -36,14 +42,15 @@
 use std::rc::Rc;
 
 use xdm::error::XdmResult;
-use xdm::qname::QName;
+use xdm::qname::{QName, FN_NS, XS_NS};
 use xdm::sequence::{Item, ItemSource, Sequence};
+use xdm::types::{Occurrence, SequenceType};
 use xqparser::ast::*;
 
 use crate::context::Env;
-use crate::engine::{BatchFn, ColClass, Engine, OptCounters, SourceCapability};
+use crate::engine::{BatchFn, ColClass, Engine, FunctionKind, OptCounters, SourceCapability};
 use crate::eval::{
-    opt_one_atomic, order_by_sort, CacheStamp, Evaluator, JoinCacheEntry, JoinIdx,
+    convert_params, opt_one_atomic, order_by_sort, CacheStamp, Evaluator, JoinCacheEntry, JoinIdx,
 };
 
 /// A binding tuple: the variables bound by the clauses so far.
@@ -234,8 +241,10 @@ fn plan(engine: &Engine, clauses: &[FlworClause]) -> Vec<Stage> {
                     None => choose_source(engine, var, source, clauses.get(i + 1)),
                     Some(_) => Source::Plain,
                 };
-                let owns_where =
-                    matches!(source, Source::Pushdown(_) | Source::Join { .. });
+                let owns_where = matches!(
+                    source,
+                    Source::Pushdown(_) | Source::Unfold(_) | Source::Join { .. }
+                );
                 let op = ForOp { clause: i, source, owns_where, cursor: None };
                 if owns_where {
                     i += 1;
@@ -333,6 +342,9 @@ enum Source {
     Plain,
     /// One indexed point-select per input tuple.
     Pushdown(Pushdown),
+    /// The view function's own pipeline, constructing only the rows
+    /// that pass the consumed `where`.
+    Unfold(Box<Unfold>),
     /// Probes into a memoized index over a closed source, keyed by the
     /// path `steps`; `key` is the outer key's side of the `where`.
     Join { steps: Vec<Step>, key: usize, index: Option<Rc<JoinCacheEntry>> },
@@ -347,6 +359,9 @@ impl ForOp {
         input: &mut [Stage],
         cx: &mut Cx<'_, '_>,
     ) -> XdmResult<Option<Tuple>> {
+        if let Source::Unfold(view) = &mut self.source {
+            return view.next(self.clause, input, cx);
+        }
         let clauses = cx.clauses;
         let FlworClause::For { var, pos, .. } = &clauses[self.clause] else {
             unreachable!("planned from a for clause")
@@ -464,6 +479,9 @@ fn choose_source(
     if engine.optimize_enabled() {
         if let Some(pd) = detect_pushdown(engine, var, source, next) {
             return Source::Pushdown(pd);
+        }
+        if let Some(view) = detect_unfold(engine, var, source, next) {
+            return Source::Unfold(Box::new(view));
         }
     }
     // The hash join is gated on `join_rewrite_enabled`, NOT on
@@ -600,26 +618,274 @@ fn detect_pushdown(
     }
     let ops = eq_operands(next)?;
     let cap = engine.source_capability(name)?;
-    let col_of = |e: &Expr| -> Option<String> {
-        let Expr::Path { start: PathStart::Expr(base), steps } = e else { return None };
-        let [st] = &steps[..] else { return None };
-        if !matches!(&**base, Expr::VarRef(v) if v == var)
-            || st.axis != Axis::Child
-            || !st.predicates.is_empty()
-        {
-            return None;
-        }
-        let NodeTest::Name(q) = &st.test else { return None };
-        q.ns.is_none().then(|| q.local.to_string())
-    };
     (0..2).find_map(|side| {
-        let col = col_of(ops[side])?;
+        let col = child_step(ops[side], var).filter(|q| q.ns.is_none())?.local.to_string();
         if expr_refs_var(ops[1 - side], var) {
             return None;
         }
         let class = cap.columns.iter().find(|(c, _)| *c == col).map(|(_, cl)| *cl)?;
         Some(Pushdown { cap: cap.clone(), col, class, key: 1 - side, fired: false })
     })
+}
+
+/// The name `N` when `e` is `$var/N`: one predicate-free child step
+/// with a name test.
+fn child_step<'e>(e: &'e Expr, var: &QName) -> Option<&'e QName> {
+    let Expr::Path { start: PathStart::Expr(base), steps } = e else { return None };
+    let [st] = &steps[..] else { return None };
+    if !matches!(&**base, Expr::VarRef(v) if v == var)
+        || st.axis != Axis::Child
+        || !st.predicates.is_empty()
+    {
+        return None;
+    }
+    match &st.test {
+        NodeTest::Name(q) => Some(q),
+        _ => None,
+    }
+}
+
+/// A view function unfolded into the `for` clause that reads it.
+struct Unfold {
+    decl: Rc<FunctionDecl>,
+    /// The view's `<E>` with only the children the `where` reads.
+    skeleton: Expr,
+    /// The view's pipeline for the current input tuple.
+    run: Option<ViewRun>,
+    /// `view_unfolds` has been counted for this operator.
+    fired: bool,
+}
+
+/// One call of an unfolded view.
+struct ViewRun {
+    /// The caller's tuple.
+    tuple: Tuple,
+    /// The parameters, bound to the converted arguments.
+    params: Tuple,
+    stages: Vec<Stage>,
+}
+
+impl Unfold {
+    fn next(
+        &mut self,
+        clause: usize,
+        input: &mut [Stage],
+        cx: &mut Cx<'_, '_>,
+    ) -> XdmResult<Option<Tuple>> {
+        let clauses = cx.clauses;
+        let FlworClause::For { var, source, .. } = &clauses[clause] else {
+            unreachable!("planned from a for clause")
+        };
+        let decl = self.decl.clone();
+        let Some(Expr::Flwor { clauses: body, ret }) = &decl.body else {
+            unreachable!("planned from a FLWOR view")
+        };
+        loop {
+            if let Some(ViewRun { tuple, params, stages }) = &mut self.run {
+                let skeleton = &self.skeleton;
+                while let Some((row, skel)) = in_view(cx, body, tuple, params, |vx| {
+                    let Some(row) = pull(stages, vx)? else { return Ok(None) };
+                    let skel = vx.force(&row, skeleton)?;
+                    Ok(Some((row, skel)))
+                })? {
+                    let mut t = tuple.clone();
+                    t.push((var.clone(), skel));
+                    if !cx.passes(&t, clause + 1)? {
+                        continue;
+                    }
+                    let full = in_view(cx, body, tuple, params, |vx| vx.force(&row, ret))?;
+                    if let Some(ty) = &decl.return_type {
+                        ty.check(&full, &format!("result of {}", decl.name))?;
+                    }
+                    t.pop();
+                    t.push((var.clone(), full));
+                    return Ok(Some(t));
+                }
+                self.run = None;
+            }
+            let Some(tuple) = pull(input, cx)? else { return Ok(None) };
+            let params = call_params(cx, &decl, source, &tuple)?;
+            if !self.fired {
+                self.fired = true;
+                OptCounters::bump(&cx.ev.engine.opt_counters().view_unfolds);
+            }
+            let stages = plan(cx.ev.engine, body);
+            self.run = Some(ViewRun { tuple, params, stages });
+        }
+    }
+}
+
+/// Evaluate a view call's arguments with `tuple` bound and convert them
+/// to its parameter types, in `call_user_function`'s order: every
+/// argument first, then every conversion.
+fn call_params(
+    cx: &mut Cx<'_, '_>,
+    decl: &FunctionDecl,
+    source: &Expr,
+    tuple: &Tuple,
+) -> XdmResult<Tuple> {
+    let Expr::FunctionCall { args, .. } = source else {
+        unreachable!("planned from a function call")
+    };
+    // The call's own evaluation step, and its body's.
+    cx.ev.engine.budget_step()?;
+    let mut values = Vec::with_capacity(args.len());
+    for a in args {
+        values.push(cx.force(tuple, a)?);
+    }
+    cx.ev.engine.budget_step()?;
+    convert_params(decl, values)
+}
+
+/// Run `f` over the view's `body` in the scope `call_user_function`
+/// gives it: the caller's tuple, then the parameters, bound, and no
+/// focus.
+fn in_view<R>(
+    cx: &mut Cx<'_, '_>,
+    body: &[FlworClause],
+    tuple: &Tuple,
+    params: &Tuple,
+    f: impl FnOnce(&mut Cx<'_, '_>) -> XdmResult<R>,
+) -> XdmResult<R> {
+    cx.env.push_scope();
+    for (n, v) in tuple.iter().chain(params) {
+        cx.env.bind(n.clone(), v.clone());
+    }
+    let focus = cx.env.focus.take();
+    let out = f(&mut Cx { ev: cx.ev, env: &mut *cx.env, clauses: body, lazy: false });
+    cx.env.focus = focus;
+    cx.env.pop_scope();
+    out
+}
+
+/// Detect the *view unfold* pattern `for $v in f(args) where P`, where
+/// `f` is a user function whose body is a FLWOR returning a direct
+/// constructor `<E>…</E>` and whose declared result, if any, has
+/// occurrence `*`. The skeleton `<E>` answers `P` exactly as the full
+/// one does when:
+///
+/// - every use of `$v` in `P` is `$v/N`, one predicate-free child step,
+///   directly an operand of a value or general comparison, which
+///   atomizes it, so node identity and parents cannot leak;
+/// - `P` calls builtin functions only: a user function sees its
+///   caller's variables, so one called from `P` could read `$v`;
+/// - each such `N` names exactly one direct-constructor child of `<E>`,
+///   and no enclosed expression in `<E>`'s content can yield an
+///   element named `N` (see [`may_yield`]);
+/// - those children call builtin functions only, so building them
+///   again for the full `<E>` gives the value `P` was tested on.
+fn detect_unfold(
+    engine: &Engine,
+    var: &QName,
+    source: &Expr,
+    next: Option<&FlworClause>,
+) -> Option<Unfold> {
+    let Expr::FunctionCall { name, args } = source else { return None };
+    let Some(FlworClause::Where(cond)) = next else { return None };
+    // Builtins are dispatched before user functions.
+    if matches!(name.ns.as_deref(), Some(FN_NS | XS_NS)) {
+        return None;
+    }
+    let Some(FunctionKind::User(decl)) = engine.function(name, args.len()) else {
+        return None;
+    };
+    if decl.updating
+        || !matches!(decl.return_type, None | Some(SequenceType::Of(_, Occurrence::ZeroOrMore)))
+    {
+        return None;
+    }
+    let Some(Expr::Flwor { ret, .. }) = &decl.body else { return None };
+    let Expr::DirectElement(elem) = &**ret else { return None };
+    let mut names = Vec::new();
+    if !compared_children(cond, var, &mut names) || !calls_only_builtins(cond) {
+        return None;
+    }
+    if elem.content.iter().any(|c| matches!(c, DirectContent::Expr(e) if may_yield(e, &names))) {
+        return None;
+    }
+    // The skeleton holds, for each name, its one direct-constructor child.
+    let mut content = Vec::with_capacity(names.len());
+    for n in &names {
+        let mut children = elem
+            .content
+            .iter()
+            .filter(|c| matches!(c, DirectContent::Element(child) if child.name == *n));
+        match (children.next(), children.next()) {
+            (Some(child), None) => content.push(child.clone()),
+            _ => return None,
+        }
+    }
+    let skeleton = Expr::DirectElement(Box::new(DirectElement {
+        name: elem.name.clone(),
+        attributes: Vec::new(),
+        ns_decls: elem.ns_decls.clone(),
+        content,
+    }));
+    // The compared children are built twice for a row that passes, in
+    // the skeleton and in the full `<E>`: both must have one value.
+    if !calls_only_builtins(&skeleton) {
+        return None;
+    }
+    Some(Unfold { decl, skeleton, run: None, fired: false })
+}
+
+/// Collect into `names` the children `$var/N` that `e` compares, or
+/// return false when `e` uses `$var` in any other way.
+fn compared_children(e: &Expr, var: &QName, names: &mut Vec<QName>) -> bool {
+    match e {
+        Expr::Value(_, l, r) | Expr::General(_, l, r) => [l, r].into_iter().all(|o| {
+            match child_step(o, var) {
+                Some(q) => {
+                    if !names.contains(q) {
+                        names.push(q.clone());
+                    }
+                    true
+                }
+                None => compared_children(o, var, names),
+            }
+        }),
+        Expr::VarRef(v) => v != var,
+        _ => {
+            let mut ok = true;
+            e.for_each_child(&mut |c| ok = ok && compared_children(c, var, names));
+            ok
+        }
+    }
+}
+
+/// Does `e` call builtin functions only? Then evaluating it twice with
+/// the same bindings gives the same value: only a source or procedure
+/// call could answer differently the second time.
+fn calls_only_builtins(e: &Expr) -> bool {
+    if let Expr::FunctionCall { name, .. } = e {
+        if !matches!(name.ns.as_deref(), Some(FN_NS | XS_NS)) {
+            return false;
+        }
+    }
+    let mut ok = true;
+    e.for_each_child(&mut |c| ok = ok && calls_only_builtins(c));
+    ok
+}
+
+/// Might the enclosed expression `e` yield an element named one of
+/// `names`? Conservative: literals, atomizing builtin calls, direct
+/// constructors of other names, and FLWOR or `if` expressions whose
+/// every return is one of those cannot; anything else might.
+fn may_yield(e: &Expr, names: &[QName]) -> bool {
+    match e {
+        Expr::Literal(_) => false,
+        Expr::DirectElement(d) => names.contains(&d.name),
+        Expr::Flwor { ret, .. } => may_yield(ret, names),
+        Expr::If(_, then, els) => may_yield(then, names) || may_yield(els, names),
+        Expr::FunctionCall { name, args } => {
+            name.ns.as_deref() != Some(FN_NS)
+                || !matches!(
+                    (&*name.local, args.len()),
+                    ("data" | "string" | "count" | "number", 1) | ("string-join", 2)
+                )
+        }
+        _ => true,
+    }
 }
 
 /// Canonicalize a comparison key for a source column class, or `None`

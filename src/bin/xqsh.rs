@@ -35,11 +35,11 @@
 //!
 //! `--serve-bench N` starts the concurrent serving layer
 //! (`aldsp::pool::ServePool`) with N workers over the demo dataspace
-//! and replays a closed-loop read workload (`getProfileById` over
-//! distinct customers, each call paying `--delay-us` microseconds of
-//! simulated web-service latency), printing queries/sec. Under the
-//! pool, `--explain` prints the **aggregated** per-worker counters as
-//! one totals line. The env kill switch `XQSE_SERVE_WORKERS`
+//! and replays a closed-loop read workload (`getProfileById` cycling
+//! through at most 64 customers, each call paying `--delay-us`
+//! microseconds of simulated web-service latency), printing
+//! queries/sec. Under the pool, `--explain` prints the **aggregated**
+//! per-worker counters as one totals line. The env kill switch `XQSE_SERVE_WORKERS`
 //! overrides N (EXPERIMENTS.md E14 uses `XQSE_SERVE_WORKERS=1` to
 //! reproduce single-threaded numbers).
 //!
@@ -92,8 +92,8 @@ fn print_explain_stats(s: &OptStats, optimize: bool, batch: bool, graft: bool, l
         s.mat_hits, s.mat_misses, s.mat_invalidations
     );
     eprintln!(
-        "explain: pushdown       rewrites={} indexed-selects={}",
-        s.pushdown_rewrites, s.indexed_selects
+        "explain: pushdown       rewrites={} indexed-selects={} view-unfolds={}",
+        s.pushdown_rewrites, s.indexed_selects, s.view_unfolds
     );
     eprintln!(
         "explain: plan cache     hits={} misses={}",
@@ -137,6 +137,9 @@ fn print_explain(engine: &Engine) {
     );
 }
 
+/// The most customers the `--serve-bench` fixture holds.
+const SERVE_CUSTOMERS: usize = 64;
+
 /// The `--serve-bench` mode: the E14 closed-loop throughput driver,
 /// or (with `overload`) the E15 load-shedding driver.
 #[allow(clippy::too_many_arguments)]
@@ -148,6 +151,7 @@ fn serve_bench(
     overload: bool,
     deadline_ms: Option<u64>,
     fuel: Option<u64>,
+    no_opt: bool,
     no_graft: bool,
     no_lazy: bool,
 ) -> ExitCode {
@@ -157,9 +161,13 @@ fn serve_bench(
     };
     use aldsp::ws::WebService;
 
-    // One distinct customer per request so the per-worker response
-    // caches cannot swallow the simulated wire latency.
-    let demo = match demo::build(requests, 1, 1) {
+    // Requests cycle through at most SERVE_CUSTOMERS customers, so a
+    // long request list does not grow the view every request filters.
+    // Each request still pays its own round trip: the delayed service
+    // caches no responses and every `DataSpace::get` starts a fresh
+    // `Env`.
+    let customers = requests.clamp(1, SERVE_CUSTOMERS);
+    let demo = match demo::build(customers, 1, 1) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("xqsh: serve-bench fixture failed: {e}");
@@ -187,10 +195,13 @@ fn serve_bench(
             &db2,
             WebService::credit_rating_delayed(demo::CREDIT_TYPES_NS, delay_us),
         );
-        // Per-worker engines read XQSE_DISABLE_GRAFT / _LAZY themselves
-        // at construction; the --no-graft/--no-lazy flags have to
-        // reach them here.
+        // Per-worker engines read XQSE_DISABLE_OPT / _GRAFT / _LAZY
+        // themselves at construction; the --no-opt/--no-graft/--no-lazy
+        // flags have to reach them here.
         if let Ok(s) = &space {
+            if no_opt {
+                s.engine().set_optimize(false);
+            }
             if no_graft {
                 s.engine().set_graft(false);
             }
@@ -204,7 +215,7 @@ fn serve_bench(
         .map(|i| ServeRequest::Get {
             service: "CustomerProfile".to_string(),
             method: "getProfileById".to_string(),
-            args: vec![ServeArg::Str((i + 1).to_string())],
+            args: vec![ServeArg::Str((i % customers + 1).to_string())],
         })
         .collect();
     // Overload mode offers 4× the pool's concurrency without
@@ -246,6 +257,20 @@ fn serve_bench(
         elapsed.as_secs_f64() * 1e3,
         qps
     );
+    // Digest of every reply in request order (FNV-1a over bodies and
+    // error codes), so runs under different flags can be checked for
+    // byte-identical replies.
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for r in &replies {
+        let text = match &r.result {
+            Ok(body) => body.clone(),
+            Err(e) => format!("error {}", e.code),
+        };
+        for b in text.bytes().chain([0]) {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    println!("serve-bench: replies-digest={digest:016x}");
     if overload {
         // Goodput = completed work per second; sheds fail fast and are
         // reported separately, not as errors.
@@ -273,7 +298,7 @@ fn serve_bench(
         let env_on = |k: &str| !matches!(std::env::var(k).as_deref(), Ok("1"));
         print_explain_stats(
             &report.stats,
-            env_on("XQSE_DISABLE_OPT"),
+            !no_opt && env_on("XQSE_DISABLE_OPT"),
             env_on("XQSE_DISABLE_BATCH"),
             !no_graft && env_on("XQSE_DISABLE_GRAFT"),
             !no_lazy && env_on("XQSE_DISABLE_LAZY"),
@@ -359,6 +384,7 @@ fn main() -> ExitCode {
             overload,
             deadline_ms,
             fuel,
+            no_opt,
             no_graft,
             no_lazy,
         );

@@ -193,3 +193,22 @@ fn explain_block_prints_all_lines_unconditionally() {
         }
     }
 }
+
+/// The `pushdown` explain line counts view unfolds: a `for` over a
+/// user view whose `where` reads one constructed child unfolds with
+/// the optimizer on, and `--no-opt` gives the same bytes without it.
+#[test]
+fn explain_counts_view_unfolds() {
+    let src = "declare function local:v() as element(R)* { \
+                 for $i in 1 to 5 return <R><K>{$i}</K><V>{$i * $i}</V></R> \
+               }; \
+               for $r in local:v() where $r/K eq 4 return $r";
+    let (on_out, on_err, ok) = run_stdin_env(&["--explain"], &[], src);
+    assert!(ok, "{on_err}");
+    let (off_out, off_err, ok) = run_stdin_env(&["--explain", "--no-opt"], &[], src);
+    assert!(ok, "{off_err}");
+    assert_eq!(on_out.trim(), "<R><K>4</K><V>16</V></R>");
+    assert_eq!(on_out, off_out);
+    assert!(on_err.contains("indexed-selects=0 view-unfolds=1"), "{on_err}");
+    assert!(off_err.contains("indexed-selects=0 view-unfolds=0"), "{off_err}");
+}

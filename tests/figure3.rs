@@ -128,6 +128,41 @@ fn getprofile_by_id_equals_filtered_getprofile() {
     assert!(none.is_empty());
 }
 
+/// `getProfileById` filters Figure 3's view before building it: the
+/// view-unfold operator constructs the one matching profile and issues
+/// its one credit-rating call, where filtering the built view costs a
+/// whole `getProfile()`.
+#[test]
+fn getprofile_by_id_builds_only_the_matching_profile() {
+    let d = demo::build(100, 3, 2).unwrap();
+    let engine = d.space.engine();
+    // Pin the optimizer on: check.sh re-runs this file under the kill
+    // switches.
+    engine.set_optimize(true);
+    // Warm the materialization caches so both reads count construction
+    // only.
+    d.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
+    engine.reset_opt_stats();
+    d.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
+    let all = engine.opt_stats();
+    engine.reset_opt_stats();
+    let one = d
+        .space
+        .get("CustomerProfile", "getProfileById", vec![Sequence::one(Item::string("42"))])
+        .unwrap();
+    let s = engine.opt_stats();
+    assert_eq!(one.len(), 1);
+    assert_eq!(one.get_value(0, &["CID"]).unwrap(), "42");
+    assert!(s.view_unfolds >= 1, "the view must be unfolded: {s:?}");
+    assert_eq!(s.ws_requests, 1, "one credit-rating call for one profile: {s:?}");
+    assert!(
+        s.nodes_built * 20 < all.nodes_built,
+        "one profile must build under 1/20 of getProfile()'s {} nodes, built {}",
+        all.nodes_built,
+        s.nodes_built
+    );
+}
+
 #[test]
 fn figure4_full_cycle_carrey_to_carey() {
     // The literal Figure-4 story.

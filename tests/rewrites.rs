@@ -1,7 +1,8 @@
 //! Rewrite equivalence: every source operator the FLWOR pipeline can
-//! choose for a `for` clause — indexed point-select (pushdown),
-//! hash-join probe, batched web-service flight — must give exactly
-//! what plain evaluation gives, under every early-exit consumer.
+//! choose for a `for` clause — indexed point-select (pushdown), view
+//! unfold, hash-join probe, batched web-service flight — must give
+//! exactly what plain evaluation gives, under every early-exit
+//! consumer.
 //!
 //! Each shape × consumer runs three ways on a fresh demo data space:
 //! streamed lazily, drained, and drained with every rewrite off (the
@@ -14,10 +15,17 @@ use xqse_repro::xmlparse::{serialize_sequence, serialize_sequence_stream};
 use xqse_repro::xqeval::{Env, OptStats};
 
 const PROLOG: &str = r#"
+declare namespace ns1 = "ld:CustomerProfile";
 declare namespace cus = "ld:db1/CUSTOMER";
 declare namespace cre = "ld:db2/CREDIT_CARD";
 declare namespace cre2 = "urn:creditrating/types";
 declare namespace cre3 = "ld:ws/CreditRating";
+declare function local:cards($cid as xs:integer) as element(CC)* {
+  for $cc in cre:CREDIT_CARD() where $cc/CID eq $cid
+  let $id := fn:data($cc/CCID)
+  order by $id descending
+  return <CC><ID>{$id}</ID><BRAND>{fn:data($cc/CC_BRAND)}</BRAND></CC>
+};
 "#;
 
 #[derive(Clone, Copy, Debug)]
@@ -55,6 +63,15 @@ fn pushdowns(s: &OptStats) -> u64 {
     s.pushdown_rewrites
 }
 
+fn unfolds(s: &OptStats) -> u64 {
+    s.view_unfolds
+}
+
+/// The view unfolded and the pushdown inside its body still fired.
+fn unfolds_over_pushdown(s: &OptStats) -> u64 {
+    s.view_unfolds.min(s.pushdown_rewrites)
+}
+
 fn joins(s: &OptStats) -> u64 {
     s.join_hits + s.join_misses
 }
@@ -78,6 +95,36 @@ const SHAPES: &[Shape] = &[
         "for $k in (2, (3, 4), ()) for $cc in cre:CREDIT_CARD() where $cc/CID = $k \
          return <cc>{fn:data($cc/CCID)}</cc>",
         pushdowns,
+    ),
+    (
+        "view unfold, Figure 3's filter with an xs:string key",
+        "for $cid in ('2', '5', '404') for $p in ns1:getProfile() \
+         where $cid eq $p/CID return $p",
+        unfolds,
+    ),
+    (
+        "view unfold, numeric key under =",
+        "for $k in (3, 1) for $p in ns1:getProfile() where $p/CID = $k \
+         return <id last=\"{fn:data($p/LAST_NAME)}\">{fn:data($p/CID)}</id>",
+        unfolds,
+    ),
+    (
+        "view unfold, a where reading two children",
+        "for $p in ns1:getProfile() where $p/CID eq '2' or $p/LAST_NAME eq 'Wong' \
+         return $p",
+        unfolds,
+    ),
+    (
+        "view unfold, outer variable named like the view's own",
+        "for $CUSTOMER in ('4') for $p in ns1:getProfile() \
+         where $p/CID eq $CUSTOMER return ($p, <n>{fn:data($CUSTOMER)}</n>)",
+        unfolds,
+    ),
+    (
+        "view unfold, a parameterized view with its own pushdown, let and order by",
+        "for $k in (2, 3) for $c in local:cards($k) \
+         where $c/ID ne '5' and $c/BRAND eq 'VISTA' return <c k=\"{$k}\">{fn:data($c/ID)}</c>",
+        unfolds_over_pushdown,
     ),
     (
         "hash join",
@@ -155,22 +202,109 @@ const CONSUMERS: &[(&str, &str)] = &[
     ("[k]", "({})[2]"),
 ];
 
+/// Run `query` lazily, drained and as the reference, assert that the
+/// three agree, and return their counters in that order.
+fn agree(query: &str, what: &str) -> [OptStats; 3] {
+    let (reference, r) = run(query, Mode::Reference);
+    let (lazy, l) = run(query, Mode::Lazy);
+    let (drained, d) = run(query, Mode::Drained);
+    assert_eq!(lazy, reference, "lazy vs reference: {what}");
+    assert_eq!(drained, reference, "drained vs reference: {what}");
+    [l, d, r]
+}
+
 #[test]
 fn rewrites_agree_with_plain_evaluation_under_every_consumer() {
     for &(shape, flwor, fired) in SHAPES {
         for &(consumer, wrap) in CONSUMERS {
-            let query = wrap.replace("{}", flwor);
             let what = format!("{shape} / {consumer}");
-            let (reference, r) = run(&query, Mode::Reference);
-            let (lazy, l) = run(&query, Mode::Lazy);
-            let (drained, d) = run(&query, Mode::Drained);
-            assert_eq!(lazy, reference, "lazy vs reference: {what}");
-            assert_eq!(drained, reference, "drained vs reference: {what}");
+            let [l, d, r] = agree(&wrap.replace("{}", flwor), &what);
             assert!(fired(&l) > 0, "the rewrite must fire lazily: {what}");
             assert!(fired(&d) > 0, "the rewrite must fire drained: {what}");
             assert_eq!(fired(&r), 0, "the reference runs no rewrite: {what}");
         }
     }
+}
+
+/// Views the unfold operator must leave alone, because a skeleton
+/// could answer the `where` differently from the full row or the
+/// `for` numbers its items. (name, prolog, FLWOR)
+const NOT_UNFOLDED: &[(&str, &str, &str)] = &[
+    (
+        "a child built by an enclosed expression",
+        "",
+        "for $p in ns1:getProfile() where $p/CreditRating ge 500 \
+         return <r>{fn:data($p/CID)}</r>",
+    ),
+    (
+        "the row outside a comparison",
+        "",
+        "for $p in ns1:getProfile() where fn:exists($p/Orders/ORDER) \
+         return <r>{fn:data($p/CID)}</r>",
+    ),
+    (
+        "a compared child that calls a source",
+        "declare function local:v() { for $c in cus:CUSTOMER() \
+           return <R><K>{fn:count(cus:CUSTOMER())}</K><I>{fn:data($c/CID)}</I></R> };",
+        "for $r in local:v() where $r/K eq 6 return $r/I",
+    ),
+    (
+        "a user function in the where, which sees the row",
+        "declare function local:v() { for $i in (1, 2, 3) \
+           return <R><K>{$i}</K><V>{$i * 2}</V></R> }; \
+         declare function local:k() { fn:exists($r/V) };",
+        "for $r in local:v() where local:k() return $r/K",
+    ),
+    (
+        "a positional variable",
+        "",
+        "for $p at $i in ns1:getProfile() where $p/CID eq '3' \
+         return <r i=\"{$i}\">{fn:data($p/CID)}</r>",
+    ),
+    (
+        "an enclosed expression that can build a compared child",
+        "declare function local:v() { for $i in (1, 2, 3) \
+           return <R><K>{$i}</K>{if ($i eq 2) then <K>9</K> else ()}</R> };",
+        "for $r in local:v() where $r/K = 9 return $r",
+    ),
+    (
+        "two children with the compared name",
+        "declare function local:v() { for $i in (1, 2, 3) \
+           return <R><K>{$i}</K><K>{$i * 3}</K></R> };",
+        "for $r in local:v() where $r/K = 6 return $r",
+    ),
+];
+
+#[test]
+fn ineligible_views_are_not_unfolded_and_still_agree() {
+    for &(shape, prolog, flwor) in NOT_UNFOLDED {
+        for &(consumer, wrap) in CONSUMERS {
+            let what = format!("{shape} / {consumer}");
+            for s in agree(&format!("{prolog}{}", wrap.replace("{}", flwor)), &what) {
+                assert_eq!(s.view_unfolds, 0, "must not unfold: {what}");
+            }
+        }
+    }
+}
+
+/// DESIGN §11 deviation (g): a view row the `where` rejects is never
+/// constructed, so an error only its construction raises does not
+/// surface with the optimizer on.
+#[test]
+fn unfolded_view_never_builds_a_rejected_row() {
+    let query = "declare function local:v() as element(R)* { \
+           for $i in (1, 2) \
+           return <R><K>{$i}</K><X>{if ($i eq 2) then 10 idiv 0 else $i}</X></R> \
+         }; \
+         for $r in local:v() where $r/K eq 1 return $r";
+    for mode in [Mode::Lazy, Mode::Drained] {
+        let (out, s) = run(query, mode);
+        assert_eq!(out.unwrap(), "<R><K>1</K><X>1</X></R>", "{mode:?}");
+        assert_eq!(s.view_unfolds, 1, "{mode:?}");
+    }
+    let (out, s) = run(query, Mode::Reference);
+    assert_eq!(out.unwrap_err(), "FOAR0001");
+    assert_eq!(s.view_unfolds, 0);
 }
 
 #[test]
