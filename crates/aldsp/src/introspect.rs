@@ -49,11 +49,6 @@ pub fn introspect_relational(
     db: &Database,
 ) -> XdmResult<Vec<DataService>> {
     let mut out = Vec::new();
-    // The source's write-path fast paths (index-accelerated PK
-    // uniqueness checks) follow the engine's optimize flag; the
-    // mirror is an `Arc<AtomicBool>` because `Database` is `Send`
-    // while the engine flag is an `Rc<Cell<bool>>`.
-    engine.register_opt_mirror(db.opt_flag());
     let table_names = db.table_names();
     for table in &table_names {
         let schema = db.schema(table)?;
@@ -156,7 +151,7 @@ fn seal_sequence(seq: &Sequence) {
 }
 
 fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) {
-    let opt = engine.optimize_handle();
+    let features = engine.features_handle();
     let counters = engine.opt_counters();
 
     // Versioned XDM materialization cache: `(table version, tree)`.
@@ -186,7 +181,7 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
     // rebuilding XDM. Keying on the *live* table version makes reuse
     // exact — any committed write bumps the version and misses — and
     // mirrors the materialization cache's invalidation story one level
-    // down. `Engine::set_batch(false)` restores per-call probes.
+    // down. `-batch` restores per-call probes.
     let select_cache: Rc<RefCell<xqeval::Lru<String, (u64, Sequence)>>> =
         Rc::new(RefCell::new(xqeval::Lru::new(SELECT_CACHE_CAPACITY)));
     let select = {
@@ -195,7 +190,7 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
         let ns = ns.to_string();
         let table = schema.name.clone();
         let counters = counters.clone();
-        let batch_on = engine.batch_handle();
+        let features = features.clone();
         let select_cache = select_cache.clone();
         Rc::new(move |_env: &mut Env, col: &str, key: &str| -> XdmResult<Sequence> {
             let ty = schema
@@ -214,7 +209,7 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
                 Ok(v) => v,
                 Err(_) => return Ok(Sequence::empty()),
             };
-            if batch_on.get() {
+            if features.get().batching() {
                 let ver = db.table_version(&table).unwrap_or(0);
                 let ck = format!("{col}\u{1}{key}");
                 if let Some((v0, seq)) = select_cache.borrow_mut().get(&ck) {
@@ -264,8 +259,8 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
         QName::with_ns(ns.clone(), table.clone()),
         0,
         Rc::new(move |_env, _args| {
-            if !opt.get() {
-                // Kill-switch: seed behavior — full scan + rebuild.
+            if !features.get().opt {
+                // `-opt`: seed behavior — full scan + rebuild.
                 let rows = db.scan(&table)?;
                 return Ok(xmlmap::rows_to_sequence(&schema, &ns, &rows));
             }
@@ -323,7 +318,7 @@ fn register_read_by_key(
             )
         })?
         .ty;
-    let opt = engine.optimize_handle();
+    let features = engine.features_handle();
     let counters = engine.opt_counters();
     engine.register_external_function(
         QName::with_ns(ns.clone(), format!("getBy{pk}")),
@@ -334,7 +329,7 @@ fn register_read_by_key(
                 return Ok(Sequence::empty());
             }
             let v = SqlValue::parse(pk_ty, &key)?;
-            let rows = if opt.get() {
+            let rows = if features.get().opt {
                 OptCounters::bump(&counters.indexed_selects);
                 db.select_indexed(&table, &vec![(pk.clone(), v)])?
             } else {
@@ -472,7 +467,7 @@ fn register_navigation(
     let fk = fk.clone();
     let child_ns = service_namespace(&db.name, &child_schema.name);
     let fname = format!("get{}", child_schema.name);
-    let opt = engine.optimize_handle();
+    let features = engine.features_handle();
     let counters = engine.opt_counters();
     engine.register_external_function(
         QName::with_ns(parent_ns.to_string(), fname.clone()),
@@ -494,7 +489,7 @@ fn register_navigation(
             // seed's select() was a full scan per navigation call —
             // the O(n²) heart of experiment E1. The secondary index
             // turns it into a hash probe.
-            let rows = if opt.get() {
+            let rows = if features.get().opt {
                 OptCounters::bump(&counters.indexed_selects);
                 db.select_indexed(&child_schema.name, &cond)?
             } else {
@@ -512,9 +507,8 @@ fn register_navigation(
 /// consults a per-evaluation memo and the service's read-through
 /// response cache before paying a round trip), and as a *batchable*
 /// entry point that the FLWOR evaluator flushes coalesced request
-/// batches through ([`WebService::call_many`]). With
-/// `XQSE_DISABLE_BATCH=1` (or optimization off) both collapse to the
-/// plain per-call breaker path.
+/// batches through ([`WebService::call_many`]). Under `-batch` (or
+/// `-opt`) both collapse to the plain per-call breaker path.
 pub fn introspect_web_service(
     engine: &Engine,
     ws: &Rc<WebService>,
@@ -542,8 +536,7 @@ pub fn introspect_web_service(
             }
         };
 
-        let opt = engine.optimize_handle();
-        let batch_on = engine.batch_handle();
+        let features = engine.features_handle();
         let counters = engine.opt_counters();
         let ws2 = ws.clone();
         let op2 = op_name.clone();
@@ -553,7 +546,7 @@ pub fn introspect_web_service(
             1,
             Rc::new(move |env: &mut Env, args: Vec<Sequence>| {
                 OptCounters::bump(&counters.ws_requests);
-                if !(opt.get() && batch_on.get()) {
+                if !features.get().batching() {
                     OptCounters::bump(&counters.ws_issued);
                     return ws2.call(&op2, &args[0]);
                 }
@@ -579,8 +572,7 @@ pub fn introspect_web_service(
             }),
         );
 
-        let opt = engine.optimize_handle();
-        let batch_on = engine.batch_handle();
+        let features = engine.features_handle();
         let counters = engine.opt_counters();
         let ws2 = ws.clone();
         let op2 = op_name.clone();
@@ -590,7 +582,7 @@ pub fn introspect_web_service(
             Rc::new(move |env: &mut Env, requests: &[Sequence]| {
                 let n = requests.len();
                 OptCounters::add(&counters.ws_requests, n as u64);
-                if !(opt.get() && batch_on.get()) {
+                if !features.get().batching() {
                     // The evaluator gates batching, but keep the
                     // fallback correct if called directly.
                     OptCounters::add(&counters.ws_issued, n as u64);

@@ -39,11 +39,6 @@
 //!   panicking request answers its client with a typed
 //!   `aldsp:SRC_UNAVAILABLE` error instead of deadlocking every
 //!   client blocked on the dead worker's queue.
-//!
-//! The kill switch `XQSE_SERVE_WORKERS` overrides the requested
-//! worker count (e.g. `XQSE_SERVE_WORKERS=1` reproduces the
-//! single-threaded numbers; EXPERIMENTS.md E14 relies on this).
-//! `XQSE_DISABLE_BUDGETS=1` disables budget creation entirely.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -67,9 +62,7 @@ use crate::service::DataSpace;
 /// Configuration for a [`ServePool`].
 #[derive(Clone)]
 pub struct ServeSpec {
-    /// Requested worker count (≥ 1). The `XQSE_SERVE_WORKERS`
-    /// environment variable, when set to a positive integer,
-    /// overrides this.
+    /// Worker count (≥ 1; 0 is treated as 1).
     pub workers: usize,
     /// Bound of the MPMC request queue; senders block when it is
     /// full (closed-loop back-pressure, like a server's accept
@@ -205,7 +198,7 @@ pub struct ServeReply {
 /// Per-pool totals returned by [`ServePool::shutdown`].
 #[derive(Debug, Clone)]
 pub struct PoolReport {
-    /// Effective worker count (after the kill switch).
+    /// Worker count.
     pub workers: usize,
     /// Requests served per worker (indexed by worker).
     pub served: Vec<u64>,
@@ -412,16 +405,6 @@ pub struct ServePool {
     counters: Arc<PoolCounters>,
 }
 
-/// Effective worker count: the `XQSE_SERVE_WORKERS` kill switch wins
-/// over the spec when it parses as a positive integer.
-pub fn effective_workers(requested: usize) -> usize {
-    let forced = std::env::var("XQSE_SERVE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1);
-    forced.unwrap_or(requested).max(1)
-}
-
 impl ServePool {
     /// Start the pool. `builder(i)` is invoked once on each worker
     /// thread to construct that worker's `DataSpace` over the shared
@@ -430,7 +413,7 @@ impl ServePool {
     where
         B: Fn(usize) -> XdmResult<DataSpace> + Send + Sync + 'static,
     {
-        let workers = effective_workers(spec.workers);
+        let workers = spec.workers.max(1);
         let capacity = if spec.queue_capacity == 0 {
             workers * 4
         } else {
@@ -473,11 +456,8 @@ impl ServePool {
 
     /// Build the budget for one admitted request: the deadline is
     /// stamped *now*, so queue wait counts against it. `None` when the
-    /// spec sets no limits or `XQSE_DISABLE_BUDGETS=1`.
+    /// spec sets no limits.
     fn make_budget(&self) -> Option<Arc<Budget>> {
-        if !xqeval::budget::budgets_enabled() {
-            return None;
-        }
         if self.deadline_ms.is_none() && self.fuel.is_none() && self.memory.is_none() {
             return None;
         }
@@ -494,7 +474,7 @@ impl ServePool {
         Some(Arc::new(b))
     }
 
-    /// Effective worker count (after the kill switch).
+    /// Worker count.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -613,11 +593,9 @@ fn worker_loop(
         }
         let result = match &space {
             Ok(space) => {
-                // Budget creation is already gated on the kill switch;
-                // force_budget installs/clears unconditionally so the
-                // thread-local never leaks across requests even if the
-                // env changes mid-run.
-                space.engine().force_budget(job.budget.clone());
+                // Install (or clear) per request, so the thread-local
+                // never leaks a budget across requests.
+                space.engine().set_budget(job.budget.clone());
                 // Contain panics: a panicking request must answer its
                 // client, or every later client blocks forever on a
                 // worker that no longer exists.
@@ -626,7 +604,7 @@ fn worker_loop(
                         Err(AldspCode::SrcUnavailable
                             .error("serving worker panicked while evaluating the request"))
                     });
-                space.engine().force_budget(None);
+                space.engine().set_budget(None);
                 note_budget_outcome(space, counters, &outcome);
                 outcome
             }

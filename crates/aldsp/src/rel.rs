@@ -29,7 +29,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
@@ -384,13 +384,6 @@ pub struct Database {
     pub name: String,
     shared: Arc<DbShared>,
     access: Arc<AccessSlot>,
-    /// Optimize-gated write-path fast paths (index-accelerated
-    /// primary-key uniqueness checks in `prepare`). `Arc<AtomicBool>`
-    /// rather than the engine's `Rc<Cell<bool>>` because `Database`
-    /// must stay `Send`; introspection registers this handle as an
-    /// engine opt mirror so `Engine::set_optimize` toggles it.
-    /// Defaults to off (the seed's full-scan check) until registered.
-    write_opt: Arc<AtomicBool>,
 }
 
 fn cerr(msg: impl Into<String>) -> XdmError {
@@ -407,7 +400,6 @@ impl Database {
                 gen: AtomicU64::new(0),
                 slot: RwLock::new(Access::none()),
             }),
-            write_opt: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -419,17 +411,6 @@ impl Database {
             .get(table)
             .cloned()
             .ok_or_else(|| cerr(format!("no table {table} in {}", self.name)))
-    }
-
-    /// The optimize mirror for this source's write-path fast paths.
-    /// Introspection hands this to [`Engine::register_opt_mirror`] so
-    /// the engine kill-switch also disables index-accelerated
-    /// uniqueness checks (`set_optimize(false)` must restore the
-    /// seed's O(rows) scan exactly).
-    ///
-    /// [`Engine::register_opt_mirror`]: xqeval::Engine::register_opt_mirror
-    pub fn opt_flag(&self) -> Arc<AtomicBool> {
-        self.write_opt.clone()
     }
 
     /// Install (or replace) the fault-injection / resilience handle
@@ -647,8 +628,7 @@ impl Database {
     ///
     /// This is the target of the FLWOR pushdown rewrite and the
     /// optimize-gated read paths; plain [`Database::select`] keeps the
-    /// seed's full-scan behavior so `set_optimize(false)` measurements
-    /// stay honest.
+    /// seed's full-scan behavior so `-opt` measurements stay honest.
     pub fn select_indexed(&self, table: &str, cond: &Condition) -> XdmResult<Vec<Row>> {
         let access = self.access();
         access.run_read(
@@ -776,7 +756,6 @@ impl Database {
             .collect::<XdmResult<_>>()?;
         let mut guards: Vec<RwLockWriteGuard<'_, TableData>> =
             handles.iter().map(|h| h.write()).collect();
-        let use_index = self.write_opt.load(Ordering::Relaxed);
         let mut txm = self.shared.txm.lock();
         if txm.prepared.contains_key(&tx) {
             return Err(cerr(format!("transaction {tx:?} already prepared")));
@@ -808,7 +787,7 @@ impl Database {
                     let key = pk_values(&t.schema, row);
                     if !key.is_empty() {
                         let fp = key_fingerprint(&key);
-                        let dup_existing = pk_dup_check(t, &key, use_index);
+                        let dup_existing = pk_dup_check(t, &key);
                         if dup_existing || reserved_keys.contains(&(table.clone(), fp)) {
                             return Err(XdmError::new(
                                 ErrorCode::DSP0003,
@@ -1191,38 +1170,36 @@ fn key_fingerprint(key: &[SqlValue]) -> String {
 
 /// Does a committed row with primary key `key` already exist?
 ///
-/// With `use_index` (the optimize mirror is on) a single-column
-/// indexable PK probes the secondary hash index — built lazily here if
-/// absent, exactly like indexed selects, and maintained incrementally
-/// by `commit` afterwards. This turns the per-insert duplicate check
-/// from O(rows) into O(1), which is the difference between O(n²) and
-/// O(n) for the paper's iterate-over-create loops (use case 3 / E3).
-/// Candidates are always re-verified against the actual key values,
-/// and multi-column, non-indexable, or NULL-bearing keys fall back to
-/// the full scan, so the answer is identical in every case.
-fn pk_dup_check(t: &mut TableData, key: &[SqlValue], use_index: bool) -> bool {
-    if use_index {
-        if let [pk_col] = &t.schema.primary_key[..] {
-            let pk_col = pk_col.clone();
-            let pk_indexable = t
-                .schema
-                .column(&pk_col)
-                .map(|c| indexable_type(c.ty))
-                .unwrap_or(false);
-            if pk_indexable {
-                if let Some(fp) = index_fingerprint(&key[0]) {
-                    let TableData { schema, rows, indexes, .. } = t;
-                    let map = indexes
-                        .entry(pk_col.clone())
-                        .or_insert_with(|| build_index(schema, rows, &pk_col));
-                    return map.get(&fp).is_some_and(|ids| {
-                        ids.iter().any(|id| {
-                            rows.binary_search_by_key(id, |(rid, _)| *rid)
-                                .map(|pos| pk_values(schema, &rows[pos].1) == key)
-                                .unwrap_or(false)
-                        })
-                    });
-                }
+/// A single-column indexable PK probes the secondary hash index —
+/// built lazily here if absent, exactly like indexed selects, and
+/// maintained incrementally by `commit` afterwards. This turns the
+/// per-insert duplicate check from O(rows) into O(1), which is the
+/// difference between O(n²) and O(n) for fixture loads and the
+/// paper's iterate-over-create loops (use case 3 / E3). Candidates
+/// are always re-verified against the actual key values, and
+/// multi-column, non-indexable, or NULL-bearing keys fall back to the
+/// full scan, so the answer is identical in every case.
+fn pk_dup_check(t: &mut TableData, key: &[SqlValue]) -> bool {
+    if let [pk_col] = &t.schema.primary_key[..] {
+        let pk_col = pk_col.clone();
+        let pk_indexable = t
+            .schema
+            .column(&pk_col)
+            .map(|c| indexable_type(c.ty))
+            .unwrap_or(false);
+        if pk_indexable {
+            if let Some(fp) = index_fingerprint(&key[0]) {
+                let TableData { schema, rows, indexes, .. } = t;
+                let map = indexes
+                    .entry(pk_col.clone())
+                    .or_insert_with(|| build_index(schema, rows, &pk_col));
+                return map.get(&fp).is_some_and(|ids| {
+                    ids.iter().any(|id| {
+                        rows.binary_search_by_key(id, |(rid, _)| *rid)
+                            .map(|pos| pk_values(schema, &rows[pos].1) == key)
+                            .unwrap_or(false)
+                    })
+                });
             }
         }
     }
@@ -1606,6 +1583,22 @@ mod tests {
     }
 
     #[test]
+    fn inserts_check_primary_keys_through_the_index() {
+        // Never introspected: no engine has touched this database.
+        let db = db_with_people();
+        assert_eq!(db.indexed_columns("PEOPLE"), vec!["ID".to_string()]);
+        let err = db
+            .insert(
+                "PEOPLE",
+                vec![SqlValue::Int(2), SqlValue::Str("dup".into()), SqlValue::Null],
+            )
+            .unwrap_err();
+        assert!(err.is(ErrorCode::DSP0003));
+        assert!(err.message.contains("primary key violation"), "{err}");
+        assert_eq!(db.row_count("PEOPLE").unwrap(), 2);
+    }
+
+    #[test]
     fn pk_violation_rejected() {
         let db = db_with_people();
         let err = db
@@ -1919,12 +1912,13 @@ mod tests {
     fn select_indexed_agrees_with_select_across_mutations() {
         let db = db_with_people();
         let cond_name: Condition = vec![("NAME".into(), SqlValue::Str("ann".into()))];
-        // First indexed select builds the index.
+        // First indexed select builds the NAME index; the fixture's
+        // inserts already built the ID (primary key) index.
         assert_eq!(
             db.select_indexed("PEOPLE", &cond_name).unwrap(),
             db.select("PEOPLE", &cond_name).unwrap()
         );
-        assert_eq!(db.indexed_columns("PEOPLE"), vec!["NAME".to_string()]);
+        assert_eq!(db.indexed_columns("PEOPLE"), vec!["ID".to_string(), "NAME".to_string()]);
         // Insert, update, delete — the index is maintained, results agree.
         db.insert(
             "PEOPLE",

@@ -72,7 +72,7 @@ fn bench(c: &mut Criterion) {
     let t0 = std::time::Instant::now();
     let clock: xqeval::BudgetClock =
         std::sync::Arc::new(move || t0.elapsed().as_millis() as u64);
-    budgeted.space.engine().force_budget(Some(std::sync::Arc::new(
+    budgeted.space.engine().set_budget(Some(std::sync::Arc::new(
         xqeval::Budget::with_clock(clock)
             .deadline_in(3_600_000)
             .limit_fuel(u64::MAX / 4),

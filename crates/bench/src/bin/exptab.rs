@@ -17,6 +17,7 @@ use aldsp::decompose::OccPolicy;
 use aldsp::rel::{CrashPoint, SqlValue, TwoPhaseCoordinator, TxOutcome, WriteOp};
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
+use xqeval::Features;
 use xqse_bench::*;
 
 /// Emits each experiment table to stdout and (optionally) to
@@ -168,7 +169,7 @@ fn main() {
 /// `fn:exists` probe, and a page over a pushed-down department select
 /// (the benchmark's `page_query` text) — run lazily (streamed FLWOR
 /// tuples, early-exit interception) and eagerly
-/// (`Engine::set_lazy(false)`) *in the same session*, so both arms
+/// (`Features::lazy` off) *in the same process*, so both arms
 /// share the warmed materialization caches and differ only in
 /// evaluation order. The first two use `fn:contains` predicates that
 /// no rewrite applies to, isolating streaming; the third proves a
@@ -209,9 +210,9 @@ fn e17_lazy_streaming(full: bool, reps: usize, r: &Reporter) {
             [("page", PAGE), ("probe", PROBE), ("page_pushdown", PAGE_PUSHDOWN)]
         {
             let run = |lazy: bool| {
-                engine.set_lazy(lazy);
+                engine.set_features(Features { lazy, ..engine.features() });
                 let out = engine.eval_expr_str(query, NS).expect("E17 query");
-                engine.set_lazy(true);
+                engine.set_features(Features { lazy: true, ..engine.features() });
                 out
             };
             // Warm the materialization caches and prove equivalence.
@@ -285,8 +286,8 @@ fn e17_lazy_streaming(full: bool, reps: usize, r: &Reporter) {
 /// read wraps every already-materialized source tree (the versioned
 /// materialization caches serve them sealed) into one constructed
 /// document — the construction-bound hot path. Grafting adopts those
-/// subtrees by reference; `Engine::set_graft(false)` restores the
-/// deep-copy baseline *in the same session*, so both arms share the
+/// subtrees by reference; turning `Features::graft` off restores the
+/// deep-copy baseline *in the same process*, so both arms share the
 /// warmed caches and differ only in construction. Serialization is
 /// asserted byte-identical between the arms on every run.
 fn e16_zero_copy(full: bool, reps: usize, r: &Reporter) {
@@ -308,9 +309,9 @@ fn e16_zero_copy(full: bool, reps: usize, r: &Reporter) {
         let d = demo::build(n, 3, 2).expect("demo");
         let engine = d.space.engine();
         let snap = |graft: bool| {
-            engine.set_graft(graft);
+            engine.set_features(Features { graft, ..engine.features() });
             let out = engine.eval_expr_str(SNAPSHOT, NS).expect("snapshot");
-            engine.set_graft(true);
+            engine.set_features(Features { graft: true, ..engine.features() });
             out
         };
         // Warm the materialization caches (and prove equivalence).
@@ -520,26 +521,27 @@ fn e12_pushdown(full: bool, reps: usize, r: &Reporter) {
                 .expect("int")
         };
         // All three plans must agree on the answer.
-        f.space.engine().set_optimize(true);
+        let engine = f.space.engine();
+        engine.set_features(Features { opt: true, ..engine.features() });
         let expect = run(&pushable);
         assert_eq!(expect, KEYS as i64, "each key matches exactly one row");
         assert_eq!(run(&opaque), expect);
-        f.space.engine().set_optimize(false);
+        engine.set_features(Features { opt: false, ..engine.features() });
         assert_eq!(run(&pushable), expect);
         assert_eq!(run(&opaque), expect);
 
-        f.space.engine().set_optimize(true);
+        engine.set_features(Features { opt: true, ..engine.features() });
         let pushdown = median_secs(reps, || {
             run(&pushable);
         });
-        f.space.engine().set_optimize(false);
+        engine.set_features(Features { opt: false, ..engine.features() });
         let memoized = median_secs(reps, || {
             run(&pushable);
         });
         let fullscan = median_secs(reps, || {
             run(&opaque);
         });
-        f.space.engine().set_optimize(true);
+        engine.set_features(Features { opt: true, ..engine.features() });
         rows.push(vec![
             n.to_string(),
             KEYS.to_string(),
@@ -573,20 +575,18 @@ fn e11_join_ablation(full: bool, reps: usize, r: &Reporter) {
                 .len()
         };
         // "Unoptimized" here means the full ablation: pushdown/caching
-        // off AND the hash-join rewrite itself off (the join rewrite
-        // survives the plain kill-switch, so it needs its own knob).
-        d.space.engine().set_optimize(true);
-        d.space.engine().set_join_rewrite(true);
+        // off AND the hash-join rewrite itself off (`join` survives
+        // `-opt`, so it is turned off separately).
+        let engine = d.space.engine();
+        engine.set_features(Features { opt: true, join: true, ..engine.features() });
         let on = median_secs(reps, || {
             assert_eq!(run(), n);
         });
-        d.space.engine().set_optimize(false);
-        d.space.engine().set_join_rewrite(false);
+        engine.set_features(Features { opt: false, join: false, ..engine.features() });
         let off = median_secs(reps, || {
             assert_eq!(run(), n);
         });
-        d.space.engine().set_optimize(true);
-        d.space.engine().set_join_rewrite(true);
+        engine.set_features(Features { opt: true, join: true, ..engine.features() });
         rows.push(vec![
             n.to_string(),
             format!("{:.2}", on * 1e3),
@@ -1081,8 +1081,8 @@ declare procedure uc1:deleteByCID($cid as xs:string) as empty-sequence()
 }
 /// E13: prepared-plan reuse — parse + prolog-load a program once and
 /// re-execute the plan many times, vs. the pre-plan-cache behaviour
-/// of re-parsing the program text on every call (the `--no-batch` /
-/// `XQSE_DISABLE_BATCH=1` baseline).
+/// of re-parsing the program text on every call (the `-batch`
+/// baseline).
 fn e13_prepared(full: bool, reps: usize, r: &Reporter) {
     use std::rc::Rc;
     use xqeval::{Engine, Env};
@@ -1132,7 +1132,8 @@ fn e13_prepared(full: bool, reps: usize, r: &Reporter) {
         });
         let reparse = median_secs(reps, || {
             let engine = Rc::new(Engine::new());
-            engine.set_batch(false); // kill-switch: plan cache off, parse per call
+            // `-batch`: plan cache off, parse per call.
+            engine.set_features(Features { batch: false, ..engine.features() });
             for _ in 0..n {
                 let got = engine.eval_query(src).expect("eval");
                 assert_eq!(got.len(), expect.len());

@@ -92,8 +92,8 @@ impl Xqse {
         // of the same source text (REPL lines, benchmark reps,
         // per-item `iterate` bodies) parse and prolog-load once, then
         // re-execute the cached plan. With plan caching disabled
-        // (`XQSE_DISABLE_BATCH=1` / optimization off) `prepare`
-        // degenerates to the old load-then-run path.
+        // (`-batch` or `-opt`) `prepare` degenerates to the old
+        // load-then-run path.
         let pq = self.engine.prepare(src)?;
         match &pq.module().body {
             QueryBody::None => Ok(Sequence::empty()),

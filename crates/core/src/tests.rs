@@ -10,6 +10,7 @@ use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
 use xqeval::context::Env;
+use xqeval::Features;
 
 use crate::interp::Xqse;
 use crate::xqueryp::XqueryP;
@@ -852,17 +853,28 @@ fn xqueryp_block_concatenates_statement_values() {
 #[test]
 fn xqueryp_disables_optimizer_during_run() {
     let engine = Rc::new(xqeval::Engine::new());
-    // Pin the starting state: Engine::new honors XQSE_DISABLE_OPT, and
-    // this test must pass in both CI modes.
-    engine.set_optimize(true);
-    assert!(engine.optimize_enabled());
-    assert!(engine.join_rewrite_enabled());
+    // A caller's own feature set, not the default one.
+    let callers = Features { graft: false, ..Features::ALL };
+    engine.set_features(callers);
+    let seen = Rc::new(RefCell::new(None));
+    {
+        let (seen, features) = (seen.clone(), engine.features_handle());
+        engine.register_external_function(
+            QName::with_ns("urn:probe", "features"),
+            0,
+            Rc::new(move |_env, _args| {
+                *seen.borrow_mut() = Some(features.get());
+                Ok(Sequence::empty())
+            }),
+        );
+    }
     let xp = XqueryP::with_engine(engine.clone());
-    xp.run("{ 1; }").unwrap();
-    // Restored afterwards — both the pushdown/caching kill-switch and
-    // the hash-join rewrite knob (sequential mode disables both).
-    assert!(engine.optimize_enabled());
-    assert!(engine.join_rewrite_enabled());
+    xp.run("declare namespace p = 'urn:probe'; { p:features(); }").unwrap();
+    // Sequential mode runs with `opt` and `join` off, and leaves the
+    // rest of the caller's set alone…
+    assert_eq!(*seen.borrow(), Some(Features { opt: false, join: false, ..callers }));
+    // …then restores the caller's exact set.
+    assert_eq!(engine.features(), callers);
 }
 
 #[test]

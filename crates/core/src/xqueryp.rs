@@ -31,7 +31,7 @@ use xqparser::ast::{Block, Expr, QueryBody, Statement, ValueStatement};
 use xqeval::context::Env;
 use xqeval::engine::Engine;
 use xqeval::update::Pul;
-use xqeval::Evaluator;
+use xqeval::{Evaluator, Features};
 
 /// The XQueryP-style sequential-mode interpreter.
 pub struct XqueryP {
@@ -71,10 +71,8 @@ impl XqueryP {
         // XQSE applies inside declarative cores are switched off for
         // the whole program — the E7 experiment measures the
         // resulting gap.
-        let was_opt = self.engine.optimize_enabled();
-        let was_join = self.engine.join_rewrite_enabled();
-        self.engine.set_optimize(false);
-        self.engine.set_join_rewrite(false);
+        let callers = self.engine.features();
+        self.engine.set_features(Features { opt: false, join: false, ..callers });
         let result = (|| {
             let module = self.engine.load(src)?;
             match &module.body {
@@ -85,8 +83,7 @@ impl XqueryP {
                 }
             }
         })();
-        self.engine.set_optimize(was_opt);
-        self.engine.set_join_rewrite(was_join);
+        self.engine.set_features(callers);
         result
     }
 

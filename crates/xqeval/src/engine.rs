@@ -15,7 +15,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use xdm::datetime::DateTime;
@@ -30,6 +29,7 @@ use xqparser::parser::parse_module;
 use crate::cache::Lru;
 use crate::context::Env;
 use crate::eval::Evaluator;
+use crate::features::Features;
 use crate::fold;
 
 /// A native (Rust) implementation bound to a QName/arity: the bridge
@@ -401,26 +401,10 @@ struct EngineInner {
     /// Fixed "current" instant for fn:current-date/dateTime —
     /// deterministic by design (tests and reproducible benchmarks).
     now: Cell<DateTime>,
-    /// Enable declarative-core optimizations (hash-join memoization,
-    /// predicate pushdown, materialization caching). Shared (`Rc`) so
+    /// The evaluation layers this engine may use. Shared (`Rc`) so
     /// source closures registered at introspection time observe
-    /// toggles live. The XQueryP-comparison experiments switch this
-    /// off to model sequential-mode evaluation, where reordering is
-    /// not permitted (paper §IV).
-    optimize: Rc<Cell<bool>>,
-    /// Whether the FLWOR hash-join rewrite is available. Separate from
-    /// [`Engine::optimize`]: the join rewrite predates the
-    /// pushdown/versioning layer, so the kill-switch
-    /// (`set_optimize(false)`) keeps it — that restores exactly the
-    /// pre-optimizer baseline. Sequential (XQueryP) evaluation and the
-    /// E11 join ablation disable it explicitly.
-    join_rewrite: Rc<Cell<bool>>,
-    /// Thread-shareable mirrors of the optimize flag. Source layers
-    /// that live behind `Arc` (the relational simulator's write path)
-    /// register an `Arc<AtomicBool>` here; `set_optimize` fans out to
-    /// them so optimize-gated fast paths on the storage side follow
-    /// the engine toggle.
-    opt_mirrors: RefCell<Vec<Arc<AtomicBool>>>,
+    /// changes live.
+    features: Rc<Cell<Features>>,
     /// Pushdown capabilities by arity-0 read-function name.
     capabilities: RefCell<HashMap<QName, SourceCapability>>,
     /// Flush hooks for per-source materialization caches; invoked by
@@ -435,12 +419,6 @@ struct EngineInner {
     /// response caches stop serving pre-write responses on the fresh
     /// path (stale-read degradation still may).
     write_listeners: RefCell<Vec<Rc<dyn Fn()>>>,
-    /// Whether the PR 4 executor layer (prepared-plan reuse + batched
-    /// / memoized source access) is enabled. Separate from
-    /// [`Engine::optimize`] so `XQSE_DISABLE_BATCH=1` restores exactly
-    /// the PR 2 behavior while keeping pushdown/caching on; both
-    /// flags must be on for the layer to engage.
-    batch: Rc<Cell<bool>>,
     /// Bumped on every external function/procedure registration — the
     /// "prolog fingerprint" that invalidates cached plans prepared
     /// against an older registry.
@@ -462,26 +440,13 @@ struct EngineInner {
     /// borrow-flag round-trip per evaluation step, which the armed
     /// overhead guard can see. Null when no budget is installed;
     /// otherwise valid exactly as long as `budget` holds the owning
-    /// `Arc` (both are updated together in [`Engine::force_budget`],
+    /// `Arc` (both are updated together in [`Engine::set_budget`],
     /// and `Engine` is `!Sync`, so no other thread can swap them
     /// mid-read).
     budget_raw: Cell<*const crate::budget::Budget>,
     /// The budget of the request this engine is currently serving
     /// (installed per request by the serving pool or `xqsh` flags).
     budget: RefCell<Option<Arc<crate::budget::Budget>>>,
-    /// Whether element/document constructors may *graft* (adopt by
-    /// reference) already-materialized immutable subtrees instead of
-    /// deep-copying them. Shared (`Rc`) so the evaluator observes
-    /// toggles live; `XQSE_DISABLE_GRAFT=1` / [`Engine::set_graft`]
-    /// restore the copy-always baseline for the E16 ablation and the
-    /// CI kill-switch arm.
-    graft: Rc<Cell<bool>>,
-    /// Whether the evaluator may stream FLWOR tuples lazily (pipelined
-    /// pull evaluation with early exits). Shared (`Rc`) so streams in
-    /// flight observe toggles live; `XQSE_DISABLE_LAZY=1` /
-    /// [`Engine::set_lazy`] restore fully eager evaluation for the
-    /// E17 ablation and the lazy CI kill-switch arm.
-    lazy: Rc<Cell<bool>>,
     /// Baseline snapshot of this thread's XDM construction counters,
     /// taken at engine creation (and on [`Engine::reset_opt_stats`]).
     /// [`Engine::opt_stats`] reports the delta since this baseline —
@@ -502,8 +467,15 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// A fresh engine with builtins only.
+    /// A fresh engine with builtins only, using the features in
+    /// `XQSE_FEATURES` ([`Features::from_env`]).
+    ///
+    /// # Panics
+    ///
+    /// If `XQSE_FEATURES` is not a valid spec: a misspelt feature name
+    /// must fail loudly rather than silently run the full set.
     pub fn new() -> Engine {
+        let features = Features::from_env().unwrap_or_else(|e| panic!("{e}"));
         Engine {
             inner: Rc::new(EngineInner {
                 functions: RefCell::new(HashMap::new()),
@@ -514,25 +486,10 @@ impl Engine {
                 now: Cell::new(
                     DateTime::parse("2007-12-07T10:30:00").expect("valid literal"),
                 ),
-                // `XQSE_DISABLE_OPT=1` starts every engine in sequential
-                // mode — the dual-mode CI runs use it to prove the whole
-                // suite passes without the optimizer.
-                optimize: Rc::new(Cell::new(
-                    !matches!(std::env::var("XQSE_DISABLE_OPT").as_deref(), Ok("1")),
-                )),
-                // Deliberately NOT env-gated: the kill-switch restores the
-                // pre-optimizer baseline, which had the join rewrite.
-                join_rewrite: Rc::new(Cell::new(true)),
-                opt_mirrors: RefCell::new(Vec::new()),
+                features: Rc::new(Cell::new(features)),
                 capabilities: RefCell::new(HashMap::new()),
                 mat_flushers: RefCell::new(Vec::new()),
                 write_listeners: RefCell::new(Vec::new()),
-                // `XQSE_DISABLE_BATCH=1` switches off the prepared-plan /
-                // batched-source layer only, reproducing the PR 2
-                // optimizer generation — the third dual-mode CI arm.
-                batch: Rc::new(Cell::new(
-                    !matches!(std::env::var("XQSE_DISABLE_BATCH").as_deref(), Ok("1")),
-                )),
                 registry_gen: Cell::new(0),
                 plan_cache: RefCell::new(Lru::new(PLAN_CACHE_CAPACITY)),
                 batchables: RefCell::new(HashMap::new()),
@@ -540,18 +497,6 @@ impl Engine {
                 budget_active: Cell::new(false),
                 budget_raw: Cell::new(std::ptr::null()),
                 budget: RefCell::new(None),
-                // `XQSE_DISABLE_GRAFT=1` restores deep-copying element
-                // construction everywhere — the E16 ablation and the
-                // zero-copy CI kill-switch arm.
-                graft: Rc::new(Cell::new(
-                    !matches!(std::env::var("XQSE_DISABLE_GRAFT").as_deref(), Ok("1")),
-                )),
-                // `XQSE_DISABLE_LAZY=1` restores fully eager FLWOR
-                // evaluation — the E17 ablation and the pipelined-lazy CI
-                // kill-switch arm.
-                lazy: Rc::new(Cell::new(
-                    !matches!(std::env::var("XQSE_DISABLE_LAZY").as_deref(), Ok("1")),
-                )),
                 xdm_base: Cell::new(xdm::xdm_stats()),
             }),
         }
@@ -560,19 +505,7 @@ impl Engine {
     /// Install (or clear) the per-request budget this engine enforces.
     /// Also mirrors the budget into the thread-local slot the
     /// source-access layers read ([`crate::budget::current_budget`]).
-    /// A no-op install when `XQSE_DISABLE_BUDGETS=1` (the kill switch)
-    /// or when the budget has no limits (nothing to enforce — the
-    /// caller keeps the `Arc` if it wants pure cancellation, which
-    /// still works through [`Engine::set_budget`] by installing an
-    /// unlimited budget explicitly via [`Engine::force_budget`]).
     pub fn set_budget(&self, budget: Option<Arc<crate::budget::Budget>>) {
-        let budget = if crate::budget::budgets_enabled() { budget } else { None };
-        self.force_budget(budget);
-    }
-
-    /// [`Engine::set_budget`] without the kill-switch gate: tests and
-    /// the pool's cancellation path install unconditionally.
-    pub fn force_budget(&self, budget: Option<Arc<crate::budget::Budget>>) {
         crate::budget::set_current_budget(budget.clone());
         self.inner.budget_active.set(budget.is_some());
         self.inner.budget_raw.set(
@@ -585,7 +518,7 @@ impl Engine {
     /// behind [`Engine::budget_step`] and friends.
     ///
     /// SAFETY contract for callers: use the returned borrow
-    /// immediately and do not call [`Engine::force_budget`] (which
+    /// immediately and do not call [`Engine::set_budget`] (which
     /// drops the owning `Arc`) while holding it.
     #[inline]
     fn budget_ref(&self) -> Option<&crate::budget::Budget> {
@@ -594,7 +527,7 @@ impl Engine {
             None
         } else {
             // SAFETY: `budget_raw` is non-null only while the Arc in
-            // `self.inner.budget` (set in the same force_budget call) keeps
+            // `self.inner.budget` (set in the same set_budget call) keeps
             // the pointee alive, and `Engine` is `!Sync`, so nothing
             // can swap the budget concurrently with this read.
             unsafe { Some(&*p) }
@@ -738,125 +671,27 @@ impl Engine {
         self.inner.now.set(now);
     }
 
-    /// Whether declarative optimizations are enabled.
-    pub fn optimize_enabled(&self) -> bool {
-        self.inner.optimize.get()
+    /// The evaluation layers this engine may use.
+    pub fn features(&self) -> Features {
+        self.inner.features.get()
     }
 
-    /// Toggle declarative optimizations (the XQueryP sequential-mode
-    /// comparison disables them). This is the kill-switch for the
-    /// whole performance layer: join memoization, predicate pushdown,
-    /// indexed selects, and materialization caching all key off it.
-    pub fn set_optimize(&self, on: bool) {
-        self.inner.optimize.set(on);
-        for m in self.inner.opt_mirrors.borrow().iter() {
-            m.store(on, Ordering::Relaxed);
-        }
+    /// Replace the feature set. Takes effect at the next decision
+    /// point, including inside introspected source closures and
+    /// streams already in flight.
+    pub fn set_features(&self, features: Features) {
+        self.inner.features.set(features);
     }
 
-    /// A shared handle on the optimize flag. Source closures capture
-    /// this at introspection time so `set_optimize` toggles their
-    /// fast paths live.
-    pub fn optimize_handle(&self) -> Rc<Cell<bool>> {
-        self.inner.optimize.clone()
-    }
-
-    /// Register a thread-shareable mirror of the optimize flag (for
-    /// `Arc`-held storage layers whose fast paths must follow
-    /// [`Engine::set_optimize`]). The mirror is synchronized to the
-    /// current flag value immediately.
-    pub fn register_opt_mirror(&self, mirror: Arc<AtomicBool>) {
-        mirror.store(self.inner.optimize.get(), Ordering::Relaxed);
-        self.inner.opt_mirrors.borrow_mut().push(mirror);
-    }
-
-    /// Whether the batched/prepared executor layer is enabled (PR 4).
-    /// `set_optimize(false)` also disables it — `optimize` stays the
-    /// umbrella kill-switch for the whole performance stack.
-    pub fn batch_enabled(&self) -> bool {
-        self.inner.batch.get()
-    }
-
-    /// Toggle the batched/prepared executor layer independently of the
-    /// umbrella flag (the `XQSE_DISABLE_BATCH=1` CI arm and the E13
-    /// parse-per-call ablation use this to reproduce PR 2 behavior).
-    pub fn set_batch(&self, on: bool) {
-        self.inner.batch.set(on);
-    }
-
-    /// A shared handle on the batch flag (captured by source closures
-    /// registered at introspection time).
-    pub fn batch_handle(&self) -> Rc<Cell<bool>> {
-        self.inner.batch.clone()
-    }
-
-    /// Are prepared plans cached and reused? Requires both the
-    /// umbrella optimize flag and the batch-layer flag.
-    pub fn plan_caching_enabled(&self) -> bool {
-        self.inner.optimize.get() && self.inner.batch.get()
+    /// A shared handle on the feature set, for source closures
+    /// registered at introspection time.
+    pub fn features_handle(&self) -> Rc<Cell<Features>> {
+        self.inner.features.clone()
     }
 
     /// Resize the prepared-plan cache (shrinking evicts LRU entries).
     pub fn set_plan_cache_capacity(&self, cap: usize) {
         self.inner.plan_cache.borrow_mut().set_capacity(cap);
-    }
-
-    /// Whether the FLWOR hash-join rewrite is available (default: yes,
-    /// even with `set_optimize(false)` — the rewrite is part of the
-    /// pre-optimizer baseline).
-    pub fn join_rewrite_enabled(&self) -> bool {
-        self.inner.join_rewrite.get()
-    }
-
-    /// Toggle the hash-join rewrite independently of the optimizer
-    /// kill-switch. Sequential (XQueryP) program runs disable it —
-    /// reordering is not permitted in sequential mode (paper §IV) —
-    /// and the E11 ablation uses it to isolate the join memoization's
-    /// contribution.
-    pub fn set_join_rewrite(&self, on: bool) {
-        self.inner.join_rewrite.set(on);
-    }
-
-    /// Whether element/document constructors may adopt (graft)
-    /// already-materialized immutable subtrees by reference instead of
-    /// deep-copying them. Independent of the umbrella optimize flag:
-    /// grafting is a construction-layer property, not a query rewrite,
-    /// and the dual-mode CI arms toggle it separately.
-    pub fn graft_enabled(&self) -> bool {
-        self.inner.graft.get()
-    }
-
-    /// Toggle zero-copy subtree adoption (the E16 ablation and the
-    /// `XQSE_DISABLE_GRAFT=1` CI arm restore the copy-always
-    /// baseline through this).
-    pub fn set_graft(&self, on: bool) {
-        self.inner.graft.set(on);
-    }
-
-    /// A shared handle on the graft flag (captured by the evaluator).
-    pub fn graft_handle(&self) -> Rc<Cell<bool>> {
-        self.inner.graft.clone()
-    }
-
-    /// Whether FLWOR evaluation may stream tuples lazily (pipelined
-    /// pull evaluation with early-exit consumers). Independent of the
-    /// umbrella optimize flag: laziness is an evaluation-model
-    /// property, not a query rewrite, and the dual-mode CI arms
-    /// toggle it separately.
-    pub fn lazy_enabled(&self) -> bool {
-        self.inner.lazy.get()
-    }
-
-    /// Toggle pipelined lazy evaluation (the E17 ablation and the
-    /// `XQSE_DISABLE_LAZY=1` CI arm restore the materialize-everything
-    /// baseline through this).
-    pub fn set_lazy(&self, on: bool) {
-        self.inner.lazy.set(on);
-    }
-
-    /// A shared handle on the lazy flag (captured by the evaluator).
-    pub fn lazy_handle(&self) -> Rc<Cell<bool>> {
-        self.inner.lazy.clone()
     }
 
     /// Advertise a pushdown capability for a registered arity-0 read
@@ -1091,7 +926,7 @@ impl Engine {
     /// and resolve its static call sites — once — and return a plan
     /// executable many times via [`Engine::execute_prepared`].
     ///
-    /// With the plan cache enabled ([`Engine::plan_caching_enabled`]),
+    /// With the plan cache enabled ([`Features::batching`]),
     /// plans are memoized by source text and revalidated against the
     /// registry generation ("prolog fingerprint"); a hit skips the
     /// parse and the prolog load entirely, re-installing the plan's
@@ -1104,7 +939,7 @@ impl Engine {
     /// the cache disabled this degenerates to parse-per-call (the
     /// PR 2 behavior) and skips the analysis pass.
     pub fn prepare(&self, src: &str) -> XdmResult<Rc<PreparedQuery>> {
-        if !self.plan_caching_enabled() {
+        if !self.features().batching() {
             return self.prepare_uncached(src, false);
         }
         let gen = self.inner.registry_gen.get();
@@ -1215,7 +1050,7 @@ impl Engine {
     /// plan cache enabled this routes through [`Engine::prepare`], so
     /// repeated evaluation of the same source text parses once.
     pub fn eval_query(&self, src: &str) -> XdmResult<Sequence> {
-        if self.plan_caching_enabled() {
+        if self.features().batching() {
             let pq = self.prepare(src)?;
             return self.execute_prepared(&pq);
         }
@@ -1269,10 +1104,10 @@ impl Engine {
     /// Mid-stream errors (including budget expiry charged per pulled
     /// tuple) surface from the drain, so callers of this entry MUST
     /// consume the result fallibly. Everything else — other
-    /// bodies, the kill switch, non-expression bodies — degrades to
+    /// bodies, plan caching off, non-expression bodies — degrades to
     /// the eager [`Engine::eval_query`] result.
     pub fn eval_query_lazy(&self, src: &str) -> XdmResult<Sequence> {
-        if self.plan_caching_enabled() {
+        if self.features().batching() {
             let pq = self.prepare(src)?;
             let mut env = Env::new();
             return self.execute_prepared_lazy_in(&pq, &mut env);

@@ -175,7 +175,7 @@ impl<'e> Evaluator<'e> {
     /// Sequence API (`try_item` / `into_forced`).
     pub(crate) fn eval_lazy(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
         if let Expr::Flwor { clauses, ret } = expr {
-            if self.engine.lazy_enabled() && env.pul.is_none() {
+            if self.engine.features().lazy && env.pul.is_none() {
                 // Mirror eval()'s per-step fuel charge for the
                 // expression node itself; per-tuple charges follow as
                 // the stream is pulled.
@@ -382,7 +382,7 @@ impl<'e> Evaluator<'e> {
             }
             Expr::Path { start, steps } => self.eval_path(start, steps, env),
             Expr::Filter { base, predicates } => {
-                if self.engine.lazy_enabled() {
+                if self.engine.features().lazy {
                     if let Some((first, rest)) = predicates.split_first() {
                         if let Some(win) = positional_window(first) {
                             return self
@@ -428,7 +428,7 @@ impl<'e> Evaluator<'e> {
                 let elem = NodeHandle::new_element(&arena, q);
                 if let Some(c) = content {
                     let seq = self.eval(c, env)?;
-                    assemble_content(&elem, &seq, self.engine.graft_enabled())?;
+                    assemble_content(&elem, &seq, self.engine.features().graft)?;
                 }
                 self.settle_construction_memory(&arena, &before)?;
                 Ok(Sequence::one(Item::Node(elem)))
@@ -480,7 +480,7 @@ impl<'e> Evaluator<'e> {
                 let before = xdm::xdm_stats();
                 let seq = self.eval(c, env)?;
                 let doc = NodeHandle::new_document();
-                assemble_content(&doc, &seq, self.engine.graft_enabled())?;
+                assemble_content(&doc, &seq, self.engine.features().graft)?;
                 self.settle_construction_memory(doc.arena(), &before)?;
                 Ok(Sequence::one(Item::Node(doc)))
             }
@@ -836,8 +836,8 @@ impl<'e> Evaluator<'e> {
     // decided by a bounded prefix of their sequence argument, evaluate
     // that argument through `eval_lazy`, and pull only as far as the
     // answer requires. On an eager argument `try_item` is plain slice
-    // access, so the rewrites are value-equivalent both kill-switch
-    // ways; they are still gated on `lazy_enabled` so the kill switch
+    // access, so the rewrites are value-equivalent with `lazy` on or
+    // off; they are still gated on the `lazy` feature so `-lazy`
     // restores the strict evaluation order exactly. Documented
     // deviation (DESIGN §11): work past the early exit — including
     // error-raising expressions — is never performed, and window/bound
@@ -852,7 +852,7 @@ impl<'e> Evaluator<'e> {
         args: &[Expr],
         env: &mut Env,
     ) -> Option<XdmResult<Sequence>> {
-        if !self.engine.lazy_enabled() || name.ns.as_deref() != Some(FN_NS) {
+        if !self.engine.features().lazy || name.ns.as_deref() != Some(FN_NS) {
             return None;
         }
         // `call_function_inner` consults builtins before user
@@ -921,7 +921,7 @@ impl<'e> Evaluator<'e> {
         r: &Expr,
         env: &mut Env,
     ) -> Option<XdmResult<Sequence>> {
-        if !self.engine.lazy_enabled() {
+        if !self.engine.features().lazy {
             return None;
         }
         fn counted_arg(e: &Expr) -> Option<&Expr> {
@@ -1234,7 +1234,7 @@ impl<'e> Evaluator<'e> {
                 }
                 DirectContent::Expr(e) => {
                     let v = self.eval(e, env)?;
-                    assemble_content(&elem, &v, self.engine.graft_enabled())?;
+                    assemble_content(&elem, &v, self.engine.features().graft)?;
                 }
             }
         }

@@ -476,7 +476,8 @@ fn choose_source(
     source: &Expr,
     next: Option<&FlworClause>,
 ) -> Source {
-    if engine.optimize_enabled() {
+    let features = engine.features();
+    if features.opt {
         if let Some(pd) = detect_pushdown(engine, var, source, next) {
             return Source::Pushdown(pd);
         }
@@ -484,19 +485,17 @@ fn choose_source(
             return Source::Unfold(Box::new(view));
         }
     }
-    // The hash join is gated on `join_rewrite_enabled`, NOT on
-    // `optimize_enabled`: it predates the pushdown/versioning layer,
-    // and the optimizer kill switch must restore exactly that baseline
-    // (with the optimizer off its cache entries are epoch-stamped, the
-    // baseline's blanket any-write policy). Sequential XQueryP runs
-    // and the E11 ablation turn it off with
-    // `Engine::set_join_rewrite(false)`.
-    if engine.join_rewrite_enabled() {
+    // The hash join has its own feature, not `opt`: it predates the
+    // pushdown/versioning layer, so `-opt` keeps it (with `opt` off its
+    // cache entries are epoch-stamped, the baseline's blanket
+    // any-write policy). Sequential XQueryP runs and the E11 ablation
+    // turn it off.
+    if features.join {
         if let Some((steps, key)) = detect_join(var, source, next) {
             return Source::Join { steps, key, index: None };
         }
     }
-    if engine.optimize_enabled() && engine.batch_enabled() {
+    if features.batching() {
         if let Expr::FunctionCall { name, args } = source {
             if args.len() == 1 {
                 if let Some(batch) = engine.batchable(name, 1) {
@@ -963,7 +962,7 @@ fn join_index(
     // baseline's blanket policy.
     let cap = match source {
         Expr::FunctionCall { name, args } if args.is_empty() => {
-            engine.optimize_enabled().then(|| engine.source_capability(name)).flatten()
+            engine.features().opt.then(|| engine.source_capability(name)).flatten()
         }
         _ => None,
     };

@@ -25,6 +25,7 @@ pub mod cache;
 pub mod context;
 pub mod engine;
 pub mod eval;
+pub mod features;
 pub(crate) mod flwor;
 pub mod fold;
 pub mod functions;
@@ -39,6 +40,7 @@ pub use engine::{
     ProcRunner, SourceCapability,
 };
 pub use eval::Evaluator;
+pub use features::Features;
 pub use update::{Pul, Update};
 
 #[cfg(test)]

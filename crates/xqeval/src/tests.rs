@@ -13,6 +13,7 @@ use xmlparse::{parse, serialize, serialize_sequence};
 
 use crate::context::Env;
 use crate::engine::Engine;
+use crate::features::Features;
 use crate::update::Pul;
 
 fn ev(src: &str) -> Sequence {
@@ -655,7 +656,7 @@ const JOIN_Q: &str = "for $c in db:CUSTOMER() \
 fn hash_join_and_nested_loop_agree() {
     let engine = join_engine(30);
     let fast = engine.eval_expr_str(JOIN_Q, &[("db", "urn:db")]).unwrap();
-    engine.set_optimize(false);
+    engine.set_features(Features { opt: false, join: false, ..engine.features() });
     let slow = engine.eval_expr_str(JOIN_Q, &[("db", "urn:db")]).unwrap();
     assert_eq!(fast, slow);
     assert_eq!(fast.len(), 30);
@@ -936,13 +937,13 @@ fn registering_externals_invalidates_cached_plans() {
 #[test]
 fn plan_cache_disabled_with_batch_kill_switch() {
     let engine = Engine::new();
-    engine.set_batch(false);
+    engine.set_features(Features { batch: false, ..engine.features() });
     let src = "1 + 1";
     assert_eq!(as_string(&engine.eval_query(src).unwrap()), "2");
     assert_eq!(as_string(&engine.eval_query(src).unwrap()), "2");
     let s = engine.opt_stats();
     assert_eq!(s.plan_hits, 0);
-    assert_eq!(s.plan_misses, 0, "kill switch bypasses the cache entirely");
+    assert_eq!(s.plan_misses, 0, "-batch bypasses the cache entirely");
 }
 
 #[test]
@@ -997,7 +998,7 @@ fn prepared_constant_folding_matches_unfolded_result() {
     let engine = Engine::new();
     let src = "(1 + 2 * 3) = 7";
     let cached = engine.eval_query(src).unwrap();
-    engine.set_batch(false);
+    engine.set_features(Features { batch: false, ..engine.features() });
     let plain = engine.eval_query(src).unwrap();
     assert_eq!(as_string(&cached), as_string(&plain));
     assert_eq!(as_string(&cached), "true");
@@ -1088,7 +1089,7 @@ fn quantifiers_short_circuit_the_stream() {
 #[test]
 fn kill_switch_restores_eager_evaluation() {
     let engine = Engine::new();
-    engine.set_lazy(false);
+    engine.set_features(Features { lazy: false, ..engine.features() });
     let out = engine
         .eval_query("subsequence(for $i in 1 to 1000 return $i, 1, 5)")
         .unwrap();
@@ -1118,7 +1119,7 @@ fn errors_past_the_early_exit_are_never_evaluated() {
         .eval_query("subsequence(for $i in (1, 2, 0, 4) return 10 idiv $i, 1, 2)")
         .unwrap();
     assert_eq!(ints(&out), vec![10, 5]);
-    engine.set_lazy(false);
+    engine.set_features(Features { lazy: false, ..engine.features() });
     let err = engine
         .eval_query("subsequence(for $i in (1, 2, 0, 4) return 10 idiv $i, 1, 2)")
         .unwrap_err();
@@ -1179,7 +1180,7 @@ fn order_by_streams_its_post_sort_return() {
 
 #[test]
 fn streamed_flwor_matches_eager_output() {
-    // Value parity both kill-switch ways across a grab-bag of shapes.
+    // Value parity with `lazy` on and off across a grab-bag of shapes.
     let queries = [
         "for $i in 1 to 20 where $i mod 3 eq 0 return $i",
         "for $i in 1 to 5, $j in 1 to 3 return $i * 10 + $j",
@@ -1190,9 +1191,52 @@ fn streamed_flwor_matches_eager_output() {
     for q in queries {
         let lazy_engine = Engine::new();
         let eager_engine = Engine::new();
-        eager_engine.set_lazy(false);
+        eager_engine.set_features(Features { lazy: false, ..eager_engine.features() });
         let a = serialize_sequence(&lazy_engine.eval_query(q).unwrap());
         let b = serialize_sequence(&eager_engine.eval_query(q).unwrap());
         assert_eq!(a, b, "lazy/eager divergence for {q}");
+    }
+}
+
+#[test]
+fn feature_specs_round_trip_through_display() {
+    for bits in 0u8..32 {
+        let f = Features {
+            opt: bits & 1 != 0,
+            join: bits & 2 != 0,
+            batch: bits & 4 != 0,
+            graft: bits & 8 != 0,
+            lazy: bits & 16 != 0,
+        };
+        assert_eq!(Features::parse(&f.to_string()), Ok(f), "{f}");
+    }
+    assert_eq!(Features::ALL.to_string(), "opt,join,batch,graft,lazy");
+    assert_eq!(Features::NONE.to_string(), "none");
+}
+
+#[test]
+fn feature_specs_name_enable_or_remove() {
+    let parse = |spec| Features::parse(spec).unwrap();
+    assert_eq!(parse("none"), Features::NONE);
+    assert_eq!(parse("opt,join,lazy"), Features { batch: false, graft: false, ..Features::ALL });
+    assert_eq!(parse("-lazy, -graft"), Features { lazy: false, graft: false, ..Features::ALL });
+    // `-opt` keeps the join rewrite; `batch` stays set but cannot
+    // engage without `opt`.
+    let no_opt = parse("-opt");
+    assert!(no_opt.join && no_opt.batch && !no_opt.batching());
+}
+
+#[test]
+fn bad_feature_specs_are_errors_naming_the_token() {
+    for (spec, token) in [
+        ("-lazzy", "lazzy"),
+        ("opt,-lazy", "-lazy"),
+        ("-opt,lazy", "lazy"),
+        ("none,opt", "none"),
+        ("", "``"),
+        ("opt,,lazy", "``"),
+    ] {
+        let err = Features::parse(spec).unwrap_err();
+        assert!(err.contains(token), "{spec:?}: {err}");
     }
 }

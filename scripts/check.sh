@@ -30,40 +30,17 @@ run() {
 run cargo build $NET
 run cargo test -q $NET --workspace
 
-# The pushdown/versioned-caching layer has a kill switch
-# (XQSE_DISABLE_OPT=1 == Engine::set_optimize(false)) that must restore
-# the unoptimized baseline exactly: re-run the semantic suites —
-# conformance, chaos (staleness matrix), and the paper's use cases —
-# with the optimizer disabled.
-echo "==> XQSE_DISABLE_OPT=1 cargo test -q $NET --test conformance --test chaos --test use_cases --test figure3"
-XQSE_DISABLE_OPT=1 cargo test -q $NET --test conformance --test chaos \
-    --test use_cases --test figure3
-
-# The prepared-plan cache and batched source access have their own,
-# narrower kill switch (XQSE_DISABLE_BATCH=1 == Engine::set_batch(false))
-# that restores the PR 2/3 parse-per-call, call-per-item behaviour while
-# leaving the pushdown/caching layer on. Same semantic suites again.
-echo "==> XQSE_DISABLE_BATCH=1 cargo test -q $NET --test conformance --test chaos --test use_cases --test figure3"
-XQSE_DISABLE_BATCH=1 cargo test -q $NET --test conformance --test chaos \
-    --test use_cases --test figure3
-
-# Zero-copy XDM construction has its own kill switch
-# (XQSE_DISABLE_GRAFT=1 == Engine::set_graft(false)) that restores
-# deep-copy element construction while leaving interning and the other
-# optimizer layers on. Grafted and copied construction must be
-# observably identical, so: same semantic suites a third time.
-echo "==> XQSE_DISABLE_GRAFT=1 cargo test -q $NET --test conformance --test chaos --test use_cases --test figure3"
-XQSE_DISABLE_GRAFT=1 cargo test -q $NET --test conformance --test chaos \
-    --test use_cases --test figure3
-
-# Pipelined lazy evaluation has its own kill switch
-# (XQSE_DISABLE_LAZY=1 == Engine::set_lazy(false)) that restores fully
-# eager FLWOR evaluation — no tuple streaming, no early-exit
-# interceptors. Lazy and eager runs must be observably identical on
-# every fault-free program, so: same semantic suites a fourth time.
-echo "==> XQSE_DISABLE_LAZY=1 cargo test -q $NET --test conformance --test chaos --test use_cases --test figure3"
-XQSE_DISABLE_LAZY=1 cargo test -q $NET --test conformance --test chaos \
-    --test use_cases --test figure3
+# Every evaluation layer can be turned off through one feature set
+# (`xqeval::Features`, read from XQSE_FEATURES), and each layer must be
+# semantically transparent: re-run the semantic suites — conformance,
+# chaos (staleness matrix), the paper's use cases and Figure 3 — with
+# each layer removed in turn, then with all of them off (`none`, the
+# plain reference evaluator).
+for spec in -opt -batch -graft -lazy none; do
+    echo "==> XQSE_FEATURES=$spec cargo test -q $NET --test conformance --test chaos --test use_cases --test figure3"
+    XQSE_FEATURES=$spec cargo test -q $NET --test conformance --test chaos \
+        --test use_cases --test figure3
+done
 
 # Crash-recovery chaos matrix: the journaled-2PC acceptance gate.
 # Crashes the coordinator at every protocol point (FaultKind::CrashPoint
@@ -84,12 +61,8 @@ run cargo test -q $NET --test chaos serve_
 # stall matrix (a budget must never split a distributed transaction),
 # the pool admission books (completed + shed + cancelled = offered),
 # fuel/deadline/memory enforcement, worker-panic containment, and the
-# no-partial-writes property under random interruption. Then the kill
-# switch: XQSE_DISABLE_BUDGETS=1 must make every budget spec inert,
-# restoring the pre-budget serving behavior.
+# no-partial-writes property under random interruption.
 run cargo test -q $NET --test chaos budget_
-echo "==> XQSE_DISABLE_BUDGETS=1 cargo test -q $NET --test chaos budget_kill_switch"
-XQSE_DISABLE_BUDGETS=1 cargo test -q $NET --test chaos budget_kill_switch
 
 # Lints. Clippy may be absent in minimal toolchains; warn, don't fail.
 # Note: the optimizer-layer modules (xqeval/engine.rs, aldsp/rel.rs,

@@ -1,10 +1,10 @@
 //! xqsh — a small driver for XQSE programs.
 //!
 //! Usage:
-//!   xqsh <file.xqse> [--trace] [--xqueryp] [--explain] [--no-opt] [--no-batch] [--no-graft] [--no-lazy] [--doc URI=FILE]...
+//!   xqsh <file.xqse> [--trace] [--xqueryp] [--explain] [--features SPEC] [--doc URI=FILE]...
 //!   echo '{ return value 1 + 1; }' | xqsh -
 //!   xqsh --repl < lines.xqse
-//!   xqsh --serve-bench N [--requests R] [--delay-us D] [--explain]
+//!   xqsh --serve-bench N [--requests R] [--delay-us D] [--features SPEC] [--explain]
 //!
 //! Runs the module (expression or block body) and prints the
 //! serialized result. `--trace` also prints `fn:trace` output;
@@ -12,14 +12,12 @@
 //! `--explain` prints the optimizer's hit/miss/invalidation counters
 //! (join cache, materialization cache, pushdown rewrites, plan cache,
 //! web-service coalescing) plus the XA crash-recovery totals to
-//! stderr after the run; `--no-opt`
-//! disables the pushdown/caching layer (equivalent to
-//! XQSE_DISABLE_OPT=1); `--no-batch` disables only the prepared-plan
-//! and source-batching layer (equivalent to XQSE_DISABLE_BATCH=1);
-//! `--no-graft` disables zero-copy subtree adoption in constructors
-//! (equivalent to XQSE_DISABLE_GRAFT=1 — the E16 ablation);
-//! `--no-lazy` disables pipelined lazy FLWOR evaluation (equivalent
-//! to XQSE_DISABLE_LAZY=1 — the E17 ablation);
+//! stderr after the run; `--features SPEC` sets the evaluation layers
+//! the engine may use (`xqeval::Features`: `opt`, `join`, `batch`,
+//! `graft`, `lazy`), spelled as the enabled names (`opt,join,lazy`),
+//! `none`, or removals from the full set (`-lazy,-graft`). It
+//! overrides `XQSE_FEATURES`, which sets the same thing for every
+//! engine in the process; a bad spec in either is a usage error.
 //! `--doc` registers an XML file so `fn:doc("URI")` resolves.
 //!
 //! In script mode the result is serialized **incrementally**: items
@@ -39,9 +37,8 @@
 //! through at most 64 customers, each call paying `--delay-us`
 //! microseconds of simulated web-service latency), printing
 //! queries/sec. Under the pool, `--explain` prints the **aggregated**
-//! per-worker counters as one totals line. The env kill switch `XQSE_SERVE_WORKERS`
-//! overrides N (EXPERIMENTS.md E14 uses `XQSE_SERVE_WORKERS=1` to
-//! reproduce single-threaded numbers).
+//! per-worker counters as one totals line. `--features` applies to
+//! every worker's engine.
 //!
 //! `--deadline-ms MS` / `--fuel N` attach a per-request budget: in
 //! script/repl mode the whole program runs under one budget (real
@@ -52,37 +49,34 @@
 //! load-shedding driver: clients submit at 4× pool concurrency
 //! without back-pressure and excess arrivals are shed fast with
 //! `aldsp:OVERLOADED`; the report line prints
-//! offered/completed/shed/cancelled. `XQSE_DISABLE_BUDGETS=1` is the
-//! budget kill switch.
+//! offered/completed/shed/cancelled.
 
 use std::io::{BufRead, Read};
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use xqeval::{Engine, Env, OptStats};
+use xqeval::{Engine, Env, Features, OptStats};
 use xqse::xqueryp::XqueryP;
 use xqse::Xqse;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: xqsh <file.xqse | - | --repl> [--trace] [--xqueryp] [--explain] \
-         [--no-opt] [--no-batch] [--no-graft] [--no-lazy] [--deadline-ms MS] \
-         [--fuel N] [--doc URI=FILE]...\n       \
+         [--features SPEC] [--deadline-ms MS] [--fuel N] [--doc URI=FILE]...\n       \
          xqsh --serve-bench N [--requests R] [--delay-us D] [--overload] \
-         [--deadline-ms MS] [--fuel N] [--explain]"
+         [--features SPEC] [--deadline-ms MS] [--fuel N] [--explain]\n\
+         SPEC: enabled features (opt,join,batch,graft,lazy), `none`, or \
+         removals such as `-lazy,-graft`"
     );
     ExitCode::from(2)
 }
 
-fn print_explain_stats(s: &OptStats, optimize: bool, batch: bool, graft: bool, lazy: bool) {
-    // Every feature flag and every counter group prints
-    // unconditionally — zero-valued counters included — so bench
-    // scripts can parse the explain block without first guessing
-    // which features were engaged on this run.
-    eprintln!("explain: optimize = {optimize}");
-    eprintln!("explain: batch    = {batch}");
-    eprintln!("explain: graft    = {graft}");
-    eprintln!("explain: lazy     = {lazy}");
+fn print_explain_stats(s: &OptStats, features: Features) {
+    // The feature set and every counter group print unconditionally —
+    // zero-valued counters included — so bench scripts can parse the
+    // explain block without first guessing which features were
+    // engaged on this run.
+    eprintln!("explain: features = {features}");
     eprintln!(
         "explain: join cache     hits={} misses={} invalidations={}",
         s.join_hits, s.join_misses, s.join_invalidations
@@ -128,13 +122,7 @@ fn print_explain_stats(s: &OptStats, optimize: bool, batch: bool, graft: bool, l
 }
 
 fn print_explain(engine: &Engine) {
-    print_explain_stats(
-        &engine.opt_stats(),
-        engine.optimize_enabled(),
-        engine.batch_enabled(),
-        engine.graft_enabled(),
-        engine.lazy_enabled(),
-    );
+    print_explain_stats(&engine.opt_stats(), engine.features());
 }
 
 /// The most customers the `--serve-bench` fixture holds.
@@ -151,9 +139,7 @@ fn serve_bench(
     overload: bool,
     deadline_ms: Option<u64>,
     fuel: Option<u64>,
-    no_opt: bool,
-    no_graft: bool,
-    no_lazy: bool,
+    features: Features,
 ) -> ExitCode {
     use aldsp::demo;
     use aldsp::pool::{
@@ -195,19 +181,8 @@ fn serve_bench(
             &db2,
             WebService::credit_rating_delayed(demo::CREDIT_TYPES_NS, delay_us),
         );
-        // Per-worker engines read XQSE_DISABLE_OPT / _GRAFT / _LAZY
-        // themselves at construction; the --no-opt/--no-graft/--no-lazy
-        // flags have to reach them here.
         if let Ok(s) = &space {
-            if no_opt {
-                s.engine().set_optimize(false);
-            }
-            if no_graft {
-                s.engine().set_graft(false);
-            }
-            if no_lazy {
-                s.engine().set_lazy(false);
-            }
+            s.engine().set_features(features);
         }
         space
     });
@@ -291,18 +266,9 @@ fn serve_bench(
         }
     }
     if explain {
-        // Aggregated per-worker counters, one totals block. The pool
-        // has no single engine to query, so the feature lines mirror
-        // what the per-worker engines computed: env kill switch
-        // combined with the CLI flag.
-        let env_on = |k: &str| !matches!(std::env::var(k).as_deref(), Ok("1"));
-        print_explain_stats(
-            &report.stats,
-            !no_opt && env_on("XQSE_DISABLE_OPT"),
-            env_on("XQSE_DISABLE_BATCH"),
-            !no_graft && env_on("XQSE_DISABLE_GRAFT"),
-            !no_lazy && env_on("XQSE_DISABLE_LAZY"),
-        );
+        // Aggregated per-worker counters, one totals block; every
+        // worker ran with `features`.
+        print_explain_stats(&report.stats, features);
     }
     if errors > 0 || report.init_errors.iter().any(Option::is_some) {
         ExitCode::FAILURE
@@ -312,15 +278,20 @@ fn serve_bench(
 }
 
 fn main() -> ExitCode {
+    // Every engine reads XQSE_FEATURES and panics on a bad spec; report
+    // it as a usage error before building any.
+    let mut features = match Features::from_env() {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("xqsh: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut source_arg: Option<String> = None;
     let mut trace = false;
     let mut sequential = false;
     let mut explain = false;
-    let mut no_opt = false;
-    let mut no_batch = false;
-    let mut no_graft = false;
-    let mut no_lazy = false;
     let mut repl = false;
     let mut serve_workers: Option<usize> = None;
     let mut serve_requests: usize = 64;
@@ -335,10 +306,14 @@ fn main() -> ExitCode {
             "--trace" => trace = true,
             "--xqueryp" => sequential = true,
             "--explain" => explain = true,
-            "--no-opt" => no_opt = true,
-            "--no-batch" => no_batch = true,
-            "--no-graft" => no_graft = true,
-            "--no-lazy" => no_lazy = true,
+            "--features" => match it.next().map(|spec| Features::parse(&spec)) {
+                Some(Ok(f)) => features = f,
+                Some(Err(e)) => {
+                    eprintln!("xqsh: --features: {e}");
+                    return ExitCode::from(2);
+                }
+                None => return usage(),
+            },
             "--repl" => repl = true,
             "--overload" => overload = true,
             "--deadline-ms" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
@@ -384,9 +359,7 @@ fn main() -> ExitCode {
             overload,
             deadline_ms,
             fuel,
-            no_opt,
-            no_graft,
-            no_lazy,
+            features,
         );
     }
     if overload || (repl && (source_arg.is_some() || sequential)) {
@@ -394,22 +367,10 @@ fn main() -> ExitCode {
     }
 
     let engine = Rc::new(Engine::new());
-    if no_opt {
-        engine.set_optimize(false);
-    }
-    if no_batch {
-        engine.set_batch(false);
-    }
-    if no_graft {
-        engine.set_graft(false);
-    }
-    if no_lazy {
-        engine.set_lazy(false);
-    }
+    engine.set_features(features);
     if deadline_ms.is_some() || fuel.is_some() {
         // One budget covers the whole script (or repl session), on
-        // real elapsed time. `XQSE_DISABLE_BUDGETS=1` makes this a
-        // no-op inside set_budget.
+        // real elapsed time.
         let t0 = std::time::Instant::now();
         let clock: xqeval::BudgetClock =
             std::sync::Arc::new(move || t0.elapsed().as_millis() as u64);

@@ -136,28 +136,29 @@ fn run_stdin_env(args: &[&str], envs: &[(&str, &str)], input: &str) -> (String, 
     )
 }
 
-/// The three lazy kill switches (default-on, `--no-lazy`, env var)
-/// produce byte-identical stdout; the explain block says which mode
-/// ran and the streaming counters reflect it.
+/// The default run, `--features -lazy` and `XQSE_FEATURES=-lazy`
+/// produce byte-identical stdout; the explain block says which
+/// features ran and the streaming counters reflect them.
 #[test]
 fn lazy_kill_switches_agree_byte_for_byte() {
     let src = "fn:subsequence(for $i in 1 to 50 where $i mod 3 ne 0 \
                return <r>{$i}</r>, 2, 3)";
     let (lazy_out, lazy_err, ok) = run_stdin_env(&["--explain"], &[], src);
     assert!(ok, "{lazy_err}");
-    let (flag_out, flag_err, ok) = run_stdin_env(&["--explain", "--no-lazy"], &[], src);
+    let (flag_out, flag_err, ok) =
+        run_stdin_env(&["--explain", "--features", "-lazy"], &[], src);
     assert!(ok, "{flag_err}");
     let (env_out, env_err, ok) =
-        run_stdin_env(&["--explain"], &[("XQSE_DISABLE_LAZY", "1")], src);
+        run_stdin_env(&["--explain"], &[("XQSE_FEATURES", "-lazy")], src);
     assert!(ok, "{env_err}");
     assert_eq!(lazy_out, flag_out);
     assert_eq!(lazy_out, env_out);
-    assert!(lazy_err.contains("explain: lazy     = true"), "{lazy_err}");
-    assert!(flag_err.contains("explain: lazy     = false"), "{flag_err}");
-    assert!(env_err.contains("explain: lazy     = false"), "{env_err}");
+    assert!(lazy_err.contains("explain: features = opt,join,batch,graft,lazy\n"), "{lazy_err}");
+    assert!(flag_err.contains("explain: features = opt,join,batch,graft\n"), "{flag_err}");
+    assert!(env_err.contains("explain: features = opt,join,batch,graft\n"), "{env_err}");
     // The stream engaged in the default run and stopped early...
     assert!(lazy_err.contains("early-exits=1"), "{lazy_err}");
-    // ...and never engaged under either kill switch.
+    // ...and never engaged under either spelling of `-lazy`.
     assert!(flag_err.contains("tuples-pulled=0"), "{flag_err}");
     assert!(env_err.contains("tuples-pulled=0"), "{env_err}");
 }
@@ -169,10 +170,7 @@ fn lazy_kill_switches_agree_byte_for_byte() {
 #[test]
 fn explain_block_prints_all_lines_unconditionally() {
     let groups = [
-        "explain: optimize =",
-        "explain: batch    =",
-        "explain: graft    =",
-        "explain: lazy     =",
+        "explain: features =",
         "explain: join cache",
         "explain: mat cache",
         "explain: pushdown",
@@ -185,7 +183,7 @@ fn explain_block_prints_all_lines_unconditionally() {
     ];
     // A trivial query engages almost nothing; every line must still be
     // there, in both lazy and eager mode.
-    for args in [&["--explain"][..], &["--explain", "--no-lazy"][..]] {
+    for args in [&["--explain"][..], &["--explain", "--features", "-lazy"][..]] {
         let (_, stderr, ok) = run_stdin_env(args, &[], "1 + 1");
         assert!(ok, "{stderr}");
         for g in groups {
@@ -196,7 +194,8 @@ fn explain_block_prints_all_lines_unconditionally() {
 
 /// The `pushdown` explain line counts view unfolds: a `for` over a
 /// user view whose `where` reads one constructed child unfolds with
-/// the optimizer on, and `--no-opt` gives the same bytes without it.
+/// the optimizer on, and `--features -opt` gives the same bytes
+/// without it.
 #[test]
 fn explain_counts_view_unfolds() {
     let src = "declare function local:v() as element(R)* { \
@@ -205,10 +204,58 @@ fn explain_counts_view_unfolds() {
                for $r in local:v() where $r/K eq 4 return $r";
     let (on_out, on_err, ok) = run_stdin_env(&["--explain"], &[], src);
     assert!(ok, "{on_err}");
-    let (off_out, off_err, ok) = run_stdin_env(&["--explain", "--no-opt"], &[], src);
+    let (off_out, off_err, ok) =
+        run_stdin_env(&["--explain", "--features", "-opt"], &[], src);
     assert!(ok, "{off_err}");
     assert_eq!(on_out.trim(), "<R><K>4</K><V>16</V></R>");
     assert_eq!(on_out, off_out);
     assert!(on_err.contains("indexed-selects=0 view-unfolds=1"), "{on_err}");
     assert!(off_err.contains("indexed-selects=0 view-unfolds=0"), "{off_err}");
+}
+
+/// Run xqsh with `args` and extra environment, without stdin: its
+/// stdout, stderr and exit code.
+fn run_args_env(args: &[&str], envs: &[(&str, &str)]) -> (String, String, Option<i32>) {
+    let out = xqsh().args(args).envs(envs.iter().copied()).output().expect("run xqsh");
+    (
+        String::from_utf8_lossy(&out.stdout).to_string(),
+        String::from_utf8_lossy(&out.stderr).to_string(),
+        out.status.code(),
+    )
+}
+
+/// The `--serve-bench` workers run with the `--features` set: `-batch`
+/// flies no batches, the explain block names the set the workers
+/// used, and the replies are byte-identical to the default run's.
+#[test]
+fn serve_bench_applies_features() {
+    let bench = ["--serve-bench", "2", "--requests", "8", "--explain"];
+    let digest = |stdout: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with("serve-bench: replies-digest="))
+            .map(str::to_string)
+            .expect("digest line")
+    };
+    let (all_out, all_err, code) = run_args_env(&bench, &[]);
+    assert_eq!(code, Some(0), "{all_err}");
+    assert!(all_err.contains("explain: features = opt,join,batch,graft,lazy\n"), "{all_err}");
+    assert!(all_err.contains(" batches=8\n"), "{all_err}");
+    let (out, err, code) = run_args_env(&[&bench[..], &["--features", "-batch"]].concat(), &[]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(err.contains("explain: features = opt,join,graft,lazy\n"), "{err}");
+    assert!(err.contains(" batches=0\n"), "{err}");
+    assert_eq!(digest(&out), digest(&all_out));
+}
+
+/// A misspelt feature, on the command line or in `XQSE_FEATURES`, is a
+/// usage error naming the bad token rather than a silent full set.
+#[test]
+fn invalid_feature_spec_is_a_usage_error() {
+    let (_, err, code) = run_args_env(&["--features", "-lazzy", "-"], &[]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("lazzy"), "{err}");
+    let (_, err, code) = run_args_env(&["-"], &[("XQSE_FEATURES", "-lazzy")]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("lazzy"), "{err}");
 }

@@ -8,6 +8,7 @@ use xqse_repro::aldsp::rel::SqlValue;
 use xqse_repro::aldsp::ws::credit_score;
 use xqse_repro::xdm::sequence::{Item, Sequence};
 use xqse_repro::xmlparse::serialize;
+use xqse_repro::xqeval::Features;
 
 /// Compute what getProfile must return, straight from the raw tables.
 fn oracle_profile(d: &demo::Demo, cid: i64) -> (String, Vec<i64>, Vec<i64>, u32) {
@@ -136,9 +137,9 @@ fn getprofile_by_id_equals_filtered_getprofile() {
 fn getprofile_by_id_builds_only_the_matching_profile() {
     let d = demo::build(100, 3, 2).unwrap();
     let engine = d.space.engine();
-    // Pin the optimizer on: check.sh re-runs this file under the kill
-    // switches.
-    engine.set_optimize(true);
+    // Pin the optimizer on: check.sh re-runs this file under reduced
+    // feature sets.
+    engine.set_features(Features { opt: true, ..engine.features() });
     // Warm the materialization caches so both reads count construction
     // only.
     d.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
@@ -256,9 +257,9 @@ fn repeated_getprofile_reads_coalesce_ws_calls() {
     // counters make the reduction assertable.
     let d = demo::build(12, 2, 1).unwrap();
     let eng = d.space.engine();
-    // Pin the layer on: CI re-runs this suite under the kill switches.
-    eng.set_optimize(true);
-    eng.set_batch(true);
+    // Pin the layer on: CI re-runs this suite under reduced feature
+    // sets.
+    eng.set_features(Features { opt: true, batch: true, ..eng.features() });
     eng.reset_opt_stats();
     let reps = 12u64;
     for _ in 0..reps {
@@ -278,15 +279,16 @@ fn repeated_getprofile_reads_coalesce_ws_calls() {
 
 #[test]
 fn getprofile_agrees_with_batching_disabled() {
-    // Kill-switch equivalence: the batched/coalesced read must return
+    // `-batch` equivalence: the batched/coalesced read must return
     // exactly what the plain per-call path returns.
     let batched = demo::build(9, 3, 2).unwrap();
-    batched.space.engine().set_optimize(true);
-    batched.space.engine().set_batch(true);
+    let engine = batched.space.engine();
+    engine.set_features(Features { opt: true, batch: true, ..engine.features() });
     let g1 = batched.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
 
     let plain = demo::build(9, 3, 2).unwrap();
-    plain.space.engine().set_batch(false);
+    let engine = plain.space.engine();
+    engine.set_features(Features { batch: false, ..engine.features() });
     let g2 = plain.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
 
     assert_eq!(g1.len(), g2.len());
@@ -303,16 +305,16 @@ fn getprofile_agrees_with_batching_disabled() {
 
 /// The zero-copy construction layer must actually engage on the
 /// paper's running example: building Figure 3's profile trees grafts
-/// subtrees and hits the name interner, and the kill switch restores
+/// subtrees and hits the name interner, and `-graft` restores
 /// copy-always behavior with identical output.
 #[test]
 fn zero_copy_counters_engage_on_getprofile() {
     let d = demo::build(6, 3, 2).unwrap();
     let engine = d.space.engine();
-    // Grafting on regardless of XQSE_DISABLE_GRAFT, so this engagement
-    // test still holds in check.sh's kill-switch arm (which exists to
+    // Grafting on regardless of XQSE_FEATURES, so this engagement
+    // test still holds in check.sh's `-graft` arm (which exists to
     // prove the *copy* semantics, re-checked below, not to veto grafts).
-    engine.set_graft(true);
+    engine.set_features(Features { graft: true, ..engine.features() });
 
     let before = engine.opt_stats();
     let on = d.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
@@ -331,15 +333,15 @@ fn zero_copy_counters_engage_on_getprofile() {
     );
     assert!(after.nodes_built > before.nodes_built);
 
-    // Kill switch: no grafts, byte-identical output.
-    engine.set_graft(false);
+    // `-graft`: no grafts, byte-identical output.
+    engine.set_features(Features { graft: false, ..engine.features() });
     let base = engine.opt_stats();
     let off = d.space.get("CustomerProfile", "getProfile", vec![]).unwrap();
     let end = engine.opt_stats();
-    engine.set_graft(true);
+    engine.set_features(Features { graft: true, ..engine.features() });
     assert_eq!(
         end.subtrees_grafted, base.subtrees_grafted,
-        "kill switch must not graft"
+        "-graft must not graft"
     );
     assert_eq!(
         xqse_repro::xmlparse::serialize_sequence(on.instances()),

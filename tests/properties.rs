@@ -13,6 +13,7 @@ use xqse_repro::xdm::decimal::Decimal;
 use xqse_repro::xdm::node::{NodeHandle, NodeKind};
 use xqse_repro::xdm::qname::QName;
 use xqse_repro::xmlparse::{parse, serialize};
+use xqse_repro::xqeval::Features;
 use xqse_repro::xqse::Xqse;
 
 // ------------------------------------------------- XML tree generator
@@ -577,7 +578,7 @@ fn lazy_query(n: usize, m: usize, consumer: &LazyConsumer) -> String {
 fn run_lazy(src: &str) -> (Result<String, String>, u64, bool) {
     use xqse_repro::xmlparse::serialize_sequence_stream;
     let xqse = Xqse::new();
-    let lazy_on = xqse.engine().lazy_enabled();
+    let lazy_on = xqse.engine().features().lazy;
     let mut env = xqse_repro::xqeval::Env::new();
     let res = xqse
         .run_lazy_with_env(src, &mut env)
@@ -586,10 +587,11 @@ fn run_lazy(src: &str) -> (Result<String, String>, u64, bool) {
     (res, xqse.engine().opt_stats().tuples_pulled, lazy_on)
 }
 
-/// Run the same query fully eagerly via the kill switch.
+/// Run the same query fully eagerly (`-lazy`).
 fn run_eager(src: &str) -> Result<String, String> {
     let xqse = Xqse::new();
-    xqse.engine().set_lazy(false);
+    let engine = xqse.engine();
+    engine.set_features(Features { lazy: false, ..engine.features() });
     xqse.run(src)
         .map(|s| xqse_repro::xmlparse::serialize_sequence(&s))
         .map_err(|e| e.to_string())
@@ -620,7 +622,8 @@ proptest! {
             .and_then(|s| s.string_value())
             .map_err(|e| e.to_string());
         let b = Xqse::new();
-        b.engine().set_lazy(false);
+        let engine = b.engine();
+        engine.set_features(Features { lazy: false, ..engine.features() });
         let sv_eager = b.run(&src)
             .and_then(|s| s.string_value())
             .map_err(|e| e.to_string());
@@ -664,7 +667,7 @@ proptest! {
             prop_assert_eq!(got, f - 1, "items before the faulting tuple");
             prop_assert!(err.is_some());
         } else {
-            // Kill-switch arm: the error surfaced at run time instead.
+            // `-lazy`: the error surfaced at run time instead.
             prop_assert!(err.is_some() || got == 0);
         }
     }

@@ -12,7 +12,7 @@
 
 use xqse_repro::aldsp::demo;
 use xqse_repro::xmlparse::{serialize_sequence, serialize_sequence_stream};
-use xqse_repro::xqeval::{Env, OptStats};
+use xqse_repro::xqeval::{Env, Features, OptStats};
 
 const PROLOG: &str = r#"
 declare namespace ns1 = "ld:CustomerProfile";
@@ -40,13 +40,16 @@ enum Mode {
 fn run(query: &str, mode: Mode) -> (Result<String, String>, OptStats) {
     let demo = demo::build(6, 2, 2).expect("demo data space");
     let (xqse, engine) = (demo.space.xqse(), demo.space.engine());
-    // Every knob is set explicitly, so kill-switch variables in the
-    // environment cannot change what a mode means.
+    // Every rewrite feature and `lazy` are set explicitly, so
+    // `XQSE_FEATURES` cannot change what a mode means.
     let rewrites = !matches!(mode, Mode::Reference);
-    engine.set_lazy(matches!(mode, Mode::Lazy));
-    engine.set_optimize(rewrites);
-    engine.set_join_rewrite(rewrites);
-    engine.set_batch(rewrites);
+    engine.set_features(Features {
+        opt: rewrites,
+        join: rewrites,
+        batch: rewrites,
+        lazy: matches!(mode, Mode::Lazy),
+        ..engine.features()
+    });
     engine.reset_opt_stats();
     let src = format!("{PROLOG}{query}");
     let mut env = Env::new();

@@ -6,16 +6,16 @@ use xqse_repro::aldsp::rel::{Column, ColumnType, Database, SqlValue, TableSchema
 use xqse_repro::aldsp::service::DataSpace;
 use xqse_repro::xdm::qname::QName;
 use xqse_repro::xdm::sequence::{Item, Sequence};
-use xqse_repro::xqeval::Env;
+use xqse_repro::xqeval::{Env, Features};
 
 /// Evaluate `src` twice through the statement engine and assert the
 /// second evaluation re-executed the cached prepared plan instead of
 /// re-parsing (the PR 4 observability counters).
 fn assert_plan_cache_round_trip(space: &DataSpace, src: &str) {
     let eng = space.engine();
-    // Pin the layer on: CI re-runs this suite under the kill switches.
-    eng.set_optimize(true);
-    eng.set_batch(true);
+    // Pin the layer on: CI re-runs this suite under reduced feature
+    // sets.
+    eng.set_features(Features { opt: true, batch: true, ..eng.features() });
     eng.reset_opt_stats();
     let mut env = Env::new();
     let a = space.xqse().run_with_env(src, &mut env).unwrap();
@@ -405,10 +405,9 @@ fn procedure_write_invalidates_ws_read_through() {
     let space = DataSpace::new();
     space.register_web_service(svc).unwrap();
     let eng = space.engine();
-    // Pin the batch layer on: CI re-runs this suite under the kill
-    // switches, and the read-through cache only engages with it.
-    eng.set_optimize(true);
-    eng.set_batch(true);
+    // Pin the batch layer on: CI re-runs this suite under reduced
+    // feature sets, and the read-through cache only engages with it.
+    eng.set_features(Features { opt: true, batch: true, ..eng.features() });
     // A non-readonly external procedure standing in for a submission
     // that changes what the service would answer.
     let st = Rc::clone(&state);
