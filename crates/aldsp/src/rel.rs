@@ -879,17 +879,9 @@ impl Database {
         Ok(())
     }
 
-    /// Phase two: apply a prepared transaction. Kept for callers that
-    /// treat commit as infallible (everything was validated at
-    /// prepare); failures are impossible by construction and silently
-    /// dropped here — crash recovery uses [`Database::commit_branch`],
-    /// which surfaces them as typed `aldsp:XA_REPLAY_FAILED` errors.
-    pub fn commit(&self, tx: TxId) {
-        let _ = self.commit_branch(tx);
-    }
-
-    /// Phase two, **idempotent** branch form for the recovery manager:
-    /// apply the branch prepared under `tx`.
+    /// Phase two, **idempotent**: apply the branch prepared under
+    /// `tx`. The coordinator and the recovery manager both commit
+    /// through this.
     ///
     /// Returns `Ok(true)` when a prepared branch was applied,
     /// `Ok(false)` when nothing is prepared under `tx` — either the
@@ -1061,13 +1053,8 @@ impl Database {
         Ok(true)
     }
 
-    /// Abort a prepared (or never-prepared) transaction; releases
-    /// locks, changes nothing.
-    pub fn rollback(&self, tx: TxId) {
-        let _ = self.rollback_branch(tx);
-    }
-
-    /// Abort, **idempotent** branch form for the recovery manager.
+    /// Abort a prepared (or never-prepared) transaction, **idempotent**:
+    /// releases its locks and changes nothing else.
     /// Returns `true` when a prepared branch was actually released,
     /// `false` when nothing was prepared under `tx` (already rolled
     /// back, already committed, or never prepared here) — replaying a
@@ -1302,19 +1289,6 @@ fn build_index(
 
 // ---------------------------------------------------------------- 2PC
 
-/// Where to inject a coordinator crash in the XA experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Crash after preparing the first participant only.
-    AfterFirstPrepare,
-    /// Crash after all prepares, before any commit (decision not yet
-    /// logged → presumed abort).
-    AfterAllPrepares,
-    /// Crash after the decision is logged and the first commit is
-    /// delivered (recovery must push the rest).
-    AfterFirstCommit,
-}
-
 /// Outcome of a coordinated transaction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TxOutcome {
@@ -1339,82 +1313,8 @@ impl TwoPhaseCoordinator {
         TwoPhaseCoordinator { participants }
     }
 
-    /// Run the protocol to completion.
-    pub fn run(self) -> TxOutcome {
-        self.run_with_crash(None).0
-    }
-
-    /// Run with an optional injected coordinator crash; returns the
-    /// outcome *after recovery* plus whether a crash was simulated.
-    /// Recovery semantics: no decision logged → presumed abort; commit
-    /// decision logged → commit is pushed to every participant.
-    pub fn run_with_crash(self, crash: Option<CrashPoint>) -> (TxOutcome, bool) {
-        let tx = fresh_tx();
-        let mut prepared: Vec<&Database> = Vec::new();
-        let mut crashed = false;
-        // Phase 1.
-        for (i, (db, ops)) in self.participants.iter().enumerate() {
-            match db.prepare(tx, ops.clone()) {
-                Ok(()) => prepared.push(db),
-                Err(e) => {
-                    for p in &prepared {
-                        p.rollback(tx);
-                    }
-                    return (TxOutcome::Aborted(e), crashed);
-                }
-            }
-            if crash == Some(CrashPoint::AfterFirstPrepare) && i == 0 {
-                crashed = true;
-                // Recovery: no commit decision was logged → abort all
-                // prepared branches (presumed abort).
-                for p in &prepared {
-                    p.rollback(tx);
-                }
-                // The remaining participants never prepared; nothing
-                // to do for them.
-                return (
-                    TxOutcome::Aborted(
-                        crate::errors::AldspCode::TxAborted
-                            .error("coordinator crash before decision"),
-                    ),
-                    crashed,
-                );
-            }
-        }
-        if crash == Some(CrashPoint::AfterAllPrepares) {
-            crashed = true;
-            // Still no decision logged → presumed abort on recovery.
-            for p in &prepared {
-                p.rollback(tx);
-            }
-            return (
-                TxOutcome::Aborted(
-                    crate::errors::AldspCode::TxAborted
-                        .error("coordinator crash before decision"),
-                ),
-                crashed,
-            );
-        }
-        // Decision: COMMIT (logged here — conceptually the force-write
-        // of the commit record).
-        for (i, (db, _)) in self.participants.iter().enumerate() {
-            db.commit(tx);
-            if crash == Some(CrashPoint::AfterFirstCommit) && i == 0 {
-                crashed = true;
-                // Recovery replays the logged COMMIT decision to the
-                // remaining participants.
-                for (db2, _) in self.participants.iter().skip(1) {
-                    db2.commit(tx);
-                }
-                return (TxOutcome::Committed, crashed);
-            }
-        }
-        (TxOutcome::Committed, crashed)
-    }
-
     /// Run the protocol with every point journaled and crash-injectable
-    /// — the crash-consistent driver behind multi-source
-    /// `decompose::execute`.
+    /// — the one coordinator, behind multi-source `decompose::execute`.
     ///
     /// Each protocol point is (a) recorded in the coordinator journal
     /// *before* the protocol advances, and (b) followed by a crash
@@ -1428,9 +1328,9 @@ impl TwoPhaseCoordinator {
     /// — exactly the divergence [`crate::journal::RecoveryManager`]
     /// exists to resolve.
     ///
-    /// An ordinary prepare failure still aborts tidily (roll back the
+    /// An ordinary prepare failure aborts tidily: roll back the
     /// prepared branches, journal `Aborted`, return
-    /// `Ok(TxOutcome::Aborted)`), matching [`TwoPhaseCoordinator::run`].
+    /// `Ok(TxOutcome::Aborted)`.
     ///
     /// **Budgets and cancellation.** At every *pre-decision* point
     /// (after `Begin`, after each `Prepared`, and immediately before
@@ -1541,6 +1441,7 @@ impl TwoPhaseCoordinator {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::journal::CoordinatorJournal;
 
     fn people_schema() -> TableSchema {
         TableSchema {
@@ -1724,7 +1625,7 @@ mod tests {
             .unwrap_err();
         assert!(err.is(ErrorCode::DSP0004));
         // After commit, t2 can retry (but the OCC cond may now differ).
-        db.commit(t1);
+        assert!(db.commit_branch(t1).unwrap());
         assert!(!db.is_prepared(t1));
         db.prepare(
             t2,
@@ -1736,7 +1637,7 @@ mod tests {
             }],
         )
         .unwrap();
-        db.rollback(t2);
+        assert!(db.rollback_branch(t2));
         let rows = db.select("PEOPLE", &vec![("ID".into(), SqlValue::Int(1))]).unwrap();
         assert_eq!(rows[0][2], SqlValue::Int(31));
     }
@@ -1755,7 +1656,7 @@ mod tests {
             .prepare(t2, vec![WriteOp::Insert { table: "PEOPLE".into(), row: row("b") }])
             .unwrap_err();
         assert!(err.is(ErrorCode::DSP0003));
-        db.rollback(t1);
+        assert!(db.rollback_branch(t1));
     }
 
     fn two_dbs() -> (Database, Database) {
@@ -1797,7 +1698,8 @@ mod tests {
             (db1.clone(), vec![people_update()]),
             (db2.clone(), vec![audit_insert(1)]),
         ])
-        .run();
+        .run_journaled(&CoordinatorJournal::new(), None, None)
+        .unwrap();
         assert_eq!(outcome, TxOutcome::Committed);
         assert_eq!(db2.row_count("AUDIT").unwrap(), 1);
         let rows = db1.select("PEOPLE", &vec![("ID".into(), SqlValue::Int(1))]).unwrap();
@@ -1813,7 +1715,8 @@ mod tests {
             (db1.clone(), vec![people_update()]),
             (db2.clone(), vec![audit_insert(1)]),
         ])
-        .run();
+        .run_journaled(&CoordinatorJournal::new(), None, None)
+        .unwrap();
         assert!(matches!(outcome, TxOutcome::Aborted(_)));
         // db1's branch rolled back: age unchanged.
         let rows = db1.select("PEOPLE", &vec![("ID".into(), SqlValue::Int(1))]).unwrap();
@@ -1821,41 +1724,51 @@ mod tests {
         // And no lingering prepared state.
         let t = fresh_tx();
         db1.prepare(t, vec![people_update()]).unwrap();
-        db1.rollback(t);
+        assert!(db1.rollback_branch(t));
     }
 
     #[test]
-    fn crash_injection_preserves_atomicity() {
-        for crash in [
-            CrashPoint::AfterFirstPrepare,
-            CrashPoint::AfterAllPrepares,
-            CrashPoint::AfterFirstCommit,
+    fn crash_at_every_protocol_point_recovers_atomically() {
+        use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
+        use crate::journal::RecoveryManager;
+        // The 2N + 2 protocol points of a two-branch transaction.
+        for (source, op) in [
+            ("coordinator", Op::XaBegin),
+            ("db1", Op::XaPrepared),
+            ("db2", Op::XaPrepared),
+            ("coordinator", Op::XaDecide),
+            ("db1", Op::XaCommit),
+            ("db2", Op::XaCommit),
         ] {
             let (db1, db2) = two_dbs();
-            let (outcome, crashed) = TwoPhaseCoordinator::new(vec![
+            let journal = CoordinatorJournal::new();
+            let injector = Arc::new(Mutex::new(FaultInjector::new(
+                FaultPlan::new().rule(FaultRule::new(source, op, FaultKind::CrashPoint)),
+            )));
+            TwoPhaseCoordinator::new(vec![
                 (db1.clone(), vec![people_update()]),
                 (db2.clone(), vec![audit_insert(1)]),
             ])
-            .run_with_crash(Some(crash));
-            assert!(crashed);
-            // Atomicity: both applied or neither.
+            .run_journaled(&journal, Some(&injector), None)
+            .unwrap_err();
+            let stats = RecoveryManager::new(&journal)
+                .recover(|name| [&db1, &db2].into_iter().find(|db| db.name == name).cloned())
+                .unwrap();
+            // Atomicity: both applied (decision journaled) or neither.
             let age = db1
                 .select("PEOPLE", &vec![("ID".into(), SqlValue::Int(1))])
                 .unwrap()[0][2]
                 .clone();
             let audits = db2.row_count("AUDIT").unwrap();
-            match outcome {
-                TxOutcome::Committed => {
-                    assert_eq!(age, SqlValue::Int(31), "{crash:?}");
-                    assert_eq!(audits, 1, "{crash:?}");
-                }
-                TxOutcome::Aborted(_) => {
-                    assert_eq!(age, SqlValue::Int(30), "{crash:?}");
-                    assert_eq!(audits, 0, "{crash:?}");
-                }
+            if stats.in_doubt_found == 0 {
+                assert_eq!((age, audits), (SqlValue::Int(31), 1), "{source}/{op}");
+            } else {
+                assert_eq!((age, audits), (SqlValue::Int(30), 0), "{source}/{op}");
             }
-            // No prepared garbage survives recovery.
-            assert!(!db1.is_prepared(TxId(0)));
+            // No prepared locks survive recovery.
+            for xid in journal.scan().keys() {
+                assert!(!db1.is_prepared(TxId(*xid)) && !db2.is_prepared(TxId(*xid)));
+            }
         }
     }
 
@@ -1884,7 +1797,7 @@ mod tests {
         // A rollback does not bump.
         let t = fresh_tx();
         db.prepare(t, vec![people_update()]).unwrap();
-        db.rollback(t);
+        assert!(db.rollback_branch(t));
         assert_eq!(db.table_version("PEOPLE").unwrap(), v0 + 1);
     }
 
@@ -1974,7 +1887,7 @@ mod tests {
         assert!(!db.indexed_columns("PEOPLE").is_empty());
         let t = fresh_tx();
         db.prepare(t, vec![people_update()]).unwrap();
-        db.rollback(t);
+        assert!(db.rollback_branch(t));
         // Indexes dropped…
         assert!(db.indexed_columns("PEOPLE").is_empty());
         // …and lazily rebuilt with identical results.

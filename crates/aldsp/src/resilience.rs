@@ -356,8 +356,7 @@ impl Resilience {
 /// injector and an optional resilience policy.
 ///
 /// With neither installed, [`Access::run`] is a direct call — the
-/// no-fault hot path adds only an `Option` check (see
-/// `bench_resilience`).
+/// no-fault hot path adds only an `Option` check.
 #[derive(Debug, Clone, Default)]
 pub struct Access {
     /// Fault injector consulted before each source call.

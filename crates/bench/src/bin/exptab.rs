@@ -14,7 +14,8 @@
 use std::path::PathBuf;
 
 use aldsp::decompose::OccPolicy;
-use aldsp::rel::{CrashPoint, SqlValue, TwoPhaseCoordinator, TxOutcome, WriteOp};
+use aldsp::rel::{SqlValue, TwoPhaseCoordinator, TxOutcome, WriteOp};
+use aldsp::{AldspCode, FaultInjector, FaultKind, FaultPlan, FaultRule, Op};
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 use xqeval::Features;
@@ -942,21 +943,37 @@ fn e8_parser(reps: usize, r: &Reporter) {
 }
 
 /// E9 (Table 9): XA two-phase commit atomicity under coordinator
-/// crash injection.
+/// crash injection. The journaled coordinator crashes at each of its
+/// 2N + 2 protocol points (N = 2 sources) or not at all, then
+/// `DataSpace::recover` resolves the transaction from the journal.
 fn e9_xa(full: bool, r: &Reporter) {
     let trials = if full { 500 } else { 100 };
     let mut rows = Vec::new();
-    for (name, crash) in [
-        ("no crash", None),
-        ("after first prepare", Some(CrashPoint::AfterFirstPrepare)),
-        ("after all prepares", Some(CrashPoint::AfterAllPrepares)),
-        ("after first commit", Some(CrashPoint::AfterFirstCommit)),
+    for crash in [
+        None,
+        Some(("coordinator", Op::XaBegin)),
+        Some(("db1", Op::XaPrepared)),
+        Some(("db2", Op::XaPrepared)),
+        Some(("coordinator", Op::XaDecide)),
+        Some(("db1", Op::XaCommit)),
+        Some(("db2", Op::XaCommit)),
     ] {
+        let name = match crash {
+            None => "no crash".to_string(),
+            Some((source, op)) => format!("{op} {source}"),
+        };
         let mut committed = 0u32;
         let mut aborted = 0u32;
         let mut atomic = 0u32;
         for t in 0..trials {
             let d = demo::build(1, 1, 1).expect("demo");
+            let plan = match crash {
+                Some((source, op)) => {
+                    FaultPlan::new().rule(FaultRule::new(source, op, FaultKind::CrashPoint))
+                }
+                None => FaultPlan::new(),
+            };
+            let injector = d.space.install_fault_injector(FaultInjector::new(plan));
             let ops1 = vec![WriteOp::Update {
                 table: "CUSTOMER".into(),
                 set: vec![("LAST_NAME".into(), SqlValue::Str(format!("t{t}")))],
@@ -969,11 +986,25 @@ fn e9_xa(full: bool, r: &Reporter) {
                 cond: vec![("CCID".into(), SqlValue::Int(1))],
                 expect_rows: 1,
             }];
-            let (outcome, _) = TwoPhaseCoordinator::new(vec![
+            let run = TwoPhaseCoordinator::new(vec![
                 (d.db1.clone(), ops1),
                 (d.db2.clone(), ops2),
             ])
-            .run_with_crash(crash);
+            .run_journaled(&d.space.journal(), Some(&injector), None);
+            let recovery = d.space.recover().expect("recover");
+            // After a crash, the journal decides: recovery rolls an
+            // undecided transaction back and a decided one forward.
+            let outcome = match run {
+                Ok(outcome) => outcome,
+                Err(e) => {
+                    assert_eq!(AldspCode::of(&e), Some(AldspCode::XaCoordCrash), "{e}");
+                    if recovery.in_doubt_found == 0 {
+                        TxOutcome::Committed
+                    } else {
+                        TxOutcome::Aborted(e)
+                    }
+                }
+            };
             let name_now = d
                 .db1
                 .select("CUSTOMER", &vec![("CID".into(), SqlValue::Int(1))])
@@ -998,7 +1029,7 @@ fn e9_xa(full: bool, r: &Reporter) {
             }
         }
         rows.push(vec![
-            name.to_string(),
+            name,
             format!("{committed}"),
             format!("{aborted}"),
             format!("{atomic}/{trials}"),

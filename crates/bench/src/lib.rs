@@ -3,9 +3,8 @@
 //! The paper has no quantitative evaluation section; every experiment
 //! here is derived from a specific claim or listing (see DESIGN.md §4
 //! for the per-experiment index, and EXPERIMENTS.md for measured
-//! results). This crate provides the workload builders used by both
-//! the Criterion benches (`benches/`) and the table-printing harness
-//! (`src/bin/exptab.rs`).
+//! results). This crate provides the workload builders used by the
+//! table-printing harness (`src/bin/exptab.rs`) and by `perfbench/`.
 
 
 use std::time::Instant;

@@ -1,12 +1,14 @@
-//! A small bounded LRU map, shared by the prepared-plan cache and the
-//! web-service response cache.
+//! A bounded LRU map, shared by three caches: the prepared-plan cache
+//! (64 entries), the web-service response cache (8,192) and the
+//! per-table keyed-select cache of introspected relational sources
+//! (16,384).
 //!
 //! Recency is a monotone tick stamped on every access; eviction scans
-//! for the minimum stamp. That makes eviction O(len) — deliberate:
-//! both users are small (tens of plans, thousands of responses) and
-//! evict rarely, so a linked-list LRU would buy nothing but unsafe
-//! code or index juggling. Capacity 0 disables storage entirely
-//! (every insert evicts itself), which keeps callers branch-free.
+//! for the minimum stamp, so eviction is O(len). Until a cache fills,
+//! nothing is evicted. Once one is full, every insert of a new key
+//! scans all of it: 16k entries for a full select cache. Capacity 0
+//! disables storage entirely (every insert evicts itself), which keeps
+//! callers branch-free.
 //!
 //! Values stored through any of these caches must be fully
 //! materialized. Pipelined lazy sequences (DESIGN.md §11) carry

@@ -23,14 +23,13 @@ use xdm::node::NodeHandle;
 use xdm::qname::QName;
 use xdm::sequence::Sequence;
 
-use xqparser::ast::{Expr, FunctionDecl, Module, ProcedureDecl, QueryBody};
+use xqparser::ast::{FunctionDecl, Module, ProcedureDecl, Prolog, QueryBody};
 use xqparser::parser::parse_module;
 
 use crate::cache::Lru;
 use crate::context::Env;
 use crate::eval::Evaluator;
 use crate::features::Features;
-use crate::fold;
 
 /// A native (Rust) implementation bound to a QName/arity: the bridge
 /// to ALDSP physical sources and other host functionality.
@@ -134,7 +133,7 @@ pub struct OptStats {
     pub indexed_selects: u64,
     /// Prepared-plan cache hits (parse + prolog load skipped).
     pub plan_hits: u64,
-    /// Prepared-plan cache misses (module parsed and analyzed).
+    /// Prepared-plan cache misses (module parsed, prolog loaded).
     pub plan_misses: u64,
     /// Web-service requests observed at the mediator.
     pub ws_requests: u64,
@@ -311,21 +310,16 @@ impl OptCounters {
     }
 }
 
-/// A query compiled once and executable many times: the parsed module,
-/// its prolog already loaded into the engine, a constant-folded body,
-/// and the statically resolved function/procedure bindings.
+/// A query compiled once and executable many times: the parsed module
+/// (whose prolog is already loaded into the engine) and the values its
+/// initialized globals computed.
 ///
 /// Obtained from [`Engine::prepare`]; executed with
 /// [`Engine::execute_prepared`]. This is the paper-era mediation-tier
 /// shape — data-service functions are compiled once at deployment and
 /// served many times — applied to our `eval_query` path.
 pub struct PreparedQuery {
-    module: Rc<Module>,
-    /// Constant-folded expression body (None for block/empty bodies,
-    /// or when the plan was prepared without analysis).
-    folded_body: Option<Expr>,
-    /// Call sites resolved against the registries at prepare time.
-    resolved: HashMap<(QName, usize), fold::ResolvedBinding>,
+    module: Module,
     /// *Initialized* global variable values computed by the prolog
     /// load, re-installed verbatim on every plan-cache hit
     /// (prolog-load-once semantics). External variables are
@@ -334,8 +328,9 @@ pub struct PreparedQuery {
     /// [`Engine::set_global`] re-binds are observed by cached plans.
     globals: Vec<(QName, Sequence)>,
     /// Registry generation this plan was prepared against (the
-    /// "prolog fingerprint" half of the cache key): a later external
-    /// registration invalidates the plan.
+    /// "prolog fingerprint" half of the cache key). A global
+    /// initializer may call an external function, so a later external
+    /// registration invalidates the plan and its captured `globals`.
     gen: u64,
 }
 
@@ -343,20 +338,6 @@ impl PreparedQuery {
     /// The parsed module.
     pub fn module(&self) -> &Module {
         &self.module
-    }
-
-    /// The body this plan will evaluate: the constant-folded tree if
-    /// analysis ran, otherwise the module's original expression body.
-    pub fn body(&self) -> Option<&Expr> {
-        self.folded_body.as_ref().or(match &self.module.body {
-            QueryBody::Expr(e) => Some(e),
-            _ => None,
-        })
-    }
-
-    /// How many statically known call sites resolved at prepare time.
-    pub fn resolved_binding_count(&self) -> usize {
-        self.resolved.len()
     }
 }
 
@@ -858,46 +839,7 @@ impl Engine {
 
     /// Register a pre-parsed module's prolog.
     pub fn load_prolog(&self, module: &Module) -> XdmResult<()> {
-        for f in &module.prolog.functions {
-            let key = (f.name.clone(), f.params.len());
-            if f.body.is_none() {
-                // `external`: the host must have registered it
-                // already; keep an existing registration.
-                if self.inner.functions.borrow().contains_key(&key) {
-                    continue;
-                }
-                return Err(XdmError::new(
-                    ErrorCode::XPST0017,
-                    format!(
-                        "external function {}#{} has no host binding",
-                        f.name,
-                        f.params.len()
-                    ),
-                ));
-            }
-            self.inner.functions
-                .borrow_mut()
-                .insert(key, FunctionKind::User(Rc::new(f.clone())));
-        }
-        for p in &module.prolog.procedures {
-            let key = (p.name.clone(), p.params.len());
-            if p.body.is_none() {
-                if self.inner.procedures.borrow().contains_key(&key) {
-                    continue;
-                }
-                return Err(XdmError::new(
-                    ErrorCode::XPST0017,
-                    format!(
-                        "external procedure {}#{} has no host binding",
-                        p.name,
-                        p.params.len()
-                    ),
-                ));
-            }
-            self.inner.procedures
-                .borrow_mut()
-                .insert(key, ProcKind::User(Rc::new(p.clone())));
-        }
+        self.install_declarations(&module.prolog)?;
         // Global variables, in declaration order.
         for v in &module.prolog.variables {
             match &v.value {
@@ -922,9 +864,42 @@ impl Engine {
         Ok(())
     }
 
-    /// Prepare a query: parse, load the prolog, constant-fold the body
-    /// and resolve its static call sites — once — and return a plan
-    /// executable many times via [`Engine::execute_prepared`].
+    /// Register a prolog's function and procedure declarations. The
+    /// registry shares each declaration's `Rc` with the module, so a
+    /// plan-cache hit re-installs its plan's own declarations without
+    /// copying them. An `external` declaration keeps the host's
+    /// existing registration and fails without one.
+    fn install_declarations(&self, prolog: &Prolog) -> XdmResult<()> {
+        let unbound = |what: &str, name: &QName, arity: usize| {
+            XdmError::new(
+                ErrorCode::XPST0017,
+                format!("external {what} {name}#{arity} has no host binding"),
+            )
+        };
+        for f in &prolog.functions {
+            let key = (f.name.clone(), f.params.len());
+            let mut functions = self.inner.functions.borrow_mut();
+            if f.body.is_some() {
+                functions.insert(key, FunctionKind::User(f.clone()));
+            } else if !functions.contains_key(&key) {
+                return Err(unbound("function", &f.name, f.params.len()));
+            }
+        }
+        for p in &prolog.procedures {
+            let key = (p.name.clone(), p.params.len());
+            let mut procedures = self.inner.procedures.borrow_mut();
+            if p.body.is_some() {
+                procedures.insert(key, ProcKind::User(p.clone()));
+            } else if !procedures.contains_key(&key) {
+                return Err(unbound("procedure", &p.name, p.params.len()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Prepare a query: parse it and load its prolog — once — and
+    /// return a plan executable many times via
+    /// [`Engine::execute_prepared`].
     ///
     /// With the plan cache enabled ([`Features::batching`]),
     /// plans are memoized by source text and revalidated against the
@@ -936,28 +911,27 @@ impl Engine {
     /// captured: they read through to the live globals map, so
     /// [`Engine::set_global`] re-binds between executions are
     /// honored without invalidating the plan. With
-    /// the cache disabled this degenerates to parse-per-call (the
-    /// PR 2 behavior) and skips the analysis pass.
+    /// the cache disabled this degenerates to parse-per-call.
     pub fn prepare(&self, src: &str) -> XdmResult<Rc<PreparedQuery>> {
         if !self.features().batching() {
-            return self.prepare_uncached(src, false);
+            return self.prepare_uncached(src);
         }
         let gen = self.inner.registry_gen.get();
         let hit = self.inner.plan_cache.borrow_mut().get(src).cloned();
         if let Some(pq) = hit {
             if pq.gen == gen {
                 OptCounters::bump(&self.inner.opt.plan_hits);
-                self.reinstall_prolog(&pq);
+                self.reinstall_prolog(&pq)?;
                 return Ok(pq);
             }
         }
         OptCounters::bump(&self.inner.opt.plan_misses);
-        let pq = self.prepare_uncached(src, true)?;
+        let pq = self.prepare_uncached(src)?;
         self.inner.plan_cache.borrow_mut().insert(src.to_string(), pq.clone());
         Ok(pq)
     }
 
-    fn prepare_uncached(&self, src: &str, analyze: bool) -> XdmResult<Rc<PreparedQuery>> {
+    fn prepare_uncached(&self, src: &str) -> XdmResult<Rc<PreparedQuery>> {
         let module = parse_module(src)?;
         self.load_prolog(&module)?;
         let mut globals = Vec::new();
@@ -975,22 +949,8 @@ impl Engine {
                 globals.push((v.name.clone(), val.clone()));
             }
         }
-        let (folded_body, resolved) = if analyze {
-            match &module.body {
-                QueryBody::Expr(e) => {
-                    let folded = fold::fold_expr(self, e);
-                    let resolved = fold::resolve_bindings(self, &folded);
-                    (Some(folded), resolved)
-                }
-                _ => (None, HashMap::new()),
-            }
-        } else {
-            (None, HashMap::new())
-        };
         Ok(Rc::new(PreparedQuery {
-            module: Rc::new(module),
-            folded_body,
-            resolved,
+            module,
             globals,
             gen: self.inner.registry_gen.get(),
         }))
@@ -1000,26 +960,13 @@ impl Engine {
     /// values (cheap map inserts, no parsing, no initializer
     /// re-evaluation) so a plan-cache hit executes against the prolog
     /// it was compiled with even if another module shadowed it since.
-    fn reinstall_prolog(&self, pq: &PreparedQuery) {
-        for f in &pq.module.prolog.functions {
-            if f.body.is_some() {
-                self.inner.functions.borrow_mut().insert(
-                    (f.name.clone(), f.params.len()),
-                    FunctionKind::User(Rc::new(f.clone())),
-                );
-            }
-        }
-        for p in &pq.module.prolog.procedures {
-            if p.body.is_some() {
-                self.inner.procedures.borrow_mut().insert(
-                    (p.name.clone(), p.params.len()),
-                    ProcKind::User(Rc::new(p.clone())),
-                );
-            }
-        }
+    fn reinstall_prolog(&self, pq: &PreparedQuery) -> XdmResult<()> {
+        self.install_declarations(&pq.module.prolog)?;
+        let mut globals = self.inner.globals.borrow_mut();
         for (name, val) in &pq.globals {
-            self.inner.globals.borrow_mut().insert(name.clone(), val.clone());
+            globals.insert(name.clone(), val.clone());
         }
+        Ok(())
     }
 
     /// Execute a prepared plan in a fresh dynamic context.
@@ -1034,38 +981,47 @@ impl Engine {
         pq: &PreparedQuery,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
-        match (&pq.folded_body, &pq.module.body) {
-            (Some(e), _) => Evaluator::new(self).eval(e, env),
-            (None, QueryBody::Expr(e)) => Evaluator::new(self).eval(e, env),
-            (None, QueryBody::None) => Ok(Sequence::empty()),
-            (None, QueryBody::Block(_)) => Err(XdmError::new(
-                ErrorCode::XPST0003,
-                "query body is an XQSE block; use the xqse statement engine",
-            )),
+        self.execute_body(pq, env, false)
+    }
+
+    /// [`Engine::execute_prepared_in`] with a possibly-lazy result —
+    /// see [`Engine::eval_query_lazy`] for the caller contract.
+    pub fn execute_prepared_lazy_in(
+        &self,
+        pq: &PreparedQuery,
+        env: &mut Env,
+    ) -> XdmResult<Sequence> {
+        self.execute_body(pq, env, true)
+    }
+
+    /// Evaluate a plan's query body, which must be an expression (or
+    /// absent); block bodies belong to the `xqse` statement engine.
+    fn execute_body(&self, pq: &PreparedQuery, env: &mut Env, lazy: bool) -> XdmResult<Sequence> {
+        let e = match &pq.module.body {
+            QueryBody::Expr(e) => e,
+            QueryBody::None => return Ok(Sequence::empty()),
+            QueryBody::Block(_) => {
+                return Err(XdmError::new(
+                    ErrorCode::XPST0003,
+                    "query body is an XQSE block; use the xqse statement engine",
+                ))
+            }
+        };
+        let evaluator = Evaluator::new(self);
+        if lazy {
+            evaluator.eval_lazy(e, env)
+        } else {
+            evaluator.eval(e, env)
         }
     }
 
-    /// Load a module and evaluate its query body, which must be an
+    /// Prepare a module and evaluate its query body, which must be an
     /// expression (use the `xqse` crate for block bodies). With the
-    /// plan cache enabled this routes through [`Engine::prepare`], so
-    /// repeated evaluation of the same source text parses once.
+    /// plan cache enabled, repeated evaluation of the same source text
+    /// parses once.
     pub fn eval_query(&self, src: &str) -> XdmResult<Sequence> {
-        if self.features().batching() {
-            let pq = self.prepare(src)?;
-            return self.execute_prepared(&pq);
-        }
-        let module = self.load(src)?;
-        match &module.body {
-            QueryBody::Expr(e) => {
-                let mut env = Env::new();
-                Evaluator::new(self).eval(e, &mut env)
-            }
-            QueryBody::None => Ok(Sequence::empty()),
-            QueryBody::Block(_) => Err(XdmError::new(
-                ErrorCode::XPST0003,
-                "query body is an XQSE block; use the xqse statement engine",
-            )),
-        }
+        let pq = self.prepare(src)?;
+        self.execute_prepared(&pq)
     }
 
     /// Evaluate a standalone expression string with extra namespace
@@ -1103,44 +1059,10 @@ impl Engine {
     /// that, emitting output while tuples are still being produced.
     /// Mid-stream errors (including budget expiry charged per pulled
     /// tuple) surface from the drain, so callers of this entry MUST
-    /// consume the result fallibly. Everything else — other
-    /// bodies, plan caching off, non-expression bodies — degrades to
-    /// the eager [`Engine::eval_query`] result.
+    /// consume the result fallibly. Other bodies degrade to the eager
+    /// [`Engine::eval_query`] result.
     pub fn eval_query_lazy(&self, src: &str) -> XdmResult<Sequence> {
-        if self.features().batching() {
-            let pq = self.prepare(src)?;
-            let mut env = Env::new();
-            return self.execute_prepared_lazy_in(&pq, &mut env);
-        }
-        let module = self.load(src)?;
-        match &module.body {
-            QueryBody::Expr(e) => {
-                let mut env = Env::new();
-                Evaluator::new(self).eval_lazy(e, &mut env)
-            }
-            QueryBody::None => Ok(Sequence::empty()),
-            QueryBody::Block(_) => Err(XdmError::new(
-                ErrorCode::XPST0003,
-                "query body is an XQSE block; use the xqse statement engine",
-            )),
-        }
-    }
-
-    /// [`Engine::execute_prepared_in`] with a possibly-lazy result —
-    /// see [`Engine::eval_query_lazy`] for the caller contract.
-    pub fn execute_prepared_lazy_in(
-        &self,
-        pq: &PreparedQuery,
-        env: &mut Env,
-    ) -> XdmResult<Sequence> {
-        match (&pq.folded_body, &pq.module.body) {
-            (Some(e), _) => Evaluator::new(self).eval_lazy(e, env),
-            (None, QueryBody::Expr(e)) => Evaluator::new(self).eval_lazy(e, env),
-            (None, QueryBody::None) => Ok(Sequence::empty()),
-            (None, QueryBody::Block(_)) => Err(XdmError::new(
-                ErrorCode::XPST0003,
-                "query body is an XQSE block; use the xqse statement engine",
-            )),
-        }
+        let pq = self.prepare(src)?;
+        self.execute_prepared_lazy_in(&pq, &mut Env::new())
     }
 }

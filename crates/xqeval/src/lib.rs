@@ -27,7 +27,6 @@ pub mod engine;
 pub mod eval;
 pub mod features;
 pub(crate) mod flwor;
-pub mod fold;
 pub mod functions;
 pub mod regex_lite;
 pub mod update;

@@ -920,8 +920,10 @@ fn registering_externals_invalidates_cached_plans() {
     );
     let expr_src = "declare namespace x = \"urn:x\"; fn:count(x:rows())";
     assert_eq!(as_string(&engine.eval_query(expr_src).unwrap()), "1");
-    // Re-registering bumps the registry generation: the cached plan's
-    // pre-resolved bindings are stale, so the next prepare re-compiles.
+    // Re-registering bumps the registry generation. A global
+    // initializer may have called the old function, so the cached
+    // plan's captured globals could be stale: the next prepare
+    // re-compiles.
     engine.register_external_function(
         QName::with_ns("urn:x", "rows"),
         0,
@@ -994,14 +996,56 @@ fn cached_plans_mix_initialized_and_external_variables() {
 }
 
 #[test]
-fn prepared_constant_folding_matches_unfolded_result() {
+fn prepared_plans_match_parse_per_call() {
+    // Each row runs through a cold and a warm plan-cache lookup and
+    // through parse-per-call (`-batch`); all three must give the same
+    // value, or the same error code.
+    let rows = [
+        ("1 + 2 * 3", "7"),
+        ("(1 + 2 * 3) = 7", "true"),
+        ("1 lt 2 and 3 eq 3", "true"),
+        ("(1 + 1, 2 + 2)", "2 4"),
+        ("if (fn:true()) then 0 else 1 div 0", "0"),
+        ("if (fn:false()) then 0 else 1 div 0", "FOAR0001"),
+        ("declare variable $x := 2; for $i in 1 to $x return $i * $x", "2 4"),
+    ];
+    let outcome = |engine: &Engine, src: &str| match engine.eval_query(src) {
+        Ok(seq) => as_string(&seq),
+        Err(e) => e.code.local.to_string(),
+    };
+    let cached = Engine::new();
+    cached.set_features(Features::ALL);
+    let per_call = Engine::new();
+    per_call.set_features(Features { batch: false, ..Features::ALL });
+    for (src, want) in rows {
+        assert_eq!(outcome(&cached, src), want, "plan-cache miss: {src}");
+        assert_eq!(outcome(&cached, src), want, "plan-cache hit: {src}");
+        assert_eq!(outcome(&per_call, src), want, "-batch: {src}");
+    }
+    let s = cached.opt_stats();
+    assert_eq!((s.plan_misses, s.plan_hits), (rows.len() as u64, rows.len() as u64));
+}
+
+#[test]
+fn plan_cache_hits_install_the_plans_own_declarations() {
+    // A hit registers the very `Rc` the cached module holds: the
+    // declaration is shared, never copied.
     let engine = Engine::new();
-    let src = "(1 + 2 * 3) = 7";
-    let cached = engine.eval_query(src).unwrap();
-    engine.set_features(Features { batch: false, ..engine.features() });
-    let plain = engine.eval_query(src).unwrap();
-    assert_eq!(as_string(&cached), as_string(&plain));
-    assert_eq!(as_string(&cached), "true");
+    engine.set_features(Features::ALL);
+    let src = "declare function local:f() { 1 }; local:f()";
+    let pq = engine.prepare(src).unwrap();
+    let decl = &pq.module().prolog.functions[0];
+    let registered = || match engine.function(&decl.name, 0) {
+        Some(crate::engine::FunctionKind::User(f)) => f,
+        _ => panic!("local:f is not a user function"),
+    };
+    engine.prepare(src).unwrap();
+    let after_first = registered();
+    engine.prepare(src).unwrap();
+    let after_second = registered();
+    assert_eq!(engine.opt_stats().plan_hits, 2);
+    assert!(Rc::ptr_eq(&after_first, &after_second));
+    assert!(Rc::ptr_eq(&after_second, decl));
 }
 
 // ----------------------------------------------- streaming / lazy eval

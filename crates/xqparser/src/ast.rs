@@ -9,6 +9,8 @@
 //! engine permits only for `readonly` procedures (checked at runtime,
 //! per §III.A of the paper).
 
+use std::rc::Rc;
+
 use xdm::atomic::AtomicValue;
 use xdm::qname::QName;
 use xdm::types::SequenceType;
@@ -765,10 +767,11 @@ pub struct Prolog {
     pub boundary_space_preserve: bool,
     /// Variable declarations.
     pub variables: Vec<VarDecl>,
-    /// Function declarations.
-    pub functions: Vec<FunctionDecl>,
-    /// Procedure declarations (XQSE).
-    pub procedures: Vec<ProcedureDecl>,
+    /// Function declarations. Shared (`Rc`): the engine registers these
+    /// very declarations, so loading a module never copies a body.
+    pub functions: Vec<Rc<FunctionDecl>>,
+    /// Procedure declarations (XQSE), shared like `functions`.
+    pub procedures: Vec<Rc<ProcedureDecl>>,
     /// Option declarations.
     pub options: Vec<(QName, String)>,
 }

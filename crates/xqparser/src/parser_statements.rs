@@ -6,6 +6,8 @@
 //! spelling `declare xqse function`), the block grammar with its
 //! leading variable declarations, and every statement form.
 
+use std::rc::Rc;
+
 use xdm::error::XdmResult;
 use xdm::qname::QName;
 
@@ -183,7 +185,7 @@ impl<'a> Parser<'a> {
         Ok(params)
     }
 
-    fn parse_function_decl(&mut self, updating: bool) -> XdmResult<FunctionDecl> {
+    fn parse_function_decl(&mut self, updating: bool) -> XdmResult<Rc<FunctionDecl>> {
         let name = self.parse_qname(NameCtx::Function)?;
         let params = self.parse_params()?;
         let return_type = if self.eat_kw("as")? {
@@ -199,10 +201,10 @@ impl<'a> Parser<'a> {
             self.expect_tok(Tok::RBrace)?;
             Some(e)
         };
-        Ok(FunctionDecl { name, params, return_type, body, updating })
+        Ok(Rc::new(FunctionDecl { name, params, return_type, body, updating }))
     }
 
-    fn parse_procedure_decl(&mut self, readonly: bool) -> XdmResult<ProcedureDecl> {
+    fn parse_procedure_decl(&mut self, readonly: bool) -> XdmResult<Rc<ProcedureDecl>> {
         let name = self.parse_qname(NameCtx::Function)?;
         let params = self.parse_params()?;
         let return_type = if self.eat_kw("as")? {
@@ -215,7 +217,7 @@ impl<'a> Parser<'a> {
         } else {
             Some(self.parse_block()?)
         };
-        Ok(ProcedureDecl { name, params, return_type, body, readonly })
+        Ok(Rc::new(ProcedureDecl { name, params, return_type, body, readonly }))
     }
 
     // -- blocks and statements ------------------------------------------

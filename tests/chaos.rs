@@ -11,13 +11,13 @@ use proptest::prelude::*;
 
 use xqse_repro::aldsp::demo;
 use xqse_repro::aldsp::rel::{
-    Column, ColumnType, Database, SqlValue, TableSchema, TwoPhaseCoordinator, TxOutcome,
-    WriteOp,
+    fresh_tx, Column, ColumnType, Database, SqlValue, TableSchema, TwoPhaseCoordinator,
+    TxOutcome, WriteOp,
 };
 use xqse_repro::aldsp::service::DataSpace;
 use xqse_repro::aldsp::{
-    AldspCode, BreakerState, FaultInjector, FaultKind, FaultPlan, FaultRule, Op, Policy,
-    Resilience,
+    AldspCode, BreakerState, CoordinatorJournal, FaultInjector, FaultKind, FaultPlan, FaultRule,
+    Op, Policy, Resilience,
 };
 use xqse_repro::xdm::qname::QName;
 use xqse_repro::xdm::sequence::{Item, Sequence};
@@ -482,7 +482,8 @@ proptest! {
             (db_a.clone(), vec![item_insert()]),
             (db_b.clone(), vec![item_insert()]),
         ])
-        .run();
+        .run_journaled(&CoordinatorJournal::new(), None, None)
+        .unwrap();
         let (ra, rb) =
             (db_a.row_count("ITEM").unwrap(), db_b.row_count("ITEM").unwrap());
         prop_assert!(ra <= 1 && rb <= 1, "double apply: pa={ra} pb={rb}");
@@ -1281,7 +1282,8 @@ mod xa_recovery {
     }
 
     /// Journal overhead guard for the no-fault path: the journaled
-    /// coordinator must stay within 5% of the unjournaled one.
+    /// coordinator must stay within 5% of the same protocol driven
+    /// through the branch calls with no journal.
     /// Ignored by default (wall-clock measurement); the fourth
     /// `scripts/check.sh` arm runs it warn-only.
     #[test]
@@ -1315,17 +1317,25 @@ mod xa_recovery {
                     cond: vec![("EmployeeID".into(), SqlValue::Int(i % SEED_ROWS))],
                     expect_rows: 1,
                 };
-                let coord = TwoPhaseCoordinator::new(vec![
+                let participants = vec![
                     (primary.clone(), vec![upd()]),
                     (backup.clone(), vec![upd()]),
-                ]);
+                ];
                 if journaled {
+                    let coord = TwoPhaseCoordinator::new(participants);
                     assert!(matches!(
                         coord.run_journaled(&journal, None, None).unwrap(),
                         TxOutcome::Committed
                     ));
                 } else {
-                    assert!(matches!(coord.run(), TxOutcome::Committed));
+                    // The coordinator's steps, minus the journal.
+                    let tx = fresh_tx();
+                    for (db, ops) in &participants {
+                        db.prepare(tx, ops.clone()).unwrap();
+                    }
+                    for (db, _) in &participants {
+                        assert!(db.commit_branch(tx).unwrap());
+                    }
                 }
             }
             start.elapsed().as_secs_f64()
@@ -1401,7 +1411,10 @@ mod serve {
                         ops.reverse();
                     }
                     let coord = TwoPhaseCoordinator::new(vec![(db.clone(), ops)]);
-                    assert!(matches!(coord.run(), TxOutcome::Committed));
+                    assert!(matches!(
+                        coord.run_journaled(&CoordinatorJournal::new(), None, None).unwrap(),
+                        TxOutcome::Committed
+                    ));
                 }
                 done_tx.send(worker).unwrap();
             });

@@ -6,8 +6,12 @@
 use proptest::prelude::*;
 
 use xqse_repro::aldsp::rel::{
-    Column, ColumnType, CrashPoint, Database, SqlValue, TableSchema,
-    TwoPhaseCoordinator, TxOutcome, WriteOp,
+    Column, ColumnType, Database, SqlValue, TableSchema, TwoPhaseCoordinator, TxOutcome, WriteOp,
+};
+use xqse_repro::aldsp::service::DataSpace;
+use xqse_repro::aldsp::{
+    AldspCode, CoordinatorJournal, FaultInjector, FaultKind, FaultPlan, FaultRule, Op,
+    RecoveryManager,
 };
 use xqse_repro::xdm::decimal::Decimal;
 use xqse_repro::xdm::node::{NodeHandle, NodeKind};
@@ -266,19 +270,26 @@ proptest! {
         }
     }
 
-    /// 2PC atomicity holds for arbitrary op mixes and crash points.
+    /// 2PC atomicity holds for arbitrary op mixes and crash points:
+    /// crash the coordinator at a sampled protocol point (or not at
+    /// all), run recovery, and the transaction is all-or-nothing.
     #[test]
     fn two_phase_commit_is_atomic(
-        crash_idx in 0usize..4,
+        point in 0usize..7,
         key in 1i64..100,
         poison in proptest::bool::ANY,
     ) {
+        // The 2N + 2 protocol points of a two-branch transaction, then
+        // no crash at all.
         let crash = [
+            Some(("coordinator", Op::XaBegin)),
+            Some(("a", Op::XaPrepared)),
+            Some(("b", Op::XaPrepared)),
+            Some(("coordinator", Op::XaDecide)),
+            Some(("a", Op::XaCommit)),
+            Some(("b", Op::XaCommit)),
             None,
-            Some(CrashPoint::AfterFirstPrepare),
-            Some(CrashPoint::AfterAllPrepares),
-            Some(CrashPoint::AfterFirstCommit),
-        ][crash_idx];
+        ][point];
         let mk = |name: &str| {
             let db = Database::new(name);
             db.create_table(TableSchema {
@@ -296,25 +307,44 @@ proptest! {
             // Make b's branch fail at prepare.
             b.insert("T", vec![SqlValue::Int(key)]).unwrap();
         }
+        let plan = match crash {
+            Some((source, op)) => {
+                FaultPlan::new().rule(FaultRule::new(source, op, FaultKind::CrashPoint))
+            }
+            None => FaultPlan::new(),
+        };
+        // Only the coordinator consults this injector: neither source
+        // is registered with the space.
+        let injector = DataSpace::new().install_fault_injector(FaultInjector::new(plan));
+        let journal = CoordinatorJournal::new();
         let ins = |k| WriteOp::Insert { table: "T".into(), row: vec![SqlValue::Int(k)] };
-        let (outcome, _) = TwoPhaseCoordinator::new(vec![
+        let run = TwoPhaseCoordinator::new(vec![
             (a.clone(), vec![ins(key)]),
             (b.clone(), vec![ins(key)]),
         ])
-        .run_with_crash(crash);
+        .run_journaled(&journal, Some(&injector), None);
+        let recovery = RecoveryManager::new(&journal)
+            .recover(|name| [&a, &b].into_iter().find(|db| db.name == name).cloned())
+            .unwrap();
+        let committed = match run {
+            Ok(TxOutcome::Committed) => true,
+            Ok(TxOutcome::Aborted(_)) => false,
+            Err(e) => {
+                prop_assert_eq!(AldspCode::of(&e), Some(AldspCode::XaCoordCrash));
+                recovery.in_doubt_found == 0
+            }
+        };
         let a_has = !a.select("T", &vec![("K".into(), SqlValue::Int(key))]).unwrap().is_empty();
         let b_count = b.select("T", &vec![("K".into(), SqlValue::Int(key))]).unwrap().len();
-        match outcome {
-            TxOutcome::Committed => {
-                prop_assert!(!poison);
-                prop_assert!(a_has);
-                prop_assert_eq!(b_count, 1);
-            }
-            TxOutcome::Aborted(_) => {
-                prop_assert!(!a_has, "aborted tx must leave no trace in a");
-                prop_assert_eq!(b_count, poison as usize, "only the poison row may exist");
-            }
+        if committed {
+            prop_assert!(!poison);
+            prop_assert!(a_has);
+            prop_assert_eq!(b_count, 1);
+        } else {
+            prop_assert!(!a_has, "aborted tx must leave no trace in a");
+            prop_assert_eq!(b_count, poison as usize, "only the poison row may exist");
         }
+        prop_assert!(journal.is_clean(), "recovery resolved every transaction");
     }
 
     /// Tokenize then string-join with the same separator restores any
@@ -429,8 +459,7 @@ fn ws_fault_strategy() -> impl Strategy<Value = WsFault> {
     ]
 }
 
-fn ws_fault_plan(retryable: &Option<WsFault>, outage: bool) -> xqse_repro::aldsp::FaultPlan {
-    use xqse_repro::aldsp::{FaultKind, FaultPlan, FaultRule, Op};
+fn ws_fault_plan(retryable: &Option<WsFault>, outage: bool) -> FaultPlan {
     let mut plan = FaultPlan::new();
     if let Some(f) = retryable {
         let rule = match f {
@@ -472,9 +501,8 @@ proptest! {
         outage in proptest::bool::ANY,
         picks in proptest::collection::vec(0usize..5, 1..12),
     ) {
-        use xqse_repro::aldsp::service::DataSpace;
         use xqse_repro::aldsp::ws::{credit_score, WebService};
-        use xqse_repro::aldsp::{FaultInjector, Policy, Resilience};
+        use xqse_repro::aldsp::{Policy, Resilience};
         use xqse_repro::xdm::sequence::{Item, Sequence};
 
         let retryable = retryable.into_iter().next();
