@@ -15,6 +15,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 
 use xdm::atomic::{to_f64, AtomicType, AtomicValue};
@@ -382,16 +383,20 @@ impl<'e> Evaluator<'e> {
             }
             Expr::Path { start, steps } => self.eval_path(start, steps, env),
             Expr::Filter { base, predicates } => {
-                if self.engine.features().lazy {
-                    if let Some((first, rest)) = predicates.split_first() {
-                        if let Some(win) = positional_window(first) {
-                            return self
-                                .streaming_positional_filter(base, win, rest, env);
-                        }
+                // A positional first predicate (`[k]`, `[position() lt
+                // N]`, …) takes its window directly, pulling a FLWOR no
+                // further than the window's edge.
+                let window = match predicates.split_first() {
+                    Some((first, rest)) if self.engine.features().lazy => {
+                        positional_window(first).map(|win| (win, rest))
                     }
-                }
-                let mut seq = self.eval(base, env)?;
-                for p in predicates {
+                    _ => None,
+                };
+                let (mut seq, rest) = match window {
+                    Some((win, rest)) => (self.windowed(base, win, env)?, rest),
+                    None => (self.eval(base, env)?, &predicates[..]),
+                };
+                for p in rest {
                     seq = self.apply_predicate(seq, p, env)?;
                 }
                 Ok(seq)
@@ -832,14 +837,16 @@ impl<'e> Evaluator<'e> {
 
     // ------------------------------------------- early-exit consumers
     //
-    // The interceptors below recognize consumers whose answer is
-    // decided by a bounded prefix of their sequence argument, evaluate
-    // that argument through `eval_lazy`, and pull only as far as the
-    // answer requires. On an eager argument `try_item` is plain slice
-    // access, so the rewrites are value-equivalent with `lazy` on or
-    // off; they are still gated on the `lazy` feature so `-lazy`
-    // restores the strict evaluation order exactly. Documented
-    // deviation (DESIGN §11): work past the early exit — including
+    // The interceptors below (and `eval`'s positional filter)
+    // recognize consumers whose answer is decided by a bounded prefix
+    // of their sequence argument, evaluate that argument through
+    // `eval_lazy` (or, for a window, the windowed FLWOR driver), and
+    // pull only as far as the answer requires. On an eager argument
+    // this is plain slice access, so the rewrites are value-equivalent
+    // with `lazy` on or off; they are still gated on the `lazy`
+    // feature so `-lazy` restores the strict evaluation order exactly.
+    // Documented deviations (DESIGN §11): work past the early exit, and
+    // the element `return` of a tuple before a window — including
     // error-raising expressions — is never performed, and window/bound
     // operands are evaluated before the sequence operand.
 
@@ -874,41 +881,31 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    /// `fn:subsequence` over a pull stream: replicate the builtin's
-    /// window arithmetic (`round()`ed start/length, keep positions
-    /// `p >= start && p < start + len`) but stop pulling at the end of
-    /// the window — a page over a large chain touches only the tuples
-    /// up to the page's edge.
+    /// `fn:subsequence` over a pull stream: the builtin's window, with
+    /// the pull stopping at its end.
     fn streaming_subsequence(&self, args: &[Expr], env: &mut Env) -> XdmResult<Sequence> {
-        let start = functions::one_double(&self.eval(&args[1], env)?, "fn:subsequence")?
-            .round();
-        let len = if args.len() == 3 {
-            functions::one_double(&self.eval(&args[2], env)?, "fn:subsequence")?.round()
-        } else {
-            f64::INFINITY
+        let start = functions::one_double(&self.eval(&args[1], env)?, "fn:subsequence")?;
+        let len = match args.get(2) {
+            Some(l) => Some(functions::one_double(&self.eval(l, env)?, "fn:subsequence")?),
+            None => None,
         };
-        let s = self.eval_lazy(&args[0], env)?;
-        let end = start + len; // NaN bounds close the window immediately
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        loop {
-            let p = i as f64 + 1.0;
-            // Stop unless strictly inside the window: `p >= end`, or a
-            // NaN bound (incomparable), both close it.
-            if p.partial_cmp(&end) != Some(std::cmp::Ordering::Less) {
-                break;
+        self.windowed(&args[0], functions::rounded_window(start, len), env)
+    }
+
+    /// The items at 0-based positions `win` of `seq`'s value. A FLWOR
+    /// (the only operand `eval_lazy` streams) runs through the windowed
+    /// driver, which stops at the window's end and builds no element
+    /// `return` before its start; any other operand is evaluated and
+    /// sliced.
+    fn windowed(&self, seq: &Expr, win: Range<usize>, env: &mut Env) -> XdmResult<Sequence> {
+        if let Expr::Flwor { clauses, ret } = seq {
+            if env.pul.is_none() {
+                // `eval`'s step for the FLWOR node itself.
+                self.engine.budget_step()?;
+                return crate::flwor::window(self, clauses, ret, env, win);
             }
-            match s.try_item(i)? {
-                Some(item) => {
-                    if p >= start {
-                        out.push(item);
-                    }
-                }
-                None => break,
-            }
-            i += 1;
         }
-        Ok(Sequence::from_items(out))
+        Ok(functions::slice(self.eval(seq, env)?, win))
     }
 
     /// Intercept `count($x) <op> N` (numeric literal on either side):
@@ -983,52 +980,6 @@ impl<'e> Evaluator<'e> {
             };
             Ok(Sequence::one(Item::boolean(res)))
         })())
-    }
-
-    /// A positional first predicate (`[k]`, `[position() lt N]`, …)
-    /// over a pull stream: produce the selected prefix/slot directly,
-    /// pulling no further than the window's edge, then apply any
-    /// remaining predicates normally.
-    fn streaming_positional_filter(
-        &self,
-        base: &Expr,
-        win: PosWindow,
-        rest: &[Expr],
-        env: &mut Env,
-    ) -> XdmResult<Sequence> {
-        let s = self.eval_lazy(base, env)?;
-        let mut out: Vec<Item> = Vec::new();
-        match win {
-            PosWindow::Exact(k) => {
-                // Only an integral position ≥ 1 can match; any other
-                // numeric selects nothing from any sequence.
-                if k >= 1.0 && k.fract() == 0.0 && k <= u32::MAX as f64 {
-                    if let Some(item) = s.try_item(k as usize - 1)? {
-                        out.push(item);
-                    }
-                }
-            }
-            PosWindow::UpTo { bound, inclusive } => {
-                let mut i = 0usize;
-                loop {
-                    let p = i as f64 + 1.0;
-                    let keep = if inclusive { p <= bound } else { p < bound };
-                    if !keep {
-                        break;
-                    }
-                    match s.try_item(i)? {
-                        Some(item) => out.push(item),
-                        None => break,
-                    }
-                    i += 1;
-                }
-            }
-        }
-        let mut seq = Sequence::from_items(out);
-        for p in rest {
-            seq = self.apply_predicate(seq, p, env)?;
-        }
-        Ok(seq)
     }
 
     // -------------------------------------------------------- functions
@@ -1503,14 +1454,6 @@ enum CountCmp {
     Value(ValueComp),
 }
 
-/// The window a positional first predicate selects.
-enum PosWindow {
-    /// `[k]` or `[position() eq k]` — a single slot.
-    Exact(f64),
-    /// `[position() lt N]` / `[position() le N]` — a prefix.
-    UpTo { bound: f64, inclusive: bool },
-}
-
 fn numeric_literal(e: &Expr) -> Option<AtomicValue> {
     if let Expr::Literal(a) = e {
         if a.type_of().is_numeric() {
@@ -1542,14 +1485,27 @@ fn general_comp_holds(op: GeneralComp, o: Ordering) -> bool {
     }
 }
 
-/// Recognize a first predicate that selects by position alone:
-/// a numeric literal, or `position()` compared against a numeric
-/// literal with an operator that bounds a prefix. `ge`/`gt`/`ne`
-/// shapes keep the whole tail and gain nothing from streaming, so
-/// they are not recognized.
-fn positional_window(pred: &Expr) -> Option<PosWindow> {
+/// Recognize a first predicate that selects by position alone, and
+/// the 0-based window it selects: a numeric literal, or `position()`
+/// compared against a numeric literal with an operator that bounds a
+/// prefix. `ge`/`gt`/`ne` shapes keep the whole tail and gain nothing
+/// from streaming, so they are not recognized.
+fn positional_window(pred: &Expr) -> Option<Range<usize>> {
+    // `[k]`: only an integral position matches; any other numeric
+    // selects nothing from any sequence.
+    let exact = |k: f64| {
+        if k.fract() == 0.0 {
+            functions::position_window(k, k + 1.0)
+        } else {
+            0..0
+        }
+    };
+    // `position() le N` keeps `p < floor(N) + 1`.
+    let up_to = |bound: f64, inclusive: bool| {
+        functions::position_window(1.0, if inclusive { bound.floor() + 1.0 } else { bound })
+    };
     if let Some(a) = numeric_literal(pred) {
-        return to_f64(&a).ok().map(PosWindow::Exact);
+        return to_f64(&a).ok().map(exact);
     }
     #[derive(Clone, Copy)]
     enum Rel {
@@ -1594,9 +1550,9 @@ fn positional_window(pred: &Expr) -> Option<PosWindow> {
     if is_position(l) {
         let bound = bound_of(r)?;
         return match rel {
-            Rel::Eq => Some(PosWindow::Exact(bound)),
-            Rel::Lt => Some(PosWindow::UpTo { bound, inclusive: false }),
-            Rel::Le => Some(PosWindow::UpTo { bound, inclusive: true }),
+            Rel::Eq => Some(exact(bound)),
+            Rel::Lt => Some(up_to(bound, false)),
+            Rel::Le => Some(up_to(bound, true)),
             Rel::Gt | Rel::Ge => None,
         };
     }
@@ -1604,9 +1560,9 @@ fn positional_window(pred: &Expr) -> Option<PosWindow> {
         let bound = bound_of(l)?;
         // Flipped operand order: `N gt position()` keeps a prefix.
         return match rel {
-            Rel::Eq => Some(PosWindow::Exact(bound)),
-            Rel::Gt => Some(PosWindow::UpTo { bound, inclusive: false }),
-            Rel::Ge => Some(PosWindow::UpTo { bound, inclusive: true }),
+            Rel::Eq => Some(exact(bound)),
+            Rel::Gt => Some(up_to(bound, false)),
+            Rel::Ge => Some(up_to(bound, true)),
             Rel::Lt | Rel::Le => None,
         };
     }

@@ -30,15 +30,19 @@
 //! comparison rejects as incomparable simply do not match, and a view
 //! row the `where` rejects is never constructed).
 //!
-//! Two drivers run the same pipeline. [`drain`] (what `eval` does)
+//! Three drivers run the same pipeline. [`drain`] (what `eval` does)
 //! pulls every tuple on the caller's `Env` and borrows the AST, so the
 //! join cache, keyed by source-expression address, stays warm across
 //! statements. [`stream`] (what `eval_lazy` does) wraps the pipeline
 //! as a lazy [`Sequence`] that owns a clone of the AST, a forked `Env`
 //! and an engine handle, and evaluates `for` sources, `where`
-//! conditions and `return` lazily. Only that driver charges a budget
-//! step per tuple and keeps the streaming counters.
+//! conditions and `return` lazily. [`window`] (what `fn:subsequence`
+//! and `[k]` do) pulls as `stream` does, but on the caller's `Env` and
+//! only up to a window's end, and evaluates an element `return` only
+//! inside the window. Only the last two charge a budget step per tuple
+//! and keep the streaming counters.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use xdm::error::XdmResult;
@@ -90,6 +94,54 @@ pub(crate) fn stream(
     }))
 }
 
+/// Evaluate only the items at 0-based positions `win` of a FLWOR's
+/// result, on the caller's `Env`: what `fn:subsequence` and `[k]` make
+/// of a FLWOR operand. Tuples are pulled as [`Stream`] pulls them,
+/// with its budget step and counters, until the window's end. An
+/// element constructor `return` yields exactly one item per tuple (or
+/// raises), so a tuple before the window is passed over without
+/// evaluating it; any other `return` is evaluated lazily and its items
+/// are counted off one at a time.
+pub(crate) fn window(
+    ev: &Evaluator<'_>,
+    clauses: &[FlworClause],
+    ret: &Expr,
+    env: &mut Env,
+    win: Range<usize>,
+) -> XdmResult<Sequence> {
+    let one_item = matches!(ret, Expr::DirectElement(_) | Expr::ComputedElement(..));
+    let mut stages = plan(ev.engine, clauses);
+    let mut cx = Cx { ev, env, clauses, lazy: true };
+    let mut out = Vec::new();
+    // Result positions produced or passed over so far, and the last
+    // tuple's items with how many of them were taken.
+    let mut pos = 0;
+    let mut pending = None;
+    while pos < win.end {
+        let Some(t) = pull(&mut stages, &mut cx)? else {
+            return Ok(Sequence::from_items(out));
+        };
+        count_pull(ev.engine)?;
+        if one_item && pos < win.start {
+            pos += 1;
+            continue;
+        }
+        let items = cx.eval(&t, ret)?;
+        let mut i = 0;
+        while pos < win.end {
+            let Some(item) = items.try_item(i)? else { break };
+            if pos >= win.start {
+                out.push(item);
+            }
+            pos += 1;
+            i += 1;
+        }
+        pending = Some((items, i));
+    }
+    book_early_exit(ev.engine, &stages, pending.as_ref());
+    Ok(Sequence::from_items(out))
+}
+
 /// The lazy driver.
 struct Stream {
     engine: Engine,
@@ -118,10 +170,7 @@ impl Stream {
                 self.pending = None;
             }
             let Some(t) = pull(&mut self.stages, &mut cx)? else { return Ok(None) };
-            // One fuel/deadline step per pulled tuple, so early-exit
-            // consumers are charged for exactly the work they caused.
-            self.engine.budget_step()?;
-            OptCounters::bump(&self.engine.opt_counters().tuples_pulled);
+            count_pull(&self.engine)?;
             self.pending = Some((cx.eval(&t, &self.ret)?, 0));
         }
     }
@@ -142,21 +191,33 @@ impl ItemSource for Stream {
 
 impl Drop for Stream {
     fn drop(&mut self) {
-        if self.done {
-            return;
+        if !self.done {
+            book_early_exit(&self.engine, &self.stages, self.pending.as_ref());
         }
-        let opt = self.engine.opt_counters();
-        OptCounters::bump(&opt.early_exits);
-        // Count what the early exit verifiably skipped: items whose
-        // existence is already known but that were never consumed.
-        // Live lazy sources of unknown length are not guessed at, so
-        // this is a lower bound.
-        let mut skipped: usize = self.stages.iter().map(Stage::unbuilt).sum();
-        if let Some((p, i)) = &self.pending {
-            skipped += p.known_len().map_or(0, |n| n.saturating_sub(*i));
-        }
-        OptCounters::add(&opt.items_never_built, skipped as u64);
     }
+}
+
+/// Charge one fuel/deadline step for a pulled tuple and count it, so
+/// early-exit consumers are charged for exactly the work they caused.
+fn count_pull(engine: &Engine) -> XdmResult<()> {
+    engine.budget_step()?;
+    OptCounters::bump(&engine.opt_counters().tuples_pulled);
+    Ok(())
+}
+
+/// Book a pipeline abandoned before its end: one early exit, and what
+/// it verifiably skipped, items whose existence is already known but
+/// that were never consumed. `pending` is the last tuple's `return`
+/// items and how many were taken. Live lazy sources of unknown length
+/// are not guessed at, so this is a lower bound.
+fn book_early_exit(engine: &Engine, stages: &[Stage], pending: Option<&(Sequence, usize)>) {
+    let opt = engine.opt_counters();
+    OptCounters::bump(&opt.early_exits);
+    let mut skipped: usize = stages.iter().map(Stage::unbuilt).sum();
+    if let Some((p, i)) = pending {
+        skipped += p.known_len().map_or(0, |n| n.saturating_sub(*i));
+    }
+    OptCounters::add(&opt.items_never_built, skipped as u64);
 }
 
 /// What the operators evaluate with.

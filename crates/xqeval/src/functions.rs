@@ -6,6 +6,7 @@
 //! external registries.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use xdm::atomic::{to_f64, AtomicType, AtomicValue};
 use xdm::decimal::Decimal;
@@ -78,6 +79,49 @@ fn one_integer(seq: &Sequence, what: &str) -> XdmResult<i64> {
 // which must replicate the builtin's window arithmetic exactly.
 pub(crate) fn one_double(seq: &Sequence, what: &str) -> XdmResult<f64> {
     to_f64(&one_atomic(seq, what)?)
+}
+
+/// `fn:round` on a double: the nearest integer, ties toward +∞.
+/// `f64::round` breaks ties away from zero, so only a negative tie
+/// moves (`d - r` is exact there); `-0.5` rounds to `-0`.
+pub(crate) fn round_half_up(d: f64) -> f64 {
+    let r = d.round();
+    if d - r == 0.5 {
+        (r + 1.0).copysign(d)
+    } else {
+        r
+    }
+}
+
+/// The 0-based slice holding the 1-based positions `p` with
+/// `first <= p < end`. A NaN bound selects nothing.
+pub(crate) fn position_window(first: f64, end: f64) -> Range<usize> {
+    // Float-to-int casts saturate: -∞ and negatives give 0, +∞ gives
+    // usize::MAX. `first < end` is false for a NaN bound.
+    let lo = (first.ceil() - 1.0) as usize;
+    let hi = (end.ceil() - 1.0) as usize;
+    if first < end && lo < hi {
+        lo..hi
+    } else {
+        0..0
+    }
+}
+
+/// The window of `fn:subsequence` and `fn:substring`: positions
+/// `round(start) <= p < round(start) + round(len)`, no length meaning
+/// to the end.
+pub(crate) fn rounded_window(start: f64, len: Option<f64>) -> Range<usize> {
+    let first = round_half_up(start);
+    position_window(first, first + len.map_or(f64::INFINITY, round_half_up))
+}
+
+/// The items of `seq` inside `win`.
+pub(crate) fn slice(seq: Sequence, win: Range<usize>) -> Sequence {
+    let n = seq.len();
+    if win.start == 0 && win.end >= n {
+        return seq;
+    }
+    Sequence::from_items(seq.items()[win.start.min(n)..win.end.min(n)].to_vec())
 }
 
 fn str_seq(s: String) -> Sequence {
@@ -230,23 +274,13 @@ fn dispatch_fn(
             Ok(Sequence::from_items(items))
         }
         ("subsequence", 2) | ("subsequence", 3) => (|| {
-            let start = one_double(&args[1], "fn:subsequence")?.round();
-            let len = if arity == 3 {
-                one_double(&args[2], "fn:subsequence")?.round()
-            } else {
-                f64::INFINITY
+            let start = one_double(&args[1], "fn:subsequence")?;
+            let len = match args.get(2) {
+                Some(l) => Some(one_double(l, "fn:subsequence")?),
+                None => None,
             };
-            let items: Vec<Item> = args[0]
-                .items()
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| {
-                    let p = *i as f64 + 1.0;
-                    p >= start && p < start + len
-                })
-                .map(|(_, it)| it.clone())
-                .collect();
-            Ok(Sequence::from_items(items))
+            let win = rounded_window(start, len);
+            Ok(slice(args.swap_remove(0), win))
         })(),
         ("index-of", 2) => (|| {
             let needle = one_atomic(&args[1], "fn:index-of")?;
@@ -381,10 +415,7 @@ fn dispatch_fn(
                     let r = match local {
                         "floor" => d.floor(),
                         "ceiling" => d.ceil(),
-                        _ => {
-                            // fn:round: half rounds toward +INF.
-                            (d + 0.5).floor()
-                        }
+                        _ => round_half_up(d),
                     };
                     Ok(Sequence::one(Item::double(r)))
                 }
@@ -422,22 +453,14 @@ fn dispatch_fn(
         ("substring", 2) | ("substring", 3) => (|| {
             let s = one_string(&args[0], "fn:substring")?;
             let chars: Vec<char> = s.chars().collect();
-            let start = one_double(&args[1], "fn:substring")?.round();
-            let len = if arity == 3 {
-                one_double(&args[2], "fn:substring")?.round()
-            } else {
-                f64::INFINITY
+            let start = one_double(&args[1], "fn:substring")?;
+            let len = match args.get(2) {
+                Some(l) => Some(one_double(l, "fn:substring")?),
+                None => None,
             };
-            let out: String = chars
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| {
-                    let p = *i as f64 + 1.0;
-                    p >= start && p < start + len
-                })
-                .map(|(_, c)| *c)
-                .collect();
-            Ok(str_seq(out))
+            let win = rounded_window(start, len);
+            let n = chars.len();
+            Ok(str_seq(chars[win.start.min(n)..win.end.min(n)].iter().collect()))
         })(),
         ("upper-case", 1) => one_string(&args[0], local).map(|s| str_seq(s.to_uppercase())),
         ("lower-case", 1) => one_string(&args[0], local).map(|s| str_seq(s.to_lowercase())),

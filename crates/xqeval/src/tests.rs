@@ -1064,6 +1064,35 @@ fn subsequence_page_early_exits_the_stream() {
 }
 
 #[test]
+fn windows_build_no_element_return_before_their_start() {
+    // The windowed driver still pulls every tuple up to the window's
+    // end, but an element `return` is evaluated only inside it: two
+    // nodes (`<n>` and its text) per row of the page.
+    let engine = Engine::new();
+    let out = engine
+        .eval_query("subsequence(for $i in 1 to 10000 return <n>{$i}</n>, 9001, 5)")
+        .unwrap();
+    assert_eq!(as_string(&out), "<n>9001</n><n>9002</n><n>9003</n><n>9004</n><n>9005</n>");
+    let s = engine.opt_stats();
+    assert_eq!(s.tuples_pulled, 9005);
+    assert_eq!(s.nodes_built, 10, "only the page's rows are built");
+    assert_eq!((s.early_exits, s.items_never_built), (1, 995));
+
+    engine.reset_opt_stats();
+    let out = engine.eval_query("(for $i in 1 to 10000 return <n>{$i}</n>)[9001]").unwrap();
+    assert_eq!(as_string(&out), "<n>9001</n>");
+    let s = engine.opt_stats();
+    assert_eq!((s.tuples_pulled, s.nodes_built), (9001, 2));
+
+    // Any other `return` is still evaluated item by item, so a window
+    // can start inside one tuple's items.
+    let out = engine
+        .eval_query("subsequence(for $i in 1 to 5 return ($i, -$i), 4, 4)")
+        .unwrap();
+    assert_eq!(ints(&out), vec![-2, 3, -3, 4]);
+}
+
+#[test]
 fn exists_probe_pulls_one_tuple() {
     let engine = Engine::new();
     let out = engine
@@ -1168,6 +1197,26 @@ fn errors_past_the_early_exit_are_never_evaluated() {
         .eval_query("subsequence(for $i in (1, 2, 0, 4) return 10 idiv $i, 1, 2)")
         .unwrap_err();
     assert!(err.is(ErrorCode::FOAR0001));
+}
+
+#[test]
+fn element_returns_before_the_window_are_never_evaluated() {
+    // Deviation (a) extended (DESIGN §11): the tuple before the window
+    // is passed over without building its `<a>`, so its division by
+    // zero never happens; the eager engine builds every row first.
+    let engine = Engine::new();
+    let query = "subsequence(for $i in (0, 1, 2) return <a>{10 idiv $i}</a>, 2, 2)";
+    assert_eq!(as_string(&engine.eval_query(query).unwrap()), "<a>10</a><a>5</a>");
+    engine.set_features(Features { lazy: false, ..engine.features() });
+    assert!(engine.eval_query(query).unwrap_err().is(ErrorCode::FOAR0001));
+    // A skipped tuple still runs its `for`, `let` and `where`, so the
+    // same division in the `where` raises in both modes.
+    let query = "subsequence(for $i in (0, 1, 2) where 10 idiv $i ge 0 return <a>{$i}</a>, 2, 2)";
+    for lazy in [true, false] {
+        engine.set_features(Features { lazy, ..engine.features() });
+        let err = engine.eval_query(query).unwrap_err();
+        assert!(err.is(ErrorCode::FOAR0001), "lazy={lazy}: {err:?}");
+    }
 }
 
 #[test]

@@ -98,6 +98,20 @@ conformance! {
     fun_string_join_empty: "fn:string-join((), ',')" => "";
     fun_substring_clipping: "fn:substring('hello', 0, 2)" => "h";
     fun_substring_neg_len: "fn:substring('hello', 2, -1)" => "";
+    // F&O 3.1 fn:substring examples; positions round as fn:round does.
+    fun_substring_fo_to_end: "fn:substring('motor car', 6)" => " car";
+    fun_substring_fo_middle: "fn:substring('metadata', 4, 3)" => "ada";
+    fun_substring_fo_rounded: "fn:substring('12345', 1.5, 2.6)" => "234";
+    fun_substring_fo_zero_start: "fn:substring('12345', 0, 3)" => "12";
+    fun_substring_fo_neg_len: "fn:substring('12345', 5, -3)" => "";
+    fun_substring_fo_neg_start: "fn:substring('12345', -3, 5)" => "1";
+    fun_substring_fo_nan_start: "fn:substring('12345', 0 div 0E0, 3)" => "";
+    fun_substring_fo_nan_len: "fn:substring('12345', 1, 0 div 0E0)" => "";
+    fun_substring_fo_empty: "fn:substring((), 1, 3)" => "";
+    fun_substring_fo_inf_len: "fn:substring('12345', -42, 1 div 0E0)" => "12345";
+    fun_substring_fo_inf_both: "fn:substring('12345', -1 div 0E0, 1 div 0E0)" => "";
+    fun_substring_half_start_rounds_up: "fn:substring('12345', -1.5, 4)" => "12";
+    fun_subsequence_half_start_rounds_up: "fn:subsequence((1, 2, 3, 4, 5), -2.5, 5)" => "1 2";
     fun_avg_decimal: "fn:avg((1, 2))" => "1.5";
     fun_min_dates:
         "fn:string(fn:min((xs:date('2008-01-01'), xs:date('2007-12-07'))))"
@@ -111,6 +125,8 @@ conformance! {
          return (fn:local-name($e), fn:namespace-uri($e))" => "x urn:p";
     fun_number_empty_nan: "fn:string(fn:number(()))" => "NaN";
     fun_round_half_up: "(fn:round(0.5), fn:round(1.5), fn:round(-0.5))" => "1 2 0";
+    fun_round_double_just_below_half: "fn:round(0.49999999999999994e0)" => "0";
+    fun_round_double_negative_tie: "fn:round(-2.5e0)" => "-2";
     fun_boolean_of_node: "fn:boolean(<a/>)" => "true";
     // --------------------------------------------------------- types
     ty_instance_sequence: "(1, 'a') instance of xs:integer*" => "false";

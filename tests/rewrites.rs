@@ -202,6 +202,7 @@ const CONSUMERS: &[(&str, &str)] = &[
     ("full drain", "{}"),
     ("exists", "fn:exists({})"),
     ("subsequence", "fn:subsequence({}, 2, 3)"),
+    ("subsequence starting rows in", "fn:subsequence({}, 4, 2)"),
     ("[k]", "({})[2]"),
 ];
 
