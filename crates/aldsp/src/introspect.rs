@@ -29,6 +29,7 @@ use xdm::node::NodeHandle;
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
+use xqeval::engine::SourceSelectFn;
 use xqeval::{ColClass, Engine, Env, OptCounters, SourceCapability};
 
 use crate::lineage::SourceRef;
@@ -57,14 +58,14 @@ pub fn introspect_relational(
         let mut methods = Vec::new();
 
         // Read method: TABLE() returns all rows as XML.
-        register_read_all(engine, db, &schema, &ns);
+        let select = register_read_all(engine, db, &schema, &ns);
         methods.push(Method { name: table.clone(), kind: MethodKind::Read, arity: 0 });
 
         // Keyed read helper for single-column PKs: getBy<PK>($v) — the
         // shape the paper's use cases call (ens1:getByEmployeeID).
         if schema.primary_key.len() == 1 {
             let pk = schema.primary_key[0].clone();
-            register_read_by_key(engine, db, &schema, &ns, &pk)?;
+            register_read_by_key(engine, db, &schema, &ns, &pk, select)?;
             methods.push(Method {
                 name: format!("getBy{pk}"),
                 kind: MethodKind::Read,
@@ -150,7 +151,12 @@ fn seal_sequence(seq: &Sequence) {
     }
 }
 
-fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) {
+fn register_read_all(
+    engine: &Engine,
+    db: &Database,
+    schema: &TableSchema,
+    ns: &str,
+) -> SourceSelectFn {
     let features = engine.features_handle();
     let counters = engine.opt_counters();
 
@@ -160,10 +166,24 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
     // write to the table bumps its version and forces a rebuild, while
     // writes to *other* tables leave this entry valid.
     let mat: Rc<RefCell<Option<(u64, Sequence)>>> = Rc::new(RefCell::new(None));
+    // Versioned per-key select cache, one level down: the table's one
+    // keyed-read path (pushdown point-selects and `getBy<PK>`) reuses
+    // the converted rows of a key it has already read at the same
+    // version instead of re-probing the index and rebuilding XDM.
+    // Entries are keyed `column \u{1} canonical key lexical` and
+    // stamped with the version the select *served*, so a row set read
+    // from a stale snapshot never revalidates. `-batch` restores
+    // per-call probes.
+    let select_cache: Rc<RefCell<xqeval::Lru<String, (u64, Sequence)>>> =
+        Rc::new(RefCell::new(xqeval::Lru::new(SELECT_CACHE_CAPACITY)));
     {
+        // Update statements may have mutated cached nodes in place:
+        // both caches go.
         let mat = mat.clone();
+        let select_cache = select_cache.clone();
         engine.register_mat_flusher(Rc::new(move || {
             *mat.borrow_mut() = None;
+            select_cache.borrow_mut().clear();
         }));
     }
 
@@ -175,24 +195,25 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
         .iter()
         .filter_map(|c| col_class(c.ty).map(|cl| (c.name.clone(), cl)))
         .collect();
-    // Versioned per-key select cache (PR 4's batching layer): a FLWOR
-    // that point-selects the same keys against an unchanged table
-    // reuses the converted rows instead of re-probing the index and
-    // rebuilding XDM. Keying on the *live* table version makes reuse
-    // exact — any committed write bumps the version and misses — and
-    // mirrors the materialization cache's invalidation story one level
-    // down. `-batch` restores per-call probes.
-    let select_cache: Rc<RefCell<xqeval::Lru<String, (u64, Sequence)>>> =
-        Rc::new(RefCell::new(xqeval::Lru::new(SELECT_CACHE_CAPACITY)));
-    let select = {
+    let select: SourceSelectFn = {
         let db = db.clone();
         let schema = schema.clone();
         let ns = ns.to_string();
         let table = schema.name.clone();
         let counters = counters.clone();
         let features = features.clone();
-        let select_cache = select_cache.clone();
         Rc::new(move |_env: &mut Env, col: &str, key: &str| -> XdmResult<Sequence> {
+            // A hit needs no parse: a key that does not parse, or an
+            // unknown column, never reaches the cache.
+            let ck = features.get().batching().then(|| format!("{col}\u{1}{key}"));
+            if let Some(ck) = &ck {
+                let live = db.table_version(&table).unwrap_or(0);
+                if let Some((served, seq)) = select_cache.borrow_mut().get(ck) {
+                    if *served == live {
+                        return Ok(seq.clone());
+                    }
+                }
+            }
             let ty = schema
                 .column(col)
                 .ok_or_else(|| {
@@ -202,32 +223,23 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
                     )
                 })?
                 .ty;
-            // The canonical key the rewriter hands us always parses for
-            // pushable classes; a failure means the comparison could
-            // never match a stored value of this type.
+            // Callers hand over canonical lexicals, which always parse
+            // for pushable classes; a failure means the comparison
+            // could never match a stored value of this type.
             let v = match SqlValue::parse(ty, key) {
                 Ok(v) => v,
                 Err(_) => return Ok(Sequence::empty()),
             };
-            if features.get().batching() {
-                let ver = db.table_version(&table).unwrap_or(0);
-                let ck = format!("{col}\u{1}{key}");
-                if let Some((v0, seq)) = select_cache.borrow_mut().get(&ck) {
-                    if *v0 == ver {
-                        return Ok(seq.clone());
-                    }
-                }
-                OptCounters::bump(&counters.indexed_selects);
-                let rows = db.select_indexed(&table, &vec![(col.to_string(), v)])?;
-                let seq = xmlmap::rows_to_sequence(&schema, &ns, &rows);
-                seal_sequence(&seq);
-                select_cache.borrow_mut().insert(ck, (ver, seq.clone()));
-                return Ok(seq);
-            }
             OptCounters::bump(&counters.indexed_selects);
-            let rows = db.select_indexed(&table, &vec![(col.to_string(), v)])?;
-            Ok(xmlmap::rows_to_sequence(&schema, &ns, &rows))
-        }) as Rc<dyn Fn(&mut Env, &str, &str) -> XdmResult<Sequence>>
+            let cond = vec![(col.to_string(), v)];
+            let (served, rows) = db.select_indexed_versioned(&table, &cond)?;
+            let seq = xmlmap::rows_to_sequence(&schema, &ns, &rows);
+            if let Some(ck) = ck {
+                seal_sequence(&seq);
+                select_cache.borrow_mut().insert(ck, (served, seq.clone()));
+            }
+            Ok(seq)
+        })
     };
     let version = {
         let db = db.clone();
@@ -248,7 +260,7 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
     };
     engine.register_source_capability(
         QName::with_ns(ns.to_string(), schema.name.clone()),
-        SourceCapability { columns, select, version, served_version },
+        SourceCapability { columns, select: select.clone(), version, served_version },
     );
 
     let db = db.clone();
@@ -295,14 +307,21 @@ fn register_read_all(engine: &Engine, db: &Database, schema: &TableSchema, ns: &
             }
         }),
     );
+    select
 }
 
+/// `getBy<PK>($v)`: the row whose primary key is `$v`, or `()`. Under
+/// `opt` it is answered by the table's keyed select (`select`, the
+/// closure pushdown uses), so with the batch layer on, a key repeated
+/// on an unchanged table hits the versioned select cache; `-opt` keeps
+/// the seed's full scan.
 fn register_read_by_key(
     engine: &Engine,
     db: &Database,
     schema: &TableSchema,
     ns: &str,
     pk: &str,
+    select: SourceSelectFn,
 ) -> XdmResult<()> {
     let db = db.clone();
     let schema = schema.clone();
@@ -319,22 +338,19 @@ fn register_read_by_key(
         })?
         .ty;
     let features = engine.features_handle();
-    let counters = engine.opt_counters();
     engine.register_external_function(
         QName::with_ns(ns.clone(), format!("getBy{pk}")),
         1,
-        Rc::new(move |_env, args| {
+        Rc::new(move |env, args| {
             let key = args[0].string_value()?;
             if key.is_empty() {
                 return Ok(Sequence::empty());
             }
             let v = SqlValue::parse(pk_ty, &key)?;
-            let rows = if features.get().opt {
-                OptCounters::bump(&counters.indexed_selects);
-                db.select_indexed(&table, &vec![(pk.clone(), v)])?
-            } else {
-                db.select(&table, &vec![(pk.clone(), v)])?
-            };
+            if features.get().opt {
+                return select(env, &pk, &v.lexical());
+            }
+            let rows = db.select(&table, &vec![(pk.clone(), v)])?;
             Ok(xmlmap::rows_to_sequence(&schema, &ns, &rows))
         }),
     );

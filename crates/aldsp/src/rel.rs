@@ -588,7 +588,7 @@ impl Database {
             &self.name,
             Op::Select,
             || self.select_raw(table, cond),
-            || self.cached_select(table, cond),
+            || self.cached_select(table, cond).map(|(_, rows)| rows),
         )
     }
 
@@ -606,15 +606,17 @@ impl Database {
         Ok(hits)
     }
 
-    fn cached_select(&self, table: &str, cond: &Condition) -> Option<Vec<Row>> {
+    /// The stale-read fallback of the selects: the last snapshot's
+    /// matching rows, with the snapshot's version.
+    fn cached_select(&self, table: &str, cond: &Condition) -> Option<(u64, Vec<Row>)> {
         let idx = {
             let h = self.table_handle(table).ok()?;
             let t = h.read();
             cond_indices(&t.schema, cond).ok()?
         };
         let cache = self.shared.read_cache.lock();
-        let (_, cached) = cache.get(table)?;
-        Some(cached.iter().filter(|r| row_matches(r, &idx)).cloned().collect())
+        let (ver, cached) = cache.get(table)?;
+        Some((*ver, cached.iter().filter(|r| row_matches(r, &idx)).cloned().collect()))
     }
 
     /// Index-accelerated variant of [`Database::select`]: the first
@@ -630,6 +632,21 @@ impl Database {
     /// optimize-gated read paths; plain [`Database::select`] keeps the
     /// seed's full-scan behavior so `-opt` measurements stay honest.
     pub fn select_indexed(&self, table: &str, cond: &Condition) -> XdmResult<Vec<Row>> {
+        self.select_indexed_versioned(table, cond).map(|(_, rows)| rows)
+    }
+
+    /// [`Database::select_indexed`] plus the version of the table the
+    /// rows were served from: the live version, read under the same
+    /// shard lock as the rows, or the snapshot's version when the read
+    /// degrades to the stale snapshot (the rule
+    /// [`Database::scan_if_changed`] follows). Keyed caches stamp their
+    /// entries with it, so rows served from a stale snapshot never
+    /// revalidate against the live table.
+    pub fn select_indexed_versioned(
+        &self,
+        table: &str,
+        cond: &Condition,
+    ) -> XdmResult<(u64, Vec<Row>)> {
         let access = self.access();
         access.run_read(
             &self.name,
@@ -639,7 +656,7 @@ impl Database {
         )
     }
 
-    fn select_indexed_raw(&self, table: &str, cond: &Condition) -> XdmResult<Vec<Row>> {
+    fn select_indexed_raw(&self, table: &str, cond: &Condition) -> XdmResult<(u64, Vec<Row>)> {
         let h = self.table_handle(table)?;
         // Fast path under the shared lock: concurrent indexed readers
         // of the same table must not contend once the index exists.
@@ -651,15 +668,10 @@ impl Database {
                 // No indexable column in the condition: plain filtered
                 // scan (without refreshing the stale-read snapshot —
                 // only full scans snapshot the table).
-                return Ok(t
-                    .rows
-                    .iter()
-                    .filter(|(_, r)| row_matches(r, &idx))
-                    .map(|(_, r)| r.clone())
-                    .collect());
+                return Ok((t.version, scan_matching(&t.rows, &idx)));
             };
             if let Some(map) = t.indexes.get(&col) {
-                return Ok(probe_sorted_ids(&t.rows, map.get(&fp), &idx));
+                return Ok((t.version, probe_sorted_ids(&t.rows, map.get(&fp), &idx)));
             }
         }
         // Slow path: build the index under the exclusive lock, then
@@ -668,19 +680,14 @@ impl Database {
         let mut t = h.write();
         let idx = cond_indices(&t.schema, cond)?;
         let Some((col, fp)) = index_probe(&t.schema, cond) else {
-            return Ok(t
-                .rows
-                .iter()
-                .filter(|(_, r)| row_matches(r, &idx))
-                .map(|(_, r)| r.clone())
-                .collect());
+            return Ok((t.version, scan_matching(&t.rows, &idx)));
         };
-        let TableData { schema, rows, indexes, .. } = &mut *t;
+        let TableData { schema, rows, indexes, version, .. } = &mut *t;
         if !indexes.contains_key(&col) {
             let built = build_index(schema, rows, &col);
             indexes.insert(col.clone(), built);
         }
-        Ok(probe_sorted_ids(rows, indexes.get(&col).and_then(|m| m.get(&fp)), &idx))
+        Ok((*version, probe_sorted_ids(rows, indexes.get(&col).and_then(|m| m.get(&fp)), &idx)))
     }
 
     /// Columns of `table` that currently have a built secondary index
@@ -1209,6 +1216,11 @@ fn cond_indices(
 
 fn row_matches(row: &Row, idx: &[(usize, SqlValue)]) -> bool {
     idx.iter().all(|(i, v)| &row[*i] == v)
+}
+
+/// The rows matching `idx`, found by scanning, in row-id order.
+fn scan_matching(rows: &[(u64, Row)], idx: &[(usize, SqlValue)]) -> Vec<Row> {
+    rows.iter().filter(|(_, r)| row_matches(r, idx)).map(|(_, r)| r.clone()).collect()
 }
 
 /// Column types eligible for secondary hash indexes. DECIMAL is

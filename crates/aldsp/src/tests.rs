@@ -9,7 +9,8 @@ use xdm::sequence::{Item, Sequence};
 
 use crate::decompose::{OccPolicy, UpdateOverride};
 use crate::demo;
-use crate::rel::SqlValue;
+use crate::rel::{SqlValue, WriteOp};
+use xqeval::Features;
 
 fn demo3() -> demo::Demo {
     demo::build(3, 2, 2).unwrap()
@@ -429,6 +430,89 @@ fn generated_physical_methods_work_from_queries() {
         )
         .unwrap();
     assert_eq!(out.string_value().unwrap(), "Borkar");
+}
+
+// ------------------------------------------------------- getBy<PK>
+
+const CUS: &[(&str, &str)] = &[("cus", "ld:db1/CUSTOMER")];
+
+/// Evaluate `query` under `features` with fresh counters: its string
+/// value and the indexed selects it made.
+fn keyed_read(d: &demo::Demo, features: Features, query: &str) -> (String, u64) {
+    let engine = d.space.engine();
+    engine.set_features(features);
+    engine.reset_opt_stats();
+    let out = engine.eval_expr_str(query, CUS).unwrap().string_value().unwrap();
+    (out, engine.opt_stats().indexed_selects)
+}
+
+#[test]
+fn get_by_pk_rejects_malformed_keys_and_reads_nothing_for_empty_ones() {
+    let d = demo3();
+    let engine = d.space.engine();
+    for features in [Features::ALL, Features::NONE, Features { batch: false, ..Features::ALL }] {
+        engine.set_features(features);
+        let err = engine.eval_expr_str("cus:getByCID('x1')", CUS).unwrap_err();
+        assert_eq!(err.code, ErrorCode::DSP0003.qname(), "{features}");
+        let (n, selects) = keyed_read(&d, features, "fn:count(cus:getByCID(''))");
+        assert_eq!((n.as_str(), selects), ("0", 0), "{features}");
+    }
+}
+
+#[test]
+fn get_by_pk_probes_once_per_key_and_table_version() {
+    let d = demo3();
+    let three = "fn:string-join((cus:getByCID('2'), cus:getByCID(' 2 '), \
+                 cus:getByCID(2))/LAST_NAME, ',')";
+    // `-opt` scans the table; `-batch` probes the index on every call.
+    let no_opt = Features { opt: false, ..Features::ALL };
+    assert_eq!(keyed_read(&d, no_opt, three), ("Borkar,Borkar,Borkar".into(), 0));
+    let no_batch = Features { batch: false, ..Features::ALL };
+    assert_eq!(keyed_read(&d, no_batch, three), ("Borkar,Borkar,Borkar".into(), 3));
+    // The full feature set probes once: the three spellings share the
+    // canonical key `2`, and repeated calls return the same cached
+    // node, so the path's node-identity dedup leaves one
+    // (DESIGN.md §11 deviation (h)).
+    assert_eq!(keyed_read(&d, Features::ALL, three), ("Borkar".into(), 1));
+    assert_eq!(keyed_read(&d, Features::ALL, three), ("Borkar".into(), 0));
+    // Pushdown point-selects share the entries.
+    let pushed = "fn:string(for $c in cus:CUSTOMER() where $c/CID eq 2 return $c/LAST_NAME)";
+    assert_eq!(keyed_read(&d, Features::ALL, pushed), ("Borkar".into(), 0));
+    assert_eq!(d.space.engine().opt_stats().pushdown_rewrites, 1);
+    // A cached row keeps the tree of its first read, and trees are in
+    // document order by build time: the row for 2, read above, sorts
+    // before the row for 3 built now. Plain evaluation builds both in
+    // call order (deviation (h)).
+    let two_keys = "fn:string-join((cus:getByCID('3'), cus:getByCID('2'))/LAST_NAME, ',')";
+    assert_eq!(keyed_read(&d, Features::ALL, two_keys), ("Borkar,Engovatov".into(), 1));
+    assert_eq!(keyed_read(&d, Features::NONE, two_keys), ("Engovatov,Borkar".into(), 0));
+
+    // A commit to another table keeps the hits.
+    d.db1
+        .execute(vec![WriteOp::Update {
+            table: "ORDER".into(),
+            set: vec![("STATUS".into(), SqlValue::Str("HELD".into()))],
+            cond: vec![("OID".into(), SqlValue::Int(1))],
+            expect_rows: 1,
+        }])
+        .unwrap();
+    assert_eq!(keyed_read(&d, Features::ALL, three), ("Borkar".into(), 0));
+    // A commit to the table misses once, and the new row is served.
+    d.db1
+        .execute(vec![WriteOp::Update {
+            table: "CUSTOMER".into(),
+            set: vec![("LAST_NAME".into(), SqlValue::Str("Borkar2".into()))],
+            cond: vec![("CID".into(), SqlValue::Int(2))],
+            expect_rows: 1,
+        }])
+        .unwrap();
+    assert_eq!(keyed_read(&d, Features::ALL, three), ("Borkar2".into(), 1));
+    assert_eq!(keyed_read(&d, Features::ALL, three), ("Borkar2".into(), 0));
+    // Plain evaluation builds a fresh row per call.
+    assert_eq!(
+        keyed_read(&d, Features::NONE, three),
+        ("Borkar2,Borkar2,Borkar2".into(), 0)
+    );
 }
 
 #[test]

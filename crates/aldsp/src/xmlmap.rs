@@ -65,7 +65,10 @@ pub fn rows_to_sequence(schema: &TableSchema, ns: &str, rows: &[Row]) -> Sequenc
 
 /// Read an XML row view back into typed values. Missing elements map
 /// to NULL; namespaces are ignored on children (sources see local
-/// names).
+/// names), and the first child named after a column is its value.
+/// One pass over the children finds every column's child; values are
+/// then parsed in column order, so the first bad column is the one
+/// reported.
 pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
     if node.name().is_none_or(|q| q.local != schema.name) {
         return Err(XdmError::new(
@@ -78,17 +81,20 @@ pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
             ),
         ));
     }
-    let mut row = Vec::with_capacity(schema.columns.len());
-    for col in &schema.columns {
-        let child = node
-            .children()
-            .iter()
-            .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(&col.name))
-            .cloned();
-        match child {
-            Some(c) => row.push(SqlValue::parse(col.ty, &c.string_value())?),
-            None => row.push(SqlValue::Null),
+    let children = node.children();
+    let mut found: Vec<Option<&NodeHandle>> = vec![None; schema.columns.len()];
+    for c in &children {
+        let Some(q) = c.name() else { continue };
+        if let Some(i) = schema.columns.iter().position(|col| q.local == col.name) {
+            found[i].get_or_insert(c);
         }
+    }
+    let mut row = Vec::with_capacity(schema.columns.len());
+    for (col, c) in schema.columns.iter().zip(found) {
+        row.push(match c {
+            Some(c) => SqlValue::parse(col.ty, &c.string_value())?,
+            None => SqlValue::Null,
+        });
     }
     Ok(row)
 }
@@ -183,6 +189,38 @@ mod tests {
     fn wrong_element_name_rejected() {
         let other = NodeHandle::root_element(QName::new("ORDER"));
         assert!(xml_to_row(&schema(), &other).is_err());
+    }
+
+    /// An element with the given `(name, text)` children.
+    fn customer(children: &[(&str, &str)]) -> NodeHandle {
+        let elem = NodeHandle::root_element(QName::new("CUSTOMER"));
+        let arena = elem.arena().clone();
+        for (name, text) in children {
+            let c = NodeHandle::new_element(&arena, QName::new(*name));
+            c.append_child(&NodeHandle::new_text(&arena, *text)).unwrap();
+            elem.append_child(&c).unwrap();
+        }
+        elem
+    }
+
+    #[test]
+    fn first_duplicate_child_wins() {
+        let xml = customer(&[("CID", "7"), ("LAST_NAME", "Carey"), ("CID", "8")]);
+        let row = xml_to_row(&schema(), &xml).unwrap();
+        assert_eq!(row, vec![SqlValue::Int(7), SqlValue::Str("Carey".into()), SqlValue::Null]);
+        // A later duplicate is never parsed, so it cannot raise.
+        let xml = customer(&[("CID", "7"), ("CID", "not-a-number")]);
+        assert_eq!(xml_to_row(&schema(), &xml).unwrap()[0], SqlValue::Int(7));
+    }
+
+    #[test]
+    fn children_out_of_column_order() {
+        let xml = customer(&[("SSN", "123"), ("OTHER", "x"), ("LAST_NAME", "Carey"), ("CID", "7")]);
+        let row = xml_to_row(&schema(), &xml).unwrap();
+        assert_eq!(
+            row,
+            vec![SqlValue::Int(7), SqlValue::Str("Carey".into()), SqlValue::Str("123".into())]
+        );
     }
 
     #[test]

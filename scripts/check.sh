@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Repo-wide gate: build, tests, lints, and the benchmark still builds.
+# Repo-wide gate: build, tests, lints, and the benchmark still builds
+# (and, in full mode, still runs and checks its own answers).
 #
 # Offline-friendly: every external dependency is vendored under
 # shims/, so --offline is the default; pass --online to let cargo
 # touch the network (e.g. on a developer machine with a warm index).
 #
 # Usage: scripts/check.sh [--online] [--quick]
-#   --quick  skip the release build, the overhead guards and the
-#            experiment-table tripwire
+#   --quick  skip the release build, the benchmark smoke run, the
+#            overhead guards and the experiment-table tripwire
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -85,6 +86,30 @@ run cargo check -q $NET --locked --manifest-path perfbench/Cargo.toml \
 
 if [ "$QUICK" -eq 0 ]; then
     run cargo build $NET --release
+
+    # Benchmark smoke run: every perfbench workload for 5 s. The
+    # benchmark checks its own output (the pages, the EMP2 rows), so a
+    # wrong answer fails here rather than first in a benchmark run.
+    # Fail on a non-zero exit, or when the last (JSON) line is not
+    # `correct` or counts failed requests. Not shorter than 5 s:
+    # etl_copy needs 100 batches for its p90 check and stops at 4x
+    # --seconds, which a slow host (~110 ms per batch) misses at 2 s.
+    if command -v python3 >/dev/null 2>&1; then
+        for w in profile_update page_query etl_copy; do
+            echo "==> perfbench/run.py --workload $w --seconds 5 --trace 0"
+            last=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+                --workload "$w" --seconds 5 --trace 0 | tail -n 1)
+            python3 -c '
+import json, sys
+w, r = sys.argv[1], json.loads(sys.argv[2])
+if r.get("correct") is not True or r.get("failed", 1) > 0:
+    sys.exit("perfbench %s: correct=%s failed=%s" % (w, r.get("correct"), r.get("failed")))
+print("perfbench %s: correct, %d attempted, 0 failed" % (w, r["attempted"]))
+' "$w" "$last"
+        done
+    else
+        echo "==> python3 unavailable; skipping the benchmark smoke run" >&2
+    fi
 
     # Journal-overhead guard: the journaled coordinator must stay
     # within 5% of the same protocol driven through the branch calls

@@ -674,6 +674,54 @@ fn stale_snapshot_keys_caches_while_breaker_open() {
     assert_eq!(space.engine().opt_stats().mat_misses, 1, "recovery rebuilt");
 }
 
+#[test]
+fn degraded_keyed_select_is_never_cached_as_fresh() {
+    let (space, db) = hr_space();
+    // The keyed-select cache is the batch layer's.
+    space.engine().set_features(Features { opt: true, batch: true, ..space.engine().features() });
+    let res = space.install_resilience(Resilience::new(Policy {
+        max_retries: 0,
+        breaker_threshold: 2,
+        breaker_cooldown_ms: 60_000,
+        ..Policy::default()
+    }));
+    let read = |q: &str| eval_q(&space, q);
+    let scanned = "fn:string-join(for $e in ens:EMPLOYEE() return fn:string($e/Name), ',')";
+    let pushed = "fn:string-join(for $e in ens:EMPLOYEE() where $e/EmployeeID eq 1 \
+                  return fn:string($e/Name), ',')";
+    let keyed = "fn:string(ens:getByEmployeeID(1)/Name)";
+
+    // A healthy full scan snapshots the v1 rows.
+    assert_eq!(read(scanned), "Ann");
+    // A committed write moves the live version past the snapshot.
+    db.execute(vec![WriteOp::Update {
+        table: "EMPLOYEE".into(),
+        set: vec![("Name".into(), SqlValue::Str("Zed".into()))],
+        cond: vec![("EmployeeID".into(), SqlValue::Int(1))],
+        expect_rows: 1,
+    }])
+    .unwrap();
+
+    // Selects fail: both keyed reads degrade to the v1 snapshot, which
+    // is the right answer while the source is down.
+    space.install_fault_injector(FaultInjector::new(
+        FaultPlan::new().rule(FaultRule::new("hr", Op::Select, FaultKind::Permanent)),
+    ));
+    assert_eq!(read(pushed), "Ann");
+    assert_eq!(read(keyed), "Ann");
+    assert_eq!(res.lock().stats().stale_reads, 2);
+    assert_eq!(res.lock().breaker_state("hr"), BreakerState::Open);
+
+    // The source heals and the breaker cools down. The degraded rows
+    // were stamped with the snapshot's version, not the live one, so
+    // neither keyed read may serve them again.
+    space.install_fault_injector(FaultInjector::new(FaultPlan::new()));
+    res.lock().clock().advance(60_000);
+    assert_eq!(read(pushed), "Zed", "pushed-down read after recovery");
+    assert_eq!(read(keyed), "Zed", "getBy after recovery");
+    assert_eq!(read(scanned), "Zed");
+}
+
 // --------------------------------------------------- join-cache stamps
 
 fn salaried_schema() -> TableSchema {

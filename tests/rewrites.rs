@@ -11,6 +11,8 @@
 //! fired in the first two runs and not in the reference.
 
 use xqse_repro::aldsp::demo;
+use xqse_repro::aldsp::rel::{Column, ColumnType, Database, SqlValue, TableSchema};
+use xqse_repro::aldsp::service::DataSpace;
 use xqse_repro::xmlparse::{serialize_sequence, serialize_sequence_stream};
 use xqse_repro::xqeval::{Env, Features, OptStats};
 
@@ -323,4 +325,67 @@ fn multi_valued_join_keys_match_existentially_or_raise() {
     assert_eq!(outer_eq.unwrap_err(), "XPTY0004");
     let row = full("hash join, multi-valued row key");
     assert_eq!(row.unwrap(), "<hit>2</hit><hit>5</hit>");
+}
+
+/// The use-case-3 source table: employee `i` is `First{i} Last{i}` in
+/// department `D{i mod 7}`.
+fn employees(rows: i64) -> DataSpace {
+    let db = Database::new("hr");
+    db.create_table(TableSchema {
+        name: "EMPLOYEE".into(),
+        columns: vec![
+            Column::required("EmployeeID", ColumnType::Integer),
+            Column::required("Name", ColumnType::Varchar),
+            Column::nullable("DeptNo", ColumnType::Varchar),
+        ],
+        primary_key: vec!["EmployeeID".into()],
+        foreign_keys: vec![],
+    })
+    .expect("schema");
+    for i in 1..=rows {
+        let row = vec![
+            SqlValue::Int(i),
+            SqlValue::Str(format!("First{i} Last{i}")),
+            SqlValue::Str(format!("D{}", i % 7)),
+        ];
+        db.insert("EMPLOYEE", row).expect("insert");
+    }
+    let space = DataSpace::new();
+    space.register_relational_source(&db).expect("introspect");
+    space
+}
+
+/// An update statement that changes a node a cached read handed out
+/// (a pushed-down select's row, a `getBy<PK>` row) mutates the cached
+/// node itself, so the statement flushes the keyed-select cache along
+/// with the materialized table: the next read rebuilds the row from
+/// the source, as plain evaluation does.
+#[test]
+fn node_updates_do_not_leak_into_cached_keyed_reads() {
+    let query = r#"
+declare namespace ens1 = "ld:hr/EMPLOYEE";
+{
+  replace value of node
+    (for $e in ens1:EMPLOYEE() where $e/DeptNo eq 'D3' return $e)[1]/Name
+    with "CHANGED";
+  replace value of node ens1:getByEmployeeID(4)/Name with "CHANGED";
+  return value (
+    fn:string((for $e in ens1:EMPLOYEE() where $e/DeptNo eq 'D3' return $e)[1]/Name),
+    fn:string(ens1:EMPLOYEE()[EmployeeID eq '3']/Name),
+    fn:string(ens1:getByEmployeeID(4)/Name));
+}
+"#;
+    let run = |features: Features| {
+        let space = employees(50);
+        space.engine().set_features(features);
+        let out = space.xqse().run_with_env(query, &mut Env::new()).expect("run");
+        let texts: Vec<String> = out.iter().map(|i| i.string_value()).collect();
+        (texts, space.engine().opt_stats())
+    };
+    let (plain, p) = run(Features::NONE);
+    let (optimized, o) = run(Features::ALL);
+    assert_eq!(plain, ["First3 Last3", "First3 Last3", "First4 Last4"]);
+    assert_eq!(optimized, plain);
+    assert_eq!(pushdowns(&p), 0);
+    assert_eq!(pushdowns(&o), 2, "both reads of D3 were pushed down");
 }
