@@ -669,15 +669,18 @@ fn serve_one(space: &DataSpace, request: &ServeRequest) -> Result<String, XdmErr
             Ok(xmlparse::serialize_sequence(graph.instances()))
         }
         ServeRequest::Run { program } => {
-            // Streamed reply path: an eligible expression body comes
-            // back lazy and is serialized as the pipeline drains, so a
-            // paging/probing program never materializes the tuples an
-            // early exit skips. Deferred evaluation errors (mid-stream
-            // source faults, budget expiry) surface through the
-            // fallible stream serializer as ordinary error replies.
+            // The sink entry `xqsh` prints through, so a reply is what
+            // `xqsh` would print. Pulling the top level item by item
+            // saves nothing here, since the reply goes out whole: a
+            // paging or probing program's early exit happens inside
+            // `eval`. An error, mid-stream or not, is the reply.
             let mut env = Env::new();
-            let out = space.xqse().run_lazy_with_env(program, &mut env)?;
-            Ok(xmlparse::serialize_sequence_stream(&out)?)
+            let mut ser = xmlparse::IncrementalSerializer::new();
+            space.xqse().run_to_sink(program, &mut env, &mut |item| {
+                ser.write_item(&item);
+                Ok(())
+            })?;
+            Ok(ser.finish())
         }
         ServeRequest::Submit { service, method, args, sets } => {
             let args = args.iter().map(ServeArg::to_sequence).collect();

@@ -4,7 +4,7 @@ use std::rc::Rc;
 
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 use xdm::qname::QName;
-use xdm::sequence::Sequence;
+use xdm::sequence::{Item, Sequence};
 use xdm::types::SequenceType;
 
 use xqparser::ast::{
@@ -13,7 +13,7 @@ use xqparser::ast::{
 };
 
 use xqeval::context::Env;
-use xqeval::engine::{Engine, ProcKind};
+use xqeval::engine::{Engine, PreparedQuery, ProcKind};
 use xqeval::update::Pul;
 use xqeval::Evaluator;
 
@@ -95,9 +95,36 @@ impl Xqse {
         // (`-batch` or `-opt`) `prepare` degenerates to the old
         // load-then-run path.
         let pq = self.engine.prepare(src)?;
+        self.run_prepared(&pq, env)
+    }
+
+    /// [`Xqse::run_with_env`], handing each result item to `sink` as it
+    /// is produced: an expression body goes through
+    /// [`Engine::execute_prepared_to_sink`], so a FLWOR body is pulled
+    /// item by item and a mid-stream error arrives after the items
+    /// before it. A block body is a statement sequence; its value is
+    /// handed over once it has run. An error from `sink` stops the run
+    /// and is returned.
+    pub fn run_to_sink(
+        &self,
+        src: &str,
+        env: &mut Env,
+        sink: &mut dyn FnMut(Item) -> XdmResult<()>,
+    ) -> XdmResult<()> {
+        let pq = self.engine.prepare(src)?;
+        if let QueryBody::Expr(_) = &pq.module().body {
+            return self.engine.execute_prepared_to_sink(&pq, env, sink);
+        }
+        for item in self.run_prepared(&pq, env)? {
+            sink(item)?;
+        }
+        Ok(())
+    }
+
+    fn run_prepared(&self, pq: &PreparedQuery, env: &mut Env) -> XdmResult<Sequence> {
         match &pq.module().body {
             QueryBody::None => Ok(Sequence::empty()),
-            QueryBody::Expr(_) => self.engine.execute_prepared_in(&pq, env),
+            QueryBody::Expr(_) => self.engine.execute_prepared_in(pq, env),
             QueryBody::Block(b) => match exec_block(&self.engine, b, env)? {
                 Flow::Return(v) => Ok(v),
                 Flow::Normal => Ok(Sequence::empty()),
@@ -106,20 +133,6 @@ impl Xqse {
                     "break()/continue() outside a loop",
                 )),
             },
-        }
-    }
-
-    /// [`Xqse::run_with_env`], but an expression body eligible for the
-    /// pull pipeline comes back as a **lazy** sequence: tuples are
-    /// produced as the caller consumes the result (fallible Sequence
-    /// API — `try_item`, `into_forced`, or a streaming serializer), so
-    /// paging/probing consumers and incremental reply paths stop the
-    /// evaluation early. Block bodies are statements and stay strict.
-    pub fn run_lazy_with_env(&self, src: &str, env: &mut Env) -> XdmResult<Sequence> {
-        let pq = self.engine.prepare(src)?;
-        match &pq.module().body {
-            QueryBody::Expr(_) => self.engine.execute_prepared_lazy_in(&pq, env),
-            _ => self.run_with_env(src, env),
         }
     }
 
@@ -201,7 +214,7 @@ pub fn exec_procedure(
 /// Execute a block: declarations in order, then statements in order
 /// (§III.B.5).
 pub fn exec_block(engine: &Engine, block: &Block, env: &mut Env) -> XdmResult<Flow> {
-    env.push_block_scope();
+    env.push_scope();
     let flow = exec_block_inner(engine, block, env);
     env.pop_scope();
     flow

@@ -6,7 +6,6 @@
 //! **atomization** (`fn:data` semantics) and the **effective boolean
 //! value** used by `where`, `if`, `while`, and friends.
 
-use std::cell::{OnceCell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
@@ -89,132 +88,6 @@ impl fmt::Display for Item {
     }
 }
 
-/// A pull source backing a lazy [`Sequence`]: yields the next item,
-/// `Ok(None)` once exhausted, or a (terminal) error. Implemented by
-/// the evaluator's streaming FLWOR pipeline; the data model only
-/// defines the contract.
-///
-/// A source is pulled at most once per position: the owning
-/// [`Sequence`] memoizes every pulled item, so `Rc`-shared clones all
-/// observe one consistent prefix regardless of who pulled it.
-pub trait ItemSource {
-    /// Produce the next item, `None` at end of stream.
-    fn next_item(&mut self) -> XdmResult<Option<Item>>;
-}
-
-/// Mutable pull state of a lazy sequence.
-struct LazyState {
-    /// Everything pulled so far (the memoized prefix).
-    pulled: Vec<Item>,
-    /// The live producer; `None` once fused (exhausted or errored).
-    source: Option<Box<dyn ItemSource>>,
-    /// Sticky terminal error: once a pull fails, every later pull past
-    /// the valid prefix reports the same error.
-    error: Option<XdmError>,
-}
-
-/// Shared interior of a lazy [`Sequence`].
-struct LazySeq {
-    state: RefCell<LazyState>,
-    /// Set exactly once, when the stream has been fully drained (or
-    /// quietly forced): the complete item buffer. Lets the infallible
-    /// slice accessors hand out `&[Item]` without re-entering the
-    /// `RefCell`.
-    forced: OnceCell<Rc<Vec<Item>>>,
-}
-
-impl LazySeq {
-    fn new(source: Box<dyn ItemSource>) -> LazySeq {
-        LazySeq {
-            state: RefCell::new(LazyState {
-                pulled: Vec::new(),
-                source: Some(source),
-                error: None,
-            }),
-            forced: OnceCell::new(),
-        }
-    }
-
-    /// Pull until at least `n` items are buffered, the stream ends, or
-    /// it errors. Returns how many items are actually available.
-    fn pull_to(&self, n: usize) -> XdmResult<usize> {
-        let mut st = self.state.borrow_mut();
-        while st.pulled.len() < n {
-            let Some(src) = st.source.as_mut() else {
-                // Fused. Asking past the valid prefix re-raises the
-                // sticky error, if any.
-                return match &st.error {
-                    Some(e) => Err(e.clone()),
-                    None => Ok(st.pulled.len()),
-                };
-            };
-            match src.next_item() {
-                Ok(Some(item)) => st.pulled.push(item),
-                Ok(None) => {
-                    st.source = None; // fuse: drop the producer
-                    return Ok(st.pulled.len());
-                }
-                Err(e) => {
-                    st.source = None;
-                    st.error = Some(e.clone());
-                    return Err(e);
-                }
-            }
-        }
-        Ok(st.pulled.len())
-    }
-
-    /// Drain completely, then return the full buffer (errors
-    /// propagate; the valid prefix stays memoized either way).
-    fn force(&self) -> XdmResult<Rc<Vec<Item>>> {
-        if let Some(v) = self.forced.get() {
-            return Ok(v.clone());
-        }
-        self.pull_to(usize::MAX)?;
-        Ok(self.forced_quiet().clone())
-    }
-
-    /// The full buffer, swallowing a terminal error (the valid prefix
-    /// is returned instead). Only the legacy infallible accessors use
-    /// this; the evaluator's choke points guarantee they never see an
-    /// un-forced lazy sequence, so the truncation is unobservable in
-    /// practice — but it must not panic.
-    fn forced_quiet(&self) -> &Rc<Vec<Item>> {
-        if self.forced.get().is_none() {
-            let _ = self.pull_to(usize::MAX);
-            let snapshot = Rc::new(self.state.borrow().pulled.clone());
-            let _ = self.forced.set(snapshot);
-        }
-        self.forced
-            .get()
-            .unwrap_or_else(|| unreachable!("forced cell was just populated"))
-    }
-
-    /// True once the producer is gone (exhausted or errored).
-    fn is_fused(&self) -> bool {
-        self.state.borrow().source.is_none()
-    }
-}
-
-impl fmt::Debug for LazySeq {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.borrow();
-        f.debug_struct("LazySeq")
-            .field("pulled", &st.pulled.len())
-            .field("fused", &st.source.is_none())
-            .field("error", &st.error)
-            .finish()
-    }
-}
-
-/// Internal representation: a materialized buffer, or a shared lazy
-/// pull stream.
-#[derive(Debug, Clone)]
-enum Repr {
-    Eager(Rc<Vec<Item>>),
-    Lazy(Rc<LazySeq>),
-}
-
 /// A flat, ordered sequence of items — the universal value type.
 ///
 /// Internally reference-counted with copy-on-write mutation: `clone`
@@ -222,157 +95,56 @@ enum Repr {
 /// of the evaluator — which clone sequences on every tuple — share one
 /// buffer until somebody actually mutates. [`Sequence::push`] /
 /// [`Sequence::extend`] use [`Rc::make_mut`], so a uniquely-owned
-/// sequence mutates in place exactly as the plain-`Vec` representation
-/// did.
+/// sequence mutates in place exactly as a plain `Vec` would.
 ///
-/// ## Lazy sequences
-///
-/// A sequence may also be **lazy** ([`Sequence::lazy`]): backed by a
-/// pull-based [`ItemSource`] instead of a buffer. Pulled items are
-/// memoized, so `Rc`-shared clones observe one consistent stream; the
-/// source is *fused* (dropped) once it ends or errors, and a terminal
-/// error is sticky. Consumers that understand laziness use the
-/// fallible API ([`Sequence::try_item`], [`Sequence::try_is_empty`],
-/// [`Sequence::into_forced`]) and can stop pulling early; the legacy
-/// infallible accessors quietly force the whole stream (the
-/// evaluator's choke points guarantee they never observe an un-forced
-/// lazy value, see `xqeval::eval`).
-#[derive(Debug, Clone)]
+/// A sequence is always materialized. Pipelined evaluation is a
+/// strategy of the evaluator (a cursor over a FLWOR's operators, see
+/// `xqeval::flwor`), not a second representation of the value.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Sequence {
-    repr: Repr,
-}
-
-impl Default for Sequence {
-    fn default() -> Sequence {
-        Sequence::empty()
-    }
-}
-
-impl PartialEq for Sequence {
-    fn eq(&self, other: &Sequence) -> bool {
-        self.items() == other.items()
-    }
+    items: Rc<Vec<Item>>,
 }
 
 impl Sequence {
     /// The empty sequence.
     pub fn empty() -> Sequence {
-        Sequence { repr: Repr::Eager(Rc::new(Vec::new())) }
+        Sequence::default()
     }
 
     /// A singleton sequence.
     pub fn one(item: Item) -> Sequence {
-        Sequence { repr: Repr::Eager(Rc::new(vec![item])) }
+        Sequence { items: Rc::new(vec![item]) }
     }
 
     /// Build from a vector of items.
     pub fn from_items(items: Vec<Item>) -> Sequence {
-        Sequence { repr: Repr::Eager(Rc::new(items)) }
-    }
-
-    /// A lazy sequence over a pull source. Items are produced on
-    /// demand, memoized, and shared by every clone of the handle.
-    pub fn lazy(source: Box<dyn ItemSource>) -> Sequence {
-        Sequence { repr: Repr::Lazy(Rc::new(LazySeq::new(source))) }
-    }
-
-    /// True if this sequence is backed by a pull stream whose producer
-    /// has not yet been fused (i.e. pulling may still run user code).
-    pub fn is_lazy(&self) -> bool {
-        match &self.repr {
-            Repr::Eager(_) => false,
-            Repr::Lazy(l) => !l.is_fused(),
-        }
-    }
-
-    /// The number of items known to exist *without* pulling: the
-    /// buffer length of an eager or fused sequence, `None` while a
-    /// live producer could still yield more. Lets instrumentation
-    /// (e.g. the evaluator's `items_never_built` counter) report what
-    /// an early exit skipped without defeating the point by forcing.
-    pub fn known_len(&self) -> Option<usize> {
-        match &self.repr {
-            Repr::Eager(v) => Some(v.len()),
-            Repr::Lazy(l) => {
-                let st = l.state.borrow();
-                if st.source.is_none() {
-                    Some(st.pulled.len())
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Fallible positional access: pulls the stream forward until item
-    /// `i` is available. `Ok(None)` when the sequence has fewer than
-    /// `i + 1` items. Works on eager sequences too (no pull), so
-    /// early-exit consumers can be written uniformly.
-    pub fn try_item(&self, i: usize) -> XdmResult<Option<Item>> {
-        match &self.repr {
-            Repr::Eager(v) => Ok(v.get(i).cloned()),
-            Repr::Lazy(l) => {
-                let have = l.pull_to(i + 1)?;
-                if have > i {
-                    Ok(l.state.borrow().pulled.get(i).cloned())
-                } else {
-                    Ok(None)
-                }
-            }
-        }
-    }
-
-    /// Fallible emptiness probe: pulls at most one item.
-    pub fn try_is_empty(&self) -> XdmResult<bool> {
-        Ok(self.try_item(0)?.is_none())
-    }
-
-    /// Force the whole stream, propagating any deferred error, and
-    /// return the fully materialized (eager) sequence. On an eager
-    /// sequence this is free.
-    pub fn into_forced(self) -> XdmResult<Sequence> {
-        match self.repr {
-            Repr::Eager(_) => Ok(self),
-            Repr::Lazy(l) => Ok(Sequence { repr: Repr::Eager(l.force()?) }),
-        }
-    }
-
-    /// Shared eager buffer (quietly forcing a lazy repr).
-    fn buf(&self) -> &Rc<Vec<Item>> {
-        match &self.repr {
-            Repr::Eager(v) => v,
-            Repr::Lazy(l) => l.forced_quiet(),
-        }
+        Sequence { items: Rc::new(items) }
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.buf().len()
+        self.items.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.buf().is_empty()
+        self.items.is_empty()
     }
 
     /// Slice of the items.
     pub fn items(&self) -> &[Item] {
-        self.buf()
+        &self.items
     }
 
     /// Consume into the underlying vector (no copy when this handle is
     /// the sole owner).
     pub fn into_items(self) -> Vec<Item> {
-        let rc = match self.repr {
-            Repr::Eager(v) => v,
-            Repr::Lazy(l) => l.forced_quiet().clone(),
-        };
-        Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone())
+        Rc::try_unwrap(self.items).unwrap_or_else(|rc| (*rc).clone())
     }
 
     /// Iterate over items.
     pub fn iter(&self) -> std::slice::Iter<'_, Item> {
-        self.buf().iter()
+        self.items.iter()
     }
 
     /// Append another sequence (flattening concatenation).
@@ -381,7 +153,7 @@ impl Sequence {
             // Adopt the other buffer wholesale — the common "start
             // from empty, append one result" accumulation pattern
             // stays allocation-free.
-            self.repr = Repr::Eager(other.buf().clone());
+            self.items = other.items;
             return;
         }
         if other.is_empty() {
@@ -389,24 +161,12 @@ impl Sequence {
         }
         // Copy-on-write, as in `push`: a uniquely owned buffer grows in
         // place, so accumulating a result piece by piece stays linear.
-        if let Repr::Eager(v) = &mut self.repr {
-            Rc::make_mut(v).extend(other.into_items());
-            return;
-        }
-        let mut buf = (**self.buf()).clone();
-        buf.extend(other.into_items());
-        self.repr = Repr::Eager(Rc::new(buf));
+        Rc::make_mut(&mut self.items).extend(other.into_items());
     }
 
     /// Push a single item.
     pub fn push(&mut self, item: Item) {
-        if let Repr::Eager(v) = &mut self.repr {
-            Rc::make_mut(v).push(item);
-            return;
-        }
-        let mut buf = (**self.buf()).clone();
-        buf.push(item);
-        self.repr = Repr::Eager(Rc::new(buf));
+        Rc::make_mut(&mut self.items).push(item);
     }
 
     /// Concatenate two sequences.
@@ -425,36 +185,28 @@ impl Sequence {
     /// - first item a node → true
     /// - singleton atomic → type-specific truth
     /// - otherwise → error FORG0006
-    ///
-    /// On a lazy sequence this pulls at most two items (an early
-    /// exit: a node in first position decides after one pull).
     pub fn effective_boolean(&self) -> XdmResult<bool> {
-        match self.try_item(0)? {
-            None => Ok(false),
-            Some(Item::Node(_)) => Ok(true),
-            Some(Item::Atomic(a)) => match self.try_item(1)? {
-                None => a.effective_boolean(),
-                Some(_) => Err(XdmError::new(
-                    ErrorCode::FORG0006,
-                    "effective boolean value of multi-item atomic sequence",
-                )),
-            },
+        match self.items() {
+            [] => Ok(false),
+            [Item::Node(_), ..] => Ok(true),
+            [Item::Atomic(a)] => a.effective_boolean(),
+            _ => Err(XdmError::new(
+                ErrorCode::FORG0006,
+                "effective boolean value of multi-item atomic sequence",
+            )),
         }
     }
 
     /// `fn:string` applied to the sequence: empty → "", singleton →
-    /// its string value, otherwise a type error. Pulls at most two
-    /// items of a lazy sequence.
+    /// its string value, otherwise a type error.
     pub fn string_value(&self) -> XdmResult<String> {
-        match self.try_item(0)? {
-            None => Ok(String::new()),
-            Some(it) => match self.try_item(1)? {
-                None => Ok(it.string_value()),
-                Some(_) => Err(XdmError::new(
-                    ErrorCode::XPTY0004,
-                    "fn:string on a sequence of more than one item",
-                )),
-            },
+        match self.items() {
+            [] => Ok(String::new()),
+            [it] => Ok(it.string_value()),
+            _ => Err(XdmError::new(
+                ErrorCode::XPTY0004,
+                "fn:string on a sequence of more than one item",
+            )),
         }
     }
 
@@ -635,97 +387,5 @@ mod tests {
         assert_eq!(Sequence::one(Item::integer(5)).string_value().unwrap(), "5");
         let two = Sequence::from_items(vec![Item::integer(1), Item::integer(2)]);
         assert!(two.string_value().is_err());
-    }
-
-    /// A counting pull source: integers 1..=n, optionally erroring
-    /// after `fail_after` successful pulls.
-    struct Counter {
-        next: i64,
-        n: i64,
-        fail_after: Option<i64>,
-        pulls: Rc<std::cell::Cell<usize>>,
-    }
-
-    impl ItemSource for Counter {
-        fn next_item(&mut self) -> XdmResult<Option<Item>> {
-            if let Some(k) = self.fail_after {
-                if self.next > k {
-                    return Err(XdmError::new(ErrorCode::FORG0001, "injected"));
-                }
-            }
-            if self.next > self.n {
-                return Ok(None);
-            }
-            self.pulls.set(self.pulls.get() + 1);
-            let v = self.next;
-            self.next += 1;
-            Ok(Some(Item::integer(v)))
-        }
-    }
-
-    fn counting(n: i64, fail_after: Option<i64>) -> (Sequence, Rc<std::cell::Cell<usize>>) {
-        let pulls = Rc::new(std::cell::Cell::new(0));
-        let seq = Sequence::lazy(Box::new(Counter {
-            next: 1,
-            n,
-            fail_after,
-            pulls: pulls.clone(),
-        }));
-        (seq, pulls)
-    }
-
-    #[test]
-    fn lazy_pulls_on_demand_and_memoizes_across_clones() {
-        let (s, pulls) = counting(10, None);
-        assert!(s.is_lazy());
-        let t = s.clone(); // Rc-shared: same stream
-        assert_eq!(s.try_item(2).unwrap(), Some(Item::integer(3)));
-        assert_eq!(pulls.get(), 3);
-        // The clone sees the memoized prefix without re-pulling.
-        assert_eq!(t.try_item(0).unwrap(), Some(Item::integer(1)));
-        assert_eq!(pulls.get(), 3);
-        // Probing emptiness costs nothing more.
-        assert!(!t.try_is_empty().unwrap());
-        assert_eq!(pulls.get(), 3);
-    }
-
-    #[test]
-    fn lazy_fuses_once_exhausted() {
-        let (s, pulls) = counting(2, None);
-        assert_eq!(s.try_item(5).unwrap(), None);
-        assert_eq!(pulls.get(), 2);
-        assert!(!s.is_lazy(), "exhausted stream is fused");
-        // Infallible accessors now read the memoized buffer.
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.items()[1], Item::integer(2));
-    }
-
-    #[test]
-    fn lazy_error_is_sticky_and_prefix_survives() {
-        let (s, _) = counting(10, Some(2));
-        assert_eq!(s.try_item(1).unwrap(), Some(Item::integer(2)));
-        assert!(s.try_item(2).is_err());
-        // Sticky: asking again re-raises without re-pulling.
-        assert!(s.try_item(2).is_err());
-        assert!(s.clone().into_forced().is_err());
-        // The valid prefix is still readable.
-        assert_eq!(s.try_item(0).unwrap(), Some(Item::integer(1)));
-    }
-
-    #[test]
-    fn lazy_effective_boolean_pulls_at_most_two() {
-        let (s, pulls) = counting(100, None);
-        // Two atomics → FORG0006, decided after two pulls.
-        assert!(s.effective_boolean().is_err());
-        assert_eq!(pulls.get(), 2);
-    }
-
-    #[test]
-    fn into_forced_materializes_everything() {
-        let (s, pulls) = counting(4, None);
-        let forced = s.into_forced().unwrap();
-        assert!(!forced.is_lazy());
-        assert_eq!(forced.len(), 4);
-        assert_eq!(pulls.get(), 4);
     }
 }

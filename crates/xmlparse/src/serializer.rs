@@ -37,27 +37,17 @@ pub fn serialize_sequence(seq: &Sequence) -> String {
     ser.finish()
 }
 
-/// Serialize a possibly-lazy sequence, draining it item by item
-/// through the fallible pull API: output accumulates as the stream
-/// produces tuples, and a deferred evaluation error (mid-stream source
-/// fault, budget expiry) surfaces as `Err` instead of being swallowed
-/// by a quiet force. This is the reply-path entry for streamed
-/// results (`aldsp::pool`); interactive front ends that want true
-/// time-to-first-byte drive an [`IncrementalSerializer`] themselves.
+/// [`serialize_sequence`], wrapped in `Ok`. Kept only because the
+/// repository benchmark (`perfbench/`) calls it; new code should call
+/// [`serialize_sequence`].
 pub fn serialize_sequence_stream(seq: &Sequence) -> XdmResult<String> {
-    let mut ser = IncrementalSerializer::new();
-    let mut i = 0usize;
-    while let Some(item) = seq.try_item(i)? {
-        ser.write_item(&item);
-        i += 1;
-    }
-    Ok(ser.finish())
+    Ok(serialize_sequence(seq))
 }
 
 /// Incremental sequence serialization: feed items one at a time and
 /// take the rendered increment after each, so a consumer can emit
-/// output while a lazy stream drains instead of waiting for the last
-/// tuple. The only cross-item state of sequence normalization is the
+/// output as the evaluator produces items instead of waiting for the
+/// last one. The only cross-item state of sequence normalization is the
 /// atomic/atomic separator space, which lives here.
 #[derive(Default)]
 pub struct IncrementalSerializer {

@@ -280,13 +280,10 @@ impl Budget {
     /// [`DEADLINE_STRIDE`] steps (loop heads and source calls check
     /// them unstrided via [`Budget::check`], so responsiveness does
     /// not ride on the stride). Called at the top of
-    /// `Evaluator::eval`, and by the pipelined FLWOR stream once per
-    /// pulled tuple — so a budget keeps metering a lazy result while
-    /// it drains, after the producing `eval` has already returned.
-    /// Early exit is the flip side: tuples a stream never pulls are
-    /// never charged, so fuel totals under lazy evaluation can be
-    /// lower than eager totals for the same query (DESIGN.md §11
-    /// deviation list).
+    /// `Evaluator::eval`, and by a FLWOR cursor once per pulled tuple.
+    /// Tuples a cursor never pulls are never charged, so fuel totals
+    /// under lazy evaluation can be lower than eager totals for the
+    /// same query (DESIGN.md §11 deviation list).
     #[inline]
     pub fn step(&self) -> XdmResult<()> {
         let fuel = self.fuel.load(Ordering::Relaxed);

@@ -9,13 +9,6 @@
 //! scans all of it: 16k entries for a full select cache. Capacity 0
 //! disables storage entirely (every insert evicts itself), which keeps
 //! callers branch-free.
-//!
-//! Values stored through any of these caches must be fully
-//! materialized. Pipelined lazy sequences (DESIGN.md §11) carry
-//! single-consumer pull state, so caching one would replay a
-//! half-drained stream to later hits; the evaluator forces laziness
-//! at its `eval` boundary before anything reaches a cache, and the
-//! join-cache insert carries a debug assertion to that effect.
 
 #![deny(clippy::unwrap_used)]
 

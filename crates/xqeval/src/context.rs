@@ -40,7 +40,9 @@ pub struct Env {
     /// The `fn:trace` sink, shared so callers can inspect it.
     pub trace: Rc<RefCell<Vec<String>>>,
     /// Memoized hash-join indexes, keyed by (source-expression
-    /// address, key-path fingerprint). Entries are *version-stamped*
+    /// address, key-path fingerprint); each entry holds the clause list
+    /// the address points into, so the address cannot be reused while
+    /// the entry lives. Entries are *version-stamped*
     /// (see [`crate::eval::CacheStamp`]): an entry over a
     /// capability-bearing source revalidates against the source's
     /// table version, and an entry over an opaque source against
@@ -67,7 +69,7 @@ struct Frame {
     vars: HashMap<QName, Binding>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Binding {
     value: Option<Sequence>,
     assignable: bool,
@@ -118,13 +120,9 @@ impl Env {
         self.write_epoch += 1;
     }
 
-    /// Push a read-only (expression) scope.
+    /// Push a scope: a FLWOR tuple's, a function call's, or an XQSE
+    /// block's. Assignability belongs to each binding, not the frame.
     pub fn push_scope(&mut self) {
-        self.frames.push(Frame { vars: HashMap::new() });
-    }
-
-    /// Push an XQSE block scope (declared variables are assignable).
-    pub fn push_block_scope(&mut self) {
         self.frames.push(Frame { vars: HashMap::new() });
     }
 
@@ -240,38 +238,6 @@ impl Env {
     pub fn depth(&self) -> usize {
         self.frames.len()
     }
-
-    /// An owned snapshot of this context for a detached pull stream
-    /// (the lazy FLWOR pipeline evaluates its clauses *after* the
-    /// creating `eval` call has returned, so it cannot borrow `self`).
-    ///
-    /// The snapshot sees exactly the bindings visible here — frames
-    /// are flattened innermost-wins into one read-only frame — plus
-    /// the current focus and write epoch. The trace sink is shared
-    /// (`fn:trace` from streamed tuples still reaches the caller's
-    /// buffer). Deliberately NOT carried over: the open PUL (streams
-    /// are only created when no update list is open), and the
-    /// join/ws memo caches (they key by expression address and are
-    /// rebuilt privately by the stream; sharing would need `RefCell`
-    /// plumbing for no measured win).
-    pub fn fork_for_stream(&self) -> Env {
-        let mut vars: HashMap<QName, Binding> = HashMap::new();
-        for frame in &self.frames {
-            // Later (inner) frames overwrite: shadowing preserved.
-            for (name, b) in &frame.vars {
-                vars.insert(name.clone(), b.clone());
-            }
-        }
-        Env {
-            frames: vec![Frame { vars }],
-            focus: self.focus.clone(),
-            pul: None,
-            trace: self.trace.clone(),
-            join_cache: HashMap::new(),
-            ws_memo: HashMap::new(),
-            write_epoch: self.write_epoch,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -318,7 +284,7 @@ mod tests {
     #[test]
     fn block_variables_are_assignable() {
         let mut env = Env::new();
-        env.push_block_scope();
+        env.push_scope();
         env.declare_block_var(q("x"), None, None);
         // Reference before assignment is XQSE0002.
         let err = env.lookup(&q("x")).unwrap_err();
@@ -339,7 +305,7 @@ mod tests {
         // A `set` inside a while body assigns the block variable of
         // the enclosing block.
         let mut env = Env::new();
-        env.push_block_scope();
+        env.push_scope();
         env.declare_block_var(q("acc"), Some(Sequence::empty()), None);
         env.push_scope(); // e.g. loop-internal expression scope
         env.assign(&q("acc"), Sequence::one(Item::integer(1))).unwrap();

@@ -21,9 +21,9 @@ use xdm::datetime::DateTime;
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 use xdm::node::NodeHandle;
 use xdm::qname::QName;
-use xdm::sequence::Sequence;
+use xdm::sequence::{Item, Sequence};
 
-use xqparser::ast::{FunctionDecl, Module, ProcedureDecl, Prolog, QueryBody};
+use xqparser::ast::{Expr, FunctionDecl, Module, ProcedureDecl, Prolog, QueryBody};
 use xqparser::parser::parse_module;
 
 use crate::cache::Lru;
@@ -181,16 +181,16 @@ pub struct OptStats {
     /// Intern-table lookups that found an existing symbol (QName
     /// parts and repeated text/attribute values share one allocation).
     pub interned_hits: u64,
-    /// FLWOR tuples advanced through the streaming pipeline (one per
-    /// pull, whether or not the tuple survived its `where` filters).
+    /// FLWOR tuples a cursor pulled through every clause to its
+    /// `return`.
     pub tuples_pulled: u64,
-    /// Streams abandoned before exhaustion — an early-exit consumer
+    /// Cursors dropped before their end — an early-exit consumer
     /// (`exists`, `subsequence`, a positional predicate, a quantifier)
-    /// decided its answer without draining the source.
+    /// decided its answer without draining the FLWOR.
     pub early_exits: u64,
-    /// Source items an abandoned stream never materialized into
-    /// tuples: work the eager evaluator would have done and the
-    /// pipelined one skipped.
+    /// Source items a dropped cursor never turned into tuples: work
+    /// the eager evaluator would have done and the pipelined one
+    /// skipped.
     pub items_never_built: u64,
 }
 
@@ -358,14 +358,10 @@ pub enum ProcKind {
 /// The evaluation engine.
 ///
 /// `Engine` is a cheap handle: cloning bumps one `Rc`, and every clone
-/// shares the same registries, caches, counters, and knobs. The
-/// streaming FLWOR pipeline relies on this — a lazy
-/// [`Sequence`](xdm::sequence::Sequence) may outlive the evaluator
-/// call that created it, so its pull source owns an `Engine` clone
-/// instead of a borrow. All interior state already used
-/// `Cell`/`RefCell`/`Rc` (the engine is single-threaded by design:
-/// `!Send`/`!Sync`), so sharing the one `EngineInner` is behaviorally
-/// identical to the previous by-value struct.
+/// shares the same registries, caches, counters, and knobs, so the
+/// statement engines and front ends can hold their own handle on one
+/// engine. All interior state is `Cell`/`RefCell`/`Rc`: the engine is
+/// single-threaded by design (`!Send`/`!Sync`).
 #[derive(Clone)]
 pub struct Engine {
     inner: Rc<EngineInner>,
@@ -658,8 +654,7 @@ impl Engine {
     }
 
     /// Replace the feature set. Takes effect at the next decision
-    /// point, including inside introspected source closures and
-    /// streams already in flight.
+    /// point, including inside introspected source closures.
     pub fn set_features(&self, features: Features) {
         self.inner.features.set(features);
     }
@@ -981,38 +976,42 @@ impl Engine {
         pq: &PreparedQuery,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
-        self.execute_body(pq, env, false)
+        match body_expr(pq)? {
+            Some(e) => Evaluator::new(self).eval(e, env),
+            None => Ok(Sequence::empty()),
+        }
     }
 
-    /// [`Engine::execute_prepared_in`] with a possibly-lazy result —
-    /// see [`Engine::eval_query_lazy`] for the caller contract.
+    /// The same as [`Engine::execute_prepared_in`]. Kept only because
+    /// the repository benchmark (`perfbench/`) calls it; new code
+    /// should call `execute_prepared_in`.
     pub fn execute_prepared_lazy_in(
         &self,
         pq: &PreparedQuery,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
-        self.execute_body(pq, env, true)
+        self.execute_prepared_in(pq, env)
     }
 
-    /// Evaluate a plan's query body, which must be an expression (or
-    /// absent); block bodies belong to the `xqse` statement engine.
-    fn execute_body(&self, pq: &PreparedQuery, env: &mut Env, lazy: bool) -> XdmResult<Sequence> {
-        let e = match &pq.module.body {
-            QueryBody::Expr(e) => e,
-            QueryBody::None => return Ok(Sequence::empty()),
-            QueryBody::Block(_) => {
-                return Err(XdmError::new(
-                    ErrorCode::XPST0003,
-                    "query body is an XQSE block; use the xqse statement engine",
-                ))
-            }
-        };
-        let evaluator = Evaluator::new(self);
-        if lazy {
-            evaluator.eval_lazy(e, env)
-        } else {
-            evaluator.eval(e, env)
+    /// [`Engine::execute_prepared_in`], handing each result item to
+    /// `sink` as it is produced. A FLWOR body is pulled through a
+    /// cursor on `env` (when the `lazy` feature is on), so a sink that
+    /// writes each item out shows the first before the last is
+    /// computed, and a mid-stream error arrives after the items before
+    /// it. An error from `sink` stops the evaluation and is returned.
+    pub fn execute_prepared_to_sink(
+        &self,
+        pq: &PreparedQuery,
+        env: &mut Env,
+        sink: &mut dyn FnMut(Item) -> XdmResult<()>,
+    ) -> XdmResult<()> {
+        let Some(e) = body_expr(pq)? else { return Ok(()) };
+        let ev = Evaluator::new(self);
+        let mut items = crate::flwor::items(&ev, e, env)?;
+        while let Some(item) = items.next(&ev, env)? {
+            sink(item)?;
         }
+        Ok(())
     }
 
     /// Prepare a module and evaluate its query body, which must be an
@@ -1037,7 +1036,7 @@ impl Engine {
     }
 
     /// Evaluate a parsed expression in a given context.
-    pub fn eval_in(&self, expr: &xqparser::ast::Expr, env: &mut Env) -> XdmResult<Sequence> {
+    pub fn eval_in(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
         Evaluator::new(self).eval(expr, env)
     }
 
@@ -1050,19 +1049,17 @@ impl Engine {
     ) -> XdmResult<Sequence> {
         Evaluator::new(self).call_function(name, args, env)
     }
+}
 
-    /// Like [`Engine::eval_query`], but the top-level result may be
-    /// **lazy**: when the body is a FLWOR expression, the
-    /// returned sequence is a live pull stream, and the caller drains
-    /// it through the fallible API (`Sequence::try_item`) — the
-    /// streaming serializers in `xqsh` and the serving pool do exactly
-    /// that, emitting output while tuples are still being produced.
-    /// Mid-stream errors (including budget expiry charged per pulled
-    /// tuple) surface from the drain, so callers of this entry MUST
-    /// consume the result fallibly. Other bodies degrade to the eager
-    /// [`Engine::eval_query`] result.
-    pub fn eval_query_lazy(&self, src: &str) -> XdmResult<Sequence> {
-        let pq = self.prepare(src)?;
-        self.execute_prepared_lazy_in(&pq, &mut Env::new())
+/// A plan's query body, which must be an expression (or absent): block
+/// bodies belong to the `xqse` statement engine.
+fn body_expr(pq: &PreparedQuery) -> XdmResult<Option<&Expr>> {
+    match &pq.module.body {
+        QueryBody::Expr(e) => Ok(Some(e)),
+        QueryBody::None => Ok(None),
+        QueryBody::Block(_) => Err(XdmError::new(
+            ErrorCode::XPST0003,
+            "query body is an XQSE block; use the xqse statement engine",
+        )),
     }
 }

@@ -30,6 +30,7 @@ use xqparser::ast::*;
 
 use crate::context::{Env, Focus};
 use crate::engine::{Engine, FunctionKind, ProcKind};
+use crate::flwor;
 use crate::functions;
 use crate::update::{Pul, Update};
 
@@ -158,33 +159,16 @@ pub struct JoinCacheEntry {
     pub idx: Option<JoinIdx>,
     /// Revalidation stamp.
     pub stamp: CacheStamp,
+    /// The clause list holding the source expression whose address is
+    /// the entry's key, held so that no other AST can reuse the
+    /// address while the entry lives.
+    pub clauses: Rc<[FlworClause]>,
 }
 
 impl<'e> Evaluator<'e> {
     /// Create an evaluator over an engine.
     pub fn new(engine: &'e Engine) -> Evaluator<'e> {
         Evaluator { engine }
-    }
-
-    /// Like [`Evaluator::eval`], but a FLWOR expression comes back as
-    /// a lazy sequence whose tuples are produced on demand (see
-    /// `crate::flwor`) when the lazy engine is enabled and no
-    /// pending-update list is open. Everything else falls through to
-    /// strict evaluation. `eval` itself never returns a lazy sequence:
-    /// that invariant keeps the infallible accessors safe, so callers
-    /// of this method consume the result through the fallible
-    /// Sequence API (`try_item` / `into_forced`).
-    pub(crate) fn eval_lazy(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
-        if let Expr::Flwor { clauses, ret } = expr {
-            if self.engine.features().lazy && env.pul.is_none() {
-                // Mirror eval()'s per-step fuel charge for the
-                // expression node itself; per-tuple charges follow as
-                // the stream is pulled.
-                self.engine.budget_step()?;
-                return Ok(crate::flwor::stream(self.engine, clauses, ret, env));
-            }
-        }
-        self.eval(expr, env)
     }
 
     /// Evaluate an expression to a sequence.
@@ -358,7 +342,7 @@ impl<'e> Evaluator<'e> {
                     self.eval(e, env)
                 }
             }
-            Expr::Flwor { clauses, ret } => crate::flwor::drain(self, clauses, ret, env),
+            Expr::Flwor { clauses, ret } => flwor::drain(self, clauses, ret, env),
             Expr::Quantified { quantifier, bindings, satisfies } => {
                 self.eval_quantified(*quantifier, bindings, satisfies, env)
             }
@@ -393,7 +377,7 @@ impl<'e> Evaluator<'e> {
                     _ => None,
                 };
                 let (mut seq, rest) = match window {
-                    Some((win, rest)) => (self.windowed(base, win, env)?, rest),
+                    Some((win, rest)) => (flwor::window(self, base, env, win)?, rest),
                     None => (self.eval(base, env)?, &predicates[..]),
                 };
                 for p in rest {
@@ -409,7 +393,7 @@ impl<'e> Evaluator<'e> {
                 for a in args {
                     argv.push(self.eval(a, env)?);
                 }
-                self.call_function_inner(name, argv, env)
+                self.call_function(name, argv, env)
             }
             Expr::DirectElement(de) => {
                 // XDM allocation ceiling: one admission unit up front,
@@ -696,13 +680,11 @@ impl<'e> Evaluator<'e> {
             match bindings.split_first() {
                 None => this.eval(satisfies, env)?.effective_boolean(),
                 Some(((var, src), rest)) => {
-                    // Bindings are pulled one item at a time so the
-                    // quantifier's short-circuit stops a lazy source
-                    // mid-stream; on an eager source `try_item` is
-                    // plain slice access and this is the old loop.
-                    let seq = this.eval_lazy(src, env)?;
-                    let mut i = 0usize;
-                    while let Some(item) = seq.try_item(i)? {
+                    // Bindings are pulled one item at a time, so the
+                    // quantifier's short-circuit stops a FLWOR source
+                    // at the deciding item.
+                    let mut items = flwor::items(this, src, env)?;
+                    while let Some(item) = items.next(this, env)? {
                         env.push_scope();
                         env.bind(var.clone(), Sequence::one(item));
                         let r = walk(this, rest, satisfies, env, every);
@@ -713,7 +695,6 @@ impl<'e> Evaluator<'e> {
                             // every: found false → short-circuit false.
                             return Ok(!every);
                         }
-                        i += 1;
                     }
                     Ok(every)
                 }
@@ -839,12 +820,12 @@ impl<'e> Evaluator<'e> {
     //
     // The interceptors below (and `eval`'s positional filter)
     // recognize consumers whose answer is decided by a bounded prefix
-    // of their sequence argument, evaluate that argument through
-    // `eval_lazy` (or, for a window, the windowed FLWOR driver), and
-    // pull only as far as the answer requires. On an eager argument
-    // this is plain slice access, so the rewrites are value-equivalent
-    // with `lazy` on or off; they are still gated on the `lazy`
-    // feature so `-lazy` restores the strict evaluation order exactly.
+    // of their sequence argument, pull a FLWOR argument through a
+    // cursor (`crate::flwor`) and stop as soon as the answer is known.
+    // Any other argument is evaluated, so the rewrites are
+    // value-equivalent with `lazy` on or off; they are still gated on
+    // the `lazy` feature so `-lazy` restores the strict evaluation
+    // order exactly.
     // Documented deviations (DESIGN §11): work past the early exit, and
     // the element `return` of a tuple before a window — including
     // error-raising expressions — is never performed, and window/bound
@@ -862,17 +843,12 @@ impl<'e> Evaluator<'e> {
         if !self.engine.features().lazy || name.ns.as_deref() != Some(FN_NS) {
             return None;
         }
-        // `call_function_inner` consults builtins before user
-        // registries, so a `fn:`-namespace match here can never shadow
-        // a user function.
+        // `call_function` consults builtins before user registries, so
+        // a `fn:`-namespace match here can never shadow a user function.
         match (&*name.local, args.len()) {
-            ("exists", 1) => Some((|| {
-                let s = self.eval_lazy(&args[0], env)?;
-                Ok(Sequence::one(Item::boolean(!s.try_is_empty()?)))
-            })()),
-            ("empty", 1) => Some((|| {
-                let s = self.eval_lazy(&args[0], env)?;
-                Ok(Sequence::one(Item::boolean(s.try_is_empty()?)))
+            (f @ ("exists" | "empty"), 1) => Some((|| {
+                let found = flwor::items(self, &args[0], env)?.next(self, env)?.is_some();
+                Ok(Sequence::one(Item::boolean(found == (f == "exists"))))
             })()),
             ("subsequence", 2) | ("subsequence", 3) => {
                 Some(self.streaming_subsequence(args, env))
@@ -881,31 +857,15 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    /// `fn:subsequence` over a pull stream: the builtin's window, with
-    /// the pull stopping at its end.
+    /// `fn:subsequence` as a window: a FLWOR operand is pulled no
+    /// further than the window's end.
     fn streaming_subsequence(&self, args: &[Expr], env: &mut Env) -> XdmResult<Sequence> {
         let start = functions::one_double(&self.eval(&args[1], env)?, "fn:subsequence")?;
         let len = match args.get(2) {
             Some(l) => Some(functions::one_double(&self.eval(l, env)?, "fn:subsequence")?),
             None => None,
         };
-        self.windowed(&args[0], functions::rounded_window(start, len), env)
-    }
-
-    /// The items at 0-based positions `win` of `seq`'s value. A FLWOR
-    /// (the only operand `eval_lazy` streams) runs through the windowed
-    /// driver, which stops at the window's end and builds no element
-    /// `return` before its start; any other operand is evaluated and
-    /// sliced.
-    fn windowed(&self, seq: &Expr, win: Range<usize>, env: &mut Env) -> XdmResult<Sequence> {
-        if let Expr::Flwor { clauses, ret } = seq {
-            if env.pul.is_none() {
-                // `eval`'s step for the FLWOR node itself.
-                self.engine.budget_step()?;
-                return crate::flwor::window(self, clauses, ret, env, win);
-            }
-        }
-        Ok(functions::slice(self.eval(seq, env)?, win))
+        flwor::window(self, &args[0], env, functions::rounded_window(start, len))
     }
 
     /// Intercept `count($x) <op> N` (numeric literal on either side):
@@ -942,14 +902,15 @@ impl<'e> Evaluator<'e> {
             return None;
         }
         Some((|| {
-            let s = self.eval_lazy(counted, env)?;
-            let cutoff = b.max(0.0).floor() as usize + 2;
+            let mut items = flwor::items(self, counted, env)?;
+            // Saturating: a bound past `usize::MAX` counts every item.
+            let cutoff = (b.max(0.0).floor() as usize).saturating_add(2);
             let mut n = 0usize;
             let exact = loop {
                 if n == cutoff {
                     break false; // at least `cutoff` items: count > b
                 }
-                if s.try_item(n)?.is_none() {
+                if items.next(self, env)?.is_none() {
                     break true;
                 }
                 n += 1;
@@ -984,18 +945,8 @@ impl<'e> Evaluator<'e> {
 
     // -------------------------------------------------------- functions
 
-    /// Public entry: call a function/procedure with pre-evaluated
-    /// arguments.
+    /// Call a function/procedure with pre-evaluated arguments.
     pub fn call_function(
-        &self,
-        name: &QName,
-        args: Vec<Sequence>,
-        env: &mut Env,
-    ) -> XdmResult<Sequence> {
-        self.call_function_inner(name, args, env)
-    }
-
-    fn call_function_inner(
         &self,
         name: &QName,
         args: Vec<Sequence>,

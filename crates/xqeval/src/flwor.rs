@@ -30,24 +30,25 @@
 //! comparison rejects as incomparable simply do not match, and a view
 //! row the `where` rejects is never constructed).
 //!
-//! Three drivers run the same pipeline. [`drain`] (what `eval` does)
-//! pulls every tuple on the caller's `Env` and borrows the AST, so the
-//! join cache, keyed by source-expression address, stays warm across
-//! statements. [`stream`] (what `eval_lazy` does) wraps the pipeline
-//! as a lazy [`Sequence`] that owns a clone of the AST, a forked `Env`
-//! and an engine handle, and evaluates `for` sources, `where`
-//! conditions and `return` lazily. [`window`] (what `fn:subsequence`
-//! and `[k]` do) pulls as `stream` does, but on the caller's `Env` and
-//! only up to a window's end, and evaluates an element `return` only
-//! inside the window. Only the last two charge a budget step per tuple
-//! and keep the streaming counters.
+//! The pipeline is run in one of two ways, both on the caller's
+//! `Env`, so the join cache and the web-service memo serve them alike.
+//! [`drain`] (what `eval` does) pulls every tuple and evaluates each
+//! `return` in full. A [`Cursor`] hands out one result item at a time,
+//! inside the call that opened it, to the consumers that can stop
+//! early: `fn:exists` and `fn:empty`, `count(…) <op> N`, quantifier
+//! bindings, `fn:subsequence` and `[k]` ([`window`]), and the top-level
+//! sink entry. A cursor charges a budget step per tuple, keeps the
+//! streaming counters, and pulls a `for` source, `where` condition or
+//! `return` that is itself a FLWOR through a nested cursor, which binds
+//! its enclosing tuple around each pull. Dropping a cursor before its
+//! end books an early exit.
 
 use std::ops::Range;
 use std::rc::Rc;
 
 use xdm::error::XdmResult;
 use xdm::qname::{QName, FN_NS, XS_NS};
-use xdm::sequence::{Item, ItemSource, Sequence};
+use xdm::sequence::{Item, Sequence};
 use xdm::types::{Occurrence, SequenceType};
 use xqparser::ast::*;
 
@@ -56,6 +57,7 @@ use crate::engine::{BatchFn, ColClass, Engine, FunctionKind, OptCounters, Source
 use crate::eval::{
     convert_params, opt_one_atomic, order_by_sort, CacheStamp, Evaluator, JoinCacheEntry, JoinIdx,
 };
+use crate::functions;
 
 /// A binding tuple: the variables bound by the clauses so far.
 type Tuple = Vec<(QName, Sequence)>;
@@ -63,7 +65,7 @@ type Tuple = Vec<(QName, Sequence)>;
 /// Evaluate a FLWOR expression to completion on the caller's `Env`.
 pub(crate) fn drain(
     ev: &Evaluator<'_>,
-    clauses: &[FlworClause],
+    clauses: &Rc<[FlworClause]>,
     ret: &Expr,
     env: &mut Env,
 ) -> XdmResult<Sequence> {
@@ -71,129 +73,196 @@ pub(crate) fn drain(
     let mut cx = Cx { ev, env, clauses, lazy: false };
     let mut out = Sequence::empty();
     while let Some(t) = pull(&mut stages, &mut cx)? {
-        out.extend(cx.eval(&t, ret)?);
+        out.extend(cx.force(&t, ret)?);
     }
     Ok(out)
 }
 
-/// The same pipeline as a lazy sequence that outlives the caller.
-pub(crate) fn stream(
-    engine: &Engine,
-    clauses: &[FlworClause],
-    ret: &Expr,
-    env: &Env,
-) -> Sequence {
-    Sequence::lazy(Box::new(Stream {
-        engine: engine.clone(),
-        env: env.fork_for_stream(),
-        stages: plan(engine, clauses),
-        clauses: clauses.to_vec(),
-        ret: ret.clone(),
-        pending: None,
-        done: false,
-    }))
+/// `e`'s value item by item: pulled through a [`Cursor`] when `e` is a
+/// FLWOR and may be pulled lazily, evaluated otherwise.
+pub(crate) fn items(ev: &Evaluator<'_>, e: &Expr, env: &mut Env) -> XdmResult<Items> {
+    Ok(match Cursor::open(ev, e, env, &[])? {
+        Some(c) => Items::Flwor(Box::new(c)),
+        None => ev.eval(e, env)?.into(),
+    })
 }
 
-/// Evaluate only the items at 0-based positions `win` of a FLWOR's
-/// result, on the caller's `Env`: what `fn:subsequence` and `[k]` make
-/// of a FLWOR operand. Tuples are pulled as [`Stream`] pulls them,
-/// with its budget step and counters, until the window's end. An
-/// element constructor `return` yields exactly one item per tuple (or
-/// raises), so a tuple before the window is passed over without
-/// evaluating it; any other `return` is evaluated lazily and its items
-/// are counted off one at a time.
+/// The items at 0-based positions `win` of `e`'s value: what
+/// `fn:subsequence` and `[k]` make of their operand. A FLWOR is pulled
+/// no further than the window's end, and a tuple before its start whose
+/// `return` is an element constructor (exactly one item per tuple, or
+/// an error) is passed over without evaluating that `return`; any
+/// other operand is evaluated and sliced.
 pub(crate) fn window(
     ev: &Evaluator<'_>,
-    clauses: &[FlworClause],
-    ret: &Expr,
+    e: &Expr,
     env: &mut Env,
     win: Range<usize>,
 ) -> XdmResult<Sequence> {
-    let one_item = matches!(ret, Expr::DirectElement(_) | Expr::ComputedElement(..));
-    let mut stages = plan(ev.engine, clauses);
-    let mut cx = Cx { ev, env, clauses, lazy: true };
+    let Some(mut cursor) = Cursor::open(ev, e, env, &[])? else {
+        return Ok(functions::slice(ev.eval(e, env)?, win));
+    };
     let mut out = Vec::new();
-    // Result positions produced or passed over so far, and the last
-    // tuple's items with how many of them were taken.
-    let mut pos = 0;
-    let mut pending = None;
-    while pos < win.end {
-        let Some(t) = pull(&mut stages, &mut cx)? else {
-            return Ok(Sequence::from_items(out));
-        };
-        count_pull(ev.engine)?;
-        if one_item && pos < win.start {
-            pos += 1;
-            continue;
+    for pos in 0..win.end {
+        match cursor.step(ev, env, pos >= win.start)? {
+            Pulled::Item(item) if pos >= win.start => out.push(item),
+            Pulled::End => break,
+            _ => {}
         }
-        let items = cx.eval(&t, ret)?;
-        let mut i = 0;
-        while pos < win.end {
-            let Some(item) = items.try_item(i)? else { break };
-            if pos >= win.start {
-                out.push(item);
-            }
-            pos += 1;
-            i += 1;
-        }
-        pending = Some((items, i));
     }
-    book_early_exit(ev.engine, &stages, pending.as_ref());
     Ok(Sequence::from_items(out))
 }
 
-/// The lazy driver.
-struct Stream {
-    engine: Engine,
-    env: Env,
-    stages: Vec<Stage>,
-    clauses: Vec<FlworClause>,
-    ret: Expr,
-    /// The current tuple's `return` items, and how many were handed out.
-    pending: Option<(Sequence, usize)>,
-    /// True once the consumer has seen the end (or a terminal error):
-    /// a fully drained stream is not an early exit.
-    done: bool,
+/// A value handed out one item at a time.
+pub(crate) enum Items {
+    /// An evaluated value and the index of its next item.
+    Seq(Sequence, usize),
+    /// A FLWOR pulled through its cursor.
+    Flwor(Box<Cursor>),
 }
 
-impl Stream {
-    fn advance(&mut self) -> XdmResult<Option<Item>> {
-        let ev = Evaluator::new(&self.engine);
-        let clauses = &self.clauses;
-        let mut cx = Cx { ev: &ev, env: &mut self.env, clauses, lazy: true };
-        loop {
-            if let Some((seq, i)) = &mut self.pending {
-                if let Some(item) = seq.try_item(*i)? {
-                    *i += 1;
-                    return Ok(Some(item));
-                }
-                self.pending = None;
+impl From<Sequence> for Items {
+    fn from(v: Sequence) -> Items {
+        Items::Seq(v, 0)
+    }
+}
+
+impl Items {
+    /// The next item, `None` at the end.
+    pub(crate) fn next(&mut self, ev: &Evaluator<'_>, env: &mut Env) -> XdmResult<Option<Item>> {
+        match self {
+            Items::Seq(v, i) => {
+                let item = v.items().get(*i).cloned();
+                *i += 1;
+                Ok(item)
             }
-            let Some(t) = pull(&mut self.stages, &mut cx)? else { return Ok(None) };
-            count_pull(&self.engine)?;
-            self.pending = Some((cx.eval(&t, &self.ret)?, 0));
+            Items::Flwor(c) => match c.step(ev, env, true)? {
+                Pulled::Item(item) => Ok(Some(item)),
+                _ => Ok(None),
+            },
+        }
+    }
+
+    /// The effective boolean value. A cursor pulls at most two items: a
+    /// node first decides alone.
+    fn truth(mut self, ev: &Evaluator<'_>, env: &mut Env) -> XdmResult<bool> {
+        if let Items::Seq(v, _) = &self {
+            return v.effective_boolean();
+        }
+        let mut head = Vec::with_capacity(2);
+        while head.len() < 2 && !matches!(head.first(), Some(Item::Node(_))) {
+            match self.next(ev, env)? {
+                Some(item) => head.push(item),
+                None => break,
+            }
+        }
+        Sequence::from_items(head).effective_boolean()
+    }
+
+    /// Items known to remain. A cursor's remainder is not guessed at.
+    fn left(&self) -> usize {
+        match self {
+            Items::Seq(v, i) => v.len().saturating_sub(*i),
+            Items::Flwor(_) => 0,
         }
     }
 }
 
-impl ItemSource for Stream {
-    fn next_item(&mut self) -> XdmResult<Option<Item>> {
-        if self.done {
+/// A FLWOR's pipeline, pulled one result item at a time on the caller's
+/// `Env`. It shares its clauses and `return` with the AST, so it can
+/// outlive the borrow it was opened from without copying them.
+pub(crate) struct Cursor {
+    clauses: Rc<[FlworClause]>,
+    ret: Rc<Expr>,
+    /// A nested cursor's enclosing tuple, bound around every pull.
+    outer: Tuple,
+    stages: Vec<Stage>,
+    /// The current tuple's `return` items.
+    pending: Option<Items>,
+    /// The consumer has seen the end or an error: a cursor run to its
+    /// end is not an early exit.
+    done: bool,
+    opt: Rc<OptCounters>,
+}
+
+/// What one step of a [`Cursor`] found.
+enum Pulled {
+    Item(Item),
+    /// A tuple whose element `return` was not evaluated.
+    Passed,
+    End,
+}
+
+impl Cursor {
+    /// A cursor over `e` when it is a FLWOR and may be pulled lazily:
+    /// the `lazy` feature is on and no pending-update list is open.
+    /// Opening charges `eval`'s step for the FLWOR node; each pulled
+    /// tuple charges its own.
+    fn open(
+        ev: &Evaluator<'_>,
+        e: &Expr,
+        env: &Env,
+        outer: &[(QName, Sequence)],
+    ) -> XdmResult<Option<Cursor>> {
+        let Expr::Flwor { clauses, ret } = e else { return Ok(None) };
+        if !ev.engine.features().lazy || env.pul.is_some() {
             return Ok(None);
         }
-        let r = self.advance();
-        if !matches!(r, Ok(Some(_))) {
-            self.done = true;
+        ev.engine.budget_step()?;
+        Ok(Some(Cursor {
+            clauses: clauses.clone(),
+            ret: ret.clone(),
+            outer: outer.to_vec(),
+            stages: plan(ev.engine, clauses),
+            pending: None,
+            done: false,
+            opt: ev.engine.opt_counters(),
+        }))
+    }
+
+    /// Advance by one result item. With `build` false, a tuple whose
+    /// `return` is an element constructor is passed over unevaluated.
+    fn step(&mut self, ev: &Evaluator<'_>, env: &mut Env, build: bool) -> XdmResult<Pulled> {
+        if self.done {
+            return Ok(Pulled::End);
         }
+        let Cursor { clauses, ret, outer, stages, pending, .. } = self;
+        let skip = !build && matches!(**ret, Expr::DirectElement(_) | Expr::ComputedElement(..));
+        let r = scoped(env, outer, |env| {
+            let mut cx = Cx { ev, env, clauses, lazy: true };
+            loop {
+                if let Some(items) = pending {
+                    if let Some(item) = items.next(ev, cx.env)? {
+                        return Ok(Pulled::Item(item));
+                    }
+                    *pending = None;
+                }
+                let Some(t) = pull(stages, &mut cx)? else { return Ok(Pulled::End) };
+                count_pull(ev.engine)?;
+                if skip {
+                    return Ok(Pulled::Passed);
+                }
+                *pending = Some(cx.items(&t, ret)?);
+            }
+        });
+        self.done = !matches!(r, Ok(Pulled::Item(_) | Pulled::Passed));
         r
     }
 }
 
-impl Drop for Stream {
+impl Drop for Cursor {
+    /// Book a pipeline abandoned before its end: one early exit, and
+    /// what it verifiably skipped, items known to exist that were never
+    /// consumed (a lower bound: a nested cursor's remainder is not
+    /// guessed at).
     fn drop(&mut self) {
-        if !self.done {
-            book_early_exit(&self.engine, &self.stages, self.pending.as_ref());
+        if self.done {
+            return;
         }
+        OptCounters::bump(&self.opt.early_exits);
+        let unbuilt: usize = self.stages.iter().map(Stage::unbuilt).sum();
+        let skipped = unbuilt + self.pending.as_ref().map_or(0, Items::left);
+        OptCounters::add(&self.opt.items_never_built, skipped as u64);
     }
 }
 
@@ -205,60 +274,51 @@ fn count_pull(engine: &Engine) -> XdmResult<()> {
     Ok(())
 }
 
-/// Book a pipeline abandoned before its end: one early exit, and what
-/// it verifiably skipped, items whose existence is already known but
-/// that were never consumed. `pending` is the last tuple's `return`
-/// items and how many were taken. Live lazy sources of unknown length
-/// are not guessed at, so this is a lower bound.
-fn book_early_exit(engine: &Engine, stages: &[Stage], pending: Option<&(Sequence, usize)>) {
-    let opt = engine.opt_counters();
-    OptCounters::bump(&opt.early_exits);
-    let mut skipped: usize = stages.iter().map(Stage::unbuilt).sum();
-    if let Some((p, i)) = pending {
-        skipped += p.known_len().map_or(0, |n| n.saturating_sub(*i));
+/// Run `f` with `tuple` bound in a scope of its own.
+fn scoped<R>(env: &mut Env, tuple: &[(QName, Sequence)], f: impl FnOnce(&mut Env) -> R) -> R {
+    env.push_scope();
+    for (n, v) in tuple {
+        env.bind(n.clone(), v.clone());
     }
-    OptCounters::add(&opt.items_never_built, skipped as u64);
+    let out = f(env);
+    env.pop_scope();
+    out
 }
 
 /// What the operators evaluate with.
 struct Cx<'a, 'e> {
     ev: &'a Evaluator<'e>,
     env: &'a mut Env,
-    clauses: &'a [FlworClause],
-    /// Evaluate `for` sources, `where` conditions and `return` lazily.
+    clauses: &'a Rc<[FlworClause]>,
+    /// Under a cursor: a `for` source, `where` condition or `return`
+    /// that is a FLWOR is pulled through a nested cursor.
     lazy: bool,
 }
 
 impl Cx<'_, '_> {
-    /// Evaluate `e` with `tuple` bound, lazily under the lazy driver.
-    fn eval(&mut self, tuple: &Tuple, e: &Expr) -> XdmResult<Sequence> {
-        self.bound(tuple, e, self.lazy)
-    }
-
-    /// Evaluate `e` with `tuple` bound, always to a materialized value.
+    /// Evaluate `e` with `tuple` bound, to a materialized value.
     fn force(&mut self, tuple: &Tuple, e: &Expr) -> XdmResult<Sequence> {
-        self.bound(tuple, e, false)
+        let ev = self.ev;
+        scoped(self.env, tuple, |env| ev.eval(e, env))
     }
 
-    fn bound(&mut self, tuple: &Tuple, e: &Expr, lazy: bool) -> XdmResult<Sequence> {
-        self.env.push_scope();
-        for (n, v) in tuple {
-            self.env.bind(n.clone(), v.clone());
+    /// `e`'s value with `tuple` bound, item by item.
+    fn items(&mut self, tuple: &Tuple, e: &Expr) -> XdmResult<Items> {
+        if self.lazy {
+            if let Some(c) = Cursor::open(self.ev, e, self.env, tuple)? {
+                return Ok(Items::Flwor(Box::new(c)));
+            }
         }
-        let out =
-            if lazy { self.ev.eval_lazy(e, self.env) } else { self.ev.eval(e, self.env) };
-        self.env.pop_scope();
-        out
+        Ok(self.force(tuple, e)?.into())
     }
 
-    /// Does `tuple` pass the `where` clause at `i`? A lazy condition
-    /// pulls at most two items.
+    /// Does `tuple` pass the `where` clause at `i`?
     fn passes(&mut self, tuple: &Tuple, i: usize) -> XdmResult<bool> {
         let clauses = self.clauses;
         let FlworClause::Where(cond) = &clauses[i] else {
             unreachable!("planned from a where clause")
         };
-        self.eval(tuple, cond)?.effective_boolean()
+        self.items(tuple, cond)?.truth(self.ev, self.env)
     }
 }
 
@@ -279,9 +339,7 @@ impl Stage {
     /// Items known to exist that this stage never turned into tuples.
     fn unbuilt(&self) -> usize {
         match self {
-            Stage::For(ForOp { cursor: Some(c), .. }) => {
-                c.items.known_len().map_or(0, |n| n.saturating_sub(c.next))
-            }
+            Stage::For(ForOp { expansion: Some(x), .. }) => x.items.left(),
             Stage::OrderBy(_, Some(sorted)) => sorted.len(),
             _ => 0,
         }
@@ -306,7 +364,7 @@ fn plan(engine: &Engine, clauses: &[FlworClause]) -> Vec<Stage> {
                     source,
                     Source::Pushdown(_) | Source::Unfold(_) | Source::Join { .. }
                 );
-                let op = ForOp { clause: i, source, owns_where, cursor: None };
+                let op = ForOp { clause: i, source, owns_where, expansion: None };
                 if owns_where {
                     i += 1;
                 }
@@ -337,9 +395,6 @@ fn pull(stages: &mut [Stage], cx: &mut Cx<'_, '_>) -> XdmResult<Option<Tuple>> {
                 unreachable!("planned from a let clause")
             };
             let Some(mut t) = pull(input, cx)? else { return Ok(None) };
-            // Let values are always materialized: a bound variable can
-            // flow into any expression, and only the pipeline's own
-            // operators may hold unforced lazy sequences (DESIGN §11).
             let v = cx.force(&t, value)?;
             if let Some(ty) = ty {
                 ty.check(&v, &format!("let ${var}"))?;
@@ -384,15 +439,15 @@ struct ForOp {
     /// The operator consumed the `where` clause after it.
     owns_where: bool,
     /// The input tuple being expanded.
-    cursor: Option<Cursor>,
+    expansion: Option<Expansion>,
 }
 
 /// An input tuple and the items it is being expanded with.
-struct Cursor {
+struct Expansion {
     tuple: Tuple,
-    items: Sequence,
-    /// Index of the next item to bind.
-    next: usize,
+    items: Items,
+    /// How many items have been bound: the positional variable.
+    bound: usize,
     /// Each binding must still pass the consumed `where` clause.
     check: bool,
 }
@@ -428,21 +483,21 @@ impl ForOp {
             unreachable!("planned from a for clause")
         };
         loop {
-            if let Some(c) = &mut self.cursor {
-                while let Some(item) = c.items.try_item(c.next)? {
-                    c.next += 1;
-                    let mut t = c.tuple.clone();
+            if let Some(x) = &mut self.expansion {
+                while let Some(item) = x.items.next(cx.ev, cx.env)? {
+                    x.bound += 1;
+                    let mut t = x.tuple.clone();
                     t.push((var.clone(), Sequence::one(item)));
                     if let Some(p) = pos {
-                        t.push((p.clone(), Sequence::one(Item::integer(c.next as i64))));
+                        t.push((p.clone(), Sequence::one(Item::integer(x.bound as i64))));
                     }
-                    if !c.check || cx.passes(&t, self.clause + 1)? {
+                    if !x.check || cx.passes(&t, self.clause + 1)? {
                         return Ok(Some(t));
                     }
                 }
             }
-            self.cursor = self.open(input, cx)?;
-            if self.cursor.is_none() {
+            self.expansion = self.open(input, cx)?;
+            if self.expansion.is_none() {
                 return Ok(None);
             }
         }
@@ -454,12 +509,12 @@ impl ForOp {
         &mut self,
         input: &mut [Stage],
         cx: &mut Cx<'_, '_>,
-    ) -> XdmResult<Option<Cursor>> {
+    ) -> XdmResult<Option<Expansion>> {
         let clauses = cx.clauses;
         let FlworClause::For { source, .. } = &clauses[self.clause] else {
             unreachable!("planned from a for clause")
         };
-        let cursor = |tuple, items, check| Some(Cursor { tuple, items, next: 0, check });
+        let expand = |tuple, items, check| Some(Expansion { tuple, items, bound: 0, check });
         if let Source::Batch { batch, flight } = &mut self.source {
             if flight.is_none() {
                 let mut tuples = Vec::new();
@@ -469,7 +524,7 @@ impl ForOp {
                 *flight = Some(issue_flight(cx, batch, source, tuples)?.into_iter());
             }
             let next = flight.as_mut().and_then(Iterator::next);
-            return Ok(next.and_then(|(t, resp)| cursor(t, resp, false)));
+            return Ok(next.and_then(|(t, resp)| expand(t, resp.into(), false)));
         }
         let Some(tuple) = pull(input, cx)? else { return Ok(None) };
         match &mut self.source {
@@ -487,13 +542,13 @@ impl ForOp {
                             let opt = cx.ev.engine.opt_counters();
                             OptCounters::bump(&opt.pushdown_rewrites);
                         }
-                        (pd.cap.select)(cx.env, &pd.col, &lex)?
+                        (pd.cap.select)(cx.env, &pd.col, &lex)?.into()
                     }
                     // Not exactly one pushable atom: the plain path,
                     // for this tuple only.
-                    None => cx.eval(&tuple, source)?,
+                    None => cx.items(&tuple, source)?,
                 };
-                Ok(cursor(tuple, items, true))
+                Ok(expand(tuple, items, true))
             }
             Source::Join { steps, key, index } => {
                 let entry = match index.clone() {
@@ -504,26 +559,26 @@ impl ForOp {
                     // Some row's key is beyond the index: the whole
                     // clause runs plainly.
                     self.source = Source::Plain;
-                    let items = cx.eval(&tuple, source)?;
-                    return Ok(cursor(tuple, items, true));
+                    let items = cx.items(&tuple, source)?;
+                    return Ok(expand(tuple, items, true));
                 };
                 let key_expr = key_operand(clauses, self.clause, *key);
                 let k = cx.force(&tuple, key_expr)?.atomized();
                 Ok(match &k[..] {
                     // An empty key matches no row under `=` or `eq`.
-                    [] => cursor(tuple, Sequence::empty(), false),
+                    [] => expand(tuple, Sequence::empty().into(), false),
                     [a] => {
                         let rows = entry.seq.items();
                         let hits = idx.probe(a).into_iter().map(|i| rows[i].clone());
-                        cursor(tuple, hits.collect(), false)
+                        expand(tuple, hits.collect::<Sequence>().into(), false)
                     }
                     // Several atoms: the plain path, for this tuple only.
-                    _ => cursor(tuple, entry.seq.clone(), true),
+                    _ => expand(tuple, entry.seq.clone().into(), true),
                 })
             }
             _ => {
-                let items = cx.eval(&tuple, source)?;
-                Ok(cursor(tuple, items, self.owns_where))
+                let items = cx.items(&tuple, source)?;
+                Ok(expand(tuple, items, self.owns_where))
             }
         }
     }
@@ -802,7 +857,7 @@ fn call_params(
 /// focus.
 fn in_view<R>(
     cx: &mut Cx<'_, '_>,
-    body: &[FlworClause],
+    body: &Rc<[FlworClause]>,
     tuple: &Tuple,
     params: &Tuple,
     f: impl FnOnce(&mut Cx<'_, '_>) -> XdmResult<R>,
@@ -1006,6 +1061,9 @@ fn join_index(
 ) -> XdmResult<Rc<JoinCacheEntry>> {
     let engine = cx.ev.engine;
     let opt = engine.opt_counters();
+    // The key is the source expression's address. The entry holds the
+    // clause list that expression lives in, so no other program's AST
+    // can take the address while the entry is cached.
     let cache_key = (source as *const Expr as usize, steps_fingerprint(key_steps));
     if let Some(hit) = cx.env.join_cache.get(&cache_key).cloned() {
         if hit.stamp.is_current(cx.env) {
@@ -1040,12 +1098,7 @@ fn join_index(
         None => CacheStamp::Epoch(cx.env.write_epoch),
     };
     let idx = index_rows(cx, &seq, key_steps)?;
-    let entry = Rc::new(JoinCacheEntry { seq, idx, stamp });
-    // Cached entries must be fully materialized: `eval` never returns
-    // a lazy sequence (the §11 choke-point invariant), so a stream can
-    // never be stored — and later replayed with its pull state
-    // half-consumed — through this cache.
-    debug_assert!(!entry.seq.is_lazy(), "join cache must not hold lazy sequences");
+    let entry = Rc::new(JoinCacheEntry { seq, idx, stamp, clauses: cx.clauses.clone() });
     cx.env.join_cache.insert(cache_key, entry.clone());
     Ok(entry)
 }

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use xdm::atomic::AtomicValue;
-use xdm::error::ErrorCode;
+use xdm::error::{ErrorCode, XdmError};
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
@@ -1220,22 +1220,54 @@ fn element_returns_before_the_window_are_never_evaluated() {
 }
 
 #[test]
-fn lazy_entry_point_returns_a_pull_stream() {
+fn sink_entry_hands_out_items_as_they_are_pulled() {
     let engine = Engine::new();
-    let seq = engine
-        .eval_query_lazy("for $i in 1 to 5 return $i + 1")
-        .unwrap();
-    assert!(seq.is_lazy());
-    assert_eq!(engine.opt_stats().tuples_pulled, 0, "nothing pulled yet");
+    let pq = engine.prepare("for $i in 1 to 5 return $i + 1").unwrap();
     let mut got = Vec::new();
-    let mut i = 0;
-    while let Some(item) = seq.try_item(i).unwrap() {
-        got.push(item.string_value());
-        i += 1;
-    }
+    engine
+        .execute_prepared_to_sink(&pq, &mut Env::new(), &mut |item| {
+            // Each item arrives as soon as its tuple is pulled.
+            assert_eq!(engine.opt_stats().tuples_pulled, got.len() as u64 + 1);
+            got.push(item.string_value());
+            Ok(())
+        })
+        .unwrap();
     assert_eq!(got, vec!["2", "3", "4", "5", "6"]);
     assert_eq!(engine.opt_stats().tuples_pulled, 5);
-    assert_eq!(engine.opt_stats().early_exits, 0, "a drained stream is not an early exit");
+    assert_eq!(engine.opt_stats().early_exits, 0, "a cursor run to its end is not an early exit");
+
+    // A sink error stops the pull there and books the early exit.
+    engine.reset_opt_stats();
+    let err = engine
+        .execute_prepared_to_sink(&pq, &mut Env::new(), &mut |item| match item.string_value() {
+            v if v == "3" => Err(XdmError::new(ErrorCode::FOER0000, "sink full")),
+            _ => Ok(()),
+        })
+        .unwrap_err();
+    assert!(err.is(ErrorCode::FOER0000));
+    let s = engine.opt_stats();
+    assert_eq!((s.tuples_pulled, s.early_exits, s.items_never_built), (2, 1, 3));
+}
+
+#[test]
+fn a_where_cursor_pulls_at_most_two_items() {
+    // Under a cursor, a `where` that is a FLWOR is pulled only as far
+    // as its effective boolean value needs: a node first decides alone,
+    // a second atomic item raises.
+    let engine = Engine::new();
+    let out = engine
+        .eval_query("exists(for $i in 1 to 3 where (for $j in 1 to 1000 return <a/>) return $i)")
+        .unwrap();
+    assert_eq!(as_string(&out), "true");
+    let s = engine.opt_stats();
+    assert_eq!((s.tuples_pulled, s.early_exits), (2, 2), "one inner and one outer tuple");
+
+    engine.reset_opt_stats();
+    let err = engine
+        .eval_query("exists(for $i in 1 to 3 where (for $j in 1 to 1000 return $j) return $i)")
+        .unwrap_err();
+    assert!(err.is(ErrorCode::FORG0006), "got {err:?}");
+    assert_eq!(engine.opt_stats().tuples_pulled, 2, "two inner tuples decide");
 }
 
 #[test]

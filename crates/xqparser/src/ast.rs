@@ -329,12 +329,15 @@ pub enum Expr {
     Set(SetOp, Box<Expr>, Box<Expr>),
     /// `if (c) then t else e`
     If(Box<Expr>, Box<Expr>, Box<Expr>),
-    /// FLWOR.
+    /// FLWOR. Clauses and return are shared, so an evaluator can hold
+    /// them past the borrow of the tree they came from: a cursor
+    /// pulling the FLWOR owns them, and a join-cache entry keeps the
+    /// clause list its key points into alive.
     Flwor {
         /// for/let/where/order-by clauses in order.
-        clauses: Vec<FlworClause>,
+        clauses: Rc<[FlworClause]>,
         /// The return expression.
-        ret: Box<Expr>,
+        ret: Rc<Expr>,
     },
     /// `some/every $v in e satisfies p`
     Quantified {
@@ -506,7 +509,7 @@ impl Expr {
                 f(e);
             }
             Expr::Flwor { clauses, ret } => {
-                for c in clauses {
+                for c in clauses.iter() {
                     match c {
                         FlworClause::For { source, .. } => f(source),
                         FlworClause::Let { value, .. } => f(value),

@@ -10,6 +10,7 @@
 mod statements;
 
 use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 
 use xdm::atomic::{AtomicType, AtomicValue};
 use xdm::decimal::Decimal;
@@ -1151,7 +1152,7 @@ impl<'a> Parser<'a> {
         if clauses.is_empty() {
             return Err(self.err_here("FLWOR requires at least one clause"));
         }
-        Ok(Expr::Flwor { clauses, ret: Box::new(ret) })
+        Ok(Expr::Flwor { clauses: clauses.into(), ret: Rc::new(ret) })
     }
 
     fn parse_quantified(&mut self) -> XdmResult<Expr> {

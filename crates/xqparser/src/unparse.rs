@@ -267,7 +267,7 @@ fn expr(out: &mut String, e: &Expr) {
         }
         Expr::Flwor { clauses, ret } => {
             out.push('(');
-            for c in clauses {
+            for c in clauses.iter() {
                 match c {
                     FlworClause::For { var, pos, source } => {
                         let _ = write!(out, "for ${} ", lex(var));

@@ -21,8 +21,9 @@
 //! `--doc` registers an XML file so `fn:doc("URI")` resolves.
 //!
 //! In script mode the result is serialized **incrementally**: items
-//! are written (and stdout flushed) as the lazy stream yields them,
-//! so time-to-first-byte tracks the first tuple, not the last. A
+//! are written (and stdout flushed) as the evaluator produces them,
+//! so time-to-first-byte of a FLWOR body tracks the first tuple, not
+//! the last. A
 //! mid-stream error can therefore leave partial output on stdout
 //! before the error report on stderr (see DESIGN.md §11).
 //!
@@ -55,6 +56,7 @@ use std::io::{BufRead, Read};
 use std::process::ExitCode;
 use std::rc::Rc;
 
+use xdm::{ErrorCode, XdmError};
 use xqeval::{Engine, Env, Features, OptStats};
 use xqse::xqueryp::XqueryP;
 use xqse::Xqse;
@@ -474,18 +476,8 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        let xqse = Xqse::with_engine(engine.clone());
-        match xqse.run_lazy_with_env(&src, &mut env) {
-            Ok(seq) => emit_streaming(&seq),
-            Err(e) => {
-                eprintln!("xqsh: {e}");
-                ExitCode::FAILURE
-            }
-        }
+        emit_streaming(&Xqse::with_engine(engine.clone()), &src, &mut env)
     };
-    // Trace and explain print after the drain: a lazy result only
-    // runs (and only bumps the streaming counters) while it is being
-    // serialized above.
     if trace {
         for line in env.trace_messages() {
             eprintln!("trace: {line}");
@@ -497,41 +489,39 @@ fn main() -> ExitCode {
     status
 }
 
-/// Drain a (possibly lazy) result sequence to stdout incrementally,
-/// flushing after every item so the first tuple is visible before the
+/// Run `src`, writing each result item to stdout as it is produced and
+/// flushing after every item, so the first tuple is visible before the
 /// last one is computed. A mid-stream error leaves the already-emitted
 /// prefix on stdout and reports the error on stderr — the documented
 /// streaming deviation (DESIGN.md §11).
-fn emit_streaming(seq: &xdm::Sequence) -> ExitCode {
+fn emit_streaming(xqse: &Xqse, src: &str, env: &mut Env) -> ExitCode {
     use std::io::Write;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut ser = xmlparse::IncrementalSerializer::new();
-    let mut i = 0usize;
-    loop {
-        match seq.try_item(i) {
-            Ok(Some(item)) => {
-                ser.write_item(&item);
-                if out.write_all(ser.take_delta().as_bytes()).is_err() || out.flush().is_err() {
-                    eprintln!("xqsh: failed to write stdout");
-                    return ExitCode::FAILURE;
-                }
-                i += 1;
-            }
-            Ok(None) => {
+    let mut wrote = false;
+    let run = xqse.run_to_sink(src, env, &mut |item| {
+        ser.write_item(&item);
+        wrote = true;
+        if out.write_all(ser.take_delta().as_bytes()).is_err() || out.flush().is_err() {
+            return Err(XdmError::new(ErrorCode::FOER0000, "failed to write stdout"));
+        }
+        Ok(())
+    });
+    match run {
+        Ok(()) => {
+            let _ = out.write_all(b"\n");
+            let _ = out.flush();
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            if wrote {
+                // Terminate the partial line before reporting.
                 let _ = out.write_all(b"\n");
                 let _ = out.flush();
-                return ExitCode::SUCCESS;
             }
-            Err(e) => {
-                if i > 0 {
-                    // Terminate the partial line before reporting.
-                    let _ = out.write_all(b"\n");
-                    let _ = out.flush();
-                }
-                eprintln!("xqsh: {e}");
-                return ExitCode::FAILURE;
-            }
+            eprintln!("xqsh: {e}");
+            ExitCode::FAILURE
         }
     }
 }

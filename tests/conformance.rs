@@ -60,6 +60,14 @@ conformance! {
     cmp_untyped_numeric: "<a>10</a> > 9" => "true";
     cmp_untyped_string: "<a>10</a> = '10'" => "true";
     cmp_value_empty_is_empty: "fn:count(() eq 1)" => "0";
+    // `count(E) <op> N` stops pulling `E` past `floor(N) + 2` items; a
+    // bound beyond the machine word must not wrap that cutoff.
+    cmp_count_gt_huge_bound: "fn:count((1, 2, 3)) gt 1e20" => "false";
+    cmp_count_lt_huge_bound: "fn:count((1, 2, 3)) lt 1e20" => "true";
+    cmp_count_eq_huge_bound: "fn:count((1, 2, 3)) = 1e20" => "false";
+    cmp_count_gt_huger_bound: "fn:count((1, 2, 3)) gt 1e300" => "false";
+    cmp_count_lt_huger_bound: "fn:count((1, 2, 3)) lt 1e300" => "true";
+    cmp_count_eq_huger_bound: "fn:count((1, 2, 3)) = 1e300" => "false";
     cmp_ne_nan: "fn:number('x') = fn:number('x')" => "false";
     // --------------------------------------------------------- logic
     logic_ebv_node: "if (<a/>) then 'y' else 'n'" => "y";

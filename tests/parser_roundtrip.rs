@@ -3,6 +3,8 @@
 //! must be identical, and where the expression is closed (no free
 //! variables) both versions must evaluate to the same result.
 
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
 use xqse_repro::xqparser::ast::{BinaryOp, Expr, FlworClause, GeneralComp, Quantifier};
@@ -60,8 +62,9 @@ fn closed_expr() -> impl Strategy<Value = Expr> {
                         var: v.clone(),
                         pos: None,
                         source: Box::new(src).as_ref().clone(),
-                    }],
-                    ret: Box::new(Expr::Comma(vec![Expr::VarRef(v), ret])),
+                    }]
+                    .into(),
+                    ret: Rc::new(Expr::Comma(vec![Expr::VarRef(v), ret])),
                 }
             }),
             // quantified

@@ -15,8 +15,10 @@ use xqse_repro::aldsp::{
 };
 use xqse_repro::xdm::decimal::Decimal;
 use xqse_repro::xdm::node::{NodeHandle, NodeKind};
+use xqse_repro::xdm::error::XdmError;
 use xqse_repro::xdm::qname::QName;
-use xqse_repro::xmlparse::{parse, serialize};
+use xqse_repro::xdm::sequence::{Item, Sequence};
+use xqse_repro::xmlparse::{parse, serialize, serialize_sequence};
 use xqse_repro::xqeval::Features;
 use xqse_repro::xqse::Xqse;
 
@@ -503,7 +505,6 @@ proptest! {
     ) {
         use xqse_repro::aldsp::ws::{credit_score, WebService};
         use xqse_repro::aldsp::{Policy, Resilience};
-        use xqse_repro::xdm::sequence::{Item, Sequence};
 
         let retryable = retryable.into_iter().next();
         let ssns: Vec<String> = (0..5).map(|i| format!("00{i}-11-222{i}")).collect();
@@ -615,18 +616,30 @@ fn lazy_query(n: usize, m: usize, consumer: &LazyConsumer) -> String {
     }
 }
 
-/// Run a query through the pipelined entry point and drain it with the
-/// streaming serializer. Returns the serialized bytes (or the error
+/// Run a query through the sink entry on a fresh `Xqse`: the items
+/// handed to the sink, in order, and the error that ended the run, if
+/// any.
+fn run_to_sink(xqse: &Xqse, src: &str) -> (Vec<Item>, Option<XdmError>) {
+    let mut items = Vec::new();
+    let mut env = xqse_repro::xqeval::Env::new();
+    let err = xqse
+        .run_to_sink(src, &mut env, &mut |item| {
+            items.push(item);
+            Ok(())
+        })
+        .err();
+    (items, err)
+}
+
+/// Run a query through the sink entry: its serialization (or the error
 /// text) plus the engine's `tuples_pulled` counter.
 fn run_lazy(src: &str) -> (Result<String, String>, u64, bool) {
-    use xqse_repro::xmlparse::serialize_sequence_stream;
     let xqse = Xqse::new();
     let lazy_on = xqse.engine().features().lazy;
-    let mut env = xqse_repro::xqeval::Env::new();
-    let res = xqse
-        .run_lazy_with_env(src, &mut env)
-        .and_then(|s| serialize_sequence_stream(&s))
-        .map_err(|e| e.to_string());
+    let res = match run_to_sink(&xqse, src) {
+        (items, None) => Ok(serialize_sequence(&Sequence::from_items(items))),
+        (_, Some(e)) => Err(e.to_string()),
+    };
     (res, xqse.engine().opt_stats().tuples_pulled, lazy_on)
 }
 
@@ -636,7 +649,7 @@ fn run_eager(src: &str) -> Result<String, String> {
     let engine = xqse.engine();
     engine.set_features(Features { lazy: false, ..engine.features() });
     xqse.run(src)
-        .map(|s| xqse_repro::xmlparse::serialize_sequence(&s))
+        .map(|s| serialize_sequence(&s))
         .map_err(|e| e.to_string())
 }
 
@@ -658,12 +671,12 @@ proptest! {
         let eager = run_eager(&src);
         prop_assert_eq!(&lazy, &eager, "query: {}", src);
 
-        // string_value must agree too (it has its own pull path).
-        let a = Xqse::new();
-        let mut env = xqse_repro::xqeval::Env::new();
-        let sv_lazy = a.run_lazy_with_env(&src, &mut env)
-            .and_then(|s| s.string_value())
-            .map_err(|e| e.to_string());
+        // string_value must agree too.
+        let sv_lazy = match run_to_sink(&Xqse::new(), &src) {
+            (items, None) => Sequence::from_items(items).string_value(),
+            (_, Some(e)) => Err(e),
+        }
+        .map_err(|e| e.to_string());
         let b = Xqse::new();
         let engine = b.engine();
         engine.set_features(Features { lazy: false, ..engine.features() });
@@ -695,17 +708,8 @@ proptest! {
         prop_assert!(lazy.unwrap_err().contains("FOAR0001"));
 
         // Partial drain: items strictly before the fault come out.
-        let xqse = Xqse::new();
-        let mut env = xqse_repro::xqeval::Env::new();
-        let seq = xqse.run_lazy_with_env(&src, &mut env).unwrap();
-        let mut got = 0usize;
-        let err = loop {
-            match seq.try_item(got) {
-                Ok(Some(_)) => got += 1,
-                Ok(None) => break None,
-                Err(e) => break Some(e),
-            }
-        };
+        let (items, err) = run_to_sink(&Xqse::new(), &src);
+        let got = items.len();
         if lazy_on {
             prop_assert_eq!(got, f - 1, "items before the faulting tuple");
             prop_assert!(err.is_some());
@@ -727,25 +731,15 @@ proptest! {
         let xqse = Xqse::new();
         let budget = xqse_repro::xqeval::Budget::unlimited().limit_fuel(fuel as u64);
         xqse.engine().set_budget(Some(std::sync::Arc::new(budget)));
-        let mut env = xqse_repro::xqeval::Env::new();
+        let (items, err) = run_to_sink(&xqse, &src);
         let mut ser = IncrementalSerializer::new();
-        let outcome = xqse.run_lazy_with_env(&src, &mut env).map(|seq| {
-            let mut i = 0usize;
-            loop {
-                match seq.try_item(i) {
-                    Ok(Some(item)) => {
-                        ser.write_item(&item);
-                        i += 1;
-                    }
-                    Ok(None) => break None,
-                    Err(e) => break Some(e),
-                }
-            }
-        });
+        for item in &items {
+            ser.write_item(item);
+        }
         let prefix = ser.finish();
-        match outcome {
-            Ok(None) => prop_assert_eq!(prefix, full), // fuel sufficed
-            Ok(Some(e)) => {
+        match err {
+            None => prop_assert_eq!(prefix, full), // fuel sufficed
+            Some(e) => {
                 prop_assert!(
                     e.to_string().contains("FUEL_EXHAUSTED"),
                     "unexpected mid-stream error: {}", e
@@ -755,7 +749,6 @@ proptest! {
                     "partial output must be a prefix: {:?}", prefix
                 );
             }
-            Err(e) => prop_assert!(e.to_string().contains("FUEL_EXHAUSTED")),
         }
     }
 }

@@ -5,16 +5,18 @@
 //! consumer.
 //!
 //! Each shape × consumer runs three ways on a fresh demo data space:
-//! streamed lazily, drained, and drained with every rewrite off (the
-//! reference). The three must serialize byte-identically or fail with
-//! the same error code, and the rewrite's own counter must prove it
-//! fired in the first two runs and not in the reference.
+//! pulled item by item through the sink entry, drained, and drained
+//! with every rewrite off (the reference). The three must serialize
+//! byte-identically or fail with the same error code, and the
+//! rewrite's own counter must prove it fired in the first two runs and
+//! not in the reference.
 
 use xqse_repro::aldsp::demo;
 use xqse_repro::aldsp::rel::{Column, ColumnType, Database, SqlValue, TableSchema};
 use xqse_repro::aldsp::service::DataSpace;
-use xqse_repro::xmlparse::{serialize_sequence, serialize_sequence_stream};
+use xqse_repro::xmlparse::{serialize_sequence, IncrementalSerializer};
 use xqse_repro::xqeval::{Env, Features, OptStats};
+use xqse_repro::xqse::Xqse;
 
 const PROLOG: &str = r#"
 declare namespace ns1 = "ld:CustomerProfile";
@@ -56,9 +58,14 @@ fn run(query: &str, mode: Mode) -> (Result<String, String>, OptStats) {
     let src = format!("{PROLOG}{query}");
     let mut env = Env::new();
     let out = match mode {
-        Mode::Lazy => xqse
-            .run_lazy_with_env(&src, &mut env)
-            .and_then(|s| serialize_sequence_stream(&s)),
+        Mode::Lazy => {
+            let mut ser = IncrementalSerializer::new();
+            xqse.run_to_sink(&src, &mut env, &mut |item| {
+                ser.write_item(&item);
+                Ok(())
+            })
+            .map(|()| ser.finish())
+        }
         _ => xqse.run_with_env(&src, &mut env).map(|s| serialize_sequence(&s)),
     };
     (out.map_err(|e| e.code.to_string()), engine.opt_stats())
@@ -388,4 +395,58 @@ declare namespace ens1 = "ld:hr/EMPLOYEE";
     assert_eq!(optimized, plain);
     assert_eq!(pushdowns(&p), 0);
     assert_eq!(pushdowns(&o), 2, "both reads of D3 were pushed down");
+}
+
+/// The join cache is the caller's `Env`'s whether or not a FLWOR is
+/// pulled lazily: the same `fn:exists` join probe run twice in one
+/// `Env` builds its index once and reuses it, with `lazy` on or off.
+#[test]
+fn lazy_probes_share_the_callers_join_cache() {
+    let query = "fn:exists(for $a in (1, 2, 3) \
+         for $b in (<r><k>2</k></r>, <r><k>3</k></r>) where $b/k eq $a return $b)";
+    let probe = |lazy: bool| {
+        let xqse = Xqse::new();
+        let engine = xqse.engine();
+        engine.set_features(Features { lazy, ..Features::ALL });
+        let mut env = Env::new();
+        for _ in 0..2 {
+            let out = xqse.run_with_env(query, &mut env).expect("run");
+            assert_eq!(serialize_sequence(&out), "true", "lazy={lazy}");
+        }
+        let s = engine.opt_stats();
+        (s.join_hits, s.join_misses, s.tuples_pulled)
+    };
+    let (lazy_hits, lazy_misses, pulled) = probe(true);
+    let (eager_hits, eager_misses, _) = probe(false);
+    assert!(pulled > 0, "the lazy runs must pull through a cursor");
+    assert_eq!((lazy_hits, lazy_misses), (eager_hits, eager_misses));
+    assert_eq!((lazy_hits, lazy_misses), (1, 1));
+}
+
+/// A join-cache entry is keyed by its source expression's address. Once
+/// the plan cache has evicted (and freed) a program, a later program's
+/// AST must not be served the old program's index through a reused
+/// address: the entry keeps the clause list it was built for alive.
+#[test]
+fn join_cache_entries_outlive_an_evicted_plan() {
+    let join = |v: &str| {
+        format!(
+            "for $a in (1, 2) for $b in (<b><k>1</k><v>{v}</v></b>, <b><k>2</k><v>{v}2</v></b>) \
+             where $b/k eq $a return fn:data($b/v)"
+        )
+    };
+    for features in [Features::ALL, Features { lazy: false, ..Features::ALL }] {
+        let xqse = Xqse::new();
+        let engine = xqse.engine();
+        engine.set_features(features);
+        engine.set_plan_cache_capacity(1);
+        let mut env = Env::new();
+        let old = xqse.run_with_env(&join("OLD"), &mut env).expect("first join");
+        assert_eq!(serialize_sequence(&old), "OLD OLD2");
+        // Evicts the first program from the one-entry plan cache.
+        xqse.run_with_env("0 + 0", &mut env).expect("filler");
+        let new = xqse.run_with_env(&join("NEW"), &mut env).expect("second join");
+        assert_eq!(serialize_sequence(&new), "NEW NEW2", "features {features}");
+        assert_eq!(engine.opt_stats().join_misses, 2, "features {features}");
+    }
 }
