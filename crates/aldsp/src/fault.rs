@@ -238,9 +238,6 @@ pub struct FaultEvent {
     pub op: Op,
     /// What was injected.
     pub injected: Injected,
-    /// Number of coalesced requests in flight when a *batched* call
-    /// was intercepted; `None` for single calls.
-    pub batch_size: Option<usize>,
     /// Index of the serving-pool worker whose call hit the fault
     /// (`None` when the call came from outside a pool worker, e.g. a
     /// single-threaded test or the coordinator's recovery pass).
@@ -376,28 +373,11 @@ impl FaultInjector {
                 source: source.to_string(),
                 op,
                 injected: injected.clone(),
-                batch_size: None,
                 worker: current_worker(),
             });
             return Some(injected);
         }
         None
-    }
-
-    /// Decide the fate of one *batched* call.
-    ///
-    /// A coalesced batch of `size` requests consults the plan once —
-    /// a firing rule fails (or delays) the whole flight, exactly like
-    /// a real bulk endpoint. The logged [`FaultEvent`] records the
-    /// batch size so chaos tests can assert coalescing happened.
-    pub fn on_batch(&mut self, source: &str, op: Op, size: usize) -> Option<Injected> {
-        let verdict = self.on_call(source, op);
-        if verdict.is_some() {
-            if let Some(ev) = self.log.back_mut() {
-                ev.batch_size = Some(size);
-            }
-        }
-        verdict
     }
 
     /// Every *retained* fault injected so far, in order. When the ring
@@ -417,11 +397,6 @@ impl FaultInjector {
     /// 0) since construction.
     pub fn dropped_events(&self) -> u64 {
         self.dropped
-    }
-
-    /// The ring's current capacity.
-    pub fn event_capacity(&self) -> usize {
-        self.capacity
     }
 }
 

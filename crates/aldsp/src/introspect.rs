@@ -518,13 +518,10 @@ fn register_navigation(
 
 /// Introspect a web service into a library data service.
 ///
-/// Each operation is registered twice: as an ordinary arity-1
-/// external function (the per-call path, which under the batch layer
-/// consults a per-evaluation memo and the service's read-through
-/// response cache before paying a round trip), and as a *batchable*
-/// entry point that the FLWOR evaluator flushes coalesced request
-/// batches through ([`WebService::call_many`]). Under `-batch` (or
-/// `-opt`) both collapse to the plain per-call breaker path.
+/// Each operation is registered as an arity-1 external function. Under
+/// the batch layer a call consults the per-evaluation memo and then the
+/// service's read-through response cache before paying a round trip;
+/// under `-batch` (or `-opt`) every call takes the plain breaker path.
 pub fn introspect_web_service(
     engine: &Engine,
     ws: &Rc<WebService>,
@@ -540,25 +537,22 @@ pub fn introspect_web_service(
     {
         let ws2 = ws.clone();
         engine.register_write_listener(Rc::new(move || ws2.invalidate_read_through()));
+        // A call also returns the very nodes the response cache holds,
+        // so an update statement may have edited a cached response in
+        // place: its flush drops the cache, as it does the tables'.
+        let ws2 = ws.clone();
+        engine.register_mat_flusher(Rc::new(move || ws2.clear_response_cache()));
     }
     let mut methods = Vec::new();
     for op_name in ws.operation_names() {
         let qname = QName::with_ns(ns.clone(), op_name.clone());
-        let memo_key = {
-            let svc = ws.name.clone();
-            let op = op_name.clone();
-            move |request: &Sequence| {
-                format!("{svc}\u{2}{}", crate::ws::request_fingerprint(&op, request))
-            }
-        };
-
         let features = engine.features_handle();
         let counters = engine.opt_counters();
         let ws2 = ws.clone();
         let op2 = op_name.clone();
-        let key_of = memo_key.clone();
+        let svc = ws.name.clone();
         engine.register_external_function(
-            qname.clone(),
+            qname,
             1,
             Rc::new(move |env: &mut Env, args: Vec<Sequence>| {
                 OptCounters::bump(&counters.ws_requests);
@@ -569,7 +563,8 @@ pub fn introspect_web_service(
                 // Per-evaluation memo: identical requests inside one
                 // FLWOR or `iterate` body short-circuit here without
                 // touching the breaker path.
-                let key = key_of(&args[0]);
+                let key =
+                    format!("{svc}\u{2}{}", crate::ws::request_fingerprint(&op2, &args[0]));
                 if let Some(hit) = env.ws_memo.get(&key) {
                     OptCounters::bump(&counters.ws_coalesced);
                     return Ok(hit.clone());
@@ -585,62 +580,6 @@ pub fn introspect_web_service(
                 let resp = ws2.call(&op2, &args[0])?;
                 env.ws_memo.insert(key, resp.clone());
                 Ok(resp)
-            }),
-        );
-
-        let features = engine.features_handle();
-        let counters = engine.opt_counters();
-        let ws2 = ws.clone();
-        let op2 = op_name.clone();
-        engine.register_batchable_function(
-            qname,
-            1,
-            Rc::new(move |env: &mut Env, requests: &[Sequence]| {
-                let n = requests.len();
-                OptCounters::add(&counters.ws_requests, n as u64);
-                if !features.get().batching() {
-                    // The evaluator gates batching, but keep the
-                    // fallback correct if called directly.
-                    OptCounters::add(&counters.ws_issued, n as u64);
-                    return requests.iter().map(|r| ws2.call(&op2, r)).collect();
-                }
-                // Partition into memo / read-through hits and misses;
-                // only misses pay the (single) batched round trip.
-                let mut out: Vec<Option<Sequence>> = vec![None; n];
-                let mut miss_idx = Vec::new();
-                let mut miss_reqs = Vec::new();
-                for (i, req) in requests.iter().enumerate() {
-                    let key = memo_key(req);
-                    if let Some(hit) = env.ws_memo.get(&key) {
-                        OptCounters::bump(&counters.ws_coalesced);
-                        out[i] = Some(hit.clone());
-                    } else if let Some(hit) = ws2.cached(&op2, req) {
-                        OptCounters::bump(&counters.ws_coalesced);
-                        env.ws_memo.insert(key, hit.clone());
-                        out[i] = Some(hit);
-                    } else {
-                        miss_idx.push(i);
-                        miss_reqs.push(req.clone());
-                    }
-                }
-                if !miss_reqs.is_empty() {
-                    OptCounters::bump(&counters.ws_batches);
-                    let unique = WebService::unique_requests(&op2, &miss_reqs);
-                    OptCounters::add(&counters.ws_issued, unique as u64);
-                    OptCounters::add(
-                        &counters.ws_coalesced,
-                        (miss_reqs.len() - unique) as u64,
-                    );
-                    let resps = ws2.call_many(&op2, &miss_reqs)?;
-                    for (i, resp) in miss_idx.into_iter().zip(resps) {
-                        env.ws_memo.insert(memo_key(&requests[i]), resp.clone());
-                        out[i] = Some(resp);
-                    }
-                }
-                Ok(out
-                    .into_iter()
-                    .map(|o| o.unwrap_or_else(Sequence::empty))
-                    .collect())
             }),
         );
 

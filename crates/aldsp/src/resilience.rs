@@ -383,7 +383,6 @@ impl Access {
         &self,
         source: &str,
         op: Op,
-        batch: Option<usize>,
         call: &mut dyn FnMut() -> XdmResult<T>,
     ) -> XdmResult<T> {
         // A request whose budget is already spent (deadline passed,
@@ -395,10 +394,7 @@ impl Access {
         if let Some(res) = &self.resilience {
             res.lock().admit(source)?;
         }
-        let injected = self.injector.as_ref().and_then(|i| match batch {
-            Some(n) => i.lock().on_batch(source, op, n),
-            None => i.lock().on_call(source, op),
-        });
+        let injected = self.injector.as_ref().and_then(|i| i.lock().on_call(source, op));
         let outcome = match injected {
             Some(Injected::Error(e)) => Err(e),
             // A crash verdict reaching an ordinary source call (a rule
@@ -505,7 +501,7 @@ impl Access {
             .map_or(0, |r| r.lock().policy.max_retries);
         let mut attempt_no = 0u32;
         loop {
-            match self.attempt(source, op, None, &mut call) {
+            match self.attempt(source, op, &mut call) {
                 Ok(v) => return Ok(v),
                 Err(e) => {
                     let can_retry = attempt_no < max_retries && is_retryable(&e);
@@ -548,89 +544,6 @@ impl Access {
                 }
             }
             Err(e) => Err(e),
-        }
-    }
-
-    /// Run a coalesced *batch* of reads as **one** resilience
-    /// transaction: one breaker admission, one injector consult, and
-    /// one timeout/backoff budget cover the whole flight instead of
-    /// `n` separate ones — this is what makes batched source access
-    /// cheaper than `n` calls to [`Access::run_read`].
-    ///
-    /// `call(i)` performs the `i`-th request of the batch;
-    /// infrastructure failures retry the *entire* batch, while
-    /// logical errors from an individual item (a malformed request,
-    /// say) propagate immediately — the same error the sequential
-    /// path would have surfaced first. When the batch ultimately
-    /// fails with `aldsp:SRC_UNAVAILABLE`, each item independently
-    /// degrades to its stale cached value via `stale(i)` (counted
-    /// per item in [`ResilienceStats::stale_reads`]); if any item
-    /// has no cached value, the whole batch fails. Items that
-    /// succeeded on an earlier attempt of a partially-failed batch
-    /// will have populated the source's cache, so their fresh values
-    /// are served as "stale" alongside older entries.
-    pub fn run_read_batch<T>(
-        &self,
-        source: &str,
-        op: Op,
-        n: usize,
-        mut call: impl FnMut(usize) -> XdmResult<T>,
-        stale: impl Fn(usize) -> Option<T>,
-    ) -> XdmResult<Vec<T>> {
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        if self.is_passthrough() {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(call(i)?);
-            }
-            return Ok(out);
-        }
-        let max_retries = self
-            .resilience
-            .as_ref()
-            .map_or(0, |r| r.lock().policy.max_retries);
-        let mut run_all = || {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(call(i)?);
-            }
-            Ok(out)
-        };
-        let mut attempt_no = 0u32;
-        loop {
-            match self.attempt(source, op, Some(n), &mut run_all) {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    if attempt_no < max_retries && is_retryable(&e) {
-                        if let Some(res) = &self.resilience {
-                            let mut r = res.lock();
-                            let backoff = r.policy.base_backoff_ms << attempt_no;
-                            budget_allows_backoff(backoff)?;
-                            r.clock.advance(backoff);
-                            r.stats.retries += 1;
-                        }
-                        attempt_no += 1;
-                        continue;
-                    }
-                    // Final failure: per-item stale degradation.
-                    if AldspCode::of(&e) == Some(AldspCode::SrcUnavailable) {
-                        if let Some(res) = &self.resilience {
-                            let mut out = Vec::with_capacity(n);
-                            for i in 0..n {
-                                match stale(i) {
-                                    Some(v) => out.push(v),
-                                    None => return Err(e),
-                                }
-                            }
-                            res.lock().stats.stale_reads += out.len() as u64;
-                            return Ok(out);
-                        }
-                    }
-                    return Err(e);
-                }
-            }
         }
     }
 }
@@ -830,94 +743,6 @@ mod resilience_tests {
         let acc = Access::none();
         assert!(acc.is_passthrough());
         assert_eq!(acc.run("X", Op::Get, || Ok(5)), Ok(5));
-    }
-
-    #[test]
-    fn batch_pays_one_fault_consult_for_the_whole_flight() {
-        // A FailNTimes(1) blip fails the first *batch attempt*, not
-        // the first item — the retry re-runs all three items and the
-        // injector's budget is spent once for the whole flight.
-        let acc = access(
-            FaultPlan::new().rule(FaultRule::new("WS", Op::Call, FaultKind::FailNTimes(1))),
-            Policy::default(),
-        );
-        let mut item_calls = 0;
-        let out = acc.run_read_batch(
-            "WS",
-            Op::Call,
-            3,
-            |i| {
-                item_calls += 1;
-                Ok(i * 10)
-            },
-            |_| None,
-        );
-        assert_eq!(out, Ok(vec![0, 10, 20]));
-        assert_eq!(item_calls, 3, "items ran only on the successful attempt");
-        let res = acc.resilience.as_ref().unwrap().lock();
-        assert_eq!(res.stats().retries, 1, "one retry covered all 3 items");
-        let mut inj = acc.injector.as_ref().unwrap().lock();
-        assert_eq!(inj.events()[0].batch_size, Some(3));
-    }
-
-    #[test]
-    fn batch_degrades_per_item_to_stale_values() {
-        let acc = access(
-            FaultPlan::new().rule(FaultRule::new("WS", Op::Call, FaultKind::Permanent)),
-            Policy::default(),
-        );
-        let out = acc.run_read_batch("WS", Op::Call, 3, |_| Ok(0), |i| Some(100 + i));
-        assert_eq!(out, Ok(vec![100, 101, 102]));
-        let res = acc.resilience.as_ref().unwrap().lock();
-        assert_eq!(res.stats().stale_reads, 3, "counted per item served");
-    }
-
-    #[test]
-    fn batch_fails_whole_when_any_item_lacks_a_stale_value() {
-        let acc = access(
-            FaultPlan::new().rule(FaultRule::new("WS", Op::Call, FaultKind::Permanent)),
-            Policy::default(),
-        );
-        let err = acc
-            .run_read_batch("WS", Op::Call, 2, |_| Ok(0), |i| (i == 0).then_some(9))
-            .unwrap_err();
-        assert_eq!(AldspCode::of(&err), Some(AldspCode::SrcUnavailable));
-        assert_eq!(acc.resilience.as_ref().unwrap().lock().stats().stale_reads, 0);
-    }
-
-    #[test]
-    fn batch_propagates_logical_item_errors_without_breaker_penalty() {
-        let acc = access(FaultPlan::new(), Policy { breaker_threshold: 1, ..Policy::default() });
-        let err = acc
-            .run_read_batch(
-                "WS",
-                Op::Call,
-                2,
-                |i| {
-                    if i == 1 {
-                        Err(AldspCode::SrcBadRequest.error("malformed request"))
-                    } else {
-                        Ok(0)
-                    }
-                },
-                |_| None,
-            )
-            .unwrap_err();
-        assert_eq!(AldspCode::of(&err), Some(AldspCode::SrcBadRequest));
-        let res = acc.resilience.as_ref().unwrap().lock();
-        assert_eq!(res.breaker_state("WS"), BreakerState::Closed, "breaker untouched");
-        assert_eq!(res.stats().retries, 0, "logical errors are not retried");
-    }
-
-    #[test]
-    fn empty_batch_is_free() {
-        let acc = access(
-            FaultPlan::new().rule(FaultRule::new("WS", Op::Call, FaultKind::Permanent)),
-            Policy::default(),
-        );
-        let out = acc.run_read_batch("WS", Op::Call, 0, |_| Ok(0), |_| None);
-        assert_eq!(out, Ok(vec![]));
-        assert_eq!(acc.injector.as_ref().unwrap().lock().injected_count(), 0);
     }
 
     fn install_deadline(acc: &Access, ms: u64) -> Arc<xqeval::Budget> {

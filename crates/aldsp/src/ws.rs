@@ -66,7 +66,9 @@ pub struct WebService {
     /// the service is down (any epoch — staleness is explicit and
     /// counted there), and the read-through cache for repeated
     /// identical requests when the engine's batch layer is on
-    /// (current epoch only — see [`WebService::cached`]).
+    /// (current epoch only — see [`WebService::cached`]). Entries are
+    /// the very nodes [`WebService::call`] returned, so an update
+    /// statement clears it ([`WebService::clear_response_cache`]).
     response_cache: Rc<RefCell<Lru<String, (u64, Sequence)>>>,
     /// Bumped by [`WebService::invalidate_read_through`] whenever a
     /// statement may have written a source: handlers are arbitrary
@@ -110,8 +112,9 @@ impl WebService {
     fn cache_insert(&self, key: String, resp: Sequence) {
         // The cached trees are served by reference to many
         // evaluations: seal them so the zero-copy constructor path can
-        // graft them instead of deep-copying (mutation through a graft
-        // copies on write; the cache copy stays pristine).
+        // graft them instead of deep-copying. Mutation through a graft
+        // copies on write; an update statement that edits a returned
+        // response itself edits this copy, and clears the cache.
         for item in resp.iter() {
             if let Item::Node(n) = item {
                 n.seal();
@@ -156,6 +159,15 @@ impl WebService {
     /// `Env::note_write`.
     pub fn invalidate_read_through(&self) {
         self.write_epoch.set(self.write_epoch.get() + 1);
+    }
+
+    /// Drop every cached response, whatever its epoch. Registered as a
+    /// materialization flusher at introspection time: an update
+    /// statement may have edited in place a response this cache still
+    /// holds, and neither the read-through nor the stale-read path may
+    /// serve it afterwards.
+    pub(crate) fn clear_response_cache(&self) {
+        self.response_cache.borrow_mut().clear();
     }
 
     /// Install (or replace) the fault-injection / resilience handle
@@ -228,65 +240,6 @@ impl WebService {
             // degraded read.
             || self.response_cache.borrow().peek(&key).map(|(_, r)| r.clone()),
         )
-    }
-
-    /// Invoke an operation once for each request in one coalesced
-    /// round trip.
-    ///
-    /// Duplicate requests (same [`request_fingerprint`]) are issued
-    /// only once, in first-occurrence order, and every caller position
-    /// receives the shared response. The whole flight runs as a single
-    /// resilience transaction ([`Access::run_read_batch`]): one
-    /// breaker admission, one fault-injection consult, one
-    /// retry/backoff budget — with per-request stale-cache degradation
-    /// when the service is ultimately unavailable.
-    ///
-    /// Returns one response per input request, positionally.
-    pub fn call_many(&self, name: &str, requests: &[Sequence]) -> XdmResult<Vec<Sequence>> {
-        let op = self.operations.get(name).ok_or_else(|| {
-            XdmError::new(
-                ErrorCode::DSP0005,
-                format!("web service {} has no operation {name}", self.name),
-            )
-        })?;
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Coalesce duplicates: unique requests keep first-occurrence
-        // order; every input position remembers its unique slot.
-        let mut unique: Vec<usize> = Vec::new();
-        let mut slot_of_key: HashMap<String, usize> = HashMap::new();
-        let mut slots = Vec::with_capacity(requests.len());
-        let mut keys = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            let key = request_fingerprint(name, req);
-            let slot = *slot_of_key.entry(key.clone()).or_insert_with(|| {
-                unique.push(i);
-                keys.push(key);
-                unique.len() - 1
-            });
-            slots.push(slot);
-        }
-        let access = self.access();
-        let responses = access.run_read_batch(
-            &self.name,
-            Op::Call,
-            unique.len(),
-            |u| {
-                let resp = (op.handler)(&requests[unique[u]])?;
-                self.cache_insert(keys[u].clone(), resp.clone());
-                Ok(resp)
-            },
-            |u| self.response_cache.borrow().peek(&keys[u]).map(|(_, r)| r.clone()),
-        )?;
-        Ok(slots.into_iter().map(|s| responses[s].clone()).collect())
-    }
-
-    /// How many *unique* handler invocations a batch of requests
-    /// would need (used by callers to account for coalescing).
-    pub fn unique_requests(name: &str, requests: &[Sequence]) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        requests.iter().filter(|r| seen.insert(request_fingerprint(name, r))).count()
     }
 
     /// The paper's credit-rating service (Figures 2/3): takes a
@@ -380,9 +333,8 @@ fn credit_rating_handler(ns2: String) -> WsHandler {
 }
 
 /// A stable key for one (operation, request) pair, used by the
-/// response cache and for request coalescing in [`WebService::call_many`].
-/// String values are enough for the simulator's document-style
-/// requests.
+/// response cache and the per-evaluation memo. String values are
+/// enough for the simulator's document-style requests.
 pub fn request_fingerprint(op: &str, request: &Sequence) -> String {
     let mut key = String::from(op);
     for item in request.items() {
@@ -473,47 +425,6 @@ mod tests {
             crate::errors::AldspCode::of(&err),
             Some(crate::errors::AldspCode::SrcBadRequest)
         );
-    }
-
-    #[test]
-    fn call_many_coalesces_duplicates_positionally() {
-        let svc = WebService::credit_rating("urn:cr");
-        let handler_calls = Rc::new(std::cell::Cell::new(0u32));
-        // Wrap the real handler to count invocations.
-        let real = svc.operation("getCreditRating").unwrap().handler.clone();
-        let calls = Rc::clone(&handler_calls);
-        let mut svc = svc;
-        svc.add_operation(
-            "getCreditRating",
-            "getCreditRating",
-            "getCreditRatingResponse",
-            Rc::new(move |req| {
-                calls.set(calls.get() + 1);
-                real(req)
-            }),
-        );
-        let a = request("111-11-1111", "Smith");
-        let b = request("222-22-2222", "Jones");
-        let batch = vec![a.clone(), b.clone(), a.clone(), a.clone()];
-        let out = svc.call_many("getCreditRating", &batch).unwrap();
-        assert_eq!(out.len(), 4);
-        assert_eq!(handler_calls.get(), 2, "2 unique of 4");
-        assert_eq!(out[0].items()[0].string_value(), out[2].items()[0].string_value());
-        assert_eq!(out[0].items()[0].string_value(), out[3].items()[0].string_value());
-        assert_ne!(out[0].items()[0].string_value(), out[1].items()[0].string_value());
-        assert_eq!(WebService::unique_requests("getCreditRating", &batch), 2);
-    }
-
-    #[test]
-    fn call_many_agrees_with_sequential_calls() {
-        let svc = WebService::credit_rating("urn:cr");
-        let reqs = vec![request("1", "A"), request("2", "B"), request("1", "A")];
-        let batched = svc.call_many("getCreditRating", &reqs).unwrap();
-        let sequential: Vec<_> =
-            reqs.iter().map(|r| svc.call("getCreditRating", r).unwrap()).collect();
-        for (b, s) in batched.iter().zip(&sequential) {
-            assert_eq!(b.items()[0].string_value(), s.items()[0].string_value());
-        }
     }
 
     #[test]

@@ -379,14 +379,19 @@ pub fn exec_statement(
 /// apply the list — the snapshot semantics of the update statement
 /// (§III.C.14): "Execution of the update statement therefore
 /// constitutes a snapshot, and all applied changes are visible to
-/// subsequent statements and expressions."
-fn exec_update_like(engine: &Engine, expr: &Expr, env: &mut Env) -> XdmResult<()> {
+/// subsequent statements and expressions." Returns the expression's
+/// value, which XQSE discards and XQueryP's sequential mode keeps.
+pub(crate) fn exec_update_like(
+    engine: &Engine,
+    expr: &Expr,
+    env: &mut Env,
+) -> XdmResult<Sequence> {
     let saved = env.pul.take();
     env.pul = Some(Pul::new());
     let result = Evaluator::new(engine).eval(expr, env);
     let pul = env.pul.take().expect("pul still open");
     env.pul = saved;
-    result?;
+    let value = result?;
     let had_updates = !pul.is_empty();
     pul.apply()?;
     if had_updates {
@@ -398,7 +403,7 @@ fn exec_update_like(engine: &Engine, expr: &Expr, env: &mut Env) -> XdmResult<()
         engine.invalidate_materialization();
         engine.note_source_write();
     }
-    Ok(())
+    Ok(value)
 }
 
 /// Execute a value statement (§III.B.8): a non-updating ExprSingle, a

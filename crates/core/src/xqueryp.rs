@@ -30,7 +30,6 @@ use xqparser::ast::{Block, Expr, QueryBody, Statement, ValueStatement};
 
 use xqeval::context::Env;
 use xqeval::engine::Engine;
-use xqeval::update::Pul;
 use xqeval::{Evaluator, Features};
 
 /// The XQueryP-style sequential-mode interpreter.
@@ -223,15 +222,8 @@ impl XqueryP {
             )),
             Statement::Update(expr) | Statement::ExprStatement(expr) => {
                 // Sequential mode applies atomic updates immediately
-                // after each expression.
-                let saved = env.pul.take();
-                env.pul = Some(Pul::new());
-                let result = Evaluator::new(&self.engine).eval(expr, env);
-                let pul = env.pul.take().expect("pul open");
-                env.pul = saved;
-                let value = result?;
-                pul.apply()?;
-                env.invalidate_caches();
+                // after each expression, and keeps its value.
+                let value = crate::interp::exec_update_like(&self.engine, expr, env)?;
                 Ok(normal(value))
             }
             Statement::ProcedureBlock(b) => self.exec_block_value(b, env),

@@ -247,11 +247,6 @@ impl Decimal {
         Decimal { mantissa: self.mantissa.abs(), scale: self.scale }
     }
 
-    /// Whether the value is negative.
-    pub fn is_negative(&self) -> bool {
-        self.mantissa < 0
-    }
-
     /// Whether the value is exactly zero.
     pub fn is_zero(&self) -> bool {
         self.mantissa == 0

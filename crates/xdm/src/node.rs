@@ -36,11 +36,13 @@
 //!   seal eagerly; constructed parentless trees seal on first share),
 //!   which freezes the structure the grafts rely on.
 //!
-//! The one documented deviation: mutating a *sealed* arena directly
-//! (in place, not through a result view) remains possible and is then
-//! visible through results that grafted it — the eager-copy model
-//! would have isolated them. The sanctioned path (mutating the result)
-//! copies-on-write and stays fully isolated. See DESIGN.md §10.
+//! The one documented deviation: nothing prevents mutating a *sealed*
+//! arena in place, and results that grafted it then see the change —
+//! the eager-copy model would have isolated them. Mutating through a
+//! graft view copies on write. But a source cache hands out its sealed
+//! trees themselves, so an update statement whose target is such a
+//! node mutates the sealed arena in place; the statement engine then
+//! flushes every cache that hands those trees out. See DESIGN.md §10.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -388,12 +390,6 @@ impl NodeHandle {
     /// Whether this node's arena is sealed.
     pub fn is_sealed(&self) -> bool {
         self.arena.borrow().sealed
-    }
-
-    /// Whether this handle was reached through a graft (a shared
-    /// subtree viewed inside a host tree).
-    pub fn is_graft_view(&self) -> bool {
-        self.link.is_some()
     }
 
     /// Create a new document node in a fresh arena.

@@ -87,11 +87,6 @@ impl QName {
         QName::with_prefix_ns("xs", XS_NS, local)
     }
 
-    /// The `fn:`-namespace QName with the given local name.
-    pub fn fn_(local: impl Into<Symbol>) -> Self {
-        QName::with_prefix_ns("fn", FN_NS, local)
-    }
-
     /// Expanded-name equality against namespace/local parts. Never
     /// allocates.
     pub fn matches(&self, ns: Option<&str>, local: &str) -> bool {

@@ -64,22 +64,6 @@ impl Item {
     pub fn is_node(&self) -> bool {
         matches!(self, Item::Node(_))
     }
-
-    /// Borrow the node, if the item is one.
-    pub fn as_node(&self) -> Option<&NodeHandle> {
-        match self {
-            Item::Node(n) => Some(n),
-            _ => None,
-        }
-    }
-
-    /// Borrow the atomic value, if the item is one.
-    pub fn as_atomic(&self) -> Option<&AtomicValue> {
-        match self {
-            Item::Atomic(a) => Some(a),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Item {

@@ -190,11 +190,6 @@ impl Budget {
         self.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Has [`Budget::cancel`] been called?
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
     /// The clock this budget reads deadlines from.
     pub fn clock(&self) -> BudgetClock {
         self.clock.clone()

@@ -177,11 +177,6 @@ impl Env {
         ))
     }
 
-    /// Is the variable bound at all (used by `set` validation)?
-    pub fn is_declared(&self, name: &QName) -> bool {
-        self.frames.iter().rev().any(|f| f.vars.contains_key(name))
-    }
-
     /// Assign to a block variable (`set $x := …`). Only variables
     /// declared by a block variable declaration may be assigned
     /// (`XQSE0001` otherwise).

@@ -35,12 +35,6 @@ use crate::features::Features;
 /// to ALDSP physical sources and other host functionality.
 pub type ExternalFn = Rc<dyn Fn(&mut Env, Vec<Sequence>) -> XdmResult<Sequence>>;
 
-/// A native batch implementation for a batchable source function: one
-/// argument sequence per pending request, one response sequence per
-/// request, positionally. The FLWOR evaluator flushes accumulated
-/// loop iterations through this in one coalesced source round trip.
-pub type BatchFn = Rc<dyn Fn(&mut Env, &[Sequence]) -> XdmResult<Vec<Sequence>>>;
-
 /// Hook installed by the XQSE statement engine so that the expression
 /// evaluator can call *user-defined readonly procedures* (which
 /// require statement execution).
@@ -141,10 +135,8 @@ pub struct OptStats {
     /// layer (handler attempts; the rest were coalesced).
     pub ws_issued: u64,
     /// Web-service requests answered without touching the source
-    /// (per-evaluation memo, response cache, or in-batch dedup).
+    /// (per-evaluation memo or read-through response cache).
     pub ws_coalesced: u64,
-    /// Batched web-service flushes (`call_many` round trips).
-    pub ws_batches: u64,
     /// Crash-recovery passes run (`DataSpace::recover`).
     pub xa_recovery_runs: u64,
     /// In-doubt transactions found across recovery passes (begun, no
@@ -213,7 +205,6 @@ impl OptStats {
         self.ws_requests += other.ws_requests;
         self.ws_issued += other.ws_issued;
         self.ws_coalesced += other.ws_coalesced;
-        self.ws_batches += other.ws_batches;
         self.xa_recovery_runs += other.xa_recovery_runs;
         self.xa_in_doubt += other.xa_in_doubt;
         self.xa_rolled_forward += other.xa_rolled_forward;
@@ -268,8 +259,6 @@ pub struct OptCounters {
     pub ws_issued: Cell<u64>,
     /// See [`OptStats::ws_coalesced`].
     pub ws_coalesced: Cell<u64>,
-    /// See [`OptStats::ws_batches`].
-    pub ws_batches: Cell<u64>,
     /// See [`OptStats::xa_recovery_runs`].
     pub xa_recovery_runs: Cell<u64>,
     /// See [`OptStats::xa_in_doubt`].
@@ -377,7 +366,7 @@ struct EngineInner {
     proc_runner: RefCell<Option<ProcRunner>>,
     /// Fixed "current" instant for fn:current-date/dateTime —
     /// deterministic by design (tests and reproducible benchmarks).
-    now: Cell<DateTime>,
+    now: DateTime,
     /// The evaluation layers this engine may use. Shared (`Rc`) so
     /// source closures registered at introspection time observe
     /// changes live.
@@ -402,9 +391,6 @@ struct EngineInner {
     registry_gen: Cell<u64>,
     /// LRU cache of prepared plans, keyed by query source text.
     plan_cache: RefCell<Lru<String, Rc<PreparedQuery>>>,
-    /// Batch entry points for batchable source functions (web-service
-    /// operations), keyed like [`Engine::functions`].
-    batchables: RefCell<HashMap<(QName, usize), BatchFn>>,
     /// Optimizer counters.
     opt: Rc<OptCounters>,
     /// Fast-path flag mirroring `budget.is_some()`: the evaluator hot
@@ -460,16 +446,13 @@ impl Engine {
                 globals: RefCell::new(HashMap::new()),
                 documents: RefCell::new(HashMap::new()),
                 proc_runner: RefCell::new(None),
-                now: Cell::new(
-                    DateTime::parse("2007-12-07T10:30:00").expect("valid literal"),
-                ),
+                now: DateTime::parse("2007-12-07T10:30:00").expect("valid literal"),
                 features: Rc::new(Cell::new(features)),
                 capabilities: RefCell::new(HashMap::new()),
                 mat_flushers: RefCell::new(Vec::new()),
                 write_listeners: RefCell::new(Vec::new()),
                 registry_gen: Cell::new(0),
                 plan_cache: RefCell::new(Lru::new(PLAN_CACHE_CAPACITY)),
-                batchables: RefCell::new(HashMap::new()),
                 opt: Rc::new(OptCounters::default()),
                 budget_active: Cell::new(false),
                 budget_raw: Cell::new(std::ptr::null()),
@@ -533,16 +516,6 @@ impl Engine {
         }
     }
 
-    /// Coarse cooperative check (cancellation + deadline, unstrided).
-    /// No-op without an installed budget.
-    #[inline]
-    pub fn budget_check(&self) -> XdmResult<()> {
-        match self.budget_ref() {
-            Some(b) => b.check(),
-            None => Ok(()),
-        }
-    }
-
     /// Loop-head cooperative check: cancellation every call, the
     /// deadline strided (see [`crate::budget::Budget::loop_check`]).
     /// The statement interpreters call this at `while`/`iterate`
@@ -596,18 +569,6 @@ impl Engine {
         self.inner.registry_gen.set(self.inner.registry_gen.get() + 1);
     }
 
-    /// Register a batch entry point for an already-registered external
-    /// function: the FLWOR evaluator flushes accumulated iterations
-    /// through it in one coalesced round trip (web-service sources).
-    pub fn register_batchable_function(&self, name: QName, arity: usize, f: BatchFn) {
-        self.inner.batchables.borrow_mut().insert((name, arity), f);
-    }
-
-    /// The batch entry point of a function, if it is batchable.
-    pub fn batchable(&self, name: &QName, arity: usize) -> Option<BatchFn> {
-        self.inner.batchables.borrow().get(&(name.clone(), arity)).cloned()
-    }
-
     /// Bind a global variable (external variables, ALDSP parameters).
     pub fn set_global(&self, name: QName, value: Sequence) {
         self.inner.globals.borrow_mut().insert(name, value);
@@ -640,12 +601,7 @@ impl Engine {
 
     /// Fixed current dateTime.
     pub fn now(&self) -> DateTime {
-        self.inner.now.get()
-    }
-
-    /// Override the engine clock (deterministic tests/benches).
-    pub fn set_now(&self, now: DateTime) {
-        self.inner.now.set(now);
+        self.inner.now
     }
 
     /// The evaluation layers this engine may use.
@@ -753,7 +709,6 @@ impl Engine {
             ws_requests: self.inner.opt.ws_requests.get(),
             ws_issued: self.inner.opt.ws_issued.get(),
             ws_coalesced: self.inner.opt.ws_coalesced.get(),
-            ws_batches: self.inner.opt.ws_batches.get(),
             xa_recovery_runs: self.inner.opt.xa_recovery_runs.get(),
             xa_in_doubt: self.inner.opt.xa_in_doubt.get(),
             xa_rolled_forward: self.inner.opt.xa_rolled_forward.get(),
@@ -791,7 +746,6 @@ impl Engine {
         o.ws_requests.set(0);
         o.ws_issued.set(0);
         o.ws_coalesced.set(0);
-        o.ws_batches.set(0);
         o.xa_recovery_runs.set(0);
         o.xa_in_doubt.set(0);
         o.xa_rolled_forward.set(0);

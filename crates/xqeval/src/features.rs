@@ -5,7 +5,7 @@
 //! |---------|--------------------------------------------------------------|
 //! | `opt`   | pushdown, view unfolding, indexed reads, versioned caches    |
 //! | `join`  | the FLWOR hash-join rewrite (kept under `-opt`)              |
-//! | `batch` | prepared-plan reuse and batched source calls (needs `opt`)   |
+//! | `batch` | plan reuse, keyed-select and WS caches (needs `opt`)         |
 //! | `graft` | zero-copy subtree adoption in constructors                   |
 //! | `lazy`  | pipelined FLWOR streaming and early-exit consumers           |
 //!
@@ -28,8 +28,9 @@ pub struct Features {
     /// The FLWOR hash-join rewrite. It predates the `opt` layer, so
     /// `-opt` keeps it; XQueryP sequential mode turns it off too.
     pub join: bool,
-    /// Prepared-plan reuse and batched/memoized source calls. Engages
-    /// only together with `opt` (see [`Features::batching`]).
+    /// Prepared-plan reuse, the keyed-select cache, and the web-service
+    /// memo and read-through cache. Engages only together with `opt`
+    /// (see [`Features::batching`]).
     pub batch: bool,
     /// Constructors adopt immutable subtrees by reference instead of
     /// deep-copying them.
@@ -49,7 +50,7 @@ impl Features {
     pub const NONE: Features =
         Features { opt: false, join: false, batch: false, graft: false, lazy: false };
 
-    /// Is the prepared-plan / batched-source layer engaged? It sits on
+    /// Is the prepared-plan / source-cache layer engaged? It sits on
     /// top of the `opt` layer, so it needs both flags.
     pub fn batching(self) -> bool {
         self.opt && self.batch

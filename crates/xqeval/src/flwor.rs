@@ -2,9 +2,10 @@
 //!
 //! A FLWOR expression is planned into a chain of operators, each
 //! pulling binding tuples from the one before it: `for`, `let` and
-//! `where`, plus `order by`, a barrier that drains its input, sorts it
-//! through [`order_by_sort`], then emits. The source of a `for` is one
-//! of five interchangeable operators, chosen when the FLWOR is entered:
+//! `where`, plus `order by`, the one barrier: it drains its input,
+//! sorts it through [`order_by_sort`], then emits. The source of a
+//! `for` is one of four interchangeable operators, chosen when the
+//! FLWOR is entered:
 //!
 //! - **plain** — evaluate the source expression per input tuple;
 //! - **pushdown** — `for $v in src() where $v/COL eq K` over a
@@ -16,10 +17,7 @@
 //!   and constructs the full `<E>` only for the rows that pass (§II.A's
 //!   layered logical services, filtered before they are built);
 //! - **hash-join probe** — `for $v in E where P($v) eq K` with `E`
-//!   closed probes a memoized index over `E`;
-//! - **batched flight** — a source calling a batchable (web-service)
-//!   function drains its input and issues one `call_many` flight for
-//!   every tuple: a barrier, like `order by`.
+//!   closed probes a memoized index over `E`.
 //!
 //! The pushdown, view-unfold and join operators consume the `where`
 //! clause after them. Whatever the index does not decide is checked
@@ -53,7 +51,7 @@ use xdm::types::{Occurrence, SequenceType};
 use xqparser::ast::*;
 
 use crate::context::Env;
-use crate::engine::{BatchFn, ColClass, Engine, FunctionKind, OptCounters, SourceCapability};
+use crate::engine::{ColClass, Engine, FunctionKind, OptCounters, SourceCapability};
 use crate::eval::{
     convert_params, opt_one_atomic, order_by_sort, CacheStamp, Evaluator, JoinCacheEntry, JoinIdx,
 };
@@ -464,9 +462,6 @@ enum Source {
     /// Probes into a memoized index over a closed source, keyed by the
     /// path `steps`; `key` is the outer key's side of the `where`.
     Join { steps: Vec<Step>, key: usize, index: Option<Rc<JoinCacheEntry>> },
-    /// One `call_many` flight for all input tuples, paired with their
-    /// responses once issued.
-    Batch { batch: BatchFn, flight: Option<std::vec::IntoIter<(Tuple, Sequence)>> },
 }
 
 impl ForOp {
@@ -515,17 +510,6 @@ impl ForOp {
             unreachable!("planned from a for clause")
         };
         let expand = |tuple, items, check| Some(Expansion { tuple, items, bound: 0, check });
-        if let Source::Batch { batch, flight } = &mut self.source {
-            if flight.is_none() {
-                let mut tuples = Vec::new();
-                while let Some(t) = pull(input, cx)? {
-                    tuples.push(t);
-                }
-                *flight = Some(issue_flight(cx, batch, source, tuples)?.into_iter());
-            }
-            let next = flight.as_mut().and_then(Iterator::next);
-            return Ok(next.and_then(|(t, resp)| expand(t, resp.into(), false)));
-        }
         let Some(tuple) = pull(input, cx)? else { return Ok(None) };
         match &mut self.source {
             Source::Pushdown(pd) => {
@@ -611,52 +595,7 @@ fn choose_source(
             return Source::Join { steps, key, index: None };
         }
     }
-    if features.batching() {
-        if let Expr::FunctionCall { name, args } = source {
-            if args.len() == 1 {
-                if let Some(batch) = engine.batchable(name, 1) {
-                    return Source::Batch { batch, flight: None };
-                }
-            }
-        }
-    }
     Source::Plain
-}
-
-/// Issue one `call_many` flight for every input tuple of a batched
-/// `for` and pair each tuple with its response. A loop-invariant
-/// request (one referencing no variable) is hoisted and issued once.
-/// Requests are flushed in tuple order, so the first failing request
-/// raises exactly the error sequential evaluation would. Because every
-/// request expression is evaluated before any call is issued, a late
-/// request expression that raises aborts the flight before the first
-/// source call, where sequential evaluation would have issued (and
-/// counted, and breaker/injector-accounted) the earlier tuples' calls
-/// first. Values and errors are identical either way.
-fn issue_flight(
-    cx: &mut Cx<'_, '_>,
-    batch: &BatchFn,
-    source: &Expr,
-    tuples: Vec<Tuple>,
-) -> XdmResult<Vec<(Tuple, Sequence)>> {
-    let Expr::FunctionCall { args, .. } = source else {
-        unreachable!("planned from a batchable call")
-    };
-    if tuples.is_empty() {
-        return Ok(Vec::new());
-    }
-    if tuples.len() > 1 && !expr_refs_any_var(&args[0]) {
-        let req = cx.ev.eval(&args[0], cx.env)?;
-        let resp = batch(cx.env, &[req])?.into_iter().next();
-        let resp = resp.unwrap_or_else(Sequence::empty);
-        return Ok(tuples.into_iter().map(|t| (t, resp.clone())).collect());
-    }
-    let mut requests = Vec::with_capacity(tuples.len());
-    for t in &tuples {
-        requests.push(cx.force(t, &args[0])?);
-    }
-    let responses = batch(cx.env, &requests)?;
-    Ok(tuples.into_iter().zip(responses).collect())
 }
 
 /// The operands of an `eq`/`=` `where` clause, the only shape the

@@ -11,7 +11,6 @@ use std::ops::Range;
 use xdm::atomic::{to_f64, AtomicType, AtomicValue};
 use xdm::decimal::Decimal;
 use xdm::error::{ErrorCode, XdmError, XdmResult};
-use xdm::node::NodeKind;
 use xdm::qname::{QName, FN_NS, XS_NS};
 use xdm::sequence::{Item, Sequence};
 
@@ -788,15 +787,3 @@ fn xs_constructor(local: &str, args: Vec<Sequence>) -> XdmResult<Sequence> {
     }
 }
 
-/// Check whether a node matches a kind test from a sequence-type-ish
-/// position. Shared by evaluator path steps and `instance of`.
-pub fn node_kind_name(kind: NodeKind) -> &'static str {
-    match kind {
-        NodeKind::Document => "document-node()",
-        NodeKind::Element => "element()",
-        NodeKind::Attribute => "attribute()",
-        NodeKind::Text => "text()",
-        NodeKind::Comment => "comment()",
-        NodeKind::Pi => "processing-instruction()",
-    }
-}

@@ -35,7 +35,7 @@ pub use budget::{Budget, BudgetClock, BudgetExceeded};
 pub use cache::Lru;
 pub use context::Env;
 pub use engine::{
-    BatchFn, ColClass, Engine, ExternalFn, OptCounters, OptStats, PreparedQuery,
+    ColClass, Engine, ExternalFn, OptCounters, OptStats, PreparedQuery,
     ProcRunner, SourceCapability,
 };
 pub use eval::Evaluator;

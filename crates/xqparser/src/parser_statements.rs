@@ -9,7 +9,6 @@
 use std::rc::Rc;
 
 use xdm::error::XdmResult;
-use xdm::qname::QName;
 
 use crate::ast::*;
 use crate::lexer::Tok;
@@ -437,10 +436,4 @@ impl<'a> Parser<'a> {
             }
         }
     }
-}
-
-/// Convenience for tests: the QName a catch test would match.
-#[allow(dead_code)]
-pub(crate) fn error_qname(local: &str) -> QName {
-    QName::new(local)
 }

@@ -96,8 +96,8 @@ fn print_explain_stats(s: &OptStats, features: Features) {
         s.plan_hits, s.plan_misses
     );
     eprintln!(
-        "explain: web service    requests={} issued={} coalesced={} batches={}",
-        s.ws_requests, s.ws_issued, s.ws_coalesced, s.ws_batches
+        "explain: web service    requests={} issued={} coalesced={}",
+        s.ws_requests, s.ws_issued, s.ws_coalesced
     );
     eprintln!(
         "explain: xa recovery    runs={} in-doubt={} rolled-forward={} \

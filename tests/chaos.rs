@@ -949,13 +949,11 @@ proptest! {
     }
 }
 
-// --------------------------------------------------- batched WS access
+// --------------------------------------------------- web-service access
 
-/// A flattened FLWOR whose inner for-clause calls the batchable
-/// credit-rating service once per tuple — the evaluator flushes all
-/// requests through one coalesced `call_many` at the iteration
-/// boundary.
-fn rating_batch_query(lo: i64, hi: i64) -> String {
+/// A flattened FLWOR whose inner for-clause calls the credit-rating
+/// service once per tuple, each request through the per-call path.
+fn rating_query(lo: i64, hi: i64) -> String {
     format!(
         "for $i in ({lo} to {hi}) \
          for $r in cre:getCreditRating(\
@@ -966,25 +964,24 @@ fn rating_batch_query(lo: i64, hi: i64) -> String {
 }
 
 #[test]
-fn breaker_opens_mid_batch_flight() {
+fn breaker_opens_mid_flwor_of_service_calls() {
     use xqse_repro::aldsp::ws::WebService;
 
     let space = DataSpace::new();
     space.register_web_service(WebService::credit_rating("urn:cr")).unwrap();
     let cre = [("cre", "ld:ws/CreditRating")];
 
-    // Healthy warm-up: one batch of 3 requests, one coalesced flight.
+    // Healthy warm-up: three tuples, three requests issued.
     // Pin the layer on: CI re-runs this suite under reduced feature sets.
     space.engine().set_features(Features { opt: true, batch: true, ..space.engine().features() });
     space.engine().reset_opt_stats();
-    let warm = space.engine().eval_expr_str(&rating_batch_query(1, 3), &cre).unwrap();
+    let warm = space.engine().eval_expr_str(&rating_query(1, 3), &cre).unwrap();
     assert_eq!(warm.len(), 3);
     let s = space.engine().opt_stats();
-    assert_eq!(s.ws_batches, 1, "3 tuples, one flight");
-    assert_eq!(s.ws_issued, 3);
+    assert_eq!((s.ws_requests, s.ws_issued), (3, 3));
 
     // The service starts failing transiently; a tight breaker opens
-    // *during* the retry sequence of a single batch flight.
+    // *during* the retry sequence of the FLWOR's first request.
     let res = space.install_resilience(Resilience::new(Policy {
         max_retries: 2,
         breaker_threshold: 2,
@@ -995,48 +992,101 @@ fn breaker_opens_mid_batch_flight() {
         FaultPlan::new().rule(FaultRule::new("CreditRating", Op::Call, FaultKind::Transient)),
     ));
 
-    // Uncached requests: attempt 1 fails (failure #1), attempt 2 fails
-    // (failure #2 -> breaker OPENS mid-batch), attempt 3 is rejected at
-    // admission -> SRC_UNAVAILABLE; nothing cached, so the whole batch
-    // errors.
+    // The first tuple's request: attempt 1 fails (failure #1), attempt
+    // 2 fails (failure #2 -> breaker OPENS), attempt 3 is rejected at
+    // admission -> SRC_UNAVAILABLE. Nothing is cached for that ssn, so
+    // the FLWOR fails there and the later tuples issue nothing.
+    space.engine().reset_opt_stats();
     let err = space
         .engine()
-        .eval_expr_str(&rating_batch_query(4, 6), &cre)
+        .eval_expr_str(&rating_query(4, 6), &cre)
         .unwrap_err();
     assert_eq!(AldspCode::of(&err), Some(AldspCode::SrcUnavailable));
+    assert_eq!(space.engine().opt_stats().ws_issued, 1, "one request reached the source path");
     {
         let r = res.lock();
         assert_eq!(r.breaker_state("CreditRating"), BreakerState::Open);
-        assert_eq!(r.stats().retries, 2, "whole-batch retries, not per item");
+        assert_eq!(r.stats().retries, 2, "the failing request's own retries");
         assert_eq!(r.stats().fast_failures, 1, "third attempt fast-failed");
         assert_eq!(r.stats().stale_reads, 0, "no cached fallback for new ssns");
     }
 
-    // The injector saw exactly two *batch* flights of 3 requests — not
-    // six per-item calls.
+    // The injector failed that one request twice, one call per attempt.
     {
         let mut inj = inj.lock();
         assert_eq!(inj.injected_count(), 2);
-        assert!(inj.events().iter().all(|e| e.batch_size == Some(3)));
+        assert!(inj.events().iter().all(|e| e.source == "CreditRating" && e.op == Op::Call));
     }
 
     // Warm requests still answer during the outage: the read-through
     // response cache serves them before the breaker path is consulted.
-    let cached = space.engine().eval_expr_str(&rating_batch_query(1, 3), &cre).unwrap();
+    let cached = space.engine().eval_expr_str(&rating_query(1, 3), &cre).unwrap();
     assert_eq!(
         cached.iter().map(|i| i.string_value()).collect::<Vec<_>>(),
         warm.iter().map(|i| i.string_value()).collect::<Vec<_>>()
     );
     assert_eq!(res.lock().stats().stale_reads, 0, "served as cache hits, not stale");
 
-    // Heal + cooldown: the half-open probe batch succeeds, and a
-    // second successful flight closes the breaker.
+    // Heal + cooldown: the half-open probe request succeeds, and a
+    // second successful request closes the breaker.
     space.install_fault_injector(FaultInjector::new(FaultPlan::new()));
     res.lock().clock().advance(1_000);
-    assert_eq!(space.engine().eval_expr_str(&rating_batch_query(4, 6), &cre).unwrap().len(), 3);
+    assert_eq!(space.engine().eval_expr_str(&rating_query(4, 4), &cre).unwrap().len(), 1);
     assert_eq!(res.lock().breaker_state("CreditRating"), BreakerState::HalfOpen);
-    assert_eq!(space.engine().eval_expr_str(&rating_batch_query(7, 9), &cre).unwrap().len(), 3);
+    assert_eq!(space.engine().eval_expr_str(&rating_query(5, 6), &cre).unwrap().len(), 2);
     assert_eq!(res.lock().breaker_state("CreditRating"), BreakerState::Closed);
+}
+
+/// `WebService::call` hands out the nodes it caches, so an update
+/// statement that edits a response edits the service's cached copy,
+/// which the read-through and stale-read paths serve later. The update
+/// must drop that cache, whichever statement engine runs it and with
+/// every layer on or off.
+#[test]
+fn node_update_to_a_service_response_leaves_no_edited_copy_cached() {
+    use xqse_repro::aldsp::ws::{credit_score, WebService};
+    use xqse_repro::xqse::xqueryp::XqueryP;
+
+    const PROLOG: &str = "declare namespace cre = \"ld:ws/CreditRating\"; \
+                          declare namespace cr = \"urn:cr\";";
+    const CALL: &str = "cre:getCreditRating(<cr:getCreditRating>\
+                        <cr:lastName>L</cr:lastName><cr:ssn>S</cr:ssn>\
+                        </cr:getCreditRating>)";
+    let update = format!(
+        "{PROLOG} {{ replace value of node {CALL}/cr:value with \"0\"; return value 1; }}"
+    );
+    let query = format!("{PROLOG} fn:string({CALL}/cr:value)");
+    let rating = credit_score("S", "L").to_string();
+    for features in [Features::ALL, Features::NONE] {
+        for xqueryp in [false, true] {
+            let what = format!("features {features}, xqueryp {xqueryp}");
+            let space = DataSpace::new();
+            space.register_web_service(WebService::credit_rating("urn:cr")).unwrap();
+            space.engine().set_features(features);
+            let edit = || {
+                let out = if xqueryp {
+                    XqueryP::with_engine(space.xqse().engine_rc()).run(&update)
+                } else {
+                    space.xqse().run(&update)
+                };
+                out.unwrap_or_else(|e| panic!("update failed ({what}): {e}"));
+            };
+            let read = || {
+                let out = space.xqse().run(&query).map_err(|e| AldspCode::of(&e));
+                out.map(|s| s.iter().map(|i| i.string_value()).collect::<String>())
+            };
+
+            edit();
+            assert_eq!(read(), Ok(rating.clone()), "healthy re-read: {what}");
+
+            edit();
+            space.install_resilience(Resilience::new(Policy::default()));
+            space.install_fault_injector(FaultInjector::new(
+                FaultPlan::new().rule(FaultRule::any_op("CreditRating", FaultKind::Permanent)),
+            ));
+            assert_eq!(read(), Err(Some(AldspCode::SrcUnavailable)), "outage read: {what}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

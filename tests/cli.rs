@@ -224,12 +224,15 @@ fn run_args_env(args: &[&str], envs: &[(&str, &str)]) -> (String, String, Option
     )
 }
 
-/// The `--serve-bench` workers run with the `--features` set: `-batch`
-/// flies no batches, the explain block names the set the workers
-/// used, and the replies are byte-identical to the default run's.
+/// The `--serve-bench` workers run with the `--features` set: under
+/// `-batch` no worker keeps a keyed-select cache, the explain block
+/// names the set the workers used, and the replies are byte-identical
+/// to the default run's.
 #[test]
 fn serve_bench_applies_features() {
-    let bench = ["--serve-bench", "2", "--requests", "8", "--explain"];
+    // 192 requests read each of the fixture's 64 customers three times,
+    // so each customer reaches some worker twice and hits its cache.
+    let bench = ["--serve-bench", "2", "--requests", "192", "--delay-us", "0", "--explain"];
     let digest = |stdout: &str| {
         stdout
             .lines()
@@ -237,14 +240,18 @@ fn serve_bench_applies_features() {
             .map(str::to_string)
             .expect("digest line")
     };
+    let indexed_selects = |stderr: &str| -> u64 {
+        let (_, rest) = stderr.split_once(" indexed-selects=").expect("pushdown line");
+        rest.split(' ').next().and_then(|n| n.parse().ok()).expect("a count")
+    };
     let (all_out, all_err, code) = run_args_env(&bench, &[]);
     assert_eq!(code, Some(0), "{all_err}");
     assert!(all_err.contains("explain: features = opt,join,batch,graft,lazy\n"), "{all_err}");
-    assert!(all_err.contains(" batches=8\n"), "{all_err}");
     let (out, err, code) = run_args_env(&[&bench[..], &["--features", "-batch"]].concat(), &[]);
     assert_eq!(code, Some(0), "{err}");
     assert!(err.contains("explain: features = opt,join,graft,lazy\n"), "{err}");
-    assert!(err.contains(" batches=0\n"), "{err}");
+    assert_eq!(indexed_selects(&err), 2 * 192, "two index probes per request");
+    assert!(indexed_selects(&all_err) <= 2 * 192 - 64, "{all_err}");
     assert_eq!(digest(&out), digest(&all_out));
 }
 

@@ -435,13 +435,13 @@ proptest! {
     }
 }
 
-// ------------------------------------------- batched WS equivalence
+// ------------------------------------------ WS access under faults
 
 /// One deterministic fault shape for the credit-rating service. All
-/// variants are chosen so that, with warm response caches, every
-/// access — batched or sequential — is guaranteed to succeed: the
-/// retryable kinds stay within the policy's retry budget, and
-/// `Permanent` outages degrade to stale cache reads.
+/// variants are chosen so that, with a warm response cache, every
+/// access is guaranteed to succeed: the retryable kinds stay within
+/// the policy's retry budget, and `Permanent` outages degrade to stale
+/// cache reads.
 #[derive(Debug, Clone)]
 enum WsFault {
     /// `FailNTimes(k)`, k <= max_retries: absorbed by retry.
@@ -491,14 +491,13 @@ fn ws_fault_plan(retryable: &Option<WsFault>, outage: bool) -> FaultPlan {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batched (`call_many`, with request coalescing and one
-    /// resilience transaction per flight) and sequential (`call` per
-    /// request) web-service access return the same values — equal to
-    /// the no-fault ground truth — under every deterministic fault
-    /// plan in the strategy, including a permanent mid-run outage
-    /// where both paths degrade to stale cached responses.
+    /// Per-call web-service access (`WebService::call`, under retry,
+    /// the breaker and the stale-read fallback) returns the no-fault
+    /// ground truth under every deterministic fault plan in the
+    /// strategy, including a permanent mid-run outage where it
+    /// degrades to stale cached responses.
     #[test]
-    fn batched_ws_access_agrees_with_sequential_under_faults(
+    fn ws_access_agrees_with_truth_under_faults(
         retryable in proptest::collection::vec(ws_fault_strategy(), 0usize..2),
         outage in proptest::bool::ANY,
         picks in proptest::collection::vec(0usize..5, 1..12),
@@ -515,39 +514,24 @@ proptest! {
             );
             Sequence::one(Item::Node(parse(&xml).unwrap().children()[0].clone()))
         };
-        let truth: Vec<String> =
-            picks.iter().map(|&p| credit_score(&ssns[p], "Doe").to_string()).collect();
 
-        // Two independent services in identically-seeded fault worlds.
-        let seq_svc = WebService::credit_rating("urn:cr");
-        let bat_svc = WebService::credit_rating("urn:cr");
-
-        // Warm every unique request while healthy (both caches).
+        // Warm every request while healthy, then install the plan.
+        let svc = WebService::credit_rating("urn:cr");
         for ssn in &ssns {
-            seq_svc.call("getCreditRating", &mk_request(ssn)).unwrap();
-            bat_svc.call("getCreditRating", &mk_request(ssn)).unwrap();
+            svc.call("getCreditRating", &mk_request(ssn)).unwrap();
         }
+        let space = DataSpace::new();
+        space.install_resilience(Resilience::new(Policy::default()));
+        space.install_fault_injector(FaultInjector::new(ws_fault_plan(&retryable, outage)));
+        svc.set_access(space.access());
 
-        // Install the same plan (fresh budgets) on both.
-        let faulted_access = |plan| {
-            let space = DataSpace::new();
-            space.install_resilience(Resilience::new(Policy::default()));
-            space.install_fault_injector(FaultInjector::new(plan));
-            space.access()
-        };
-        seq_svc.set_access(faulted_access(ws_fault_plan(&retryable, outage)));
-        bat_svc.set_access(faulted_access(ws_fault_plan(&retryable, outage)));
-
-        let requests: Vec<Sequence> = picks.iter().map(|&p| mk_request(&ssns[p])).collect();
-        let batched = bat_svc.call_many("getCreditRating", &requests);
-        prop_assert!(batched.is_ok(), "batched access failed: {:?}", batched.err());
-        for (resp, want) in batched.unwrap().iter().zip(&truth) {
-            prop_assert_eq!(&resp.items()[0].string_value(), want);
-        }
-        for (req, want) in requests.iter().zip(&truth) {
-            let resp = seq_svc.call("getCreditRating", req);
-            prop_assert!(resp.is_ok(), "sequential access failed: {:?}", resp.err());
-            prop_assert_eq!(&resp.unwrap().items()[0].string_value(), want);
+        for &p in &picks {
+            let resp = svc.call("getCreditRating", &mk_request(&ssns[p]));
+            prop_assert!(resp.is_ok(), "access failed: {:?}", resp.err());
+            prop_assert_eq!(
+                resp.unwrap().items()[0].string_value(),
+                credit_score(&ssns[p], "Doe").to_string()
+            );
         }
     }
 }

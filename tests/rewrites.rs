@@ -1,8 +1,9 @@
 //! Rewrite equivalence: every source operator the FLWOR pipeline can
 //! choose for a `for` clause — indexed point-select (pushdown), view
-//! unfold, hash-join probe, batched web-service flight — must give
-//! exactly what plain evaluation gives, under every early-exit
-//! consumer.
+//! unfold, hash-join probe — must give exactly what plain evaluation
+//! gives, under every early-exit consumer. So must a `for` over a
+//! web-service call, which no operator rewrites but which the `batch`
+//! layer answers from its memo and read-through cache.
 //!
 //! Each shape × consumer runs three ways on a fresh demo data space:
 //! pulled item by item through the sink entry, drained, and drained
@@ -88,10 +89,6 @@ fn joins(s: &OptStats) -> u64 {
     s.join_hits + s.join_misses
 }
 
-fn batches(s: &OptStats) -> u64 {
-    s.ws_batches
-}
-
 /// (name, FLWOR, the counter its rewrite bumps)
 type Shape = (&'static str, &'static str, fn(&OptStats) -> u64);
 
@@ -167,24 +164,6 @@ const SHAPES: &[Shape] = &[
         joins,
     ),
     (
-        "batched service, per tuple",
-        "for $c in cus:CUSTOMER() \
-         for $r in cre3:getCreditRating(<cre2:getCreditRating>\
-           <cre2:lastName>{fn:data($c/LAST_NAME)}</cre2:lastName>\
-           <cre2:ssn>{fn:data($c/SSN)}</cre2:ssn></cre2:getCreditRating>) \
-         return <r>{fn:data($r/cre2:value)}</r>",
-        batches,
-    ),
-    (
-        "batched service, hoisted",
-        "for $c in cus:CUSTOMER() \
-         for $r in cre3:getCreditRating(<cre2:getCreditRating>\
-           <cre2:lastName>Wong</cre2:lastName>\
-           <cre2:ssn>006-55-0006</cre2:ssn></cre2:getCreditRating>) \
-         return <r cid=\"{fn:data($c/CID)}\">{fn:data($r/cre2:value)}</r>",
-        batches,
-    ),
-    (
         "order by over pushdown",
         "for $k in (4, 2) for $cc in cre:CREDIT_CARD() where $cc/CID eq $k \
          order by fn:data($cc/CCID) descending return <cc>{fn:data($cc/CCID)}</cc>",
@@ -237,6 +216,63 @@ fn rewrites_agree_with_plain_evaluation_under_every_consumer() {
             assert_eq!(fired(&r), 0, "the reference runs no rewrite: {what}");
         }
     }
+}
+
+/// `for` clauses over a web-service call: (name, FLWOR, how many
+/// distinct requests it makes). Each tuple's request takes the one
+/// per-call path; with `batch` on, a request already answered in the
+/// same `Env` comes from the memo instead of the service.
+const SERVICE_CALLS: &[(&str, &str, u64)] = &[
+    (
+        "service call, per tuple",
+        "for $c in cus:CUSTOMER() \
+         for $r in cre3:getCreditRating(<cre2:getCreditRating>\
+           <cre2:lastName>{fn:data($c/LAST_NAME)}</cre2:lastName>\
+           <cre2:ssn>{fn:data($c/SSN)}</cre2:ssn></cre2:getCreditRating>) \
+         return <r>{fn:data($r/cre2:value)}</r>",
+        6,
+    ),
+    (
+        "service call, the same request in every tuple",
+        "for $c in cus:CUSTOMER() \
+         for $r in cre3:getCreditRating(<cre2:getCreditRating>\
+           <cre2:lastName>Wong</cre2:lastName>\
+           <cre2:ssn>006-55-0006</cre2:ssn></cre2:getCreditRating>) \
+         return <r cid=\"{fn:data($c/CID)}\">{fn:data($r/cre2:value)}</r>",
+        1,
+    ),
+];
+
+#[test]
+fn service_calls_agree_with_plain_evaluation_under_every_consumer() {
+    for &(shape, flwor, distinct) in SERVICE_CALLS {
+        for &(consumer, wrap) in CONSUMERS {
+            let what = format!("{shape} / {consumer}");
+            let [l, d, r] = agree(&wrap.replace("{}", flwor), &what);
+            for s in [l, d] {
+                assert!(s.ws_requests > 0, "{what}");
+                assert_eq!(s.ws_issued, s.ws_requests.min(distinct), "{what}");
+                assert_eq!(s.ws_coalesced, s.ws_requests - s.ws_issued, "{what}");
+            }
+            assert_eq!((r.ws_issued, r.ws_coalesced), (r.ws_requests, 0), "{what}");
+        }
+    }
+}
+
+/// A `for` over a service call issues each tuple's request as the tuple
+/// is pulled, so an early exit stops the requests too.
+#[test]
+fn early_exit_issues_no_service_request_past_its_answer() {
+    let query = "fn:exists(for $i in (1 to 3) \
+         for $r in cre3:getCreditRating(<cre2:getCreditRating>\
+           <cre2:lastName>L</cre2:lastName><cre2:ssn>{$i}</cre2:ssn>\
+         </cre2:getCreditRating>) return $r)";
+    let (out, lazy) = run(query, Mode::Lazy);
+    assert_eq!(out.as_deref(), Ok("true"));
+    assert_eq!((lazy.ws_requests, lazy.ws_issued), (1, 1));
+    let (out, drained) = run(query, Mode::Drained);
+    assert_eq!(out.as_deref(), Ok("true"));
+    assert_eq!(drained.ws_requests, 3, "-lazy evaluates every tuple");
 }
 
 /// Views the unfold operator must leave alone, because a skeleton
