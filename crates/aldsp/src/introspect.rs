@@ -363,28 +363,42 @@ fn register_cud(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) 
     {
         let db = db.clone();
         let schema = schema.clone();
-        let ns = ns.to_string();
         let table = table.clone();
+        // Built once, not per call: the error label, the key element's
+        // name, and each key column's position and element name.
+        let what = format!("create{table}");
+        let key_name = QName::new(format!("{table}_KEY"));
+        let key_cols: Result<Vec<(usize, QName)>, String> = schema
+            .primary_key
+            .iter()
+            .map(|pk| match schema.col_index(pk) {
+                Some(i) => Ok((i, QName::new(pk.as_str()))),
+                None => Err(format!("primary key column {pk} missing from table {table}")),
+            })
+            .collect();
         engine.register_external_procedure(
-            QName::with_ns(ns.clone(), format!("create{table}")),
+            QName::with_ns(ns, what.as_str()),
             1,
             false,
             Rc::new(move |_env, args| {
-                let elem = one_element(&args, &format!("create{table}"))?;
+                let elem = one_element(&args, &what)?;
                 let row = xmlmap::xml_to_row(&schema, &elem)?;
-                db.execute(vec![WriteOp::Insert { table: table.clone(), row: row.clone() }])?;
+                // The key's text, read before the row moves into the
+                // insert.
+                let key_text: Vec<String> = match &key_cols {
+                    Ok(cols) => cols.iter().map(|(i, _)| row[*i].lexical()).collect(),
+                    Err(_) => Vec::new(),
+                };
+                db.execute(vec![WriteOp::Insert { table: table.clone(), row }])?;
+                let cols = key_cols
+                    .as_ref()
+                    .map_err(|msg| XdmError::new(ErrorCode::DSP0003, msg.clone()))?;
                 // Return the key element <TABLE_KEY>…</TABLE_KEY>.
-                let key = NodeHandle::root_element(QName::new(format!("{table}_KEY")));
+                let key = NodeHandle::root_element(key_name.clone());
                 let arena = key.arena().clone();
-                for pk in &schema.primary_key {
-                    let i = schema.col_index(pk).ok_or_else(|| {
-                        XdmError::new(
-                            ErrorCode::DSP0003,
-                            format!("primary key column {pk} missing from table {table}"),
-                        )
-                    })?;
-                    let c = NodeHandle::new_element(&arena, QName::new(pk.clone()));
-                    c.append_child(&NodeHandle::new_text(&arena, row[i].lexical()))?;
+                for ((_, col), text) in cols.iter().zip(key_text) {
+                    let c = NodeHandle::new_element(&arena, col.clone());
+                    c.append_child(&NodeHandle::new_text(&arena, text))?;
                     key.append_child(&c)?;
                 }
                 Ok(Sequence::one(Item::Node(key)))

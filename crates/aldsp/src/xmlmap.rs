@@ -70,7 +70,7 @@ pub fn rows_to_sequence(schema: &TableSchema, ns: &str, rows: &[Row]) -> Sequenc
 /// then parsed in column order, so the first bad column is the one
 /// reported.
 pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
-    if node.name().is_none_or(|q| q.local != schema.name) {
+    if !node.with_name(|q| q.is_some_and(|q| q.local == schema.name)) {
         return Err(XdmError::new(
             ErrorCode::DSP0003,
             format!(
@@ -84,8 +84,10 @@ pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
     let children = node.children();
     let mut found: Vec<Option<&NodeHandle>> = vec![None; schema.columns.len()];
     for c in &children {
-        let Some(q) = c.name() else { continue };
-        if let Some(i) = schema.columns.iter().position(|col| q.local == col.name) {
+        let col = c.with_name(|q| {
+            q.and_then(|q| schema.columns.iter().position(|col| q.local == col.name))
+        });
+        if let Some(i) = col {
             found[i].get_or_insert(c);
         }
     }

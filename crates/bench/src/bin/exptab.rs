@@ -694,20 +694,17 @@ fn e2_mgmtchain(full: bool, reps: usize, r: &Reporter) {
 }
 
 /// E3 (Table 3): ETL-lite copy throughput, XQSE iterate vs the native
-/// ("Java override") baseline.
+/// ("Java override") baseline. Each rep copies into a fresh fixture
+/// built outside the timer, so both arms time the copy alone.
 fn e3_etl(full: bool, reps: usize, r: &Reporter) {
     let sizes: &[i64] =
         if full { &[10, 100, 1000, 5000, 10000] } else { &[10, 100, 500] };
     let mut rows = Vec::new();
     for &n in sizes {
-        let xqse_secs = median_secs(reps, || {
-            let f = etl_space(n);
-            assert_eq!(etl_run_xqse(&f), n);
-        });
-        let native_secs = median_secs(reps, || {
-            let f = etl_space(n);
-            assert_eq!(etl_run_native(&f), n);
-        });
+        let xqse_secs =
+            median_secs_with(reps, || etl_space(n), |f| assert_eq!(etl_run_xqse(f), n));
+        let native_secs =
+            median_secs_with(reps, || etl_space(n), |f| assert_eq!(etl_run_native(f), n));
         rows.push(vec![
             n.to_string(),
             format!("{:.1}", xqse_secs * 1e3),

@@ -181,7 +181,7 @@ pub fn exec_procedure(
     for (p, a) in decl.params.iter().zip(args) {
         let a = match &p.ty {
             Some(ty) => {
-                ty.convert(a, &format!("parameter ${} of {}", p.name, decl.name))?
+                ty.convert(a, || format!("parameter ${} of {}", p.name, decl.name))?
             }
             None => a,
         };
@@ -226,7 +226,7 @@ fn exec_block_inner(engine: &Engine, block: &Block, env: &mut Env) -> XdmResult<
             Some(vs) => {
                 let v = eval_value_statement(engine, vs, env)?;
                 let ty = decl.ty.clone().unwrap_or_else(SequenceType::any);
-                ty.check(&v, &format!("declare ${}", decl.var))?;
+                ty.check(&v, || format!("declare ${}", decl.var))?;
                 Some(v)
             }
             None => None,

@@ -111,6 +111,60 @@ fn inner_block_can_assign_outer_variable() {
     assert_eq!(ints(&out), vec![2]);
 }
 
+#[test]
+fn type_error_messages_name_what_failed() {
+    // Each label is built only when the check fails; the text it
+    // builds is unchanged. Features are pinned: the view-unfold arm
+    // checks one row at a time, the plain arm the whole result.
+    let tail = "value of 1 item(s) does not match required type xs:integer";
+    const VIEW: &str = "declare function local:v() as element(F)* \
+                          { for $i in (1, 2) return <E><k>{$i}</k></E> }; \
+                        for $v in local:v() where $v/k eq 1 return $v";
+    let cases: [(&str, String); 8] = [
+        ("{ declare $x as xs:integer := 1; set $x := 'a'; }", format!("set $x: {tail}")),
+        (
+            "declare function local:f($a as xs:integer) { $a }; local:f('a')",
+            format!("parameter $a of local:f: {tail}"),
+        ),
+        (
+            "declare procedure local:p($q as xs:integer) { return value $q; }; \
+             { local:p('a'); }",
+            format!("parameter $q of local:p: {tail}"),
+        ),
+        (
+            "declare function local:g() as xs:integer { 'a' }; local:g()",
+            format!("result of local:g: {tail}"),
+        ),
+        ("{ declare $y as xs:integer := 'a'; }", format!("declare $y: {tail}")),
+        ("let $z as xs:integer := 'a' return $z", format!("let $z: {tail}")),
+        ("declare variable $v as xs:integer := 'a'; $v", format!("declare variable $v: {tail}")),
+        (
+            VIEW,
+            "result of local:v: value of 1 item(s) does not match required type element(F)*"
+                .to_string(),
+        ),
+    ];
+    for (src, want) in cases {
+        let xqse = Xqse::new();
+        xqse.engine().set_features(Features::ALL);
+        let e = xqse.run(src).unwrap_err();
+        assert!(e.is(ErrorCode::XPTY0004), "{src}: {e}");
+        assert_eq!(e.message, want, "{src}");
+    }
+    // The same view read without the unfold checks the whole result.
+    let xqse = Xqse::new();
+    xqse.engine().set_features(Features::NONE);
+    let e = xqse.run(VIEW).unwrap_err();
+    assert_eq!(
+        e.message,
+        "result of local:v: value of 2 item(s) does not match required type element(F)*"
+    );
+    // XQueryP's block declarations label the same way.
+    let xp = XqueryP::with_engine(Rc::new(xqeval::Engine::new()));
+    let e = xp.run("{ declare $y as xs:integer := 'a'; }").unwrap_err();
+    assert_eq!(e.message, format!("declare $y: {tail}"));
+}
+
 // -------------------------------------------------------------- set
 
 #[test]
@@ -848,6 +902,18 @@ fn xqueryp_block_concatenates_statement_values() {
     let xp = XqueryP::with_engine(Rc::new(xqeval::Engine::new()));
     let out = xp.run("{ 'a'; 'b'; 'c'; }").unwrap();
     assert_eq!(s(&out), "a b c");
+}
+
+#[test]
+fn xqueryp_runs_procedure_call_statements() {
+    // A side-effecting procedure called in statement position runs in
+    // statement context, as in XQSE, and sequential mode keeps its
+    // value: the block concatenates `1` and the returned `2`.
+    let src = "declare procedure local:p() { return value 1; }; \
+               { local:p(); return value 2; }";
+    assert_eq!(ints(&Xqse::new().run(src).unwrap()), vec![2]);
+    let xp = XqueryP::with_engine(Rc::new(xqeval::Engine::new()));
+    assert_eq!(s(&xp.run(src).unwrap()), "1 2");
 }
 
 #[test]

@@ -101,7 +101,7 @@ impl XqueryP {
                 Some(vs) => {
                     let v = self.eval_value(vs, env)?;
                     let ty = decl.ty.clone().unwrap_or_else(SequenceType::any);
-                    ty.check(&v, &format!("declare ${}", decl.var))?;
+                    ty.check(&v, || format!("declare ${}", decl.var))?;
                     Some(v)
                 }
                 None => None,
@@ -221,9 +221,14 @@ impl XqueryP {
                 "XQueryP sequential mode has no break()/continue()",
             )),
             Statement::Update(expr) | Statement::ExprStatement(expr) => {
-                // Sequential mode applies atomic updates immediately
-                // after each expression, and keeps its value.
-                let value = crate::interp::exec_update_like(&self.engine, expr, env)?;
+                // A top-level procedure call runs in statement context,
+                // as in a value statement. Anything else: sequential
+                // mode applies atomic updates immediately after each
+                // expression. Either way the value is kept.
+                let value = match self.procedure_call(expr, env)? {
+                    Some(value) => value,
+                    None => crate::interp::exec_update_like(&self.engine, expr, env)?,
+                };
                 Ok(normal(value))
             }
             Statement::ProcedureBlock(b) => self.exec_block_value(b, env),
@@ -241,22 +246,26 @@ impl XqueryP {
     /// expressions; we delegate to the statement-context call path so
     /// side-effecting calls are allowed anywhere.
     fn eval_seq_expr(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
-        if let Expr::FunctionCall { name, args } = expr {
-            if self.engine.procedure(name, args.len()).is_some()
-                && self.engine.function(name, args.len()).is_none()
-            {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(Evaluator::new(&self.engine).eval(a, env)?);
-                }
-                return crate::interp::call_procedure_stmt(
-                    &self.engine,
-                    name,
-                    argv,
-                    env,
-                );
-            }
+        match self.procedure_call(expr, env)? {
+            Some(value) => Ok(value),
+            None => Evaluator::new(&self.engine).eval(expr, env),
         }
-        Evaluator::new(&self.engine).eval(expr, env)
+    }
+
+    /// Run `expr` through the statement-context call path if it is a
+    /// top-level call of a procedure (and not of a function), giving
+    /// the procedure's value; `None` for any other expression.
+    fn procedure_call(&self, expr: &Expr, env: &mut Env) -> XdmResult<Option<Sequence>> {
+        let Expr::FunctionCall { name, args } = expr else { return Ok(None) };
+        if self.engine.procedure(name, args.len()).is_none()
+            || self.engine.function(name, args.len()).is_some()
+        {
+            return Ok(None);
+        }
+        let mut argv = Vec::with_capacity(args.len());
+        for a in args {
+            argv.push(Evaluator::new(&self.engine).eval(a, env)?);
+        }
+        crate::interp::call_procedure_stmt(&self.engine, name, argv, env).map(Some)
     }
 }

@@ -77,6 +77,50 @@ pub enum NodeKind {
     Pi,
 }
 
+/// The XPath axes a path step can walk from a node
+/// ([`NodeHandle::walk_axis`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// `child::` (default)
+    Child,
+    /// `attribute::` / `@`
+    Attribute,
+    /// `descendant::`
+    Descendant,
+    /// `descendant-or-self::` (the `//` abbreviation)
+    DescendantOrSelf,
+    /// `self::` / `.`
+    SelfAxis,
+    /// `parent::` / `..`
+    Parent,
+    /// `ancestor::`
+    Ancestor,
+    /// `ancestor-or-self::`
+    AncestorOrSelf,
+    /// `following-sibling::`
+    FollowingSibling,
+    /// `preceding-sibling::`
+    PrecedingSibling,
+}
+
+impl Axis {
+    /// Whether the axis walks forward from its node: what it yields
+    /// from one node is already in document order and free of
+    /// duplicates. The parent, ancestor and preceding-sibling axes are
+    /// not.
+    pub fn is_forward(self) -> bool {
+        matches!(
+            self,
+            Axis::Child
+                | Axis::Attribute
+                | Axis::SelfAxis
+                | Axis::Descendant
+                | Axis::DescendantOrSelf
+                | Axis::FollowingSibling
+        )
+    }
+}
+
 /// One child slot of a document or element: a node in the same arena,
 /// or a grafted subtree shared from a sealed arena.
 #[derive(Debug, Clone)]
@@ -158,7 +202,8 @@ enum NodeBody {
         content: Rc<str>,
     },
     Pi {
-        target: String,
+        /// The target, kept as the no-namespace name `name()` reports.
+        target: QName,
         content: Rc<str>,
     },
 }
@@ -167,6 +212,34 @@ enum NodeBody {
 struct NodeData {
     parent: Option<NodeId>,
     body: NodeBody,
+}
+
+impl NodeData {
+    fn kind(&self) -> NodeKind {
+        match self.body {
+            NodeBody::Document { .. } => NodeKind::Document,
+            NodeBody::Element { .. } => NodeKind::Element,
+            NodeBody::Attribute { .. } => NodeKind::Attribute,
+            NodeBody::Text { .. } => NodeKind::Text,
+            NodeBody::Comment { .. } => NodeKind::Comment,
+            NodeBody::Pi { .. } => NodeKind::Pi,
+        }
+    }
+
+    fn name(&self) -> Option<&QName> {
+        match &self.body {
+            NodeBody::Element { name, .. } | NodeBody::Attribute { name, .. } => Some(name),
+            NodeBody::Pi { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+
+    fn children(&self) -> &[ChildEntry] {
+        match &self.body {
+            NodeBody::Document { children } | NodeBody::Element { children, .. } => children,
+            _ => &[],
+        }
+    }
 }
 
 static ARENA_STAMP: AtomicU64 = AtomicU64::new(1);
@@ -457,7 +530,7 @@ impl NodeHandle {
     ) -> NodeHandle {
         let id = arena.borrow_mut().alloc(
             None,
-            NodeBody::Pi { target: target.into(), content: content.into() },
+            NodeBody::Pi { target: QName::new(target.into()), content: content.into() },
         );
         NodeHandle { arena: arena.clone(), id, link: None }
     }
@@ -498,29 +571,23 @@ impl NodeHandle {
         if let Some(h) = self.resolve_if_moved() {
             return h.kind();
         }
-        self.with(|d| match d.body {
-            NodeBody::Document { .. } => NodeKind::Document,
-            NodeBody::Element { .. } => NodeKind::Element,
-            NodeBody::Attribute { .. } => NodeKind::Attribute,
-            NodeBody::Text { .. } => NodeKind::Text,
-            NodeBody::Comment { .. } => NodeKind::Comment,
-            NodeBody::Pi { .. } => NodeKind::Pi,
-        })
+        self.with(NodeData::kind)
     }
 
     /// The node name (elements and attributes; PI target is exposed as
     /// a no-namespace QName).
     pub fn name(&self) -> Option<QName> {
+        self.with_name(|q| q.cloned())
+    }
+
+    /// Run `f` on the node's name, borrowed from the arena: the
+    /// non-cloning twin of [`NodeHandle::name`] for tests that only
+    /// compare it.
+    pub fn with_name<R>(&self, f: impl FnOnce(Option<&QName>) -> R) -> R {
         if let Some(h) = self.resolve_if_moved() {
-            return h.name();
+            return h.with_name(f);
         }
-        self.with(|d| match &d.body {
-            NodeBody::Element { name, .. } | NodeBody::Attribute { name, .. } => {
-                Some(name.clone())
-            }
-            NodeBody::Pi { target, .. } => Some(QName::new(target.as_str())),
-            _ => None,
-        })
+        self.with(|d| f(d.name()))
     }
 
     /// Parent node, if attached. At a graft root the parent is the
@@ -557,26 +624,8 @@ impl NodeHandle {
                 id: *id,
                 link: self.link.clone(),
             },
-            ChildEntry::Graft(ctx) => NodeHandle {
-                arena: ctx.sub.clone(),
-                id: ctx.root,
-                link: Some(Rc::new(GraftLink {
-                    ctx: ctx.clone(),
-                    host_arena: self.arena.clone(),
-                    host_id: self.id,
-                    host_link: self.link.clone(),
-                })),
-            },
+            ChildEntry::Graft(ctx) => graft_root(ctx, &self.arena, self.id, &self.link),
         }
-    }
-
-    fn entries(&self) -> Vec<ChildEntry> {
-        self.with(|d| match &d.body {
-            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
-                children.clone()
-            }
-            _ => Vec::new(),
-        })
     }
 
     /// Child nodes in order (document and element nodes).
@@ -584,7 +633,16 @@ impl NodeHandle {
         if let Some(h) = self.resolve_if_moved() {
             return h.children();
         }
-        self.entries().iter().map(|e| self.entry_handle(e)).collect()
+        let arena = self.arena.borrow();
+        arena.data(self.id).children().iter().map(|e| self.entry_handle(e)).collect()
+    }
+
+    /// Whether the node has any child (document and element nodes).
+    pub fn has_children(&self) -> bool {
+        if let Some(h) = self.resolve_if_moved() {
+            return h.has_children();
+        }
+        self.with(|d| !d.children().is_empty())
     }
 
     /// Attribute nodes in order (element nodes).
@@ -609,7 +667,7 @@ impl NodeHandle {
     pub fn attribute(&self, name: &QName) -> Option<NodeHandle> {
         self.attributes()
             .into_iter()
-            .find(|a| a.name().as_ref() == Some(name))
+            .find(|a| a.with_name(|q| q == Some(name)))
     }
 
     /// The attribute's or text-ish node's own content string.
@@ -789,6 +847,76 @@ impl NodeHandle {
         }
     }
 
+    /// Append to `out` the nodes on `axis` from this node that `keep`
+    /// accepts, in axis order: document order on the forward axes
+    /// ([`Axis::is_forward`]), nearest first on the others. `keep`
+    /// sees each candidate's kind and borrowed name, so a path step
+    /// builds a handle only for a node its test matches. The child,
+    /// attribute and descendant axes walk the arena under one borrow.
+    pub fn walk_axis<T: From<NodeHandle>>(
+        &self,
+        axis: Axis,
+        mut keep: impl FnMut(NodeKind, Option<&QName>) -> bool,
+        out: &mut Vec<T>,
+    ) {
+        let moved = self.resolve_if_moved();
+        let me = moved.as_ref().unwrap_or(self);
+        let mut keep_handle = |h: NodeHandle, out: &mut Vec<T>| {
+            if h.with_name(|name| keep(h.kind(), name)) {
+                out.push(h.into());
+            }
+        };
+        match axis {
+            Axis::Child => {
+                walk_below(&me.arena, &me.arena.borrow(), &me.link, me.id, &mut keep, out, false);
+            }
+            Axis::Attribute => {
+                let arena = me.arena.borrow();
+                if let NodeBody::Element { attrs, .. } = &arena.data(me.id).body {
+                    for &id in attrs {
+                        let d = arena.data(id);
+                        if keep(d.kind(), d.name()) {
+                            let link = me.link.clone();
+                            out.push(NodeHandle { arena: me.arena.clone(), id, link }.into());
+                        }
+                    }
+                }
+            }
+            Axis::SelfAxis => keep_handle(self.clone(), out),
+            Axis::Descendant | Axis::DescendantOrSelf => {
+                if axis == Axis::DescendantOrSelf {
+                    keep_handle(self.clone(), out);
+                }
+                walk_below(&me.arena, &me.arena.borrow(), &me.link, me.id, &mut keep, out, true);
+            }
+            Axis::Parent => {
+                if let Some(p) = me.parent() {
+                    keep_handle(p, out);
+                }
+            }
+            Axis::Ancestor | Axis::AncestorOrSelf => {
+                if axis == Axis::AncestorOrSelf {
+                    keep_handle(self.clone(), out);
+                }
+                let mut cur = me.parent();
+                while let Some(p) = cur {
+                    cur = p.parent();
+                    keep_handle(p, out);
+                }
+            }
+            Axis::FollowingSibling => {
+                for s in me.following_siblings() {
+                    keep_handle(s, out);
+                }
+            }
+            Axis::PrecedingSibling => {
+                for s in me.preceding_siblings() {
+                    keep_handle(s, out);
+                }
+            }
+        }
+    }
+
     /// Structural path from the root, for document-order comparison.
     fn path(&self) -> Vec<PathStep> {
         let mut steps = Vec::new();
@@ -919,13 +1047,7 @@ impl NodeHandle {
                 _ => unreachable!("kind checked above"),
             }
         }
-        let link = Rc::new(GraftLink {
-            ctx,
-            host_arena: me.arena.clone(),
-            host_id: me.id,
-            host_link: me.link.clone(),
-        });
-        Ok(NodeHandle { arena: sub.arena, id: sub.id, link: Some(link) })
+        Ok(graft_root(&ctx, &me.arena, me.id, &me.link))
     }
 
     /// Resolve any materialized graft, then — if the handle still views
@@ -947,6 +1069,67 @@ impl NodeHandle {
             None => me,
         }
     }
+}
+
+/// The arena walk of [`NodeHandle::walk_axis`] below node `id` of `rc`
+/// (borrowed as `arena`, reached through `link`): test each child, and
+/// with `deep` each descendant, in document order, crossing into
+/// grafted arenas. A handle is built only for a node `keep` accepts.
+fn walk_below<T: From<NodeHandle>>(
+    rc: &SharedArena,
+    arena: &NodeArena,
+    link: &Option<Rc<GraftLink>>,
+    id: NodeId,
+    keep: &mut impl FnMut(NodeKind, Option<&QName>) -> bool,
+    out: &mut Vec<T>,
+    deep: bool,
+) {
+    for e in arena.data(id).children() {
+        match e {
+            ChildEntry::Local(c) => {
+                let d = arena.data(*c);
+                if keep(d.kind(), d.name()) {
+                    out.push(NodeHandle { arena: rc.clone(), id: *c, link: link.clone() }.into());
+                }
+                if deep {
+                    walk_below(rc, arena, link, *c, keep, out, true);
+                }
+            }
+            ChildEntry::Graft(ctx) => {
+                let sub = ctx.sub.borrow();
+                let d = sub.data(ctx.root);
+                let kept = keep(d.kind(), d.name());
+                if !kept && !deep {
+                    continue;
+                }
+                let root = graft_root(ctx, rc, id, link);
+                let sub_link = root.link.clone();
+                if kept {
+                    out.push(root.into());
+                }
+                if deep {
+                    walk_below(&ctx.sub, &sub, &sub_link, ctx.root, keep, out, true);
+                }
+            }
+        }
+    }
+}
+
+/// The handle of a graft's root as its host slot `(host_arena,
+/// host_id)` sees it, the host being reached through `host_link`.
+fn graft_root(
+    ctx: &Rc<GraftCtx>,
+    host_arena: &SharedArena,
+    host_id: NodeId,
+    host_link: &Option<Rc<GraftLink>>,
+) -> NodeHandle {
+    let link = GraftLink {
+        ctx: ctx.clone(),
+        host_arena: host_arena.clone(),
+        host_id,
+        host_link: host_link.clone(),
+    };
+    NodeHandle { arena: ctx.sub.clone(), id: ctx.root, link: Some(Rc::new(link)) }
 }
 
 /// Copy-on-write: replace the graft entry under `(host_arena,
@@ -1123,10 +1306,7 @@ impl NodeHandle {
                 self.content_shared().unwrap_or_else(|| Rc::from("")),
             ),
             NodeKind::Pi => {
-                let t = self.with(|d| match &d.body {
-                    NodeBody::Pi { target, .. } => target.clone(),
-                    _ => unreachable!(),
-                });
+                let t = self.with_name(|q| q.map(|q| q.local.to_string()).unwrap_or_default());
                 NodeHandle::new_pi(
                     target,
                     t,
@@ -1186,20 +1366,25 @@ impl NodeHandle {
             ));
         }
         let child = me.import(child);
-        // Merge adjacent text.
+        // Merge adjacent text. A graft entry is an element, so only a
+        // local last entry can be a text node.
         if child.kind() == NodeKind::Text {
-            if let Some(last) = me.children().last() {
-                if last.kind() == NodeKind::Text {
-                    let merged = format!(
-                        "{}{}",
-                        last.content().unwrap_or_default(),
-                        child.content().unwrap_or_default()
-                    );
-                    last.set_content(merged);
-                    return Ok(last.clone());
+            let text = child.content_shared().unwrap_or_else(|| Rc::from(""));
+            let mut arena = me.arena.borrow_mut();
+            let last = match arena.data(me.id).children().last() {
+                Some(ChildEntry::Local(id)) => Some(*id),
+                _ => None,
+            };
+            if let Some(id) = last {
+                if let NodeBody::Text { content } = &mut arena.data_mut(id).body {
+                    let mut merged = String::with_capacity(content.len() + text.len());
+                    merged.push_str(content);
+                    merged.push_str(&text);
+                    *content = Rc::from(merged);
+                    return Ok(NodeHandle { arena: me.arena.clone(), id, link: me.link.clone() });
                 }
             }
-            if child.content().as_deref() == Some("") {
+            if text.is_empty() {
                 return Ok(child);
             }
         }

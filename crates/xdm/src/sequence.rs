@@ -66,6 +66,12 @@ impl Item {
     }
 }
 
+impl From<NodeHandle> for Item {
+    fn from(node: NodeHandle) -> Item {
+        Item::Node(node)
+    }
+}
+
 impl fmt::Display for Item {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.string_value())

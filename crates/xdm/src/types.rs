@@ -93,11 +93,11 @@ impl ItemType {
             (ItemType::Document, Item::Node(n)) => n.kind() == NodeKind::Document,
             (ItemType::Element(name), Item::Node(n)) => {
                 n.kind() == NodeKind::Element
-                    && name.as_ref().is_none_or(|q| n.name().as_ref() == Some(q))
+                    && name.as_ref().is_none_or(|q| n.with_name(|m| m == Some(q)))
             }
             (ItemType::Attribute(name), Item::Node(n)) => {
                 n.kind() == NodeKind::Attribute
-                    && name.as_ref().is_none_or(|q| n.name().as_ref() == Some(q))
+                    && name.as_ref().is_none_or(|q| n.with_name(|m| m == Some(q)))
             }
             (ItemType::Text, Item::Node(n)) => n.kind() == NodeKind::Text,
             (ItemType::Comment, Item::Node(n)) => n.kind() == NodeKind::Comment,
@@ -156,15 +156,23 @@ impl SequenceType {
     }
 
     /// Check a value against this type, raising `XPTY0004` on
-    /// mismatch (the dynamic half of SequenceType matching).
-    pub fn check(&self, seq: &Sequence, what: &str) -> XdmResult<()> {
+    /// mismatch (the dynamic half of SequenceType matching). `what`
+    /// labels the value in the error message; it is called only on a
+    /// mismatch, so a label built with `format!` costs nothing when
+    /// the value matches.
+    pub fn check<L: fmt::Display>(
+        &self,
+        seq: &Sequence,
+        what: impl FnOnce() -> L,
+    ) -> XdmResult<()> {
         if self.matches(seq) {
             Ok(())
         } else {
             Err(XdmError::new(
                 ErrorCode::XPTY0004,
                 format!(
-                    "{what}: value of {} item(s) does not match required type {self}",
+                    "{}: value of {} item(s) does not match required type {self}",
+                    what(),
                     seq.len()
                 ),
             ))
@@ -174,8 +182,13 @@ impl SequenceType {
     /// The XQuery *function conversion rules* (§3.1.5): when the
     /// expected type is atomic, atomize node items and cast
     /// `xs:untypedAtomic` items to the expected type; then check. Used
-    /// at function/procedure argument and return boundaries.
-    pub fn convert(&self, seq: Sequence, what: &str) -> XdmResult<Sequence> {
+    /// at function/procedure argument and return boundaries. `what`
+    /// labels the value as in [`SequenceType::check`].
+    pub fn convert<L: fmt::Display>(
+        &self,
+        seq: Sequence,
+        what: impl FnOnce() -> L,
+    ) -> XdmResult<Sequence> {
         let target = match self {
             SequenceType::Of(ItemType::Atomic(t), _) => Some(*t),
             _ => None,
@@ -270,7 +283,7 @@ mod tests {
     #[test]
     fn check_raises_xpty0004() {
         let t = SequenceType::one_atomic(AtomicType::Integer);
-        let err = t.check(&Sequence::empty(), "set $x").unwrap_err();
+        let err = t.check(&Sequence::empty(), || "set $x").unwrap_err();
         assert!(err.is(ErrorCode::XPTY0004));
         assert!(err.message.contains("set $x"));
     }

@@ -25,12 +25,18 @@ pub struct Focus {
 
 /// The dynamic evaluation context.
 ///
-/// Variable bindings live in a stack of frames; XQSE block variables
-/// are *assignable* and marked as such, while XQuery `for`/`let`
-/// bindings are read-only (the paper, §III.B.5: "Block variables
-/// differ from let variables in that they can be assigned").
+/// Variable bindings live in one flat stack, innermost last, cut into
+/// scopes by start marks: a lookup scans from the top, so an inner
+/// binding shadows an outer one, and popping a scope truncates the
+/// stack to its mark. XQSE block variables are *assignable* and marked
+/// as such, while XQuery `for`/`let` bindings are read-only (the
+/// paper, §III.B.5: "Block variables differ from let variables in that
+/// they can be assigned").
 pub struct Env {
-    frames: Vec<Frame>,
+    vars: Vec<(QName, Binding)>,
+    /// Where each pushed scope starts in `vars`; the root scope starts
+    /// at 0 and has no mark.
+    scopes: Vec<usize>,
     /// The current focus, if any.
     pub focus: Option<Focus>,
     /// Open pending-update list: present only inside an XQSE update
@@ -65,10 +71,6 @@ pub struct Env {
     pub write_epoch: u64,
 }
 
-struct Frame {
-    vars: HashMap<QName, Binding>,
-}
-
 #[derive(Debug)]
 struct Binding {
     value: Option<Sequence>,
@@ -88,7 +90,8 @@ impl Env {
     /// An empty context.
     pub fn new() -> Env {
         Env {
-            frames: vec![Frame { vars: HashMap::new() }],
+            vars: Vec::new(),
+            scopes: Vec::new(),
             focus: None,
             pul: None,
             trace: Rc::new(RefCell::new(Vec::new())),
@@ -123,22 +126,30 @@ impl Env {
     /// Push a scope: a FLWOR tuple's, a function call's, or an XQSE
     /// block's. Assignability belongs to each binding, not the frame.
     pub fn push_scope(&mut self) {
-        self.frames.push(Frame { vars: HashMap::new() });
+        self.scopes.push(self.vars.len());
     }
 
-    /// Pop the innermost scope.
+    /// Pop the innermost scope, dropping its bindings.
     pub fn pop_scope(&mut self) {
-        debug_assert!(self.frames.len() > 1, "cannot pop the root scope");
-        self.frames.pop();
+        debug_assert!(!self.scopes.is_empty(), "cannot pop the root scope");
+        if let Some(start) = self.scopes.pop() {
+            self.vars.truncate(start);
+        }
+    }
+
+    /// Add a binding to the innermost scope, replacing one of the same
+    /// name already in that scope.
+    fn insert(&mut self, name: QName, binding: Binding) {
+        let start = self.scopes.last().copied().unwrap_or(0);
+        match self.vars[start..].iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = binding,
+            None => self.vars.push((name, binding)),
+        }
     }
 
     /// Bind a read-only variable (for/let/function parameters).
     pub fn bind(&mut self, name: QName, value: Sequence) {
-        self.frames
-            .last_mut()
-            .expect("at least one frame")
-            .vars
-            .insert(name, Binding { value: Some(value), assignable: false, ty: None });
+        self.insert(name, Binding { value: Some(value), assignable: false, ty: None });
     }
 
     /// Declare an XQSE block variable, optionally initialized and
@@ -149,27 +160,21 @@ impl Env {
         value: Option<Sequence>,
         ty: Option<SequenceType>,
     ) {
-        self.frames
-            .last_mut()
-            .expect("at least one frame")
-            .vars
-            .insert(name, Binding { value, assignable: true, ty });
+        self.insert(name, Binding { value, assignable: true, ty });
     }
 
     /// Look up a variable; uninitialized block variables raise
     /// `XQSE0002` ("Any reference to such a variable … is an error
     /// until it has been initially assigned to", §III.B.5).
     pub fn lookup(&self, name: &QName) -> XdmResult<Sequence> {
-        for frame in self.frames.iter().rev() {
-            if let Some(b) = frame.vars.get(name) {
-                return match &b.value {
-                    Some(v) => Ok(v.clone()),
-                    None => Err(XdmError::new(
-                        ErrorCode::XQSE0002,
-                        format!("block variable ${name} referenced before assignment"),
-                    )),
-                };
-            }
+        if let Some((_, b)) = self.vars.iter().rev().find(|(n, _)| n == name) {
+            return match &b.value {
+                Some(v) => Ok(v.clone()),
+                None => Err(XdmError::new(
+                    ErrorCode::XQSE0002,
+                    format!("block variable ${name} referenced before assignment"),
+                )),
+            };
         }
         Err(XdmError::new(
             ErrorCode::XPST0008,
@@ -181,22 +186,18 @@ impl Env {
     /// declared by a block variable declaration may be assigned
     /// (`XQSE0001` otherwise).
     pub fn assign(&mut self, name: &QName, value: Sequence) -> XdmResult<()> {
-        for frame in self.frames.iter_mut().rev() {
-            if let Some(b) = frame.vars.get_mut(name) {
-                if !b.assignable {
-                    return Err(XdmError::new(
-                        ErrorCode::XQSE0001,
-                        format!(
-                            "${name} is not a block variable and cannot be assigned"
-                        ),
-                    ));
-                }
-                if let Some(ty) = &b.ty {
-                    ty.check(&value, &format!("set ${name}"))?;
-                }
-                b.value = Some(value);
-                return Ok(());
+        if let Some((_, b)) = self.vars.iter_mut().rev().find(|(n, _)| n == name) {
+            if !b.assignable {
+                return Err(XdmError::new(
+                    ErrorCode::XQSE0001,
+                    format!("${name} is not a block variable and cannot be assigned"),
+                ));
             }
+            if let Some(ty) = &b.ty {
+                ty.check(&value, || format!("set ${name}"))?;
+            }
+            b.value = Some(value);
+            return Ok(());
         }
         Err(XdmError::new(
             ErrorCode::XQSE0001,
@@ -228,10 +229,10 @@ impl Env {
         out
     }
 
-    /// The number of live frames (used by tests to verify balanced
-    /// push/pop even across errors).
+    /// The number of live scopes, the root scope included (used by
+    /// tests to verify balanced push/pop even across errors).
     pub fn depth(&self) -> usize {
-        self.frames.len()
+        self.scopes.len() + 1
     }
 }
 

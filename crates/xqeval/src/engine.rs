@@ -359,8 +359,8 @@ pub struct Engine {
 /// The engine state proper; see [`Engine`] for the field-by-field
 /// story. Private: all access goes through the handle's methods.
 struct EngineInner {
-    functions: RefCell<HashMap<(QName, usize), FunctionKind>>,
-    procedures: RefCell<HashMap<(QName, usize), ProcKind>>,
+    functions: RefCell<ByArity<FunctionKind>>,
+    procedures: RefCell<ByArity<ProcKind>>,
     globals: RefCell<HashMap<QName, Sequence>>,
     documents: RefCell<HashMap<String, NodeHandle>>,
     proc_runner: RefCell<Option<ProcRunner>>,
@@ -418,6 +418,32 @@ struct EngineInner {
     xdm_base: Cell<xdm::XdmStats>,
 }
 
+/// A registry of functions or procedures, keyed by expanded name and
+/// then by arity slot, so a lookup borrows the caller's name.
+struct ByArity<T> {
+    by_name: HashMap<QName, Vec<Option<T>>>,
+}
+
+impl<T> Default for ByArity<T> {
+    fn default() -> Self {
+        ByArity { by_name: HashMap::new() }
+    }
+}
+
+impl<T> ByArity<T> {
+    fn get(&self, name: &QName, arity: usize) -> Option<&T> {
+        self.by_name.get(name)?.get(arity)?.as_ref()
+    }
+
+    fn insert(&mut self, name: QName, arity: usize, value: T) {
+        let slots = self.by_name.entry(name).or_default();
+        if slots.len() <= arity {
+            slots.resize_with(arity + 1, || None);
+        }
+        slots[arity] = Some(value);
+    }
+}
+
 /// Default prepared-plan cache capacity: enough for every distinct
 /// data-service function a realistic space serves, small enough that
 /// eviction scans stay trivial.
@@ -441,8 +467,8 @@ impl Engine {
         let features = Features::from_env().unwrap_or_else(|e| panic!("{e}"));
         Engine {
             inner: Rc::new(EngineInner {
-                functions: RefCell::new(HashMap::new()),
-                procedures: RefCell::new(HashMap::new()),
+                functions: RefCell::new(ByArity::default()),
+                procedures: RefCell::new(ByArity::default()),
                 globals: RefCell::new(HashMap::new()),
                 documents: RefCell::new(HashMap::new()),
                 proc_runner: RefCell::new(None),
@@ -549,7 +575,7 @@ impl Engine {
     ) {
         self.inner.functions
             .borrow_mut()
-            .insert((name, arity), FunctionKind::External { f, updating: false });
+            .insert(name, arity, FunctionKind::External { f, updating: false });
         self.inner.registry_gen.set(self.inner.registry_gen.get() + 1);
     }
 
@@ -565,7 +591,7 @@ impl Engine {
     ) {
         self.inner.procedures
             .borrow_mut()
-            .insert((name, arity), ProcKind::External { f, readonly });
+            .insert(name, arity, ProcKind::External { f, readonly });
         self.inner.registry_gen.set(self.inner.registry_gen.get() + 1);
     }
 
@@ -769,12 +795,12 @@ impl Engine {
 
     /// Look up a function by expanded name and arity.
     pub fn function(&self, name: &QName, arity: usize) -> Option<FunctionKind> {
-        self.inner.functions.borrow().get(&(name.clone(), arity)).cloned()
+        self.inner.functions.borrow().get(name, arity).cloned()
     }
 
     /// Look up a procedure by expanded name and arity.
     pub fn procedure(&self, name: &QName, arity: usize) -> Option<ProcKind> {
-        self.inner.procedures.borrow().get(&(name.clone(), arity)).cloned()
+        self.inner.procedures.borrow().get(name, arity).cloned()
     }
 
     /// Parse a module and register its prolog declarations. Global
@@ -796,7 +822,7 @@ impl Engine {
                     let mut env = Env::new();
                     let value = Evaluator::new(self).eval(init, &mut env)?;
                     if let Some(ty) = &v.ty {
-                        ty.check(&value, &format!("declare variable ${}", v.name))?;
+                        ty.check(&value, || format!("declare variable ${}", v.name))?;
                     }
                     self.inner.globals.borrow_mut().insert(v.name.clone(), value);
                 }
@@ -826,21 +852,21 @@ impl Engine {
             )
         };
         for f in &prolog.functions {
-            let key = (f.name.clone(), f.params.len());
+            let arity = f.params.len();
             let mut functions = self.inner.functions.borrow_mut();
             if f.body.is_some() {
-                functions.insert(key, FunctionKind::User(f.clone()));
-            } else if !functions.contains_key(&key) {
-                return Err(unbound("function", &f.name, f.params.len()));
+                functions.insert(f.name.clone(), arity, FunctionKind::User(f.clone()));
+            } else if functions.get(&f.name, arity).is_none() {
+                return Err(unbound("function", &f.name, arity));
             }
         }
         for p in &prolog.procedures {
-            let key = (p.name.clone(), p.params.len());
+            let arity = p.params.len();
             let mut procedures = self.inner.procedures.borrow_mut();
             if p.body.is_some() {
-                procedures.insert(key, ProcKind::User(p.clone()));
-            } else if !procedures.contains_key(&key) {
-                return Err(unbound("procedure", &p.name, p.params.len()));
+                procedures.insert(p.name.clone(), arity, ProcKind::User(p.clone()));
+            } else if procedures.get(&p.name, arity).is_none() {
+                return Err(unbound("procedure", &p.name, arity));
             }
         }
         Ok(())

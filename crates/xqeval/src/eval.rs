@@ -733,6 +733,9 @@ impl<'e> Evaluator<'e> {
         }
         let mut current = input;
         for step in steps {
+            let test = |kind: NodeKind, name: Option<&QName>| {
+                node_test_matches(&step.test, kind, name, step.axis)
+            };
             let mut out: Vec<Item> = Vec::new();
             for item in current.iter() {
                 let Item::Node(node) = item else {
@@ -741,17 +744,24 @@ impl<'e> Evaluator<'e> {
                         "path step applied to an atomic value",
                     ));
                 };
-                let candidates = axis_nodes(node, step.axis);
-                let mut matched: Vec<NodeHandle> = candidates
-                    .into_iter()
-                    .filter(|n| node_test_matches(&step.test, n, step.axis))
-                    .collect();
+                if step.predicates.is_empty() {
+                    node.walk_axis(step.axis, test, &mut out);
+                    continue;
+                }
+                let mut matched: Vec<NodeHandle> = Vec::new();
+                node.walk_axis(step.axis, test, &mut matched);
                 for pred in &step.predicates {
                     matched = self.filter_nodes(matched, pred, env)?;
                 }
                 out.extend(matched.into_iter().map(Item::Node));
             }
-            current = Sequence::from_items(out).document_order_dedup()?;
+            // A forward axis from one node yields document order
+            // without duplicates; anything else is sorted.
+            let sorted = current.len() == 1 && step.axis.is_forward();
+            current = Sequence::from_items(out);
+            if !sorted {
+                current = current.document_order_dedup()?;
+            }
         }
         Ok(current)
     }
@@ -953,9 +963,10 @@ impl<'e> Evaluator<'e> {
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         // 1. Builtins.
-        if let Some(r) = functions::dispatch(self.engine, env, name, args.clone()) {
-            return r;
-        }
+        let args = match functions::dispatch(self.engine, env, name, args) {
+            Ok(r) => return r,
+            Err(args) => args,
+        };
         // 2. Registered functions.
         if let Some(f) = self.engine.function(name, args.len()) {
             return match f {
@@ -1036,7 +1047,7 @@ impl<'e> Evaluator<'e> {
             env.focus = saved_focus;
             let out = out?;
             if let Some(ty) = &decl.return_type {
-                ty.check(&out, &format!("result of {}", decl.name))?;
+                ty.check(&out, || format!("result of {}", decl.name))?;
             }
             Ok(out)
         })();
@@ -1196,7 +1207,7 @@ pub(crate) fn convert_params(
     let mut params = Vec::with_capacity(args.len());
     for (p, a) in decl.params.iter().zip(args) {
         let a = match &p.ty {
-            Some(ty) => ty.convert(a, &format!("parameter ${} of {}", p.name, decl.name))?,
+            Some(ty) => ty.convert(a, || format!("parameter ${} of {}", p.name, decl.name))?,
             None => a,
         };
         params.push((p.name.clone(), a));
@@ -1531,29 +1542,6 @@ fn predicate_truth(v: &Sequence, position: usize) -> XdmResult<bool> {
     v.effective_boolean()
 }
 
-fn axis_nodes(node: &NodeHandle, axis: Axis) -> Vec<NodeHandle> {
-    match axis {
-        Axis::Child => node.children(),
-        Axis::Attribute => node.attributes(),
-        Axis::Descendant => node.descendants(),
-        Axis::DescendantOrSelf => {
-            let mut v = vec![node.clone()];
-            v.extend(node.descendants());
-            v
-        }
-        Axis::SelfAxis => vec![node.clone()],
-        Axis::Parent => node.parent().into_iter().collect(),
-        Axis::Ancestor => node.ancestors(),
-        Axis::AncestorOrSelf => {
-            let mut v = vec![node.clone()];
-            v.extend(node.ancestors());
-            v
-        }
-        Axis::FollowingSibling => node.following_siblings(),
-        Axis::PrecedingSibling => node.preceding_siblings(),
-    }
-}
-
 /// The principal node kind of an axis (name tests match it).
 fn principal_kind(axis: Axis) -> NodeKind {
     if axis == Axis::Attribute {
@@ -1563,35 +1551,29 @@ fn principal_kind(axis: Axis) -> NodeKind {
     }
 }
 
-fn node_test_matches(test: &NodeTest, node: &NodeHandle, axis: Axis) -> bool {
+/// Does a node of `kind` named `name` pass a step's node test?
+fn node_test_matches(test: &NodeTest, kind: NodeKind, name: Option<&QName>, axis: Axis) -> bool {
     match test {
-        NodeTest::Kind(k) => kind_test_matches(k, node),
-        name_test => {
-            node.kind() == principal_kind(axis)
-                && name_test.matches_name(node.name().as_ref())
-        }
+        NodeTest::Kind(k) => kind_test_matches(k, kind, name),
+        name_test => kind == principal_kind(axis) && name_test.matches_name(name),
     }
 }
 
-fn kind_test_matches(k: &KindTest, node: &NodeHandle) -> bool {
+fn kind_test_matches(k: &KindTest, kind: NodeKind, name: Option<&QName>) -> bool {
     match k {
         KindTest::AnyKind => true,
-        KindTest::Document => node.kind() == NodeKind::Document,
-        KindTest::Element(name) => {
-            node.kind() == NodeKind::Element
-                && name.as_ref().is_none_or(|q| node.name().as_ref() == Some(q))
+        KindTest::Document => kind == NodeKind::Document,
+        KindTest::Element(want) => {
+            kind == NodeKind::Element && want.as_ref().is_none_or(|q| name == Some(q))
         }
-        KindTest::Attribute(name) => {
-            node.kind() == NodeKind::Attribute
-                && name.as_ref().is_none_or(|q| node.name().as_ref() == Some(q))
+        KindTest::Attribute(want) => {
+            kind == NodeKind::Attribute && want.as_ref().is_none_or(|q| name == Some(q))
         }
-        KindTest::Text => node.kind() == NodeKind::Text,
-        KindTest::Comment => node.kind() == NodeKind::Comment,
+        KindTest::Text => kind == NodeKind::Text,
+        KindTest::Comment => kind == NodeKind::Comment,
         KindTest::Pi(target) => {
-            node.kind() == NodeKind::Pi
-                && target
-                    .as_ref()
-                    .is_none_or(|t| node.name().is_some_and(|q| q.local == *t))
+            kind == NodeKind::Pi
+                && target.as_ref().is_none_or(|t| name.is_some_and(|q| q.local == *t))
         }
     }
 }
@@ -1642,7 +1624,7 @@ fn space_joined(seq: &Sequence) -> String {
 fn assemble_content(parent: &NodeHandle, seq: &Sequence, graft: bool) -> XdmResult<()> {
     let arena = parent.arena().clone();
     let mut pending_text: Option<String> = None;
-    let mut seen_non_attr = !parent.children().is_empty();
+    let mut seen_non_attr = parent.has_children();
     for item in seq.iter() {
         match item {
             Item::Atomic(a) => {

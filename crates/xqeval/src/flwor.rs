@@ -395,7 +395,7 @@ fn pull(stages: &mut [Stage], cx: &mut Cx<'_, '_>) -> XdmResult<Option<Tuple>> {
             let Some(mut t) = pull(input, cx)? else { return Ok(None) };
             let v = cx.force(&t, value)?;
             if let Some(ty) = ty {
-                ty.check(&v, &format!("let ${var}"))?;
+                ty.check(&v, || format!("let ${var}"))?;
             }
             t.push((var.clone(), v));
             Ok(Some(t))
@@ -749,7 +749,7 @@ impl Unfold {
                     }
                     let full = in_view(cx, body, tuple, params, |vx| vx.force(&row, ret))?;
                     if let Some(ty) = &decl.return_type {
-                        ty.check(&full, &format!("result of {}", decl.name))?;
+                        ty.check(&full, || format!("result of {}", decl.name))?;
                     }
                     t.pop();
                     t.push((var.clone(), full));

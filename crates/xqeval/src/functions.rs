@@ -1,9 +1,9 @@
 //! The builtin function library (`fn:` and `xs:` namespaces).
 //!
 //! [`dispatch`] resolves a call by expanded name and arity and either
-//! executes it (`Some(result)`) or reports that the name is not a
-//! builtin (`None`), in which case the evaluator consults the user /
-//! external registries.
+//! executes it (`Ok(result)`) or hands the arguments back because the
+//! name is not a builtin (`Err(args)`), in which case the evaluator
+//! consults the user / external registries with them.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -18,17 +18,18 @@ use crate::context::Env;
 use crate::engine::Engine;
 use crate::regex_lite::Regex;
 
-/// Try to execute a builtin. `None` means "not a builtin".
+/// Try to execute a builtin. `Err(args)` means "not a builtin" and
+/// returns the arguments unused, so the caller never clones them.
 pub fn dispatch(
     engine: &Engine,
     env: &mut Env,
     name: &QName,
     args: Vec<Sequence>,
-) -> Option<XdmResult<Sequence>> {
+) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
     match name.ns.as_deref() {
         Some(FN_NS) => dispatch_fn(engine, env, &name.local, args),
-        Some(XS_NS) => Some(xs_constructor(&name.local, args)),
-        _ => None,
+        Some(XS_NS) => Ok(xs_constructor(&name.local, args)),
+        _ => Err(args),
     }
 }
 
@@ -155,7 +156,7 @@ fn dispatch_fn(
     env: &mut Env,
     local: &str,
     mut args: Vec<Sequence>,
-) -> Option<XdmResult<Sequence>> {
+) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
     let arity = args.len();
     let result: XdmResult<Sequence> = match (local, arity) {
         // ---------------------------------------------------- accessors
@@ -715,9 +716,9 @@ fn dispatch_fn(
                 _ => Ok(Sequence::empty()),
             }
         })(),
-        _ => return None,
+        _ => return Err(args),
     };
-    Some(result)
+    Ok(result)
 }
 
 /// Coerce untyped atomics to double for aggregation order (per F&O).

@@ -8,7 +8,9 @@
 //!
 //! The engine compiles to a small NFA-ish AST and matches by
 //! backtracking; patterns are tiny in this workload so worst-case
-//! blowup is a non-issue.
+//! blowup is a non-issue. A pattern with no metacharacter at all — the
+//! `fn:tokenize($name, ' ')` of use case 3 — is a literal: it matches
+//! exactly its own text, so it is matched with `str` search instead.
 
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 
@@ -52,7 +54,26 @@ enum ClassItem {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Regex {
-    alts: Vec<Vec<Node>>,
+    matcher: Matcher,
+}
+
+#[derive(Debug, Clone)]
+enum Matcher {
+    /// A non-empty pattern without metacharacters: it compiles to a
+    /// sequence of `Node::Char`, which matches exactly the pattern's
+    /// text, so `str` search finds the same leftmost matches.
+    Literal(String),
+    /// Alternatives for the backtracking matcher.
+    Backtrack(Vec<Vec<Node>>),
+}
+
+/// The characters the pattern parser gives a meaning; a pattern free
+/// of them is a literal.
+fn is_meta(c: char) -> bool {
+    matches!(
+        c,
+        '\\' | '.' | '^' | '$' | '(' | ')' | '[' | ']' | '{' | '}' | '*' | '+' | '?' | '|'
+    )
 }
 
 fn rerr(msg: impl Into<String>) -> XdmError {
@@ -267,6 +288,9 @@ fn class_matches(items: &[ClassItem], negated: bool, c: char) -> bool {
 impl Regex {
     /// Compile a pattern.
     pub fn compile(pattern: &str) -> XdmResult<Regex> {
+        if !pattern.is_empty() && !pattern.contains(is_meta) {
+            return Ok(Regex { matcher: Matcher::Literal(pattern.to_string()) });
+        }
         let mut p = RxParser { chars: pattern.chars().collect(), pos: 0, src: pattern };
         let alts = p.parse_alternation()?;
         if p.pos != p.chars.len() {
@@ -275,22 +299,19 @@ impl Regex {
             let rest: String = p.chars[p.pos..].iter().collect();
             return Err(rerr(format!("trailing {rest:?}")));
         }
-        Ok(Regex { alts })
+        Ok(Regex { matcher: Matcher::Backtrack(alts) })
     }
 
     /// Does the pattern match anywhere in `text` (fn:matches
     /// semantics)?
     pub fn is_match(&self, text: &str) -> bool {
-        self.find_at_any(&text.chars().collect::<Vec<_>>()).is_some()
-    }
-
-    fn find_at_any(&self, chars: &[char]) -> Option<(usize, usize)> {
-        for start in 0..=chars.len() {
-            if let Some(end) = self.match_alts(&self.alts, chars, start) {
-                return Some((start, end));
+        match &self.matcher {
+            Matcher::Literal(lit) => text.contains(lit.as_str()),
+            Matcher::Backtrack(alts) => {
+                let chars: Vec<char> = text.chars().collect();
+                (0..=chars.len()).any(|start| self.match_alts(alts, &chars, start).is_some())
             }
         }
-        None
     }
 
     fn match_alts(&self, alts: &[Vec<Node>], chars: &[char], pos: usize) -> Option<usize> {
@@ -416,13 +437,19 @@ impl Regex {
     /// Split `text` on non-overlapping matches (fn:tokenize). A match
     /// of zero length is an error per the F&O spec.
     pub fn tokenize(&self, text: &str) -> XdmResult<Vec<String>> {
+        let alts = match &self.matcher {
+            Matcher::Literal(lit) => {
+                return Ok(text.split(lit.as_str()).map(String::from).collect())
+            }
+            Matcher::Backtrack(alts) => alts,
+        };
         let chars: Vec<char> = text.chars().collect();
         let mut out = Vec::new();
         let mut token_start = 0;
         let mut pos = 0;
         while pos <= chars.len() {
             let mut matched = None;
-            if let Some(end) = self.match_alts(&self.alts, &chars, pos) {
+            if let Some(end) = self.match_alts(alts, &chars, pos) {
                 if end == pos {
                     return Err(rerr("pattern matches zero-length string"));
                 }
@@ -447,11 +474,15 @@ impl Regex {
         if replacement.contains('$') {
             return Err(rerr("capture-group replacement not supported"));
         }
+        let alts = match &self.matcher {
+            Matcher::Literal(lit) => return Ok(text.replace(lit.as_str(), replacement)),
+            Matcher::Backtrack(alts) => alts,
+        };
         let chars: Vec<char> = text.chars().collect();
         let mut out = String::new();
         let mut pos = 0;
         while pos < chars.len() {
-            match self.match_alts(&self.alts, &chars, pos) {
+            match self.match_alts(alts, &chars, pos) {
                 Some(end) if end > pos => {
                     out.push_str(replacement);
                     pos = end;

@@ -93,30 +93,9 @@ pub enum SetOp {
     Except,
 }
 
-/// XPath axes supported by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Axis {
-    /// `child::` (default)
-    Child,
-    /// `attribute::` / `@`
-    Attribute,
-    /// `descendant::`
-    Descendant,
-    /// `descendant-or-self::` (the `//` abbreviation)
-    DescendantOrSelf,
-    /// `self::` / `.`
-    SelfAxis,
-    /// `parent::` / `..`
-    Parent,
-    /// `ancestor::`
-    Ancestor,
-    /// `ancestor-or-self::`
-    AncestorOrSelf,
-    /// `following-sibling::`
-    FollowingSibling,
-    /// `preceding-sibling::`
-    PrecedingSibling,
-}
+/// XPath axes supported by the engine: the node store's own, which
+/// walks them ([`xdm::node::NodeHandle::walk_axis`]).
+pub use xdm::node::Axis;
 
 /// A node test within a path step or a catch clause.
 #[derive(Debug, Clone, PartialEq)]

@@ -736,3 +736,337 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------------- path steps (walker)
+
+/// A tree for the path-step property: names come from a small set so
+/// name tests hit, PIs and comments sit beside elements and text, and
+/// grafted regions sit beside local ones.
+#[derive(Debug, Clone)]
+enum AxisTree {
+    Element { name: usize, attrs: Vec<usize>, children: Vec<AxisTree> },
+    Text(String),
+    Comment,
+    Pi(usize),
+    /// An element built in an arena of its own and grafted in by
+    /// reference. With `cow` a `<b/>` child is appended through its
+    /// view once the whole tree is built, so the graft is copied on
+    /// write and the handles taken before must follow the copy to see
+    /// the new child.
+    Graft { tree: Box<AxisTree>, cow: bool },
+}
+
+/// Element and attribute names: `(namespace, local)`; `x` is bound to
+/// `urn:x` in the queries.
+const AXIS_NAMES: [(Option<&str>, &str); 4] =
+    [(None, "a"), (None, "b"), (Some("urn:x"), "a"), (Some("urn:x"), "c")];
+const PI_TARGETS: [&str; 2] = ["t", "a"];
+
+fn axis_name(i: usize) -> QName {
+    match AXIS_NAMES[i] {
+        (Some(ns), local) => QName::with_prefix_ns("x", ns, local),
+        (None, local) => QName::new(local),
+    }
+}
+
+fn axis_tree_strategy() -> impl Strategy<Value = AxisTree> {
+    let leaf = prop_oneof![
+        "[ab ]{1,3}".prop_map(AxisTree::Text),
+        Just(AxisTree::Comment),
+        (0usize..PI_TARGETS.len()).prop_map(AxisTree::Pi),
+        (0usize..AXIS_NAMES.len())
+            .prop_map(|name| AxisTree::Element { name, attrs: vec![], children: vec![] }),
+    ];
+    leaf.prop_recursive(3, 24, 4, |inner| {
+        let element = (
+            0usize..AXIS_NAMES.len(),
+            proptest::collection::vec(0usize..AXIS_NAMES.len(), 0..3),
+            proptest::collection::vec(inner, 0..4),
+        )
+            .prop_map(|(name, mut attrs, children)| {
+                attrs.sort_unstable();
+                attrs.dedup();
+                AxisTree::Element { name, attrs, children }
+            })
+            .boxed();
+        prop_oneof![
+            element.clone(),
+            (element, proptest::bool::ANY)
+                .prop_map(|(tree, cow)| AxisTree::Graft { tree: Box::new(tree), cow }),
+        ]
+    })
+}
+
+/// Build `t` under `parent`; graft views to copy on write later go to
+/// `cows`.
+fn build_axis_tree(t: &AxisTree, parent: &NodeHandle, cows: &mut Vec<NodeHandle>) {
+    let arena = parent.arena().clone();
+    match t {
+        AxisTree::Element { name, attrs, children } => {
+            let e = NodeHandle::new_element(&arena, axis_name(*name));
+            for a in attrs {
+                let attr = NodeHandle::new_attribute(&arena, axis_name(*a), format!("v{a}"));
+                e.set_attribute(&attr).unwrap();
+            }
+            let e = parent.append_child(&e).unwrap();
+            for c in children {
+                build_axis_tree(c, &e, cows);
+            }
+        }
+        AxisTree::Text(s) => {
+            parent.append_child(&NodeHandle::new_text(&arena, s.as_str())).unwrap();
+        }
+        AxisTree::Comment => {
+            parent.append_child(&NodeHandle::new_comment(&arena, "c")).unwrap();
+        }
+        AxisTree::Pi(t) => {
+            parent.append_child(&NodeHandle::new_pi(&arena, PI_TARGETS[*t], "p")).unwrap();
+        }
+        AxisTree::Graft { tree, cow } => {
+            // Build the element alone in a fresh arena, then adopt it.
+            let holder = NodeHandle::new_document();
+            build_axis_tree(tree, &holder, cows);
+            let sub = holder.children().into_iter().next().unwrap();
+            sub.detach();
+            let view = parent.graft_child(&sub).unwrap();
+            if *cow {
+                cows.push(view);
+            }
+        }
+    }
+}
+
+/// Every node of the tree (attributes included), in document order.
+fn all_nodes(n: &NodeHandle, out: &mut Vec<NodeHandle>) {
+    out.push(n.clone());
+    out.extend(n.attributes());
+    for c in n.children() {
+        all_nodes(&c, out);
+    }
+}
+
+const AXES: [&str; 10] = [
+    "child",
+    "attribute",
+    "descendant",
+    "descendant-or-self",
+    "self",
+    "parent",
+    "ancestor",
+    "ancestor-or-self",
+    "following-sibling",
+    "preceding-sibling",
+];
+
+const NODE_TESTS: [&str; 16] = [
+    "a",
+    "b",
+    "x:a",
+    "*",
+    "x:*",
+    "*:a",
+    "node()",
+    "text()",
+    "comment()",
+    "processing-instruction()",
+    "processing-instruction(t)",
+    "element()",
+    "element(b)",
+    "attribute()",
+    "attribute(a)",
+    "document-node()",
+];
+
+const PREDICATES: [&str; 5] = ["", "[1]", "[2]", "[last()]", "[node()]"];
+
+/// The reference axis: what the axis holds from `n`, in axis order
+/// (nearest first on the reverse axes), from the handle navigation
+/// methods.
+fn reference_axis(n: &NodeHandle, axis: &str) -> Vec<NodeHandle> {
+    let (before, after) = match n.parent() {
+        Some(p) => {
+            let kids = p.children();
+            match kids.iter().position(|k| k == n) {
+                Some(i) => (kids[..i].to_vec(), kids[i + 1..].to_vec()),
+                None => (vec![], vec![]),
+            }
+        }
+        None => (vec![], vec![]),
+    };
+    let up = |from: Option<NodeHandle>| std::iter::successors(from, |p| p.parent()).collect();
+    match axis {
+        "child" => n.children(),
+        "attribute" => n.attributes(),
+        "descendant" => n.descendants(),
+        "descendant-or-self" => std::iter::once(n.clone()).chain(n.descendants()).collect(),
+        "self" => vec![n.clone()],
+        "parent" => n.parent().into_iter().collect(),
+        "ancestor" => up(n.parent()),
+        "ancestor-or-self" => up(Some(n.clone())),
+        "following-sibling" => after,
+        "preceding-sibling" => before.into_iter().rev().collect(),
+        other => unreachable!("axis {other}"),
+    }
+}
+
+/// The reference node test, on `kind()` and `name()`.
+fn reference_test(test: &str, n: &NodeHandle, axis: &str) -> bool {
+    let kind = n.kind();
+    let name = n.name();
+    let principal = if axis == "attribute" { NodeKind::Attribute } else { NodeKind::Element };
+    let named = |ns: Option<&str>, local: &str| {
+        name.as_ref().is_some_and(|q| q.ns.as_deref() == ns && &*q.local == local)
+    };
+    match test {
+        "a" => kind == principal && named(None, "a"),
+        "b" => kind == principal && named(None, "b"),
+        "x:a" => kind == principal && named(Some("urn:x"), "a"),
+        "*" => kind == principal,
+        "x:*" => {
+            kind == principal && name.as_ref().is_some_and(|q| q.ns.as_deref() == Some("urn:x"))
+        }
+        "*:a" => kind == principal && name.as_ref().is_some_and(|q| &*q.local == "a"),
+        "node()" => true,
+        "text()" => kind == NodeKind::Text,
+        "comment()" => kind == NodeKind::Comment,
+        "processing-instruction()" => kind == NodeKind::Pi,
+        "processing-instruction(t)" => kind == NodeKind::Pi && named(None, "t"),
+        "element()" => kind == NodeKind::Element,
+        "element(b)" => kind == NodeKind::Element && named(None, "b"),
+        "attribute()" => kind == NodeKind::Attribute,
+        "attribute(a)" => kind == NodeKind::Attribute && named(None, "a"),
+        "document-node()" => kind == NodeKind::Document,
+        other => unreachable!("node test {other}"),
+    }
+}
+
+/// The reference step from each context node, concatenated, then put
+/// in document order without duplicates.
+fn reference_step(ctx: &[NodeHandle], axis: &str, test: &str, pred: &str) -> Vec<NodeHandle> {
+    let mut out = Vec::new();
+    for n in ctx {
+        let matched: Vec<NodeHandle> =
+            reference_axis(n, axis).into_iter().filter(|m| reference_test(test, m, axis)).collect();
+        out.extend(match pred {
+            "" => matched,
+            "[1]" => matched.into_iter().take(1).collect(),
+            "[2]" => matched.into_iter().skip(1).take(1).collect(),
+            "[last()]" => matched.into_iter().last().into_iter().collect(),
+            "[node()]" => matched.into_iter().filter(|m| !m.children().is_empty()).collect(),
+            other => unreachable!("predicate {other}"),
+        });
+    }
+    let items: Sequence = out.into_iter().map(Item::Node).collect();
+    nodes_of(&items.document_order_dedup().unwrap())
+}
+
+fn nodes_of(seq: &Sequence) -> Vec<NodeHandle> {
+    seq.iter()
+        .map(|i| match i {
+            Item::Node(n) => n.clone(),
+            Item::Atomic(a) => panic!("path step gave an atomic value {a:?}"),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A path step — every axis × node test × predicate, from one
+    /// context node and from several — gives exactly the nodes the
+    /// reference collects from `children()`, `attributes()`,
+    /// `descendants()` and `parent()`, filters on `kind()` and
+    /// `name()`, and puts in document order. The trees mix elements,
+    /// text, comments, PIs, attributes, live grafts and grafts copied
+    /// on write after the context handles were taken.
+    #[test]
+    fn path_steps_match_reference_navigation(
+        t in axis_tree_strategy(),
+        in_doc in proptest::bool::ANY,
+        picks in proptest::collection::vec(0usize..1000, 2..5),
+    ) {
+        let root = NodeHandle::new_document();
+        let mut cows = Vec::new();
+        let top = if in_doc {
+            root.clone()
+        } else {
+            let e = NodeHandle::new_element(root.arena(), axis_name(0));
+            root.append_child(&e).unwrap();
+            e.detach();
+            e
+        };
+        build_axis_tree(&t, &top, &mut cows);
+        let mut nodes = Vec::new();
+        all_nodes(&top, &mut nodes);
+        for view in &cows {
+            view.append_child(&NodeHandle::root_element(axis_name(1))).unwrap();
+        }
+        let ctx: Vec<NodeHandle> = picks.iter().map(|p| nodes[p % nodes.len()].clone()).collect();
+        let engine = xqse_repro::xqeval::Engine::new();
+        engine.set_features(Features::ALL);
+        let var = QName::new("ctx");
+        for axis in AXES {
+            for test in NODE_TESTS {
+                for pred in PREDICATES {
+                    let src = format!(
+                        "declare namespace x = 'urn:x'; declare variable $ctx external; \
+                         $ctx/{axis}::{test}{pred}"
+                    );
+                    for ctx in [&ctx[..1], &ctx[..]] {
+                        let value = ctx.iter().cloned().map(Item::Node).collect();
+                        engine.set_global(var.clone(), value);
+                        let got = nodes_of(&engine.eval_query(&src).unwrap());
+                        let want = reference_step(ctx, axis, test, pred);
+                        prop_assert_eq!(got, want, "{} from {} node(s)", src, ctx.len());
+                    }
+                }
+            }
+        }
+    }
+}
+
+// --------------------------------------------- literal regex patterns
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A pattern without metacharacters is matched with `str` search;
+    /// its grouped form `(p)` takes the backtracking matcher. Both give
+    /// the same `tokenize`, `matches` and `replace` results, whether the
+    /// separator sits at either end, repeats, overlaps itself, spans
+    /// several characters or sits among non-ASCII text.
+    #[test]
+    fn literal_patterns_match_the_backtracking_matcher(
+        pattern in proptest::collection::vec(
+            prop_oneof![Just('a'), Just(' '), Just('é'), Just(','), Just('-')],
+            1..4,
+        ),
+        pieces in proptest::collection::vec(
+            prop_oneof![
+                Just(None),
+                Just(Some('a')),
+                Just(Some('b')),
+                Just(Some(' ')),
+                Just(Some('é')),
+            ],
+            0..10,
+        ),
+    ) {
+        use xqse_repro::xqeval::regex_lite::Regex;
+        let p: String = pattern.into_iter().collect();
+        // `None` pieces are the separator itself.
+        let text: String = pieces
+            .iter()
+            .map(|c| c.map_or(p.clone(), String::from))
+            .collect();
+        let literal = Regex::compile(&p).unwrap();
+        let grouped = Regex::compile(&format!("({p})")).unwrap();
+        let on = format!("{text:?} on {p:?}");
+        prop_assert_eq!(literal.tokenize(&text), grouped.tokenize(&text), "tokenize {}", on);
+        prop_assert_eq!(literal.is_match(&text), grouped.is_match(&text), "matches {}", on);
+        for r in ["", "#", "ü!"] {
+            prop_assert_eq!(literal.replace(&text, r), grouped.replace(&text, r), "replace {}", on);
+        }
+        prop_assert!(literal.replace(&text, "$1").is_err());
+    }
+}
