@@ -794,8 +794,12 @@ impl Database {
                     let key = pk_values(&t.schema, row);
                     if !key.is_empty() {
                         let fp = key_fingerprint(&key);
-                        let dup_existing = pk_dup_check(t, &key);
-                        if dup_existing || reserved_keys.contains(&(table.clone(), fp)) {
+                        // A key is taken by a committed row, by another
+                        // prepared transaction, or earlier in this write set.
+                        let taken = pk_dup_check(t, &key)
+                            || reserved_keys.contains(&(table.clone(), fp))
+                            || inserted_keys.iter().any(|(tn, k)| tn == table && *k == key);
+                        if taken {
                             return Err(XdmError::new(
                                 ErrorCode::DSP0003,
                                 format!(
@@ -1669,6 +1673,40 @@ mod tests {
             .unwrap_err();
         assert!(err.is(ErrorCode::DSP0003));
         assert!(db.rollback_branch(t1));
+    }
+
+    /// An insert of `PEOPLE` row 7 named `name`.
+    fn insert_seven(name: &str) -> WriteOp {
+        WriteOp::Insert {
+            table: "PEOPLE".into(),
+            row: vec![SqlValue::Int(7), SqlValue::Str(name.into()), SqlValue::Null],
+        }
+    }
+
+    #[test]
+    fn one_write_set_cannot_insert_a_key_twice() {
+        let db = db_with_people();
+        let err = db.execute(vec![insert_seven("a"), insert_seven("b")]).unwrap_err();
+        assert!(err.is(ErrorCode::DSP0003));
+        assert!(err.message.contains("primary key violation"), "{err}");
+        assert_eq!(db.row_count("PEOPLE").unwrap(), 2);
+        let seven = vec![("ID".into(), SqlValue::Int(7))];
+        assert!(db.select("PEOPLE", &seven).unwrap().is_empty());
+        // Nothing was applied, so the key is still free.
+        db.execute(vec![insert_seven("c")]).unwrap();
+        assert_eq!(db.select("PEOPLE", &seven).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn one_prepared_branch_cannot_insert_a_key_twice() {
+        let db = db_with_people();
+        let t = fresh_tx();
+        let err = db.prepare(t, vec![insert_seven("a"), insert_seven("b")]).unwrap_err();
+        assert!(err.is(ErrorCode::DSP0003));
+        assert!(err.message.contains("primary key violation"), "{err}");
+        assert!(!db.is_prepared(t));
+        assert!(!db.commit_branch(t).unwrap(), "nothing was prepared");
+        assert_eq!(db.row_count("PEOPLE").unwrap(), 2);
     }
 
     fn two_dbs() -> (Database, Database) {

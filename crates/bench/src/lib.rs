@@ -48,21 +48,21 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
 
 /// Median-of-`n` timing of a closure (fresh invocation each round).
 pub fn median_secs(n: usize, mut f: impl FnMut()) -> f64 {
-    median_secs_with(n, || (), |()| f())
+    median((0..n.max(1)).map(|_| secs_with(|| (), |()| f())).collect())
 }
 
-/// Median-of-`n` timing of `f` on a fresh input each round: `setup`
-/// builds the input before the timer starts, and the input is dropped
-/// after it stops, so neither is timed.
-pub fn median_secs_with<S>(n: usize, mut setup: impl FnMut() -> S, mut f: impl FnMut(&S)) -> f64 {
-    let mut samples: Vec<f64> = (0..n.max(1))
-        .map(|_| {
-            let input = setup();
-            let t = Instant::now();
-            f(&input);
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
+/// Seconds `f` takes on a fresh input: `setup` builds the input before
+/// the timer starts, and the input is dropped after it stops, so
+/// neither is timed.
+pub fn secs_with<S>(setup: impl FnOnce() -> S, f: impl FnOnce(&S)) -> f64 {
+    let input = setup();
+    let t = Instant::now();
+    f(&input);
+    t.elapsed().as_secs_f64()
+}
+
+/// The median of `samples` (the upper middle one of an even count).
+pub fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     samples[samples.len() / 2]
 }

@@ -1,11 +1,13 @@
-//! Allocation budget for one row of use case 3's copy (`copyAllToEMP2`).
+//! Allocation budgets for one row of use case 3's copy (`copyAllToEMP2`)
+//! and for one page of the benchmark's paged department read.
 //!
 //! A counting global allocator tallies the heap allocations the test
 //! thread makes while one warm `etl_space(1000)` batch is copied into
-//! an empty target, and the test asserts the per-row count stays
-//! within the budget. The count is deterministic — the same from batch
-//! to batch, and the same in debug and release builds — so unlike a
-//! timing it can gate CI. It prints the count:
+//! an empty target, or while one warm page is read, and each test
+//! asserts its count stays within its budget. The counts are
+//! deterministic — the same from run to run, and the same in debug and
+//! release builds — so unlike a timing they can gate CI. They print
+//! the counts:
 //!
 //! ```text
 //! cargo test --offline -p xqse-bench --test alloc_budget -- --nocapture
@@ -15,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use aldsp::rel::WriteOp;
-use xqeval::Features;
+use xqeval::{Env, Features};
 use xqse_bench::{etl_run_xqse, etl_space, EtlFixture};
 
 /// Counts every allocation (and growing reallocation) made on the
@@ -98,3 +100,38 @@ fn etl_row_allocations_stay_within_budget() {
 
 /// The per-row count measured on this code (167.98), plus 5 %.
 const BUDGET: f64 = 176.4;
+
+/// A page of 20 rows of department `D3` (~714 rows of `etl_space(5000)`)
+/// starting at row 341, centred in the department: the benchmark's
+/// `page_query` text. The department select is pushed down, and the
+/// window passes over the 340 rows before the page without building
+/// them.
+const PAGE: &str = "declare namespace ens1 = \"ld:hr/EMPLOYEE\";\n\
+    fn:subsequence(for $e in ens1:EMPLOYEE() where $e/DeptNo eq 'D3' \
+    return <row><id>{fn:data($e/EmployeeID)}</id><name>{fn:data($e/Name)}</name></row>, \
+    341, 20)";
+
+#[test]
+fn page_allocations_stay_within_budget() {
+    let f = etl_space(5000);
+    f.space.engine().set_features(Features::ALL);
+    let page = || {
+        let before = allocations();
+        let out = f.space.xqse().run_with_env(PAGE, &mut Env::new()).expect("page");
+        assert_eq!(out.len(), 20);
+        allocations() - before
+    };
+    // Warm: the plan, the table's index and its keyed-select entry for
+    // `D3` are built by the first page and reused by the others.
+    page();
+    let first = page();
+    let second = page();
+    assert_eq!(first, second, "the count must repeat from page to page");
+    println!("alloc_budget: {first} allocations per centred page");
+    assert!(first <= PAGE_BUDGET, "{first} allocations per page; the budget is {PAGE_BUDGET}");
+}
+
+/// The per-page count measured on this code (1,594), plus 5 %. A page
+/// whose pushed-down rows were each re-checked against the `where`
+/// made 6,274.
+const PAGE_BUDGET: u64 = 1673;

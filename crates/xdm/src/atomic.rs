@@ -167,11 +167,13 @@ impl AtomicValue {
         if self.type_of() == target {
             return Ok(self.clone());
         }
-        let from_lexical = |s: &str| -> XdmResult<AtomicValue> {
-            let s = s.trim();
+        let from_lexical = |raw: &str| -> XdmResult<AtomicValue> {
+            // xs:string and xs:untypedAtomic keep the text as it is
+            // (whitespace facet `preserve`); the other targets collapse it.
+            let s = raw.trim();
             Ok(match target {
-                T::UntypedAtomic => V::Untyped(s.to_string()),
-                T::String => V::String(s.to_string()),
+                T::UntypedAtomic => V::Untyped(raw.to_string()),
+                T::String => V::String(raw.to_string()),
                 T::AnyUri => V::AnyUri(s.to_string()),
                 T::Boolean => match s {
                     "true" | "1" => V::Boolean(true),
@@ -477,6 +479,14 @@ mod tests {
         assert!(AtomicValue::String("maybe".into())
             .cast_to(AtomicType::Boolean)
             .is_err());
+        assert_eq!(
+            AtomicValue::Untyped(" a b ".into()).cast_to(AtomicType::String).unwrap(),
+            AtomicValue::String(" a b ".into())
+        );
+        assert_eq!(
+            AtomicValue::String(" a ".into()).cast_to(AtomicType::UntypedAtomic).unwrap(),
+            AtomicValue::Untyped(" a ".into())
+        );
     }
 
     #[test]
@@ -511,6 +521,15 @@ mod tests {
         // Against a string, untyped compares as string: "10" < "9".
         let s = AtomicValue::String("9".into());
         assert_eq!(u.value_compare(&s).unwrap(), Some(Ordering::Less));
+        // ...codepoint by codepoint: whitespace is not trimmed away.
+        let padded = AtomicValue::Untyped(" D1".into());
+        let key = AtomicValue::String("D1".into());
+        assert_eq!(padded.value_compare(&key).unwrap(), Some(Ordering::Less));
+        assert_eq!(
+            AtomicValue::Untyped(" 7".into()).value_compare(&i).unwrap(),
+            Some(Ordering::Less),
+            "numeric targets still collapse whitespace"
+        );
     }
 
     #[test]

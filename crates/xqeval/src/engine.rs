@@ -60,7 +60,9 @@ pub enum FunctionKind {
 /// the indexable column types of the relational simulator. The FLWOR
 /// rewrite uses this to decide whether a comparison key can be pushed
 /// without changing XQuery comparison semantics (false negatives are
-/// forbidden; candidates are always re-verified).
+/// forbidden), and whether the rows the source returns for it need the
+/// `where` re-checked: they do only when the key's XQuery equality is
+/// looser or stricter than the column's lexical equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColClass {
     /// Integral numeric column: numeric and untyped keys with an
@@ -88,7 +90,10 @@ pub struct SourceCapability {
     pub columns: Vec<(String, ColClass)>,
     /// Indexed point-select: `(column, canonical key lexical)` →
     /// matching rows as XDM elements (same shape as the read function
-    /// returns).
+    /// returns). The contract is exact: it returns exactly the rows
+    /// whose column equals the key, each with that column as one child
+    /// holding the column's canonical lexical, so the rewrite skips the
+    /// `where` for keys whose comparison is the column's own equality.
     pub select: SourceSelectFn,
     /// *Live* monotonic version of the underlying table (catalog
     /// metadata, never fault-injected) — caches validate against it.

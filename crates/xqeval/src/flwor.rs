@@ -21,7 +21,8 @@
 //!
 //! The pushdown, view-unfold and join operators consume the `where`
 //! clause after them. Whatever the index does not decide is checked
-//! against that clause: every pushed-down candidate as it is pulled,
+//! against that clause: a pushed-down candidate as it is pulled, unless
+//! its key is one the source matches exactly (see [`pushdown_key`]),
 //! and a tuple whose key is beyond the index takes the plain path for
 //! that tuple only, so a rewrite only narrows what plain evaluation
 //! examines (DESIGN §11 notes the exceptions: join keys that plain
@@ -515,24 +516,30 @@ impl ForOp {
             Source::Pushdown(pd) => {
                 let key_expr = key_operand(clauses, self.clause, pd.key);
                 let key = cx.force(&tuple, key_expr)?.atomized();
-                let lex = match &key[..] {
+                let pushed = match &key[..] {
                     [a] => pushdown_key(pd.class, a),
                     _ => None,
                 };
-                let items = match lex {
-                    Some(lex) => {
+                Ok(match pushed {
+                    Some((lex, exact)) => {
                         if !pd.fired {
                             pd.fired = true;
                             let opt = cx.ev.engine.opt_counters();
                             OptCounters::bump(&opt.pushdown_rewrites);
                         }
-                        (pd.cap.select)(cx.env, &pd.col, &lex)?.into()
+                        let rows = (pd.cap.select)(cx.env, &pd.col, &lex)?;
+                        // The source answers exactly the rows equal to
+                        // `lex`; the `where` decides only what the key's
+                        // lexical could not.
+                        expand(tuple, rows.into(), !exact)
                     }
                     // Not exactly one pushable atom: the plain path,
                     // for this tuple only.
-                    None => cx.items(&tuple, source)?,
-                };
-                Ok(expand(tuple, items, true))
+                    None => {
+                        let items = cx.items(&tuple, source)?;
+                        expand(tuple, items, true)
+                    }
+                })
             }
             Source::Join { steps, key, index } => {
                 let entry = match index.clone() {
@@ -942,24 +949,35 @@ fn may_yield(e: &Expr, names: &[QName]) -> bool {
     }
 }
 
-/// Canonicalize a comparison key for a source column class, or `None`
-/// when the key cannot be pushed without risking *false negatives*
-/// (the source answers by canonical-lexical hash equality; candidates
-/// are re-checked against the `where` clause, so false positives are
-/// harmless but missed rows are not):
+/// Canonicalize a comparison key for a source column class: the
+/// lexical to push and whether the push is *exact*, or `None` when the
+/// key cannot be pushed without risking false negatives. The source
+/// returns exactly the rows whose column equals the pushed lexical
+/// ([`SourceCapability::select`]); column values reach the `where` as
+/// untyped text holding the column's canonical lexical. An exact key
+/// matches exactly those rows under the `where`'s `eq` or `=`, so its
+/// rows skip the `where`, as a one-atom hash-join probe does. An
+/// inexact key may match fewer rows than the source returns, which the
+/// `where` then re-checks:
 ///
 /// - `Integer` columns store canonical `i64` lexicals. Numeric keys
-///   compare numerically (push the integral value; non-integral or
-///   out-of-range values fall back). Untyped keys compare *stringly*
-///   against untyped column values, and only canonical lexicals can
-///   ever match — parsing and re-rendering is safe because a
-///   non-canonical key matches nothing either way.
-/// - `String` columns: string/untyped keys push verbatim; numeric keys
-///   would compare numerically against e.g. `"007"` and must fall back.
+///   compare numerically: the integral value is pushed, and
+///   non-integral or out-of-range values fall back. Untyped keys
+///   compare *stringly* against untyped column values, so only a
+///   canonical lexical can ever match; parsing and re-rendering is
+///   safe because a non-canonical key matches nothing either way.
+///   Exact: an `xs:integer` key (below 2^53 in magnitude, so no stored
+///   `i64` rounds onto it as a double), or an untyped key that already
+///   is its canonical lexical (`7`, not `007`, ` 7` or `7.0`).
+///   Decimal and double keys are re-checked.
+/// - `String` columns: string and untyped keys are pushed verbatim and
+///   are exact, since both compare codepoint by codepoint with the
+///   stored text. Numeric keys would compare numerically against e.g.
+///   `"007"` and must fall back.
 /// - `Boolean` columns store `true`/`false`. Boolean keys push their
-///   canonical lexical; untyped keys are normalized (`1` → `true`),
-///   with the re-check discarding the lexical mismatches.
-fn pushdown_key(class: ColClass, a: &xdm::atomic::AtomicValue) -> Option<String> {
+///   canonical lexical and are exact; untyped keys are normalized
+///   (`1` → `true`) and are exact only when already canonical.
+fn pushdown_key(class: ColClass, a: &xdm::atomic::AtomicValue) -> Option<(String, bool)> {
     use xdm::atomic::{to_f64, AtomicValue};
     match class {
         ColClass::Integer => {
@@ -971,19 +989,28 @@ fn pushdown_key(class: ColClass, a: &xdm::atomic::AtomicValue) -> Option<String>
             if !d.is_finite() || d.fract() != 0.0 || d.abs() >= 9.007_199_254_740_992e15 {
                 return None;
             }
-            Some(format!("{}", d as i64))
+            let lex = format!("{}", d as i64);
+            let exact = match a {
+                AtomicValue::Integer(_) => true,
+                AtomicValue::Untyped(s) => *s == lex,
+                _ => false,
+            };
+            Some((lex, exact))
         }
         ColClass::String => match a {
-            AtomicValue::String(s) | AtomicValue::Untyped(s) => Some(s.clone()),
+            AtomicValue::String(s) | AtomicValue::Untyped(s) => Some((s.clone(), true)),
             _ => None,
         },
         ColClass::Boolean => match a {
-            AtomicValue::Boolean(b) => Some(b.to_string()),
-            AtomicValue::Untyped(s) => match s.trim() {
-                "true" | "1" => Some("true".to_string()),
-                "false" | "0" => Some("false".to_string()),
-                _ => None,
-            },
+            AtomicValue::Boolean(b) => Some((b.to_string(), true)),
+            AtomicValue::Untyped(s) => {
+                let lex = match s.trim() {
+                    "true" | "1" => "true",
+                    "false" | "0" => "false",
+                    _ => return None,
+                };
+                Some((lex.to_string(), s == lex))
+            }
             _ => None,
         },
     }

@@ -12,7 +12,7 @@ use xdm::sequence::{Item, Sequence};
 use xmlparse::{parse, serialize, serialize_sequence};
 
 use crate::context::Env;
-use crate::engine::Engine;
+use crate::engine::{ColClass, Engine, SourceCapability, SourceSelectFn};
 use crate::features::Features;
 use crate::update::Pul;
 
@@ -671,6 +671,84 @@ fn join_with_general_comparison_also_optimized() {
     let fast = engine.eval_expr_str(q, &[("db", "urn:db")]).unwrap();
     assert_eq!(fast.len(), 10);
     assert!(fast.atomized().iter().all(|a| a.string_value() == "1"));
+}
+
+// ------------------------------------------------------ source pushdown
+
+/// The rows `(K, S)` of the table behind `src:T()`.
+const PUSHDOWN_ROWS: [(&str, &str); 3] = [("7", "a"), ("70", "b"), ("-7", "c")];
+
+fn pushdown_row(k: &str, s: &str) -> Item {
+    let doc = parse(&format!("<T><K>{k}</K><S>{s}</S></T>")).unwrap();
+    Item::Node(doc.children()[0].clone())
+}
+
+/// `src:T()` with a pushdown capability on `K` (Integer) and `S`
+/// (String) whose `select` breaks the exactness contract on purpose:
+/// beside the rows whose column equals the key, it returns the row
+/// `(99, zz)`, which matches no key below. Whatever reaches the output
+/// of that row came through unchecked.
+fn loose_source_engine() -> Engine {
+    let engine = Engine::new();
+    let name = QName::with_ns("urn:src", "T");
+    let all: Sequence = PUSHDOWN_ROWS.iter().map(|(k, s)| pushdown_row(k, s)).collect();
+    engine.register_external_function(name.clone(), 0, Rc::new(move |_e, _a| Ok(all.clone())));
+    let select: SourceSelectFn = Rc::new(|_env, col, key| {
+        let mut hits: Vec<Item> = PUSHDOWN_ROWS
+            .iter()
+            .filter(|(k, s)| (if col == "K" { *k } else { *s }) == key)
+            .map(|(k, s)| pushdown_row(k, s))
+            .collect();
+        hits.push(pushdown_row("99", "zz"));
+        Ok(Sequence::from_items(hits))
+    });
+    engine.register_source_capability(
+        name,
+        SourceCapability {
+            columns: vec![("K".into(), ColClass::Integer), ("S".into(), ColClass::String)],
+            select,
+            version: Rc::new(|| 0),
+            served_version: Rc::new(|| 0),
+        },
+    );
+    engine
+}
+
+/// A pushed-down `for` trusts `select` for exact keys and re-checks its
+/// `where` for the rest: the stray row reaches the output exactly when
+/// the key is exact.
+#[test]
+fn pushdown_rechecks_only_inexact_keys() {
+    let engine = loose_source_engine();
+    // (where clause, output with the rewrite, the key is exact)
+    let cases = [
+        ("$r/K eq 7", "a zz", true),
+        ("7 = $r/K", "a zz", true),
+        ("$r/K eq xs:untypedAtomic('7')", "a zz", true),
+        ("$r/S eq 'b'", "b zz", true),
+        ("$r/S eq xs:untypedAtomic('c')", "c zz", true),
+        ("$r/K eq xs:untypedAtomic('007')", "", false),
+        ("$r/K eq xs:untypedAtomic(' 7')", "", false),
+        ("$r/K eq 7.0", "a", false),
+        ("$r/K eq 7e0", "a", false),
+    ];
+    for (cond, pushed, exact) in cases {
+        let q = format!("for $r in src:T() where {cond} return fn:data($r/S)");
+        let run = |features| {
+            engine.set_features(features);
+            engine.reset_opt_stats();
+            let out = engine.eval_expr_str(&q, &[("src", "urn:src")]).unwrap();
+            (as_string(&out), engine.opt_stats().pushdown_rewrites)
+        };
+        let (out, fired) = run(Features::ALL);
+        assert_eq!(fired, 1, "the rewrite must fire: {cond}");
+        assert_eq!(out, pushed, "{cond}");
+        assert_eq!(out.contains("zz"), exact, "{cond}");
+        // Plain evaluation never asks the source to select.
+        let (plain, fired) = run(Features::NONE);
+        assert_eq!(fired, 0, "{cond}");
+        assert_eq!(plain, pushed.trim_end_matches("zz").trim_end(), "{cond}");
+    }
 }
 
 // ----------------------------------------------------- global variables

@@ -5,9 +5,10 @@
 //! web-service call, which no operator rewrites but which the `batch`
 //! layer answers from its memo and read-through cache.
 //!
-//! Each shape × consumer runs three ways on a fresh demo data space:
-//! pulled item by item through the sink entry, drained, and drained
-//! with every rewrite off (the reference). The three must serialize
+//! Each shape × consumer runs three ways on a fresh data space (the
+//! demo's, unless a test builds its own): pulled item by item through
+//! the sink entry, drained, and drained with every rewrite off (the
+//! reference). The three must serialize
 //! byte-identically or fail with the same error code, and the
 //! rewrite's own counter must prove it fired in the first two runs and
 //! not in the reference.
@@ -40,11 +41,19 @@ enum Mode {
     Reference,
 }
 
-/// Run `query` on a fresh demo data space: its serialization (or error
-/// code) and the engine's counters.
+fn demo_space() -> DataSpace {
+    demo::build(6, 2, 2).expect("demo data space").space
+}
+
+/// Run `query` after the demo prolog on a fresh demo data space: its
+/// serialization (or error code) and the engine's counters.
 fn run(query: &str, mode: Mode) -> (Result<String, String>, OptStats) {
-    let demo = demo::build(6, 2, 2).expect("demo data space");
-    let (xqse, engine) = (demo.space.xqse(), demo.space.engine());
+    run_in(&demo_space(), &format!("{PROLOG}{query}"), mode)
+}
+
+/// Run the program `src` on `space`.
+fn run_in(space: &DataSpace, src: &str, mode: Mode) -> (Result<String, String>, OptStats) {
+    let (xqse, engine) = (space.xqse(), space.engine());
     // Every rewrite feature and `lazy` are set explicitly, so
     // `XQSE_FEATURES` cannot change what a mode means.
     let rewrites = !matches!(mode, Mode::Reference);
@@ -56,18 +65,17 @@ fn run(query: &str, mode: Mode) -> (Result<String, String>, OptStats) {
         ..engine.features()
     });
     engine.reset_opt_stats();
-    let src = format!("{PROLOG}{query}");
     let mut env = Env::new();
     let out = match mode {
         Mode::Lazy => {
             let mut ser = IncrementalSerializer::new();
-            xqse.run_to_sink(&src, &mut env, &mut |item| {
+            xqse.run_to_sink(src, &mut env, &mut |item| {
                 ser.write_item(&item);
                 Ok(())
             })
             .map(|()| ser.finish())
         }
-        _ => xqse.run_with_env(&src, &mut env).map(|s| serialize_sequence(&s)),
+        _ => xqse.run_with_env(src, &mut env).map(|s| serialize_sequence(&s)),
     };
     (out.map_err(|e| e.code.to_string()), engine.opt_stats())
 }
@@ -194,12 +202,18 @@ const CONSUMERS: &[(&str, &str)] = &[
     ("[k]", "({})[2]"),
 ];
 
-/// Run `query` lazily, drained and as the reference, assert that the
-/// three agree, and return their counters in that order.
+/// Run `query` after the demo prolog lazily, drained and as the
+/// reference, assert that the three agree, and return their counters
+/// in that order.
 fn agree(query: &str, what: &str) -> [OptStats; 3] {
-    let (reference, r) = run(query, Mode::Reference);
-    let (lazy, l) = run(query, Mode::Lazy);
-    let (drained, d) = run(query, Mode::Drained);
+    agree_in(demo_space, &format!("{PROLOG}{query}"), what)
+}
+
+/// [`agree`] for the program `src`, each run on a fresh `space()`.
+fn agree_in(space: fn() -> DataSpace, src: &str, what: &str) -> [OptStats; 3] {
+    let (reference, r) = run_in(&space(), src, Mode::Reference);
+    let (lazy, l) = run_in(&space(), src, Mode::Lazy);
+    let (drained, d) = run_in(&space(), src, Mode::Drained);
     assert_eq!(lazy, reference, "lazy vs reference: {what}");
     assert_eq!(drained, reference, "drained vs reference: {what}");
     [l, d, r]
@@ -396,6 +410,140 @@ fn employees(rows: i64) -> DataSpace {
     let space = DataSpace::new();
     space.register_relational_source(&db).expect("introspect");
     space
+}
+
+/// A table whose columns hold the values a lexical index and XQuery
+/// comparison could tell apart: `DeptNo` (Varchar) holds `D1`, `d1`,
+/// ` D1`, `D1 `, the empty string and NULL; `N` (Integer) holds 7, 70,
+/// −7 and NULL; `B` (Boolean) holds `true`, `false` and NULL. Row `i`
+/// has `ID` `i`.
+fn lexical_edges() -> DataSpace {
+    let db = Database::new("edges");
+    db.create_table(TableSchema {
+        name: "T".into(),
+        columns: vec![
+            Column::required("ID", ColumnType::Integer),
+            Column::nullable("DeptNo", ColumnType::Varchar),
+            Column::nullable("N", ColumnType::Integer),
+            Column::nullable("B", ColumnType::Boolean),
+        ],
+        primary_key: vec!["ID".into()],
+        foreign_keys: vec![],
+    })
+    .expect("schema");
+    let rows = [
+        (Some("D1"), Some(7), Some(true)),
+        (Some("d1"), Some(70), Some(false)),
+        (Some(" D1"), Some(-7), None),
+        (Some("D1 "), Some(7), Some(true)),
+        (Some(""), None, Some(false)),
+        (None, Some(70), Some(true)),
+    ];
+    for (id, (dept, n, b)) in (1..).zip(rows) {
+        let row = vec![
+            SqlValue::Int(id),
+            dept.map_or(SqlValue::Null, |d| SqlValue::Str(d.into())),
+            n.map_or(SqlValue::Null, SqlValue::Int),
+            b.map_or(SqlValue::Null, SqlValue::Bool),
+        ];
+        db.insert("T", row).expect("insert");
+    }
+    let space = DataSpace::new();
+    space.register_relational_source(&db).expect("introspect");
+    space
+}
+
+/// The columns of [`lexical_edges`] a `where` compares.
+const EDGE_COLUMNS: [&str; 3] = ["DeptNo", "N", "B"];
+
+/// (key, whether it is pushed down on each of [`EDGE_COLUMNS`]): keys
+/// whose push is exact, keys whose rows the `where` must re-check, and
+/// keys `pushdown_key` declines for the column.
+const EDGE_KEYS: &[(&str, [bool; 3])] = &[
+    ("'D1'", [true, false, false]),
+    ("''", [true, false, false]),
+    ("'7'", [true, false, false]),
+    // A row's untyped `DeptNo`: ` D1`, then `D1`.
+    ("fn:data(e:T()[ID eq 3]/DeptNo)", [true, false, false]),
+    ("fn:data(e:T()[ID eq 1]/DeptNo)", [true, false, false]),
+    ("7", [false, true, false]),
+    ("xs:untypedAtomic('7')", [true, true, false]),
+    ("xs:untypedAtomic('007')", [true, true, false]),
+    ("xs:untypedAtomic(' 7')", [true, true, false]),
+    ("7.0", [false, true, false]),
+    ("7e0", [false, true, false]),
+    ("fn:true()", [false, false, true]),
+    ("xs:untypedAtomic('true')", [true, false, true]),
+    ("xs:untypedAtomic('1')", [true, true, true]),
+    ("xs:untypedAtomic(' true')", [true, false, true]),
+];
+
+/// Pushed-down keys, exact or re-checked, give what plain evaluation
+/// gives on values that differ only in case, surrounding whitespace or
+/// leading zeros, under `eq` and `=` and every consumer (keys that
+/// plain comparison rejects raise the same error code).
+#[test]
+fn pushed_down_keys_agree_on_lexical_edges() {
+    for &(key, pushed_on) in EDGE_KEYS {
+        for (col, pushed) in EDGE_COLUMNS.into_iter().zip(pushed_on) {
+            for op in ["eq", "="] {
+                let flwor = format!(
+                    "for $k in {key} for $t in e:T() where $t/{col} {op} $k \
+                     return <t>{{fn:data($t/ID)}}</t>"
+                );
+                for &(consumer, wrap) in CONSUMERS {
+                    let what = format!("$t/{col} {op} {key} / {consumer}");
+                    let src = format!(
+                        "declare namespace e = \"ld:edges/T\"; {}",
+                        wrap.replace("{}", &flwor)
+                    );
+                    let [l, d, r] = agree_in(lexical_edges, &src, &what);
+                    assert_eq!(pushdowns(&l) > 0, pushed, "lazily: {what}");
+                    assert_eq!(pushdowns(&d) > 0, pushed, "drained: {what}");
+                    assert_eq!(pushdowns(&r), 0, "{what}");
+                }
+            }
+        }
+    }
+    // Spot-check the reference itself: the key `D1` is neither `d1`
+    // nor ` D1` nor `D1 `.
+    let q = "declare namespace e = \"ld:edges/T\"; \
+             for $t in e:T() where $t/DeptNo eq 'D1' return fn:data($t/ID)";
+    assert_eq!(run_in(&lexical_edges(), q, Mode::Reference).0.as_deref(), Ok("1"));
+}
+
+/// An update statement that changes the `where` column of a row a
+/// pushed-down select handed out flushes the keyed-select cache, so the
+/// same key pushed down again is answered from the table, not from the
+/// changed row: trusting the source stays exact.
+#[test]
+fn node_updates_to_the_where_column_do_not_leak_into_exact_pushdowns() {
+    let query = r#"
+declare namespace ens1 = "ld:hr/EMPLOYEE";
+{
+  replace value of node
+    (for $e in ens1:EMPLOYEE() where $e/DeptNo eq 'D3' return $e)[1]/DeptNo
+    with "D4";
+  return value (
+    for $d in ('D3', 'D4')
+    return fn:string-join(
+      for $e in ens1:EMPLOYEE() where $e/DeptNo eq $d
+      return fn:concat($e/EmployeeID, ':', $e/DeptNo), ' '));
+}
+"#;
+    let run = |features: Features| {
+        let space = employees(30);
+        space.engine().set_features(features);
+        let out = space.xqse().run_with_env(query, &mut Env::new()).expect("run");
+        let texts: Vec<String> = out.iter().map(|i| i.string_value()).collect();
+        (texts, space.engine().opt_stats())
+    };
+    let (plain, p) = run(Features::NONE);
+    let (optimized, o) = run(Features::ALL);
+    assert_eq!(plain, ["3:D3 10:D3 17:D3 24:D3", "4:D4 11:D4 18:D4 25:D4"]);
+    assert_eq!(optimized, plain);
+    assert_eq!(pushdowns(&p), 0);
+    assert_eq!(pushdowns(&o), 3, "the update's read and one per key after it");
 }
 
 /// An update statement that changes a node a cached read handed out
