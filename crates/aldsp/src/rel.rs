@@ -306,6 +306,8 @@ struct TableData {
 struct Prepared {
     ops: Vec<WriteOp>,
     locked: HashSet<(String, u64)>,
+    /// The primary keys its inserts and key-writing updates claim:
+    /// taken for every other transaction's prepare.
     inserted_keys: Vec<(String, Vec<SqlValue>)>,
 }
 
@@ -793,25 +795,7 @@ impl Database {
                     validate_insert_shape(&t.schema, row)?;
                     let key = pk_values(&t.schema, row);
                     if !key.is_empty() {
-                        let fp = key_fingerprint(&key);
-                        // A key is taken by a committed row, by another
-                        // prepared transaction, or earlier in this write set.
-                        let taken = pk_dup_check(t, &key)
-                            || reserved_keys.contains(&(table.clone(), fp))
-                            || inserted_keys.iter().any(|(tn, k)| tn == table && *k == key);
-                        if taken {
-                            return Err(XdmError::new(
-                                ErrorCode::DSP0003,
-                                format!(
-                                    "primary key violation on {table}: ({})",
-                                    key.iter()
-                                        .map(|v| v.to_string())
-                                        .collect::<Vec<_>>()
-                                        .join(", ")
-                                ),
-                            ));
-                        }
-                        inserted_keys.push((table.clone(), key));
+                        claim_key(t, table, key, &reserved_keys, &mut inserted_keys)?;
                     }
                 }
                 WriteOp::Update { table, set, cond, expect_rows } => {
@@ -852,6 +836,29 @@ impl Database {
                             ));
                         }
                         locked.insert(key);
+                    }
+                    // An update that writes a key column gives each row
+                    // it hits a new key, which must be free as an
+                    // inserted key must be. A row whose key the update
+                    // leaves as it was keeps it.
+                    if set.iter().any(|(c, _)| t.schema.primary_key.contains(c)) {
+                        let sets = cond_indices(&t.schema, set)?;
+                        let moved: Vec<Vec<SqlValue>> = t
+                            .rows
+                            .iter()
+                            .filter(|(_, r)| row_matches(r, &idx))
+                            .filter_map(|(_, r)| {
+                                let mut new = r.clone();
+                                for (i, v) in &sets {
+                                    new[*i] = v.clone();
+                                }
+                                let key = pk_values(&t.schema, &new);
+                                (key != pk_values(&t.schema, r)).then_some(key)
+                            })
+                            .collect();
+                        for key in moved {
+                            claim_key(t, table, key, &reserved_keys, &mut inserted_keys)?;
+                        }
                     }
                 }
                 WriteOp::Delete { table, cond, expect_rows } => {
@@ -1164,6 +1171,33 @@ fn pk_values(schema: &TableSchema, row: &Row) -> Vec<SqlValue> {
 
 fn key_fingerprint(key: &[SqlValue]) -> String {
     key.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\u{1}")
+}
+
+/// Claim primary key `key` of `table` (whose data is `t`) for a write
+/// set: a DSP0003 primary key violation when a committed row, another
+/// prepared transaction or an earlier op of the write set (`claimed`)
+/// holds it. Like the rest of prepare, the check sees the table as
+/// committed, so a key an earlier op of the same write set frees is
+/// still taken.
+fn claim_key(
+    t: &mut TableData,
+    table: &str,
+    key: Vec<SqlValue>,
+    reserved: &HashSet<(String, String)>,
+    claimed: &mut Vec<(String, Vec<SqlValue>)>,
+) -> XdmResult<()> {
+    let taken = pk_dup_check(t, &key)
+        || reserved.contains(&(table.to_string(), key_fingerprint(&key)))
+        || claimed.iter().any(|(tn, k)| tn == table && *k == key);
+    if taken {
+        let shown: Vec<String> = key.iter().map(|v| v.to_string()).collect();
+        return Err(XdmError::new(
+            ErrorCode::DSP0003,
+            format!("primary key violation on {table}: ({})", shown.join(", ")),
+        ));
+    }
+    claimed.push((table.to_string(), key));
+    Ok(())
 }
 
 /// Does a committed row with primary key `key` already exist?
@@ -1707,6 +1741,71 @@ mod tests {
         assert!(!db.is_prepared(t));
         assert!(!db.commit_branch(t).unwrap(), "nothing was prepared");
         assert_eq!(db.row_count("PEOPLE").unwrap(), 2);
+    }
+
+    /// `UPDATE PEOPLE SET ID = to WHERE ID = from`.
+    fn move_key(from: i64, to: i64) -> WriteOp {
+        WriteOp::Update {
+            table: "PEOPLE".into(),
+            set: vec![("ID".into(), SqlValue::Int(to))],
+            cond: vec![("ID".into(), SqlValue::Int(from))],
+            expect_rows: 1,
+        }
+    }
+
+    /// The `(ID, NAME)` of every row, in row order.
+    fn people(db: &Database) -> Vec<(SqlValue, SqlValue)> {
+        db.scan("PEOPLE").unwrap().into_iter().map(|r| (r[0].clone(), r[1].clone())).collect()
+    }
+
+    #[test]
+    fn an_update_cannot_move_a_row_onto_a_taken_key() {
+        let db = db_with_people();
+        let before = people(&db);
+        let err = db.execute(vec![move_key(1, 2)]).unwrap_err();
+        assert!(err.is(ErrorCode::DSP0003));
+        assert!(err.message.contains("primary key violation"), "{err}");
+        // Two rows moved onto one free key, and a row moved onto a key
+        // an insert of the same write set takes.
+        let err = db.execute(vec![move_key(1, 9), move_key(2, 9)]).unwrap_err();
+        assert!(err.is(ErrorCode::DSP0003), "{err}");
+        let err = db.execute(vec![insert_seven("c"), move_key(1, 7)]).unwrap_err();
+        assert!(err.is(ErrorCode::DSP0003), "{err}");
+        assert_eq!(people(&db), before, "a rejected write set changes nothing");
+        // A row keeps its own key, and moves onto a free one.
+        db.execute(vec![move_key(1, 1)]).unwrap();
+        db.execute(vec![move_key(1, 9)]).unwrap();
+        let nine = vec![("ID".into(), SqlValue::Int(9))];
+        assert_eq!(db.select("PEOPLE", &nine).unwrap().len(), 1);
+        assert_eq!(db.row_count("PEOPLE").unwrap(), 2);
+    }
+
+    #[test]
+    fn a_prepared_update_cannot_move_a_row_onto_a_taken_key() {
+        let db = db_with_people();
+        let before = people(&db);
+        let t = fresh_tx();
+        let err = db.prepare(t, vec![move_key(2, 1)]).unwrap_err();
+        assert!(err.is(ErrorCode::DSP0003));
+        assert!(err.message.contains("primary key violation"), "{err}");
+        assert!(!db.is_prepared(t));
+        assert!(!db.commit_branch(t).unwrap(), "nothing was prepared");
+        assert_eq!(people(&db), before);
+        // A key another prepared branch moves a row onto is taken too.
+        let first = fresh_tx();
+        db.prepare(first, vec![move_key(2, 8)]).unwrap();
+        let err = db.prepare(fresh_tx(), vec![insert_eight()]).unwrap_err();
+        assert!(err.is(ErrorCode::DSP0003), "{err}");
+        assert!(db.commit_branch(first).unwrap());
+        let eight = vec![("ID".into(), SqlValue::Int(8))];
+        assert_eq!(db.select("PEOPLE", &eight).unwrap().len(), 1);
+    }
+
+    fn insert_eight() -> WriteOp {
+        WriteOp::Insert {
+            table: "PEOPLE".into(),
+            row: vec![SqlValue::Int(8), SqlValue::Str("eve".into()), SqlValue::Null],
+        }
     }
 
     fn two_dbs() -> (Database, Database) {

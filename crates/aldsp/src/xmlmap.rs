@@ -7,7 +7,7 @@
 //! generated create/update/delete procedures.
 
 use xdm::error::{ErrorCode, XdmError, XdmResult};
-use xdm::node::NodeHandle;
+use xdm::node::{NodeArena, NodeHandle};
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
@@ -35,16 +35,19 @@ pub fn row_to_xml(schema: &TableSchema, ns: &str, row: &Row) -> NodeHandle {
 
 /// Row→XML with the QNames already built. The names are identical for
 /// every row of a table, so the bulk materializer constructs them once
-/// per batch instead of once per row (interned `Symbol`s make each
-/// remaining clone a refcount bump).
+/// per batch instead of once per row (an interned `Symbol` clones as a
+/// pointer copy). A row is built to size: its arena
+/// holds exactly the row element and an element and a text node per
+/// non-null column, and each element has room for exactly its children.
 fn row_to_xml_named(row_name: &QName, col_names: &[QName], row: &Row) -> NodeHandle {
-    let elem = NodeHandle::root_element(row_name.clone());
-    let arena = elem.arena().clone();
+    let columns = row.iter().filter(|v| !v.is_null()).count();
+    let arena = NodeArena::with_capacity(1 + 2 * columns);
+    let elem = NodeHandle::new_element_sized(&arena, row_name.clone(), columns);
     for (name, val) in col_names.iter().zip(row) {
         if val.is_null() {
             continue;
         }
-        let c = NodeHandle::new_element(&arena, name.clone());
+        let c = NodeHandle::new_element_sized(&arena, name.clone(), 1);
         c.append_child(&NodeHandle::new_text(&arena, val.lexical()))
             .expect("text under element");
         elem.append_child(&c).expect("element under element");

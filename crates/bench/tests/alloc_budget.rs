@@ -1,13 +1,15 @@
-//! Allocation budgets for one row of use case 3's copy (`copyAllToEMP2`)
-//! and for one page of the benchmark's paged department read.
+//! Allocation budgets for one row of use case 3's copy (`copyAllToEMP2`),
+//! for one page of the benchmark's paged department read, and for the
+//! bytes one cached row tree keeps.
 //!
 //! A counting global allocator tallies the heap allocations the test
 //! thread makes while one warm `etl_space(1000)` batch is copied into
 //! an empty target, or while one warm page is read, and each test
-//! asserts its count stays within its budget. The counts are
-//! deterministic — the same from run to run, and the same in debug and
-//! release builds — so unlike a timing they can gate CI. They print
-//! the counts:
+//! asserts its count stays within its budget. It also tracks the bytes
+//! the thread holds, so a test can read what a materialized row keeps.
+//! The counts are deterministic — the same from run to run, and the
+//! same in debug and release builds — so unlike a timing they can gate
+//! CI. They print the counts:
 //!
 //! ```text
 //! cargo test --offline -p xqse-bench --test alloc_budget -- --nocapture
@@ -17,43 +19,49 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use aldsp::rel::WriteOp;
+use aldsp::xmlmap::rows_to_sequence;
 use xqeval::{Env, Features};
 use xqse_bench::{etl_run_xqse, etl_space, EtlFixture};
 
 /// Counts every allocation (and growing reallocation) made on the
-/// calling thread; the test harness's own threads do not disturb it.
+/// calling thread, and the bytes it holds; the test harness's own
+/// threads do not disturb either.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
-    // `try_with`: the slot is gone while the thread tears down.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+/// Book one allocation of `grow` bytes (negative: bytes freed).
+fn book(allocs: u64, grow: i64) {
+    // `try_with`: the slots are gone while the thread tears down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + allocs));
+    let _ = LIVE.try_with(|c| c.set(c.get() + grow));
 }
 
 // SAFETY: every method forwards to `System` with the caller's
 // arguments unchanged, so `System`'s guarantees carry over; the only
-// addition is a thread-local counter bump, which does not allocate
+// addition is thread-local counter updates, which do not allocate
 // (`const` initialisation, no destructor).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        book(1, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        book(1, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        book(1, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        book(0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -65,6 +73,10 @@ const ROWS: i64 = 1000;
 
 fn allocations() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 /// Empty `EMP2` so every batch copies into the same state.
@@ -101,37 +113,81 @@ fn etl_row_allocations_stay_within_budget() {
 /// The per-row count measured on this code (167.98), plus 5 %.
 const BUDGET: f64 = 176.4;
 
-/// A page of 20 rows of department `D3` (~714 rows of `etl_space(5000)`)
-/// starting at row 341, centred in the department: the benchmark's
-/// `page_query` text. The department select is pushed down, and the
-/// window passes over the 340 rows before the page without building
-/// them.
-const PAGE: &str = "declare namespace ens1 = \"ld:hr/EMPLOYEE\";\n\
-    fn:subsequence(for $e in ens1:EMPLOYEE() where $e/DeptNo eq 'D3' \
-    return <row><id>{fn:data($e/EmployeeID)}</id><name>{fn:data($e/Name)}</name></row>, \
-    341, 20)";
+/// A page of 20 rows of department `D3` of `etl_space(5000)` (714 rows)
+/// starting at its row `start`: the benchmark's `page_query` text. The
+/// department select is pushed down, its key is exact, and the window
+/// passes over the rows before the page without binding them.
+fn page(start: usize) -> String {
+    format!(
+        "declare namespace ens1 = \"ld:hr/EMPLOYEE\";\n\
+         fn:subsequence(for $e in ens1:EMPLOYEE() where $e/DeptNo eq 'D3' \
+         return <row><id>{{fn:data($e/EmployeeID)}}</id><name>{{fn:data($e/Name)}}</name></row>, \
+         {start}, 20)"
+    )
+}
+
+/// The first page, the page centred in the department and its last 20
+/// rows.
+const PAGE_STARTS: [usize; 3] = [1, 341, 695];
 
 #[test]
 fn page_allocations_stay_within_budget() {
     let f = etl_space(5000);
     f.space.engine().set_features(Features::ALL);
-    let page = || {
+    let read = |text: &str| {
         let before = allocations();
-        let out = f.space.xqse().run_with_env(PAGE, &mut Env::new()).expect("page");
+        let out = f.space.xqse().run_with_env(text, &mut Env::new()).expect("page");
         assert_eq!(out.len(), 20);
         allocations() - before
     };
-    // Warm: the plan, the table's index and its keyed-select entry for
-    // `D3` are built by the first page and reused by the others.
-    page();
-    let first = page();
-    let second = page();
-    assert_eq!(first, second, "the count must repeat from page to page");
-    println!("alloc_budget: {first} allocations per centred page");
-    assert!(first <= PAGE_BUDGET, "{first} allocations per page; the budget is {PAGE_BUDGET}");
+    let [first, centred, last] = PAGE_STARTS.map(|start| {
+        let text = page(start);
+        // Warm: the plan, the table's index and its keyed-select entry
+        // for `D3` are built by the first read and reused by the others.
+        read(&text);
+        let n = read(&text);
+        assert_eq!(n, read(&text), "the count must repeat from page to page");
+        n
+    });
+    println!("alloc_budget: {centred} allocations per centred page");
+    println!("alloc_budget: {first}/{centred}/{last} allocations per first/centred/last page");
+    assert!(centred <= PAGE_BUDGET, "{centred} allocations per page; the budget is {PAGE_BUDGET}");
+    let (lo, hi) = (first.min(centred).min(last), first.max(centred).max(last));
+    assert!(
+        hi * 100 <= lo * 101,
+        "a page's allocations must not grow with its offset: \
+         first {first}, centred {centred}, last {last}"
+    );
 }
 
-/// The per-page count measured on this code (1,594), plus 5 %. A page
-/// whose pushed-down rows were each re-checked against the `where`
-/// made 6,274.
-const PAGE_BUDGET: u64 = 1673;
+/// The per-page count measured on this code (577), plus 5 %. A centred
+/// page that bound each pushed-down row before its start made 1,594
+/// (the last 2,656); one whose rows were each re-checked against the
+/// `where` made 6,274.
+const PAGE_BUDGET: u64 = 605;
+
+#[test]
+fn cached_row_bytes_stay_within_budget() {
+    let f = etl_space(ROWS);
+    let schema = f.src.schema("EMPLOYEE").expect("EMPLOYEE exists");
+    let rows = f.src.scan("EMPLOYEE").expect("scan");
+    let ns = "ld:hr/EMPLOYEE";
+    // Warm: the first build interns the table's names.
+    drop(rows_to_sequence(&schema, ns, &rows));
+    let before = live_bytes();
+    let trees = rows_to_sequence(&schema, ns, &rows);
+    let kept = live_bytes() - before;
+    assert_eq!(trees.len(), rows.len());
+    drop(trees);
+    assert_eq!(live_bytes(), before, "dropping the trees frees what they kept");
+    let per_row = kept as f64 / rows.len() as f64;
+    println!("alloc_budget: {per_row:.1} bytes kept per cached row ({kept} per {ROWS} rows)");
+    assert!(per_row <= ROW_BYTES, "{per_row:.1} bytes per cached row; the budget is {ROW_BYTES}");
+}
+
+/// The bytes per `EMPLOYEE` row measured on this code (943.9), plus
+/// 5 %: a row of four non-null columns is nine 64-byte node slots in an
+/// arena of exactly nine, and each element has room for exactly its
+/// children. Arenas and child lists grown entry by entry, in 128-byte
+/// slots, kept 2,622.9.
+const ROW_BYTES: f64 = 991.1;

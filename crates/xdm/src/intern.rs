@@ -1,17 +1,20 @@
 //! Name/string interning and XDM construction counters.
 //!
-//! [`Symbol`] is an interned string: an `Arc<str>` deduplicated through
-//! a process-wide table, so every occurrence of the same name shares
-//! one allocation. Cloning a `Symbol` is a refcount bump and equality
-//! is (almost always) a pointer comparison — exactly the properties the
+//! [`Symbol`] is an interned string deduplicated through a process-wide
+//! table, so every occurrence of the same name shares one allocation.
+//! The table keeps every string it was handed for the life of the
+//! process, so a `Symbol` is a plain reference to the table's copy: one
+//! pointer wide (a `QName` of three is 24 bytes, which sizes every
+//! element slot of the node store), cloned without a refcount, and
+//! compared (almost always) by address — exactly the properties the
 //! construction-bound read path needs, where the same element/column
 //! names recur thousands of times per query.
 //!
 //! The table is sharded behind plain `std::sync::Mutex`es and the
-//! symbols are `Arc`-backed, so the interner is `Send + Sync`: the
-//! serving pool's engine-per-worker threads share one table (names are
-//! global facts), while the XDM node store itself stays single-threaded
-//! per worker as before.
+//! strings are immutable, so the interner is `Send + Sync`: the serving
+//! pool's engine-per-worker threads share one table (names are global
+//! facts), while the XDM node store itself stays single-threaded per
+//! worker as before.
 //!
 //! This module also hosts the **thread-local construction counters**
 //! (`nodes_built`, `subtrees_grafted`, `deep_copy_nodes_avoided`,
@@ -26,16 +29,16 @@ use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// An interned, immutable string. Cheap to clone, cheap to compare.
 #[derive(Clone)]
-pub struct Symbol(Arc<str>);
+pub struct Symbol(&'static String);
 
 const SHARDS: usize = 8;
 
-fn table() -> &'static [Mutex<HashSet<Arc<str>>>; SHARDS] {
-    static TABLE: OnceLock<[Mutex<HashSet<Arc<str>>>; SHARDS]> = OnceLock::new();
+fn table() -> &'static [Mutex<HashSet<Symbol>>; SHARDS] {
+    static TABLE: OnceLock<[Mutex<HashSet<Symbol>>; SHARDS]> = OnceLock::new();
     TABLE.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashSet::new())))
 }
 
@@ -56,43 +59,45 @@ impl Symbol {
         let mut set = shard.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(existing) = set.get(s) {
             bump(|c| &c.interned_hits);
-            return Symbol(existing.clone());
+            return existing.clone();
         }
-        let arc: Arc<str> = Arc::from(s);
-        set.insert(arc.clone());
-        Symbol(arc)
+        // The table keeps the string for good, so its handle may
+        // borrow it for good.
+        let sym = Symbol(Box::leak(Box::new(s.to_owned())));
+        set.insert(sym.clone());
+        sym
     }
 
     /// The interned string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl Deref for Symbol {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl AsRef<str> for Symbol {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl Borrow<str> for Symbol {
     fn borrow(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl PartialEq for Symbol {
     fn eq(&self, other: &Self) -> bool {
-        // Interned symbols with equal content share one Arc, so the
+        // Interned symbols with equal content share one string, so the
         // pointer test settles the common case without touching bytes.
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        std::ptr::eq(self.0, other.0) || self.0 == other.0
     }
 }
 impl Eq for Symbol {}
@@ -111,7 +116,7 @@ impl PartialOrd for Symbol {
 }
 impl Ord for Symbol {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.as_ref().cmp(other.0.as_ref())
+        self.0.as_str().cmp(other.0.as_str())
     }
 }
 
@@ -122,7 +127,7 @@ impl fmt::Debug for Symbol {
 }
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.0)
     }
 }
 
@@ -165,32 +170,32 @@ impl From<&Symbol> for String {
 
 impl PartialEq<str> for Symbol {
     fn eq(&self, other: &str) -> bool {
-        self.0.as_ref() == other
+        self.0.as_str() == other
     }
 }
 impl PartialEq<&str> for Symbol {
     fn eq(&self, other: &&str) -> bool {
-        self.0.as_ref() == *other
+        self.0.as_str() == *other
     }
 }
 impl PartialEq<String> for Symbol {
     fn eq(&self, other: &String) -> bool {
-        self.0.as_ref() == other.as_str()
+        self.0.as_str() == other.as_str()
     }
 }
 impl PartialEq<Symbol> for str {
     fn eq(&self, other: &Symbol) -> bool {
-        self == other.0.as_ref()
+        self == other.0.as_str()
     }
 }
 impl PartialEq<Symbol> for &str {
     fn eq(&self, other: &Symbol) -> bool {
-        *self == other.0.as_ref()
+        *self == other.0.as_str()
     }
 }
 impl PartialEq<Symbol> for String {
     fn eq(&self, other: &Symbol) -> bool {
-        self.as_str() == other.0.as_ref()
+        self.as_str() == other.0.as_str()
     }
 }
 
@@ -293,7 +298,7 @@ mod tests {
         let before = xdm_stats().interned_hits;
         let b = Symbol::intern("intern-test-unique-aaa");
         assert_eq!(a, b);
-        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert!(std::ptr::eq(a.0, b.0));
         assert!(xdm_stats().interned_hits > before);
     }
 

@@ -185,11 +185,11 @@ enum NodeBody {
     },
     Element {
         name: QName,
-        attrs: Vec<NodeId>,
         children: Vec<ChildEntry>,
-        /// Namespace declarations written on this element
-        /// (prefix → URI; empty prefix = default namespace).
-        ns_decls: Vec<(crate::intern::Symbol, crate::intern::Symbol)>,
+        /// Attributes and namespace declarations, boxed and absent for
+        /// an element with neither, so that the common plain element
+        /// does not size every node slot.
+        extra: Option<Box<ElementExtra>>,
     },
     Attribute {
         name: QName,
@@ -206,6 +206,53 @@ enum NodeBody {
         target: QName,
         content: Rc<str>,
     },
+}
+
+/// What only some elements have.
+#[derive(Debug, Clone, Default)]
+struct ElementExtra {
+    attrs: Vec<NodeId>,
+    /// Namespace declarations written on this element
+    /// (prefix → URI; empty prefix = default namespace).
+    ns_decls: Vec<(crate::intern::Symbol, crate::intern::Symbol)>,
+}
+
+impl NodeBody {
+    /// An element with no attributes yet.
+    fn element(
+        name: QName,
+        children: Vec<ChildEntry>,
+        ns_decls: Vec<(crate::intern::Symbol, crate::intern::Symbol)>,
+    ) -> NodeBody {
+        let extra =
+            (!ns_decls.is_empty()).then(|| Box::new(ElementExtra { attrs: Vec::new(), ns_decls }));
+        NodeBody::Element { name, children, extra }
+    }
+
+    /// An element's attributes; none for any other node.
+    fn attrs(&self) -> &[NodeId] {
+        match self {
+            NodeBody::Element { extra: Some(x), .. } => &x.attrs,
+            _ => &[],
+        }
+    }
+
+    /// An element's namespace declarations; none for any other node.
+    fn ns_decls(&self) -> &[(crate::intern::Symbol, crate::intern::Symbol)] {
+        match self {
+            NodeBody::Element { extra: Some(x), .. } => &x.ns_decls,
+            _ => &[],
+        }
+    }
+
+    /// An element's attributes and declarations, made on first use;
+    /// `None` for any other node.
+    fn extra_mut(&mut self) -> Option<&mut ElementExtra> {
+        match self {
+            NodeBody::Element { extra, .. } => Some(extra.get_or_insert_with(Box::default)),
+            _ => None,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -264,6 +311,13 @@ impl NodeArena {
     /// Create a fresh arena with a globally unique stamp.
     pub fn new() -> SharedArena {
         Rc::new(RefCell::new(NodeArena::default()))
+    }
+
+    /// Create a fresh arena with room for exactly `nodes` nodes, for a
+    /// tree whose size is known before it is built: it never grows, so
+    /// it keeps no empty slots.
+    pub fn with_capacity(nodes: usize) -> SharedArena {
+        Rc::new(RefCell::new(NodeArena { nodes: Vec::with_capacity(nodes), ..NodeArena::default() }))
     }
 
     /// The arena's globally unique creation stamp.
@@ -333,13 +387,8 @@ fn subtree_size(arena: &SharedArena, id: NodeId) -> u64 {
     }
     let (attrs, entries) = {
         let a = arena.borrow();
-        match &a.data(id).body {
-            NodeBody::Document { children } => (0u64, children.clone()),
-            NodeBody::Element { attrs, children, .. } => {
-                (attrs.len() as u64, children.clone())
-            }
-            _ => (0, Vec::new()),
-        }
+        let d = a.data(id);
+        (d.body.attrs().len() as u64, d.children().to_vec())
     };
     let mut total = 1 + attrs;
     for e in &entries {
@@ -476,14 +525,16 @@ impl NodeHandle {
 
     /// Create a detached element node in the given arena.
     pub fn new_element(arena: &SharedArena, name: QName) -> NodeHandle {
+        Self::new_element_sized(arena, name, 0)
+    }
+
+    /// Create a detached element node in the given arena with room for
+    /// exactly `children` children, for a tree whose shape is known
+    /// before it is built.
+    pub fn new_element_sized(arena: &SharedArena, name: QName, children: usize) -> NodeHandle {
         let id = arena.borrow_mut().alloc(
             None,
-            NodeBody::Element {
-                name,
-                attrs: Vec::new(),
-                children: Vec::new(),
-                ns_decls: Vec::new(),
-            },
+            NodeBody::element(name, Vec::with_capacity(children), Vec::new()),
         );
         NodeHandle { arena: arena.clone(), id, link: None }
     }
@@ -650,10 +701,7 @@ impl NodeHandle {
         if let Some(h) = self.resolve_if_moved() {
             return h.attributes();
         }
-        self.with(|d| match &d.body {
-            NodeBody::Element { attrs, .. } => attrs.clone(),
-            _ => Vec::new(),
-        })
+        self.with(|d| d.body.attrs().to_vec())
         .into_iter()
         .map(|id| NodeHandle {
             arena: self.arena.clone(),
@@ -694,10 +742,7 @@ impl NodeHandle {
         if let Some(h) = self.resolve_if_moved() {
             return h.ns_decls();
         }
-        self.with(|d| match &d.body {
-            NodeBody::Element { ns_decls, .. } => ns_decls.clone(),
-            _ => Vec::new(),
-        })
+        self.with(|d| d.body.ns_decls().to_vec())
     }
 
     /// Add a namespace declaration to an element.
@@ -708,8 +753,8 @@ impl NodeHandle {
     ) {
         let me = self.ensure_local();
         let mut arena = me.arena.borrow_mut();
-        if let NodeBody::Element { ns_decls, .. } = &mut arena.data_mut(me.id).body {
-            ns_decls.push((prefix.into(), uri.into()));
+        if let Some(x) = arena.data_mut(me.id).body.extra_mut() {
+            x.ns_decls.push((prefix.into(), uri.into()));
         }
     }
 
@@ -872,13 +917,11 @@ impl NodeHandle {
             }
             Axis::Attribute => {
                 let arena = me.arena.borrow();
-                if let NodeBody::Element { attrs, .. } = &arena.data(me.id).body {
-                    for &id in attrs {
-                        let d = arena.data(id);
-                        if keep(d.kind(), d.name()) {
-                            let link = me.link.clone();
-                            out.push(NodeHandle { arena: me.arena.clone(), id, link }.into());
-                        }
+                for &id in arena.data(me.id).body.attrs() {
+                    let d = arena.data(id);
+                    if keep(d.kind(), d.name()) {
+                        let link = me.link.clone();
+                        out.push(NodeHandle { arena: me.arena.clone(), id, link }.into());
                     }
                 }
             }
@@ -1175,23 +1218,17 @@ fn copy_subtree_recording(
         (a.stamp, a.data(id).body.clone())
     };
     match body {
-        NodeBody::Element { name, attrs, children, ns_decls } => {
-            let nid = target.borrow_mut().alloc(
-                None,
-                NodeBody::Element {
-                    name,
-                    attrs: Vec::new(),
-                    children: Vec::new(),
-                    ns_decls,
-                },
-            );
+        NodeBody::Element { name, children, extra } => {
+            let ElementExtra { attrs, ns_decls } = extra.map(|x| *x).unwrap_or_default();
+            let nid =
+                target.borrow_mut().alloc(None, NodeBody::element(name, Vec::new(), ns_decls));
             map.insert((stamp, id), nid);
             for a in attrs {
                 let na = copy_subtree_recording(src, a, target, map);
                 let mut t = target.borrow_mut();
                 t.data_mut(na).parent = Some(nid);
-                if let NodeBody::Element { attrs, .. } = &mut t.data_mut(nid).body {
-                    attrs.push(na);
+                if let Some(x) = t.data_mut(nid).body.extra_mut() {
+                    x.attrs.push(na);
                 }
             }
             copy_entries(src, children, target, nid, map);
@@ -1273,13 +1310,7 @@ impl NodeHandle {
             }
             NodeKind::Element => {
                 let name = self.name().expect("element has name");
-                let ns_decls = self.ns_decls();
-                let body = NodeBody::Element {
-                    name,
-                    attrs: Vec::new(),
-                    children: Vec::new(),
-                    ns_decls,
-                };
+                let body = NodeBody::element(name, Vec::new(), self.ns_decls());
                 let id = target.borrow_mut().alloc(None, body);
                 let copy = NodeHandle::new(target.clone(), id);
                 for a in self.attributes() {
@@ -1340,9 +1371,9 @@ impl NodeHandle {
         debug_assert!(self.same_arena(attr));
         let mut arena = self.arena.borrow_mut();
         arena.data_mut(attr.id).parent = Some(self.id);
-        match &mut arena.data_mut(self.id).body {
-            NodeBody::Element { attrs, .. } => attrs.push(attr.id),
-            _ => panic!("push_attribute on non-element"),
+        match arena.data_mut(self.id).body.extra_mut() {
+            Some(x) => x.attrs.push(attr.id),
+            None => panic!("push_attribute on non-element"),
         }
     }
 
@@ -1452,9 +1483,11 @@ impl NodeHandle {
             NodeBody::Document { children } => {
                 children.retain(|e| !matches!(e, ChildEntry::Local(c) if *c == me.id))
             }
-            NodeBody::Element { children, attrs, .. } => {
+            NodeBody::Element { children, extra, .. } => {
                 children.retain(|e| !matches!(e, ChildEntry::Local(c) if *c == me.id));
-                attrs.retain(|a| *a != me.id);
+                if let Some(x) = extra {
+                    x.attrs.retain(|a| *a != me.id);
+                }
             }
             _ => {}
         }

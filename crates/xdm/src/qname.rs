@@ -5,8 +5,8 @@
 //! name — namespace URI and local part — as required by XQuery; the
 //! prefix is retained purely for serialization fidelity.
 //!
-//! All three parts are interned [`Symbol`]s: cloning a QName is three
-//! refcount bumps and comparing two QNames is (in the interned common
+//! All three parts are interned [`Symbol`]s: cloning a QName copies
+//! three pointers and comparing two QNames is (in the interned common
 //! case) two pointer comparisons. The constructors accept anything
 //! `Into<Symbol>` — `&str`, `String`, or an existing `Symbol` — so call
 //! sites read as before.

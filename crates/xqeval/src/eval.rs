@@ -86,9 +86,13 @@ impl JoinIdx {
     }
 
     /// Offsets whose indexed value equals `p` under general-comparison
-    /// semantics.
-    pub(crate) fn probe(&self, p: &AtomicValue) -> Vec<usize> {
-        match p {
+    /// semantics, or `None` when the index cannot tell: a key of any
+    /// type other than numeric, untyped or `xs:string` compares with an
+    /// untyped value by casting it to that type, which trims it and
+    /// accepts every lexical form (`' true'` and `1` equal `true()`),
+    /// so only plain comparison can decide it.
+    pub(crate) fn probe(&self, p: &AtomicValue) -> Option<Vec<usize>> {
+        Some(match p {
             _ if p.type_of().is_numeric() => match to_f64(p) {
                 Ok(d) if !d.is_nan() => self
                     .by_num
@@ -112,12 +116,9 @@ impl JoinIdx {
                 out.dedup();
                 out
             }
-            other => self
-                .by_str
-                .get(&other.string_value())
-                .cloned()
-                .unwrap_or_default(),
-        }
+            AtomicValue::String(s) => self.by_str.get(s.as_str()).cloned().unwrap_or_default(),
+            _ => return None,
+        })
     }
 }
 

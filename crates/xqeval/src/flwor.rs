@@ -90,8 +90,8 @@ pub(crate) fn items(ev: &Evaluator<'_>, e: &Expr, env: &mut Env) -> XdmResult<It
 /// `fn:subsequence` and `[k]` make of their operand. A FLWOR is pulled
 /// no further than the window's end, and a tuple before its start whose
 /// `return` is an element constructor (exactly one item per tuple, or
-/// an error) is passed over without evaluating that `return`; any
-/// other operand is evaluated and sliced.
+/// an error) is passed over without evaluating that `return`
+/// ([`Cursor::pass`]); any other operand is evaluated and sliced.
 pub(crate) fn window(
     ev: &Evaluator<'_>,
     e: &Expr,
@@ -101,13 +101,18 @@ pub(crate) fn window(
     let Some(mut cursor) = Cursor::open(ev, e, env, &[])? else {
         return Ok(functions::slice(ev.eval(e, env)?, win));
     };
-    let mut out = Vec::new();
-    for pos in 0..win.end {
-        match cursor.step(ev, env, pos >= win.start)? {
-            Pulled::Item(item) if pos >= win.start => out.push(item),
-            Pulled::End => break,
-            _ => {}
+    let mut pos = 0;
+    while pos < win.start {
+        match cursor.pass(ev, env, win.start - pos)? {
+            0 => return Ok(Sequence::empty()),
+            n => pos += n,
         }
+    }
+    let mut out = Vec::new();
+    while pos < win.end {
+        let Pulled::Item(item) = cursor.step(ev, env, true)? else { break };
+        out.push(item);
+        pos += 1;
     }
     Ok(Sequence::from_items(out))
 }
@@ -246,6 +251,42 @@ impl Cursor {
         });
         self.done = !matches!(r, Ok(Pulled::Item(_) | Pulled::Passed));
         r
+    }
+
+    /// Pass over up to `n` (at least 1) result items before a window's
+    /// start: how many were passed, 0 at the end. When the `return` is
+    /// an element constructor, no item is pending and the last operator
+    /// is a `for` whose expansion binds an evaluated sequence as is,
+    /// the candidates left in that expansion are passed over in place:
+    /// no tuple is bound and no scope pushed. Each is still charged a
+    /// budget step and counted as pulled, as [`Cursor::step`] would.
+    /// Otherwise one tuple or item is stepped over.
+    fn pass(&mut self, ev: &Evaluator<'_>, env: &mut Env, n: usize) -> XdmResult<usize> {
+        let element = matches!(*self.ret, Expr::DirectElement(_) | Expr::ComputedElement(..));
+        let k = match self.stages.last() {
+            Some(Stage::For(op)) if element && !self.done && self.pending.is_none() => {
+                op.passable().min(n)
+            }
+            _ => 0,
+        };
+        if k == 0 {
+            return Ok(match self.step(ev, env, false)? {
+                Pulled::End => 0,
+                _ => 1,
+            });
+        }
+        for charged in 0..k {
+            if let Err(e) = ev.engine.budget_step() {
+                OptCounters::add(&self.opt.tuples_pulled, charged as u64);
+                self.done = true;
+                return Err(e);
+            }
+        }
+        OptCounters::add(&self.opt.tuples_pulled, k as u64);
+        if let Some(Stage::For(op)) = self.stages.last_mut() {
+            op.advance(k);
+        }
+        Ok(k)
     }
 }
 
@@ -499,6 +540,28 @@ impl ForOp {
         }
     }
 
+    /// How many of the current expansion's candidates could be passed
+    /// over without binding them: all those left when its items are an
+    /// evaluated sequence bound as is, with no `where` to re-check (an
+    /// exact pushdown, a one-atom join probe, a plain `for` that owns no
+    /// `where`), and none otherwise.
+    fn passable(&self) -> usize {
+        match &self.expansion {
+            Some(Expansion { items: Items::Seq(v, i), check: false, .. }) => {
+                v.len().saturating_sub(*i)
+            }
+            _ => 0,
+        }
+    }
+
+    /// Move past `k` passable candidates without binding them.
+    fn advance(&mut self, k: usize) {
+        if let Some(Expansion { items: Items::Seq(_, i), bound, .. }) = &mut self.expansion {
+            *i += k;
+            *bound += k;
+        }
+    }
+
     /// Start expanding the next input tuple; `None` once the input is
     /// exhausted.
     fn open(
@@ -555,16 +618,21 @@ impl ForOp {
                 };
                 let key_expr = key_operand(clauses, self.clause, *key);
                 let k = cx.force(&tuple, key_expr)?.atomized();
-                Ok(match &k[..] {
+                let hits = match &k[..] {
                     // An empty key matches no row under `=` or `eq`.
-                    [] => expand(tuple, Sequence::empty().into(), false),
-                    [a] => {
+                    [] => Some(Vec::new()),
+                    [a] => idx.probe(a),
+                    _ => None,
+                };
+                Ok(match hits {
+                    Some(hits) => {
                         let rows = entry.seq.items();
-                        let hits = idx.probe(a).into_iter().map(|i| rows[i].clone());
+                        let hits = hits.into_iter().map(|i| rows[i].clone());
                         expand(tuple, hits.collect::<Sequence>().into(), false)
                     }
-                    // Several atoms: the plain path, for this tuple only.
-                    _ => expand(tuple, entry.seq.clone().into(), true),
+                    // Several atoms, or one the index cannot decide: the
+                    // plain path, for this tuple only.
+                    None => expand(tuple, entry.seq.clone().into(), true),
                 })
             }
             _ => {

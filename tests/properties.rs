@@ -580,12 +580,46 @@ fn lazy_consumer_strategy() -> impl Strategy<Value = LazyConsumer> {
     ]
 }
 
-/// Render the generated query. The base FLWOR filters with `mod` so
-/// the result is a strict, non-trivial subset of the range; quantified
-/// consumers use an atomized body (their bindings are items, not
-/// constructed elements).
-fn lazy_query(n: usize, m: usize, consumer: &LazyConsumer) -> String {
-    let base = format!("for $i in 1 to {n} where $i mod {m} ne 0 return <r>{{$i}}</r>");
+/// The element-returning FLWOR a consumer wraps.
+#[derive(Debug, Clone, Copy)]
+enum LazyBase {
+    /// Filters with a `where`, so the result is a strict, non-trivial
+    /// subset of the range.
+    Where,
+    /// No `where`: a window passes over the tuples before its start
+    /// without binding them.
+    Plain,
+    /// No `where`, and `at $p` numbering a filtered source, so the
+    /// positions passed over must still count.
+    Positional,
+    /// No `where`, over an inner `for` whose expansions have 0 to
+    /// `m − 1` items, so a window passes over several of them.
+    Nested,
+}
+
+fn lazy_base_strategy() -> impl Strategy<Value = LazyBase> {
+    prop_oneof![
+        Just(LazyBase::Where),
+        Just(LazyBase::Plain),
+        Just(LazyBase::Positional),
+        Just(LazyBase::Nested),
+    ]
+}
+
+/// Render the generated query. The base FLWOR uses `mod` so its items
+/// differ; quantified consumers use an atomized body (their bindings
+/// are items, not constructed elements).
+fn lazy_query(n: usize, m: usize, base: LazyBase, consumer: &LazyConsumer) -> String {
+    let base = match base {
+        LazyBase::Where => format!("for $i in 1 to {n} where $i mod {m} ne 0 return <r>{{$i}}</r>"),
+        LazyBase::Plain => format!("for $i in 1 to {n} return <r>{{$i mod {m}}}</r>"),
+        LazyBase::Positional => format!(
+            "for $i at $p in (1 to {n})[. mod {m} ne 0] return <r p=\"{{$p}}\">{{$i}}</r>"
+        ),
+        LazyBase::Nested => {
+            format!("for $i in 1 to {n} for $j in 1 to $i mod {m} return <r>{{$i}}.{{$j}}</r>")
+        }
+    };
     let atoms = format!("for $i in 1 to {n} where $i mod {m} ne 0 return $i * 2");
     match consumer {
         LazyConsumer::Full => base,
@@ -648,9 +682,10 @@ proptest! {
     fn lazy_agrees_with_eager(
         n in 1usize..40,
         m in 2usize..5,
+        base in lazy_base_strategy(),
         consumer in lazy_consumer_strategy(),
     ) {
-        let src = lazy_query(n, m, &consumer);
+        let src = lazy_query(n, m, base, &consumer);
         let (lazy, pulled, lazy_on) = run_lazy(&src);
         let eager = run_eager(&src);
         prop_assert_eq!(&lazy, &eager, "query: {}", src);
@@ -669,8 +704,8 @@ proptest! {
             .map_err(|e| e.to_string());
         prop_assert_eq!(sv_lazy, sv_eager, "query: {}", src);
 
-        // The base FLWOR always yields at least one tuple (1 mod m is
-        // never 0 for m > 1), so a live stream must have pulled.
+        // Every base FLWOR yields at least one tuple (1 mod m is never
+        // 0 for m > 1), so a live stream must have pulled.
         if lazy_on && consumer.pulls() {
             prop_assert!(pulled >= 1, "stream never engaged for: {}", src);
         }

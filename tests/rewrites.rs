@@ -17,7 +17,7 @@ use xqse_repro::aldsp::demo;
 use xqse_repro::aldsp::rel::{Column, ColumnType, Database, SqlValue, TableSchema};
 use xqse_repro::aldsp::service::DataSpace;
 use xqse_repro::xmlparse::{serialize_sequence, IncrementalSerializer};
-use xqse_repro::xqeval::{Env, Features, OptStats};
+use xqse_repro::xqeval::{Budget, Env, Features, OptStats};
 use xqse_repro::xqse::Xqse;
 
 const PROLOG: &str = r#"
@@ -172,6 +172,19 @@ const SHAPES: &[Shape] = &[
         joins,
     ),
     (
+        "hash join, boolean outer keys against padded and numeric untyped keys",
+        "for $a in (fn:true(), fn:false()) \
+         for $b in (<b><k> true</k></b>, <b><k>0</k></b>) \
+         where $b/k eq $a return fn:concat($a, ':', $b/k)",
+        joins,
+    ),
+    (
+        "hash join, a date outer key against a padded untyped key",
+        "for $a in (xs:date('2020-01-02')) for $b in (<b><k>2020-01-02 </k></b>) \
+         where $b/k = $a return 'hit'",
+        joins,
+    ),
+    (
         "order by over pushdown",
         "for $k in (4, 2) for $cc in cre:CREDIT_CARD() where $cc/CID eq $k \
          order by fn:data($cc/CCID) descending return <cc>{fn:data($cc/CCID)}</cc>",
@@ -199,7 +212,10 @@ const CONSUMERS: &[(&str, &str)] = &[
     ("exists", "fn:exists({})"),
     ("subsequence", "fn:subsequence({}, 2, 3)"),
     ("subsequence starting rows in", "fn:subsequence({}, 4, 2)"),
+    ("subsequence deep", "fn:subsequence({}, 6, 2)"),
+    ("subsequence past the end", "fn:subsequence({}, 40, 3)"),
     ("[k]", "({})[2]"),
+    ("[k] deep", "({})[5]"),
 ];
 
 /// Run `query` after the demo prolog lazily, drained and as the
@@ -382,6 +398,27 @@ fn multi_valued_join_keys_match_existentially_or_raise() {
     assert_eq!(outer_eq.unwrap_err(), "XPTY0004");
     let row = full("hash join, multi-valued row key");
     assert_eq!(row.unwrap(), "<hit>2</hit><hit>5</hit>");
+}
+
+/// An outer key that is not numeric, untyped or `xs:string` compares
+/// with an untyped row key by casting that key to its type, trimming it
+/// and accepting every lexical form, which the index's hashed text
+/// cannot decide: such a key takes the plain path for its tuple.
+#[test]
+fn join_keys_the_index_cannot_decide_take_the_plain_path() {
+    for (name, expected) in [
+        ("hash join, boolean outer keys against padded and numeric untyped keys", "true: true false:0"),
+        ("hash join, a date outer key against a padded untyped key", "hit"),
+    ] {
+        let shape = SHAPES.iter().find(|s| s.0 == name).expect("shape");
+        for mode in [Mode::Lazy, Mode::Drained, Mode::Reference] {
+            let (out, stats) = run(shape.1, mode);
+            assert_eq!(out.as_deref(), Ok(expected), "{name} ({mode:?})");
+            if !matches!(mode, Mode::Reference) {
+                assert_eq!(stats.join_misses, 1, "the index is still built: {name} ({mode:?})");
+            }
+        }
+    }
 }
 
 /// The use-case-3 source table: employee `i` is `First{i} Last{i}` in
@@ -632,5 +669,46 @@ fn join_cache_entries_outlive_an_evicted_plan() {
         let new = xqse.run_with_env(&join("NEW"), &mut env).expect("second join");
         assert_eq!(serialize_sequence(&new), "NEW NEW2", "features {features}");
         assert_eq!(engine.opt_stats().join_misses, 2, "features {features}");
+    }
+}
+
+/// A window passes over the candidates before its start without binding
+/// them, yet charges each one budget step and counts it as pulled, as
+/// binding did: a fuel-limited deep page runs out of fuel at the same
+/// step, with the same tuples pulled, as when every candidate was bound.
+/// Each page is (text, its output, the steps and tuples pulled of a run
+/// with unlimited fuel, a fuel that runs out before the window, and the
+/// tuples pulled by then).
+#[test]
+fn deep_pages_run_out_of_fuel_where_binding_each_candidate_did() {
+    let pushed_down = "declare namespace ens1 = \"ld:hr/EMPLOYEE\"; \
+        fn:subsequence(for $e in ens1:EMPLOYEE() where $e/DeptNo eq 'D3' \
+        return <row>{fn:data($e/EmployeeID)}</row>, 31, 3)";
+    let positional = "fn:subsequence(for $i at $p in (1 to 900)[. mod 3 ne 0] \
+        return <r>{$p}</r>, 501, 3)";
+    let pages = [
+        (pushed_down, "<row>213</row><row>220</row><row>227</row>", (50, 33), (25, 20)),
+        (positional, "<r>501</r><r>502</r><r>503</r>", (5017, 503), (4800, 292)),
+    ];
+    for (page, expected, (steps, pulled), (short, short_pulled)) in pages {
+        let run = |budget: Budget| {
+            let space = employees(300);
+            space.engine().set_features(Features::ALL);
+            let budget = std::sync::Arc::new(budget);
+            space.engine().set_budget(Some(budget.clone()));
+            let out = space.xqse().run_with_env(page, &mut Env::new());
+            let out = out.map(|s| serialize_sequence(&s)).map_err(|e| e.code.to_string());
+            (out, budget.steps_taken(), space.engine().opt_stats().tuples_pulled)
+        };
+        let (out, taken, got) = run(Budget::unlimited());
+        assert_eq!(out.as_deref(), Ok(expected), "{page}");
+        assert_eq!((taken, got), (steps, pulled), "{page}");
+        assert_eq!(run(Budget::unlimited().limit_fuel(steps)).0.as_deref(), Ok(expected));
+        let (out, taken, _) = run(Budget::unlimited().limit_fuel(steps - 1));
+        assert!(out.unwrap_err().ends_with("FUEL_EXHAUSTED"), "{page}");
+        assert_eq!(taken, steps - 1, "{page}");
+        let (out, taken, got) = run(Budget::unlimited().limit_fuel(short));
+        assert!(out.unwrap_err().ends_with("FUEL_EXHAUSTED"), "{page}");
+        assert_eq!((taken, got), (short, short_pulled), "{page}");
     }
 }
