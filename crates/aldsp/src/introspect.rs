@@ -383,24 +383,20 @@ fn register_cud(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) 
             Rc::new(move |_env, args| {
                 let elem = one_element(&args, &what)?;
                 let row = xmlmap::xml_to_row(&schema, &elem)?;
-                // The key's text, read before the row moves into the
-                // insert.
-                let key_text: Vec<String> = match &key_cols {
-                    Ok(cols) => cols.iter().map(|(i, _)| row[*i].lexical()).collect(),
-                    Err(_) => Vec::new(),
-                };
-                db.execute(vec![WriteOp::Insert { table: table.clone(), row }])?;
                 let cols = key_cols
                     .as_ref()
                     .map_err(|msg| XdmError::new(ErrorCode::DSP0003, msg.clone()))?;
-                // Return the key element <TABLE_KEY>…</TABLE_KEY>.
+                // The key element <TABLE_KEY>…</TABLE_KEY> returned on
+                // success, built before the row moves into the insert;
+                // each key value's text is made once.
                 let key = NodeHandle::root_element(key_name.clone());
                 let arena = key.arena().clone();
-                for ((_, col), text) in cols.iter().zip(key_text) {
+                for (i, col) in cols {
                     let c = NodeHandle::new_element(&arena, col.clone());
-                    c.append_child(&NodeHandle::new_text(&arena, text))?;
+                    c.append_child(&NodeHandle::new_text(&arena, xmlmap::text_of(&row[*i])))?;
                     key.append_child(&c)?;
                 }
+                db.execute(vec![WriteOp::Insert { table: table.clone(), row }])?;
                 Ok(Sequence::one(Item::Node(key)))
             }),
         );

@@ -52,20 +52,22 @@ use crate::errors::AldspCode;
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 
 /// One coordinator log record. `xid` is the distributed transaction
-/// id (the same id used for every branch's `TxId`).
+/// id (the same id used for every branch's `TxId`). Branch names are
+/// shared strings: the coordinator makes each once per transaction,
+/// and its records share it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XaRecord {
     /// Transaction began; `branches` are the enrolled source names in
     /// protocol order.
-    Begin { xid: u64, branches: Vec<String> },
+    Begin { xid: u64, branches: Vec<Arc<str>> },
     /// The named branch prepared (voted yes) and holds locks.
-    Prepared { xid: u64, source: String },
+    Prepared { xid: u64, source: Arc<str> },
     /// The commit decision — the protocol's point of no return. After
     /// this record exists, recovery rolls *forward*; before it,
     /// recovery presumes abort.
     CommitDecision { xid: u64 },
     /// The named branch's prepared writes were applied.
-    Committed { xid: u64, source: String },
+    Committed { xid: u64, source: Arc<str> },
     /// The transaction aborted (voluntarily, or resolved by recovery).
     Aborted { xid: u64 },
 }
@@ -129,13 +131,12 @@ impl XaRecord {
             return Err(corrupt("trailing fields"));
         }
         match (tag, rest) {
-            ("B", Some(names)) => Ok(XaRecord::Begin {
-                xid,
-                branches: names.split(',').map(str::to_string).collect(),
-            }),
-            ("P", Some(source)) => Ok(XaRecord::Prepared { xid, source: source.to_string() }),
+            ("B", Some(names)) => {
+                Ok(XaRecord::Begin { xid, branches: names.split(',').map(Arc::from).collect() })
+            }
+            ("P", Some(source)) => Ok(XaRecord::Prepared { xid, source: source.into() }),
             ("D", None) => Ok(XaRecord::CommitDecision { xid }),
-            ("C", Some(source)) => Ok(XaRecord::Committed { xid, source: source.to_string() }),
+            ("C", Some(source)) => Ok(XaRecord::Committed { xid, source: source.into() }),
             ("A", None) => Ok(XaRecord::Aborted { xid }),
             _ => Err(corrupt("unknown tag/arity")),
         }
@@ -174,13 +175,13 @@ pub struct JournalStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TxJournalState {
     /// Branch names from the `Begin` record, in protocol order.
-    pub branches: Vec<String>,
+    pub branches: Vec<Arc<str>>,
     /// Branches with a `Prepared` record.
-    pub prepared: Vec<String>,
+    pub prepared: Vec<Arc<str>>,
     /// True once a `CommitDecision` record exists.
     pub decided: bool,
     /// Branches with a `Committed` record.
-    pub committed: Vec<String>,
+    pub committed: Vec<Arc<str>>,
     /// True once an `Aborted` record exists.
     pub aborted: bool,
 }

@@ -295,11 +295,11 @@ struct TableData {
     /// key their materialized XDM trees on this, so unchanged tables
     /// never pay a re-conversion (ISSUE 2 tentpole part 2).
     version: u64,
-    /// Lazily built secondary hash indexes: column name → value
-    /// fingerprint → row ids. Built on the first indexed select of a
-    /// column, maintained incrementally by `commit`, dropped wholesale
-    /// by `rollback` (rebuilt on next use).
-    indexes: HashMap<String, HashMap<String, Vec<u64>>>,
+    /// Lazily built secondary hash indexes: column name → value → row
+    /// ids. Built on the first indexed select of a column, maintained
+    /// incrementally by `commit`, dropped wholesale by `rollback`
+    /// (rebuilt on next use).
+    indexes: HashMap<String, HashMap<IndexKey, Vec<u64>>>,
 }
 
 #[derive(Debug)]
@@ -666,14 +666,14 @@ impl Database {
             let t = h.read();
             let idx = cond_indices(&t.schema, cond)?;
             let probe = index_probe(&t.schema, cond);
-            let Some((col, fp)) = probe else {
+            let Some((col, key)) = probe else {
                 // No indexable column in the condition: plain filtered
                 // scan (without refreshing the stale-read snapshot —
                 // only full scans snapshot the table).
                 return Ok((t.version, scan_matching(&t.rows, &idx)));
             };
-            if let Some(map) = t.indexes.get(&col) {
-                return Ok((t.version, probe_sorted_ids(&t.rows, map.get(&fp), &idx)));
+            if let Some(map) = t.indexes.get(col) {
+                return Ok((t.version, probe_sorted_ids(&t.rows, map.get(&key), &idx)));
             }
         }
         // Slow path: build the index under the exclusive lock, then
@@ -681,15 +681,15 @@ impl Database {
         // between the lock releases).
         let mut t = h.write();
         let idx = cond_indices(&t.schema, cond)?;
-        let Some((col, fp)) = index_probe(&t.schema, cond) else {
+        let Some((col, key)) = index_probe(&t.schema, cond) else {
             return Ok((t.version, scan_matching(&t.rows, &idx)));
         };
         let TableData { schema, rows, indexes, version, .. } = &mut *t;
-        if !indexes.contains_key(&col) {
-            let built = build_index(schema, rows, &col);
-            indexes.insert(col.clone(), built);
+        if !indexes.contains_key(col) {
+            let built = build_index(schema, rows, col);
+            indexes.insert(col.to_string(), built);
         }
-        Ok((*version, probe_sorted_ids(rows, indexes.get(&col).and_then(|m| m.get(&fp)), &idx)))
+        Ok((*version, probe_sorted_ids(rows, indexes.get(col).and_then(|m| m.get(&key)), &idx)))
     }
 
     /// Columns of `table` that currently have a built secondary index
@@ -716,19 +716,40 @@ impl Database {
     }
 
     /// Auto-commit convenience: run a batch of ops as a local
-    /// transaction (prepare + commit immediately).
+    /// transaction, in one pass. The affected shards are write-locked
+    /// once; under the transaction-manager mutex the ops are validated
+    /// exactly as [`Database::prepare`] validates them (against the
+    /// committed table and the rows and keys other prepared
+    /// transactions hold) and then applied exactly as
+    /// [`Database::commit_branch`] applies them. Nothing is registered
+    /// as prepared, and a refused write set changes nothing.
     ///
-    /// Fault-injectable as one unit (`Op::Execute`): a retried
-    /// transient fails *before* the prepare, so a retry can never
-    /// double-apply the batch.
+    /// Fault-injectable as one unit (`Op::Execute`): an injected fault
+    /// fires before the call, so a retried attempt sees the whole write
+    /// set and a retry can never double-apply it.
     pub fn execute(&self, ops: Vec<WriteOp>) -> XdmResult<()> {
         let access = self.access();
-        access.run(&self.name, Op::Execute, || {
-            let tx = fresh_tx();
-            self.prepare_raw(tx, ops.clone())?;
-            self.commit_branch(tx)?;
-            Ok(())
+        // The call itself raises no retryable error, so it runs, and
+        // takes the write set, at most once.
+        let mut ops = Some(ops);
+        access.run(&self.name, Op::Execute, || match ops.take() {
+            Some(ops) => self.execute_raw(ops),
+            None => Err(cerr("write set retried after it ran")),
         })
+    }
+
+    fn execute_raw(&self, ops: Vec<WriteOp>) -> XdmResult<()> {
+        let handles =
+            self.table_handles(&affected_tables(&ops), |n| cerr(format!("no table {n}")))?;
+        let mut tables = write_all(&handles);
+        // Shards first, then the transaction-manager mutex, held until
+        // the commit is counted: no other prepare can claim a row or a
+        // key between the check and the apply.
+        let mut txm = self.shared.txm.lock();
+        validate(&mut tables, &ops, &Held::of(&txm))?;
+        apply(&mut tables, ops).map_err(|what| cerr(format!("{what} disappeared mid-write")))?;
+        txm.commits += 1;
+        Ok(())
     }
 
     /// Insert a single row, auto-commit.
@@ -742,7 +763,12 @@ impl Database {
     /// on failure nothing is changed.
     pub fn prepare(&self, tx: TxId, ops: Vec<WriteOp>) -> XdmResult<()> {
         let access = self.access();
-        access.run(&self.name, Op::Prepare, || self.prepare_raw(tx, ops.clone()))
+        // As in `execute`: injected faults fire before the call.
+        let mut ops = Some(ops);
+        access.run(&self.name, Op::Prepare, || match ops.take() {
+            Some(ops) => self.prepare_raw(tx, ops),
+            None => Err(cerr("write set retried after it ran")),
+        })
     }
 
     fn prepare_raw(&self, tx: TxId, ops: Vec<WriteOp>) -> XdmResult<()> {
@@ -751,148 +777,16 @@ impl Database {
         // tables in opposite declaration order therefore can never
         // deadlock), THEN take the transaction-manager mutex — never
         // the other way round.
-        let names = affected_tables(&ops);
-        let handles: Vec<TableHandle> = names
-            .iter()
-            .map(|n| {
-                self.shared
-                    .catalog
-                    .read()
-                    .get(n)
-                    .cloned()
-                    .ok_or_else(|| cerr(format!("no table {n}")))
-            })
-            .collect::<XdmResult<_>>()?;
-        let mut guards: Vec<RwLockWriteGuard<'_, TableData>> =
-            handles.iter().map(|h| h.write()).collect();
+        let handles =
+            self.table_handles(&affected_tables(&ops), |n| cerr(format!("no table {n}")))?;
+        let mut tables = write_all(&handles);
         let mut txm = self.shared.txm.lock();
         if txm.prepared.contains_key(&tx) {
             return Err(cerr(format!("transaction {tx:?} already prepared")));
         }
-        // Collect locks already held by other prepared transactions.
-        let held: HashSet<(String, u64)> = txm
-            .prepared
-            .values()
-            .flat_map(|p| p.locked.iter().cloned())
-            .collect();
-        let mut locked = HashSet::new();
-        let mut inserted_keys: Vec<(String, Vec<SqlValue>)> = Vec::new();
-        // Pending inserts of other prepared txs also reserve PKs.
-        let reserved_keys: HashSet<(String, String)> = txm
-            .prepared
-            .values()
-            .flat_map(|p| p.inserted_keys.iter())
-            .map(|(t, k)| (t.clone(), key_fingerprint(k)))
-            .collect();
-        for op in &ops {
-            let ti = names
-                .iter()
-                .position(|n| n == op.table())
-                .ok_or_else(|| cerr(format!("no table {}", op.table())))?;
-            let t: &mut TableData = &mut guards[ti];
-            match op {
-                WriteOp::Insert { table, row } => {
-                    validate_insert_shape(&t.schema, row)?;
-                    let key = pk_values(&t.schema, row);
-                    if !key.is_empty() {
-                        claim_key(t, table, key, &reserved_keys, &mut inserted_keys)?;
-                    }
-                }
-                WriteOp::Update { table, set, cond, expect_rows } => {
-                    let idx = cond_indices(&t.schema, cond)?;
-                    // Validate SET column types/nullability.
-                    for (c, v) in set {
-                        let col = t
-                            .schema
-                            .column(c)
-                            .ok_or_else(|| cerr(format!("no column {c} in {table}")))?;
-                        if v.is_null() && !col.nullable {
-                            return Err(cerr(format!("{table}.{c} is NOT NULL")));
-                        }
-                    }
-                    let hits: Vec<u64> = t
-                        .rows
-                        .iter()
-                        .filter(|(_, r)| row_matches(r, &idx))
-                        .map(|(id, _)| *id)
-                        .collect();
-                    if hits.len() != *expect_rows {
-                        return Err(XdmError::new(
-                            ErrorCode::DSP0001,
-                            format!(
-                                "optimistic concurrency conflict: {} matched {} row(s), \
-                                 expected {expect_rows}",
-                                op.to_sql(),
-                                hits.len()
-                            ),
-                        ));
-                    }
-                    for id in hits {
-                        let key = (table.clone(), id);
-                        if held.contains(&key) {
-                            return Err(XdmError::new(
-                                ErrorCode::DSP0004,
-                                format!("row {id} of {table} locked by another transaction"),
-                            ));
-                        }
-                        locked.insert(key);
-                    }
-                    // An update that writes a key column gives each row
-                    // it hits a new key, which must be free as an
-                    // inserted key must be. A row whose key the update
-                    // leaves as it was keeps it.
-                    if set.iter().any(|(c, _)| t.schema.primary_key.contains(c)) {
-                        let sets = cond_indices(&t.schema, set)?;
-                        let moved: Vec<Vec<SqlValue>> = t
-                            .rows
-                            .iter()
-                            .filter(|(_, r)| row_matches(r, &idx))
-                            .filter_map(|(_, r)| {
-                                let mut new = r.clone();
-                                for (i, v) in &sets {
-                                    new[*i] = v.clone();
-                                }
-                                let key = pk_values(&t.schema, &new);
-                                (key != pk_values(&t.schema, r)).then_some(key)
-                            })
-                            .collect();
-                        for key in moved {
-                            claim_key(t, table, key, &reserved_keys, &mut inserted_keys)?;
-                        }
-                    }
-                }
-                WriteOp::Delete { table, cond, expect_rows } => {
-                    let idx = cond_indices(&t.schema, cond)?;
-                    let hits: Vec<u64> = t
-                        .rows
-                        .iter()
-                        .filter(|(_, r)| row_matches(r, &idx))
-                        .map(|(id, _)| *id)
-                        .collect();
-                    if hits.len() != *expect_rows {
-                        return Err(XdmError::new(
-                            ErrorCode::DSP0001,
-                            format!(
-                                "optimistic concurrency conflict: {} matched {} row(s), \
-                                 expected {expect_rows}",
-                                op.to_sql(),
-                                hits.len()
-                            ),
-                        ));
-                    }
-                    for id in hits {
-                        let key = (table.clone(), id);
-                        if held.contains(&key) {
-                            return Err(XdmError::new(
-                                ErrorCode::DSP0004,
-                                format!("row {id} of {table} locked by another transaction"),
-                            ));
-                        }
-                        locked.insert(key);
-                    }
-                }
-            }
-        }
+        let claims = validate(&mut tables, &ops, &Held::of(&txm))?;
+        let locked = claims.locked.iter().map(|(t, id)| (t.to_string(), *id)).collect();
+        let inserted_keys = claims.keys.into_iter().map(|(t, k)| (t.to_string(), k)).collect();
         txm.prepared.insert(tx, Prepared { ops, locked, inserted_keys });
         Ok(())
     }
@@ -928,25 +822,14 @@ impl Database {
         let names: Vec<String> = {
             let txm = self.shared.txm.lock();
             match txm.prepared.get(&tx) {
-                Some(p) => affected_tables(&p.ops),
+                Some(p) => affected_tables(&p.ops).into_iter().map(str::to_string).collect(),
                 None => return Ok(false),
             }
         };
-        let handles: Vec<TableHandle> = names
-            .iter()
-            .map(|n| {
-                self.shared
-                    .catalog
-                    .read()
-                    .get(n)
-                    .cloned()
-                    .ok_or_else(|| replay_err(&format!("table {n}")))
-            })
-            .collect::<XdmResult<_>>()?;
+        let handles = self.table_handles(&names, |n| replay_err(&format!("table {n}")))?;
         // Canonical order: `names` is sorted, so the write locks are
         // taken in the same global order as prepare_raw's.
-        let mut guards: Vec<RwLockWriteGuard<'_, TableData>> =
-            handles.iter().map(|h| h.write()).collect();
+        let mut tables = write_all(&handles);
         let p = {
             let mut txm = self.shared.txm.lock();
             match txm.prepared.remove(&tx) {
@@ -954,121 +837,24 @@ impl Database {
                 None => return Ok(false),
             }
         };
-        let lookup = |table: &str| -> XdmResult<usize> {
-            names
-                .iter()
-                .position(|n| n == table)
-                .ok_or_else(|| replay_err(&format!("table {table}")))
-        };
-        let mut touched: Vec<String> = Vec::new();
-        for op in p.ops {
-            let tname = op.table().to_string();
-            if !touched.contains(&tname) {
-                touched.push(tname);
-            }
-            match op {
-                WriteOp::Insert { table, row } => {
-                    let ti = lookup(&table)?;
-                    let t: &mut TableData = &mut guards[ti];
-                    let TableData { schema, rows, next_row_id, indexes, .. } = &mut *t;
-                    let id = *next_row_id;
-                    *next_row_id += 1;
-                    // Incrementally maintain any built secondary index.
-                    for (col, map) in indexes.iter_mut() {
-                        if let Some(ci) = schema.col_index(col) {
-                            if let Some(fp) = index_fingerprint(&row[ci]) {
-                                map.entry(fp).or_default().push(id);
-                            }
-                        }
-                    }
-                    rows.push((id, row));
-                }
-                WriteOp::Update { table, set, cond, .. } => {
-                    let ti = lookup(&table)?;
-                    let t: &mut TableData = &mut guards[ti];
-                    let TableData { schema, rows, indexes, .. } = &mut *t;
-                    let idx = cond_indices(schema, &cond)
-                        .map_err(|_| replay_err("condition column"))?;
-                    let sets: Vec<(usize, SqlValue)> = set
-                        .iter()
-                        .map(|(c, v)| {
-                            schema
-                                .col_index(c)
-                                .map(|i| (i, v.clone()))
-                                .ok_or_else(|| replay_err(&format!("column {c}")))
-                        })
-                        .collect::<XdmResult<_>>()?;
-                    for (id, r) in rows.iter_mut() {
-                        if !row_matches(r, &idx) {
-                            continue;
-                        }
-                        // Capture old fingerprints of indexed columns,
-                        // apply the SETs, then fix up changed entries.
-                        let old: Vec<(String, Option<String>)> = indexes
-                            .keys()
-                            .map(|col| {
-                                let fp = schema
-                                    .col_index(col)
-                                    .and_then(|ci| index_fingerprint(&r[ci]));
-                                (col.clone(), fp)
-                            })
-                            .collect();
-                        for (i, v) in &sets {
-                            r[*i] = v.clone();
-                        }
-                        for (col, old_fp) in old {
-                            let Some(ci) = schema.col_index(&col) else { continue };
-                            let new_fp = index_fingerprint(&r[ci]);
-                            if old_fp == new_fp {
-                                continue;
-                            }
-                            let Some(map) = indexes.get_mut(&col) else { continue };
-                            if let Some(fp) = old_fp {
-                                if let Some(ids) = map.get_mut(&fp) {
-                                    ids.retain(|x| x != id);
-                                }
-                            }
-                            if let Some(fp) = new_fp {
-                                map.entry(fp).or_default().push(*id);
-                            }
-                        }
-                    }
-                }
-                WriteOp::Delete { table, cond, .. } => {
-                    let ti = lookup(&table)?;
-                    let t: &mut TableData = &mut guards[ti];
-                    let TableData { schema, rows, indexes, .. } = &mut *t;
-                    let idx = cond_indices(schema, &cond)
-                        .map_err(|_| replay_err("condition column"))?;
-                    rows.retain(|(id, r)| {
-                        if !row_matches(r, &idx) {
-                            return true;
-                        }
-                        for (col, map) in indexes.iter_mut() {
-                            if let Some(fp) = schema
-                                .col_index(col)
-                                .and_then(|ci| index_fingerprint(&r[ci]))
-                            {
-                                if let Some(ids) = map.get_mut(&fp) {
-                                    ids.retain(|x| x != id);
-                                }
-                            }
-                        }
-                        false
-                    });
-                }
-            }
-        }
-        // One version bump per touched table per committed transaction:
-        // this is what invalidates the materialization caches above.
-        for table in touched {
-            if let Some(ti) = names.iter().position(|n| *n == table) {
-                guards[ti].version += 1;
-            }
-        }
-        drop(guards);
+        apply(&mut tables, p.ops).map_err(|what| replay_err(&what))?;
+        drop(tables);
         self.shared.txm.lock().commits += 1;
         Ok(true)
+    }
+
+    /// The shard handles of `names`; `missing` reports a table the
+    /// catalog does not hold.
+    fn table_handles(
+        &self,
+        names: &[impl AsRef<str>],
+        missing: impl Fn(&str) -> XdmError,
+    ) -> XdmResult<Vec<TableHandle>> {
+        let catalog = self.shared.catalog.read();
+        names
+            .iter()
+            .map(|n| catalog.get(n.as_ref()).cloned().ok_or_else(|| missing(n.as_ref())))
+            .collect()
     }
 
     /// Abort a prepared (or never-prepared) transaction, **idempotent**:
@@ -1096,7 +882,7 @@ impl Database {
         // committed state is exactly what it was. Shard locks are
         // taken one at a time, after the tx-manager lock is released.
         for name in affected_tables(&p.ops) {
-            if let Some(h) = self.shared.catalog.read().get(&name).cloned() {
+            if let Some(h) = self.shared.catalog.read().get(name).cloned() {
                 h.write().indexes.clear();
             }
         }
@@ -1116,13 +902,246 @@ impl Database {
 }
 
 /// Sorted, deduplicated table names touched by a write set — the
-/// canonical shard-lock acquisition order shared by `prepare_raw` and
-/// `commit_branch`.
-fn affected_tables(ops: &[WriteOp]) -> Vec<String> {
-    let mut names: Vec<String> = ops.iter().map(|op| op.table().to_string()).collect();
+/// canonical shard-lock acquisition order shared by `execute`,
+/// `prepare_raw` and `commit_branch`.
+fn affected_tables(ops: &[WriteOp]) -> Vec<&str> {
+    let mut names: Vec<&str> = ops.iter().map(WriteOp::table).collect();
     names.sort_unstable();
     names.dedup();
     names
+}
+
+/// Write-lock every shard, in the given (canonical) order.
+fn write_all(handles: &[TableHandle]) -> Vec<RwLockWriteGuard<'_, TableData>> {
+    handles.iter().map(|h| h.write()).collect()
+}
+
+/// The locked table named `name`.
+fn table_mut<'t>(
+    tables: &'t mut [RwLockWriteGuard<'_, TableData>],
+    name: &str,
+) -> Option<&'t mut TableData> {
+    tables.iter_mut().find(|t| t.schema.name == name).map(|t| &mut **t)
+}
+
+/// What the other prepared transactions hold: the rows they pin and
+/// the primary keys they claim. Built only when some transaction is
+/// prepared; empty, it allocates nothing and answers without hashing.
+#[derive(Default)]
+struct Held {
+    rows: HashSet<(String, u64)>,
+    keys: HashSet<(String, String)>,
+}
+
+impl Held {
+    fn of(txm: &TxState) -> Held {
+        if txm.prepared.is_empty() {
+            return Held::default();
+        }
+        Held {
+            rows: txm.prepared.values().flat_map(|p| p.locked.iter().cloned()).collect(),
+            keys: txm
+                .prepared
+                .values()
+                .flat_map(|p| p.inserted_keys.iter())
+                .map(|(t, k)| (t.clone(), key_fingerprint(k)))
+                .collect(),
+        }
+    }
+
+    fn row(&self, table: &str, id: u64) -> bool {
+        !self.rows.is_empty() && self.rows.contains(&(table.to_string(), id))
+    }
+
+    fn key(&self, table: &str, key: &[SqlValue]) -> bool {
+        !self.keys.is_empty() && self.keys.contains(&(table.to_string(), key_fingerprint(key)))
+    }
+}
+
+/// What a validated write set claims: the rows its updates and deletes
+/// pin, and the primary keys its inserts and key-writing updates take.
+#[derive(Default)]
+struct Claims<'a> {
+    locked: HashSet<(&'a str, u64)>,
+    keys: Vec<(&'a str, Vec<SqlValue>)>,
+}
+
+/// Validate a write set against its write-locked tables: constraints,
+/// expected row counts, and no row or key another prepared transaction
+/// (`held`) holds. Every op sees the table as committed, so a key an
+/// earlier op of the same write set frees is still taken. `Err`
+/// changes no row.
+fn validate<'a>(
+    tables: &mut [RwLockWriteGuard<'_, TableData>],
+    ops: &'a [WriteOp],
+    held: &Held,
+) -> XdmResult<Claims<'a>> {
+    let mut claims = Claims::default();
+    for op in ops {
+        let t = table_mut(tables, op.table())
+            .ok_or_else(|| cerr(format!("no table {}", op.table())))?;
+        match op {
+            WriteOp::Insert { table, row } => {
+                validate_insert_shape(&t.schema, row)?;
+                let key = pk_values(&t.schema, row);
+                if !key.is_empty() {
+                    claim_key(t, table, key, held, &mut claims)?;
+                }
+            }
+            WriteOp::Update { table, set, cond, expect_rows } => {
+                let idx = cond_indices(&t.schema, cond)?;
+                // Validate SET column types/nullability.
+                for (c, v) in set {
+                    let col = t
+                        .schema
+                        .column(c)
+                        .ok_or_else(|| cerr(format!("no column {c} in {table}")))?;
+                    if v.is_null() && !col.nullable {
+                        return Err(cerr(format!("{table}.{c} is NOT NULL")));
+                    }
+                }
+                pin_rows(t, table, op, &idx, *expect_rows, held, &mut claims)?;
+                // An update that writes a key column gives each row
+                // it hits a new key, which must be free as an
+                // inserted key must be. A row whose key the update
+                // leaves as it was keeps it.
+                if set.iter().any(|(c, _)| t.schema.primary_key.contains(c)) {
+                    let sets = cond_indices(&t.schema, set)?;
+                    let moved: Vec<Vec<SqlValue>> = t
+                        .rows
+                        .iter()
+                        .filter(|(_, r)| row_matches(r, &idx))
+                        .filter_map(|(_, r)| {
+                            let mut new = r.clone();
+                            for (i, v) in &sets {
+                                new[*i] = v.clone();
+                            }
+                            let key = pk_values(&t.schema, &new);
+                            (key != pk_values(&t.schema, r)).then_some(key)
+                        })
+                        .collect();
+                    for key in moved {
+                        claim_key(t, table, key, held, &mut claims)?;
+                    }
+                }
+            }
+            WriteOp::Delete { table, cond, expect_rows } => {
+                let idx = cond_indices(&t.schema, cond)?;
+                pin_rows(t, table, op, &idx, *expect_rows, held, &mut claims)?;
+            }
+        }
+    }
+    Ok(claims)
+}
+
+/// Pin the rows `idx` matches for an update or delete: DSP0001 when
+/// there are not exactly `expect_rows` of them (the OCC check), DSP0004
+/// when another prepared transaction holds one.
+fn pin_rows<'a>(
+    t: &TableData,
+    table: &'a str,
+    op: &WriteOp,
+    idx: &[(usize, SqlValue)],
+    expect_rows: usize,
+    held: &Held,
+    claims: &mut Claims<'a>,
+) -> XdmResult<()> {
+    let hits: Vec<u64> =
+        t.rows.iter().filter(|(_, r)| row_matches(r, idx)).map(|(id, _)| *id).collect();
+    if hits.len() != expect_rows {
+        return Err(XdmError::new(
+            ErrorCode::DSP0001,
+            format!(
+                "optimistic concurrency conflict: {} matched {} row(s), expected {expect_rows}",
+                op.to_sql(),
+                hits.len()
+            ),
+        ));
+    }
+    for id in hits {
+        if held.row(table, id) {
+            return Err(XdmError::new(
+                ErrorCode::DSP0004,
+                format!("row {id} of {table} locked by another transaction"),
+            ));
+        }
+        claims.locked.insert((table, id));
+    }
+    Ok(())
+}
+
+/// Apply a validated write set to its write-locked tables, op by op,
+/// maintaining every built secondary index, and bump each table's
+/// version once (every locked table is one an op touches): this is
+/// what invalidates the materialization caches. `Err` names what a
+/// replayed write set found missing.
+fn apply(tables: &mut [RwLockWriteGuard<'_, TableData>], ops: Vec<WriteOp>) -> Result<(), String> {
+    for op in ops {
+        let t = table_mut(tables, op.table()).ok_or_else(|| format!("table {}", op.table()))?;
+        let TableData { schema, rows, next_row_id, indexes, .. } = t;
+        match op {
+            WriteOp::Insert { row, .. } => {
+                let id = *next_row_id;
+                *next_row_id += 1;
+                // Incrementally maintain any built secondary index.
+                for (col, map) in indexes.iter_mut() {
+                    if let Some(key) = schema.col_index(col).and_then(|ci| index_key(&row[ci])) {
+                        map.entry(key).or_default().push(id);
+                    }
+                }
+                rows.push((id, row));
+            }
+            WriteOp::Update { set, cond, .. } => {
+                let idx = cond_indices(schema, &cond).map_err(|_| "condition column".to_string())?;
+                let sets: Vec<(usize, SqlValue)> = set
+                    .into_iter()
+                    .map(|(c, v)| {
+                        schema.col_index(&c).map(|i| (i, v)).ok_or(format!("column {c}"))
+                    })
+                    .collect::<Result<_, _>>()?;
+                for (id, r) in rows.iter_mut() {
+                    if !row_matches(r, &idx) {
+                        continue;
+                    }
+                    for (i, v) in &sets {
+                        // A built index on the column moves the row
+                        // from its old value's bucket to the new one's.
+                        if let Some(map) = indexes.get_mut(&schema.columns[*i].name) {
+                            let (old, new) = (index_key(&r[*i]), index_key(v));
+                            if old != new {
+                                if let Some(ids) = old.and_then(|k| map.get_mut(&k)) {
+                                    ids.retain(|x| x != id);
+                                }
+                                if let Some(k) = new {
+                                    map.entry(k).or_default().push(*id);
+                                }
+                            }
+                        }
+                        r[*i] = v.clone();
+                    }
+                }
+            }
+            WriteOp::Delete { cond, .. } => {
+                let idx = cond_indices(schema, &cond).map_err(|_| "condition column".to_string())?;
+                rows.retain(|(id, r)| {
+                    if !row_matches(r, &idx) {
+                        return true;
+                    }
+                    for (col, map) in indexes.iter_mut() {
+                        let key = schema.col_index(col).and_then(|ci| index_key(&r[ci]));
+                        if let Some(ids) = key.and_then(|k| map.get_mut(&k)) {
+                            ids.retain(|x| x != id);
+                        }
+                    }
+                    false
+                });
+            }
+        }
+    }
+    for t in tables.iter_mut() {
+        t.version += 1;
+    }
+    Ok(())
 }
 
 fn validate_insert_shape(schema: &TableSchema, row: &Row) -> XdmResult<()> {
@@ -1169,26 +1188,28 @@ fn pk_values(schema: &TableSchema, row: &Row) -> Vec<SqlValue> {
         .collect()
 }
 
+/// A composite key as one hashable string, for the keys other prepared
+/// transactions claim ([`Held`]).
 fn key_fingerprint(key: &[SqlValue]) -> String {
     key.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\u{1}")
 }
 
 /// Claim primary key `key` of `table` (whose data is `t`) for a write
 /// set: a DSP0003 primary key violation when a committed row, another
-/// prepared transaction or an earlier op of the write set (`claimed`)
-/// holds it. Like the rest of prepare, the check sees the table as
-/// committed, so a key an earlier op of the same write set frees is
-/// still taken.
-fn claim_key(
+/// prepared transaction (`held`) or an earlier op of the write set
+/// (`claims`) holds it. Like the rest of validation, the check sees
+/// the table as committed, so a key an earlier op of the same write
+/// set frees is still taken.
+fn claim_key<'a>(
     t: &mut TableData,
-    table: &str,
+    table: &'a str,
     key: Vec<SqlValue>,
-    reserved: &HashSet<(String, String)>,
-    claimed: &mut Vec<(String, Vec<SqlValue>)>,
+    held: &Held,
+    claims: &mut Claims<'a>,
 ) -> XdmResult<()> {
     let taken = pk_dup_check(t, &key)
-        || reserved.contains(&(table.to_string(), key_fingerprint(&key)))
-        || claimed.iter().any(|(tn, k)| tn == table && *k == key);
+        || held.key(table, &key)
+        || claims.keys.iter().any(|(tn, k)| *tn == table && *k == key);
     if taken {
         let shown: Vec<String> = key.iter().map(|v| v.to_string()).collect();
         return Err(XdmError::new(
@@ -1196,7 +1217,7 @@ fn claim_key(
             format!("primary key violation on {table}: ({})", shown.join(", ")),
         ));
     }
-    claimed.push((table.to_string(), key));
+    claims.keys.push((table, key));
     Ok(())
 }
 
@@ -1212,30 +1233,22 @@ fn claim_key(
 /// multi-column, non-indexable, or NULL-bearing keys fall back to the
 /// full scan, so the answer is identical in every case.
 fn pk_dup_check(t: &mut TableData, key: &[SqlValue]) -> bool {
-    if let [pk_col] = &t.schema.primary_key[..] {
-        let pk_col = pk_col.clone();
-        let pk_indexable = t
-            .schema
-            .column(&pk_col)
-            .map(|c| indexable_type(c.ty))
-            .unwrap_or(false);
-        if pk_indexable {
-            if let Some(fp) = index_fingerprint(&key[0]) {
-                let TableData { schema, rows, indexes, .. } = t;
-                let map = indexes
-                    .entry(pk_col.clone())
-                    .or_insert_with(|| build_index(schema, rows, &pk_col));
-                return map.get(&fp).is_some_and(|ids| {
-                    ids.iter().any(|id| {
-                        rows.binary_search_by_key(id, |(rid, _)| *rid)
-                            .map(|pos| pk_values(schema, &rows[pos].1) == key)
-                            .unwrap_or(false)
-                    })
-                });
+    let TableData { schema, rows, indexes, .. } = t;
+    if let ([pk_col], [k]) = (&schema.primary_key[..], key) {
+        let ci = schema.col_index(pk_col).filter(|&ci| indexable_type(schema.columns[ci].ty));
+        if let (Some(ci), Some(probe)) = (ci, index_key(k)) {
+            if !indexes.contains_key(pk_col) {
+                indexes.insert(pk_col.clone(), build_index(schema, rows, pk_col));
             }
+            return indexes.get(pk_col).and_then(|map| map.get(&probe)).is_some_and(|ids| {
+                ids.iter().any(|id| {
+                    rows.binary_search_by_key(id, |(rid, _)| *rid)
+                        .is_ok_and(|pos| rows[pos].1[ci] == *k)
+                })
+            });
         }
     }
-    t.rows.iter().any(|(_, r)| pk_values(&t.schema, r) == key)
+    rows.iter().any(|(_, r)| pk_values(schema, r) == key)
 }
 
 fn cond_indices(
@@ -1263,36 +1276,44 @@ fn scan_matching(rows: &[(u64, Row)], idx: &[(usize, SqlValue)]) -> Vec<Row> {
 
 /// Column types eligible for secondary hash indexes. DECIMAL is
 /// excluded on purpose: its equality is *numeric* (manual `PartialEq`
-/// — `1.0 == 1.00`), so a lexical fingerprint would split equal values
-/// across buckets and produce false negatives. DATE/TIMESTAMP are
-/// excluded to keep fingerprints trivially canonical.
+/// — `1.0 == 1.00`), so a hash of its representation would split equal
+/// values across buckets and produce false negatives. DATE/TIMESTAMP
+/// are excluded to keep bucket keys trivially canonical.
 fn indexable_type(ty: ColumnType) -> bool {
     matches!(ty, ColumnType::Integer | ColumnType::Varchar | ColumnType::Boolean)
 }
 
-/// Canonical hash-bucket key for an indexable value. NULL returns
-/// `None` (NULL rows are not indexed; conditions on NULL fall back to
-/// a filtered scan so `NULL = NULL` matching keeps the seed
-/// semantics), as does any value of a non-indexable type.
-fn index_fingerprint(v: &SqlValue) -> Option<String> {
+/// A secondary index's bucket key: an indexable value, typed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum IndexKey {
+    Int(i64),
+    Str(String),
+    Bool(bool),
+}
+
+/// The bucket key of an indexable value. NULL returns `None` (NULL
+/// rows are not indexed; conditions on NULL fall back to a filtered
+/// scan so `NULL = NULL` matching keeps the seed semantics), as does
+/// any value of a non-indexable type.
+fn index_key(v: &SqlValue) -> Option<IndexKey> {
     match v {
-        SqlValue::Int(i) => Some(format!("i{i}")),
-        SqlValue::Str(s) => Some(format!("s{s}")),
-        SqlValue::Bool(b) => Some(format!("b{b}")),
+        SqlValue::Int(i) => Some(IndexKey::Int(*i)),
+        SqlValue::Str(s) => Some(IndexKey::Str(s.clone())),
+        SqlValue::Bool(b) => Some(IndexKey::Bool(*b)),
         _ => None,
     }
 }
 
 /// First condition column with an indexable type (INTEGER, VARCHAR,
-/// BOOLEAN) and a non-NULL probe value, as `(column, fingerprint)`.
-/// `None` sends the caller down the filtered-scan path.
-fn index_probe(schema: &TableSchema, cond: &Condition) -> Option<(String, String)> {
+/// BOOLEAN) and a non-NULL probe value, as `(column, key)`. `None`
+/// sends the caller down the filtered-scan path.
+fn index_probe<'c>(schema: &TableSchema, cond: &'c Condition) -> Option<(&'c str, IndexKey)> {
     cond.iter().find_map(|(c, v)| {
         let col = schema.column(c)?;
         if !indexable_type(col.ty) {
             return None;
         }
-        index_fingerprint(v).map(|fp| (c.clone(), fp))
+        index_key(v).map(|key| (c.as_str(), key))
     })
 }
 
@@ -1325,12 +1346,12 @@ fn build_index(
     schema: &TableSchema,
     rows: &[(u64, Row)],
     col: &str,
-) -> HashMap<String, Vec<u64>> {
-    let mut map: HashMap<String, Vec<u64>> = HashMap::new();
+) -> HashMap<IndexKey, Vec<u64>> {
+    let mut map: HashMap<IndexKey, Vec<u64>> = HashMap::new();
     if let Some(ci) = schema.col_index(col) {
         for (id, r) in rows {
-            if let Some(fp) = index_fingerprint(&r[ci]) {
-                map.entry(fp).or_default().push(*id);
+            if let Some(key) = index_key(&r[ci]) {
+                map.entry(key).or_default().push(*id);
             }
         }
     }
@@ -1429,8 +1450,9 @@ impl TwoPhaseCoordinator {
 
         let tx = fresh_tx();
         let xid = tx.0;
-        let branches: Vec<String> =
-            self.participants.iter().map(|(db, _)| db.name.clone()).collect();
+        // Each branch's name is made once; every record shares it.
+        let branches: Vec<Arc<str>> =
+            self.participants.iter().map(|(db, _)| Arc::from(db.name.as_str())).collect();
         // Tidy pre-decision abort: release every prepared branch and
         // journal the decision so recovery has nothing to presume.
         let abort_with = |prepared: &[&Database], e: XdmError| -> XdmResult<TxOutcome> {
@@ -1441,7 +1463,7 @@ impl TwoPhaseCoordinator {
             Ok(TxOutcome::Aborted(e))
         };
 
-        journal.append(XaRecord::Begin { xid, branches })?;
+        journal.append(XaRecord::Begin { xid, branches: branches.clone() })?;
         point_check("coordinator", Op::XaBegin)?;
         if let Some(e) = budget_err() {
             return abort_with(&[], e);
@@ -1449,13 +1471,13 @@ impl TwoPhaseCoordinator {
 
         // Phase 1: prepare every branch, journaling each yes-vote.
         let mut prepared: Vec<&Database> = Vec::new();
-        for (db, ops) in &self.participants {
+        for ((db, ops), name) in self.participants.iter().zip(&branches) {
             match db.prepare(tx, ops.clone()) {
                 Ok(()) => prepared.push(db),
                 // A no-vote is not a crash: abort tidily.
                 Err(e) => return abort_with(&prepared, e),
             }
-            journal.append(XaRecord::Prepared { xid, source: db.name.clone() })?;
+            journal.append(XaRecord::Prepared { xid, source: name.clone() })?;
             // A crash here leaves this branch (and every earlier one)
             // holding prepared locks with no decision journaled —
             // recovery presumes abort.
@@ -1475,13 +1497,13 @@ impl TwoPhaseCoordinator {
         point_check("coordinator", Op::XaDecide)?;
 
         // Phase 2: commit every branch, journaling each completion.
-        for (db, _) in &self.participants {
+        for ((db, _), name) in self.participants.iter().zip(&branches) {
             db.commit_branch(tx)?;
             // A crash here: the branch is committed at the source but
             // its Committed record is missing — recovery replays the
             // decision, and the branch's idempotent commit absorbs it.
             point_check(&db.name, Op::XaCommit)?;
-            journal.append(XaRecord::Committed { xid, source: db.name.clone() })?;
+            journal.append(XaRecord::Committed { xid, source: name.clone() })?;
         }
         Ok(TxOutcome::Committed)
     }
@@ -1799,6 +1821,40 @@ mod tests {
         assert!(db.commit_branch(first).unwrap());
         let eight = vec![("ID".into(), SqlValue::Int(8))];
         assert_eq!(db.select("PEOPLE", &eight).unwrap().len(), 1);
+    }
+
+    /// An auto-commit write runs prepare's checks in its one pass: a
+    /// row another branch has prepared is locked, and a key it inserts
+    /// is taken. A refused write changes nothing; a committed one counts
+    /// one commit.
+    #[test]
+    fn autocommit_writes_respect_prepared_branches() {
+        let db = db_with_people();
+        let branch = fresh_tx();
+        db.prepare(branch, vec![people_update(), insert_eight()]).unwrap();
+        let (before, version, stats) =
+            (people(&db), db.table_version("PEOPLE").unwrap(), db.stats());
+        let update_one = WriteOp::Update {
+            table: "PEOPLE".into(),
+            set: vec![("NAME".into(), SqlValue::Str("X".into()))],
+            cond: vec![("ID".into(), SqlValue::Int(1))],
+            expect_rows: 1,
+        };
+        let err = db.execute(vec![update_one]).unwrap_err();
+        assert!(err.is(ErrorCode::DSP0004), "{err}");
+        let err = db.execute(vec![insert_eight()]).unwrap_err();
+        assert!(err.is(ErrorCode::DSP0003), "{err}");
+        assert!(err.message.contains("primary key violation"), "{err}");
+        assert_eq!(people(&db), before, "a refused write changes nothing");
+        assert_eq!(db.table_version("PEOPLE").unwrap(), version);
+        assert_eq!(db.stats(), stats, "a refused write is no commit");
+        // A row and a key the branch leaves alone are free.
+        db.execute(vec![insert_seven("g")]).unwrap();
+        assert_eq!(db.table_version("PEOPLE").unwrap(), version + 1);
+        assert_eq!(db.stats(), (stats.0 + 1, stats.1), "one commit per write");
+        assert!(db.is_prepared(branch));
+        assert!(db.commit_branch(branch).unwrap());
+        assert_eq!(db.row_count("PEOPLE").unwrap(), 4);
     }
 
     fn insert_eight() -> WriteOp {

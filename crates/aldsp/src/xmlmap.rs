@@ -6,6 +6,9 @@
 //! reads such an element back into typed [`SqlValue`]s for the
 //! generated create/update/delete procedures.
 
+use std::io::Write as _;
+use std::rc::Rc;
+
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 use xdm::node::{NodeArena, NodeHandle};
 use xdm::qname::QName;
@@ -48,11 +51,29 @@ fn row_to_xml_named(row_name: &QName, col_names: &[QName], row: &Row) -> NodeHan
             continue;
         }
         let c = NodeHandle::new_element_sized(&arena, name.clone(), 1);
-        c.append_child(&NodeHandle::new_text(&arena, val.lexical()))
+        c.append_child(&NodeHandle::new_text(&arena, text_of(val)))
             .expect("text under element");
         elem.append_child(&c).expect("element under element");
     }
     elem
+}
+
+/// A value's lexical form as the text of its XML view, made in one
+/// allocation: a string is copied once, an integer is formatted on the
+/// stack.
+pub(crate) fn text_of(val: &SqlValue) -> Rc<str> {
+    match val {
+        SqlValue::Str(s) => Rc::from(s.as_str()),
+        SqlValue::Int(i) => {
+            // An i64 has at most 20 characters, its sign included.
+            let mut buf = [0u8; 20];
+            let mut rest = &mut buf[..];
+            write!(rest, "{i}").expect("an i64 fits 20 bytes");
+            let len = 20 - rest.len();
+            Rc::from(std::str::from_utf8(&buf[..len]).expect("ASCII digits"))
+        }
+        other => other.lexical().into(),
+    }
 }
 
 /// Render many rows. Per-column QNames are hoisted out of the row loop.
@@ -71,7 +92,9 @@ pub fn rows_to_sequence(schema: &TableSchema, ns: &str, rows: &[Row]) -> Sequenc
 /// names), and the first child named after a column is its value.
 /// One pass over the children finds every column's child; values are
 /// then parsed in column order, so the first bad column is the one
-/// reported.
+/// reported. Each value is parsed from the column element's typed
+/// value, which shares its text node's string: a VARCHAR value is its
+/// one copy, and an INTEGER value copies nothing.
 pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
     if !node.with_name(|q| q.is_some_and(|q| q.local == schema.name)) {
         return Err(XdmError::new(
@@ -97,7 +120,7 @@ pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
     let mut row = Vec::with_capacity(schema.columns.len());
     for (col, c) in schema.columns.iter().zip(found) {
         row.push(match c {
-            Some(c) => SqlValue::parse(col.ty, &c.string_value())?,
+            Some(c) => SqlValue::parse(col.ty, &c.typed_value().string_shared())?,
             None => SqlValue::Null,
         });
     }
@@ -122,7 +145,7 @@ pub fn xml_field(
         .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(column))
         .cloned();
     match child {
-        Some(c) => SqlValue::parse(col.ty, &c.string_value()),
+        Some(c) => SqlValue::parse(col.ty, &c.typed_value().string_shared()),
         None => Ok(SqlValue::Null),
     }
 }

@@ -1,6 +1,8 @@
 //! Allocation budgets for one row of use case 3's copy (`copyAllToEMP2`),
-//! for one page of the benchmark's paged department read, and for the
-//! bytes one cached row tree keeps.
+//! for one page of the benchmark's paged department read, for the bytes
+//! one cached row tree keeps, and for the values every row passes
+//! around: the empty and singleton sequences and a text-only element's
+//! typed value, which allocate nothing.
 //!
 //! A counting global allocator tallies the heap allocations the test
 //! thread makes while one warm `etl_space(1000)` batch is copied into
@@ -17,9 +19,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 
 use aldsp::rel::WriteOp;
 use aldsp::xmlmap::rows_to_sequence;
+use xdm::node::NodeHandle;
+use xdm::qname::QName;
+use xdm::sequence::{Item, Sequence};
 use xqeval::{Env, Features};
 use xqse_bench::{etl_run_xqse, etl_space, EtlFixture};
 
@@ -110,8 +116,11 @@ fn etl_row_allocations_stay_within_budget() {
     assert!(per_row <= BUDGET, "{per_row:.2} allocations per row exceeds the budget of {BUDGET}");
 }
 
-/// The per-row count measured on this code (167.98), plus 5 %.
-const BUDGET: f64 = 176.4;
+/// The per-row count measured on this code (59.00), plus 5 %. A row
+/// made 167.98 while string values copied their text, singleton
+/// sequences were boxed and an auto-commit write validated and applied
+/// in two passes.
+const BUDGET: f64 = 61.95;
 
 /// A page of 20 rows of department `D3` of `etl_space(5000)` (714 rows)
 /// starting at its row `start`: the benchmark's `page_query` text. The
@@ -160,11 +169,12 @@ fn page_allocations_stay_within_budget() {
     );
 }
 
-/// The per-page count measured on this code (577), plus 5 %. A centred
-/// page that bound each pushed-down row before its start made 1,594
-/// (the last 2,656); one whose rows were each re-checked against the
-/// `where` made 6,274.
-const PAGE_BUDGET: u64 = 605;
+/// The per-page count measured on this code (207), plus 5 %. With
+/// copied string values and boxed singleton sequences a centred page
+/// made 577; one that bound each pushed-down row before its start made
+/// 1,594 (the last 2,656); one whose rows were each re-checked against
+/// the `where` made 6,274.
+const PAGE_BUDGET: u64 = 217;
 
 #[test]
 fn cached_row_bytes_stay_within_budget() {
@@ -191,3 +201,27 @@ fn cached_row_bytes_stay_within_budget() {
 /// children. Arenas and child lists grown entry by entry, in 128-byte
 /// slots, kept 2,622.9.
 const ROW_BYTES: f64 = 991.1;
+
+#[test]
+fn row_values_allocate_nothing() {
+    let count = |f: &dyn Fn()| {
+        let before = allocations();
+        f();
+        allocations() - before
+    };
+    let e = NodeHandle::root_element(QName::new("e"));
+    e.append_child(&NodeHandle::new_text(e.arena(), "abc")).expect("text under element");
+    // Warm: the first typed value settles anything built lazily.
+    drop(e.typed_value());
+    let counts = [
+        count(&|| drop(black_box(Sequence::empty()))),
+        count(&|| drop(black_box(Sequence::one(Item::integer(1))))),
+        count(&|| drop(black_box(e.typed_value()))),
+    ];
+    println!("alloc_budget: {counts:?} allocations per empty sequence, singleton, typed value");
+    assert_eq!(
+        counts,
+        [0, 0, 0],
+        "the empty sequence, a singleton and the typed value of <e>abc</e> allocate nothing"
+    );
+}

@@ -11,6 +11,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::rc::Rc;
 
 use crate::datetime::{Date, DateTime};
 use crate::decimal::Decimal;
@@ -103,12 +104,16 @@ impl fmt::Display for AtomicType {
 }
 
 /// An atomic value: the leaf of the XDM item hierarchy.
+///
+/// The text-valued types hold an `Rc<str>`, as text nodes do, so the
+/// typed value of a text-only element shares its text node's string,
+/// and cloning a string value is a reference-count bump.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AtomicValue {
     /// `xs:untypedAtomic` — raw text from schemaless nodes.
-    Untyped(String),
+    Untyped(Rc<str>),
     /// `xs:string`
-    String(String),
+    String(Rc<str>),
     /// `xs:boolean`
     Boolean(bool),
     /// `xs:integer`
@@ -120,7 +125,7 @@ pub enum AtomicValue {
     /// `xs:QName`
     QName(QName),
     /// `xs:anyURI`
-    AnyUri(String),
+    AnyUri(Rc<str>),
     /// `xs:date`
     Date(Date),
     /// `xs:dateTime`
@@ -149,7 +154,7 @@ impl AtomicValue {
         match self {
             AtomicValue::Untyped(s)
             | AtomicValue::String(s)
-            | AtomicValue::AnyUri(s) => s.clone(),
+            | AtomicValue::AnyUri(s) => s.to_string(),
             AtomicValue::Boolean(b) => b.to_string(),
             AtomicValue::Integer(i) => i.to_string(),
             AtomicValue::Decimal(d) => d.to_string(),
@@ -160,6 +165,16 @@ impl AtomicValue {
         }
     }
 
+    /// The lexical form as a shared string: the text of a string-valued
+    /// value (`xs:string`, `xs:untypedAtomic`, `xs:anyURI`) without a
+    /// copy, any other value's lexical form newly made.
+    pub fn string_shared(&self) -> Rc<str> {
+        match self {
+            AtomicValue::Untyped(s) | AtomicValue::String(s) | AtomicValue::AnyUri(s) => s.clone(),
+            _ => self.string_value().into(),
+        }
+    }
+
     /// Cast to the target type per XQuery 1.0 §17 (subset).
     pub fn cast_to(&self, target: AtomicType) -> XdmResult<AtomicValue> {
         use AtomicType as T;
@@ -167,14 +182,16 @@ impl AtomicValue {
         if self.type_of() == target {
             return Ok(self.clone());
         }
-        let from_lexical = |raw: &str| -> XdmResult<AtomicValue> {
+        let from_lexical = |raw: &Rc<str>| -> XdmResult<AtomicValue> {
             // xs:string and xs:untypedAtomic keep the text as it is
-            // (whitespace facet `preserve`); the other targets collapse it.
+            // (whitespace facet `preserve`), so they share it; the other
+            // targets collapse it.
             let s = raw.trim();
             Ok(match target {
-                T::UntypedAtomic => V::Untyped(raw.to_string()),
-                T::String => V::String(raw.to_string()),
-                T::AnyUri => V::AnyUri(s.to_string()),
+                T::UntypedAtomic => V::Untyped(raw.clone()),
+                T::String => V::String(raw.clone()),
+                T::AnyUri if s.len() == raw.len() => V::AnyUri(raw.clone()),
+                T::AnyUri => V::AnyUri(s.into()),
                 T::Boolean => match s {
                     "true" | "1" => V::Boolean(true),
                     "false" | "0" => V::Boolean(false),
@@ -201,32 +218,32 @@ impl AtomicValue {
         match self {
             V::Untyped(s) | V::String(s) | V::AnyUri(s) => from_lexical(s),
             V::Boolean(b) => Ok(match target {
-                T::String => V::String(b.to_string()),
-                T::UntypedAtomic => V::Untyped(b.to_string()),
+                T::String => V::String(b.to_string().into()),
+                T::UntypedAtomic => V::Untyped(b.to_string().into()),
                 T::Integer => V::Integer(*b as i64),
                 T::Decimal => V::Decimal(Decimal::from_i64(*b as i64)),
                 T::Double => V::Double(*b as i64 as f64),
                 _ => return Err(self.cast_err(target)),
             }),
             V::Integer(i) => Ok(match target {
-                T::String => V::String(i.to_string()),
-                T::UntypedAtomic => V::Untyped(i.to_string()),
+                T::String => V::String(i.to_string().into()),
+                T::UntypedAtomic => V::Untyped(i.to_string().into()),
                 T::Boolean => V::Boolean(*i != 0),
                 T::Decimal => V::Decimal(Decimal::from_i64(*i)),
                 T::Double => V::Double(*i as f64),
                 _ => return Err(self.cast_err(target)),
             }),
             V::Decimal(d) => Ok(match target {
-                T::String => V::String(d.to_string()),
-                T::UntypedAtomic => V::Untyped(d.to_string()),
+                T::String => V::String(d.to_string().into()),
+                T::UntypedAtomic => V::Untyped(d.to_string().into()),
                 T::Boolean => V::Boolean(!d.is_zero()),
                 T::Integer => V::Integer(d.trunc_i64()?),
                 T::Double => V::Double(d.to_f64()),
                 _ => return Err(self.cast_err(target)),
             }),
             V::Double(d) => Ok(match target {
-                T::String => V::String(format_double(*d)),
-                T::UntypedAtomic => V::Untyped(format_double(*d)),
+                T::String => V::String(format_double(*d).into()),
+                T::UntypedAtomic => V::Untyped(format_double(*d).into()),
                 T::Boolean => V::Boolean(*d != 0.0 && !d.is_nan()),
                 T::Integer => {
                     if d.is_nan() || d.is_infinite() {
@@ -249,19 +266,19 @@ impl AtomicValue {
                 _ => return Err(self.cast_err(target)),
             }),
             V::QName(q) => Ok(match target {
-                T::String => V::String(q.lexical()),
-                T::UntypedAtomic => V::Untyped(q.lexical()),
+                T::String => V::String(q.lexical().into()),
+                T::UntypedAtomic => V::Untyped(q.lexical().into()),
                 _ => return Err(self.cast_err(target)),
             }),
             V::Date(d) => Ok(match target {
-                T::String => V::String(d.to_string()),
-                T::UntypedAtomic => V::Untyped(d.to_string()),
+                T::String => V::String(d.to_string().into()),
+                T::UntypedAtomic => V::Untyped(d.to_string().into()),
                 T::DateTime => V::DateTime(DateTime::new(d.year, d.month, d.day, 0, 0, 0)?),
                 _ => return Err(self.cast_err(target)),
             }),
             V::DateTime(dt) => Ok(match target {
-                T::String => V::String(dt.to_string()),
-                T::UntypedAtomic => V::Untyped(dt.to_string()),
+                T::String => V::String(dt.to_string().into()),
+                T::UntypedAtomic => V::Untyped(dt.to_string().into()),
                 T::Date => V::Date(dt.date),
                 _ => return Err(self.cast_err(target)),
             }),
@@ -333,13 +350,12 @@ impl AtomicValue {
     /// Coerce an untypedAtomic like the other operand's type (string
     /// for strings, double for numerics, target type otherwise).
     fn coerce_untyped_like(&self, other: &AtomicValue) -> XdmResult<AtomicValue> {
-        let s = self.string_value();
         let target = match other.type_of() {
             t if t.is_numeric() => AtomicType::Double,
             AtomicType::UntypedAtomic => AtomicType::String,
             t => t,
         };
-        AtomicValue::Untyped(s).cast_to(target)
+        self.cast_to(target)
     }
 
     /// Effective boolean value of a single atomic item.
@@ -557,7 +573,7 @@ mod tests {
     #[test]
     fn effective_boolean_values() {
         assert!(AtomicValue::String("x".into()).effective_boolean().unwrap());
-        assert!(!AtomicValue::String(String::new()).effective_boolean().unwrap());
+        assert!(!AtomicValue::String("".into()).effective_boolean().unwrap());
         assert!(!AtomicValue::Integer(0).effective_boolean().unwrap());
         assert!(!AtomicValue::Double(f64::NAN).effective_boolean().unwrap());
         assert!(AtomicValue::Date(Date::new(2007, 1, 1).unwrap())

@@ -50,6 +50,9 @@ pub enum ErrorCode {
     FOER0000,
     /// Invalid regular expression / tokenize pattern.
     FORX0002,
+    /// A `fn:tokenize` or `fn:replace` pattern matches the zero-length
+    /// string.
+    FORX0003,
     /// Context item is absent.
     XPDY0002,
     /// Updating expression used where a non-updating one is required.
@@ -104,6 +107,7 @@ impl ErrorCode {
             ErrorCode::FOAR0002 => "FOAR0002",
             ErrorCode::FOER0000 => "FOER0000",
             ErrorCode::FORX0002 => "FORX0002",
+            ErrorCode::FORX0003 => "FORX0003",
             ErrorCode::XPDY0002 => "XPDY0002",
             ErrorCode::XUST0001 => "XUST0001",
             ErrorCode::XUST0002 => "XUST0002",

@@ -815,9 +815,15 @@ impl NodeHandle {
     }
 
     /// The typed value. Without schema validation every node is
-    /// untyped, so this is `xs:untypedAtomic(string-value)`.
+    /// untyped, so this is `xs:untypedAtomic(string-value)`. It shares
+    /// the text of an attribute, a text-ish node, or an element whose
+    /// content is exactly one local text node, without copying it.
     pub fn typed_value(&self) -> AtomicValue {
-        AtomicValue::Untyped(self.string_value())
+        let shared = match self.kind() {
+            NodeKind::Document | NodeKind::Element => self.single_text_content(),
+            _ => self.content_shared(),
+        };
+        AtomicValue::Untyped(shared.unwrap_or_else(|| self.string_value().into()))
     }
 
     /// The root of the tree containing this node (following graft
@@ -898,17 +904,19 @@ impl NodeHandle {
     /// sees each candidate's kind and borrowed name, so a path step
     /// builds a handle only for a node its test matches. The child,
     /// attribute and descendant axes walk the arena under one borrow.
-    pub fn walk_axis<T: From<NodeHandle>>(
+    /// `out` is any collection, a `Sequence` among them, so a step
+    /// that keeps one node need not build a vector for it.
+    pub fn walk_axis<T: From<NodeHandle>, E: Extend<T>>(
         &self,
         axis: Axis,
         mut keep: impl FnMut(NodeKind, Option<&QName>) -> bool,
-        out: &mut Vec<T>,
+        out: &mut E,
     ) {
         let moved = self.resolve_if_moved();
         let me = moved.as_ref().unwrap_or(self);
-        let mut keep_handle = |h: NodeHandle, out: &mut Vec<T>| {
+        let mut keep_handle = |h: NodeHandle, out: &mut E| {
             if h.with_name(|name| keep(h.kind(), name)) {
-                out.push(h.into());
+                out.extend(Some(h.into()));
             }
         };
         match axis {
@@ -921,7 +929,7 @@ impl NodeHandle {
                     let d = arena.data(id);
                     if keep(d.kind(), d.name()) {
                         let link = me.link.clone();
-                        out.push(NodeHandle { arena: me.arena.clone(), id, link }.into());
+                        out.extend(Some(NodeHandle { arena: me.arena.clone(), id, link }.into()));
                     }
                 }
             }
@@ -1124,7 +1132,7 @@ fn walk_below<T: From<NodeHandle>>(
     link: &Option<Rc<GraftLink>>,
     id: NodeId,
     keep: &mut impl FnMut(NodeKind, Option<&QName>) -> bool,
-    out: &mut Vec<T>,
+    out: &mut impl Extend<T>,
     deep: bool,
 ) {
     for e in arena.data(id).children() {
@@ -1132,7 +1140,8 @@ fn walk_below<T: From<NodeHandle>>(
             ChildEntry::Local(c) => {
                 let d = arena.data(*c);
                 if keep(d.kind(), d.name()) {
-                    out.push(NodeHandle { arena: rc.clone(), id: *c, link: link.clone() }.into());
+                    let link = link.clone();
+                    out.extend(Some(NodeHandle { arena: rc.clone(), id: *c, link }.into()));
                 }
                 if deep {
                     walk_below(rc, arena, link, *c, keep, out, true);
@@ -1148,7 +1157,7 @@ fn walk_below<T: From<NodeHandle>>(
                 let root = graft_root(ctx, rc, id, link);
                 let sub_link = root.link.clone();
                 if kept {
-                    out.push(root.into());
+                    out.extend(Some(root.into()));
                 }
                 if deep {
                     walk_below(&ctx.sub, &sub, &sub_link, ctx.root, keep, out, true);

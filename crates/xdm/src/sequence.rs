@@ -29,7 +29,7 @@ impl Item {
     }
 
     /// Convenience: an `xs:string` item.
-    pub fn string(s: impl Into<String>) -> Item {
+    pub fn string(s: impl Into<Rc<str>>) -> Item {
         Item::Atomic(AtomicValue::String(s.into()))
     }
 
@@ -80,19 +80,30 @@ impl fmt::Display for Item {
 
 /// A flat, ordered sequence of items — the universal value type.
 ///
-/// Internally reference-counted with copy-on-write mutation: `clone`
-/// is O(1) (an `Rc` bump), and the binding-heavy FLWOR/variable paths
-/// of the evaluator — which clone sequences on every tuple — share one
-/// buffer until somebody actually mutates. [`Sequence::push`] /
-/// [`Sequence::extend`] use [`Rc::make_mut`], so a uniquely-owned
-/// sequence mutates in place exactly as a plain `Vec` would.
+/// The empty sequence and a singleton are held inline, so neither
+/// allocates; a longer sequence is reference-counted with copy-on-write
+/// mutation: `clone` is O(1) (an `Rc` bump), and the binding-heavy
+/// FLWOR/variable paths of the evaluator — which clone sequences on
+/// every tuple — share one buffer until somebody actually mutates.
+/// [`Sequence::push`] / [`Sequence::extend`] use [`Rc::make_mut`], so a
+/// uniquely-owned sequence mutates in place exactly as a plain `Vec`
+/// would.
 ///
 /// A sequence is always materialized. Pipelined evaluation is a
 /// strategy of the evaluator (a cursor over a FLWOR's operators, see
 /// `xqeval::flwor`), not a second representation of the value.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct Sequence {
-    items: Rc<Vec<Item>>,
+    repr: Repr,
+}
+
+#[derive(Clone, Default)]
+enum Repr {
+    #[default]
+    Empty,
+    One(Item),
+    /// Two or more items.
+    Many(Rc<Vec<Item>>),
 }
 
 impl Sequence {
@@ -103,47 +114,74 @@ impl Sequence {
 
     /// A singleton sequence.
     pub fn one(item: Item) -> Sequence {
-        Sequence { items: Rc::new(vec![item]) }
+        Sequence { repr: Repr::One(item) }
     }
 
-    /// Build from a vector of items.
-    pub fn from_items(items: Vec<Item>) -> Sequence {
-        Sequence { items: Rc::new(items) }
+    /// Build from a vector of items. At most one item is held inline.
+    pub fn from_items(mut items: Vec<Item>) -> Sequence {
+        let repr = match items.len() {
+            0 => Repr::Empty,
+            1 => Repr::One(items.pop().expect("one item")),
+            _ => Repr::Many(Rc::new(items)),
+        };
+        Sequence { repr }
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.items().len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.items().is_empty()
     }
 
     /// Slice of the items.
     pub fn items(&self) -> &[Item] {
-        &self.items
+        match &self.repr {
+            Repr::Empty => &[],
+            Repr::One(item) => std::slice::from_ref(item),
+            Repr::Many(items) => items,
+        }
     }
 
-    /// Consume into the underlying vector (no copy when this handle is
-    /// the sole owner).
+    /// Consume into a vector (no copy when this handle is the sole
+    /// owner of a shared buffer).
     pub fn into_items(self) -> Vec<Item> {
-        Rc::try_unwrap(self.items).unwrap_or_else(|rc| (*rc).clone())
+        match self.repr {
+            Repr::Empty => Vec::new(),
+            Repr::One(item) => vec![item],
+            Repr::Many(items) => Rc::try_unwrap(items).unwrap_or_else(|rc| (*rc).clone()),
+        }
     }
 
     /// Iterate over items.
     pub fn iter(&self) -> std::slice::Iter<'_, Item> {
-        self.items.iter()
+        self.items().iter()
+    }
+
+    /// The buffer, uniquely owned, with an inline item moved into it
+    /// and room for `extra` more.
+    fn buffer(&mut self, extra: usize) -> &mut Vec<Item> {
+        if !matches!(self.repr, Repr::Many(_)) {
+            let mut items = Vec::with_capacity(self.len() + extra);
+            items.extend(std::mem::take(self));
+            self.repr = Repr::Many(Rc::new(items));
+        }
+        match &mut self.repr {
+            Repr::Many(items) => Rc::make_mut(items),
+            _ => unreachable!("the buffer was just installed"),
+        }
     }
 
     /// Append another sequence (flattening concatenation).
     pub fn extend(&mut self, other: Sequence) {
         if self.is_empty() {
-            // Adopt the other buffer wholesale — the common "start
+            // Adopt the other sequence wholesale — the common "start
             // from empty, append one result" accumulation pattern
             // stays allocation-free.
-            self.items = other.items;
+            *self = other;
             return;
         }
         if other.is_empty() {
@@ -151,12 +189,17 @@ impl Sequence {
         }
         // Copy-on-write, as in `push`: a uniquely owned buffer grows in
         // place, so accumulating a result piece by piece stays linear.
-        Rc::make_mut(&mut self.items).extend(other.into_items());
+        let extra = other.len();
+        self.buffer(extra).extend(other);
     }
 
     /// Push a single item.
     pub fn push(&mut self, item: Item) {
-        Rc::make_mut(&mut self.items).push(item);
+        if self.is_empty() {
+            self.repr = Repr::One(item);
+            return;
+        }
+        self.buffer(1).push(item);
     }
 
     /// Concatenate two sequences.
@@ -250,6 +293,18 @@ impl Sequence {
     }
 }
 
+impl fmt::Debug for Sequence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.items()).finish()
+    }
+}
+
+impl PartialEq for Sequence {
+    fn eq(&self, other: &Sequence) -> bool {
+        self.items() == other.items()
+    }
+}
+
 impl From<Item> for Sequence {
     fn from(item: Item) -> Sequence {
         Sequence::one(item)
@@ -263,16 +318,67 @@ impl From<Vec<Item>> for Sequence {
 }
 
 impl FromIterator<Item> for Sequence {
+    /// Collects zero or one item without allocating.
     fn from_iter<T: IntoIterator<Item = Item>>(iter: T) -> Sequence {
-        Sequence::from_items(iter.into_iter().collect())
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else { return Sequence::empty() };
+        let Some(second) = iter.next() else { return Sequence::one(first) };
+        let mut items = Vec::with_capacity(2 + iter.size_hint().0);
+        items.push(first);
+        items.push(second);
+        items.extend(iter);
+        Sequence { repr: Repr::Many(Rc::new(items)) }
+    }
+}
+
+/// Item by item, as [`Sequence::push`]: the first item is held inline.
+impl Extend<Item> for Sequence {
+    fn extend<T: IntoIterator<Item = Item>>(&mut self, iter: T) {
+        for item in iter {
+            self.push(item);
+        }
     }
 }
 
 impl IntoIterator for Sequence {
     type Item = Item;
-    type IntoIter = std::vec::IntoIter<Item>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.into_items().into_iter()
+    type IntoIter = IntoIter;
+    fn into_iter(self) -> IntoIter {
+        IntoIter(match self.repr {
+            Repr::Empty => Items::One(None),
+            Repr::One(item) => Items::One(Some(item)),
+            many => Items::Many(Sequence { repr: many }.into_items().into_iter()),
+        })
+    }
+}
+
+/// The items of a sequence, by value. An empty or singleton sequence
+/// is iterated without allocating.
+#[derive(Debug)]
+pub struct IntoIter(Items);
+
+#[derive(Debug)]
+enum Items {
+    One(Option<Item>),
+    Many(std::vec::IntoIter<Item>),
+}
+
+impl Iterator for IntoIter {
+    type Item = Item;
+
+    fn next(&mut self) -> Option<Item> {
+        match &mut self.0 {
+            Items::One(item) => item.take(),
+            Items::Many(items) => items.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match &self.0 {
+            Items::One(item) => usize::from(item.is_some()),
+            Items::Many(items) => items.len(),
+        };
+        (n, Some(n))
     }
 }
 
@@ -306,6 +412,23 @@ mod tests {
         s.extend(Sequence::one(Item::integer(4)));
         assert_eq!(original.len(), 3, "extending a clone must not touch the original");
         assert_eq!(s.len(), 4);
+    }
+
+    #[test]
+    fn short_sequences_are_inline_whatever_builds_them() {
+        // An inline item costs a sequence no more than the item itself.
+        assert_eq!(std::mem::size_of::<Sequence>(), std::mem::size_of::<Item>());
+        let one = Sequence::one(Item::integer(1));
+        assert_eq!(Sequence::from_items(vec![Item::integer(1)]), one);
+        assert_eq!(std::iter::once(Item::integer(1)).collect::<Sequence>(), one);
+        assert_eq!(std::iter::empty().collect::<Sequence>(), Sequence::empty());
+        let mut s = Sequence::empty();
+        s.push(Item::integer(1));
+        assert_eq!(s, one);
+        s.push(Item::integer(2));
+        assert_eq!(s.items(), [Item::integer(1), Item::integer(2)]);
+        assert_eq!(one.clone().into_iter().collect::<Vec<_>>(), vec![Item::integer(1)]);
+        assert_eq!(s.into_iter().collect::<Vec<_>>(), [Item::integer(1), Item::integer(2)]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct Evaluator<'e> {
 #[derive(Debug, Default)]
 pub struct JoinIdx {
     by_num: HashMap<u64, Vec<(usize, bool)>>,
-    by_str: HashMap<String, Vec<usize>>,
+    by_str: HashMap<Rc<str>, Vec<usize>>,
 }
 
 impl JoinIdx {
@@ -80,7 +80,7 @@ impl JoinIdx {
                 }
             }
             other => {
-                self.by_str.entry(other.string_value()).or_default().push(i);
+                self.by_str.entry(other.string_shared()).or_default().push(i);
             }
         }
     }
@@ -103,7 +103,7 @@ impl JoinIdx {
             },
             AtomicValue::Untyped(s) => {
                 let mut out: Vec<usize> =
-                    self.by_str.get(s.as_str()).cloned().unwrap_or_default();
+                    self.by_str.get(&**s).cloned().unwrap_or_default();
                 if let Ok(d) = s.trim().parse::<f64>() {
                     if let Some(v) = self.by_num.get(&Self::num_key(d)) {
                         // Untyped vs *typed numeric* compares
@@ -116,7 +116,7 @@ impl JoinIdx {
                 out.dedup();
                 out
             }
-            AtomicValue::String(s) => self.by_str.get(s.as_str()).cloned().unwrap_or_default(),
+            AtomicValue::String(s) => self.by_str.get(&**s).cloned().unwrap_or_default(),
             _ => return None,
         })
     }
@@ -737,7 +737,7 @@ impl<'e> Evaluator<'e> {
             let test = |kind: NodeKind, name: Option<&QName>| {
                 node_test_matches(&step.test, kind, name, step.axis)
             };
-            let mut out: Vec<Item> = Vec::new();
+            let mut out = Sequence::empty();
             for item in current.iter() {
                 let Item::Node(node) = item else {
                     return Err(XdmError::new(
@@ -754,12 +754,14 @@ impl<'e> Evaluator<'e> {
                 for pred in &step.predicates {
                     matched = self.filter_nodes(matched, pred, env)?;
                 }
-                out.extend(matched.into_iter().map(Item::Node));
+                for n in matched {
+                    out.push(Item::Node(n));
+                }
             }
             // A forward axis from one node yields document order
             // without duplicates; anything else is sorted.
             let sorted = current.len() == 1 && step.axis.is_forward();
-            current = Sequence::from_items(out);
+            current = out;
             if !sorted {
                 current = current.document_order_dedup()?;
             }
@@ -1217,13 +1219,14 @@ pub(crate) fn convert_params(
 }
 
 pub(crate) fn opt_one_atomic(seq: &Sequence, what: &str) -> XdmResult<Option<AtomicValue>> {
-    let atoms = seq.atomized();
-    match atoms.len() {
-        0 => Ok(None),
-        1 => Ok(Some(atoms.into_iter().next().expect("one"))),
-        n => Err(XdmError::new(
+    // Each item atomizes to exactly one value (no list types), so the
+    // item count is the atom count.
+    match seq.items() {
+        [] => Ok(None),
+        [it] => Ok(Some(it.atomize())),
+        items => Err(XdmError::new(
             ErrorCode::XPTY0004,
-            format!("{what}: expected at most one item, got {n}"),
+            format!("{what}: expected at most one item, got {}", items.len()),
         )),
     }
 }
@@ -1624,17 +1627,11 @@ fn space_joined(seq: &Sequence) -> String {
 /// tree) are identical to the deep-copy path.
 fn assemble_content(parent: &NodeHandle, seq: &Sequence, graft: bool) -> XdmResult<()> {
     let arena = parent.arena().clone();
-    let mut pending_text: Option<String> = None;
+    let mut pending_text: Option<Rc<str>> = None;
     let mut seen_non_attr = parent.has_children();
     for item in seq.iter() {
         match item {
-            Item::Atomic(a) => {
-                let s = a.string_value();
-                pending_text = Some(match pending_text.take() {
-                    Some(prev) => format!("{prev} {s}"),
-                    None => s,
-                });
-            }
+            Item::Atomic(a) => pending_text = Some(join_text(pending_text.take(), a)),
             Item::Node(n) => {
                 if let Some(t) = pending_text.take() {
                     parent.append_child(&NodeHandle::new_text(&arena, t))?;
@@ -1681,6 +1678,16 @@ fn assemble_content(parent: &NodeHandle, seq: &Sequence, graft: bool) -> XdmResu
     Ok(())
 }
 
+/// The text of a run of adjacent atomic values in constructor content,
+/// extended by `a`: a single value's own text, shared with it, or the
+/// values joined with spaces.
+fn join_text(pending: Option<Rc<str>>, a: &AtomicValue) -> Rc<str> {
+    match pending {
+        None => a.string_shared(),
+        Some(prev) => format!("{prev} {}", a.string_shared()).into(),
+    }
+}
+
 /// Constructor content is copied — except freshly constructed,
 /// parentless nodes already in the target arena, which can be moved
 /// (they are unobservable elsewhere).
@@ -1700,16 +1707,10 @@ fn content_nodes(
 ) -> XdmResult<(Vec<NodeHandle>, Vec<NodeHandle>)> {
     let mut content = Vec::new();
     let mut attrs = Vec::new();
-    let mut pending_text: Option<String> = None;
+    let mut pending_text: Option<Rc<str>> = None;
     for item in seq.iter() {
         match item {
-            Item::Atomic(a) => {
-                let s = a.string_value();
-                pending_text = Some(match pending_text.take() {
-                    Some(prev) => format!("{prev} {s}"),
-                    None => s,
-                });
-            }
+            Item::Atomic(a) => pending_text = Some(join_text(pending_text.take(), a)),
             Item::Node(n) => {
                 if let Some(t) = pending_text.take() {
                     content.push(NodeHandle::new_text(arena, t));

@@ -1060,13 +1060,13 @@ fn pushdown_key(class: ColClass, a: &xdm::atomic::AtomicValue) -> Option<(String
             let lex = format!("{}", d as i64);
             let exact = match a {
                 AtomicValue::Integer(_) => true,
-                AtomicValue::Untyped(s) => *s == lex,
+                AtomicValue::Untyped(s) => **s == *lex,
                 _ => false,
             };
             Some((lex, exact))
         }
         ColClass::String => match a {
-            AtomicValue::String(s) | AtomicValue::Untyped(s) => Some((s.clone(), true)),
+            AtomicValue::String(s) | AtomicValue::Untyped(s) => Some((s.to_string(), true)),
             _ => None,
         },
         ColClass::Boolean => match a {
@@ -1077,7 +1077,7 @@ fn pushdown_key(class: ColClass, a: &xdm::atomic::AtomicValue) -> Option<(String
                     "false" | "0" => "false",
                     _ => return None,
                 };
-                Some((lex.to_string(), s == lex))
+                Some((lex.to_string(), **s == *lex))
             }
             _ => None,
         },

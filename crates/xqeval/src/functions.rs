@@ -7,6 +7,7 @@
 
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::rc::Rc;
 
 use xdm::atomic::{to_f64, AtomicType, AtomicValue};
 use xdm::decimal::Decimal;
@@ -38,9 +39,17 @@ fn err(code: ErrorCode, msg: impl Into<String>) -> XdmError {
 }
 
 fn one_string(seq: &Sequence, what: &str) -> XdmResult<String> {
-    match seq.atomized().as_slice() {
-        [] => Ok(String::new()),
-        [a] => Ok(a.string_value()),
+    Ok(opt_text(seq, what)?.map_or_else(String::new, |t| t.to_string()))
+}
+
+/// The text of an optional single item, shared with the item when it is
+/// string-valued or a text-only node; `None` for the empty sequence.
+/// Each item atomizes to exactly one value, so the item count is the
+/// atom count.
+fn opt_text(seq: &Sequence, what: &str) -> XdmResult<Option<Rc<str>>> {
+    match seq.items() {
+        [] => Ok(None),
+        [it] => Ok(Some(it.atomize().string_shared())),
         _ => Err(err(ErrorCode::XPTY0004, format!("{what}: expected a single string"))),
     }
 }
@@ -121,7 +130,7 @@ pub(crate) fn slice(seq: Sequence, win: Range<usize>) -> Sequence {
     if win.start == 0 && win.end >= n {
         return seq;
     }
-    Sequence::from_items(seq.items()[win.start.min(n)..win.end.min(n)].to_vec())
+    seq.items()[win.start.min(n)..win.end.min(n)].iter().cloned().collect()
 }
 
 fn str_seq(s: String) -> Sequence {
@@ -160,11 +169,7 @@ fn dispatch_fn(
     let arity = args.len();
     let result: XdmResult<Sequence> = match (local, arity) {
         // ---------------------------------------------------- accessors
-        ("data", 1) => Ok(args[0]
-            .atomized()
-            .into_iter()
-            .map(Item::Atomic)
-            .collect()),
+        ("data", 1) => Ok(args[0].iter().map(|it| Item::Atomic(it.atomize())).collect()),
         ("string", 0) => (|| {
             let it = context_item(env, "fn:string")?;
             Ok(str_seq(it.string_value()))
@@ -515,13 +520,15 @@ fn dispatch_fn(
             Ok(str_seq(out))
         })(),
         ("tokenize", 2) => (|| {
-            let s = one_string(&args[0], local)?;
-            let p = one_string(&args[1], local)?;
-            let rx = Regex::compile(&p)?;
-            if s.is_empty() {
-                return Ok(Sequence::empty());
+            let s = opt_text(&args[0], local)?;
+            let p = opt_text(&args[1], local)?;
+            let rx = Regex::compile(p.as_deref().unwrap_or_default())?;
+            match s {
+                Some(s) if !s.is_empty() => {
+                    Ok(rx.tokenize(&s)?.into_iter().map(Item::string).collect())
+                }
+                _ => Ok(Sequence::empty()),
             }
-            Ok(rx.tokenize(&s)?.into_iter().map(Item::string).collect())
         })(),
         ("matches", 2) => (|| {
             let s = one_string(&args[0], local)?;

@@ -12,6 +12,8 @@
 //! `fn:tokenize($name, ' ')` of use case 3 — is a literal: it matches
 //! exactly its own text, so it is matched with `str` search instead.
 
+use std::rc::Rc;
+
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 
 #[derive(Debug, Clone)]
@@ -44,12 +46,13 @@ enum ClassItem {
 /// A compiled regular expression.
 ///
 /// ```
+/// use std::rc::Rc;
 /// use xqeval::regex_lite::Regex;
 /// let rx = Regex::compile(r"\d{3}-\d{4}").unwrap();
 /// assert!(rx.is_match("call 555-1234 now"));
 /// assert_eq!(
 ///     Regex::compile(" ").unwrap().tokenize("Michael Carey").unwrap(),
-///     vec!["Michael", "Carey"]
+///     ["Michael", "Carey"].map(Rc::<str>::from)
 /// );
 /// ```
 #[derive(Debug, Clone)]
@@ -78,6 +81,13 @@ fn is_meta(c: char) -> bool {
 
 fn rerr(msg: impl Into<String>) -> XdmError {
     XdmError::new(ErrorCode::FORX0002, format!("invalid regex: {}", msg.into()))
+}
+
+/// `fn:tokenize` and `fn:replace` refuse a pattern that matches the
+/// zero-length string (F&O 1.0 §7.6.3–4), whatever the input; the
+/// pattern itself is valid.
+fn zero_length_match() -> XdmError {
+    XdmError::new(ErrorCode::FORX0003, "pattern matches zero-length string")
 }
 
 struct RxParser<'a> {
@@ -436,11 +446,9 @@ impl Regex {
 
     /// Split `text` on non-overlapping matches (fn:tokenize). A match
     /// of zero length is an error per the F&O spec.
-    pub fn tokenize(&self, text: &str) -> XdmResult<Vec<String>> {
+    pub fn tokenize(&self, text: &str) -> XdmResult<Vec<Rc<str>>> {
         let alts = match &self.matcher {
-            Matcher::Literal(lit) => {
-                return Ok(text.split(lit.as_str()).map(String::from).collect())
-            }
+            Matcher::Literal(lit) => return Ok(text.split(lit.as_str()).map(Rc::from).collect()),
             Matcher::Backtrack(alts) => alts,
         };
         let chars: Vec<char> = text.chars().collect();
@@ -451,20 +459,20 @@ impl Regex {
             let mut matched = None;
             if let Some(end) = self.match_alts(alts, &chars, pos) {
                 if end == pos {
-                    return Err(rerr("pattern matches zero-length string"));
+                    return Err(zero_length_match());
                 }
                 matched = Some(end);
             }
             match matched {
                 Some(end) => {
-                    out.push(chars[token_start..pos].iter().collect());
+                    out.push(chars[token_start..pos].iter().collect::<String>().into());
                     token_start = end;
                     pos = end;
                 }
                 None => pos += 1,
             }
         }
-        out.push(chars[token_start..].iter().collect());
+        out.push(chars[token_start..].iter().collect::<String>().into());
         Ok(out)
     }
 
@@ -478,6 +486,11 @@ impl Regex {
             Matcher::Literal(lit) => return Ok(text.replace(lit.as_str(), replacement)),
             Matcher::Backtrack(alts) => alts,
         };
+        // An empty input has no position to find a zero-length match
+        // at, so ask the pattern itself.
+        if self.match_alts(alts, &[], 0).is_some() {
+            return Err(zero_length_match());
+        }
         let chars: Vec<char> = text.chars().collect();
         let mut out = String::new();
         let mut pos = 0;
@@ -487,9 +500,7 @@ impl Regex {
                     out.push_str(replacement);
                     pos = end;
                 }
-                Some(_) => {
-                    return Err(rerr("pattern matches zero-length string"));
-                }
+                Some(_) => return Err(zero_length_match()),
                 None => {
                     out.push(chars[pos]);
                     pos += 1;
@@ -564,18 +575,20 @@ mod tests {
     fn tokenize_like_paper() {
         // fn:tokenize(fn:data($emp1/Name), ' ') — the use-case-3 call.
         let t = rx(" ").tokenize("Michael Carey").unwrap();
-        assert_eq!(t, vec!["Michael", "Carey"]);
+        assert_eq!(t, ["Michael", "Carey"].map(Rc::from));
         let t = rx(",\\s*").tokenize("a, b,c").unwrap();
-        assert_eq!(t, vec!["a", "b", "c"]);
+        assert_eq!(t, ["a", "b", "c"].map(Rc::from));
         let t = rx(" ").tokenize("single").unwrap();
-        assert_eq!(t, vec!["single"]);
+        assert_eq!(t, ["single"].map(Rc::from));
         let t = rx(" ").tokenize("").unwrap();
-        assert_eq!(t, vec![""]);
+        assert_eq!(t, [""].map(Rc::from));
     }
 
     #[test]
     fn tokenize_rejects_zero_width() {
-        assert!(rx("a*").tokenize("bab").is_err());
+        assert!(rx("a*").tokenize("bab").unwrap_err().is(ErrorCode::FORX0003));
+        assert!(rx("").replace("ab", "x").unwrap_err().is(ErrorCode::FORX0003));
+        assert!(rx("b*").replace("", "x").unwrap_err().is(ErrorCode::FORX0003));
     }
 
     #[test]

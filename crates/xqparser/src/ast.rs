@@ -436,7 +436,7 @@ impl Expr {
     }
 
     /// Convenience string literal.
-    pub fn str(s: impl Into<String>) -> Expr {
+    pub fn str(s: impl Into<std::rc::Rc<str>>) -> Expr {
         Expr::Literal(AtomicValue::String(s.into()))
     }
 

@@ -969,7 +969,7 @@ impl<'a> Parser<'a> {
                 Ok(Expr::Literal(AtomicValue::Double(d)))
             }
             Tok::Str(s) => {
-                let s = s.clone();
+                let s = s.as_str().into();
                 self.next()?;
                 Ok(Expr::Literal(AtomicValue::String(s)))
             }

@@ -7,6 +7,9 @@
 //! left no partial writes behind. All latency is virtual-clock time;
 //! nothing here sleeps.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use proptest::prelude::*;
 
 use xqse_repro::aldsp::demo;
@@ -22,6 +25,57 @@ use xqse_repro::aldsp::{
 use xqse_repro::xdm::qname::QName;
 use xqse_repro::xdm::sequence::{Item, Sequence};
 use xqse_repro::xqeval::{Env, Features};
+
+// ---------------------------------------------------------------------------
+// Allocation counting (the journal's count guard)
+// ---------------------------------------------------------------------------
+
+/// Counts the heap allocations (and growing reallocations) each thread
+/// makes, as `crates/bench/tests/alloc_budget.rs` does. Every other test
+/// here pays one thread-local add per allocation.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn book_allocation() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the only addition is a
+// thread-local counter update, which does not allocate (`const`
+// initialisation, no destructor).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        book_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        book_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        book_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -1378,6 +1432,71 @@ mod xa_recovery {
             prop_assert_eq!((rows(&primary), rows(&backup)), (ra, rb));
         }
     }
+
+    /// Count guard for the journal, next to the timing guard below:
+    /// the heap allocations one warm journaled two-branch commit makes
+    /// beyond the same branches prepared and committed through the
+    /// branch calls with no journal. Unlike a timing, the count is exact
+    /// on any host.
+    #[test]
+    fn xa_journal_allocations_per_commit_stay_within_budget() {
+        let (space, primary, backup) = replicated_space();
+        for db in [&primary, &backup] {
+            for i in 0..8 {
+                db.insert("EMPLOYEE", vec![SqlValue::Int(i), SqlValue::Str("x".into())]).unwrap();
+            }
+        }
+        let journal = space.journal();
+        let participants = |i: i64| {
+            let upd = || WriteOp::Update {
+                table: "EMPLOYEE".into(),
+                set: vec![("Name".into(), SqlValue::Str(format!("n{i}")))],
+                cond: vec![("EmployeeID".into(), SqlValue::Int(i % 8))],
+                expect_rows: 1,
+            };
+            vec![(primary.clone(), vec![upd()]), (backup.clone(), vec![upd()])]
+        };
+        // Each arm's write sets are built before its count starts. A
+        // checkpoint after each journaled commit empties the ring and
+        // keeps its capacity, so no append has to grow it.
+        let journaled = |i: i64| {
+            let coord = TwoPhaseCoordinator::new(participants(i));
+            let before = allocations();
+            let outcome = coord.run_journaled(&journal, None, None).unwrap();
+            let n = allocations() - before;
+            assert!(matches!(outcome, TxOutcome::Committed));
+            journal.checkpoint();
+            n
+        };
+        let plain = |i: i64| {
+            let branches = participants(i);
+            let before = allocations();
+            let tx = fresh_tx();
+            for (db, ops) in &branches {
+                db.prepare(tx, ops.clone()).unwrap();
+            }
+            for (db, _) in &branches {
+                assert!(db.commit_branch(tx).unwrap());
+            }
+            allocations() - before
+        };
+        let _ = (journaled(0), plain(1));
+        let (with, without) = (journaled(2), plain(3));
+        assert_eq!((with, without), (journaled(4), plain(5)), "the counts must repeat");
+        let extra = with - without;
+        println!("xa journal: {extra} allocations per journaled commit ({with} against {without})");
+        assert!(
+            extra <= JOURNAL_ALLOCS,
+            "{extra} allocations per journaled commit; the budget is {JOURNAL_ALLOCS}"
+        );
+    }
+
+    /// The journal's allocations per two-branch commit measured on this
+    /// code: the two branch names, made once per transaction, the list
+    /// holding them and its copy in the `Begin` record, and the
+    /// coordinator's list of prepared branches. Copying the names into
+    /// every record made 8.
+    const JOURNAL_ALLOCS: u64 = 5;
 
     /// Journal overhead guard for the no-fault path: the journaled
     /// coordinator must stay within 5% of the same protocol driven

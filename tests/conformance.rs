@@ -167,6 +167,11 @@ conformance! {
              catch (*) { } \
            } \
            return value $ok; }" => "2";
+    stmt_catch_zero_length_pattern:
+        "{ declare $r := 'uncaught'; \
+           try { set $r := fn:tokenize('abc', 'b*'); } \
+           catch (err:FORX0003) { set $r := 'caught'; } \
+           return value $r; }" => "caught";
     stmt_return_from_nested_block:
         "{ { { return value 'deep'; } } return value 'never'; }" => "deep";
     stmt_update_constructed_tree:
@@ -244,6 +249,11 @@ conformance_err! {
         "{ iterate $v over (1,2) { set $v := 0; } }" => "XQSE0001";
     err_context_item_absent: "." => "XPDY0002";
     err_effective_boolean_multi: "if ((1,2)) then 1 else 2" => "FORG0006";
+    err_tokenize_empty_pattern: "fn:tokenize('abc', '')" => "FORX0003";
+    err_tokenize_zero_length_match: "fn:tokenize('abc', 'b*')" => "FORX0003";
+    err_replace_empty_pattern: "fn:replace('abc', '', 'x')" => "FORX0003";
+    err_replace_zero_length_match_on_empty_input: "fn:replace('', 'b*', 'x')" => "FORX0003";
+    err_tokenize_invalid_pattern: "fn:tokenize('abc', '(')" => "FORX0002";
 }
 
 /// Statement/expression boundary: the same `while` text is a statement

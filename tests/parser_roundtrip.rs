@@ -20,7 +20,7 @@ fn var_name() -> impl Strategy<Value = QName> {
 fn literal() -> impl Strategy<Value = Expr> {
     prop_oneof![
         (-1000i64..1000).prop_map(|i| Expr::Literal(AtomicValue::Integer(i))),
-        "[a-z ]{0,6}".prop_map(|s| Expr::Literal(AtomicValue::String(s))),
+        "[a-z ]{0,6}".prop_map(|s| Expr::Literal(AtomicValue::String(s.into()))),
     ]
 }
 
