@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use xdm::error::{ErrorCode, XdmError, XdmResult};
-use xdm::node::NodeHandle;
+use xdm::node::{NodeArena, NodeHandle};
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
@@ -176,6 +176,10 @@ fn register_read_all(
     // per-call probes.
     let select_cache: Rc<RefCell<xqeval::Lru<String, (u64, Sequence)>>> =
         Rc::new(RefCell::new(xqeval::Lru::new(SELECT_CACHE_CAPACITY)));
+    // A lookup writes its key into this one buffer and probes by
+    // `&str`, so a hit builds no `String`; only a miss's insert copies
+    // the key.
+    let probe_key = RefCell::new(String::new());
     {
         // Update statements may have mutated cached nodes in place:
         // both caches go.
@@ -205,10 +209,15 @@ fn register_read_all(
         Rc::new(move |_env: &mut Env, col: &str, key: &str| -> XdmResult<Sequence> {
             // A hit needs no parse: a key that does not parse, or an
             // unknown column, never reaches the cache.
-            let ck = features.get().batching().then(|| format!("{col}\u{1}{key}"));
-            if let Some(ck) = &ck {
+            let batching = features.get().batching();
+            if batching {
+                let mut ck = probe_key.borrow_mut();
+                ck.clear();
+                ck.push_str(col);
+                ck.push('\u{1}');
+                ck.push_str(key);
                 let live = db.table_version(&table).unwrap_or(0);
-                if let Some((served, seq)) = select_cache.borrow_mut().get(ck) {
+                if let Some((served, seq)) = select_cache.borrow_mut().get(ck.as_str()) {
                     if *served == live {
                         return Ok(seq.clone());
                     }
@@ -234,8 +243,9 @@ fn register_read_all(
             let cond = vec![(col.to_string(), v)];
             let (served, rows) = db.select_indexed_versioned(&table, &cond)?;
             let seq = xmlmap::rows_to_sequence(&schema, &ns, &rows);
-            if let Some(ck) = ck {
+            if batching {
                 seal_sequence(&seq);
+                let ck = format!("{col}\u{1}{key}");
                 select_cache.borrow_mut().insert(ck, (served, seq.clone()));
             }
             Ok(seq)
@@ -314,7 +324,10 @@ fn register_read_all(
 /// `opt` it is answered by the table's keyed select (`select`, the
 /// closure pushdown uses), so with the batch layer on, a key repeated
 /// on an unchanged table hits the versioned select cache; `-opt` keeps
-/// the seed's full scan.
+/// the seed's full scan. The key's text is shared with the argument,
+/// and a key that already is its column's canonical lexical
+/// ([`is_canonical_key`]) reaches the select as it is, so a warm hit
+/// allocates nothing.
 fn register_read_by_key(
     engine: &Engine,
     db: &Database,
@@ -342,19 +355,51 @@ fn register_read_by_key(
         QName::with_ns(ns.clone(), format!("getBy{pk}")),
         1,
         Rc::new(move |env, args| {
-            let key = args[0].string_value()?;
+            let key = match args[0].items() {
+                [] => return Ok(Sequence::empty()),
+                [it] => it.atomize().string_shared(),
+                _ => {
+                    return Err(XdmError::new(
+                        ErrorCode::XPTY0004,
+                        "fn:string on a sequence of more than one item",
+                    ))
+                }
+            };
             if key.is_empty() {
                 return Ok(Sequence::empty());
             }
-            let v = SqlValue::parse(pk_ty, &key)?;
             if features.get().opt {
-                return select(env, &pk, &v.lexical());
+                if is_canonical_key(pk_ty, &key) {
+                    return select(env, &pk, &key);
+                }
+                return select(env, &pk, &SqlValue::parse(pk_ty, &key)?.lexical());
             }
+            let v = SqlValue::parse(pk_ty, &key)?;
             let rows = db.select(&table, &vec![(pk.clone(), v)])?;
             Ok(xmlmap::rows_to_sequence(&schema, &ns, &rows))
         }),
     );
     Ok(())
+}
+
+/// Whether `key` already is the lexical a column of type `ty` stores,
+/// by the rule pushdown keys follow (`pushdown_key` in `xqeval`'s
+/// FLWOR module): an `i64` written `7` (not `007`, ` 7`, `+7` or `-0`),
+/// `true` or `false`, or any string. Such a key parses, and parsing
+/// and rendering it again gives it back unchanged.
+fn is_canonical_key(ty: ColumnType, key: &str) -> bool {
+    match ty {
+        ColumnType::Varchar => true,
+        ColumnType::Boolean => key == "true" || key == "false",
+        ColumnType::Integer => {
+            // Digits only, with no leading zero and no `-0`.
+            let digits = key.strip_prefix('-').unwrap_or(key);
+            let plain = digits.bytes().all(|b| b.is_ascii_digit())
+                && (!digits.starts_with('0') || key == "0");
+            plain && key.parse::<i64>().is_ok()
+        }
+        ColumnType::Decimal | ColumnType::Date | ColumnType::Timestamp => false,
+    }
 }
 
 fn register_cud(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) {
@@ -387,12 +432,12 @@ fn register_cud(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) 
                     .as_ref()
                     .map_err(|msg| XdmError::new(ErrorCode::DSP0003, msg.clone()))?;
                 // The key element <TABLE_KEY>…</TABLE_KEY> returned on
-                // success, built before the row moves into the insert;
-                // each key value's text is made once.
-                let key = NodeHandle::root_element(key_name.clone());
-                let arena = key.arena().clone();
+                // success, built to size before the row moves into the
+                // insert; each key value's text is made once.
+                let arena = NodeArena::with_capacity(1 + 2 * cols.len());
+                let key = NodeHandle::new_element_sized(&arena, key_name.clone(), cols.len());
                 for (i, col) in cols {
-                    let c = NodeHandle::new_element(&arena, col.clone());
+                    let c = NodeHandle::new_element_sized(&arena, col.clone(), 1);
                     c.append_child(&NodeHandle::new_text(&arena, xmlmap::text_of(&row[*i])))?;
                     key.append_child(&c)?;
                 }

@@ -383,6 +383,16 @@ struct WorkerExit {
     init_error: Option<String>,
 }
 
+/// The stack each serving worker runs on. A request whose text nests as
+/// deep as the parser accepts ([`xqparser::parser::MAX_NESTING`]) must
+/// both parse and evaluate on it: measured at 256 levels, the deepest
+/// shapes (nested calls, parentheses and computed constructors) take
+/// ~1.7 MiB in a release build and ~17 MiB in a debug build, so 32 MiB
+/// leaves room in both. Rust's default of 2 MiB held ~300 levels, and
+/// a deeper request overflowed it and aborted the process. Untouched
+/// stack pages cost no memory.
+pub const WORKER_STACK_BYTES: usize = 32 << 20;
+
 /// The serving pool: `workers` threads, each with its own engine and
 /// dataspace, pulling [`ServeRequest`]s off one bounded queue.
 ///
@@ -394,6 +404,8 @@ struct WorkerExit {
 pub struct ServePool {
     queue: Arc<Queue>,
     handles: Vec<JoinHandle<WorkerExit>>,
+    /// Why each worker the OS would not start is missing.
+    start_errors: Vec<String>,
     workers: usize,
     /// Budget knobs copied from the spec.
     deadline_ms: Option<u64>,
@@ -430,21 +442,38 @@ impl ServePool {
         // builders write the shared sources' access slots, and a
         // half-initialized pool must not serve requests with faults or
         // breakers only partially installed.
-        let barrier = Arc::new(std::sync::Barrier::new(workers));
-        let handles = (0..workers)
-            .map(|i| {
-                let queue = queue.clone();
-                let builder = builder.clone();
-                let barrier = barrier.clone();
-                let counters = counters.clone();
-                std::thread::spawn(move || {
-                    worker_loop(i, &queue, builder.as_ref(), &barrier, &counters)
-                })
-            })
-            .collect();
+        let latch = Arc::new(StartLatch::new(workers));
+        let mut handles = Vec::with_capacity(workers);
+        let mut start_errors = Vec::new();
+        for i in 0..workers {
+            let queue = queue.clone();
+            let builder = builder.clone();
+            let worker_latch = latch.clone();
+            let counters = counters.clone();
+            let spawned = std::thread::Builder::new()
+                .name(format!("serve-worker-{i}"))
+                .stack_size(WORKER_STACK_BYTES)
+                .spawn(move || worker_loop(i, &queue, builder.as_ref(), &worker_latch, &counters));
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                // The OS refused the thread: the others need not wait
+                // for it, and shutdown reports it as a worker that
+                // never served.
+                Err(e) => {
+                    latch.arrive();
+                    start_errors.push(format!("serving worker {i} could not start: {e}"));
+                }
+            }
+        }
+        if handles.is_empty() {
+            // With no worker, a queued request would wait forever;
+            // every call is refused as by a shut-down pool instead.
+            queue.close();
+        }
         ServePool {
             queue,
             handles,
+            start_errors,
             workers,
             deadline_ms: spec.deadline_ms,
             fuel: spec.fuel,
@@ -549,6 +578,10 @@ impl ServePool {
                 }
             }
         }
+        for e in self.start_errors {
+            report.served.push(0);
+            report.init_errors.push(Some(e));
+        }
         // Sheds are counted in the pool counter, never in any engine:
         // queue-full sheds happen on client threads outside an engine,
         // and dispatch-time sheds deliberately skip the engine counter.
@@ -559,18 +592,48 @@ impl ServePool {
     }
 }
 
+/// The pool's start gate: counts down once per worker that finished
+/// building, or that the OS would not start, and lets every worker past
+/// at zero.
+struct StartLatch {
+    pending: Mutex<usize>,
+    open: Condvar,
+}
+
+impl StartLatch {
+    fn new(workers: usize) -> StartLatch {
+        StartLatch { pending: Mutex::new(workers), open: Condvar::new() }
+    }
+
+    fn arrive(&self) {
+        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
+        *pending = pending.saturating_sub(1);
+        if *pending == 0 {
+            self.open.notify_all();
+        }
+    }
+
+    fn wait(&self) {
+        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
+        while *pending > 0 {
+            pending = self.open.wait(pending).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
 fn worker_loop(
     idx: usize,
     queue: &Queue,
     builder: &(dyn Fn(usize) -> XdmResult<DataSpace> + Send + Sync),
-    barrier: &std::sync::Barrier,
+    latch: &StartLatch,
     counters: &PoolCounters,
 ) -> WorkerExit {
     // Tag this thread so injected faults record which worker hit them.
     fault::set_current_worker(Some(idx));
     let space = builder(idx);
     let init_error = space.as_ref().err().map(|e| e.to_string());
-    barrier.wait();
+    latch.arrive();
+    latch.wait();
     let mut served = 0u64;
     while let Some(job) = queue.pop() {
         // Dispatch-time shed: if queue wait already consumed the

@@ -1417,7 +1417,7 @@ impl TwoPhaseCoordinator {
     /// consulted, which is how the chaos matrix expires a deadline at
     /// an exact protocol step.
     pub fn run_journaled(
-        self,
+        mut self,
         journal: &crate::journal::CoordinatorJournal,
         injector: Option<&Arc<Mutex<crate::fault::FaultInjector>>>,
         clock: Option<&crate::resilience::VirtualClock>,
@@ -1469,10 +1469,12 @@ impl TwoPhaseCoordinator {
             return abort_with(&[], e);
         }
 
-        // Phase 1: prepare every branch, journaling each yes-vote.
+        // Phase 1: prepare every branch, journaling each yes-vote. The
+        // coordinator owns the write sets and never reads them again,
+        // so each moves into its branch's prepare.
         let mut prepared: Vec<&Database> = Vec::new();
-        for ((db, ops), name) in self.participants.iter().zip(&branches) {
-            match db.prepare(tx, ops.clone()) {
+        for ((db, ops), name) in self.participants.iter_mut().zip(&branches) {
+            match db.prepare(tx, std::mem::take(ops)) {
                 Ok(()) => prepared.push(db),
                 // A no-vote is not a crash: abort tidily.
                 Err(e) => return abort_with(&prepared, e),

@@ -1010,3 +1010,47 @@ fn sequential_visibility_between_statements() {
     assert_eq!(ints(&out), vec![1, 2]);
     assert_eq!(*log.borrow(), vec![1, 2]);
 }
+
+// ------------------------------------------------ one-child lists
+
+/// `src` serializes as `want` under `Features::ALL` and under
+/// `Features::NONE`. With `graft` on, a constructed tree placed in
+/// another is shared until a mutation copies it on write; without it,
+/// it is copied up front.
+fn same_under_all_and_none(src: &str, want: &str) {
+    for features in [Features::ALL, Features::NONE] {
+        let xqse = Xqse::new();
+        xqse.engine().set_features(features);
+        assert_eq!(s(&xqse.run(src).unwrap()), want, "{src} under {features}");
+    }
+}
+
+#[test]
+fn xuf_moves_child_lists_across_the_one_child_boundary() {
+    let cases = [
+        // One child becomes two: before, after, as first, into.
+        ("{ declare $d := <r><a/></r>; insert node <b/> before $d/a; return value $d; }", "<r><b/><a/></r>"),
+        ("{ declare $d := <r><a/></r>; insert node <b/> after $d/a; return value $d; }", "<r><a/><b/></r>"),
+        ("{ declare $d := <r><a/></r>; insert node <b/> as first into $d; return value $d; }", "<r><b/><a/></r>"),
+        ("{ declare $d := <r/>; insert node <a/> into $d; insert node <b/> into $d; return value $d; }", "<r><a/><b/></r>"),
+        // Two become one and none, and one grows again.
+        ("{ declare $d := <r><a/><b/></r>; delete node $d/a; return value ($d, fn:count($d/node())); }", "<r><b/></r>1"),
+        ("{ declare $d := <r><a/></r>; delete node $d/a; return value ($d, fn:count($d/node())); }", "<r/>0"),
+        ("{ declare $d := <r><a/><b/><c/></r>; delete node ($d/a, $d/b); insert node <z/> after $d/c; return value $d; }", "<r><c/><z/></r>"),
+        ("{ declare $d := <r><a/><b/></r>; delete node $d/b; insert node <z/> before $d/a; return value $d; }", "<r><z/><a/></r>"),
+        // Replace an only child by two, and two children by one.
+        ("{ declare $d := <r><a/></r>; replace node $d/a with (<x/>, <y/>); return value $d; }", "<r><x/><y/></r>"),
+        ("{ declare $d := <r><a/><b/></r>; replace node $d/b with (); return value ($d, fn:count($d/*)); }", "<r><a/></r>1"),
+        ("{ declare $d := <r><a>1</a></r>; replace value of node $d with 'x'; return value $d; }", "<r>x</r>"),
+        // Rename a one-child element and its only child.
+        ("{ declare $d := <r><a>1</a></r>; (rename node $d as 'q', rename node $d/a as 'z'); return value ($d, $d/z/.. is $d); }", "<q><z>1</z></q>true"),
+        // A one-child subtree grafted into a host copies on write; the
+        // tree it came from keeps its one child.
+        ("{ declare $src := <s><x>1</x></s>; declare $h := <h>{$src}</h>; insert node <y/> after $h/s/x; return value ($h, $src); }", "<h><s><x>1</x><y/></s></h><s><x>1</x></s>"),
+        ("{ declare $src := <s><x>1</x></s>; declare $h := <h>{$src}</h>; delete node $h/s/x; rename node $h/s as 't'; return value ($h, $src); }", "<h><t/></h><s><x>1</x></s>"),
+        ("{ declare $src := <s><x/></s>; declare $h := <h>{$src}</h>; insert node <w/> before $h/s; return value ($h, $h/s/x/../.. is $h); }", "<h><w/><s><x/></s></h>true"),
+    ];
+    for (src, want) in cases {
+        same_under_all_and_none(src, want);
+    }
+}

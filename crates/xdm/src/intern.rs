@@ -72,6 +72,14 @@ impl Symbol {
     pub fn as_str(&self) -> &str {
         self.0
     }
+
+    /// The address of the table's copy. Every `Symbol` is interned, so
+    /// two symbols have the same address exactly when they hold the
+    /// same string: the address is the name's identity, and hashing it
+    /// costs one word however long the name.
+    pub fn addr(&self) -> usize {
+        std::ptr::from_ref::<String>(self.0) as usize
+    }
 }
 
 impl Deref for Symbol {

@@ -129,6 +129,82 @@ enum ChildEntry {
     Graft(Rc<GraftCtx>),
 }
 
+/// The child slots of a document or element. Most constructed and
+/// materialized elements hold exactly one child (`<Name>text</Name>`),
+/// which stays inline; two or more live in a `Vec`, sized up front
+/// when the builder knows the count ([`Children::with_capacity`]).
+/// Either form is 24 bytes, the size of the `Vec` alone, so a node slot
+/// stays 64 bytes. Every mutation moves between the two forms: a second
+/// child moves the first into a `Vec`, and a `Vec` left with one child
+/// gives it back inline.
+#[derive(Debug, Clone)]
+enum Children {
+    Many(Vec<ChildEntry>),
+    One(ChildEntry),
+}
+
+impl Children {
+    /// Room for `n` children without growing: inline for one or none.
+    fn with_capacity(n: usize) -> Children {
+        Children::Many(if n > 1 { Vec::with_capacity(n) } else { Vec::new() })
+    }
+
+    fn as_slice(&self) -> &[ChildEntry] {
+        match self {
+            Children::Many(v) => v,
+            Children::One(e) => std::slice::from_ref(e),
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [ChildEntry] {
+        match self {
+            Children::Many(v) => v,
+            Children::One(e) => std::slice::from_mut(e),
+        }
+    }
+
+    fn push(&mut self, e: ChildEntry) {
+        *self = match std::mem::replace(self, Children::Many(Vec::new())) {
+            // An empty list with no room takes its first child inline.
+            Children::Many(v) if v.capacity() == 0 => Children::One(e),
+            Children::Many(mut v) => {
+                v.push(e);
+                Children::Many(v)
+            }
+            Children::One(first) => Children::Many(vec![first, e]),
+        };
+    }
+
+    fn insert(&mut self, at: usize, e: ChildEntry) {
+        match self {
+            Children::Many(v) if !v.is_empty() => v.insert(at, e),
+            Children::Many(_) => self.push(e),
+            Children::One(_) => {
+                self.push(e);
+                if at == 0 {
+                    self.as_mut_slice().swap(0, 1);
+                }
+            }
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&ChildEntry) -> bool) {
+        match self {
+            Children::One(e) => {
+                if !keep(e) {
+                    *self = Children::Many(Vec::new());
+                }
+            }
+            Children::Many(v) => {
+                v.retain(keep);
+                if v.len() == 1 {
+                    *self = Children::One(v.remove(0));
+                }
+            }
+        }
+    }
+}
+
 /// One graft use: `root` in the sealed `sub` arena, adopted as a child
 /// of exactly one host slot. Each `graft_child` call creates a fresh
 /// `GraftCtx`, so grafting the same source node twice yields two
@@ -181,11 +257,11 @@ struct GraftLink {
 #[derive(Debug, Clone)]
 enum NodeBody {
     Document {
-        children: Vec<ChildEntry>,
+        children: Children,
     },
     Element {
         name: QName,
-        children: Vec<ChildEntry>,
+        children: Children,
         /// Attributes and namespace declarations, boxed and absent for
         /// an element with neither, so that the common plain element
         /// does not size every node slot.
@@ -221,7 +297,7 @@ impl NodeBody {
     /// An element with no attributes yet.
     fn element(
         name: QName,
-        children: Vec<ChildEntry>,
+        children: Children,
         ns_decls: Vec<(crate::intern::Symbol, crate::intern::Symbol)>,
     ) -> NodeBody {
         let extra =
@@ -234,6 +310,14 @@ impl NodeBody {
         match self {
             NodeBody::Element { extra: Some(x), .. } => &x.attrs,
             _ => &[],
+        }
+    }
+
+    /// A document's or element's child slots, for mutation.
+    fn children_mut(&mut self) -> Option<&mut Children> {
+        match self {
+            NodeBody::Document { children } | NodeBody::Element { children, .. } => Some(children),
+            _ => None,
         }
     }
 
@@ -261,6 +345,11 @@ struct NodeData {
     body: NodeBody,
 }
 
+// A node slot is one 64-byte record: the child list is no wider than
+// the `Vec` it replaces.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<NodeData>() == 64);
+
 impl NodeData {
     fn kind(&self) -> NodeKind {
         match self.body {
@@ -283,7 +372,9 @@ impl NodeData {
 
     fn children(&self) -> &[ChildEntry] {
         match &self.body {
-            NodeBody::Document { children } | NodeBody::Element { children, .. } => children,
+            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
+                children.as_slice()
+            }
             _ => &[],
         }
     }
@@ -318,6 +409,12 @@ impl NodeArena {
     /// it keeps no empty slots.
     pub fn with_capacity(nodes: usize) -> SharedArena {
         Rc::new(RefCell::new(NodeArena { nodes: Vec::with_capacity(nodes), ..NodeArena::default() }))
+    }
+
+    /// Make room for `additional` more nodes, for a builder that learns
+    /// its size after the arena's stamp had to be taken.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve_exact(additional);
     }
 
     /// The arena's globally unique creation stamp.
@@ -516,11 +613,15 @@ impl NodeHandle {
 
     /// Create a new document node in a fresh arena.
     pub fn new_document() -> NodeHandle {
-        let arena = NodeArena::new();
-        let id = arena
-            .borrow_mut()
-            .alloc(None, NodeBody::Document { children: Vec::new() });
-        NodeHandle { arena, id, link: None }
+        Self::new_document_sized(&NodeArena::new(), 0)
+    }
+
+    /// Create a document node in the given arena with room for exactly
+    /// `children` children.
+    pub fn new_document_sized(arena: &SharedArena, children: usize) -> NodeHandle {
+        let body = NodeBody::Document { children: Children::with_capacity(children) };
+        let id = arena.borrow_mut().alloc(None, body);
+        NodeHandle { arena: arena.clone(), id, link: None }
     }
 
     /// Create a detached element node in the given arena.
@@ -534,7 +635,7 @@ impl NodeHandle {
     pub fn new_element_sized(arena: &SharedArena, name: QName, children: usize) -> NodeHandle {
         let id = arena.borrow_mut().alloc(
             None,
-            NodeBody::element(name, Vec::with_capacity(children), Vec::new()),
+            NodeBody::element(name, Children::with_capacity(children), Vec::new()),
         );
         NodeHandle { arena: arena.clone(), id, link: None }
     }
@@ -784,16 +885,7 @@ impl NodeHandle {
             return h.single_text_content();
         }
         let a = self.arena.borrow();
-        let children = match &a.data(self.id).body {
-            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
-                children
-            }
-            _ => return None,
-        };
-        if children.len() != 1 {
-            return None;
-        }
-        let ChildEntry::Local(c) = &children[0] else { return None };
+        let [ChildEntry::Local(c)] = a.data(self.id).children() else { return None };
         match &a.data(*c).body {
             NodeBody::Text { content } => Some(content.clone()),
             _ => None,
@@ -1090,13 +1182,8 @@ impl NodeHandle {
         });
         {
             let mut arena = me.arena.borrow_mut();
-            match &mut arena.data_mut(me.id).body {
-                NodeBody::Document { children }
-                | NodeBody::Element { children, .. } => {
-                    children.push(ChildEntry::Graft(ctx.clone()))
-                }
-                _ => unreachable!("kind checked above"),
-            }
+            let children = arena.data_mut(me.id).body.children_mut().expect("kind checked above");
+            children.push(ChildEntry::Graft(ctx.clone()));
         }
         Ok(graft_root(&ctx, &me.arena, me.id, &me.link))
     }
@@ -1197,17 +1284,14 @@ fn materialize(ctx: &Rc<GraftCtx>, host_arena: &SharedArena, host_id: NodeId) {
     {
         let mut host = host_arena.borrow_mut();
         host.data_mut(new_root).parent = Some(host_id);
-        match &mut host.data_mut(host_id).body {
-            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
-                for e in children.iter_mut() {
-                    let replace = matches!(e, ChildEntry::Graft(c) if Rc::ptr_eq(c, ctx));
-                    if replace {
-                        *e = ChildEntry::Local(new_root);
-                        break;
-                    }
+        if let Some(children) = host.data_mut(host_id).body.children_mut() {
+            for e in children.as_mut_slice() {
+                let replace = matches!(e, ChildEntry::Graft(c) if Rc::ptr_eq(c, ctx));
+                if replace {
+                    *e = ChildEntry::Local(new_root);
+                    break;
                 }
             }
-            _ => {}
         }
     }
     *ctx.state.borrow_mut() = GraftState::Materialized { map };
@@ -1229,8 +1313,8 @@ fn copy_subtree_recording(
     match body {
         NodeBody::Element { name, children, extra } => {
             let ElementExtra { attrs, ns_decls } = extra.map(|x| *x).unwrap_or_default();
-            let nid =
-                target.borrow_mut().alloc(None, NodeBody::element(name, Vec::new(), ns_decls));
+            let slots = Children::with_capacity(children.as_slice().len());
+            let nid = target.borrow_mut().alloc(None, NodeBody::element(name, slots, ns_decls));
             map.insert((stamp, id), nid);
             for a in attrs {
                 let na = copy_subtree_recording(src, a, target, map);
@@ -1244,9 +1328,8 @@ fn copy_subtree_recording(
             nid
         }
         NodeBody::Document { children } => {
-            let nid = target
-                .borrow_mut()
-                .alloc(None, NodeBody::Document { children: Vec::new() });
+            let slots = Children::with_capacity(children.as_slice().len());
+            let nid = target.borrow_mut().alloc(None, NodeBody::Document { children: slots });
             map.insert((stamp, id), nid);
             copy_entries(src, children, target, nid, map);
             nid
@@ -1261,25 +1344,22 @@ fn copy_subtree_recording(
 
 fn copy_entries(
     src: &SharedArena,
-    entries: Vec<ChildEntry>,
+    entries: Children,
     target: &SharedArena,
     parent: NodeId,
     map: &mut HashMap<(u64, NodeId), NodeId>,
 ) {
-    for e in entries {
+    for e in entries.as_slice() {
         let nc = match e {
-            ChildEntry::Local(c) => copy_subtree_recording(src, c, target, map),
+            ChildEntry::Local(c) => copy_subtree_recording(src, *c, target, map),
             ChildEntry::Graft(ctx) => {
                 copy_subtree_recording(&ctx.sub, ctx.root, target, map)
             }
         };
         let mut t = target.borrow_mut();
         t.data_mut(nc).parent = Some(parent);
-        match &mut t.data_mut(parent).body {
-            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
-                children.push(ChildEntry::Local(nc))
-            }
-            _ => {}
+        if let Some(children) = t.data_mut(parent).body.children_mut() {
+            children.push(ChildEntry::Local(nc));
         }
     }
 }
@@ -1308,10 +1388,11 @@ impl NodeHandle {
     pub fn deep_copy_into(&self, target: &SharedArena) -> NodeHandle {
         match self.kind() {
             NodeKind::Document => {
-                let body = NodeBody::Document { children: Vec::new() };
+                let kids = self.children();
+                let body = NodeBody::Document { children: Children::with_capacity(kids.len()) };
                 let id = target.borrow_mut().alloc(None, body);
                 let copy = NodeHandle::new(target.clone(), id);
-                for c in self.children() {
+                for c in kids {
                     let cc = c.deep_copy_into(target);
                     copy.push_child_raw(&cc);
                 }
@@ -1319,14 +1400,16 @@ impl NodeHandle {
             }
             NodeKind::Element => {
                 let name = self.name().expect("element has name");
-                let body = NodeBody::element(name, Vec::new(), self.ns_decls());
+                let kids = self.children();
+                let body =
+                    NodeBody::element(name, Children::with_capacity(kids.len()), self.ns_decls());
                 let id = target.borrow_mut().alloc(None, body);
                 let copy = NodeHandle::new(target.clone(), id);
                 for a in self.attributes() {
                     let ac = a.deep_copy_into(target);
                     copy.push_attribute_raw(&ac);
                 }
-                for c in self.children() {
+                for c in kids {
                     let cc = c.deep_copy_into(target);
                     copy.push_child_raw(&cc);
                 }
@@ -1368,11 +1451,9 @@ impl NodeHandle {
         debug_assert!(self.link.is_none() && child.link.is_none());
         let mut arena = self.arena.borrow_mut();
         arena.data_mut(child.id).parent = Some(self.id);
-        match &mut arena.data_mut(self.id).body {
-            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
-                children.push(ChildEntry::Local(child.id))
-            }
-            _ => panic!("push_child on leaf node"),
+        match arena.data_mut(self.id).body.children_mut() {
+            Some(children) => children.push(ChildEntry::Local(child.id)),
+            None => panic!("push_child on leaf node"),
         }
     }
 
@@ -1388,48 +1469,59 @@ impl NodeHandle {
 
     /// Append a child, importing across arenas and merging adjacent
     /// text nodes (XDM: no two adjacent text siblings).
+    ///
+    /// A builder's append, of a node in this node's own arena with
+    /// neither handle reached through a graft, takes one arena borrow:
+    /// nothing needs resolving, importing or copying. Anything else
+    /// first resolves copy-on-write for this node and imports the child.
     pub fn append_child(&self, child: &NodeHandle) -> XdmResult<NodeHandle> {
+        if self.link.is_none() && child.link.is_none() && self.same_arena(child) {
+            return self.append_local(child);
+        }
         let me = self.ensure_local();
+        let child = me.import(child);
+        me.append_local(&child)
+    }
+
+    /// [`NodeHandle::append_child`] of a child in this node's arena,
+    /// neither handle reached through a graft, under one borrow.
+    fn append_local(&self, child: &NodeHandle) -> XdmResult<NodeHandle> {
+        let mut arena = self.arena.borrow_mut();
+        let me = arena.data(self.id);
         match me.kind() {
             NodeKind::Document | NodeKind::Element => {}
             k => {
-                return Err(XdmError::new(
-                    ErrorCode::XUTY0008,
-                    format!("cannot append child to {k:?} node"),
-                ))
+                let msg = format!("cannot append child to {k:?} node");
+                return Err(XdmError::new(ErrorCode::XUTY0008, msg));
             }
         }
-        if child.kind() == NodeKind::Attribute {
-            return Err(XdmError::new(
-                ErrorCode::XUTY0008,
-                "cannot append attribute as child",
-            ));
-        }
-        let child = me.import(child);
+        let text = match &arena.data(child.id).body {
+            NodeBody::Attribute { .. } => {
+                return Err(XdmError::new(ErrorCode::XUTY0008, "cannot append attribute as child"))
+            }
+            NodeBody::Text { content } => Some(content.clone()),
+            _ => None,
+        };
         // Merge adjacent text. A graft entry is an element, so only a
         // local last entry can be a text node.
-        if child.kind() == NodeKind::Text {
-            let text = child.content_shared().unwrap_or_else(|| Rc::from(""));
-            let mut arena = me.arena.borrow_mut();
-            let last = match arena.data(me.id).children().last() {
-                Some(ChildEntry::Local(id)) => Some(*id),
-                _ => None,
-            };
-            if let Some(id) = last {
-                if let NodeBody::Text { content } = &mut arena.data_mut(id).body {
+        if let Some(text) = text {
+            if let Some(&ChildEntry::Local(last)) = me.children().last() {
+                if let NodeBody::Text { content } = &mut arena.data_mut(last).body {
                     let mut merged = String::with_capacity(content.len() + text.len());
                     merged.push_str(content);
                     merged.push_str(&text);
                     *content = Rc::from(merged);
-                    return Ok(NodeHandle { arena: me.arena.clone(), id, link: me.link.clone() });
+                    return Ok(NodeHandle { arena: self.arena.clone(), id: last, link: None });
                 }
             }
             if text.is_empty() {
-                return Ok(child);
+                return Ok(child.clone());
             }
         }
-        me.push_child_raw(&child);
-        Ok(child)
+        arena.data_mut(child.id).parent = Some(self.id);
+        let children = arena.data_mut(self.id).body.children_mut().expect("kind checked above");
+        children.push(ChildEntry::Local(child.id));
+        Ok(child.clone())
     }
 
     /// Set or add an attribute on an element.
@@ -1471,12 +1563,10 @@ impl NodeHandle {
             if me.id == link.ctx.root && Rc::ptr_eq(&me.arena, &link.ctx.sub) {
                 {
                     let mut host = link.host_arena.borrow_mut();
-                    match &mut host.data_mut(link.host_id).body {
-                        NodeBody::Document { children }
-                        | NodeBody::Element { children, .. } => children.retain(|e| {
+                    if let Some(children) = host.data_mut(link.host_id).body.children_mut() {
+                        children.retain(|e| {
                             !matches!(e, ChildEntry::Graft(c) if Rc::ptr_eq(c, &link.ctx))
-                        }),
-                        _ => {}
+                        });
                     }
                 }
                 *link.ctx.state.borrow_mut() = GraftState::Detached;
@@ -1535,12 +1625,12 @@ impl NodeHandle {
         let new = parent.import(new);
         let mut arena = parent.arena.borrow_mut();
         arena.data_mut(new.id).parent = Some(parent.id);
-        match &mut arena.data_mut(parent.id).body {
-            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
+        match arena.data_mut(parent.id).body.children_mut() {
+            Some(children) => {
                 children.insert(pos + offset, ChildEntry::Local(new.id));
                 Ok(())
             }
-            _ => Err(XdmError::new(ErrorCode::XUTY0008, "parent cannot hold children")),
+            None => Err(XdmError::new(ErrorCode::XUTY0008, "parent cannot hold children")),
         }
     }
 
@@ -1559,13 +1649,9 @@ impl NodeHandle {
         let new = me.import(new);
         let mut arena = me.arena.borrow_mut();
         arena.data_mut(new.id).parent = Some(me.id);
-        match &mut arena.data_mut(me.id).body {
-            NodeBody::Document { children } | NodeBody::Element { children, .. } => {
-                children.insert(0, ChildEntry::Local(new.id));
-                Ok(())
-            }
-            _ => unreachable!(),
-        }
+        let children = arena.data_mut(me.id).body.children_mut().expect("kind checked above");
+        children.insert(0, ChildEntry::Local(new.id));
+        Ok(())
     }
 
     /// Replace this node with a sequence of new nodes (XUF `replace`).
@@ -2129,6 +2215,71 @@ mod tests {
         assert_eq!(top.string_value(), "Xworld");
         assert_eq!(mid.string_value(), "helloworld");
         assert_eq!(src.string_value(), "helloworld");
+    }
+
+    /// Whether `h`'s child list holds its one child inline.
+    fn inline(h: &NodeHandle) -> bool {
+        let a = h.arena.borrow();
+        matches!(
+            a.data(h.id).body,
+            NodeBody::Element { children: Children::One(_), .. }
+                | NodeBody::Document { children: Children::One(_) }
+        )
+    }
+
+    #[test]
+    fn child_lists_move_between_inline_and_vec() {
+        let e = NodeHandle::root_element(QName::new("e"));
+        let arena = e.arena().clone();
+        let a = NodeHandle::new_element(&arena, QName::new("a"));
+        e.append_child(&a).unwrap();
+        assert!(inline(&e), "a first child is inline");
+        let b = NodeHandle::new_element(&arena, QName::new("b"));
+        a.insert_before(&b).unwrap();
+        assert!(!inline(&e));
+        b.detach();
+        assert!(inline(&e), "a list left with one child holds it inline");
+        a.insert_after(&b).unwrap();
+        a.detach();
+        assert!(inline(&e));
+        assert_eq!(e.children(), vec![b.clone()]);
+        b.detach();
+        assert!(!e.has_children() && !inline(&e));
+        e.insert_first_child(&a).unwrap();
+        e.insert_first_child(&b).unwrap();
+        assert_eq!(e.children(), vec![b.clone(), a.clone()]);
+        b.replace_with(&[]).unwrap();
+        assert!(inline(&e));
+        a.rename(QName::new("z")).unwrap();
+        assert_eq!(e.children()[0].name().unwrap().local, "z");
+        // Sized lists: room for one is inline, room for more a `Vec`.
+        let one = NodeHandle::new_element_sized(&arena, QName::new("one"), 1);
+        one.append_child(&NodeHandle::new_text(&arena, "t")).unwrap();
+        assert!(inline(&one));
+        let two = NodeHandle::new_element_sized(&arena, QName::new("two"), 2);
+        two.append_child(&NodeHandle::new_text(&arena, "t")).unwrap();
+        assert!(!inline(&two));
+        // A deep copy keeps the one-child form.
+        assert!(inline(&one.deep_copy()));
+    }
+
+    #[test]
+    fn graft_of_a_one_child_subtree_copies_on_write() {
+        let src = NodeHandle::root_element(QName::new("s"));
+        let x = NodeHandle::new_element(src.arena(), QName::new("x"));
+        src.append_child(&x).unwrap();
+        x.append_child(&NodeHandle::new_text(src.arena(), "1")).unwrap();
+        let host = NodeHandle::root_element(QName::new("h"));
+        let view = host.graft_child(&src).unwrap();
+        let vx = view.children()[0].clone();
+        let y = NodeHandle::new_element(host.arena(), QName::new("y"));
+        vx.insert_after(&y).unwrap();
+        assert_eq!(view.children().len(), 2);
+        assert_eq!(src.children().len(), 1, "the source keeps its one child");
+        assert!(inline(&src) && inline(&x));
+        vx.detach();
+        assert_eq!(view.children(), vec![y.clone()]);
+        assert_eq!(y.parent().unwrap(), view);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use xdm::datetime::DateTime;
 use xdm::error::{ErrorCode, XdmError, XdmResult};
+use xdm::intern::Symbol;
 use xdm::node::NodeHandle;
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
@@ -426,22 +428,62 @@ struct EngineInner {
 /// A registry of functions or procedures, keyed by expanded name and
 /// then by arity slot, so a lookup borrows the caller's name.
 struct ByArity<T> {
-    by_name: HashMap<QName, Vec<Option<T>>>,
+    by_name: HashMap<NameKey, Vec<Option<T>>, BuildHasherDefault<WordHasher>>,
+}
+
+/// An expanded name as the addresses of its interned namespace and
+/// local part ([`Symbol::addr`]): equal keys are equal names, and a
+/// lookup hashes two words instead of both strings.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct NameKey(usize, usize);
+
+impl NameKey {
+    fn of(name: &QName) -> NameKey {
+        NameKey(name.ns.as_ref().map_or(0, Symbol::addr), name.local.addr())
+    }
+}
+
+/// A multiply-rotate hasher for keys made of machine words, which need
+/// none of SipHash's resistance: a [`NameKey`]'s words are addresses
+/// the process chose, not input an attacker controls.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // Fold the well-mixed high half onto the low bits that pick a
+        // bucket.
+        self.0 ^ (self.0 >> 32)
+    }
 }
 
 impl<T> Default for ByArity<T> {
     fn default() -> Self {
-        ByArity { by_name: HashMap::new() }
+        ByArity { by_name: HashMap::default() }
     }
 }
 
 impl<T> ByArity<T> {
     fn get(&self, name: &QName, arity: usize) -> Option<&T> {
-        self.by_name.get(name)?.get(arity)?.as_ref()
+        self.by_name.get(&NameKey::of(name))?.get(arity)?.as_ref()
     }
 
     fn insert(&mut self, name: QName, arity: usize, value: T) {
-        let slots = self.by_name.entry(name).or_default();
+        let slots = self.by_name.entry(NameKey::of(&name)).or_default();
         if slots.len() <= arity {
             slots.resize_with(arity + 1, || None);
         }

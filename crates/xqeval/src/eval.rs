@@ -390,6 +390,16 @@ impl<'e> Evaluator<'e> {
                 if let Some(r) = self.try_streaming_call(name, args, env) {
                     return r;
                 }
+                if functions::is_builtin_namespace(name) {
+                    let mut argv = functions::Args::with_capacity(args.len());
+                    for a in args {
+                        argv.push(self.eval(a, env)?);
+                    }
+                    return match functions::dispatch(self.engine, env, name, &mut argv) {
+                        Some(r) => r,
+                        None => self.call_registered(name, argv.into_vec(), env),
+                    };
+                }
                 let mut argv = Vec::with_capacity(args.len());
                 for a in args {
                     argv.push(self.eval(a, env)?);
@@ -405,7 +415,7 @@ impl<'e> Evaluator<'e> {
                 // nodes it shares were charged when first built).
                 self.engine.budget_charge_memory(1)?;
                 let before = xdm::xdm_stats();
-                let arena = NodeArena::new();
+                let arena = NodeArena::with_capacity(template_nodes(de));
                 let node = self.build_direct_element(de, &arena, env)?;
                 self.settle_construction_memory(&arena, &before)?;
                 Ok(Sequence::one(Item::Node(node)))
@@ -414,12 +424,19 @@ impl<'e> Evaluator<'e> {
                 self.engine.budget_charge_memory(1)?;
                 let before = xdm::xdm_stats();
                 let q = self.eval_name_expr(name, env, "element")?;
+                // The arena is stamped before the content runs, as it
+                // always was, but nothing in the content can reach it,
+                // so the element is made once the content's size is
+                // known.
                 let arena = NodeArena::new();
-                let elem = NodeHandle::new_element(&arena, q);
-                if let Some(c) = content {
-                    let seq = self.eval(c, env)?;
-                    assemble_content(&elem, &seq, self.engine.features().graft)?;
-                }
+                let seq = match content {
+                    Some(c) => self.eval(c, env)?,
+                    None => Sequence::empty(),
+                };
+                let slots = content_slots(&seq);
+                arena.borrow_mut().reserve(1 + slots);
+                let elem = NodeHandle::new_element_sized(&arena, q, slots);
+                assemble_content(&elem, &seq, self.engine.features().graft)?;
                 self.settle_construction_memory(&arena, &before)?;
                 Ok(Sequence::one(Item::Node(elem)))
             }
@@ -469,7 +486,9 @@ impl<'e> Evaluator<'e> {
             Expr::ComputedDocument(c) => {
                 let before = xdm::xdm_stats();
                 let seq = self.eval(c, env)?;
-                let doc = NodeHandle::new_document();
+                let slots = content_slots(&seq);
+                let doc =
+                    NodeHandle::new_document_sized(&NodeArena::with_capacity(1 + slots), slots);
                 assemble_content(&doc, &seq, self.engine.features().graft)?;
                 self.settle_construction_memory(doc.arena(), &before)?;
                 Ok(Sequence::one(Item::Node(doc)))
@@ -966,10 +985,21 @@ impl<'e> Evaluator<'e> {
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         // 1. Builtins.
-        let args = match functions::dispatch(self.engine, env, name, args) {
-            Ok(r) => return r,
-            Err(args) => args,
-        };
+        let mut args = functions::Args::from(args);
+        match functions::dispatch(self.engine, env, name, &mut args) {
+            Some(r) => r,
+            None => self.call_registered(name, args.into_vec(), env),
+        }
+    }
+
+    /// Call a registered function or readonly procedure, once `name`
+    /// proved not to be a builtin.
+    fn call_registered(
+        &self,
+        name: &QName,
+        args: Vec<Sequence>,
+        env: &mut Env,
+    ) -> XdmResult<Sequence> {
         // 2. Registered functions.
         if let Some(f) = self.engine.function(name, args.len()) {
             return match f {
@@ -1112,7 +1142,7 @@ impl<'e> Evaluator<'e> {
         arena: &SharedArena,
         env: &mut Env,
     ) -> XdmResult<NodeHandle> {
-        let elem = NodeHandle::new_element(arena, de.name.clone());
+        let elem = NodeHandle::new_element_sized(arena, de.name.clone(), de.content.len());
         for (p, u) in &de.ns_decls {
             elem.add_ns_decl(p.clone(), u.clone());
         }
@@ -1602,6 +1632,47 @@ fn require_pul(env: &mut Env) -> XdmResult<&mut Pul> {
             "updating expression evaluated outside an update statement",
         )
     })
+}
+
+/// The nodes a direct constructor's template makes, which its arena is
+/// sized to: one per element, attribute and literal text, comment or
+/// PI, and one per enclosed expression (the one text node or element
+/// most of them make). Counted per evaluation: a walk of the template,
+/// which is small beside building it.
+fn template_nodes(de: &DirectElement) -> usize {
+    let content: usize = de
+        .content
+        .iter()
+        .map(|c| match c {
+            DirectContent::Element(e) => template_nodes(e),
+            _ => 1,
+        })
+        .sum();
+    1 + de.attributes.len() + content
+}
+
+/// The child slots a computed constructor's evaluated content fills:
+/// one per node (a document counted as one) and one per run of
+/// adjacent atomics, which become one text node; attributes fill none.
+fn content_slots(seq: &Sequence) -> usize {
+    let mut slots = 0;
+    let mut in_text = false;
+    for item in seq.iter() {
+        match item {
+            Item::Atomic(_) if in_text => {}
+            Item::Atomic(_) => {
+                in_text = true;
+                slots += 1;
+            }
+            Item::Node(n) => {
+                in_text = false;
+                if n.kind() != NodeKind::Attribute {
+                    slots += 1;
+                }
+            }
+        }
+    }
+    slots
 }
 
 /// Space-joined string of an atomized sequence (attribute/text

@@ -91,13 +91,24 @@ pub(crate) fn items(ev: &Evaluator<'_>, e: &Expr, env: &mut Env) -> XdmResult<It
 /// no further than the window's end, and a tuple before its start whose
 /// `return` is an element constructor (exactly one item per tuple, or
 /// an error) is passed over without evaluating that `return`
-/// ([`Cursor::pass`]); any other operand is evaluated and sliced.
+/// ([`Cursor::pass`]). A `fn:tokenize` call makes only the tokens
+/// inside the window when its pattern is a literal
+/// ([`functions::tokenize`]). Any other operand is evaluated and sliced.
 pub(crate) fn window(
     ev: &Evaluator<'_>,
     e: &Expr,
     env: &mut Env,
     win: Range<usize>,
 ) -> XdmResult<Sequence> {
+    if let Expr::FunctionCall { name, args } = e {
+        if let [s, p] = &args[..] {
+            if name.local == "tokenize" && name.ns.as_deref() == Some(FN_NS) {
+                let s = ev.eval(s, env)?;
+                let p = ev.eval(p, env)?;
+                return functions::tokenize(&s, &p, win);
+            }
+        }
+    }
     let Some(mut cursor) = Cursor::open(ev, e, env, &[])? else {
         return Ok(functions::slice(ev.eval(e, env)?, win));
     };

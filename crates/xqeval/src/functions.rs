@@ -1,12 +1,14 @@
 //! The builtin function library (`fn:` and `xs:` namespaces).
 //!
 //! [`dispatch`] resolves a call by expanded name and arity and either
-//! executes it (`Ok(result)`) or hands the arguments back because the
-//! name is not a builtin (`Err(args)`), in which case the evaluator
-//! consults the user / external registries with them.
+//! executes it (`Some(result)`) or leaves the arguments untouched
+//! because the name is not a builtin (`None`), in which case the
+//! evaluator consults the user / external registries with them. A
+//! builtin's arguments arrive as [`Args`], which holds up to three
+//! inline.
 
 use std::cmp::Ordering;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::rc::Rc;
 
 use xdm::atomic::{to_f64, AtomicType, AtomicValue};
@@ -19,18 +21,118 @@ use crate::context::Env;
 use crate::engine::Engine;
 use crate::regex_lite::Regex;
 
-/// Try to execute a builtin. `Err(args)` means "not a builtin" and
-/// returns the arguments unused, so the caller never clones them.
-pub fn dispatch(
+/// The arguments a builtin call evaluated. Up to [`Args::INLINE`] are
+/// held inline, so a common call passes its arguments without a heap
+/// vector; a longer list (`fn:concat` of many parts) is a `Vec`.
+/// Indexing, `get`, `remove` and `swap_remove` mean what they mean on
+/// a `Vec`.
+pub(crate) enum Args {
+    /// The first `len` slots hold the arguments; the rest are empty.
+    Inline { slots: [Sequence; Args::INLINE], len: usize },
+    /// More arguments than fit inline.
+    Heap(Vec<Sequence>),
+}
+
+impl Args {
+    /// The most arguments held inline.
+    pub(crate) const INLINE: usize = 3;
+
+    /// Room for exactly `n` arguments: inline up to [`Args::INLINE`].
+    pub(crate) fn with_capacity(n: usize) -> Args {
+        if n <= Args::INLINE {
+            Args::Inline { slots: Default::default(), len: 0 }
+        } else {
+            Args::Heap(Vec::with_capacity(n))
+        }
+    }
+
+    /// Append one of the arguments room was made for.
+    pub(crate) fn push(&mut self, arg: Sequence) {
+        match self {
+            Args::Inline { slots, len } => {
+                slots[*len] = arg;
+                *len += 1;
+            }
+            Args::Heap(v) => v.push(arg),
+        }
+    }
+
+    /// Remove and return the argument at `i`, shifting the later ones
+    /// down.
+    pub(crate) fn remove(&mut self, i: usize) -> Sequence {
+        match self {
+            Args::Inline { slots, len } => {
+                assert!(i < *len, "argument {i} of {len}");
+                let out = std::mem::take(&mut slots[i]);
+                slots[i..*len].rotate_left(1);
+                *len -= 1;
+                out
+            }
+            Args::Heap(v) => v.remove(i),
+        }
+    }
+
+    /// Remove and return the argument at `i`, moving the last one into
+    /// its place.
+    pub(crate) fn swap_remove(&mut self, i: usize) -> Sequence {
+        match self {
+            Args::Inline { slots, len } => {
+                assert!(i < *len, "argument {i} of {len}");
+                *len -= 1;
+                slots.swap(i, *len);
+                std::mem::take(&mut slots[*len])
+            }
+            Args::Heap(v) => v.swap_remove(i),
+        }
+    }
+
+    /// The arguments as the `Vec` that registered functions take.
+    pub(crate) fn into_vec(self) -> Vec<Sequence> {
+        match self {
+            Args::Inline { mut slots, len } => {
+                slots[..len].iter_mut().map(std::mem::take).collect()
+            }
+            Args::Heap(v) => v,
+        }
+    }
+}
+
+impl From<Vec<Sequence>> for Args {
+    fn from(v: Vec<Sequence>) -> Args {
+        Args::Heap(v)
+    }
+}
+
+impl Deref for Args {
+    type Target = [Sequence];
+
+    fn deref(&self) -> &[Sequence] {
+        match self {
+            Args::Inline { slots, len } => &slots[..*len],
+            Args::Heap(v) => v,
+        }
+    }
+}
+
+/// Whether `name` is in a builtin namespace (`fn:` or `xs:`), so a
+/// call to it evaluates its arguments into [`Args`].
+pub(crate) fn is_builtin_namespace(name: &QName) -> bool {
+    matches!(name.ns.as_deref(), Some(FN_NS | XS_NS))
+}
+
+/// Try to execute a builtin, which may take its arguments out of
+/// `args`. `None` means "not a builtin": `args` is left as it was, so
+/// the caller never clones them.
+pub(crate) fn dispatch(
     engine: &Engine,
     env: &mut Env,
     name: &QName,
-    args: Vec<Sequence>,
-) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
+    args: &mut Args,
+) -> Option<XdmResult<Sequence>> {
     match name.ns.as_deref() {
         Some(FN_NS) => dispatch_fn(engine, env, &name.local, args),
-        Some(XS_NS) => Ok(xs_constructor(&name.local, args)),
-        _ => Err(args),
+        Some(XS_NS) => Some(xs_constructor(&name.local, args)),
+        _ => None,
     }
 }
 
@@ -52,6 +154,24 @@ fn opt_text(seq: &Sequence, what: &str) -> XdmResult<Option<Rc<str>>> {
         [it] => Ok(Some(it.atomize().string_shared())),
         _ => Err(err(ErrorCode::XPTY0004, format!("{what}: expected a single string"))),
     }
+}
+
+/// The tokens of `fn:tokenize(s, p)` at the 0-based positions inside
+/// `window`. Both arguments are checked and the pattern compiled before
+/// the window applies, so a bad argument raises its error even when the
+/// window is empty. A literal pattern shares its text and makes only
+/// the tokens inside the window ([`Regex::tokenize_each`]).
+pub(crate) fn tokenize(s: &Sequence, p: &Sequence, window: Range<usize>) -> XdmResult<Sequence> {
+    let s = opt_text(s, "tokenize")?;
+    let rx = match opt_text(p, "tokenize")? {
+        Some(p) => Regex::compile_shared(&p)?,
+        None => Regex::compile("")?,
+    };
+    let mut out = Sequence::empty();
+    if let Some(s) = s.filter(|s| !s.is_empty()) {
+        rx.tokenize_each(&s, window, |t| out.push(Item::string(t)))?;
+    }
+    Ok(out)
 }
 
 fn one_atomic(seq: &Sequence, what: &str) -> XdmResult<AtomicValue> {
@@ -164,8 +284,8 @@ fn dispatch_fn(
     engine: &Engine,
     env: &mut Env,
     local: &str,
-    mut args: Vec<Sequence>,
-) -> Result<XdmResult<Sequence>, Vec<Sequence>> {
+    args: &mut Args,
+) -> Option<XdmResult<Sequence>> {
     let arity = args.len();
     let result: XdmResult<Sequence> = match (local, arity) {
         // ---------------------------------------------------- accessors
@@ -444,7 +564,7 @@ fn dispatch_fn(
         // ------------------------------------------------------ strings
         ("concat", n) if n >= 2 => (|| {
             let mut out = String::new();
-            for a in &args {
+            for a in args.iter() {
                 out.push_str(&one_string(a, "fn:concat")?);
             }
             Ok(str_seq(out))
@@ -519,17 +639,7 @@ fn dispatch_fn(
                 .collect();
             Ok(str_seq(out))
         })(),
-        ("tokenize", 2) => (|| {
-            let s = opt_text(&args[0], local)?;
-            let p = opt_text(&args[1], local)?;
-            let rx = Regex::compile(p.as_deref().unwrap_or_default())?;
-            match s {
-                Some(s) if !s.is_empty() => {
-                    Ok(rx.tokenize(&s)?.into_iter().map(Item::string).collect())
-                }
-                _ => Ok(Sequence::empty()),
-            }
-        })(),
+        ("tokenize", 2) => tokenize(&args[0], &args[1], 0..usize::MAX),
         ("matches", 2) => (|| {
             let s = one_string(&args[0], local)?;
             let p = one_string(&args[1], local)?;
@@ -723,9 +833,9 @@ fn dispatch_fn(
                 _ => Ok(Sequence::empty()),
             }
         })(),
-        _ => return Err(args),
+        _ => return None,
     };
-    Ok(result)
+    Some(result)
 }
 
 /// Coerce untyped atomics to double for aggregation order (per F&O).
@@ -779,7 +889,7 @@ fn numeric_fold(
 
 /// `xs:TYPE(value)` constructor functions: cast with empty-sequence
 /// propagation.
-fn xs_constructor(local: &str, args: Vec<Sequence>) -> XdmResult<Sequence> {
+fn xs_constructor(local: &str, args: &[Sequence]) -> XdmResult<Sequence> {
     if args.len() != 1 {
         return Err(err(
             ErrorCode::XPST0017,

@@ -12,6 +12,7 @@
 //! `fn:tokenize($name, ' ')` of use case 3 — is a literal: it matches
 //! exactly its own text, so it is matched with `str` search instead.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use xdm::error::{ErrorCode, XdmError, XdmResult};
@@ -64,8 +65,9 @@ pub struct Regex {
 enum Matcher {
     /// A non-empty pattern without metacharacters: it compiles to a
     /// sequence of `Node::Char`, which matches exactly the pattern's
-    /// text, so `str` search finds the same leftmost matches.
-    Literal(String),
+    /// text, so `str` search finds the same leftmost matches. It shares
+    /// the pattern's text when compiled from shared text.
+    Literal(Rc<str>),
     /// Alternatives for the backtracking matcher.
     Backtrack(Vec<Vec<Node>>),
 }
@@ -298,10 +300,16 @@ fn class_matches(items: &[ClassItem], negated: bool, c: char) -> bool {
 impl Regex {
     /// Compile a pattern.
     pub fn compile(pattern: &str) -> XdmResult<Regex> {
+        Regex::compile_shared(&Rc::from(pattern))
+    }
+
+    /// [`Regex::compile`] for a pattern held as shared text: a literal
+    /// keeps `pattern` itself, so compiling one allocates nothing.
+    pub fn compile_shared(pattern: &Rc<str>) -> XdmResult<Regex> {
         if !pattern.is_empty() && !pattern.contains(is_meta) {
-            return Ok(Regex { matcher: Matcher::Literal(pattern.to_string()) });
+            return Ok(Regex { matcher: Matcher::Literal(pattern.clone()) });
         }
-        let mut p = RxParser { chars: pattern.chars().collect(), pos: 0, src: pattern };
+        let mut p = RxParser { chars: pattern.chars().collect(), pos: 0, src: &pattern[..] };
         let alts = p.parse_alternation()?;
         if p.pos != p.chars.len() {
             // p.pos is a *character* index; re-render the remainder
@@ -316,7 +324,7 @@ impl Regex {
     /// semantics)?
     pub fn is_match(&self, text: &str) -> bool {
         match &self.matcher {
-            Matcher::Literal(lit) => text.contains(lit.as_str()),
+            Matcher::Literal(lit) => text.contains(&**lit),
             Matcher::Backtrack(alts) => {
                 let chars: Vec<char> = text.chars().collect();
                 (0..=chars.len()).any(|start| self.match_alts(alts, &chars, start).is_some())
@@ -447,10 +455,37 @@ impl Regex {
     /// Split `text` on non-overlapping matches (fn:tokenize). A match
     /// of zero length is an error per the F&O spec.
     pub fn tokenize(&self, text: &str) -> XdmResult<Vec<Rc<str>>> {
-        let alts = match &self.matcher {
-            Matcher::Literal(lit) => return Ok(text.split(lit.as_str()).map(Rc::from).collect()),
-            Matcher::Backtrack(alts) => alts,
+        let mut out = Vec::new();
+        self.tokenize_each(text, 0..usize::MAX, |t| out.push(t))?;
+        Ok(out)
+    }
+
+    /// Hand `emit` the tokens of `text` at the 0-based positions inside
+    /// `window`, in order. A literal pattern splits no further than the
+    /// window's end and makes only the tokens inside it. Any other
+    /// pattern splits the whole text first, so a zero-length match
+    /// anywhere in it still raises FORX0003.
+    pub fn tokenize_each(
+        &self,
+        text: &str,
+        window: Range<usize>,
+        mut emit: impl FnMut(Rc<str>),
+    ) -> XdmResult<()> {
+        let tokens = match &self.matcher {
+            Matcher::Literal(lit) => {
+                let inside = text.split(&**lit).take(window.end).skip(window.start);
+                inside.for_each(|t| emit(Rc::from(t)));
+                return Ok(());
+            }
+            Matcher::Backtrack(alts) => self.split(alts, text)?,
         };
+        let inside = tokens.into_iter().take(window.end).skip(window.start);
+        inside.for_each(emit);
+        Ok(())
+    }
+
+    /// The backtracking matcher's whole split of `text`.
+    fn split(&self, alts: &[Vec<Node>], text: &str) -> XdmResult<Vec<Rc<str>>> {
         let chars: Vec<char> = text.chars().collect();
         let mut out = Vec::new();
         let mut token_start = 0;
@@ -483,7 +518,7 @@ impl Regex {
             return Err(rerr("capture-group replacement not supported"));
         }
         let alts = match &self.matcher {
-            Matcher::Literal(lit) => return Ok(text.replace(lit.as_str(), replacement)),
+            Matcher::Literal(lit) => return Ok(text.replace(&**lit, replacement)),
             Matcher::Backtrack(alts) => alts,
         };
         // An empty input has no position to find a zero-length match

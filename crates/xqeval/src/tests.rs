@@ -1443,3 +1443,83 @@ fn bad_feature_specs_are_errors_naming_the_token() {
         assert!(err.contains(token), "{spec:?}: {err}");
     }
 }
+
+// ------------------------------------ per-row work fixed by the text
+
+/// `src` gives `want` (a serialization, or an error's code) under
+/// `Features::ALL`, under `-lazy` (which evaluates a windowed operand
+/// whole and slices it) and under `Features::NONE`.
+fn same_everywhere(src: &str, want: Result<&str, ErrorCode>) {
+    let eager = Features { lazy: false, ..Features::ALL };
+    for features in [Features::ALL, eager, Features::NONE] {
+        let engine = Engine::new();
+        engine.set_features(features);
+        match (engine.eval_expr_str(src, &[]), want) {
+            (Ok(got), Ok(want)) => assert_eq!(as_string(&got), want, "{src} under {features}"),
+            (Err(e), Err(code)) => assert!(e.is(code), "{src} under {features}: {e}"),
+            (got, want) => panic!("{src} under {features}: {got:?}, want {want:?}"),
+        }
+    }
+}
+
+#[test]
+fn windowed_tokenize_matches_the_whole_split() {
+    for (k, want) in [(0, ""), (1, "Michael"), (2, "J"), (3, "Carey"), (4, "")] {
+        same_everywhere(&format!("fn:tokenize('Michael J Carey', ' ')[{k}]"), Ok(want));
+    }
+    same_everywhere("fn:tokenize('Michael J Carey', ' ')[position() le 2]", Ok("Michael J"));
+    same_everywhere("fn:subsequence(fn:tokenize('a b c d', ' '), 2, 2)", Ok("b c"));
+    same_everywhere("fn:subsequence(fn:tokenize('a b c d', ' '), 3)", Ok("c d"));
+    same_everywhere("fn:subsequence(fn:tokenize('a b c d', ' '), 0, 2)", Ok("a"));
+    same_everywhere("fn:subsequence(fn:tokenize('a b c d', ' '), 9)", Ok(""));
+    same_everywhere("fn:count(fn:tokenize('a  b', ' ')[2])", Ok("1"));
+    same_everywhere("fn:tokenize('a1b22c', '[0-9]+')[2]", Ok("b"));
+    // An empty or absent input has no tokens.
+    same_everywhere("fn:tokenize('', ' ')[1]", Ok(""));
+    same_everywhere("fn:tokenize((), ' ')[1]", Ok(""));
+    // Both arguments are checked and the pattern compiled before the
+    // window applies, even an empty one.
+    same_everywhere("fn:tokenize(('a b', 'c'), ' ')[1]", Err(ErrorCode::XPTY0004));
+    same_everywhere("fn:tokenize('a b', ('a', 'b'))[1]", Err(ErrorCode::XPTY0004));
+    same_everywhere("fn:tokenize('a b', '(')[0]", Err(ErrorCode::FORX0002));
+    same_everywhere("fn:subsequence(fn:tokenize('a b', '['), 5, 1)", Err(ErrorCode::FORX0002));
+    // A pattern that is not a literal splits the whole input, so a
+    // zero-length match past the window still raises.
+    same_everywhere("fn:tokenize('abc', 'x*')[1]", Err(ErrorCode::FORX0003));
+    same_everywhere("fn:tokenize('a b', ' |x*')[1]", Err(ErrorCode::FORX0003));
+}
+
+#[test]
+fn constructors_built_to_their_template_keep_their_meaning() {
+    // Adjacent text merges across enclosed expressions and literal
+    // text; empty text is dropped.
+    same_everywhere("<a>{1}{2}x{3}</a>", Ok("<a>12x3</a>"));
+    same_everywhere("<a>{1, 2}{''}y{()}</a>", Ok("<a>1 2y</a>"));
+    same_everywhere("<a>{''}</a>", Ok("<a/>"));
+    same_everywhere("<a>{()}<b/>{'t'}</a>", Ok("<a><b/>t</a>"));
+    // An attribute may come only before other content.
+    same_everywhere("<a>{attribute c {1}}<b/></a>", Ok("<a c=\"1\"><b/></a>"));
+    same_everywhere("<a><b/>{attribute c {1}}</a>", Err(ErrorCode::XPTY0004));
+    same_everywhere("<a>x{attribute c {1}}</a>", Err(ErrorCode::XPTY0004));
+    // Nested elements are linked to their parents, and more content
+    // than the template counts still fits.
+    same_everywhere(
+        "let $a := <a><b/><c/></a> return ($a/b/.. is $a, $a/c/.. is $a)",
+        Ok("true true"),
+    );
+    same_everywhere("fn:local-name(<a><b/></a>/b/..)", Ok("a"));
+    same_everywhere(
+        "<a>{for $i in 1 to 3 return <i>{$i}</i>}</a>",
+        Ok("<a><i>1</i><i>2</i><i>3</i></a>"),
+    );
+    same_everywhere("<a>{<b/>, <c>{<d/>}</c>}</a>/c/d/../..", Ok("<a><b/><c><d/></c></a>"));
+    // Computed element and document constructors.
+    same_everywhere("element e { 1, 2, <x/>, 3 }", Ok("<e>1 2<x/>3</e>"));
+    same_everywhere("element e { attribute a { 1 }, 'x' }", Ok("<e a=\"1\">x</e>"));
+    same_everywhere("element e { }", Ok("<e/>"));
+    same_everywhere("element e { <x/>, attribute a { 1 } }", Err(ErrorCode::XPTY0004));
+    same_everywhere("element e { document { <a/>, <b/>, 'c' } }", Ok("<e><a/><b/>c</e>"));
+    same_everywhere("fn:count(document { <a/>, <b/> }/*)", Ok("2"));
+    same_everywhere("document { 'x', 'y', <a/> }", Ok("x y<a/>"));
+    same_everywhere("let $e := element e { <x><y/></x> } return $e/x/y/../.. is $e", Ok("true"));
+}

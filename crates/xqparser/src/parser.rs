@@ -24,6 +24,15 @@ use crate::lexer::{Lexer, Tok, Token};
 /// The `local:` namespace for main-module local functions.
 pub const LOCAL_NS: &str = "http://www.w3.org/2005/xquery-local-functions";
 
+/// The deepest nesting the parser accepts: expressions within
+/// expressions (parentheses, operands, arguments, predicates), unary
+/// sign chains, direct element constructors and XQSE statements and
+/// blocks each add a level. A deeper text is refused with XPST0003
+/// instead of overflowing the parser's stack. The serving pool's
+/// worker stack is sized so a query at this limit both parses and
+/// evaluates (`aldsp::pool`).
+pub const MAX_NESTING: usize = 256;
+
 /// Parse a complete module (prolog + query body).
 pub fn parse_module(src: &str) -> XdmResult<Module> {
     Parser::new(src, &[]).parse_module()
@@ -45,6 +54,8 @@ pub(crate) struct Parser<'a> {
     pub(crate) default_element_ns: Option<String>,
     pub(crate) default_function_ns: String,
     pub(crate) boundary_space_preserve: bool,
+    /// Nesting levels entered so far ([`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -65,6 +76,7 @@ impl<'a> Parser<'a> {
             default_element_ns: None,
             default_function_ns: FN_NS.to_string(),
             boundary_space_preserve: false,
+            depth: 0,
         }
     }
 
@@ -111,6 +123,22 @@ impl<'a> Parser<'a> {
             ErrorCode::XPST0003,
             format!("parse error at {line}:{col}: {}", msg.into()),
         )
+    }
+
+    /// Run `parse` one nesting level deeper; past [`MAX_NESTING`]
+    /// levels, fail with XPST0003 instead.
+    pub(crate) fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> XdmResult<T>,
+    ) -> XdmResult<T> {
+        if self.depth >= MAX_NESTING {
+            let msg = format!("nesting deeper than {MAX_NESTING} levels");
+            return Err(self.err_at(self.lx.pos(), msg));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn err_here(&mut self, msg: impl Into<String>) -> XdmError {
@@ -387,6 +415,10 @@ impl<'a> Parser<'a> {
     }
 
     pub(crate) fn parse_expr_single(&mut self) -> XdmResult<Expr> {
+        self.nested(Self::parse_expr_single_here)
+    }
+
+    fn parse_expr_single_here(&mut self) -> XdmResult<Expr> {
         // Keyword-led expression forms (keywords are contextual).
         let t = self.peek()?.clone();
         if let Tok::Name(None, kw) = &t.tok {
@@ -634,12 +666,12 @@ impl<'a> Parser<'a> {
         match self.peek()?.tok {
             Tok::Minus => {
                 self.next()?;
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(Expr::Unary(true, Box::new(e)))
             }
             Tok::Plus => {
                 self.next()?;
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(Expr::Unary(false, Box::new(e)))
             }
             _ => self.parse_path(),
@@ -1619,7 +1651,7 @@ impl<'a> Parser<'a> {
                 out.push(DirectContent::Pi(target, c));
             } else if rest.starts_with('<') {
                 flush(&mut text, out, self.boundary_space_preserve);
-                let child = self.parse_direct_element()?;
+                let child = self.nested(Self::parse_direct_element)?;
                 out.push(DirectContent::Element(Box::new(child)));
             } else if rest.starts_with("{{") {
                 text.push('{');

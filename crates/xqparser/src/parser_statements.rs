@@ -272,6 +272,11 @@ impl<'a> Parser<'a> {
     /// Returns the statement and whether it is a "block statement"
     /// (whose trailing semicolon is optional per the EBNF).
     pub(crate) fn parse_statement(&mut self) -> XdmResult<(Statement, bool)> {
+        // Blocks and `if` branches nest through here.
+        self.nested(Self::parse_statement_here)
+    }
+
+    fn parse_statement_here(&mut self) -> XdmResult<(Statement, bool)> {
         let t = self.peek()?.clone();
         match &t.tok {
             Tok::LBrace => Ok((Statement::Block(self.parse_block()?), true)),

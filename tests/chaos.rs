@@ -1469,11 +1469,13 @@ mod xa_recovery {
             n
         };
         let plain = |i: i64| {
-            let branches = participants(i);
+            let mut branches = participants(i);
             let before = allocations();
             let tx = fresh_tx();
-            for (db, ops) in &branches {
-                db.prepare(tx, ops.clone()).unwrap();
+            // Each write set moves into its prepare, as the coordinator
+            // moves it.
+            for (db, ops) in &mut branches {
+                db.prepare(tx, std::mem::take(ops)).unwrap();
             }
             for (db, _) in &branches {
                 assert!(db.commit_branch(tx).unwrap());
@@ -1534,7 +1536,7 @@ mod xa_recovery {
                     cond: vec![("EmployeeID".into(), SqlValue::Int(i % SEED_ROWS))],
                     expect_rows: 1,
                 };
-                let participants = vec![
+                let mut participants = vec![
                     (primary.clone(), vec![upd()]),
                     (backup.clone(), vec![upd()]),
                 ];
@@ -1545,10 +1547,11 @@ mod xa_recovery {
                         TxOutcome::Committed
                     ));
                 } else {
-                    // The coordinator's steps, minus the journal.
+                    // The coordinator's steps, minus the journal: each
+                    // write set moves into its prepare.
                     let tx = fresh_tx();
-                    for (db, ops) in &participants {
-                        db.prepare(tx, ops.clone()).unwrap();
+                    for (db, ops) in &mut participants {
+                        db.prepare(tx, std::mem::take(ops)).unwrap();
                     }
                     for (db, _) in &participants {
                         assert!(db.commit_branch(tx).unwrap());
@@ -1603,6 +1606,8 @@ mod serve {
     use super::*;
     use xqse_repro::aldsp::pool::{drive_closed_loop, ServeArg, ServePool, ServeRequest, ServeSpec};
     use xqse_repro::aldsp::{Injected, WebService};
+    use xqse_repro::xdm::error::ErrorCode;
+    use xqse_repro::xqparser::parser::MAX_NESTING;
 
     fn one_col_schema(name: &str) -> TableSchema {
         TableSchema {
@@ -1676,6 +1681,56 @@ mod serve {
             args: vec![ServeArg::Str(cid.to_string())],
             sets,
         }
+    }
+
+    /// `open` nested `k` times around `core`, closed by `close`.
+    fn nest(open: &str, core: &str, close: &str, k: usize) -> String {
+        format!("{}{core}{}", open.repeat(k), close.repeat(k))
+    }
+
+    /// A `Run` whose text nests past the parser's limit gets XPST0003
+    /// on the worker that takes it, and the same pool serves the next
+    /// request. On a default 2 MiB thread, 400 open parentheses
+    /// overflowed the parser's stack and aborted the whole process.
+    #[test]
+    fn serve_nesting_past_the_limit_is_refused_and_the_pool_keeps_serving() {
+        let pool = ServePool::start(ServeSpec::new(1), |_| Ok(DataSpace::new()));
+        let deep = pool.call(ServeRequest::Run { program: "(".repeat(100_000) });
+        let err = deep.result.unwrap_err();
+        assert!(err.is(ErrorCode::XPST0003), "{err:?}");
+        let limit = format!("nesting deeper than {MAX_NESTING} levels");
+        assert!(err.message.contains(&limit), "{err:?}");
+        let next = pool.call(ServeRequest::Run { program: "1 + 1".into() });
+        assert_eq!(next.result.unwrap(), "2");
+        let report = pool.shutdown();
+        assert_eq!((report.offered, report.completed), (2, 2));
+    }
+
+    /// A query nested exactly as deep as the parser accepts parses and
+    /// evaluates on a pool worker, in each of the shapes that take the
+    /// most stack per level: nested calls, parentheses, computed
+    /// constructors and statement blocks. One level more is refused.
+    #[test]
+    fn serve_query_at_the_nesting_limit_succeeds() {
+        let pool = ServePool::start(ServeSpec::new(1), |_| Ok(DataSpace::new()));
+        // The top expression, or the innermost block's `return value`
+        // statement, is one level; the computed constructor's shape
+        // nests two levels at a time.
+        let deepest = MAX_NESTING - 1;
+        let shapes: [(&str, &str, &str, usize); 4] = [
+            ("fn:abs(", "1", ")", deepest),
+            ("(", "1", ")", deepest),
+            ("fn:string(element a {", "1", "})", deepest / 2),
+            ("{ ", "return value 1;", " }", deepest),
+        ];
+        for (open, core, close, k) in shapes {
+            let at = pool.call(ServeRequest::Run { program: nest(open, core, close, k) });
+            assert_eq!(at.result.unwrap(), "1", "{open}…{close} nested {k} deep");
+            let past = pool.call(ServeRequest::Run { program: nest(open, core, close, k + 1) });
+            let err = past.result.unwrap_err();
+            assert!(err.is(ErrorCode::XPST0003), "{open}…{close} nested {}: {err:?}", k + 1);
+        }
+        pool.shutdown();
     }
 
     fn xa_sets(marker: &str) -> Vec<(usize, Vec<String>, String)> {
