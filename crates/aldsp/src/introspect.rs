@@ -326,8 +326,8 @@ fn register_read_all(
 /// on an unchanged table hits the versioned select cache; `-opt` keeps
 /// the seed's full scan. The key's text is shared with the argument,
 /// and a key that already is its column's canonical lexical
-/// ([`is_canonical_key`]) reaches the select as it is, so a warm hit
-/// allocates nothing.
+/// ([`SqlValue::is_canonical`]) reaches the select as it is, so a warm
+/// hit allocates nothing.
 fn register_read_by_key(
     engine: &Engine,
     db: &Database,
@@ -355,21 +355,12 @@ fn register_read_by_key(
         QName::with_ns(ns.clone(), format!("getBy{pk}")),
         1,
         Rc::new(move |env, args| {
-            let key = match args[0].items() {
-                [] => return Ok(Sequence::empty()),
-                [it] => it.atomize().string_shared(),
-                _ => {
-                    return Err(XdmError::new(
-                        ErrorCode::XPTY0004,
-                        "fn:string on a sequence of more than one item",
-                    ))
-                }
-            };
+            let key = args[0].string_shared()?;
             if key.is_empty() {
                 return Ok(Sequence::empty());
             }
             if features.get().opt {
-                if is_canonical_key(pk_ty, &key) {
+                if SqlValue::is_canonical(pk_ty, &key) {
                     return select(env, &pk, &key);
                 }
                 return select(env, &pk, &SqlValue::parse(pk_ty, &key)?.lexical());
@@ -380,26 +371,6 @@ fn register_read_by_key(
         }),
     );
     Ok(())
-}
-
-/// Whether `key` already is the lexical a column of type `ty` stores,
-/// by the rule pushdown keys follow (`pushdown_key` in `xqeval`'s
-/// FLWOR module): an `i64` written `7` (not `007`, ` 7`, `+7` or `-0`),
-/// `true` or `false`, or any string. Such a key parses, and parsing
-/// and rendering it again gives it back unchanged.
-fn is_canonical_key(ty: ColumnType, key: &str) -> bool {
-    match ty {
-        ColumnType::Varchar => true,
-        ColumnType::Boolean => key == "true" || key == "false",
-        ColumnType::Integer => {
-            // Digits only, with no leading zero and no `-0`.
-            let digits = key.strip_prefix('-').unwrap_or(key);
-            let plain = digits.bytes().all(|b| b.is_ascii_digit())
-                && (!digits.starts_with('0') || key == "0");
-            plain && key.parse::<i64>().is_ok()
-        }
-        ColumnType::Decimal | ColumnType::Date | ColumnType::Timestamp => false,
-    }
 }
 
 fn register_cud(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) {

@@ -403,9 +403,9 @@ pub const WORKER_STACK_BYTES: usize = 32 << 20;
 /// canonical builder body.
 pub struct ServePool {
     queue: Arc<Queue>,
-    handles: Vec<JoinHandle<WorkerExit>>,
-    /// Why each worker the OS would not start is missing.
-    start_errors: Vec<String>,
+    /// One slot per worker, in worker order: its thread, or why the OS
+    /// would not start it.
+    handles: Vec<Result<JoinHandle<WorkerExit>, String>>,
     workers: usize,
     /// Budget knobs copied from the spec.
     deadline_ms: Option<u64>,
@@ -444,7 +444,6 @@ impl ServePool {
         // breakers only partially installed.
         let latch = Arc::new(StartLatch::new(workers));
         let mut handles = Vec::with_capacity(workers);
-        let mut start_errors = Vec::new();
         for i in 0..workers {
             let queue = queue.clone();
             let builder = builder.clone();
@@ -454,18 +453,14 @@ impl ServePool {
                 .name(format!("serve-worker-{i}"))
                 .stack_size(WORKER_STACK_BYTES)
                 .spawn(move || worker_loop(i, &queue, builder.as_ref(), &worker_latch, &counters));
-            match spawned {
-                Ok(handle) => handles.push(handle),
-                // The OS refused the thread: the others need not wait
-                // for it, and shutdown reports it as a worker that
-                // never served.
-                Err(e) => {
-                    latch.arrive();
-                    start_errors.push(format!("serving worker {i} could not start: {e}"));
-                }
-            }
+            // The OS may refuse the thread: the others need not wait for
+            // it, and shutdown reports it as a worker that never served.
+            handles.push(spawned.map_err(|e| {
+                latch.arrive();
+                format!("serving worker {i} could not start: {e}")
+            }));
         }
-        if handles.is_empty() {
+        if handles.iter().all(Result::is_err) {
             // With no worker, a queued request would wait forever;
             // every call is refused as by a shut-down pool instead.
             queue.close();
@@ -473,7 +468,6 @@ impl ServePool {
         ServePool {
             queue,
             handles,
-            start_errors,
             workers,
             deadline_ms: spec.deadline_ms,
             fuel: spec.fuel,
@@ -566,21 +560,17 @@ impl ServePool {
             cancelled: self.counters.cancelled.load(Ordering::Relaxed),
         };
         for handle in self.handles {
-            match handle.join() {
+            match handle.and_then(|h| h.join().map_err(|_| "worker panicked".to_string())) {
                 Ok(exit) => {
                     report.served.push(exit.served);
                     report.stats.accumulate(&exit.stats);
                     report.init_errors.push(exit.init_error);
                 }
-                Err(_) => {
+                Err(e) => {
                     report.served.push(0);
-                    report.init_errors.push(Some("worker panicked".to_string()));
+                    report.init_errors.push(Some(e));
                 }
             }
-        }
-        for e in self.start_errors {
-            report.served.push(0);
-            report.init_errors.push(Some(e));
         }
         // Sheds are counted in the pool counter, never in any engine:
         // queue-full sheds happen on client threads outside an engine,

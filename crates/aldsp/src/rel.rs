@@ -118,6 +118,32 @@ impl SqlValue {
         })
     }
 
+    /// Whether `s` is already what a `ty` column renders: it parses, and
+    /// [`SqlValue::lexical`] gives the parsed value back as `s`
+    /// unchanged, so `s` can stand for `parse(ty, s)?.lexical()`.
+    /// Integers (`7`, not `007`, ` 7`, `+7` or `-0`, within `i64`),
+    /// booleans (`true` or `false`, not `1`) and strings are recognised;
+    /// a decimal, date or timestamp is never taken as canonical, so its
+    /// caller parses and renders it.
+    pub fn is_canonical(ty: ColumnType, s: &str) -> bool {
+        if s.is_empty() {
+            // A varchar's empty string, or a NULL, which renders empty.
+            return true;
+        }
+        match ty {
+            ColumnType::Varchar => true,
+            ColumnType::Boolean => s == "true" || s == "false",
+            ColumnType::Integer => {
+                // Digits only, with no leading zero and no `-0`.
+                let digits = s.strip_prefix('-').unwrap_or(s);
+                let plain = digits.bytes().all(|b| b.is_ascii_digit())
+                    && (!digits.starts_with('0') || s == "0");
+                plain && s.parse::<i64>().is_ok()
+            }
+            ColumnType::Decimal | ColumnType::Date | ColumnType::Timestamp => false,
+        }
+    }
+
     /// Whether this is NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, SqlValue::Null)
@@ -1544,6 +1570,42 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    #[test]
+    fn canonical_lexicals_are_what_parsing_renders_back() {
+        let samples = [
+            "", "0", "7", "-7", "007", "-0", "+7", " 7", "7 ", "7.0", "-", "1e3",
+            "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+            "9007199254740993", "true", "false", "1", " true", "TRUE", "ann", "1.50",
+            "2024-01-05",
+        ];
+        let types = [
+            ColumnType::Integer,
+            ColumnType::Varchar,
+            ColumnType::Boolean,
+            ColumnType::Decimal,
+            ColumnType::Date,
+            ColumnType::Timestamp,
+        ];
+        for ty in types {
+            for s in samples {
+                if SqlValue::is_canonical(ty, s) {
+                    let v = SqlValue::parse(ty, s);
+                    assert_eq!(v.map(|v| v.lexical()).ok().as_deref(), Some(s), "{ty:?} {s:?}");
+                }
+            }
+        }
+        // Integers are decided across the whole i64 range, past the
+        // 2^53 that a double can hold exactly.
+        assert!(SqlValue::is_canonical(ColumnType::Integer, "9007199254740993"));
+        for s in ["7", "-7", "0", "-9223372036854775808"] {
+            assert!(SqlValue::is_canonical(ColumnType::Integer, s), "{s}");
+        }
+        for s in ["007", "-0", "+7", " 7", "9223372036854775808"] {
+            assert!(!SqlValue::is_canonical(ColumnType::Integer, s), "{s}");
+        }
+        assert!(!SqlValue::is_canonical(ColumnType::Boolean, "1"));
     }
 
     #[test]

@@ -243,6 +243,19 @@ impl Sequence {
         }
     }
 
+    /// [`Sequence::string_value`] as shared text: a string-valued item's
+    /// text, or a text-only node's, without a copy.
+    pub fn string_shared(&self) -> XdmResult<Rc<str>> {
+        match self.items() {
+            [] => Ok(Rc::from("")),
+            [it] => Ok(it.atomize().string_shared()),
+            _ => Err(XdmError::new(
+                ErrorCode::XPTY0004,
+                "fn:string on a sequence of more than one item",
+            )),
+        }
+    }
+
     /// Require zero-or-one items, returning the optional item.
     pub fn zero_or_one(&self) -> XdmResult<Option<&Item>> {
         match self.items() {

@@ -390,21 +390,14 @@ impl<'e> Evaluator<'e> {
                 if let Some(r) = self.try_streaming_call(name, args, env) {
                     return r;
                 }
-                if functions::is_builtin_namespace(name) {
-                    let mut argv = functions::Args::with_capacity(args.len());
-                    for a in args {
-                        argv.push(self.eval(a, env)?);
-                    }
-                    return match functions::dispatch(self.engine, env, name, &mut argv) {
-                        Some(r) => r,
-                        None => self.call_registered(name, argv.into_vec(), env),
-                    };
-                }
-                let mut argv = Vec::with_capacity(args.len());
+                let mut argv = functions::Args::with_capacity(args.len());
                 for a in args {
                     argv.push(self.eval(a, env)?);
                 }
-                self.call_function(name, argv, env)
+                match functions::dispatch(self.engine, env, name, &mut argv) {
+                    Some(r) => r,
+                    None => self.call_registered(name, argv.into_vec(), env),
+                }
             }
             Expr::DirectElement(de) => {
                 // XDM allocation ceiling: one admission unit up front,

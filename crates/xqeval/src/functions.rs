@@ -4,7 +4,7 @@
 //! executes it (`Some(result)`) or leaves the arguments untouched
 //! because the name is not a builtin (`None`), in which case the
 //! evaluator consults the user / external registries with them. A
-//! builtin's arguments arrive as [`Args`], which holds up to three
+//! call's arguments arrive as [`Args`], which holds up to three
 //! inline.
 
 use std::cmp::Ordering;
@@ -21,11 +21,12 @@ use crate::context::Env;
 use crate::engine::Engine;
 use crate::regex_lite::Regex;
 
-/// The arguments a builtin call evaluated. Up to [`Args::INLINE`] are
-/// held inline, so a common call passes its arguments without a heap
-/// vector; a longer list (`fn:concat` of many parts) is a `Vec`.
-/// Indexing, `get`, `remove` and `swap_remove` mean what they mean on
-/// a `Vec`.
+/// The arguments a function call evaluated. Up to [`Args::INLINE`]
+/// are held inline, so a builtin call passes its arguments without a
+/// heap vector; a longer list (`fn:concat` of many parts) is a `Vec`.
+/// A call that is not a builtin hands them on as one `Vec`
+/// ([`Args::into_vec`]). Indexing, `get`, `remove` and `swap_remove`
+/// mean what they mean on a `Vec`.
 pub(crate) enum Args {
     /// The first `len` slots hold the arguments; the rest are empty.
     Inline { slots: [Sequence; Args::INLINE], len: usize },
@@ -112,12 +113,6 @@ impl Deref for Args {
             Args::Heap(v) => v,
         }
     }
-}
-
-/// Whether `name` is in a builtin namespace (`fn:` or `xs:`), so a
-/// call to it evaluates its arguments into [`Args`].
-pub(crate) fn is_builtin_namespace(name: &QName) -> bool {
-    matches!(name.ns.as_deref(), Some(FN_NS | XS_NS))
 }
 
 /// Try to execute a builtin, which may take its arguments out of

@@ -81,6 +81,12 @@ fn is_meta(c: char) -> bool {
     )
 }
 
+/// Whether `pattern` compiles to [`Matcher::Literal`]: it is non-empty
+/// and free of metacharacters.
+fn is_literal(pattern: &str) -> bool {
+    !pattern.is_empty() && !pattern.contains(is_meta)
+}
+
 fn rerr(msg: impl Into<String>) -> XdmError {
     XdmError::new(ErrorCode::FORX0002, format!("invalid regex: {}", msg.into()))
 }
@@ -300,16 +306,25 @@ fn class_matches(items: &[ClassItem], negated: bool, c: char) -> bool {
 impl Regex {
     /// Compile a pattern.
     pub fn compile(pattern: &str) -> XdmResult<Regex> {
-        Regex::compile_shared(&Rc::from(pattern))
+        if is_literal(pattern) {
+            return Ok(Regex { matcher: Matcher::Literal(Rc::from(pattern)) });
+        }
+        Regex::parse(pattern)
     }
 
     /// [`Regex::compile`] for a pattern held as shared text: a literal
     /// keeps `pattern` itself, so compiling one allocates nothing.
     pub fn compile_shared(pattern: &Rc<str>) -> XdmResult<Regex> {
-        if !pattern.is_empty() && !pattern.contains(is_meta) {
+        if is_literal(pattern) {
             return Ok(Regex { matcher: Matcher::Literal(pattern.clone()) });
         }
-        let mut p = RxParser { chars: pattern.chars().collect(), pos: 0, src: &pattern[..] };
+        Regex::parse(pattern)
+    }
+
+    /// Compile a pattern that is not a literal for the backtracking
+    /// matcher.
+    fn parse(pattern: &str) -> XdmResult<Regex> {
+        let mut p = RxParser { chars: pattern.chars().collect(), pos: 0, src: pattern };
         let alts = p.parse_alternation()?;
         if p.pos != p.chars.len() {
             // p.pos is a *character* index; re-render the remainder
