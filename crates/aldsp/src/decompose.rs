@@ -23,7 +23,6 @@
 // everything must degrade through typed Results.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use xdm::error::{ErrorCode, XdmError, XdmResult};
@@ -220,23 +219,11 @@ fn build_update(
     graph: &DataGraph,
     policy: &OccPolicy,
 ) -> XdmResult<WriteOp> {
-    // Schema comes from the live source via a thread-local-free
-    // lookup: the decomposer is handed the schema through the shape's
-    // source at execute time; here we only need column types, so the
-    // caller passes them via the dataspace at execute — instead we
-    // fetch from a global registry… Simplest correct approach: carry
-    // the schema inside the plan by resolving it here through the
-    // graph's dataspace is not possible (no back-pointer). We instead
-    // resolve types lazily: conditions are built with Varchar-lexical
-    // values and retyped in `execute`.
-    //
-    // To keep the plan strongly typed we parse with the column types
-    // captured in `SCHEMAS` — see `register_schema`.
-    let schema = lookup_schema(&delta.source, &delta.table)?;
+    let schema = &shape.schema;
     // SET: new values for changed columns.
     let mut set: Condition = Vec::new();
     for (col, _old, new) in &delta.changed {
-        set.push((col.clone(), typed(&schema, col, new)?));
+        set.push((col.clone(), typed(schema, col, new)?));
     }
     // WHERE: primary key (original values) + policy predicates.
     let mut cond: Condition = Vec::new();
@@ -258,13 +245,13 @@ fn build_update(
                     format!("instance lacks key element {elem}"),
                 )
             })?;
-        cond.push((pk.clone(), typed(&schema, pk, &lex)?));
+        cond.push((pk.clone(), typed(schema, pk, &lex)?));
     }
     match policy {
         OccPolicy::UpdatedValues => {
             for (col, old, _new) in &delta.changed {
                 if !cond.iter().any(|(c, _)| c == col) {
-                    cond.push((col.clone(), typed(&schema, col, old)?));
+                    cond.push((col.clone(), typed(schema, col, old)?));
                 }
             }
         }
@@ -276,7 +263,7 @@ fn build_update(
                 if let Some(lex) =
                     original_field_value(graph, &delta.row_element, &f.element)
                 {
-                    cond.push((f.column.clone(), typed(&schema, &f.column, &lex)?));
+                    cond.push((f.column.clone(), typed(schema, &f.column, &lex)?));
                 }
             }
         }
@@ -294,45 +281,12 @@ fn build_update(
                 if let Some(lex) =
                     original_field_value(graph, &delta.row_element, elem)
                 {
-                    cond.push((col.clone(), typed(&schema, col, &lex)?));
+                    cond.push((col.clone(), typed(schema, col, &lex)?));
                 }
             }
         }
     }
     Ok(WriteOp::Update { table: delta.table.clone(), set, cond, expect_rows: 1 })
-}
-
-// ---------------------------------------------------------------------
-// Schema registry: decomposition needs column types without a back
-// pointer from graph to dataspace. DataSpace registers schemas here
-// when sources are introspected (process-wide, keyed by source+table).
-// ---------------------------------------------------------------------
-
-thread_local! {
-    static SCHEMAS: std::cell::RefCell<HashMap<(String, String), TableSchema>> =
-        std::cell::RefCell::new(HashMap::new());
-}
-
-/// Record a table schema for decomposition (called by introspection).
-pub fn register_schema(source: &str, schema: &TableSchema) {
-    SCHEMAS.with(|s| {
-        s.borrow_mut()
-            .insert((source.to_string(), schema.name.clone()), schema.clone());
-    });
-}
-
-fn lookup_schema(source: &str, table: &str) -> XdmResult<TableSchema> {
-    SCHEMAS.with(|s| {
-        s.borrow()
-            .get(&(source.to_string(), table.to_string()))
-            .cloned()
-            .ok_or_else(|| {
-                XdmError::new(
-                    ErrorCode::DSP0002,
-                    format!("no schema registered for {source}.{table}"),
-                )
-            })
-    })
 }
 
 /// Execute a plan: single-source plans commit locally; multi-source
@@ -416,7 +370,7 @@ fn create_rows(
     row_element: &NodeHandle,
     plan: &mut DecompositionPlan,
 ) -> XdmResult<()> {
-    let schema = lookup_schema(&shape.source, &shape.table)?;
+    let schema = &shape.schema;
     let mut row = Vec::with_capacity(schema.columns.len());
     for col in &schema.columns {
         let lex = shape
@@ -477,7 +431,7 @@ fn delete_rows(
     row_element: &NodeHandle,
     ops: &mut Vec<(String, WriteOp)>,
 ) -> XdmResult<()> {
-    let schema = lookup_schema(&shape.source, &shape.table)?;
+    let schema = &shape.schema;
     let mut cond: Condition = Vec::new();
     for pk in &schema.primary_key {
         let elem = shape.element_of(pk).ok_or_else(|| {
@@ -497,7 +451,7 @@ fn delete_rows(
                     format!("instance lacks key element {elem}"),
                 )
             })?;
-        cond.push((pk.clone(), typed(&schema, pk, &lex)?));
+        cond.push((pk.clone(), typed(schema, pk, &lex)?));
     }
     ops.push((
         shape.source.clone(),

@@ -53,7 +53,6 @@ pub fn introspect_relational(
     let table_names = db.table_names();
     for table in &table_names {
         let schema = db.schema(table)?;
-        crate::decompose::register_schema(&db.name, &schema);
         let ns = service_namespace(&db.name, table);
         let mut methods = Vec::new();
 
@@ -627,35 +626,26 @@ pub fn introspect_web_service(
 
 /// Build the function-name → source resolver the lineage analyzer
 /// needs: which registered QNames are table reads, and which are
-/// navigation functions (and to where).
+/// navigation functions (and to where), each with the schema its source
+/// holds for the table.
 pub fn source_resolver(
     services: &HashMap<String, DataService>,
-) -> HashMap<QName, SourceRef> {
+) -> XdmResult<HashMap<QName, SourceRef>> {
     let mut map = HashMap::new();
     for svc in services.values() {
         let SourceBinding::Relational { db, table } = &svc.binding else { continue };
         for m in &svc.methods {
-            match m.kind {
-                MethodKind::Read if m.arity == 0 => {
-                    map.insert(
-                        QName::with_ns(svc.namespace.clone(), m.name.clone()),
-                        SourceRef::TableScan { source: db.name.clone(), table: table.clone() },
-                    );
-                }
-                MethodKind::Navigation => {
-                    // get<CHILD> navigates to the child table.
-                    let child = m.name.trim_start_matches("get").to_string();
-                    map.insert(
-                        QName::with_ns(svc.namespace.clone(), m.name.clone()),
-                        SourceRef::Navigation {
-                            source: db.name.clone(),
-                            child_table: child,
-                        },
-                    );
-                }
-                _ => {}
-            }
+            let read = match m.kind {
+                MethodKind::Read if m.arity == 0 => table.as_str(),
+                // get<CHILD> navigates to the child table.
+                MethodKind::Navigation => m.name.trim_start_matches("get"),
+                _ => continue,
+            };
+            map.insert(
+                QName::with_ns(svc.namespace.clone(), m.name.clone()),
+                SourceRef { source: db.name.clone(), schema: db.schema(read)? },
+            );
         }
     }
-    map
+    Ok(map)
 }

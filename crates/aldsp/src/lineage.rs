@@ -35,23 +35,17 @@ use xqparser::ast::{
     Axis, DirectContent, DirectElement, Expr, FlworClause, PathStart, Step,
 };
 
-/// What a registered function reads.
+use crate::rel::TableSchema;
+
+/// What a registered function reads: the rows of one table of one
+/// source, through the table's read function or a navigation function
+/// to it.
 #[derive(Debug, Clone)]
-pub enum SourceRef {
-    /// A full-table read function.
-    TableScan {
-        /// Source (database) name.
-        source: String,
-        /// Table name.
-        table: String,
-    },
-    /// A navigation function to a child table.
-    Navigation {
-        /// Source name.
-        source: String,
-        /// The child (referencing) table.
-        child_table: String,
-    },
+pub struct SourceRef {
+    /// Source (database) name.
+    pub source: String,
+    /// The table's schema, as the source holds it.
+    pub schema: TableSchema,
 }
 
 /// A field: constructed element ← table column.
@@ -82,6 +76,8 @@ pub struct ShapeNode {
     pub source: String,
     /// Table name.
     pub table: String,
+    /// The table's schema, which types the values decomposition writes.
+    pub schema: TableSchema,
     /// Field lineage.
     pub fields: Vec<FieldMap>,
     /// Nested shapes.
@@ -175,17 +171,13 @@ fn try_analyze_flwor(
     let Expr::Flwor { clauses, ret } = expr else { return None };
     let FlworClause::For { var, source, .. } = clauses.first()? else { return None };
     let Expr::FunctionCall { name, .. } = source else { return None };
-    let (source_name, table) = match resolver.get(name)? {
-        SourceRef::TableScan { source, table } => (source.clone(), table.clone()),
-        SourceRef::Navigation { source, child_table } => {
-            (source.clone(), child_table.clone())
-        }
-    };
+    let SourceRef { source, schema } = resolver.get(name)?;
     let Expr::DirectElement(de) = &**ret else { return None };
     let mut node = ShapeNode {
         element: de.name.clone(),
-        source: source_name,
-        table,
+        source: source.clone(),
+        table: schema.name.clone(),
+        schema: schema.clone(),
         fields: Vec::new(),
         children: Vec::new(),
         unmapped: Vec::new(),
@@ -282,20 +274,20 @@ mod tests {
     use xqparser::parser::parse_expr;
 
     fn resolver() -> HashMap<QName, SourceRef> {
-        let mut m = HashMap::new();
-        m.insert(
-            QName::with_ns("ld:db1/CUSTOMER", "CUSTOMER"),
-            SourceRef::TableScan { source: "db1".into(), table: "CUSTOMER".into() },
-        );
-        m.insert(
-            QName::with_ns("ld:db1/CUSTOMER", "getORDER"),
-            SourceRef::Navigation { source: "db1".into(), child_table: "ORDER".into() },
-        );
-        m.insert(
-            QName::with_ns("ld:db2/CREDIT_CARD", "CREDIT_CARD"),
-            SourceRef::TableScan { source: "db2".into(), table: "CREDIT_CARD".into() },
-        );
-        m
+        let table = |source: &str, name: &str| SourceRef {
+            source: source.into(),
+            schema: TableSchema {
+                name: name.into(),
+                columns: vec![],
+                primary_key: vec![],
+                foreign_keys: vec![],
+            },
+        };
+        HashMap::from([
+            (QName::with_ns("ld:db1/CUSTOMER", "CUSTOMER"), table("db1", "CUSTOMER")),
+            (QName::with_ns("ld:db1/CUSTOMER", "getORDER"), table("db1", "ORDER")),
+            (QName::with_ns("ld:db2/CREDIT_CARD", "CREDIT_CARD"), table("db2", "CREDIT_CARD")),
+        ])
     }
 
     const NS: &[(&str, &str)] = &[

@@ -12,14 +12,17 @@
 //! concurrent readers of the same table) never contend, while a
 //! transactional write takes the affected tables' write locks in
 //! **canonical (sorted-name) order** so two multi-table transactions
-//! can never deadlock. A separate *prepared-lock table* (the
-//! transaction-manager mutex) pins the rows touched by a
-//! prepared-but-undecided transaction so a concurrent transaction
-//! cannot slip between `prepare` and `commit` — the standard
-//! presumed-abort XA discipline. Lock hierarchy: catalog (briefly, to
-//! resolve table handles) → table shards in sorted name order → the
-//! transaction-manager / read-cache leaf mutexes. No path acquires a
-//! shard lock while holding a leaf mutex.
+//! can never deadlock. `prepare` and auto-commit `execute` resolve a
+//! write set once, op by op in order (`stage`), into row-level changes,
+//! and every check happens there; commit installs exactly those changes
+//! by row id (`install`). The transaction-manager mutex holds each
+//! prepared-but-undecided transaction's staged changes: the rows they
+//! replace or remove are pinned and the keys they add are taken, so a
+//! concurrent transaction cannot slip between `prepare` and `commit` —
+//! the standard presumed-abort XA discipline. Lock hierarchy: catalog
+//! (briefly, to resolve table handles) → table shards in sorted name
+//! order → the transaction-manager / read-cache leaf mutexes. No path
+//! acquires a shard lock while holding a leaf mutex.
 
 // The versioned-scan/secondary-index layer sits on every read path,
 // and the branch commit/rollback path is replayed by crash recovery;
@@ -27,7 +30,7 @@
 // (test-only unwraps are re-allowed on the tests module).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -314,6 +317,8 @@ pub fn fresh_tx() -> TxId {
 #[derive(Debug)]
 struct TableData {
     schema: TableSchema,
+    /// The positions of the primary-key columns.
+    pk: Vec<usize>,
     rows: Vec<(u64, Row)>, // (row id, values); always sorted by row id
     next_row_id: u64,
     /// Monotonically increasing table version: bumped once per
@@ -322,26 +327,35 @@ struct TableData {
     /// never pay a re-conversion (ISSUE 2 tentpole part 2).
     version: u64,
     /// Lazily built secondary hash indexes: column name → value → row
-    /// ids. Built on the first indexed select of a column, maintained
-    /// incrementally by `commit`, dropped wholesale by `rollback`
-    /// (rebuilt on next use).
-    indexes: HashMap<String, HashMap<IndexKey, Vec<u64>>>,
+    /// ids. Built from the committed rows on the first indexed select or
+    /// staged lookup of a column, and maintained incrementally by every
+    /// install.
+    indexes: Indexes,
 }
 
+/// A table's secondary indexes: column name → value → row ids.
+type Indexes = HashMap<String, HashMap<IndexKey, Vec<u64>>>;
+
+/// A prepared branch: its staged changes, and the tables they are
+/// staged on (sorted by name), which commit locks.
 #[derive(Debug)]
 struct Prepared {
-    ops: Vec<WriteOp>,
-    locked: HashSet<(String, u64)>,
-    /// The primary keys its inserts and key-writing updates claim:
-    /// taken for every other transaction's prepare.
-    inserted_keys: Vec<(String, Vec<SqlValue>)>,
+    tables: Vec<String>,
+    staged: Staged,
+}
+
+impl Prepared {
+    /// The place of `table` among the branch's tables.
+    fn slot(&self, table: &str) -> Option<usize> {
+        self.tables.iter().position(|n| n == table)
+    }
 }
 
 /// One table shard: the unit of reader/writer concurrency.
 type TableHandle = Arc<RwLock<TableData>>;
 
-/// Transaction-manager state: the prepared-lock table plus the
-/// commit/abort counters. A leaf mutex in the lock hierarchy — no
+/// Transaction-manager state: the prepared branches' staged changes
+/// plus the commit/abort counters. A leaf mutex in the lock hierarchy — no
 /// path may acquire a table shard lock while holding it.
 #[derive(Debug, Default)]
 struct TxState {
@@ -484,16 +498,17 @@ impl Database {
         if catalog.contains_key(&schema.name) {
             return Err(cerr(format!("table {} already exists", schema.name)));
         }
-        for pk in &schema.primary_key {
-            if schema.col_index(pk).is_none() {
-                return Err(cerr(format!("PK column {pk} not in table {}", schema.name)));
-            }
+        let mut pk = Vec::with_capacity(schema.primary_key.len());
+        for c in &schema.primary_key {
+            let at = schema.col_index(c);
+            pk.push(at.ok_or_else(|| cerr(format!("PK column {c} not in table {}", schema.name)))?);
         }
         self.shared.table_order.lock().push(schema.name.clone());
         catalog.insert(
             schema.name.clone(),
             Arc::new(RwLock::new(TableData {
                 schema,
+                pk,
                 rows: Vec::new(),
                 next_row_id: 1,
                 version: 1,
@@ -699,7 +714,8 @@ impl Database {
                 return Ok((t.version, scan_matching(&t.rows, &idx)));
             };
             if let Some(map) = t.indexes.get(col) {
-                return Ok((t.version, probe_sorted_ids(&t.rows, map.get(&key), &idx)));
+                let ids = map.get(&key).map_or(&[][..], Vec::as_slice);
+                return Ok((t.version, probe_sorted_ids(&t.rows, ids, &idx)));
             }
         }
         // Slow path: build the index under the exclusive lock, then
@@ -707,15 +723,11 @@ impl Database {
         // between the lock releases).
         let mut t = h.write();
         let idx = cond_indices(&t.schema, cond)?;
-        let Some((col, key)) = index_probe(&t.schema, cond) else {
-            return Ok((t.version, scan_matching(&t.rows, &idx)));
-        };
         let TableData { schema, rows, indexes, version, .. } = &mut *t;
-        if !indexes.contains_key(col) {
-            let built = build_index(schema, rows, col);
-            indexes.insert(col.to_string(), built);
+        match probe_bucket(schema, rows, indexes, index_probe(schema, cond)) {
+            Some(ids) => Ok((*version, probe_sorted_ids(rows, ids, &idx))),
+            None => Ok((*version, scan_matching(rows, &idx))),
         }
-        Ok((*version, probe_sorted_ids(rows, indexes.get(col).and_then(|m| m.get(&key)), &idx)))
     }
 
     /// Columns of `table` that currently have a built secondary index
@@ -743,12 +755,12 @@ impl Database {
 
     /// Auto-commit convenience: run a batch of ops as a local
     /// transaction, in one pass. The affected shards are write-locked
-    /// once; under the transaction-manager mutex the ops are validated
-    /// exactly as [`Database::prepare`] validates them (against the
-    /// committed table and the rows and keys other prepared
-    /// transactions hold) and then applied exactly as
-    /// [`Database::commit_branch`] applies them. Nothing is registered
-    /// as prepared, and a refused write set changes nothing.
+    /// once; under the transaction-manager mutex the write set is staged
+    /// exactly as [`Database::prepare`] stages it (op by op, against the
+    /// committed table, the earlier ops and what other prepared
+    /// transactions hold) and installed exactly as
+    /// [`Database::commit_branch`] installs it. Nothing is registered as
+    /// prepared, and a refused write set changes nothing.
     ///
     /// Fault-injectable as one unit (`Op::Execute`): an injected fault
     /// fires before the call, so a retried attempt sees the whole write
@@ -765,15 +777,14 @@ impl Database {
     }
 
     fn execute_raw(&self, ops: Vec<WriteOp>) -> XdmResult<()> {
-        let handles =
-            self.table_handles(&affected_tables(&ops), |n| cerr(format!("no table {n}")))?;
+        let handles = self.write_set_handles(&ops)?;
         let mut tables = write_all(&handles);
         // Shards first, then the transaction-manager mutex, held until
-        // the commit is counted: no other prepare can claim a row or a
-        // key between the check and the apply.
+        // the commit is counted: no other prepare can pin a row or take
+        // a key between the stage and the install.
         let mut txm = self.shared.txm.lock();
-        validate(&mut tables, &ops, &Held::of(&txm))?;
-        apply(&mut tables, ops).map_err(|what| cerr(format!("{what} disappeared mid-write")))?;
+        let staged = stage(&mut tables, ops, &txm.prepared)?;
+        install(&mut tables, staged);
         txm.commits += 1;
         Ok(())
     }
@@ -783,10 +794,11 @@ impl Database {
         self.execute(vec![WriteOp::Insert { table: table.to_string(), row }])
     }
 
-    /// Phase one of 2PC: validate every op (constraints, expected row
-    /// counts, no conflict with other prepared transactions) and pin
-    /// the touched rows. On success the transaction is durable-ready;
-    /// on failure nothing is changed.
+    /// Phase one of 2PC: stage the write set (every check: constraints,
+    /// expected row counts, no conflict with other prepared
+    /// transactions) and hold the staged changes, which pin the rows
+    /// they replace or remove and take the keys they add. On success
+    /// the transaction is durable-ready; on failure nothing is changed.
     pub fn prepare(&self, tx: TxId, ops: Vec<WriteOp>) -> XdmResult<()> {
         let access = self.access();
         // As in `execute`: injected faults fire before the call.
@@ -803,116 +815,98 @@ impl Database {
         // tables in opposite declaration order therefore can never
         // deadlock), THEN take the transaction-manager mutex — never
         // the other way round.
-        let handles =
-            self.table_handles(&affected_tables(&ops), |n| cerr(format!("no table {n}")))?;
+        let handles = self.write_set_handles(&ops)?;
         let mut tables = write_all(&handles);
         let mut txm = self.shared.txm.lock();
         if txm.prepared.contains_key(&tx) {
             return Err(cerr(format!("transaction {tx:?} already prepared")));
         }
-        let claims = validate(&mut tables, &ops, &Held::of(&txm))?;
-        let locked = claims.locked.iter().map(|(t, id)| (t.to_string(), *id)).collect();
-        let inserted_keys = claims.keys.into_iter().map(|(t, k)| (t.to_string(), k)).collect();
-        txm.prepared.insert(tx, Prepared { ops, locked, inserted_keys });
+        let staged = stage(&mut tables, ops, &txm.prepared)?;
+        let names = tables.iter().map(|t| t.schema.name.clone()).collect();
+        txm.prepared.insert(tx, Prepared { tables: names, staged });
         Ok(())
     }
 
-    /// Phase two, **idempotent**: apply the branch prepared under
+    /// Phase two, **idempotent**: install the changes staged under
     /// `tx`. The coordinator and the recovery manager both commit
-    /// through this.
+    /// through this. It matches no condition: it installs exactly what
+    /// prepare checked.
     ///
-    /// Returns `Ok(true)` when a prepared branch was applied,
+    /// Returns `Ok(true)` when a prepared branch was installed,
     /// `Ok(false)` when nothing is prepared under `tx` — either the
     /// branch already committed (a replay after a crash between the
     /// source commit and the journal's `Committed` record) or it never
     /// prepared here. Replaying a decision any number of times is
-    /// therefore safe: only the first call applies writes.
+    /// therefore safe: only the first call writes.
     ///
-    /// Internal inconsistencies that prepare-time validation should
-    /// make impossible (a table vanishing under a prepared op) surface
-    /// as `aldsp:XA_REPLAY_FAILED` instead of panicking — the commit
-    /// path must never poison the database lock.
+    /// A table vanishing under a prepared branch, which prepare should
+    /// make impossible, surfaces as `aldsp:XA_REPLAY_FAILED` instead of
+    /// panicking — the commit path must never poison the database lock.
     pub fn commit_branch(&self, tx: TxId) -> XdmResult<bool> {
-        let replay_err = |what: &str| {
-            crate::errors::AldspCode::XaReplayFailed.error(format!(
-                "commit replay of {tx:?} on {}: {what} disappeared after prepare",
-                self.name
-            ))
-        };
-        // Peek the affected table set under the tx-manager lock, then
+        // Peek the branch's table names under the tx-manager lock, then
         // RELEASE it before taking shard locks (leaf mutexes are never
         // held across shard acquisition). The entry is claimed — i.e.
         // removed — only after the shards are write-locked, so a
         // concurrent duplicate commit_branch loses the race and
         // returns Ok(false).
-        let names: Vec<String> = {
-            let txm = self.shared.txm.lock();
-            match txm.prepared.get(&tx) {
-                Some(p) => affected_tables(&p.ops).into_iter().map(str::to_string).collect(),
-                None => return Ok(false),
-            }
+        let names: Vec<String> = match self.shared.txm.lock().prepared.get(&tx) {
+            Some(p) => p.tables.clone(),
+            None => return Ok(false),
         };
-        let handles = self.table_handles(&names, |n| replay_err(&format!("table {n}")))?;
+        let handles = self.table_handles(names.iter().map(String::as_str), |n| {
+            crate::errors::AldspCode::XaReplayFailed.error(format!(
+                "commit replay of {tx:?} on {}: table {n} disappeared after prepare",
+                self.name
+            ))
+        })?;
         // Canonical order: `names` is sorted, so the write locks are
-        // taken in the same global order as prepare_raw's.
+        // taken in the same global order as prepare_raw's, and the
+        // shards line up with the stage's tables.
         let mut tables = write_all(&handles);
-        let p = {
-            let mut txm = self.shared.txm.lock();
-            match txm.prepared.remove(&tx) {
-                Some(p) => p,
-                None => return Ok(false),
-            }
+        let Some(p) = self.shared.txm.lock().prepared.remove(&tx) else {
+            return Ok(false);
         };
-        apply(&mut tables, p.ops).map_err(|what| replay_err(&what))?;
+        install(&mut tables, p.staged);
         drop(tables);
         self.shared.txm.lock().commits += 1;
         Ok(true)
     }
 
-    /// The shard handles of `names`; `missing` reports a table the
-    /// catalog does not hold.
-    fn table_handles(
+    /// The shard handles of the tables a write set names.
+    fn write_set_handles(&self, ops: &[WriteOp]) -> XdmResult<Vec<TableHandle>> {
+        self.table_handles(ops.iter().map(WriteOp::table), |n| cerr(format!("no table {n}")))
+    }
+
+    /// The shard handles of the tables `names` lists, in the canonical
+    /// lock order: sorted by name, each once. `missing` reports a table
+    /// the catalog does not hold.
+    fn table_handles<'a>(
         &self,
-        names: &[impl AsRef<str>],
+        names: impl Iterator<Item = &'a str>,
         missing: impl Fn(&str) -> XdmError,
     ) -> XdmResult<Vec<TableHandle>> {
         let catalog = self.shared.catalog.read();
-        names
-            .iter()
-            .map(|n| catalog.get(n.as_ref()).cloned().ok_or_else(|| missing(n.as_ref())))
-            .collect()
+        let mut handles = names
+            .map(|n| catalog.get(n).map(|h| (n, h.clone())).ok_or_else(|| missing(n)))
+            .collect::<XdmResult<Vec<_>>>()?;
+        handles.sort_unstable_by_key(|(n, _)| *n);
+        handles.dedup_by_key(|(n, _)| *n);
+        // Collected in place: the names go, the buffer stays.
+        Ok(handles.into_iter().map(|(_, h)| h).collect())
     }
 
     /// Abort a prepared (or never-prepared) transaction, **idempotent**:
-    /// releases its locks and changes nothing else.
+    /// drops its staged changes, which releases the rows they pin and
+    /// the keys they take, and changes nothing else.
     /// Returns `true` when a prepared branch was actually released,
     /// `false` when nothing was prepared under `tx` (already rolled
     /// back, already committed, or never prepared here) — replaying a
     /// presumed abort is always safe.
     pub fn rollback_branch(&self, tx: TxId) -> bool {
-        let p = {
-            let mut txm = self.shared.txm.lock();
-            match txm.prepared.remove(&tx) {
-                Some(p) => {
-                    txm.aborts += 1;
-                    p
-                }
-                None => return false,
-            }
-        };
-        // Conservative: drop the secondary indexes of every table
-        // the aborted transaction *named*. The rows never changed
-        // (writes are buffered until commit), so this is purely a
-        // belt-and-braces measure — the indexes are rebuilt lazily
-        // on the next indexed select. Versions are untouched: the
-        // committed state is exactly what it was. Shard locks are
-        // taken one at a time, after the tx-manager lock is released.
-        for name in affected_tables(&p.ops) {
-            if let Some(h) = self.shared.catalog.read().get(name).cloned() {
-                h.write().indexes.clear();
-            }
-        }
-        true
+        let mut txm = self.shared.txm.lock();
+        let released = txm.prepared.remove(&tx).is_some();
+        txm.aborts += u64::from(released);
+        released
     }
 
     /// Is the transaction currently in prepared state?
@@ -927,250 +921,289 @@ impl Database {
     }
 }
 
-/// Sorted, deduplicated table names touched by a write set — the
-/// canonical shard-lock acquisition order shared by `execute`,
-/// `prepare_raw` and `commit_branch`.
-fn affected_tables(ops: &[WriteOp]) -> Vec<&str> {
-    let mut names: Vec<&str> = ops.iter().map(WriteOp::table).collect();
-    names.sort_unstable();
-    names.dedup();
-    names
-}
-
 /// Write-lock every shard, in the given (canonical) order.
 fn write_all(handles: &[TableHandle]) -> Vec<RwLockWriteGuard<'_, TableData>> {
     handles.iter().map(|h| h.write()).collect()
 }
 
-/// The locked table named `name`.
-fn table_mut<'t>(
-    tables: &'t mut [RwLockWriteGuard<'_, TableData>],
-    name: &str,
-) -> Option<&'t mut TableData> {
-    tables.iter_mut().find(|t| t.schema.name == name).map(|t| &mut **t)
+/// A write set resolved op by op: the row-level changes commit
+/// installs. A table is named by its place among the write set's
+/// locked tables, which are sorted by name.
+#[derive(Debug, Default)]
+struct Staged {
+    /// Committed rows the write set replaces (`Some`, the new value) or
+    /// removes (`None`), by (table, row id).
+    changed: BTreeMap<(usize, u64), Option<Row>>,
+    /// Rows the write set appends, with their table, in op order;
+    /// `None` once a later op of the write set deleted it.
+    added: Vec<(usize, Option<Row>)>,
 }
 
-/// What the other prepared transactions hold: the rows they pin and
-/// the primary keys they claim. Built only when some transaction is
-/// prepared; empty, it allocates nothing and answers without hashing.
-#[derive(Default)]
-struct Held {
-    rows: HashSet<(String, u64)>,
-    keys: HashSet<(String, String)>,
+/// A row as a write set sees it: a committed row, by id, or the write
+/// set's own `n`-th appended row. Committed rows sort first, by id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum RowRef {
+    Committed(u64),
+    Added(usize),
 }
 
-impl Held {
-    fn of(txm: &TxState) -> Held {
-        if txm.prepared.is_empty() {
-            return Held::default();
-        }
-        Held {
-            rows: txm.prepared.values().flat_map(|p| p.locked.iter().cloned()).collect(),
-            keys: txm
-                .prepared
-                .values()
-                .flat_map(|p| p.inserted_keys.iter())
-                .map(|(t, k)| (t.clone(), key_fingerprint(k)))
-                .collect(),
-        }
+impl Staged {
+    /// Whether the write set replaces or removes committed row `id` of
+    /// table `ti`.
+    fn touches(&self, ti: usize, id: u64) -> bool {
+        self.changed.contains_key(&(ti, id))
     }
 
-    fn row(&self, table: &str, id: u64) -> bool {
-        !self.rows.is_empty() && self.rows.contains(&(table.to_string(), id))
+    /// The committed rows of table `ti` the write set replaces or
+    /// removes, by id, with what it leaves there.
+    fn changed_in(&self, ti: usize) -> impl Iterator<Item = (u64, Option<&Row>)> {
+        self.changed.range((ti, 0)..=(ti, u64::MAX)).map(|((_, id), r)| (*id, r.as_ref()))
     }
 
-    fn key(&self, table: &str, key: &[SqlValue]) -> bool {
-        !self.keys.is_empty() && self.keys.contains(&(table.to_string(), key_fingerprint(key)))
+    /// The rows the write set puts in table `ti`: its replacements and
+    /// its appended rows.
+    fn rows_in(&self, ti: usize) -> impl Iterator<Item = &Row> {
+        let added = self.added.iter().filter(move |(at, _)| *at == ti);
+        self.changed_in(ti).filter_map(|(_, r)| r).chain(added.filter_map(|(_, r)| r.as_ref()))
     }
-}
 
-/// What a validated write set claims: the rows its updates and deletes
-/// pin, and the primary keys its inserts and key-writing updates take.
-#[derive(Default)]
-struct Claims<'a> {
-    locked: HashSet<(&'a str, u64)>,
-    keys: Vec<(&'a str, Vec<SqlValue>)>,
-}
-
-/// Validate a write set against its write-locked tables: constraints,
-/// expected row counts, and no row or key another prepared transaction
-/// (`held`) holds. Every op sees the table as committed, so a key an
-/// earlier op of the same write set frees is still taken. `Err`
-/// changes no row.
-fn validate<'a>(
-    tables: &mut [RwLockWriteGuard<'_, TableData>],
-    ops: &'a [WriteOp],
-    held: &Held,
-) -> XdmResult<Claims<'a>> {
-    let mut claims = Claims::default();
-    for op in ops {
-        let t = table_mut(tables, op.table())
-            .ok_or_else(|| cerr(format!("no table {}", op.table())))?;
-        match op {
-            WriteOp::Insert { table, row } => {
-                validate_insert_shape(&t.schema, row)?;
-                let key = pk_values(&t.schema, row);
-                if !key.is_empty() {
-                    claim_key(t, table, key, held, &mut claims)?;
-                }
-            }
-            WriteOp::Update { table, set, cond, expect_rows } => {
-                let idx = cond_indices(&t.schema, cond)?;
-                // Validate SET column types/nullability.
-                for (c, v) in set {
-                    let col = t
-                        .schema
-                        .column(c)
-                        .ok_or_else(|| cerr(format!("no column {c} in {table}")))?;
-                    if v.is_null() && !col.nullable {
-                        return Err(cerr(format!("{table}.{c} is NOT NULL")));
-                    }
-                }
-                pin_rows(t, table, op, &idx, *expect_rows, held, &mut claims)?;
-                // An update that writes a key column gives each row
-                // it hits a new key, which must be free as an
-                // inserted key must be. A row whose key the update
-                // leaves as it was keeps it.
-                if set.iter().any(|(c, _)| t.schema.primary_key.contains(c)) {
-                    let sets = cond_indices(&t.schema, set)?;
-                    let moved: Vec<Vec<SqlValue>> = t
-                        .rows
-                        .iter()
-                        .filter(|(_, r)| row_matches(r, &idx))
-                        .filter_map(|(_, r)| {
-                            let mut new = r.clone();
-                            for (i, v) in &sets {
-                                new[*i] = v.clone();
-                            }
-                            let key = pk_values(&t.schema, &new);
-                            (key != pk_values(&t.schema, r)).then_some(key)
-                        })
-                        .collect();
-                    for key in moved {
-                        claim_key(t, table, key, held, &mut claims)?;
-                    }
-                }
-            }
-            WriteOp::Delete { table, cond, expect_rows } => {
-                let idx = cond_indices(&t.schema, cond)?;
-                pin_rows(t, table, op, &idx, *expect_rows, held, &mut claims)?;
-            }
+    /// Row `at` of table `ti`, whose committed rows are `rows`, as the
+    /// ops staged so far leave it.
+    fn row<'s>(&'s self, rows: &'s [(u64, Row)], ti: usize, at: RowRef) -> Option<&'s Row> {
+        match at {
+            RowRef::Committed(id) => match self.changed.get(&(ti, id)) {
+                Some(staged) => staged.as_ref(),
+                None => committed_row(rows, id),
+            },
+            RowRef::Added(n) => self.added[n].1.as_ref(),
         }
     }
-    Ok(claims)
-}
 
-/// Pin the rows `idx` matches for an update or delete: DSP0001 when
-/// there are not exactly `expect_rows` of them (the OCC check), DSP0004
-/// when another prepared transaction holds one.
-fn pin_rows<'a>(
-    t: &TableData,
-    table: &'a str,
-    op: &WriteOp,
-    idx: &[(usize, SqlValue)],
-    expect_rows: usize,
-    held: &Held,
-    claims: &mut Claims<'a>,
-) -> XdmResult<()> {
-    let hits: Vec<u64> =
-        t.rows.iter().filter(|(_, r)| row_matches(r, idx)).map(|(id, _)| *id).collect();
-    if hits.len() != expect_rows {
-        return Err(XdmError::new(
-            ErrorCode::DSP0001,
-            format!(
-                "optimistic concurrency conflict: {} matched {} row(s), expected {expect_rows}",
-                op.to_sql(),
-                hits.len()
-            ),
-        ));
+    /// Stage row `at` of table `ti` as `row` (`None`: removed).
+    fn put(&mut self, ti: usize, at: RowRef, row: Option<Row>) {
+        match at {
+            RowRef::Committed(id) => drop(self.changed.insert((ti, id), row)),
+            RowRef::Added(n) => self.added[n].1 = row,
+        }
     }
-    for id in hits {
-        if held.row(table, id) {
+
+    /// The rows of table `ti` (`t`) that `op`'s condition `cond` matches
+    /// as the ops staged so far leave them, in row order: checks 1–3 of
+    /// [`stage`]. Committed candidates come from the index bucket of
+    /// [`index_probe`]'s column (the index is built from the committed
+    /// rows if absent), or from a scan when no condition column is
+    /// indexable; the rows the write set has changed or appended come
+    /// from the stage. Each is checked against the whole condition.
+    fn hits(
+        &self,
+        t: &mut TableData,
+        ti: usize,
+        op: &WriteOp,
+        cond: &Condition,
+        expect_rows: usize,
+        others: &HashMap<TxId, Prepared>,
+    ) -> XdmResult<Vec<RowRef>> {
+        let idx = cond_indices(&t.schema, cond)?;
+        let TableData { schema, rows, indexes, .. } = t;
+        let bucket = probe_bucket(schema, rows, indexes, index_probe(schema, cond));
+        let untouched =
+            candidates(rows, bucket).map(|(id, _)| id).filter(|id| !self.touches(ti, *id));
+        let replaced = self.changed_in(ti).map(|(id, _)| id);
+        let added = (0..self.added.len()).filter(|n| self.added[*n].0 == ti);
+        let mut hits: Vec<RowRef> = (untouched.chain(replaced).map(RowRef::Committed))
+            .chain(added.map(RowRef::Added))
+            .filter(|at| self.row(rows, ti, *at).is_some_and(|r| row_matches(r, &idx)))
+            .collect();
+        hits.sort_unstable();
+        if hits.len() != expect_rows {
             return Err(XdmError::new(
-                ErrorCode::DSP0004,
-                format!("row {id} of {table} locked by another transaction"),
+                ErrorCode::DSP0001,
+                format!(
+                    "optimistic concurrency conflict: {} matched {} row(s), expected {expect_rows}",
+                    op.to_sql(),
+                    hits.len()
+                ),
             ));
         }
-        claims.locked.insert((table, id));
+        let pinned = |id| {
+            others.values().any(|p| p.slot(&schema.name).is_some_and(|pi| p.staged.touches(pi, id)))
+        };
+        if let Some(RowRef::Committed(id)) =
+            hits.iter().find(|at| matches!(at, RowRef::Committed(id) if pinned(*id)))
+        {
+            return Err(XdmError::new(
+                ErrorCode::DSP0004,
+                format!("row {id} of {} locked by another transaction", schema.name),
+            ));
+        }
+        Ok(hits)
     }
-    Ok(())
+
+    /// Check 5 of [`stage`]: DSP0003 unless `row`'s primary key is free
+    /// in table `ti` (`t`) — held by no committed row the write set
+    /// leaves in place, no row the write set has added or replaced, and
+    /// no row another prepared branch adds or replaces there. A table
+    /// without a primary key takes any row. A one-column key of an
+    /// indexable type is looked up in its index, built here if absent;
+    /// any other key is scanned for.
+    fn check_key(
+        &self,
+        t: &mut TableData,
+        ti: usize,
+        row: &Row,
+        others: &HashMap<TxId, Prepared>,
+    ) -> XdmResult<()> {
+        let TableData { schema, rows, indexes, pk, .. } = t;
+        let probe = match pk[..] {
+            [] => return Ok(()),
+            [c] if indexable_type(schema.columns[c].ty) => {
+                index_key(&row[c]).map(|key| (schema.columns[c].name.as_str(), key))
+            }
+            _ => None,
+        };
+        let same = |r: &Row| pk.iter().all(|&c| r[c] == row[c]);
+        let taken = candidates(rows, probe_bucket(schema, rows, indexes, probe))
+            .any(|(id, r)| !self.touches(ti, id) && same(r))
+            || self.rows_in(ti).any(same)
+            || others
+                .values()
+                .any(|p| p.slot(&schema.name).is_some_and(|pi| p.staged.rows_in(pi).any(same)));
+        if taken {
+            let shown: Vec<String> = pk.iter().map(|&c| row[c].to_string()).collect();
+            return Err(XdmError::new(
+                ErrorCode::DSP0003,
+                format!("primary key violation on {}: ({})", schema.name, shown.join(", ")),
+            ));
+        }
+        Ok(())
+    }
 }
 
-/// Apply a validated write set to its write-locked tables, op by op,
-/// maintaining every built secondary index, and bump each table's
-/// version once (every locked table is one an op touches): this is
-/// what invalidates the materialization caches. `Err` names what a
-/// replayed write set found missing.
-fn apply(tables: &mut [RwLockWriteGuard<'_, TableData>], ops: Vec<WriteOp>) -> Result<(), String> {
+/// Resolve a write set on its write-locked tables (sorted by name), op
+/// by op in order, each op against the tables as the ops before it left
+/// them. Every check of a write happens here, and only here; an op's
+/// checks run in this order, and the first that fails refuses the whole
+/// write set:
+///
+/// 1. an `Update` or `Delete` names only columns of its table (DSP0003);
+/// 2. it matches exactly `expect_rows` rows (DSP0001: the optimistic-
+///    concurrency check);
+/// 3. no committed row it matches is pinned — replaced or removed — by
+///    another prepared branch (DSP0004);
+/// 4. each row the op leaves (an inserted row, or each matched row with
+///    an update's SET applied, in row order) passes [`check_row`]
+///    (DSP0003);
+/// 5. and its primary key is free ([`Staged::check_key`], DSP0003).
+///
+/// An update stages each matched row as removed, then adds its new value
+/// under the same id, so its old key never blocks it and inserts and
+/// updates share one key check. `Err` changes no row; an index this
+/// builds is built from the committed rows.
+fn stage(
+    tables: &mut [RwLockWriteGuard<'_, TableData>],
+    ops: Vec<WriteOp>,
+    others: &HashMap<TxId, Prepared>,
+) -> XdmResult<Staged> {
+    let mut staged = Staged::default();
     for op in ops {
-        let t = table_mut(tables, op.table()).ok_or_else(|| format!("table {}", op.table()))?;
-        let TableData { schema, rows, next_row_id, indexes, .. } = t;
+        let Some(ti) = tables.iter().position(|t| t.schema.name == op.table()) else {
+            return Err(cerr(format!("no table {}", op.table())));
+        };
+        let t = &mut *tables[ti];
         match op {
             WriteOp::Insert { row, .. } => {
-                let id = *next_row_id;
-                *next_row_id += 1;
-                // Incrementally maintain any built secondary index.
-                for (col, map) in indexes.iter_mut() {
-                    if let Some(key) = schema.col_index(col).and_then(|ci| index_key(&row[ci])) {
-                        map.entry(key).or_default().push(id);
-                    }
-                }
-                rows.push((id, row));
+                check_row(&t.schema, &row)?;
+                staged.check_key(t, ti, &row, others)?;
+                staged.added.push((ti, Some(row)));
             }
-            WriteOp::Update { set, cond, .. } => {
-                let idx = cond_indices(schema, &cond).map_err(|_| "condition column".to_string())?;
-                let sets: Vec<(usize, SqlValue)> = set
-                    .into_iter()
-                    .map(|(c, v)| {
-                        schema.col_index(&c).map(|i| (i, v)).ok_or(format!("column {c}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                for (id, r) in rows.iter_mut() {
-                    if !row_matches(r, &idx) {
-                        continue;
+            WriteOp::Update { ref set, ref cond, expect_rows, .. } => {
+                let sets = cond_indices(&t.schema, set)?;
+                for at in staged.hits(t, ti, &op, cond, expect_rows, others)? {
+                    let Some(mut row) = staged.row(&t.rows, ti, at).cloned() else { continue };
+                    for (c, v) in &sets {
+                        row[*c] = v.clone();
                     }
-                    for (i, v) in &sets {
-                        // A built index on the column moves the row
-                        // from its old value's bucket to the new one's.
-                        if let Some(map) = indexes.get_mut(&schema.columns[*i].name) {
-                            let (old, new) = (index_key(&r[*i]), index_key(v));
-                            if old != new {
-                                if let Some(ids) = old.and_then(|k| map.get_mut(&k)) {
-                                    ids.retain(|x| x != id);
-                                }
-                                if let Some(k) = new {
-                                    map.entry(k).or_default().push(*id);
-                                }
-                            }
-                        }
-                        r[*i] = v.clone();
-                    }
+                    check_row(&t.schema, &row)?;
+                    staged.put(ti, at, None);
+                    staged.check_key(t, ti, &row, others)?;
+                    staged.put(ti, at, Some(row));
                 }
             }
-            WriteOp::Delete { cond, .. } => {
-                let idx = cond_indices(schema, &cond).map_err(|_| "condition column".to_string())?;
-                rows.retain(|(id, r)| {
-                    if !row_matches(r, &idx) {
-                        return true;
-                    }
-                    for (col, map) in indexes.iter_mut() {
-                        let key = schema.col_index(col).and_then(|ci| index_key(&r[ci]));
-                        if let Some(ids) = key.and_then(|k| map.get_mut(&k)) {
-                            ids.retain(|x| x != id);
-                        }
-                    }
-                    false
-                });
+            WriteOp::Delete { ref cond, expect_rows, .. } => {
+                for at in staged.hits(t, ti, &op, cond, expect_rows, others)? {
+                    staged.put(ti, at, None);
+                }
             }
         }
     }
-    for t in tables.iter_mut() {
-        t.version += 1;
-    }
-    Ok(())
+    Ok(staged)
 }
 
-fn validate_insert_shape(schema: &TableSchema, row: &Row) -> XdmResult<()> {
+/// Install a staged write set on the write-locked tables it was staged
+/// on, in the same order, one pass per table: replace and remove
+/// committed rows by id, append the added rows under fresh ids, keep
+/// every built index in step, and bump each table's version once (every
+/// locked table is one an op names): this is what invalidates the
+/// materialization caches. It matches no condition; the stage decided
+/// every row.
+fn install(tables: &mut [RwLockWriteGuard<'_, TableData>], staged: Staged) {
+    let Staged { changed, mut added } = staged;
+    let mut changed = changed.into_iter().peekable();
+    for (ti, t) in tables.iter_mut().enumerate() {
+        let TableData { schema, rows, next_row_id, version, indexes, .. } = &mut **t;
+        let mut removed = Vec::new();
+        while let Some(((_, id), new)) = changed.next_if(|((at, _), _)| *at == ti) {
+            // The row is pinned, so it is still there.
+            let Ok(pos) = rows.binary_search_by_key(&id, |(rid, _)| *rid) else { continue };
+            reindex(schema, indexes, id, Some(&rows[pos].1), new.as_ref());
+            match new {
+                Some(row) => rows[pos].1 = row,
+                None => removed.push(id),
+            }
+        }
+        if !removed.is_empty() {
+            // Both are in row-id order: one pass drops every removed row.
+            let mut removed = removed.into_iter().peekable();
+            rows.retain(|(id, _)| removed.next_if_eq(id).is_none());
+        }
+        for row in added.iter_mut().filter(|(at, _)| *at == ti).filter_map(|(_, r)| r.take()) {
+            let id = *next_row_id;
+            *next_row_id += 1;
+            reindex(schema, indexes, id, None, Some(&row));
+            rows.push((id, row));
+        }
+        *version += 1;
+    }
+}
+
+/// Move row `id` from `old`'s bucket to `new`'s in every built index of
+/// the table (`None`: no row).
+fn reindex(
+    schema: &TableSchema,
+    indexes: &mut Indexes,
+    id: u64,
+    old: Option<&Row>,
+    new: Option<&Row>,
+) {
+    for (col, map) in indexes.iter_mut() {
+        let Some(ci) = schema.col_index(col) else { continue };
+        let (old, new) = (old.map(|r| &r[ci]), new.map(|r| &r[ci]));
+        if old == new {
+            continue;
+        }
+        if let Some(ids) = old.and_then(index_key).and_then(|k| map.get_mut(&k)) {
+            ids.retain(|x| *x != id);
+        }
+        if let Some(k) = new.and_then(index_key) {
+            map.entry(k).or_default().push(id);
+        }
+    }
+}
+
+/// The check every row a write set leaves passes, inserted or updated:
+/// the table's arity, NOT NULL, and a value of its column's type in each
+/// column (DSP0003).
+fn check_row(schema: &TableSchema, row: &Row) -> XdmResult<()> {
     if row.len() != schema.columns.len() {
         return Err(cerr(format!(
             "row arity {} does not match table {} ({} columns)",
@@ -1206,75 +1239,39 @@ fn validate_insert_shape(schema: &TableSchema, row: &Row) -> XdmResult<()> {
     Ok(())
 }
 
-fn pk_values(schema: &TableSchema, row: &Row) -> Vec<SqlValue> {
-    schema
-        .primary_key
-        .iter()
-        .filter_map(|c| schema.col_index(c).map(|i| row[i].clone()))
-        .collect()
+/// Committed row `id` of a table's rows. They are always sorted by row
+/// id: ids are allocated monotonically and deletes preserve order.
+fn committed_row(rows: &[(u64, Row)], id: u64) -> Option<&Row> {
+    let pos = rows.binary_search_by_key(&id, |(rid, _)| *rid).ok()?;
+    Some(&rows[pos].1)
 }
 
-/// A composite key as one hashable string, for the keys other prepared
-/// transactions claim ([`Held`]).
-fn key_fingerprint(key: &[SqlValue]) -> String {
-    key.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\u{1}")
-}
-
-/// Claim primary key `key` of `table` (whose data is `t`) for a write
-/// set: a DSP0003 primary key violation when a committed row, another
-/// prepared transaction (`held`) or an earlier op of the write set
-/// (`claims`) holds it. Like the rest of validation, the check sees
-/// the table as committed, so a key an earlier op of the same write
-/// set frees is still taken.
-fn claim_key<'a>(
-    t: &mut TableData,
-    table: &'a str,
-    key: Vec<SqlValue>,
-    held: &Held,
-    claims: &mut Claims<'a>,
-) -> XdmResult<()> {
-    let taken = pk_dup_check(t, &key)
-        || held.key(table, &key)
-        || claims.keys.iter().any(|(tn, k)| *tn == table && *k == key);
-    if taken {
-        let shown: Vec<String> = key.iter().map(|v| v.to_string()).collect();
-        return Err(XdmError::new(
-            ErrorCode::DSP0003,
-            format!("primary key violation on {table}: ({})", shown.join(", ")),
-        ));
+/// The ids in `probe`'s index bucket — a column and a value — building
+/// the column's index from the committed rows if absent; `None` when
+/// there is no probe.
+fn probe_bucket<'t>(
+    schema: &TableSchema,
+    rows: &[(u64, Row)],
+    indexes: &'t mut Indexes,
+    probe: Option<(&str, IndexKey)>,
+) -> Option<&'t [u64]> {
+    let (col, key) = probe?;
+    if !indexes.contains_key(col) {
+        indexes.insert(col.to_string(), build_index(schema, rows, col));
     }
-    claims.keys.push((table, key));
-    Ok(())
+    Some(indexes.get(col).and_then(|m| m.get(&key)).map_or(&[], Vec::as_slice))
 }
 
-/// Does a committed row with primary key `key` already exist?
-///
-/// A single-column indexable PK probes the secondary hash index —
-/// built lazily here if absent, exactly like indexed selects, and
-/// maintained incrementally by `commit` afterwards. This turns the
-/// per-insert duplicate check from O(rows) into O(1), which is the
-/// difference between O(n²) and O(n) for fixture loads and the
-/// paper's iterate-over-create loops (use case 3 / E3). Candidates
-/// are always re-verified against the actual key values, and
-/// multi-column, non-indexable, or NULL-bearing keys fall back to the
-/// full scan, so the answer is identical in every case.
-fn pk_dup_check(t: &mut TableData, key: &[SqlValue]) -> bool {
-    let TableData { schema, rows, indexes, .. } = t;
-    if let ([pk_col], [k]) = (&schema.primary_key[..], key) {
-        let ci = schema.col_index(pk_col).filter(|&ci| indexable_type(schema.columns[ci].ty));
-        if let (Some(ci), Some(probe)) = (ci, index_key(k)) {
-            if !indexes.contains_key(pk_col) {
-                indexes.insert(pk_col.clone(), build_index(schema, rows, pk_col));
-            }
-            return indexes.get(pk_col).and_then(|map| map.get(&probe)).is_some_and(|ids| {
-                ids.iter().any(|id| {
-                    rows.binary_search_by_key(id, |(rid, _)| *rid)
-                        .is_ok_and(|pos| rows[pos].1[ci] == *k)
-                })
-            });
-        }
-    }
-    rows.iter().any(|(_, r)| pk_values(schema, r) == key)
+/// The committed rows that can match: those of an index `bucket` (in
+/// the order the index keeps them), or every row when there is none.
+fn candidates<'t>(
+    rows: &'t [(u64, Row)],
+    bucket: Option<&'t [u64]>,
+) -> impl Iterator<Item = (u64, &'t Row)> {
+    let scan = if bucket.is_some() { &[][..] } else { rows };
+    let probed = bucket.unwrap_or_default().iter();
+    let probed = probed.filter_map(|id| Some((*id, committed_row(rows, *id)?)));
+    probed.chain(scan.iter().map(|(id, r)| (*id, r)))
 }
 
 fn cond_indices(
@@ -1347,22 +1344,13 @@ fn index_probe<'c>(schema: &TableSchema, cond: &'c Condition) -> Option<(&'c str
 /// against the full condition. Results come back in table (row-id)
 /// order, exactly like a full scan: buckets accumulate in maintenance
 /// order, so the ids are sorted first.
-fn probe_sorted_ids(
-    rows: &[(u64, Row)],
-    ids: Option<&Vec<u64>>,
-    idx: &[(usize, SqlValue)],
-) -> Vec<Row> {
-    let mut ids = ids.cloned().unwrap_or_default();
+fn probe_sorted_ids(rows: &[(u64, Row)], ids: &[u64], idx: &[(usize, SqlValue)]) -> Vec<Row> {
+    let mut ids = ids.to_vec();
     ids.sort_unstable();
     let mut hits = Vec::new();
     for id in ids {
-        // `rows` is always sorted by row id (ids are allocated
-        // monotonically and deletes preserve order).
-        if let Ok(pos) = rows.binary_search_by_key(&id, |(rid, _)| *rid) {
-            let (_, r) = &rows[pos];
-            if row_matches(r, idx) {
-                hits.push(r.clone());
-            }
+        if let Some(r) = committed_row(rows, id).filter(|r| row_matches(r, idx)) {
+            hits.push(r.clone());
         }
     }
     hits
@@ -1542,6 +1530,7 @@ impl TwoPhaseCoordinator {
 mod tests {
     use super::*;
     use crate::journal::CoordinatorJournal;
+    use xdm::qname::QName;
 
     fn people_schema() -> TableSchema {
         TableSchema {
@@ -2049,7 +2038,8 @@ mod tests {
         db.scan("PEOPLE").unwrap();
         db.select("PEOPLE", &vec![("ID".into(), SqlValue::Int(1))]).unwrap();
         assert_eq!(db.table_version("PEOPLE").unwrap(), v0);
-        // A committed write bumps exactly once per transaction.
+        // A committed write bumps exactly once per transaction. The
+        // delete matches the row the insert before it added.
         db.execute(vec![
             WriteOp::Insert {
                 table: "PEOPLE".into(),
@@ -2058,7 +2048,7 @@ mod tests {
             WriteOp::Delete {
                 table: "PEOPLE".into(),
                 cond: vec![("ID".into(), SqlValue::Int(3))],
-                expect_rows: 0,
+                expect_rows: 1,
             },
         ])
         .unwrap();
@@ -2149,21 +2139,126 @@ mod tests {
     }
 
     #[test]
-    fn rollback_drops_indexes_but_results_stay_correct() {
+    fn rollback_keeps_indexes_and_results_stay_correct() {
         let db = db_with_people();
         let cond = vec![("NAME".into(), SqlValue::Str("bob".into()))];
         assert_eq!(db.select_indexed("PEOPLE", &cond).unwrap().len(), 1);
-        assert!(!db.indexed_columns("PEOPLE").is_empty());
+        let indexed = db.indexed_columns("PEOPLE");
+        assert!(!indexed.is_empty());
         let t = fresh_tx();
         db.prepare(t, vec![people_update()]).unwrap();
         assert!(db.rollback_branch(t));
-        // Indexes dropped…
-        assert!(db.indexed_columns("PEOPLE").is_empty());
-        // …and lazily rebuilt with identical results.
+        // Prepare changed no row, so its indexes still hold…
+        assert_eq!(db.indexed_columns("PEOPLE"), indexed);
+        // …and answer as a scan does.
         assert_eq!(
             db.select_indexed("PEOPLE", &cond).unwrap(),
             db.select("PEOPLE", &cond).unwrap()
         );
+    }
+
+    /// Run `ops` on one `db_with_people` through `execute` and on another
+    /// through `prepare` + `commit_branch`. Both must agree on the
+    /// outcome and on the rows; the rows, or the refusal's code, come
+    /// back.
+    fn ordered(ops: Vec<WriteOp>) -> Result<Vec<(SqlValue, SqlValue)>, QName> {
+        let (auto, two_phase) = (db_with_people(), db_with_people());
+        let auto_run = auto.execute(ops.clone());
+        let t = fresh_tx();
+        let two_phase_run = two_phase.prepare(t, ops).and_then(|()| two_phase.commit_branch(t));
+        let code = |e: &XdmError| e.code.clone();
+        assert_eq!(auto_run.as_ref().err().map(code), two_phase_run.as_ref().err().map(code));
+        assert_eq!(people(&auto), people(&two_phase));
+        auto_run.map(|()| people(&auto)).map_err(|e| e.code)
+    }
+
+    fn person(id: i64, name: &str) -> (SqlValue, SqlValue) {
+        (SqlValue::Int(id), SqlValue::Str(name.into()))
+    }
+
+    fn delete_id(id: i64) -> WriteOp {
+        WriteOp::Delete {
+            table: "PEOPLE".into(),
+            cond: vec![("ID".into(), SqlValue::Int(id))],
+            expect_rows: 1,
+        }
+    }
+
+    fn rename(id: i64, name: &str) -> WriteOp {
+        WriteOp::Update {
+            table: "PEOPLE".into(),
+            set: vec![("NAME".into(), SqlValue::Str(name.into()))],
+            cond: vec![("ID".into(), SqlValue::Int(id))],
+            expect_rows: 1,
+        }
+    }
+
+    fn insert_person(id: i64, name: &str) -> WriteOp {
+        WriteOp::Insert {
+            table: "PEOPLE".into(),
+            row: vec![SqlValue::Int(id), SqlValue::Str(name.into()), SqlValue::Null],
+        }
+    }
+
+    #[test]
+    fn a_write_set_frees_a_key_and_takes_it_again() {
+        // The row leaves and a new one takes its key: it is appended.
+        let rows = ordered(vec![delete_id(1), insert_person(1, "new")]);
+        assert_eq!(rows, Ok(vec![person(2, "bob"), person(1, "new")]));
+        // The key swap, through a third key.
+        let rows = ordered(vec![move_key(1, 3), move_key(2, 1), move_key(3, 2)]);
+        assert_eq!(rows, Ok(vec![person(2, "ann"), person(1, "bob")]));
+        let rows = ordered(vec![move_key(1, 3), move_key(2, 1)]);
+        assert_eq!(rows, Ok(vec![person(3, "ann"), person(1, "bob")]));
+    }
+
+    #[test]
+    fn an_update_matches_the_row_an_earlier_insert_added() {
+        let rows = ordered(vec![insert_person(3, "cat"), rename(3, "kit")]);
+        assert_eq!(rows, Ok(vec![person(1, "ann"), person(2, "bob"), person(3, "kit")]));
+    }
+
+    #[test]
+    fn an_op_matches_nothing_an_earlier_op_deleted() {
+        let dsp0001 = Err(ErrorCode::DSP0001.qname());
+        assert_eq!(ordered(vec![delete_id(1), rename(1, "X")]), dsp0001);
+        assert_eq!(ordered(vec![delete_id(1), delete_id(1)]), dsp0001);
+    }
+
+    #[test]
+    fn a_prepared_delete_removes_only_the_row_prepare_pinned() {
+        let db = db_with_people();
+        let branch = fresh_tx();
+        let bob = vec![("NAME".into(), SqlValue::Str("bob".into()))];
+        db.prepare(
+            branch,
+            vec![WriteOp::Delete { table: "PEOPLE".into(), cond: bob.clone(), expect_rows: 1 }],
+        )
+        .unwrap();
+        // A second bob is no row the branch pins.
+        db.execute(vec![insert_person(3, "bob")]).unwrap();
+        assert!(db.commit_branch(branch).unwrap());
+        assert_eq!(people(&db), vec![person(1, "ann"), person(3, "bob")]);
+        assert_eq!(db.select_indexed("PEOPLE", &bob).unwrap(), db.select("PEOPLE", &bob).unwrap());
+    }
+
+    #[test]
+    fn an_updated_row_is_checked_as_an_inserted_row_is() {
+        let db = db_with_people();
+        let before = db.scan("PEOPLE").unwrap();
+        for (column, value) in [("AGE", SqlValue::Str("old".into())), ("NAME", SqlValue::Null)] {
+            let set_one = WriteOp::Update {
+                table: "PEOPLE".into(),
+                set: vec![(column.into(), value)],
+                cond: vec![("ID".into(), SqlValue::Int(1))],
+                expect_rows: 1,
+            };
+            let err = db.execute(vec![set_one.clone()]).unwrap_err();
+            assert!(err.is(ErrorCode::DSP0003), "{err}");
+            let err = db.prepare(fresh_tx(), vec![set_one]).unwrap_err();
+            assert!(err.is(ErrorCode::DSP0003), "{err}");
+            assert_eq!(db.scan("PEOPLE").unwrap(), before, "a refused update changes nothing");
+        }
     }
 
     #[test]

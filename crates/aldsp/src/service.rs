@@ -331,7 +331,7 @@ impl DataSpace {
         let body = decl.body.as_ref().ok_or_else(|| {
             XdmError::new(ErrorCode::DSP0002, "primary read function is external")
         })?;
-        let resolver = introspect::source_resolver(&self.services.borrow());
+        let resolver = introspect::source_resolver(&self.services.borrow())?;
         let lineage = crate::lineage::analyze(body, &resolver)?;
         let mut methods: Vec<Method> = module
             .prolog

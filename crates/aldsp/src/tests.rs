@@ -9,7 +9,7 @@ use xdm::sequence::{Item, Sequence};
 
 use crate::decompose::{OccPolicy, UpdateOverride};
 use crate::demo;
-use crate::rel::{SqlValue, WriteOp};
+use crate::rel::{Column, ColumnType, Database, SqlValue, TableSchema, WriteOp};
 use xqeval::Features;
 
 fn demo3() -> demo::Demo {
@@ -331,6 +331,33 @@ fn create_instance_decomposes_across_sources() {
             .len(),
         1
     );
+}
+
+#[test]
+fn decomposition_types_values_by_the_lineage_it_is_given() {
+    let d = demo3();
+    // Another space on the same thread registers a source of the same
+    // name whose CUSTOMER has three columns, not four.
+    let other = Database::new("db1");
+    other
+        .create_table(TableSchema {
+            name: "CUSTOMER".into(),
+            columns: vec![
+                Column::required("CID", ColumnType::Integer),
+                Column::required("NAME", ColumnType::Varchar),
+                Column::nullable("NOTE", ColumnType::Varchar),
+            ],
+            primary_key: vec!["CID".into()],
+            foreign_keys: vec![],
+        })
+        .unwrap();
+    crate::service::DataSpace::new().register_relational_source(&other).unwrap();
+    let xml = "<CustomerProfile><CID>98</CID><LAST_NAME>Own</LAST_NAME>\
+               <FIRST_NAME>Schema</FIRST_NAME><Orders/><CreditCards/></CustomerProfile>";
+    let doc = xmlparse::parse(xml).unwrap();
+    d.space.create_instance("CustomerProfile", &doc.children()[0]).unwrap();
+    assert_eq!(last_name_in_db(&d, 98), "Own");
+    assert_eq!(other.row_count("CUSTOMER").unwrap(), 0);
 }
 
 #[test]

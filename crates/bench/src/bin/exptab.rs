@@ -1,17 +1,21 @@
 //! exptab — regenerate every table/figure of the constructed
 //! evaluation (DESIGN.md §4) and print them in row form.
 //!
-//! Usage: `cargo run --release -p xqse-bench --bin exptab [quick|full] [--json] [--out DIR]`
+//! Usage: `cargo run --release -p xqse-bench --bin exptab [quick|full] [--json] [--out DIR]
+//! [--only ID]`
 //!
 //! `quick` (default) uses smaller scales so the whole suite finishes
 //! in well under a minute; `full` uses the scales recorded in
 //! EXPERIMENTS.md. `--json` additionally writes one machine-readable
 //! `BENCH_<ID>.json` per experiment (to the current directory, or to
 //! `--out DIR`) — `scripts/check.sh` diffs these against the
-//! checked-in baselines to flag perf regressions.
-
+//! checked-in baselines to flag perf regressions. `--only ID` runs one
+//! experiment. An unknown argument, or an `--only` ID that names no
+//! experiment, prints the usage and exits 2 before anything runs;
+//! `--help` prints it and exits 0.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use aldsp::decompose::OccPolicy;
 use aldsp::rel::{SqlValue, TwoPhaseCoordinator, TxOutcome, WriteOp};
@@ -84,85 +88,79 @@ impl Reporter {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "full");
+const USAGE: &str = "usage: exptab [quick | full] [--json] [--out DIR] [--only ID]\n\
+    \x20 quick (the default) or full: the scales of the run\n\
+    \x20 --json: also write BENCH_<ID>.json, into DIR (default: .)\n\
+    \x20 --only ID: run that experiment only (E1-E14, E16, E17)";
+
+/// Print the usage to stderr, and exit with `code`.
+fn usage(code: u8) -> ExitCode {
+    eprintln!("{USAGE}");
+    ExitCode::from(code)
+}
+
+fn main() -> ExitCode {
+    let mut full = false;
     let mut json = false;
     let mut out_dir = PathBuf::from(".");
     let mut only: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
+            "quick" => full = false,
+            "full" => full = true,
             "--json" => json = true,
-            "--out" => {
-                if let Some(d) = it.next() {
-                    out_dir = PathBuf::from(d);
-                }
+            "--out" => match args.next() {
+                Some(d) => out_dir = PathBuf::from(d),
+                None => return usage(2),
+            },
+            "--only" => match args.next() {
+                Some(id) => only = Some(id),
+                None => return usage(2),
+            },
+            "--help" | "-h" => return usage(0),
+            other => {
+                eprintln!("exptab: unknown argument {other:?}");
+                return usage(2);
             }
-            "--only" => {
-                if let Some(id) = it.next() {
-                    only = Some(id.to_string());
-                }
-            }
-            _ => {}
         }
     }
     let r = Reporter {
         json_dir: json.then_some(out_dir),
         mode: if full { "full" } else { "quick" },
     };
-    // `--only E14` reruns a single experiment (the check.sh serving
-    // arm uses it so the tripwire doesn't pay for the full table).
-    let want = |id: &str| only.as_deref().is_none_or(|o| o.eq_ignore_ascii_case(id));
     let reps = if full { 7 } else { 3 };
-    if want("E1") {
-        e1_getprofile(full, reps, &r);
+    let experiments: &[(&str, &dyn Fn())] = &[
+        ("E1", &|| e1_getprofile(full, reps, &r)),
+        ("E2", &|| e2_mgmtchain(full, reps, &r)),
+        ("E3", &|| e3_etl(full, reps, &r)),
+        ("E4", &|| e4_replicate(full, reps, &r)),
+        ("E5", &|| e5_decompose(full, reps, &r)),
+        ("E6", &|| e6_occ(full, &r)),
+        ("E7", &|| e7_xqueryp(full, reps, &r)),
+        ("E8", &|| e8_parser(reps, &r)),
+        ("E9", &|| e9_xa(full, &r)),
+        ("E10", &|| e10_udelete(full, reps, &r)),
+        ("E11", &|| e11_join_ablation(full, reps, &r)),
+        ("E12", &|| e12_pushdown(full, reps, &r)),
+        ("E13", &|| e13_prepared(full, reps, &r)),
+        ("E14", &|| e14_serve(full, &r)),
+        ("E16", &|| e16_zero_copy(full, reps, &r)),
+        ("E17", &|| e17_lazy_streaming(full, reps, &r)),
+    ];
+    // `--only E3` reruns a single experiment (`scripts/exptab_ab.py`
+    // alternates one experiment between two builds with it).
+    let want = |id: &str| only.as_deref().is_none_or(|o| o.eq_ignore_ascii_case(id));
+    if !experiments.iter().any(|(id, _)| want(id)) {
+        eprintln!("exptab: no experiment {:?}", only.as_deref().unwrap_or_default());
+        return usage(2);
     }
-    if want("E2") {
-        e2_mgmtchain(full, reps, &r);
+    for (id, run) in experiments {
+        if want(id) {
+            run();
+        }
     }
-    if want("E3") {
-        e3_etl(full, reps, &r);
-    }
-    if want("E4") {
-        e4_replicate(full, reps, &r);
-    }
-    if want("E5") {
-        e5_decompose(full, reps, &r);
-    }
-    if want("E6") {
-        e6_occ(full, &r);
-    }
-    if want("E7") {
-        e7_xqueryp(full, reps, &r);
-    }
-    if want("E8") {
-        e8_parser(reps, &r);
-    }
-    if want("E9") {
-        e9_xa(full, &r);
-    }
-    if want("E10") {
-        e10_udelete(full, reps, &r);
-    }
-    if want("E11") {
-        e11_join_ablation(full, reps, &r);
-    }
-    if want("E12") {
-        e12_pushdown(full, reps, &r);
-    }
-    if want("E13") {
-        e13_prepared(full, reps, &r);
-    }
-    if want("E14") {
-        e14_serve(full, &r);
-    }
-    if want("E16") {
-        e16_zero_copy(full, reps, &r);
-    }
-    if want("E17") {
-        e17_lazy_streaming(full, reps, &r);
-    }
+    ExitCode::SUCCESS
 }
 
 /// E17: pipelined lazy evaluation ablation. Three early-exit read

@@ -20,6 +20,10 @@
 //! engine in the process; a bad spec in either is a usage error.
 //! `--doc` registers an XML file so `fn:doc("URI")` resolves.
 //!
+//! Everything runs on one thread started with the serving workers'
+//! stack (`aldsp::pool::WORKER_STACK_BYTES`), so a text nested to the
+//! parser's limit parses and evaluates in a debug build too.
+//!
 //! In script mode the result is serialized **incrementally**: items
 //! are written (and stdout flushed) as the evaluator produces them,
 //! so time-to-first-byte of a FLWOR body tracks the first tuple, not
@@ -280,6 +284,24 @@ fn serve_bench(
 }
 
 fn main() -> ExitCode {
+    // Parsing and evaluation recurse as deep as the query nests: they run
+    // on a thread with a serving worker's stack, on which a text at the
+    // parser's nesting limit parses and evaluates in any build.
+    let thread = std::thread::Builder::new()
+        .name("xqsh".into())
+        .stack_size(aldsp::pool::WORKER_STACK_BYTES)
+        .spawn(run);
+    match thread.map(|t| t.join()) {
+        Ok(Ok(status)) => status,
+        Ok(Err(panic)) => std::panic::resume_unwind(panic),
+        Err(e) => {
+            eprintln!("xqsh: cannot start the evaluation thread: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> ExitCode {
     // Every engine reads XQSE_FEATURES and panics on a bad spec; report
     // it as a usage error before building any.
     let mut features = match Features::from_env() {

@@ -266,3 +266,37 @@ fn invalid_feature_spec_is_a_usage_error() {
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("lazzy"), "{err}");
 }
+
+/// Run `input` through `xqsh -`: its stdout, stderr and exit code
+/// (`None` when a signal ended it, as an overflowed stack's abort does).
+fn run_stdin_code(input: &str) -> (String, String, Option<i32>) {
+    let mut child = xqsh()
+        .arg("-")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn xqsh");
+    child.stdin.take().expect("stdin").write_all(input.as_bytes()).expect("write");
+    let out = child.wait_with_output().expect("wait");
+    (
+        String::from_utf8_lossy(&out.stdout).to_string(),
+        String::from_utf8_lossy(&out.stderr).to_string(),
+        out.status.code(),
+    )
+}
+
+/// A text nested as deep as the parser accepts parses and evaluates on
+/// `xqsh`'s evaluation thread in this (debug) build, and a deeper one is
+/// refused with a typed error; neither overflows the stack.
+#[test]
+fn nesting_at_the_parser_limit_runs_and_deeper_is_refused() {
+    let nested = format!("{}1{}", "fn:abs(".repeat(255), ")".repeat(255));
+    let (stdout, stderr, code) = run_stdin_code(&nested);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(stdout.trim(), "1");
+    let (_, stderr, code) = run_stdin_code(&"(".repeat(100_000));
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("[XPST0003]"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 256 levels"), "{stderr}");
+}

@@ -15,7 +15,7 @@ use xqse_repro::aldsp::{
 };
 use xqse_repro::xdm::decimal::Decimal;
 use xqse_repro::xdm::node::{NodeHandle, NodeKind};
-use xqse_repro::xdm::error::XdmError;
+use xqse_repro::xdm::error::{ErrorCode, XdmError};
 use xqse_repro::xdm::qname::QName;
 use xqse_repro::xdm::sequence::{Item, Sequence};
 use xqse_repro::xmlparse::{parse, serialize, serialize_sequence};
@@ -1103,5 +1103,268 @@ proptest! {
             prop_assert_eq!(literal.replace(&text, r), grouped.replace(&text, r), "replace {}", on);
         }
         prop_assert!(literal.replace(&text, "$1").is_err());
+    }
+}
+
+// ------------------------------------- ordered write sets against a model
+
+/// The keyed table the write-set model runs over. Its key, `ID`, is
+/// column 0.
+fn keyed_schema() -> TableSchema {
+    TableSchema {
+        name: "PEOPLE".into(),
+        columns: vec![
+            Column::required("ID", ColumnType::Integer),
+            Column::required("NAME", ColumnType::Varchar),
+            Column::nullable("AGE", ColumnType::Integer),
+        ],
+        primary_key: vec!["ID".into()],
+        foreign_keys: vec![],
+    }
+}
+
+fn column(name: &str) -> usize {
+    keyed_schema().col_index(name).unwrap()
+}
+
+fn keyed_db(rows: &[Vec<SqlValue>]) -> Database {
+    let db = Database::new("db1");
+    db.create_table(keyed_schema()).unwrap();
+    for row in rows {
+        db.insert("PEOPLE", row.clone()).unwrap();
+    }
+    db
+}
+
+/// The model's copy of the row check: the arity, NOT NULL and each
+/// column's type.
+fn model_row_ok(row: &[SqlValue]) -> bool {
+    matches!(row, [SqlValue::Int(_), SqlValue::Str(_), SqlValue::Int(_) | SqlValue::Null])
+}
+
+fn model_matches(row: &[SqlValue], cond: &[(String, SqlValue)]) -> bool {
+    cond.iter().all(|(c, v)| row[column(c)] == *v)
+}
+
+/// The rows `op`'s condition matches in `rows` (none for an insert).
+fn model_hits(rows: &[Vec<SqlValue>], op: &WriteOp) -> Vec<usize> {
+    let cond = match op {
+        WriteOp::Insert { .. } => return Vec::new(),
+        WriteOp::Update { cond, .. } | WriteOp::Delete { cond, .. } => cond,
+    };
+    (0..rows.len()).filter(|&i| model_matches(&rows[i], cond)).collect()
+}
+
+/// Apply one op to the model's rows, in the check order `rel`'s stage
+/// states: the expected count (DSP0001), then, for each row the op
+/// leaves, the row check and then a unique key (DSP0003). An updated
+/// row keeps its place; an inserted row goes last. A refused op may
+/// leave `rows` half changed: the write set's outcome is the refusal.
+fn model_apply(rows: &mut Vec<Vec<SqlValue>>, op: &WriteOp) -> Result<(), QName> {
+    let dsp = |code: ErrorCode| Err(code.qname());
+    let key_free = |rows: &[Vec<SqlValue>], row: &[SqlValue], except: Option<usize>| {
+        (0..rows.len()).all(|j| Some(j) == except || rows[j][0] != row[0])
+    };
+    let hits = model_hits(rows, op);
+    match op {
+        WriteOp::Insert { row, .. } => {
+            if !model_row_ok(row) || !key_free(rows, row, None) {
+                return dsp(ErrorCode::DSP0003);
+            }
+            rows.push(row.clone());
+        }
+        WriteOp::Update { set, expect_rows, .. } => {
+            if hits.len() != *expect_rows {
+                return dsp(ErrorCode::DSP0001);
+            }
+            for i in hits {
+                let mut row = rows[i].clone();
+                for (c, v) in set {
+                    row[column(c)] = v.clone();
+                }
+                if !model_row_ok(&row) || !key_free(rows, &row, Some(i)) {
+                    return dsp(ErrorCode::DSP0003);
+                }
+                rows[i] = row;
+            }
+        }
+        WriteOp::Delete { expect_rows, .. } => {
+            if hits.len() != *expect_rows {
+                return dsp(ErrorCode::DSP0001);
+            }
+            for i in hits.into_iter().rev() {
+                rows.remove(i);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Run `ops` over a keyed table holding `initial` three ways: the model,
+/// which applies them in order to a `Vec`; `execute`; and `prepare` +
+/// `commit_branch` on a second copy. All three must agree on the
+/// outcome (committed, or refused with the same code) and on the rows
+/// left.
+fn check_ordered_write_set(
+    initial: &[Vec<SqlValue>],
+    ops: Vec<WriteOp>,
+) -> Result<(), TestCaseError> {
+    let mut model = initial.to_vec();
+    let model_run = ops.iter().try_for_each(|op| model_apply(&mut model, op));
+    let (auto, two_phase) = (keyed_db(initial), keyed_db(initial));
+    let auto_run = auto.execute(ops.clone()).map_err(|e| e.code);
+    let tx = xqse_repro::aldsp::rel::fresh_tx();
+    let two_phase_run = two_phase
+        .prepare(tx, ops.clone())
+        .and_then(|()| two_phase.commit_branch(tx))
+        .map(|_| ())
+        .map_err(|e| e.code);
+    let sql: Vec<String> = ops.iter().map(WriteOp::to_sql).collect();
+    prop_assert_eq!(&auto_run, &model_run, "execute vs the model: {:?}", sql);
+    prop_assert_eq!(&two_phase_run, &model_run, "prepare + commit vs the model: {:?}", sql);
+    let left = if model_run.is_ok() { model } else { initial.to_vec() };
+    prop_assert_eq!(auto.scan("PEOPLE").unwrap(), left.clone(), "execute left: {:?}", sql);
+    prop_assert_eq!(two_phase.scan("PEOPLE").unwrap(), left, "commit left: {:?}", sql);
+    Ok(())
+}
+
+fn person(id: i64, name: &str) -> Vec<SqlValue> {
+    vec![SqlValue::Int(id), SqlValue::Str(name.into()), SqlValue::Null]
+}
+
+fn by_id(id: i64) -> Vec<(String, SqlValue)> {
+    vec![("ID".into(), SqlValue::Int(id))]
+}
+
+/// A value for one of the keyed table's columns: mostly well typed, now
+/// and then one the row check refuses (a string in `AGE`, NULL in
+/// `NAME`).
+fn column_value_strategy() -> impl Strategy<Value = (String, SqlValue)> {
+    let name = || prop_oneof![Just("ann"), Just("bob"), Just("cat")];
+    let named = |n: &str| ("NAME".to_string(), SqlValue::Str(n.into()));
+    let aged = |a| ("AGE".to_string(), SqlValue::Int(a));
+    prop_oneof![
+        name().prop_map(named),
+        name().prop_map(named),
+        (30i64..=31).prop_map(aged),
+        (30i64..=31).prop_map(aged),
+        Just(("AGE".to_string(), SqlValue::Null)),
+        Just(("AGE".to_string(), SqlValue::Str("old".into()))),
+        Just(("NAME".to_string(), SqlValue::Null)),
+    ]
+}
+
+/// One op over IDs 1–6 — an insert, an update that moves a key, a plain
+/// update, or a delete — and whether its `expect_rows` is to be what the
+/// model counts when the op runs (four times in five; otherwise it is
+/// the drawn 0–2).
+fn write_op_strategy() -> impl Strategy<Value = (WriteOp, bool)> {
+    let cond = || {
+        prop_oneof![
+            (1i64..=6).prop_map(by_id),
+            prop_oneof![Just("ann"), Just("bob")]
+                .prop_map(|n| vec![("NAME".to_string(), SqlValue::Str(n.into()))]),
+        ]
+    };
+    let op = prop_oneof![
+        (1i64..=6, prop_oneof![Just("ann"), Just("bob")], column_value_strategy()).prop_map(
+            |(id, name, (c, v))| {
+                let mut row = person(id, name);
+                row[column(&c)] = v;
+                WriteOp::Insert { table: "PEOPLE".into(), row }
+            }
+        ),
+        (1i64..=6, 1i64..=6, 0usize..=2).prop_map(|(from, to, expect_rows)| WriteOp::Update {
+            table: "PEOPLE".into(),
+            set: by_id(to),
+            cond: by_id(from),
+            expect_rows,
+        }),
+        (column_value_strategy(), cond(), 0usize..=2).prop_map(
+            |(set, cond, expect_rows)| WriteOp::Update {
+                table: "PEOPLE".into(),
+                set: vec![set],
+                cond,
+                expect_rows,
+            }
+        ),
+        (cond(), 0usize..=2).prop_map(|(cond, expect_rows)| WriteOp::Delete {
+            table: "PEOPLE".into(),
+            cond,
+            expect_rows,
+        }),
+    ];
+    (op, (0u8..5).prop_map(|n| n < 4))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A write set means applying its ops in order: `execute`, and
+    /// `prepare` + `commit_branch`, agree with a model that applies them
+    /// to a `Vec` with unique keys, exact expected counts and the row
+    /// check.
+    #[test]
+    fn write_sets_agree_with_an_ordered_model(
+        initial in proptest::collection::vec(
+            (1i64..=6, prop_oneof![Just("ann"), Just("bob"), Just("cat")]),
+            0..7,
+        ),
+        drawn in proptest::collection::vec(write_op_strategy(), 1..6),
+    ) {
+        // One row per drawn ID, in ID order.
+        let initial: Vec<Vec<SqlValue>> = initial
+            .into_iter()
+            .collect::<std::collections::BTreeMap<_, _>>()
+            .into_iter()
+            .map(|(id, name)| person(id, name))
+            .collect();
+        // Most ops expect what the model counts when they run, so that
+        // most write sets commit.
+        let mut state = initial.clone();
+        let mut running = true;
+        let ops = drawn
+            .into_iter()
+            .map(|(mut op, follow)| {
+                let count = model_hits(&state, &op).len();
+                if let WriteOp::Update { expect_rows, .. } | WriteOp::Delete { expect_rows, .. } =
+                    &mut op
+                {
+                    if follow && running {
+                        *expect_rows = count;
+                    }
+                }
+                running = running && model_apply(&mut state, &op).is_ok();
+                op
+            })
+            .collect();
+        check_ordered_write_set(&initial, ops)?;
+    }
+}
+
+/// The property's seeds: with `PEOPLE` holding 1 (`ann`) and 2 (`bob`),
+/// a key freed and taken again, a key swap, an update of a row an
+/// insert added, and an update and a delete of a row an earlier op
+/// deleted.
+#[test]
+fn ordered_write_set_seeds_agree_with_the_model() {
+    let initial = [person(1, "ann"), person(2, "bob")];
+    let delete = |id| WriteOp::Delete { table: "PEOPLE".into(), cond: by_id(id), expect_rows: 1 };
+    let update = |set, id| WriteOp::Update {
+        table: "PEOPLE".into(),
+        set,
+        cond: by_id(id),
+        expect_rows: 1,
+    };
+    let insert = |id| WriteOp::Insert { table: "PEOPLE".into(), row: person(id, "new") };
+    let rename = vec![("NAME".to_string(), SqlValue::Str("X".into()))];
+    for ops in [
+        vec![delete(1), insert(1)],
+        vec![update(by_id(3), 1), update(by_id(1), 2)],
+        vec![insert(3), update(rename.clone(), 3)],
+        vec![delete(1), update(rename, 1)],
+        vec![delete(1), delete(1)],
+    ] {
+        check_ordered_write_set(&initial, ops).unwrap();
     }
 }
