@@ -84,6 +84,13 @@ pub enum AldspCode {
     /// The request exceeded its XDM allocation ceiling while
     /// constructing results. Not retryable.
     MemoryLimit,
+    /// A user function or procedure call would have left less than its
+    /// reserve of the stack the serving thread started on
+    /// (`xqeval::depth`): the program recursed too deep. Raised instead
+    /// of overflowing the stack, which would abort the process. Not a
+    /// budget outcome, and not retryable: the same program recurses as
+    /// deep again.
+    DepthLimit,
     /// The serving pool shed the request at admission: the queue was
     /// full, or queue wait had already consumed the deadline. The
     /// request was never dispatched — no work was started, nothing to
@@ -112,6 +119,7 @@ impl AldspCode {
             AldspCode::DeadlineExceeded => "DEADLINE_EXCEEDED",
             AldspCode::FuelExhausted => "FUEL_EXHAUSTED",
             AldspCode::MemoryLimit => "MEMORY_LIMIT",
+            AldspCode::DepthLimit => "DEPTH_LIMIT",
             AldspCode::Overloaded => "OVERLOADED",
             AldspCode::Cancelled => "CANCELLED",
         }
@@ -155,6 +163,7 @@ impl AldspCode {
             "DEADLINE_EXCEEDED" => Some(AldspCode::DeadlineExceeded),
             "FUEL_EXHAUSTED" => Some(AldspCode::FuelExhausted),
             "MEMORY_LIMIT" => Some(AldspCode::MemoryLimit),
+            "DEPTH_LIMIT" => Some(AldspCode::DepthLimit),
             "OVERLOADED" => Some(AldspCode::Overloaded),
             "CANCELLED" => Some(AldspCode::Cancelled),
         _ => None,
@@ -194,6 +203,7 @@ mod taxonomy_tests {
             AldspCode::DeadlineExceeded,
             AldspCode::FuelExhausted,
             AldspCode::MemoryLimit,
+            AldspCode::DepthLimit,
             AldspCode::Overloaded,
             AldspCode::Cancelled,
         ] {
@@ -221,6 +231,7 @@ mod taxonomy_tests {
         assert!(!AldspCode::DeadlineExceeded.retryable());
         assert!(!AldspCode::FuelExhausted.retryable());
         assert!(!AldspCode::MemoryLimit.retryable());
+        assert!(!AldspCode::DepthLimit.retryable());
         assert!(!AldspCode::Overloaded.retryable());
         assert!(!AldspCode::Cancelled.retryable());
     }
@@ -246,6 +257,7 @@ mod taxonomy_tests {
             );
             assert!(!is_retryable(&e));
         }
+        assert_eq!(xqeval::depth::DEPTH_LIMIT, AldspCode::DepthLimit.local());
     }
 
     #[test]

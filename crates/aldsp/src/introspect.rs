@@ -30,10 +30,10 @@ use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
 use xqeval::engine::SourceSelectFn;
-use xqeval::{ColClass, Engine, Env, OptCounters, SourceCapability};
+use xqeval::{Args, ColClass, Engine, Env, OptCounters, SourceCapability};
 
 use crate::lineage::SourceRef;
-use crate::rel::{ColumnType, Condition, Database, SqlValue, TableSchema, WriteOp};
+use crate::rel::{Change, ColumnType, Condition, Database, SqlValue, TableSchema};
 use crate::service::{DataService, Method, MethodKind, ServiceKind, SourceBinding};
 use crate::ws::WebService;
 use crate::xmlmap::{self, service_namespace};
@@ -57,7 +57,7 @@ pub fn introspect_relational(
         let mut methods = Vec::new();
 
         // Read method: TABLE() returns all rows as XML.
-        let select = register_read_all(engine, db, &schema, &ns);
+        let select = register_read_all(engine, db, &schema, &ns)?;
         methods.push(Method { name: table.clone(), kind: MethodKind::Read, arity: 0 });
 
         // Keyed read helper for single-column PKs: getBy<PK>($v) — the
@@ -73,7 +73,7 @@ pub fn introspect_relational(
         }
 
         // C/U/D procedures.
-        register_cud(engine, db, &schema, &ns);
+        register_cud(engine, db, &schema, &ns)?;
         for (n, k) in [
             (format!("create{table}"), MethodKind::Create),
             (format!("update{table}"), MethodKind::Update),
@@ -89,7 +89,7 @@ pub fn introspect_relational(
             let other_schema = db.schema(other)?;
             for fk in &other_schema.foreign_keys {
                 if &fk.ref_table == table {
-                    register_navigation(engine, db, &schema, &other_schema, fk, &ns);
+                    register_navigation(engine, db, &schema, &other_schema, fk, &ns)?;
                     methods.push(Method {
                         name: format!("get{other}"),
                         kind: MethodKind::Navigation,
@@ -155,7 +155,10 @@ fn register_read_all(
     db: &Database,
     schema: &TableSchema,
     ns: &str,
-) -> SourceSelectFn {
+) -> XdmResult<SourceSelectFn> {
+    // The table, resolved once: the version probes, the keyed selects
+    // and the scans below read it without the catalog.
+    let t = db.table(&schema.name)?;
     let features = engine.features_handle();
     let counters = engine.opt_counters();
 
@@ -199,7 +202,7 @@ fn register_read_all(
         .filter_map(|c| col_class(c.ty).map(|cl| (c.name.clone(), cl)))
         .collect();
     let select: SourceSelectFn = {
-        let db = db.clone();
+        let t = t.clone();
         let schema = schema.clone();
         let ns = ns.to_string();
         let table = schema.name.clone();
@@ -215,7 +218,7 @@ fn register_read_all(
                 ck.push_str(col);
                 ck.push('\u{1}');
                 ck.push_str(key);
-                let live = db.table_version(&table).unwrap_or(0);
+                let live = t.version();
                 if let Some((served, seq)) = select_cache.borrow_mut().get(ck.as_str()) {
                     if *served == live {
                         return Ok(seq.clone());
@@ -240,7 +243,7 @@ fn register_read_all(
             };
             OptCounters::bump(&counters.indexed_selects);
             let cond = vec![(col.to_string(), v)];
-            let (served, rows) = db.select_indexed_versioned(&table, &cond)?;
+            let (served, rows) = t.select_indexed_versioned(&cond)?;
             let seq = xmlmap::rows_to_sequence(&schema, &ns, &rows);
             if batching {
                 seal_sequence(&seq);
@@ -251,20 +254,18 @@ fn register_read_all(
         })
     };
     let version = {
-        let db = db.clone();
-        let table = schema.name.clone();
-        Rc::new(move || db.table_version(&table).unwrap_or(0)) as Rc<dyn Fn() -> u64>
+        let t = t.clone();
+        Rc::new(move || t.version()) as Rc<dyn Fn() -> u64>
     };
     let served_version = {
         let mat = mat.clone();
-        let db = db.clone();
-        let table = schema.name.clone();
+        let t = t.clone();
         Rc::new(move || match &*mat.borrow() {
             // The read function last served this snapshot (under
             // breaker-open degradation it is *older* than the live
             // version, so derived caches stamp themselves stale).
             Some((v, _)) => *v,
-            None => db.table_version(&table).unwrap_or(0),
+            None => t.version(),
         }) as Rc<dyn Fn() -> u64>
     };
     engine.register_source_capability(
@@ -286,7 +287,7 @@ fn register_read_all(
                 return Ok(xmlmap::rows_to_sequence(&schema, &ns, &rows));
             }
             let known = mat.borrow().as_ref().map(|(v, _)| *v);
-            let (ver, rows) = db.scan_if_changed(&table, known)?;
+            let (ver, rows) = t.scan_if_changed(known)?;
             match rows {
                 None => {
                     // Version unchanged: the cached tree is exact.
@@ -316,7 +317,7 @@ fn register_read_all(
             }
         }),
     );
-    select
+    Ok(select)
 }
 
 /// `getBy<PK>($v)`: the row whose primary key is `$v`, or `()`. Under
@@ -372,11 +373,19 @@ fn register_read_by_key(
     Ok(())
 }
 
-fn register_cud(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) {
+fn register_cud(
+    engine: &Engine,
+    db: &Database,
+    schema: &TableSchema,
+    ns: &str,
+) -> XdmResult<()> {
     let table = schema.name.clone();
+    // Each procedure writes through the table resolved once, as a
+    // one-op write set on it.
+    let t = db.table(&table)?;
     // create<TABLE>($row as element(TABLE)) → key element.
     {
-        let db = db.clone();
+        let t = t.clone();
         let schema = schema.clone();
         let table = table.clone();
         // Built once, not per call: the error label, the key element's
@@ -411,22 +420,22 @@ fn register_cud(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) 
                     c.append_child(&NodeHandle::new_text(&arena, xmlmap::text_of(&row[*i])))?;
                     key.append_child(&c)?;
                 }
-                db.execute(vec![WriteOp::Insert { table: table.clone(), row }])?;
+                t.execute(Change::Insert(row))?;
                 Ok(Sequence::one(Item::Node(key)))
             }),
         );
     }
     // update<TABLE>($row): keyed update of all non-key columns.
     {
-        let db = db.clone();
+        let t = t.clone();
         let schema = schema.clone();
-        let table = table.clone();
+        let what = format!("update{table}");
         engine.register_external_procedure(
-            QName::with_ns(ns.to_string(), format!("update{table}")),
+            QName::with_ns(ns, what.as_str()),
             1,
             false,
             Rc::new(move |_env, args| {
-                let elem = one_element(&args, &format!("update{table}"))?;
+                let elem = one_element(&args, &what)?;
                 let row = xmlmap::xml_to_row(&schema, &elem)?;
                 let cond = pk_condition(&schema, &row)?;
                 let set: Condition = schema
@@ -436,27 +445,21 @@ fn register_cud(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) 
                     .filter(|(c, _)| !schema.primary_key.contains(&c.name))
                     .map(|(c, v)| (c.name.clone(), v.clone()))
                     .collect();
-                db.execute(vec![WriteOp::Update {
-                    table: table.clone(),
-                    set,
-                    cond,
-                    expect_rows: 1,
-                }])?;
+                t.execute(Change::Update { set, cond, expect_rows: 1 })?;
                 Ok(Sequence::empty())
             }),
         );
     }
     // delete<TABLE>($row): keyed delete.
     {
-        let db = db.clone();
         let schema = schema.clone();
-        let table = table.clone();
+        let what = format!("delete{table}");
         engine.register_external_procedure(
-            QName::with_ns(ns.to_string(), format!("delete{table}")),
+            QName::with_ns(ns, what.as_str()),
             1,
             false,
             Rc::new(move |_env, args| {
-                let elem = one_element(&args, &format!("delete{table}"))?;
+                let elem = one_element(&args, &what)?;
                 let cond: Condition = schema
                     .primary_key
                     .iter()
@@ -464,15 +467,12 @@ fn register_cud(engine: &Engine, db: &Database, schema: &TableSchema, ns: &str) 
                         xmlmap::xml_field(&schema, &elem, pk).map(|v| (pk.clone(), v))
                     })
                     .collect::<XdmResult<_>>()?;
-                db.execute(vec![WriteOp::Delete {
-                    table: table.clone(),
-                    cond,
-                    expect_rows: 1,
-                }])?;
+                t.execute(Change::Delete { cond, expect_rows: 1 })?;
                 Ok(Sequence::empty())
             }),
         );
     }
+    Ok(())
 }
 
 fn pk_condition(schema: &TableSchema, row: &[SqlValue]) -> XdmResult<Condition> {
@@ -501,7 +501,8 @@ fn register_navigation(
     child_schema: &TableSchema,
     fk: &crate::rel::ForeignKey,
     parent_ns: &str,
-) {
+) -> XdmResult<()> {
+    let child = db.table(&child_schema.name)?;
     let db = db.clone();
     let parent_schema = parent_schema.clone();
     let child_schema = child_schema.clone();
@@ -532,13 +533,14 @@ fn register_navigation(
             // turns it into a hash probe.
             let rows = if features.get().opt {
                 OptCounters::bump(&counters.indexed_selects);
-                db.select_indexed(&child_schema.name, &cond)?
+                child.select_indexed_versioned(&cond)?.1
             } else {
                 db.select(&child_schema.name, &cond)?
             };
             Ok(xmlmap::rows_to_sequence(&child_schema, &child_ns, &rows))
         }),
     );
+    Ok(())
 }
 
 /// Introspect a web service into a library data service.
@@ -579,7 +581,7 @@ pub fn introspect_web_service(
         engine.register_external_function(
             qname,
             1,
-            Rc::new(move |env: &mut Env, args: Vec<Sequence>| {
+            Rc::new(move |env: &mut Env, args: Args| {
                 OptCounters::bump(&counters.ws_requests);
                 if !features.get().batching() {
                     OptCounters::bump(&counters.ws_issued);

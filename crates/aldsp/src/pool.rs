@@ -386,11 +386,13 @@ struct WorkerExit {
 /// The stack each serving worker runs on. A request whose text nests as
 /// deep as the parser accepts ([`xqparser::parser::MAX_NESTING`]) must
 /// both parse and evaluate on it: measured at 256 levels, the deepest
-/// shapes (nested calls, parentheses and computed constructors) take
-/// ~1.7 MiB in a release build and ~17 MiB in a debug build, so 32 MiB
-/// leaves room in both. Rust's default of 2 MiB held ~300 levels, and
-/// a deeper request overflowed it and aborted the process. Untouched
-/// stack pages cost no memory.
+/// shape (nested computed constructors) takes ~0.35 MiB in a release
+/// build and ~3.2 MiB in a debug build. Rust's default of 2 MiB held
+/// ~300 levels, and a deeper request overflowed it and aborted the
+/// process. Recursion through user functions and procedures may use
+/// the rest, up to the reserve `xqeval::depth` keeps free, past which a
+/// call raises `aldsp:DEPTH_LIMIT`. Untouched stack pages cost no
+/// memory.
 pub const WORKER_STACK_BYTES: usize = 32 << 20;
 
 /// The serving pool: `workers` threads, each with its own engine and
@@ -618,6 +620,8 @@ fn worker_loop(
     latch: &StartLatch,
     counters: &PoolCounters,
 ) -> WorkerExit {
+    // Calls on this thread keep their reserve of its stated stack.
+    xqeval::depth::enter_stated_stack(WORKER_STACK_BYTES);
     // Tag this thread so injected faults record which worker hit them.
     fault::set_current_worker(Some(idx));
     let space = builder(idx);

@@ -266,6 +266,31 @@ pub enum WriteOp {
     },
 }
 
+/// What one op of a write set does to its table: a [`WriteOp`] without
+/// the table's name, which a write set on one held table
+/// ([`TableRef::execute`]) does not repeat.
+#[derive(Debug, Clone)]
+pub enum Change {
+    /// INSERT the row.
+    Insert(Row),
+    /// UPDATE … SET `set` WHERE `cond`, matching exactly `expect_rows`.
+    Update {
+        /// SET assignments.
+        set: Condition,
+        /// WHERE conjunction.
+        cond: Condition,
+        /// Expected match count (1 for keyed updates).
+        expect_rows: usize,
+    },
+    /// DELETE … WHERE `cond`, matching exactly `expect_rows`.
+    Delete {
+        /// WHERE conjunction.
+        cond: Condition,
+        /// Expected match count.
+        expect_rows: usize,
+    },
+}
+
 impl WriteOp {
     fn table(&self) -> &str {
         match self {
@@ -275,31 +300,42 @@ impl WriteOp {
         }
     }
 
+    /// The op's table, and what it does there.
+    fn split(self) -> (String, Change) {
+        match self {
+            WriteOp::Insert { table, row } => (table, Change::Insert(row)),
+            WriteOp::Update { table, set, cond, expect_rows } => {
+                (table, Change::Update { set, cond, expect_rows })
+            }
+            WriteOp::Delete { table, cond, expect_rows } => {
+                (table, Change::Delete { cond, expect_rows })
+            }
+        }
+    }
+
     /// Render as a SQL-ish string (diagnostics, EXPERIMENTS.md).
     pub fn to_sql(&self) -> String {
-        let render_cond = |cond: &Condition| {
-            cond.iter()
-                .map(|(c, v)| format!("{c} = {v}"))
-                .collect::<Vec<_>>()
-                .join(" AND ")
-        };
         match self {
             WriteOp::Insert { table, row } => format!(
                 "INSERT INTO {table} VALUES ({})",
                 row.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(", ")
             ),
-            WriteOp::Update { table, set, cond, .. } => format!(
-                "UPDATE {table} SET {} WHERE {}",
-                set.iter()
-                    .map(|(c, v)| format!("{c} = {v}"))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                render_cond(cond)
-            ),
-            WriteOp::Delete { table, cond, .. } => {
-                format!("DELETE FROM {table} WHERE {}", render_cond(cond))
-            }
+            WriteOp::Update { table, set, cond, .. } => matched_sql(table, Some(set), cond),
+            WriteOp::Delete { table, cond, .. } => matched_sql(table, None, cond),
         }
+    }
+}
+
+/// The SQL of an UPDATE (with its `set`) or a DELETE (without one).
+fn matched_sql(table: &str, set: Option<&Condition>, cond: &Condition) -> String {
+    let render = |cond: &Condition, sep: &str| {
+        cond.iter().map(|(c, v)| format!("{c} = {v}")).collect::<Vec<_>>().join(sep)
+    };
+    match set {
+        Some(set) => {
+            format!("UPDATE {table} SET {} WHERE {}", render(set, ", "), render(cond, " AND "))
+        }
+        None => format!("DELETE FROM {table} WHERE {}", render(cond, " AND ")),
     }
 }
 
@@ -586,17 +622,17 @@ impl Database {
         access.run_read(
             &self.name,
             Op::Scan,
-            || self.scan_if_changed_raw(table, known),
+            || self.scan_if_changed_on(&self.table_handle(table)?, table, known),
             || self.cached_rows_versioned(table, known),
         )
     }
 
-    fn scan_if_changed_raw(
+    fn scan_if_changed_on(
         &self,
+        h: &TableHandle,
         table: &str,
         known: Option<u64>,
     ) -> XdmResult<(u64, Option<Vec<Row>>)> {
-        let h = self.table_handle(table)?;
         let (ver, rows) = {
             let t = h.read();
             if known == Some(t.version) {
@@ -694,40 +730,9 @@ impl Database {
         access.run_read(
             &self.name,
             Op::Select,
-            || self.select_indexed_raw(table, cond),
+            || select_indexed_on(&self.table_handle(table)?, cond),
             || self.cached_select(table, cond),
         )
-    }
-
-    fn select_indexed_raw(&self, table: &str, cond: &Condition) -> XdmResult<(u64, Vec<Row>)> {
-        let h = self.table_handle(table)?;
-        // Fast path under the shared lock: concurrent indexed readers
-        // of the same table must not contend once the index exists.
-        {
-            let t = h.read();
-            let idx = cond_indices(&t.schema, cond)?;
-            let probe = index_probe(&t.schema, cond);
-            let Some((col, key)) = probe else {
-                // No indexable column in the condition: plain filtered
-                // scan (without refreshing the stale-read snapshot —
-                // only full scans snapshot the table).
-                return Ok((t.version, scan_matching(&t.rows, &idx)));
-            };
-            if let Some(map) = t.indexes.get(col) {
-                let ids = map.get(&key).map_or(&[][..], Vec::as_slice);
-                return Ok((t.version, probe_sorted_ids(&t.rows, ids, &idx)));
-            }
-        }
-        // Slow path: build the index under the exclusive lock, then
-        // probe it (re-deriving everything — the table may have moved
-        // between the lock releases).
-        let mut t = h.write();
-        let idx = cond_indices(&t.schema, cond)?;
-        let TableData { schema, rows, indexes, version, .. } = &mut *t;
-        match probe_bucket(schema, rows, indexes, index_probe(schema, cond)) {
-            Some(ids) => Ok((*version, probe_sorted_ids(rows, ids, &idx))),
-            None => Ok((*version, scan_matching(rows, &idx))),
-        }
     }
 
     /// Columns of `table` that currently have a built secondary index
@@ -766,27 +771,46 @@ impl Database {
     /// fires before the call, so a retried attempt sees the whole write
     /// set and a retry can never double-apply it.
     pub fn execute(&self, ops: Vec<WriteOp>) -> XdmResult<()> {
+        self.execute_once(ops, |ops| {
+            let handles = self.write_set_handles(&ops)?;
+            let mut tables = write_all(&handles);
+            self.commit_staged(&mut tables, ops.into_iter().map(WriteOp::split))
+        })
+    }
+
+    /// Run a write set through the source's `Op::Execute` fault point.
+    /// The call itself raises no retryable error, so it runs, and takes
+    /// the write set, at most once.
+    fn execute_once<W>(&self, w: W, raw: impl Fn(W) -> XdmResult<()>) -> XdmResult<()> {
         let access = self.access();
-        // The call itself raises no retryable error, so it runs, and
-        // takes the write set, at most once.
-        let mut ops = Some(ops);
-        access.run(&self.name, Op::Execute, || match ops.take() {
-            Some(ops) => self.execute_raw(ops),
+        let mut w = Some(w);
+        access.run(&self.name, Op::Execute, || match w.take() {
+            Some(w) => raw(w),
             None => Err(cerr("write set retried after it ran")),
         })
     }
 
-    fn execute_raw(&self, ops: Vec<WriteOp>) -> XdmResult<()> {
-        let handles = self.write_set_handles(&ops)?;
-        let mut tables = write_all(&handles);
+    /// Stage `ops` on their write-locked `tables` and install them: the
+    /// body of an auto-commit write.
+    fn commit_staged<N: AsRef<str>>(
+        &self,
+        tables: &mut [RwLockWriteGuard<'_, TableData>],
+        ops: impl IntoIterator<Item = (N, Change)>,
+    ) -> XdmResult<()> {
         // Shards first, then the transaction-manager mutex, held until
         // the commit is counted: no other prepare can pin a row or take
         // a key between the stage and the install.
         let mut txm = self.shared.txm.lock();
-        let staged = stage(&mut tables, ops, &txm.prepared)?;
-        install(&mut tables, staged);
+        let staged = stage(tables, ops, &txm.prepared)?;
+        install(tables, staged);
         txm.commits += 1;
         Ok(())
+    }
+
+    /// Resolve `table` once (a brief catalog read lock) to a handle
+    /// that reads and writes it without the catalog.
+    pub fn table(&self, table: &str) -> XdmResult<TableRef> {
+        Ok(TableRef { db: self.clone(), shard: self.table_handle(table)?, name: table.to_string() })
     }
 
     /// Insert a single row, auto-commit.
@@ -821,7 +845,7 @@ impl Database {
         if txm.prepared.contains_key(&tx) {
             return Err(cerr(format!("transaction {tx:?} already prepared")));
         }
-        let staged = stage(&mut tables, ops, &txm.prepared)?;
+        let staged = stage(&mut tables, ops.into_iter().map(WriteOp::split), &txm.prepared)?;
         let names = tables.iter().map(|t| t.schema.name.clone()).collect();
         txm.prepared.insert(tx, Prepared { tables: names, staged });
         Ok(())
@@ -921,6 +945,90 @@ impl Database {
     }
 }
 
+/// [`Database::select_indexed`]'s read of one shard: the table version
+/// and the matching rows, through the index when one applies.
+fn select_indexed_on(h: &TableHandle, cond: &Condition) -> XdmResult<(u64, Vec<Row>)> {
+    // Fast path under the shared lock: concurrent indexed readers
+    // of the same table must not contend once the index exists.
+    {
+        let t = h.read();
+        let idx = cond_indices(&t.schema, cond)?;
+        let probe = index_probe(&t.schema, cond);
+        let Some((col, key)) = probe else {
+            // No indexable column in the condition: plain filtered
+            // scan (without refreshing the stale-read snapshot —
+            // only full scans snapshot the table).
+            return Ok((t.version, scan_matching(&t.rows, &idx)));
+        };
+        if let Some(map) = t.indexes.get(col) {
+            let ids = map.get(&key).map_or(&[][..], Vec::as_slice);
+            return Ok((t.version, probe_sorted_ids(&t.rows, ids, &idx)));
+        }
+    }
+    // Slow path: build the index under the exclusive lock, then
+    // probe it (re-deriving everything — the table may have moved
+    // between the lock releases).
+    let mut t = h.write();
+    let idx = cond_indices(&t.schema, cond)?;
+    let TableData { schema, rows, indexes, version, .. } = &mut *t;
+    match probe_bucket(schema, rows, indexes, index_probe(schema, cond)) {
+        Some(ids) => Ok((*version, probe_sorted_ids(rows, ids, &idx))),
+        None => Ok((*version, scan_matching(rows, &idx))),
+    }
+}
+
+/// One table of a [`Database`], resolved once ([`Database::table`]).
+/// Generated data-service procedures and read functions hold one, so a
+/// call takes no catalog lock and hashes no table name. Tables are
+/// never dropped, so the handle stays valid.
+#[derive(Debug, Clone)]
+pub struct TableRef {
+    db: Database,
+    name: String,
+    shard: TableHandle,
+}
+
+impl TableRef {
+    /// [`Database::table_version`].
+    pub fn version(&self) -> u64 {
+        self.shard.read().version
+    }
+
+    /// [`Database::scan_if_changed`].
+    pub fn scan_if_changed(&self, known: Option<u64>) -> XdmResult<(u64, Option<Vec<Row>>)> {
+        let db = &self.db;
+        db.access().run_read(
+            &db.name,
+            Op::Scan,
+            || db.scan_if_changed_on(&self.shard, &self.name, known),
+            || db.cached_rows_versioned(&self.name, known),
+        )
+    }
+
+    /// [`Database::select_indexed_versioned`].
+    pub fn select_indexed_versioned(&self, cond: &Condition) -> XdmResult<(u64, Vec<Row>)> {
+        let db = &self.db;
+        db.access().run_read(
+            &db.name,
+            Op::Select,
+            || select_indexed_on(&self.shard, cond),
+            || db.cached_select(&self.name, cond),
+        )
+    }
+
+    /// Auto-commit a one-op write set on this table: what
+    /// [`Database::execute`] does with `vec![op]`, through the same
+    /// fault point, stage and install, locking the one shard with no
+    /// handle or guard list and naming the table by reference.
+    pub fn execute(&self, change: Change) -> XdmResult<()> {
+        self.db.execute_once(change, |change| {
+            let mut shard = self.shard.write();
+            let op = std::iter::once((self.name.as_str(), change));
+            self.db.commit_staged(std::slice::from_mut(&mut shard), op)
+        })
+    }
+}
+
 /// Write-lock every shard, in the given (canonical) order.
 fn write_all(handles: &[TableHandle]) -> Vec<RwLockWriteGuard<'_, TableData>> {
     handles.iter().map(|h| h.write()).collect()
@@ -998,7 +1106,7 @@ impl Staged {
         &self,
         t: &mut TableData,
         ti: usize,
-        op: &WriteOp,
+        set: Option<&Condition>,
         cond: &Condition,
         expect_rows: usize,
         others: &HashMap<TxId, Prepared>,
@@ -1020,7 +1128,7 @@ impl Staged {
                 ErrorCode::DSP0001,
                 format!(
                     "optimistic concurrency conflict: {} matched {} row(s), expected {expect_rows}",
-                    op.to_sql(),
+                    matched_sql(&schema.name, set, cond),
                     hits.len()
                 ),
             ));
@@ -1099,26 +1207,27 @@ impl Staged {
 /// under the same id, so its old key never blocks it and inserts and
 /// updates share one key check. `Err` changes no row; an index this
 /// builds is built from the committed rows.
-fn stage(
+fn stage<N: AsRef<str>>(
     tables: &mut [RwLockWriteGuard<'_, TableData>],
-    ops: Vec<WriteOp>,
+    ops: impl IntoIterator<Item = (N, Change)>,
     others: &HashMap<TxId, Prepared>,
 ) -> XdmResult<Staged> {
     let mut staged = Staged::default();
-    for op in ops {
-        let Some(ti) = tables.iter().position(|t| t.schema.name == op.table()) else {
-            return Err(cerr(format!("no table {}", op.table())));
+    for (table, op) in ops {
+        let table = table.as_ref();
+        let Some(ti) = tables.iter().position(|t| t.schema.name == table) else {
+            return Err(cerr(format!("no table {table}")));
         };
         let t = &mut *tables[ti];
         match op {
-            WriteOp::Insert { row, .. } => {
+            Change::Insert(row) => {
                 check_row(&t.schema, &row)?;
                 staged.check_key(t, ti, &row, others)?;
                 staged.added.push((ti, Some(row)));
             }
-            WriteOp::Update { ref set, ref cond, expect_rows, .. } => {
+            Change::Update { ref set, ref cond, expect_rows } => {
                 let sets = cond_indices(&t.schema, set)?;
-                for at in staged.hits(t, ti, &op, cond, expect_rows, others)? {
+                for at in staged.hits(t, ti, Some(set), cond, expect_rows, others)? {
                     let Some(mut row) = staged.row(&t.rows, ti, at).cloned() else { continue };
                     for (c, v) in &sets {
                         row[*c] = v.clone();
@@ -1129,8 +1238,8 @@ fn stage(
                     staged.put(ti, at, Some(row));
                 }
             }
-            WriteOp::Delete { ref cond, expect_rows, .. } => {
-                for at in staged.hits(t, ti, &op, cond, expect_rows, others)? {
+            Change::Delete { ref cond, expect_rows } => {
+                for at in staged.hits(t, ti, None, cond, expect_rows, others)? {
                     staged.put(ti, at, None);
                 }
             }
@@ -2169,7 +2278,7 @@ mod tests {
         let code = |e: &XdmError| e.code.clone();
         assert_eq!(auto_run.as_ref().err().map(code), two_phase_run.as_ref().err().map(code));
         assert_eq!(people(&auto), people(&two_phase));
-        auto_run.map(|()| people(&auto)).map_err(|e| e.code)
+        auto_run.map(|()| people(&auto)).map_err(|e| e.code.clone())
     }
 
     fn person(id: i64, name: &str) -> (SqlValue, SqlValue) {

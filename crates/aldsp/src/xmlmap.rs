@@ -89,12 +89,12 @@ pub fn rows_to_sequence(schema: &TableSchema, ns: &str, rows: &[Row]) -> Sequenc
 
 /// Read an XML row view back into typed values. Missing elements map
 /// to NULL; namespaces are ignored on children (sources see local
-/// names), and the first child named after a column is its value.
-/// One pass over the children finds every column's child; values are
-/// then parsed in column order, so the first bad column is the one
-/// reported. Each value is parsed from the column element's typed
-/// value, which shares its text node's string: a VARCHAR value is its
-/// one copy, and an INTEGER value copies nothing.
+/// names), and the first child named after a column is its value. Of
+/// the bad values, the first column's is the one reported. The
+/// children are read in one pass and never collected. Each value is
+/// parsed from the column element's typed value, which shares its text
+/// node's string: a VARCHAR value is its one copy, and an INTEGER value
+/// copies nothing.
 pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
     if !node.with_name(|q| q.is_some_and(|q| q.local == schema.name)) {
         return Err(XdmError::new(
@@ -107,24 +107,30 @@ pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
             ),
         ));
     }
-    let children = node.children();
-    let mut found: Vec<Option<&NodeHandle>> = vec![None; schema.columns.len()];
-    for c in &children {
-        let col = c.with_name(|q| {
+    // One pass over the children, in their order: each parses into its
+    // column's slot unless an earlier child took the column. Parsing is
+    // pure, so of the columns whose first child is bad, the earliest in
+    // column order is reported, as parsing in column order would.
+    let mut row: Vec<Option<SqlValue>> = vec![None; schema.columns.len()];
+    let mut bad: Option<(usize, XdmError)> = None;
+    node.for_each_child(|c| {
+        let at = c.with_name(|q| {
             q.and_then(|q| schema.columns.iter().position(|col| q.local == col.name))
         });
-        if let Some(i) = col {
-            found[i].get_or_insert(c);
+        let Some(i) = at else { return };
+        if row[i].is_some() || bad.as_ref().is_some_and(|(b, _)| *b <= i) {
+            return;
         }
+        match SqlValue::parse(schema.columns[i].ty, &c.typed_value().string_shared()) {
+            Ok(v) => row[i] = Some(v),
+            Err(e) => bad = Some((i, e)),
+        }
+    });
+    if let Some((_, e)) = bad {
+        return Err(e);
     }
-    let mut row = Vec::with_capacity(schema.columns.len());
-    for (col, c) in schema.columns.iter().zip(found) {
-        row.push(match c {
-            Some(c) => SqlValue::parse(col.ty, &c.typed_value().string_shared())?,
-            None => SqlValue::Null,
-        });
-    }
-    Ok(row)
+    // In place: the slots become the row.
+    Ok(row.into_iter().map(|v| v.unwrap_or(SqlValue::Null)).collect())
 }
 
 /// Extract one column's typed value from an XML row view.
@@ -139,12 +145,7 @@ pub fn xml_field(
             format!("no column {column} in {}", schema.name),
         )
     })?;
-    let child = node
-        .children()
-        .iter()
-        .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some(column))
-        .cloned();
-    match child {
+    match node.first_child_named(column) {
         Some(c) => SqlValue::parse(col.ty, &c.typed_value().string_shared()),
         None => Ok(SqlValue::Null),
     }
@@ -249,6 +250,28 @@ mod tests {
             row,
             vec![SqlValue::Int(7), SqlValue::Str("Carey".into()), SqlValue::Str("123".into())]
         );
+    }
+
+    /// Of two bad values, the one of the earlier column is reported,
+    /// whatever the children's order; a column's later duplicate does
+    /// not replace its bad first child.
+    #[test]
+    fn the_first_bad_column_is_reported() {
+        let two_ints = TableSchema {
+            name: "CUSTOMER".into(),
+            columns: vec![
+                Column::required("CID", ColumnType::Integer),
+                Column::required("AGE", ColumnType::Integer),
+            ],
+            primary_key: vec!["CID".into()],
+            foreign_keys: vec![],
+        };
+        let xml = customer(&[("AGE", "old"), ("CID", "seven"), ("CID", "7")]);
+        let err = xml_to_row(&two_ints, &xml).unwrap_err();
+        assert!(err.message.contains("seven"), "{err:?}");
+        let xml = customer(&[("AGE", "old"), ("CID", "7"), ("AGE", "40")]);
+        let err = xml_to_row(&two_ints, &xml).unwrap_err();
+        assert!(err.message.contains("old"), "{err:?}");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use xqparser::ast::{
 use xqeval::context::Env;
 use xqeval::engine::{Engine, PreparedQuery, ProcKind};
 use xqeval::update::Pul;
-use xqeval::Evaluator;
+use xqeval::{Args, Evaluator};
 
 /// Control flow out of a statement.
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ impl Xqse {
     /// registered).
     pub fn with_engine(engine: Rc<Engine>) -> Xqse {
         engine.install_proc_runner(Rc::new(
-            |eng: &Engine, decl: &ProcedureDecl, args: Vec<Sequence>, env: &mut Env| {
+            |eng: &Engine, decl: &ProcedureDecl, args: Args, env: &mut Env| {
                 exec_procedure(eng, decl, args, env)
             },
         ));
@@ -145,7 +145,7 @@ impl Xqse {
         args: Vec<Sequence>,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
-        call_procedure_stmt(&self.engine, name, args, env)
+        call_procedure_stmt(&self.engine, name, Args::from(args), env)
     }
 }
 
@@ -155,9 +155,10 @@ impl Xqse {
 pub fn exec_procedure(
     engine: &Engine,
     decl: &ProcedureDecl,
-    args: Vec<Sequence>,
+    mut args: Args,
     caller_env: &mut Env,
 ) -> XdmResult<Sequence> {
+    xqeval::depth::check_call_depth()?;
     if args.len() != decl.params.len() {
         return Err(XdmError::new(
             ErrorCode::XPST0017,
@@ -178,7 +179,8 @@ pub fn exec_procedure(
     // Fresh environment sharing only the trace sink.
     let mut env = Env::new();
     env.trace = caller_env.trace.clone();
-    for (p, a) in decl.params.iter().zip(args) {
+    for (p, a) in decl.params.iter().zip(args.iter_mut()) {
+        let a = std::mem::take(a);
         let a = match &p.ty {
             Some(ty) => {
                 ty.convert(a, || format!("parameter ${} of {}", p.name, decl.name))?
@@ -296,32 +298,7 @@ pub fn exec_statement(
             Ok(Flow::Normal)
         }
         Statement::Iterate { var, pos, over, body } => {
-            // "First, the Value statement is executed once. It returns
-            // a sequence of items called a binding sequence."
-            let binding = eval_value_statement(engine, over, env)?;
-            let size = binding.len();
-            for (i, item) in binding.into_iter().enumerate() {
-                // Same cooperative point as `while`: iterate bodies
-                // run updates/source calls per item.
-                engine.budget_loop_check()?;
-                env.push_scope();
-                env.bind(var.clone(), Sequence::one(item));
-                if let Some(p) = pos {
-                    env.bind(
-                        p.clone(),
-                        Sequence::one(xdm::sequence::Item::integer(i as i64 + 1)),
-                    );
-                }
-                let flow = exec_block(engine, body, env);
-                env.pop_scope();
-                match flow? {
-                    Flow::Normal | Flow::Continue => {}
-                    Flow::Break => break,
-                    ret @ Flow::Return(_) => return Ok(ret),
-                }
-            }
-            let _ = size;
-            Ok(Flow::Normal)
+            exec_iterate(engine, var, pos.as_ref(), over, body, env)
         }
         Statement::Try { body, catches } => {
             match exec_block(engine, body, env) {
@@ -354,12 +331,8 @@ pub fn exec_statement(
             // evaluates like an update statement so that updating
             // function calls also work, and the value is discarded.
             if let Expr::FunctionCall { name, args } = expr {
-                if engine.procedure(name, args.len()).is_some() {
-                    let mut argv = Vec::with_capacity(args.len());
-                    for a in args {
-                        argv.push(Evaluator::new(engine).eval(a, env)?);
-                    }
-                    call_procedure_stmt(engine, name, argv, env)?;
+                if let Some(p) = engine.procedure(name, args.len()) {
+                    call_proc_with(engine, p, args, env)?;
                     return Ok(Flow::Normal);
                 }
             }
@@ -373,6 +346,39 @@ pub fn exec_statement(
             Ok(Flow::Normal)
         }
     }
+}
+
+/// `iterate $var at $pos over … { … }` (§III.B.10).
+#[inline(never)]
+fn exec_iterate(
+    engine: &Engine,
+    var: &QName,
+    pos: Option<&QName>,
+    over: &ValueStatement,
+    body: &Block,
+    env: &mut Env,
+) -> XdmResult<Flow> {
+    // "First, the Value statement is executed once. It returns a
+    // sequence of items called a binding sequence."
+    let binding = eval_value_statement(engine, over, env)?;
+    for (i, item) in binding.into_iter().enumerate() {
+        // Same cooperative point as `while`: iterate bodies run
+        // updates/source calls per item.
+        engine.budget_loop_check()?;
+        env.push_scope();
+        env.bind(var.clone(), Sequence::one(item));
+        if let Some(p) = pos {
+            env.bind(p.clone(), Sequence::one(Item::integer(i as i64 + 1)));
+        }
+        let flow = exec_block(engine, body, env);
+        env.pop_scope();
+        match flow? {
+            Flow::Normal | Flow::Continue => {}
+            Flow::Break => break,
+            ret @ Flow::Return(_) => return Ok(ret),
+        }
+    }
+    Ok(Flow::Normal)
 }
 
 /// Evaluate an expression with a fresh pending-update list open, then
@@ -420,14 +426,10 @@ pub fn eval_value_statement(
             // A *top-level* procedure call in a value statement runs in
             // statement context.
             if let Expr::FunctionCall { name, args } = expr {
-                if engine.procedure(name, args.len()).is_some()
-                    && engine.function(name, args.len()).is_none()
-                {
-                    let mut argv = Vec::with_capacity(args.len());
-                    for a in args {
-                        argv.push(Evaluator::new(engine).eval(a, env)?);
+                if let Some(p) = engine.procedure(name, args.len()) {
+                    if engine.function(name, args.len()).is_none() {
+                        return call_proc_with(engine, p, args, env);
                     }
-                    return call_procedure_stmt(engine, name, argv, env);
                 }
             }
             // Otherwise: ordinary expression evaluation — "the
@@ -462,11 +464,50 @@ pub fn exec_procedure_block(
 pub fn call_procedure_stmt(
     engine: &Engine,
     name: &QName,
-    args: Vec<Sequence>,
+    args: Args,
     env: &mut Env,
 ) -> XdmResult<Sequence> {
     match engine.procedure(name, args.len()) {
-        Some(ProcKind::User(decl)) => {
+        Some(p) => call_proc(engine, p, args, env),
+        None => Err(XdmError::new(
+            ErrorCode::XPST0017,
+            format!("unknown procedure {name}#{}", args.len()),
+        )),
+    }
+}
+
+/// Call the procedure `p`, already looked up, on the arguments `args`
+/// evaluate to, in statement context. Out of line, so the statement
+/// frames a call recurses through do not hold its arguments.
+#[inline(never)]
+fn call_proc_with(
+    engine: &Engine,
+    p: ProcKind,
+    args: &[Expr],
+    env: &mut Env,
+) -> XdmResult<Sequence> {
+    let argv = eval_args(engine, args, env)?;
+    call_proc(engine, p, argv, env)
+}
+
+/// A statement-position call's arguments, evaluated in order.
+pub(crate) fn eval_args(engine: &Engine, args: &[Expr], env: &mut Env) -> XdmResult<Args> {
+    let mut argv = Args::with_capacity(args.len());
+    for a in args {
+        argv.push(Evaluator::new(engine).eval(a, env)?);
+    }
+    Ok(argv)
+}
+
+/// Call the procedure `p`, already looked up, in statement context.
+pub(crate) fn call_proc(
+    engine: &Engine,
+    p: ProcKind,
+    args: Args,
+    env: &mut Env,
+) -> XdmResult<Sequence> {
+    match p {
+        ProcKind::User(decl) => {
             let out = exec_procedure(engine, &decl, args, env);
             if !decl.readonly {
                 // The procedure may have written *some* source, but it
@@ -482,7 +523,7 @@ pub fn call_procedure_stmt(
             }
             out
         }
-        Some(ProcKind::External { f, readonly }) => {
+        ProcKind::External { f, readonly } => {
             let out = f(env, args);
             if !readonly {
                 env.note_write();
@@ -490,10 +531,6 @@ pub fn call_procedure_stmt(
             }
             out
         }
-        None => Err(XdmError::new(
-            ErrorCode::XPST0017,
-            format!("unknown procedure {name}#{}", args.len()),
-        )),
     }
 }
 
@@ -503,6 +540,7 @@ fn catch_matches(clause: &CatchClause, e: &XdmError) -> bool {
     clause.test.matches_name(Some(&e.code))
 }
 
+#[inline(never)]
 fn exec_catch(
     engine: &Engine,
     clause: &CatchClause,

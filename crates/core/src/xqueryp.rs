@@ -257,15 +257,11 @@ impl XqueryP {
     /// the procedure's value; `None` for any other expression.
     fn procedure_call(&self, expr: &Expr, env: &mut Env) -> XdmResult<Option<Sequence>> {
         let Expr::FunctionCall { name, args } = expr else { return Ok(None) };
-        if self.engine.procedure(name, args.len()).is_none()
-            || self.engine.function(name, args.len()).is_some()
-        {
+        let Some(p) = self.engine.procedure(name, args.len()) else { return Ok(None) };
+        if self.engine.function(name, args.len()).is_some() {
             return Ok(None);
         }
-        let mut argv = Vec::with_capacity(args.len());
-        for a in args {
-            argv.push(Evaluator::new(&self.engine).eval(a, env)?);
-        }
-        crate::interp::call_procedure_stmt(&self.engine, name, argv, env).map(Some)
+        let argv = crate::interp::eval_args(&self.engine, args, env)?;
+        crate::interp::call_proc(&self.engine, p, argv, env).map(Some)
     }
 }

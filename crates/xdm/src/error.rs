@@ -139,8 +139,19 @@ impl ErrorCode {
 /// The `code` QName is what XQSE `catch (NameTest ...)` clauses match
 /// against; `message` and `diagnostics` are surfaced through the catch
 /// clause's `into` variables, mirroring `fn:error()`'s three arguments.
+///
+/// The error is one pointer to its [`ErrorData`], and its fields read
+/// through `Deref`: every `XdmResult` the evaluator returns is then at
+/// most one word larger than its value (`XdmResult<()>` is one word),
+/// so `?` and the `budget_step()?` every evaluation step begins with
+/// move a register, not a 72-byte error. Errors are rare; the box is
+/// paid only when one is raised.
 #[derive(Debug, Clone, PartialEq)]
-pub struct XdmError {
+pub struct XdmError(Box<ErrorData>);
+
+/// What an [`XdmError`] carries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ErrorData {
     /// The error code QName (e.g. `err:XPTY0004` or a user QName).
     pub code: QName,
     /// Human-readable description.
@@ -149,35 +160,51 @@ pub struct XdmError {
     pub diagnostics: Vec<String>,
 }
 
+// The sizes the one-pointer representation exists for.
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<XdmError>() == size_of::<usize>());
+    assert!(size_of::<XdmResult<()>>() == size_of::<usize>());
+    assert!(
+        size_of::<XdmResult<crate::sequence::Sequence>>()
+            <= size_of::<crate::sequence::Sequence>() + size_of::<usize>()
+    );
+};
+
+impl std::ops::Deref for XdmError {
+    type Target = ErrorData;
+
+    fn deref(&self) -> &ErrorData {
+        &self.0
+    }
+}
+
 impl XdmError {
     /// Construct an error with a well-known code.
     pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {
-        XdmError {
-            code: code.qname(),
-            message: message.into(),
-            diagnostics: Vec::new(),
-        }
+        XdmError::with_code(code.qname(), message)
     }
 
     /// Construct an error with an arbitrary (user-defined) code QName,
     /// as raised by `fn:error(xs:QName(...), ...)`.
     pub fn with_code(code: QName, message: impl Into<String>) -> Self {
-        XdmError {
+        XdmError(Box::new(ErrorData {
             code,
             message: message.into(),
             diagnostics: Vec::new(),
-        }
+        }))
     }
 
     /// Attach diagnostic items.
     pub fn diagnostics(mut self, items: Vec<String>) -> Self {
-        self.diagnostics = items;
+        self.0.diagnostics = items;
         self
     }
 
     /// True if this error's code equals the given well-known code.
+    /// Compares names; interns nothing.
     pub fn is(&self, code: ErrorCode) -> bool {
-        self.code == code.qname()
+        self.code.matches(Some(ERR_NS), code.local())
     }
 }
 

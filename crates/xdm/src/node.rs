@@ -132,54 +132,65 @@ enum ChildEntry {
 /// The child slots of a document or element. Most constructed and
 /// materialized elements hold exactly one child (`<Name>text</Name>`),
 /// which stays inline; two or more live in a `Vec`, sized up front
-/// when the builder knows the count ([`Children::with_capacity`]).
+/// when the builder knows the count ([`Slots::with_capacity`]).
 /// Either form is 24 bytes, the size of the `Vec` alone, so a node slot
-/// stays 64 bytes. Every mutation moves between the two forms: a second
-/// child moves the first into a `Vec`, and a `Vec` left with one child
-/// gives it back inline.
+/// stays 64 bytes.
+type Children = Slots<ChildEntry>;
+
+/// A list that holds one entry inline and two or more in a `Vec`: an
+/// element's children, and its attributes and namespace declarations,
+/// most often number one (or none). Every mutation moves between the
+/// two forms: a second entry moves the first into a `Vec`, and a `Vec`
+/// left with one entry gives it back inline.
 #[derive(Debug, Clone)]
-enum Children {
-    Many(Vec<ChildEntry>),
-    One(ChildEntry),
+enum Slots<T> {
+    Many(Vec<T>),
+    One(T),
 }
 
-impl Children {
-    /// Room for `n` children without growing: inline for one or none.
-    fn with_capacity(n: usize) -> Children {
-        Children::Many(if n > 1 { Vec::with_capacity(n) } else { Vec::new() })
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots::Many(Vec::new())
+    }
+}
+
+impl<T> Slots<T> {
+    /// Room for `n` entries without growing: inline for one or none.
+    fn with_capacity(n: usize) -> Slots<T> {
+        Slots::Many(if n > 1 { Vec::with_capacity(n) } else { Vec::new() })
     }
 
-    fn as_slice(&self) -> &[ChildEntry] {
+    fn as_slice(&self) -> &[T] {
         match self {
-            Children::Many(v) => v,
-            Children::One(e) => std::slice::from_ref(e),
+            Slots::Many(v) => v,
+            Slots::One(e) => std::slice::from_ref(e),
         }
     }
 
-    fn as_mut_slice(&mut self) -> &mut [ChildEntry] {
+    fn as_mut_slice(&mut self) -> &mut [T] {
         match self {
-            Children::Many(v) => v,
-            Children::One(e) => std::slice::from_mut(e),
+            Slots::Many(v) => v,
+            Slots::One(e) => std::slice::from_mut(e),
         }
     }
 
-    fn push(&mut self, e: ChildEntry) {
-        *self = match std::mem::replace(self, Children::Many(Vec::new())) {
-            // An empty list with no room takes its first child inline.
-            Children::Many(v) if v.capacity() == 0 => Children::One(e),
-            Children::Many(mut v) => {
+    fn push(&mut self, e: T) {
+        *self = match std::mem::take(self) {
+            // An empty list with no room takes its first entry inline.
+            Slots::Many(v) if v.capacity() == 0 => Slots::One(e),
+            Slots::Many(mut v) => {
                 v.push(e);
-                Children::Many(v)
+                Slots::Many(v)
             }
-            Children::One(first) => Children::Many(vec![first, e]),
+            Slots::One(first) => Slots::Many(vec![first, e]),
         };
     }
 
-    fn insert(&mut self, at: usize, e: ChildEntry) {
+    fn insert(&mut self, at: usize, e: T) {
         match self {
-            Children::Many(v) if !v.is_empty() => v.insert(at, e),
-            Children::Many(_) => self.push(e),
-            Children::One(_) => {
+            Slots::Many(v) if !v.is_empty() => v.insert(at, e),
+            Slots::Many(_) => self.push(e),
+            Slots::One(_) => {
                 self.push(e);
                 if at == 0 {
                     self.as_mut_slice().swap(0, 1);
@@ -188,20 +199,30 @@ impl Children {
         }
     }
 
-    fn retain(&mut self, mut keep: impl FnMut(&ChildEntry) -> bool) {
+    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         match self {
-            Children::One(e) => {
+            Slots::One(e) => {
                 if !keep(e) {
-                    *self = Children::Many(Vec::new());
+                    *self = Slots::Many(Vec::new());
                 }
             }
-            Children::Many(v) => {
+            Slots::Many(v) => {
                 v.retain(keep);
                 if v.len() == 1 {
-                    *self = Children::One(v.remove(0));
+                    *self = Slots::One(v.remove(0));
                 }
             }
         }
+    }
+}
+
+impl<T> From<Vec<T>> for Slots<T> {
+    fn from(v: Vec<T>) -> Slots<T> {
+        let mut s = Slots::with_capacity(v.len());
+        for e in v {
+            s.push(e);
+        }
+        s
     }
 }
 
@@ -284,13 +305,15 @@ enum NodeBody {
     },
 }
 
-/// What only some elements have.
+/// What only some elements have. Its one allocation holds a single
+/// attribute and a single namespace declaration inline, so an element
+/// with one of each costs that allocation alone.
 #[derive(Debug, Clone, Default)]
 struct ElementExtra {
-    attrs: Vec<NodeId>,
+    attrs: Slots<NodeId>,
     /// Namespace declarations written on this element
     /// (prefix → URI; empty prefix = default namespace).
-    ns_decls: Vec<(crate::intern::Symbol, crate::intern::Symbol)>,
+    ns_decls: Slots<(crate::intern::Symbol, crate::intern::Symbol)>,
 }
 
 impl NodeBody {
@@ -298,17 +321,18 @@ impl NodeBody {
     fn element(
         name: QName,
         children: Children,
-        ns_decls: Vec<(crate::intern::Symbol, crate::intern::Symbol)>,
+        ns_decls: impl Into<Slots<(crate::intern::Symbol, crate::intern::Symbol)>>,
     ) -> NodeBody {
-        let extra =
-            (!ns_decls.is_empty()).then(|| Box::new(ElementExtra { attrs: Vec::new(), ns_decls }));
+        let ns_decls = ns_decls.into();
+        let extra = (!ns_decls.as_slice().is_empty())
+            .then(|| Box::new(ElementExtra { attrs: Slots::default(), ns_decls }));
         NodeBody::Element { name, children, extra }
     }
 
     /// An element's attributes; none for any other node.
     fn attrs(&self) -> &[NodeId] {
         match self {
-            NodeBody::Element { extra: Some(x), .. } => &x.attrs,
+            NodeBody::Element { extra: Some(x), .. } => x.attrs.as_slice(),
             _ => &[],
         }
     }
@@ -324,7 +348,7 @@ impl NodeBody {
     /// An element's namespace declarations; none for any other node.
     fn ns_decls(&self) -> &[(crate::intern::Symbol, crate::intern::Symbol)] {
         match self {
-            NodeBody::Element { extra: Some(x), .. } => &x.ns_decls,
+            NodeBody::Element { extra: Some(x), .. } => x.ns_decls.as_slice(),
             _ => &[],
         }
     }
@@ -789,6 +813,34 @@ impl NodeHandle {
         arena.data(self.id).children().iter().map(|e| self.entry_handle(e)).collect()
     }
 
+    /// Run `f` on each child in order, without collecting the
+    /// children. The tree is borrowed meanwhile: `f` may read it but
+    /// must not change it.
+    pub fn for_each_child(&self, mut f: impl FnMut(&NodeHandle)) {
+        if let Some(h) = self.resolve_if_moved() {
+            return h.for_each_child(f);
+        }
+        let arena = self.arena.borrow();
+        for e in arena.data(self.id).children() {
+            f(&self.entry_handle(e));
+        }
+    }
+
+    /// The first child whose name's local part is `local`, found
+    /// without collecting the children.
+    pub fn first_child_named(&self, local: &str) -> Option<NodeHandle> {
+        if let Some(h) = self.resolve_if_moved() {
+            return h.first_child_named(local);
+        }
+        let arena = self.arena.borrow();
+        arena
+            .data(self.id)
+            .children()
+            .iter()
+            .map(|e| self.entry_handle(e))
+            .find(|c| c.with_name(|q| q.is_some_and(|q| &*q.local == local)))
+    }
+
     /// Whether the node has any child (document and element nodes).
     pub fn has_children(&self) -> bool {
         if let Some(h) = self.resolve_if_moved() {
@@ -812,11 +864,16 @@ impl NodeHandle {
         .collect()
     }
 
-    /// Look up an attribute by expanded name.
+    /// Look up an attribute by expanded name, without collecting the
+    /// attributes.
     pub fn attribute(&self, name: &QName) -> Option<NodeHandle> {
-        self.attributes()
-            .into_iter()
-            .find(|a| a.with_name(|q| q == Some(name)))
+        if let Some(h) = self.resolve_if_moved() {
+            return h.attribute(name);
+        }
+        let arena = self.arena.borrow();
+        let body = &arena.data(self.id).body;
+        let id = body.attrs().iter().copied().find(|&a| arena.data(a).name() == Some(name))?;
+        Some(NodeHandle { arena: self.arena.clone(), id, link: self.link.clone() })
     }
 
     /// The attribute's or text-ish node's own content string.
@@ -1316,7 +1373,7 @@ fn copy_subtree_recording(
             let slots = Children::with_capacity(children.as_slice().len());
             let nid = target.borrow_mut().alloc(None, NodeBody::element(name, slots, ns_decls));
             map.insert((stamp, id), nid);
-            for a in attrs {
+            for &a in attrs.as_slice() {
                 let na = copy_subtree_recording(src, a, target, map);
                 let mut t = target.borrow_mut();
                 t.data_mut(na).parent = Some(nid);

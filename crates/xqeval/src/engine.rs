@@ -29,19 +29,20 @@ use xqparser::ast::{Expr, FunctionDecl, Module, ProcedureDecl, Prolog, QueryBody
 use xqparser::parser::parse_module;
 
 use crate::cache::Lru;
+use crate::functions::Args;
 use crate::context::Env;
 use crate::eval::Evaluator;
 use crate::features::Features;
 
 /// A native (Rust) implementation bound to a QName/arity: the bridge
 /// to ALDSP physical sources and other host functionality.
-pub type ExternalFn = Rc<dyn Fn(&mut Env, Vec<Sequence>) -> XdmResult<Sequence>>;
+pub type ExternalFn = Rc<dyn Fn(&mut Env, Args) -> XdmResult<Sequence>>;
 
 /// Hook installed by the XQSE statement engine so that the expression
 /// evaluator can call *user-defined readonly procedures* (which
 /// require statement execution).
 pub type ProcRunner =
-    Rc<dyn Fn(&Engine, &ProcedureDecl, Vec<Sequence>, &mut Env) -> XdmResult<Sequence>>;
+    Rc<dyn Fn(&Engine, &ProcedureDecl, Args, &mut Env) -> XdmResult<Sequence>>;
 
 /// A registered function implementation.
 #[derive(Clone)]

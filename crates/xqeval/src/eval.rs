@@ -31,7 +31,7 @@ use xqparser::ast::*;
 use crate::context::{Env, Focus};
 use crate::engine::{Engine, FunctionKind, ProcKind};
 use crate::flwor;
-use crate::functions;
+use crate::functions::{self, Args};
 use crate::update::{Pul, Update};
 
 /// The expression evaluator. Stateless besides the engine reference;
@@ -180,13 +180,11 @@ impl<'e> Evaluator<'e> {
         self.engine.budget_step()?;
         match expr {
             Expr::Literal(a) => Ok(Sequence::one(Item::Atomic(a.clone()))),
-            Expr::VarRef(name) => match env.lookup(name) {
-                Ok(v) => Ok(v),
-                Err(e) if e.is(ErrorCode::XPST0008) => self
-                    .engine
-                    .global(name)
-                    .ok_or(e),
-                Err(e) => Err(e),
+            Expr::VarRef(name) => match env.lookup(name)? {
+                Some(v) => Ok(v),
+                None => self.engine.global(name).ok_or_else(|| {
+                    XdmError::new(ErrorCode::XPST0008, format!("undefined variable ${name}"))
+                }),
             },
             Expr::ContextItem => env
                 .focus
@@ -202,40 +200,7 @@ impl<'e> Evaluator<'e> {
                 }
                 Ok(out)
             }
-            Expr::Range(lo, hi) => {
-                let lo = self.eval_opt_integer(lo, env)?;
-                let hi = self.eval_opt_integer(hi, env)?;
-                match (lo, hi) {
-                    (Some(a), Some(b)) if a <= b => {
-                        Ok((a..=b).map(Item::integer).collect())
-                    }
-                    _ => Ok(Sequence::empty()),
-                }
-            }
             Expr::Binary(op, l, r) => self.eval_arith(*op, l, r, env),
-            Expr::Unary(neg, e) => {
-                let v = self.eval(e, env)?;
-                let Some(a) = opt_one_atomic(&v, "unary")? else {
-                    return Ok(Sequence::empty());
-                };
-                let a = coerce_numeric(a)?;
-                if !neg {
-                    return Ok(Sequence::one(Item::Atomic(a)));
-                }
-                Ok(Sequence::one(Item::Atomic(match a {
-                    AtomicValue::Integer(i) => AtomicValue::Integer(
-                        i.checked_neg().ok_or_else(overflow)?,
-                    ),
-                    AtomicValue::Decimal(d) => AtomicValue::Decimal(d.checked_neg()?),
-                    AtomicValue::Double(d) => AtomicValue::Double(-d),
-                    other => {
-                        return Err(XdmError::new(
-                            ErrorCode::XPTY0004,
-                            format!("unary minus on {}", other.type_of()),
-                        ))
-                    }
-                })))
-            }
             Expr::And(l, r) => {
                 let lb = self.eval(l, env)?.effective_boolean()?;
                 if !lb {
@@ -258,18 +223,8 @@ impl<'e> Evaluator<'e> {
                 {
                     return res;
                 }
-                let lv = self.eval(l, env)?.atomized();
-                let rv = self.eval(r, env)?.atomized();
-                let mut hit = false;
-                'outer: for a in &lv {
-                    for b in &rv {
-                        if general_pair_matches(*op, a, b)? {
-                            hit = true;
-                            break 'outer;
-                        }
-                    }
-                }
-                Ok(Sequence::one(Item::boolean(hit)))
+                let lv = self.eval(l, env)?;
+                general_comparison(*op, &lv, &self.eval(r, env)?)
             }
             Expr::Value(op, l, r) => {
                 if let Some(res) =
@@ -278,19 +233,135 @@ impl<'e> Evaluator<'e> {
                     return res;
                 }
                 let lv = self.eval(l, env)?;
-                let rv = self.eval(r, env)?;
-                let (Some(a), Some(b)) = (
-                    opt_one_atomic(&lv, "value comparison")?,
-                    opt_one_atomic(&rv, "value comparison")?,
-                ) else {
+                value_comparison(*op, &lv, &self.eval(r, env)?)
+            }
+            Expr::If(c, t, e) => {
+                if self.eval(c, env)?.effective_boolean()? {
+                    self.eval(t, env)
+                } else {
+                    self.eval(e, env)
+                }
+            }
+            Expr::Flwor { clauses, ret } => flwor::drain(self, clauses, ret, env),
+            Expr::Path { start, steps } => self.eval_path(start, steps, env),
+            Expr::Filter { base, predicates } => {
+                // A positional first predicate (`[k]`, `[position() lt
+                // N]`, …) takes its window directly, pulling a FLWOR no
+                // further than the window's edge.
+                let window = match predicates.split_first() {
+                    Some((first, rest)) if self.engine.features().lazy => {
+                        positional_window(first).map(|win| (win, rest))
+                    }
+                    _ => None,
+                };
+                let (mut seq, rest) = match window {
+                    Some((win, rest)) => (flwor::window(self, base, env, win)?, rest),
+                    None => (self.eval(base, env)?, &predicates[..]),
+                };
+                for p in rest {
+                    seq = self.apply_predicate(seq, p, env)?;
+                }
+                Ok(seq)
+            }
+            Expr::FunctionCall { name, args } => self.eval_call(name, args, env),
+            Expr::DirectElement(de) => {
+                // XDM allocation ceiling: one admission unit up front,
+                // then the built tree settles at its real cost — one
+                // unit per node record allocated in the constructor's
+                // arena plus one pointer unit per grafted subtree
+                // (zero-copy adoption charges no per-node units; the
+                // nodes it shares were charged when first built).
+                self.engine.budget_charge_memory(1)?;
+                let before = xdm::xdm_stats();
+                let arena = NodeArena::with_capacity(template_nodes(de));
+                let node = self.build_direct_element(de, &arena, env)?;
+                self.settle_construction_memory(&arena, &before)?;
+                Ok(Sequence::one(Item::Node(node)))
+            }
+            Expr::Range(..)
+            | Expr::Unary(..)
+            | Expr::Node(..)
+            | Expr::Set(..)
+            | Expr::Quantified { .. }
+            | Expr::Typeswitch { .. }
+            | Expr::ComputedElement(..)
+            | Expr::ComputedAttribute(..)
+            | Expr::ComputedText(..)
+            | Expr::ComputedComment(..)
+            | Expr::ComputedPi(..)
+            | Expr::ComputedDocument(..)
+            | Expr::InstanceOf(..)
+            | Expr::TreatAs(..)
+            | Expr::CastAs(..)
+            | Expr::CastableAs(..)
+            | Expr::Insert { .. }
+            | Expr::Delete(..)
+            | Expr::Replace { .. }
+            | Expr::Rename { .. }
+            | Expr::Transform { .. } => self.eval_cold(expr, env),
+        }
+    }
+
+    /// A function call: its arguments, evaluated into [`Args`], go to a
+    /// builtin or to the registered callee. Out of line, so the inline
+    /// argument slots are on the stack only while a call is made.
+    #[inline(never)]
+    fn eval_call(&self, name: &QName, args: &[Expr], env: &mut Env) -> XdmResult<Sequence> {
+        if let Some(r) = self.try_streaming_call(name, args, env) {
+            return r;
+        }
+        let mut argv = Args::with_capacity(args.len());
+        for a in args {
+            argv.push(self.eval(a, env)?);
+        }
+        match functions::dispatch(self.engine, env, name, &mut argv) {
+            Some(r) => r,
+            None => self.call_registered(name, argv, env),
+        }
+    }
+
+    /// The arms of [`Evaluator::eval`] that rows, pages and profiles
+    /// do not evaluate: ranges, unary and node/set operators,
+    /// quantifiers, `typeswitch`, the computed constructors,
+    /// instance/treat/cast/castable and the update expressions. Kept
+    /// out of line so that `eval`'s own stack frame, which every
+    /// expression node pays once per level of nesting and recursion,
+    /// holds only what the hot arms need.
+    #[inline(never)]
+    fn eval_cold(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
+        match expr {
+            Expr::Range(lo, hi) => {
+                let lo = self.eval_opt_integer(lo, env)?;
+                let hi = self.eval_opt_integer(hi, env)?;
+                match (lo, hi) {
+                    (Some(a), Some(b)) if a <= b => {
+                        Ok((a..=b).map(Item::integer).collect())
+                    }
+                    _ => Ok(Sequence::empty()),
+                }
+            }
+            Expr::Unary(neg, e) => {
+                let v = self.eval(e, env)?;
+                let Some(a) = opt_one_atomic(&v, "unary")? else {
                     return Ok(Sequence::empty());
                 };
-                let ord = a.value_compare(&b)?;
-                let res = match ord {
-                    None => false, // NaN
-                    Some(o) => value_comp_holds(*op, o),
-                };
-                Ok(Sequence::one(Item::boolean(res)))
+                let a = coerce_numeric(a)?;
+                if !neg {
+                    return Ok(Sequence::one(Item::Atomic(a)));
+                }
+                Ok(Sequence::one(Item::Atomic(match a {
+                    AtomicValue::Integer(i) => AtomicValue::Integer(
+                        i.checked_neg().ok_or_else(overflow)?,
+                    ),
+                    AtomicValue::Decimal(d) => AtomicValue::Decimal(d.checked_neg()?),
+                    AtomicValue::Double(d) => AtomicValue::Double(-d),
+                    other => {
+                        return Err(XdmError::new(
+                            ErrorCode::XPTY0004,
+                            format!("unary minus on {}", other.type_of()),
+                        ))
+                    }
+                })))
             }
             Expr::Node(op, l, r) => {
                 let lv = self.eval(l, env)?;
@@ -336,14 +407,6 @@ impl<'e> Evaluator<'e> {
                 };
                 Ok(Sequence::from_items(out))
             }
-            Expr::If(c, t, e) => {
-                if self.eval(c, env)?.effective_boolean()? {
-                    self.eval(t, env)
-                } else {
-                    self.eval(e, env)
-                }
-            }
-            Expr::Flwor { clauses, ret } => flwor::drain(self, clauses, ret, env),
             Expr::Quantified { quantifier, bindings, satisfies } => {
                 self.eval_quantified(*quantifier, bindings, satisfies, env)
             }
@@ -365,53 +428,6 @@ impl<'e> Evaluator<'e> {
                     }
                 }
                 Ok(Sequence::empty())
-            }
-            Expr::Path { start, steps } => self.eval_path(start, steps, env),
-            Expr::Filter { base, predicates } => {
-                // A positional first predicate (`[k]`, `[position() lt
-                // N]`, …) takes its window directly, pulling a FLWOR no
-                // further than the window's edge.
-                let window = match predicates.split_first() {
-                    Some((first, rest)) if self.engine.features().lazy => {
-                        positional_window(first).map(|win| (win, rest))
-                    }
-                    _ => None,
-                };
-                let (mut seq, rest) = match window {
-                    Some((win, rest)) => (flwor::window(self, base, env, win)?, rest),
-                    None => (self.eval(base, env)?, &predicates[..]),
-                };
-                for p in rest {
-                    seq = self.apply_predicate(seq, p, env)?;
-                }
-                Ok(seq)
-            }
-            Expr::FunctionCall { name, args } => {
-                if let Some(r) = self.try_streaming_call(name, args, env) {
-                    return r;
-                }
-                let mut argv = functions::Args::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a, env)?);
-                }
-                match functions::dispatch(self.engine, env, name, &mut argv) {
-                    Some(r) => r,
-                    None => self.call_registered(name, argv.into_vec(), env),
-                }
-            }
-            Expr::DirectElement(de) => {
-                // XDM allocation ceiling: one admission unit up front,
-                // then the built tree settles at its real cost — one
-                // unit per node record allocated in the constructor's
-                // arena plus one pointer unit per grafted subtree
-                // (zero-copy adoption charges no per-node units; the
-                // nodes it shares were charged when first built).
-                self.engine.budget_charge_memory(1)?;
-                let before = xdm::xdm_stats();
-                let arena = NodeArena::with_capacity(template_nodes(de));
-                let node = self.build_direct_element(de, &arena, env)?;
-                self.settle_construction_memory(&arena, &before)?;
-                Ok(Sequence::one(Item::Node(node)))
             }
             Expr::ComputedElement(name, content) => {
                 self.engine.budget_charge_memory(1)?;
@@ -626,6 +642,7 @@ impl<'e> Evaluator<'e> {
                 env.pop_scope();
                 result
             }
+            _ => unreachable!("evaluated by Evaluator::eval"),
         }
     }
 
@@ -744,6 +761,13 @@ impl<'e> Evaluator<'e> {
         if steps.is_empty() {
             return input.document_order_dedup();
         }
+        self.eval_steps(input, steps, env)
+    }
+
+    /// The path's steps applied to its start's value. Out of line, so
+    /// the frame the start's evaluation recurses through stays small.
+    #[inline(never)]
+    fn eval_steps(&self, input: Sequence, steps: &[Step], env: &mut Env) -> XdmResult<Sequence> {
         let mut current = input;
         for step in steps {
             let test = |kind: NodeKind, name: Option<&QName>| {
@@ -859,6 +883,7 @@ impl<'e> Evaluator<'e> {
     /// Intercept `fn:exists`/`fn:empty` (one pull decides) and
     /// `fn:subsequence` (pulls stop at the window's end). `None` means
     /// "not intercepted — evaluate the call normally".
+    #[inline(never)]
     fn try_streaming_call(
         &self,
         name: &QName,
@@ -978,10 +1003,10 @@ impl<'e> Evaluator<'e> {
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         // 1. Builtins.
-        let mut args = functions::Args::from(args);
+        let mut args = Args::from(args);
         match functions::dispatch(self.engine, env, name, &mut args) {
             Some(r) => r,
-            None => self.call_registered(name, args.into_vec(), env),
+            None => self.call_registered(name, args, env),
         }
     }
 
@@ -990,81 +1015,83 @@ impl<'e> Evaluator<'e> {
     fn call_registered(
         &self,
         name: &QName,
-        args: Vec<Sequence>,
+        mut args: Args,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         // 2. Registered functions.
-        if let Some(f) = self.engine.function(name, args.len()) {
-            return match f {
-                FunctionKind::User(decl) => self.call_user_function(&decl, args, env),
-                FunctionKind::External { f, updating } => {
-                    if updating && env.pul.is_none() {
-                        return Err(XdmError::new(
-                            ErrorCode::XUST0001,
-                            format!("updating function {name} called outside an update statement"),
-                        ));
-                    }
-                    f(env, args)
+        match self.engine.function(name, args.len()) {
+            Some(FunctionKind::User(decl)) => self.call_user_function(&decl, &mut args, env),
+            Some(FunctionKind::External { f, updating }) => {
+                if updating && env.pul.is_none() {
+                    return Err(XdmError::new(
+                        ErrorCode::XUST0001,
+                        format!("updating function {name} called outside an update statement"),
+                    ));
                 }
-            };
+                f(env, args)
+            }
+            None => self.call_procedure(name, args, env),
         }
+    }
+
+    /// Call a readonly procedure from an expression, once `name` proved
+    /// to be no function. Out of line: rows call functions.
+    #[inline(never)]
+    fn call_procedure(&self, name: &QName, args: Args, env: &mut Env) -> XdmResult<Sequence> {
         // 3. Procedures — only readonly ones may be called from
         //    expression context (§III.A: "Procedure calls cannot be
         //    used in place of function calls in an XQuery expression
         //    unless the called procedure is annotated as having no
         //    side effects").
-        if let Some(p) = self.engine.procedure(name, args.len()) {
-            return match p {
-                ProcKind::External { f, readonly } => {
-                    if !readonly {
-                        Err(XdmError::new(
-                            ErrorCode::XQSE0004,
-                            format!(
-                                "procedure {name} has side effects and cannot be \
-                                 called from an expression"
-                            ),
-                        ))
-                    } else {
-                        f(env, args)
-                    }
+        let side_effects = || {
+            XdmError::new(
+                ErrorCode::XQSE0004,
+                format!(
+                    "procedure {name} has side effects and cannot be \
+                     called from an expression"
+                ),
+            )
+        };
+        match self.engine.procedure(name, args.len()) {
+            Some(ProcKind::External { f, readonly }) => {
+                if !readonly {
+                    return Err(side_effects());
                 }
-                ProcKind::User(decl) => {
-                    if !decl.readonly {
-                        Err(XdmError::new(
-                            ErrorCode::XQSE0004,
-                            format!(
-                                "procedure {name} has side effects and cannot be \
-                                 called from an expression"
-                            ),
-                        ))
-                    } else {
-                        let runner = self.engine.proc_runner().ok_or_else(|| {
-                            XdmError::new(
-                                ErrorCode::XPST0017,
-                                "no statement engine installed for procedure calls",
-                            )
-                        })?;
-                        runner(self.engine, &decl, args, env)
-                    }
+                f(env, args)
+            }
+            Some(ProcKind::User(decl)) => {
+                if !decl.readonly {
+                    return Err(side_effects());
                 }
-            };
+                let runner = self.engine.proc_runner().ok_or_else(|| {
+                    XdmError::new(
+                        ErrorCode::XPST0017,
+                        "no statement engine installed for procedure calls",
+                    )
+                })?;
+                runner(self.engine, &decl, args, env)
+            }
+            None => Err(XdmError::new(
+                ErrorCode::XPST0017,
+                format!("unknown function {name}#{}", args.len()),
+            )),
         }
-        Err(XdmError::new(
-            ErrorCode::XPST0017,
-            format!("unknown function {name}#{}", args.len()),
-        ))
     }
 
     fn call_user_function(
         &self,
         decl: &FunctionDecl,
-        args: Vec<Sequence>,
+        args: &mut Args,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
+        crate::depth::check_call_depth()?;
         env.push_scope();
         let result = (|| {
-            for (name, a) in convert_params(decl, args)? {
-                env.bind(name, a);
+            // Each argument is taken out of its slot, converted to its
+            // parameter's type and bound in turn: the conversions run
+            // in `convert_params`'s order, and no list of them is built.
+            for (p, a) in decl.params.iter().zip(args.iter_mut()) {
+                env.bind(p.name.clone(), convert_param(decl, p, std::mem::take(a))?);
             }
             // Function bodies see no outer focus.
             let saved_focus = env.focus.take();
@@ -1140,16 +1167,23 @@ impl<'e> Evaluator<'e> {
             elem.add_ns_decl(p.clone(), u.clone());
         }
         for (name, parts) in &de.attributes {
-            let mut value = String::new();
-            for part in parts {
-                match part {
-                    AttrContent::Text(t) => value.push_str(t),
-                    AttrContent::Expr(e) => {
-                        let v = self.eval(e, env)?;
-                        value.push_str(&space_joined(&v));
+            // A literal value is the template's own text, shared.
+            let value: Rc<str> = match &parts[..] {
+                [AttrContent::Text(t)] => t.clone(),
+                parts => {
+                    let mut value = String::new();
+                    for part in parts {
+                        match part {
+                            AttrContent::Text(t) => value.push_str(t),
+                            AttrContent::Expr(e) => {
+                                let v = self.eval(e, env)?;
+                                value.push_str(&space_joined(&v));
+                            }
+                        }
                     }
+                    value.into()
                 }
-            }
+            };
             elem.set_attribute(&NodeHandle::new_attribute(arena, name.clone(), value))?;
         }
         for c in &de.content {
@@ -1188,16 +1222,7 @@ impl<'e> Evaluator<'e> {
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         let lv = self.eval(l, env)?;
-        let rv = self.eval(r, env)?;
-        let (Some(a), Some(b)) = (
-            opt_one_atomic(&lv, "arithmetic")?,
-            opt_one_atomic(&rv, "arithmetic")?,
-        ) else {
-            return Ok(Sequence::empty());
-        };
-        let a = coerce_numeric(a)?;
-        let b = coerce_numeric(b)?;
-        arith(op, a, b).map(|v| Sequence::one(Item::Atomic(v)))
+        arithmetic(op, &lv, &self.eval(r, env)?)
     }
 
     fn eval_opt_integer(&self, e: &Expr, env: &mut Env) -> XdmResult<Option<i64>> {
@@ -1213,6 +1238,51 @@ impl<'e> Evaluator<'e> {
 }
 
 // ---------------------------------------------------------------- utils
+
+// The operators' work on their evaluated operands is kept out of line,
+// so the frames that recurse into the operands hold only the operands.
+
+/// `lv op rv` for an arithmetic operator.
+#[inline(never)]
+fn arithmetic(op: BinaryOp, lv: &Sequence, rv: &Sequence) -> XdmResult<Sequence> {
+    let (Some(a), Some(b)) = (opt_one_atomic(lv, "arithmetic")?, opt_one_atomic(rv, "arithmetic")?)
+    else {
+        return Ok(Sequence::empty());
+    };
+    let a = coerce_numeric(a)?;
+    let b = coerce_numeric(b)?;
+    arith(op, a, b).map(|v| Sequence::one(Item::Atomic(v)))
+}
+
+/// `lv op rv` for a value comparison.
+#[inline(never)]
+fn value_comparison(op: ValueComp, lv: &Sequence, rv: &Sequence) -> XdmResult<Sequence> {
+    let (Some(a), Some(b)) = (
+        opt_one_atomic(lv, "value comparison")?,
+        opt_one_atomic(rv, "value comparison")?,
+    ) else {
+        return Ok(Sequence::empty());
+    };
+    let res = match a.value_compare(&b)? {
+        None => false, // NaN
+        Some(o) => value_comp_holds(op, o),
+    };
+    Ok(Sequence::one(Item::boolean(res)))
+}
+
+/// `lv op rv` for a general comparison: some pair of atoms holds.
+#[inline(never)]
+fn general_comparison(op: GeneralComp, lv: &Sequence, rv: &Sequence) -> XdmResult<Sequence> {
+    let (lv, rv) = (lv.atomized(), rv.atomized());
+    for a in &lv {
+        for b in &rv {
+            if general_pair_matches(op, a, b)? {
+                return Ok(Sequence::one(Item::boolean(true)));
+            }
+        }
+    }
+    Ok(Sequence::one(Item::boolean(false)))
+}
 
 fn overflow() -> XdmError {
     XdmError::new(ErrorCode::FOAR0002, "integer overflow")
@@ -1232,13 +1302,17 @@ pub(crate) fn convert_params(
 ) -> XdmResult<Vec<(QName, Sequence)>> {
     let mut params = Vec::with_capacity(args.len());
     for (p, a) in decl.params.iter().zip(args) {
-        let a = match &p.ty {
-            Some(ty) => ty.convert(a, || format!("parameter ${} of {}", p.name, decl.name))?,
-            None => a,
-        };
-        params.push((p.name.clone(), a));
+        params.push((p.name.clone(), convert_param(decl, p, a)?));
     }
     Ok(params)
+}
+
+/// Argument `a` converted to parameter `p`'s declared type.
+fn convert_param(decl: &FunctionDecl, p: &Param, a: Sequence) -> XdmResult<Sequence> {
+    match &p.ty {
+        Some(ty) => ty.convert(a, || format!("parameter ${} of {}", p.name, decl.name)),
+        None => Ok(a),
+    }
 }
 
 pub(crate) fn opt_one_atomic(seq: &Sequence, what: &str) -> XdmResult<Option<AtomicValue>> {

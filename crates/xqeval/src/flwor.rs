@@ -68,6 +68,44 @@ pub(crate) fn drain(
     ret: &Expr,
     env: &mut Env,
 ) -> XdmResult<Sequence> {
+    match &clauses[..] {
+        [FlworClause::For { var, pos: None, source }] => drain_for(ev, var, source, ret, env),
+        _ => drain_pipeline(ev, clauses, ret, env),
+    }
+}
+
+/// [`drain`] of a lone `for` without a positional variable. It is never
+/// rewritten (every rewrite consumes the `where` after its `for`), so it
+/// runs in place: no operator chain, no tuples, and the same scopes,
+/// steps and order as the pipeline's plain `for`.
+#[inline(never)]
+fn drain_for(
+    ev: &Evaluator<'_>,
+    var: &QName,
+    source: &Expr,
+    ret: &Expr,
+    env: &mut Env,
+) -> XdmResult<Sequence> {
+    let items = scoped(env, &[], |env| ev.eval(source, env))?;
+    let mut out = Sequence::empty();
+    for item in items {
+        env.push_scope();
+        env.bind(var.clone(), Sequence::one(item));
+        let v = ev.eval(ret, env);
+        env.pop_scope();
+        out.extend(v?);
+    }
+    Ok(out)
+}
+
+/// [`drain`] through the operator chain.
+#[inline(never)]
+fn drain_pipeline(
+    ev: &Evaluator<'_>,
+    clauses: &Rc<[FlworClause]>,
+    ret: &Expr,
+    env: &mut Env,
+) -> XdmResult<Sequence> {
     let mut stages = plan(ev.engine, clauses);
     let mut cx = Cx { ev, env, clauses, lazy: false };
     let mut out = Sequence::empty();
@@ -109,6 +147,21 @@ pub(crate) fn window(
             }
         }
     }
+    if !matches!(e, Expr::Flwor { .. }) {
+        return Ok(functions::slice(ev.eval(e, env)?, win));
+    }
+    window_pulled(ev, e, env, win)
+}
+
+/// [`window`] over a FLWOR: pulled through a [`Cursor`] when it may be.
+/// Out of line, so the other operands do not carry a cursor's frame.
+#[inline(never)]
+fn window_pulled(
+    ev: &Evaluator<'_>,
+    e: &Expr,
+    env: &mut Env,
+    win: Range<usize>,
+) -> XdmResult<Sequence> {
     let Some(mut cursor) = Cursor::open(ev, e, env, &[])? else {
         return Ok(functions::slice(ev.eval(e, env)?, win));
     };

@@ -5,10 +5,10 @@
 //! because the name is not a builtin (`None`), in which case the
 //! evaluator consults the user / external registries with them. A
 //! call's arguments arrive as [`Args`], which holds up to three
-//! inline.
+//! inline and is what every kind of callee takes.
 
 use std::cmp::Ordering;
-use std::ops::{Deref, Range};
+use std::ops::{Deref, DerefMut, Range};
 use std::rc::Rc;
 
 use xdm::atomic::{to_f64, AtomicType, AtomicValue};
@@ -22,24 +22,30 @@ use crate::engine::Engine;
 use crate::regex_lite::Regex;
 
 /// The arguments a function call evaluated. Up to [`Args::INLINE`]
-/// are held inline, so a builtin call passes its arguments without a
-/// heap vector; a longer list (`fn:concat` of many parts) is a `Vec`.
-/// A call that is not a builtin hands them on as one `Vec`
-/// ([`Args::into_vec`]). Indexing, `get`, `remove` and `swap_remove`
-/// mean what they mean on a `Vec`.
-pub(crate) enum Args {
+/// are held inline, so a call passes its arguments without a heap
+/// vector, whether it reaches a builtin, a user function, or a
+/// registered external function or procedure; a longer list
+/// (`fn:concat` of many parts) is a `Vec`. Indexing, `get`, `len`,
+/// `remove`, `swap_remove` and `into_iter` mean what they mean on a
+/// `Vec`.
+pub enum Args {
     /// The first `len` slots hold the arguments; the rest are empty.
-    Inline { slots: [Sequence; Args::INLINE], len: usize },
+    Inline {
+        /// The argument slots.
+        slots: [Sequence; Args::INLINE],
+        /// How many slots hold an argument.
+        len: usize,
+    },
     /// More arguments than fit inline.
     Heap(Vec<Sequence>),
 }
 
 impl Args {
     /// The most arguments held inline.
-    pub(crate) const INLINE: usize = 3;
+    pub const INLINE: usize = 3;
 
     /// Room for exactly `n` arguments: inline up to [`Args::INLINE`].
-    pub(crate) fn with_capacity(n: usize) -> Args {
+    pub fn with_capacity(n: usize) -> Args {
         if n <= Args::INLINE {
             Args::Inline { slots: Default::default(), len: 0 }
         } else {
@@ -48,7 +54,7 @@ impl Args {
     }
 
     /// Append one of the arguments room was made for.
-    pub(crate) fn push(&mut self, arg: Sequence) {
+    pub fn push(&mut self, arg: Sequence) {
         match self {
             Args::Inline { slots, len } => {
                 slots[*len] = arg;
@@ -60,7 +66,7 @@ impl Args {
 
     /// Remove and return the argument at `i`, shifting the later ones
     /// down.
-    pub(crate) fn remove(&mut self, i: usize) -> Sequence {
+    pub fn remove(&mut self, i: usize) -> Sequence {
         match self {
             Args::Inline { slots, len } => {
                 assert!(i < *len, "argument {i} of {len}");
@@ -75,7 +81,7 @@ impl Args {
 
     /// Remove and return the argument at `i`, moving the last one into
     /// its place.
-    pub(crate) fn swap_remove(&mut self, i: usize) -> Sequence {
+    pub fn swap_remove(&mut self, i: usize) -> Sequence {
         match self {
             Args::Inline { slots, len } => {
                 assert!(i < *len, "argument {i} of {len}");
@@ -86,14 +92,35 @@ impl Args {
             Args::Heap(v) => v.swap_remove(i),
         }
     }
+}
 
-    /// The arguments as the `Vec` that registered functions take.
-    pub(crate) fn into_vec(self) -> Vec<Sequence> {
+/// The arguments of an [`Args`], by value, in order.
+pub enum ArgsIntoIter {
+    /// Inline arguments.
+    Inline(std::iter::Take<std::array::IntoIter<Sequence, { Args::INLINE }>>),
+    /// Heap arguments.
+    Heap(std::vec::IntoIter<Sequence>),
+}
+
+impl Iterator for ArgsIntoIter {
+    type Item = Sequence;
+
+    fn next(&mut self) -> Option<Sequence> {
         match self {
-            Args::Inline { mut slots, len } => {
-                slots[..len].iter_mut().map(std::mem::take).collect()
-            }
-            Args::Heap(v) => v,
+            ArgsIntoIter::Inline(it) => it.next(),
+            ArgsIntoIter::Heap(it) => it.next(),
+        }
+    }
+}
+
+impl IntoIterator for Args {
+    type Item = Sequence;
+    type IntoIter = ArgsIntoIter;
+
+    fn into_iter(self) -> ArgsIntoIter {
+        match self {
+            Args::Inline { slots, len } => ArgsIntoIter::Inline(slots.into_iter().take(len)),
+            Args::Heap(v) => ArgsIntoIter::Heap(v.into_iter()),
         }
     }
 }
@@ -110,6 +137,15 @@ impl Deref for Args {
     fn deref(&self) -> &[Sequence] {
         match self {
             Args::Inline { slots, len } => &slots[..*len],
+            Args::Heap(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Args {
+    fn deref_mut(&mut self) -> &mut [Sequence] {
+        match self {
+            Args::Inline { slots, len } => &mut slots[..*len],
             Args::Heap(v) => v,
         }
     }

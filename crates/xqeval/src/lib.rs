@@ -23,6 +23,7 @@
 pub mod budget;
 pub mod cache;
 pub mod context;
+pub mod depth;
 pub mod engine;
 pub mod eval;
 pub mod features;
@@ -40,6 +41,7 @@ pub use engine::{
 };
 pub use eval::Evaluator;
 pub use features::Features;
+pub use functions::Args;
 pub use update::{Pul, Update};
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 use std::rc::Rc;
 
 use xdm::atomic::AtomicValue;
+use xdm::intern::Symbol;
 use xdm::qname::QName;
 use xdm::types::SequenceType;
 
@@ -208,8 +209,9 @@ pub enum Quantifier {
 /// Content of a direct element constructor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DirectContent {
-    /// Literal character data.
-    Text(String),
+    /// Literal character data, shared with every text node built from
+    /// it.
+    Text(Rc<str>),
     /// An embedded `{ expr }`.
     Expr(Expr),
     /// A nested direct element.
@@ -223,8 +225,9 @@ pub enum DirectContent {
 /// Attribute value content: literal runs and embedded expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrContent {
-    /// Literal text.
-    Text(String),
+    /// Literal text, shared with the attribute built from it when it is
+    /// the whole value.
+    Text(Rc<str>),
     /// `{ expr }`.
     Expr(Expr),
 }
@@ -236,8 +239,9 @@ pub struct DirectElement {
     pub name: QName,
     /// Attributes with possibly-templated values.
     pub attributes: Vec<(QName, Vec<AttrContent>)>,
-    /// Namespace declarations written on the element.
-    pub ns_decls: Vec<(String, String)>,
+    /// Namespace declarations written on the element (prefix, URI;
+    /// empty prefix = default namespace), interned once at parse time.
+    pub ns_decls: Vec<(Symbol, Symbol)>,
     /// Child content.
     pub content: Vec<DirectContent>,
 }

@@ -15,6 +15,7 @@ use std::rc::Rc;
 use xdm::atomic::{AtomicType, AtomicValue};
 use xdm::decimal::Decimal;
 use xdm::error::{ErrorCode, XdmError, XdmResult};
+use xdm::intern::Symbol;
 use xdm::qname::{QName, FN_NS, XML_NS, XS_NS};
 use xdm::types::{ItemType, Occurrence, SequenceType};
 
@@ -991,7 +992,7 @@ impl<'a> Parser<'a> {
                 Ok(Expr::Literal(AtomicValue::Integer(i)))
             }
             Tok::Dec(s) => {
-                let d = Decimal::parse(s).map_err(|e| self.err_at(t.start, e.message))?;
+                let d = Decimal::parse(s).map_err(|e| self.err_at(t.start, e.message.clone()))?;
                 self.next()?;
                 Ok(Expr::Literal(AtomicValue::Decimal(d)))
             }
@@ -1499,7 +1500,8 @@ impl<'a> Parser<'a> {
                 }
                 self.lx.bump(1);
             }
-            Ok(DirectElement { name, attributes, ns_decls: ns_decls.clone(), content })
+            let ns_decls = ns_decls.iter().map(|(p, u)| (Symbol::intern(p), Symbol::intern(u)));
+            Ok(DirectElement { name, attributes, ns_decls: ns_decls.collect(), content })
         })();
         self.default_element_ns = saved_default;
         self.pop_ns_frame();
@@ -1532,7 +1534,7 @@ impl<'a> Parser<'a> {
                     } else {
                         self.lx.bump(1);
                         if !text.is_empty() {
-                            parts.push(AttrContent::Text(std::mem::take(&mut text)));
+                            parts.push(AttrContent::Text(std::mem::take(&mut text).into()));
                         }
                         return Ok(parts);
                     }
@@ -1543,7 +1545,7 @@ impl<'a> Parser<'a> {
                         self.lx.bump(2);
                     } else {
                         if !text.is_empty() {
-                            parts.push(AttrContent::Text(std::mem::take(&mut text)));
+                            parts.push(AttrContent::Text(std::mem::take(&mut text).into()));
                         }
                         let e = self.raw_embedded_expr()?;
                         parts.push(AttrContent::Expr(e));
@@ -1607,7 +1609,7 @@ impl<'a> Parser<'a> {
                 if !text.is_empty() {
                     let keep = preserve || !text.chars().all(char::is_whitespace);
                     if keep {
-                        out.push(DirectContent::Text(std::mem::take(text)));
+                        out.push(DirectContent::Text(std::mem::take(text).into()));
                     } else {
                         text.clear();
                     }

@@ -321,10 +321,10 @@ fn direct_element_with_content_and_attrs() {
     match e("<a x=\"1\" y=\"{2 + 3}\">text{$v}<b/></a>") {
         Expr::DirectElement(el) => {
             assert_eq!(el.attributes.len(), 2);
-            assert!(matches!(&el.attributes[0].1[0], AttrContent::Text(t) if t == "1"));
+            assert!(matches!(&el.attributes[0].1[0], AttrContent::Text(t) if &**t == "1"));
             assert!(matches!(&el.attributes[1].1[0], AttrContent::Expr(_)));
             assert_eq!(el.content.len(), 3);
-            assert!(matches!(&el.content[0], DirectContent::Text(t) if t == "text"));
+            assert!(matches!(&el.content[0], DirectContent::Text(t) if &**t == "text"));
             assert!(matches!(&el.content[1], DirectContent::Expr(_)));
             assert!(matches!(&el.content[2], DirectContent::Element(_)));
         }
@@ -390,7 +390,7 @@ fn boundary_space_preserve_declaration() {
 fn brace_escapes_in_content() {
     match e("<a>{{literal}}</a>") {
         Expr::DirectElement(el) => {
-            assert!(matches!(&el.content[0], DirectContent::Text(t) if t == "{literal}"));
+            assert!(matches!(&el.content[0], DirectContent::Text(t) if &**t == "{literal}"));
         }
         other => panic!("bad ast {other:?}"),
     }
@@ -400,7 +400,7 @@ fn brace_escapes_in_content() {
 fn entity_refs_in_content() {
     match e("<a>&lt;&amp;&#65;</a>") {
         Expr::DirectElement(el) => {
-            assert!(matches!(&el.content[0], DirectContent::Text(t) if t == "<&A"));
+            assert!(matches!(&el.content[0], DirectContent::Text(t) if &**t == "<&A"));
         }
         other => panic!("bad ast {other:?}"),
     }

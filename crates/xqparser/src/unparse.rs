@@ -557,7 +557,7 @@ fn step(out: &mut String, s: &Step) {
 fn direct_element(out: &mut String, de: &DirectElement) {
     let _ = write!(out, "<{}", de.name.lexical());
     for (p, u) in &de.ns_decls {
-        if p.is_empty() {
+        if p.as_str().is_empty() {
             let _ = write!(out, " xmlns=\"{u}\"");
         } else {
             let _ = write!(out, " xmlns:{p}=\"{u}\"");

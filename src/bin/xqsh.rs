@@ -22,7 +22,9 @@
 //!
 //! Everything runs on one thread started with the serving workers'
 //! stack (`aldsp::pool::WORKER_STACK_BYTES`), so a text nested to the
-//! parser's limit parses and evaluates in a debug build too.
+//! parser's limit parses and evaluates in a debug build too, and
+//! recursion too deep for that stack stops with `aldsp:DEPTH_LIMIT`
+//! (exit 1) instead of aborting.
 //!
 //! In script mode the result is serialized **incrementally**: items
 //! are written (and stdout flushed) as the evaluator produces them,
@@ -290,7 +292,10 @@ fn main() -> ExitCode {
     let thread = std::thread::Builder::new()
         .name("xqsh".into())
         .stack_size(aldsp::pool::WORKER_STACK_BYTES)
-        .spawn(run);
+        .spawn(|| {
+            xqeval::depth::enter_stated_stack(aldsp::pool::WORKER_STACK_BYTES);
+            run()
+        });
     match thread.map(|t| t.join()) {
         Ok(Ok(status)) => status,
         Ok(Err(panic)) => std::panic::resume_unwind(panic),

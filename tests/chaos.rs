@@ -1500,6 +1500,60 @@ mod xa_recovery {
     /// every record made 8.
     const JOURNAL_ALLOCS: u64 = 5;
 
+    /// The journal's writes per two-branch commit, counted exactly: a
+    /// journaled commit appends `JOURNAL_RECORDS` records of
+    /// `JOURNAL_BYTES` bytes once each record's transaction-id digits
+    /// are discounted (ids grow over a process's life). A journal that
+    /// writes more fails here on any host, where the timing guard
+    /// beside it (`xa_journal_overhead_guard_under_5pct`) reads the
+    /// same journal at 3–5 % of its 5 % budget from run to run.
+    #[test]
+    fn xa_journal_records_per_commit_stay_exact() {
+        let (space, primary, backup) = replicated_space();
+        for db in [&primary, &backup] {
+            db.insert("EMPLOYEE", vec![SqlValue::Int(1), SqlValue::Str("x".into())]).unwrap();
+        }
+        let journal = space.journal();
+        let upd = || WriteOp::Update {
+            table: "EMPLOYEE".into(),
+            set: vec![("Name".into(), SqlValue::Str("y".into()))],
+            cond: vec![("EmployeeID".into(), SqlValue::Int(1))],
+            expect_rows: 1,
+        };
+        let coord = TwoPhaseCoordinator::new(vec![
+            (primary.clone(), vec![upd()]),
+            (backup.clone(), vec![upd()]),
+        ]);
+        let before = journal.records().len();
+        assert!(matches!(
+            coord.run_journaled(&journal, None, None).unwrap(),
+            TxOutcome::Committed
+        ));
+        let records = &journal.records()[before..];
+        let bytes: usize = records
+            .iter()
+            .map(|r| r.to_line().len() - r.xid().to_string().len())
+            .sum();
+        let kinds: String = records.iter().map(|r| r.to_line().remove(0)).collect();
+        println!("xa journal: {} records ({kinds}), {bytes} bytes per commit", records.len());
+        assert_eq!(
+            (records.len(), bytes),
+            (JOURNAL_RECORDS, JOURNAL_BYTES),
+            "records {kinds}: the journal's writes per commit changed"
+        );
+    }
+
+    /// Records per journaled two-branch commit: begin, two prepares, the
+    /// decision and two commits.
+    const JOURNAL_RECORDS: usize = 6;
+
+    /// Their bytes without the transaction ids' digits, for branches
+    /// named `primary` and `backup`: each line is its body and a space,
+    /// `#` and 16 hex digits of checksum (`B  primary,backup`, 35;
+    /// `P  primary`, 28; `P  backup`, 27; `D `, 20; and the two `C`
+    /// lines, 28 and 27).
+    const JOURNAL_BYTES: usize = 165;
+
     /// Journal overhead guard for the no-fault path: the journaled
     /// coordinator must stay within 5% of the same protocol driven
     /// through the branch calls with no journal.
@@ -1730,6 +1784,52 @@ mod serve {
             let err = past.result.unwrap_err();
             assert!(err.is(ErrorCode::XPST0003), "{open}…{close} nested {}: {err:?}", k + 1);
         }
+        pool.shutdown();
+    }
+
+    /// Unbounded recursion on a pool worker gets `aldsp:DEPTH_LIMIT`
+    /// instead of overflowing the worker's stack, which aborted the
+    /// whole process, and the same pool then serves the next request.
+    /// Two body shapes: a plain `if`, and a FLWOR whose `return` is a
+    /// constructor, which takes more stack per call. A terminating
+    /// recursion 500 calls deep (use case 2's chain) still answers.
+    #[test]
+    fn serve_unbounded_recursion_gets_depth_limit_and_the_pool_keeps_serving() {
+        let pool = ServePool::start(ServeSpec::new(1), |_| Ok(DataSpace::new()));
+        let shapes = [
+            "declare function local:f($n) { if ($n lt 0) then 0 else 1 + local:f($n + 1) }; \
+             local:f(0)",
+            "declare function local:f($n) { for $i in 1 to 1 where $i eq 1 \
+             return <b>{local:f($n + 1)}</b> }; count(local:f(0))",
+        ];
+        for program in shapes {
+            let reply = pool.call(ServeRequest::Run { program: program.into() });
+            let err = reply.result.unwrap_err();
+            assert_eq!(AldspCode::of(&err), Some(AldspCode::DepthLimit), "{program}: {err:?}");
+            let next = pool.call(ServeRequest::Run { program: "1 + 1".into() });
+            assert_eq!(next.result.unwrap(), "2");
+        }
+        let chain = "declare function local:f($n) { \
+                     if ($n eq 0) then 0 else 1 + local:f($n - 1) }; local:f(500)";
+        let reply = pool.call(ServeRequest::Run { program: chain.into() });
+        assert_eq!(reply.result.unwrap(), "500");
+        let report = pool.shutdown();
+        assert_eq!((report.offered, report.completed), (5, 5));
+    }
+
+    /// `aldsp:DEPTH_LIMIT` is an ordinary XQSE error: a `try` around the
+    /// recursion catches it, with its message, on the worker.
+    #[test]
+    fn serve_depth_limit_is_caught_by_xqse_try() {
+        let pool = ServePool::start(ServeSpec::new(1), |_| Ok(DataSpace::new()));
+        let program = "declare namespace aldsp = \"urn:aldsp:errors\";\n\
+            declare procedure local:p($n) { return value local:p($n + 1); };\n\
+            { try { return value local:p(0); } \
+              catch (aldsp:DEPTH_LIMIT into $code, $msg) \
+              { return value fn:concat(fn:local-name-from-QName($code), ': ', \
+                fn:contains($msg, 'call nesting too deep')); } }";
+        let reply = pool.call(ServeRequest::Run { program: program.into() });
+        assert_eq!(reply.result.unwrap(), "DEPTH_LIMIT: true");
         pool.shutdown();
     }
 

@@ -1212,13 +1212,13 @@ fn check_ordered_write_set(
     let mut model = initial.to_vec();
     let model_run = ops.iter().try_for_each(|op| model_apply(&mut model, op));
     let (auto, two_phase) = (keyed_db(initial), keyed_db(initial));
-    let auto_run = auto.execute(ops.clone()).map_err(|e| e.code);
+    let auto_run = auto.execute(ops.clone()).map_err(|e| e.code.clone());
     let tx = xqse_repro::aldsp::rel::fresh_tx();
     let two_phase_run = two_phase
         .prepare(tx, ops.clone())
         .and_then(|()| two_phase.commit_branch(tx))
         .map(|_| ())
-        .map_err(|e| e.code);
+        .map_err(|e| e.code.clone());
     let sql: Vec<String> = ops.iter().map(WriteOp::to_sql).collect();
     prop_assert_eq!(&auto_run, &model_run, "execute vs the model: {:?}", sql);
     prop_assert_eq!(&two_phase_run, &model_run, "prepare + commit vs the model: {:?}", sql);
