@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 
 use xdm::error::{ErrorCode, XdmError, XdmResult};
-use xdm::node::{NodeHandle, NodeKind};
+use xdm::node::{NodeHandle, NodeKind, Visit};
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
@@ -93,16 +93,7 @@ impl DataGraph {
         let mut cur = self.instance(instance)?;
         for raw in path {
             let step = PathStep::parse(raw);
-            let matches: Vec<NodeHandle> = cur
-                .children()
-                .into_iter()
-                .filter(|c| {
-                    c.kind() == NodeKind::Element
-                        && c.name().map(|q| q.local.clone()).as_deref()
-                            == Some(&step.name)
-                })
-                .collect();
-            cur = matches.get(step.index).cloned().ok_or_else(|| {
+            cur = elements_named(&cur, &step.name).nth(step.index).ok_or_else(|| {
                 XdmError::new(
                     ErrorCode::DSP0005,
                     format!(
@@ -248,19 +239,11 @@ impl DataGraph {
         if datagraph.name().is_none_or(|q| q.local != "datagraph") {
             return Err(bad("expected an sdo:datagraph element"));
         }
-        let children = datagraph.children();
-        let summary = children
-            .iter()
-            .find(|c| c.name().map(|q| q.local.clone()).as_deref() == Some("changeSummary"))
-            .cloned();
-        let instances: Vec<NodeHandle> = children
-            .iter()
-            .filter(|c| {
-                c.kind() == NodeKind::Element
-                    && c.name().map(|q| q.local.clone()).as_deref()
-                        != Some("changeSummary")
-            })
-            .cloned()
+        let summary = elements_named(datagraph, "changeSummary").next();
+        let instances: Vec<NodeHandle> = datagraph
+            .children()
+            .into_iter()
+            .filter(|c| c.kind() == NodeKind::Element && !is_named(c, "changeSummary"))
             .collect();
         let graph = DataGraph::new(
             service.into(),
@@ -275,7 +258,7 @@ impl DataGraph {
             let ref_attr = entry
                 .attributes()
                 .into_iter()
-                .find(|a| a.name().map(|q| q.local.clone()).as_deref() == Some("ref"))
+                .find(|a| is_named(a, "ref"))
                 .map(|a| a.content().unwrap_or_default())
                 .ok_or_else(|| bad("change-summary entry lacks sdo:ref"))?;
             let idx = ref_attr
@@ -289,55 +272,44 @@ impl DataGraph {
             let instance = instances
                 .get(idx)
                 .ok_or_else(|| bad("sdo:ref index out of range"))?;
-            // Each leaf chain in the entry is one old value.
-            fn leaves(
-                node: &NodeHandle,
-                path: &mut Vec<String>,
-                out: &mut Vec<(Vec<String>, String)>,
-            ) {
-                let elem_children: Vec<NodeHandle> = node
-                    .children()
-                    .into_iter()
-                    .filter(|c| c.kind() == NodeKind::Element)
-                    .collect();
-                if elem_children.is_empty() {
-                    out.push((path.clone(), node.string_value()));
-                    return;
-                }
-                for c in elem_children {
-                    path.push(c.name().map(|q| q.local.to_string()).unwrap_or_default());
-                    leaves(&c, path, out);
-                    path.pop();
+            // Each leaf chain in the entry is one old value: the names
+            // of the elements from the entry down to an element with no
+            // element child. `chain[i]` holds the i-th element's name and
+            // whether it has an element child.
+            let mut collected = Vec::new();
+            let mut chain: Vec<(String, bool)> = Vec::new();
+            let mut walk = entry.walk();
+            while let Some(v) = walk.next() {
+                let n = walk.node();
+                match v {
+                    _ if n.kind() != NodeKind::Element => walk.skip(),
+                    Visit::Enter => {
+                        if let Some(parent) = chain.last_mut() {
+                            parent.1 = true;
+                        }
+                        let name = n.with_name(|q| q.map(|q| q.local.to_string()));
+                        chain.push((name.unwrap_or_default(), false));
+                    }
+                    Visit::Leave => {
+                        if !chain.last().is_some_and(|e| e.1) {
+                            let path: Vec<String> =
+                                chain[1..].iter().map(|e| e.0.clone()).collect();
+                            collected.push((path, n.string_value()));
+                        }
+                        chain.pop();
+                    }
                 }
             }
-            let mut collected = Vec::new();
-            leaves(&entry, &mut Vec::new(), &mut collected);
             for (path, old) in collected {
                 // Resolve the same chain in the live instance. The
                 // summary does not carry occurrence indexes, so gather
-                // every node matching the name chain and prefer one
-                // whose current value differs from the old value
-                // (i.e. the one that was actually changed).
-                fn matches(
-                    node: &NodeHandle,
-                    path: &[String],
-                    out: &mut Vec<NodeHandle>,
-                ) {
-                    let Some((first, rest)) = path.split_first() else {
-                        out.push(node.clone());
-                        return;
-                    };
-                    for c in node.children() {
-                        if c.kind() == NodeKind::Element
-                            && c.name().map(|q| q.local.clone()).as_deref()
-                                == Some(first.as_str())
-                        {
-                            matches(&c, rest, out);
-                        }
-                    }
+                // every node matching the name chain, in document order,
+                // and prefer one whose current value differs from the
+                // old value (i.e. the one that was actually changed).
+                let mut candidates = vec![instance.clone()];
+                for name in &path {
+                    candidates = candidates.iter().flat_map(|c| elements_named(c, name)).collect();
                 }
-                let mut candidates = Vec::new();
-                matches(instance, &path, &mut candidates);
                 let Some(first) = candidates.first().cloned() else {
                     return Err(bad("change-summary path not found in data"));
                 };
@@ -350,6 +322,16 @@ impl DataGraph {
         }
         Ok(graph)
     }
+}
+
+/// Whether `n`'s name's local part is `local`.
+fn is_named(n: &NodeHandle, local: &str) -> bool {
+    n.with_name(|q| q.is_some_and(|q| *q.local == *local))
+}
+
+/// The element children of `node` whose name's local part is `local`.
+fn elements_named<'a>(node: &NodeHandle, local: &'a str) -> impl Iterator<Item = NodeHandle> + 'a {
+    node.children().into_iter().filter(move |c| c.kind() == NodeKind::Element && is_named(c, local))
 }
 
 #[cfg(test)]

@@ -695,9 +695,11 @@ fn e2_mgmtchain(full: bool, reps: usize, r: &Reporter) {
 
 /// E3 (Table 3): ETL-lite copy throughput, XQSE iterate vs the native
 /// ("Java override") baseline. Each rep copies into a fresh fixture
-/// built outside the timer, so both arms time the copy alone, and the
-/// arms alternate rep by rep, so a change of host speed moves both
-/// alike: `slowdown` is the median of the per-rep ratios.
+/// built outside the timer, so both arms time the copy alone, in the
+/// calling thread's CPU time, so time the host takes away from the
+/// thread counts in neither arm. The arms alternate rep by rep, so a
+/// change of host speed moves both alike: `slowdown` is the median of
+/// the per-rep ratios.
 fn e3_etl(full: bool, reps: usize, r: &Reporter) {
     let sizes: &[i64] =
         if full { &[10, 100, 1000, 5000, 10000] } else { &[10, 100, 500] };
@@ -709,8 +711,8 @@ fn e3_etl(full: bool, reps: usize, r: &Reporter) {
     for &n in sizes {
         let (mut xqse, mut native) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
         for _ in 0..reps {
-            xqse.push(secs_with(|| etl_space(n), |f| assert_eq!(etl_run_xqse(f), n)));
-            native.push(secs_with(|| etl_space(n), |f| assert_eq!(etl_run_native(f), n)));
+            xqse.push(cpu_secs_with(|| etl_space(n), |f| assert_eq!(etl_run_xqse(f), n)));
+            native.push(cpu_secs_with(|| etl_space(n), |f| assert_eq!(etl_run_native(f), n)));
         }
         let slowdown = median(xqse.iter().zip(&native).map(|(x, y)| x / y).collect());
         let (xqse_secs, native_secs) = (median(xqse), median(native));
@@ -725,8 +727,15 @@ fn e3_etl(full: bool, reps: usize, r: &Reporter) {
     }
     r.table(
         "E3",
-        "E3  ETL lite (use case 3): XQSE iterate vs native baseline",
-        &["rows", "xqse_ms", "xqse_rows_per_s", "native_ms", "native_rows_per_s", "slowdown"],
+        "E3  ETL lite (use case 3): XQSE iterate vs native baseline, thread CPU time",
+        &[
+            "rows",
+            "xqse_cpu_ms",
+            "xqse_rows_per_cpu_s",
+            "native_cpu_ms",
+            "native_rows_per_cpu_s",
+            "slowdown",
+        ],
         &rows,
     );
 }

@@ -61,6 +61,41 @@ pub fn secs_with<S>(setup: impl FnOnce() -> S, f: impl FnOnce(&S)) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
+/// [`secs_with`] in the calling thread's CPU time
+/// ([`thread_cpu_secs`]): for single-threaded work that never blocks,
+/// the elapsed time minus the time the host took away.
+pub fn cpu_secs_with<S>(setup: impl FnOnce() -> S, f: impl FnOnce(&S)) -> f64 {
+    let input = setup();
+    let t = thread_cpu_secs();
+    f(&input);
+    thread_cpu_secs() - t
+}
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+/// Linux's `CLOCK_THREAD_CPUTIME_ID`.
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+/// CPU time the calling thread has used so far (seconds). Time the
+/// thread spends preempted, by another process or by the hypervisor,
+/// does not count.
+pub fn thread_cpu_secs() -> f64 {
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `clock_gettime` writes one `struct timespec` (two 64-bit
+    // fields on 64-bit Linux) through a pointer to a live local.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 / 1e9
+}
+
 /// The median of `samples` (the upper middle one of an even count).
 pub fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));

@@ -26,6 +26,7 @@ use aldsp::xmlmap::rows_to_sequence;
 use xdm::node::NodeHandle;
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
+use xmlparse::serialize_sequence;
 use xqeval::{Env, Features};
 use xqse_bench::{etl_run_xqse, etl_space, EtlFixture};
 
@@ -189,6 +190,31 @@ fn page_allocations_stay_within_budget() {
 /// 1,594 (the last 2,656); one whose rows were each re-checked against
 /// the `where` made 6,274.
 const PAGE_BUDGET: u64 = 110;
+
+/// Serializing the centred page's reply writes each row straight into
+/// the output as it walks it: its count is one walk stack per row plus
+/// the output's growth.
+#[test]
+fn page_serialization_allocations_stay_within_budget() {
+    let f = etl_space(5000);
+    f.space.engine().set_features(Features::ALL);
+    let out = f.space.xqse().run_with_env(&page(PAGE_STARTS[1]), &mut Env::new()).expect("page");
+    let serialize = || {
+        let before = allocations();
+        let bytes = serialize_sequence(&out).len();
+        (allocations() - before, bytes)
+    };
+    let (n, bytes) = serialize();
+    assert_eq!(serialize().0, n, "the count must repeat");
+    println!("alloc_budget: {n} allocations to serialize the centred page ({bytes} bytes)");
+    assert!(n <= SERIALIZE_BUDGET, "{n} allocations per reply; the budget is {SERIALIZE_BUDGET}");
+}
+
+/// The count measured on this code (30: a walk stack for each of the
+/// 20 rows and the output's growth), plus 5 %. A serializer that
+/// collected each element's children into a `Vec` and built a `String`
+/// for every name, attribute and text made 209.
+const SERIALIZE_BUDGET: u64 = 31;
 
 #[test]
 fn cached_row_bytes_stay_within_budget() {

@@ -399,15 +399,20 @@ pub(crate) fn exec_update_like(
     env.pul = saved;
     let value = result?;
     let had_updates = !pul.is_empty();
+    let sealed_writes = xdm::xdm_stats().sealed_writes;
     pul.apply()?;
     if had_updates {
         // Node-level updates may have mutated trees that memoized join
-        // indexes and materialized XDM snapshots *share* — the heavy
-        // hammer is correct here: drop everything and advance the
-        // write epoch.
+        // indexes share: drop them and advance the write epoch.
         env.invalidate_caches();
-        engine.invalidate_materialization();
-        engine.note_source_write();
+        // A cache hands out sealed trees, and only an in-place write to
+        // a sealed arena can reach one (a write through a graft view
+        // copies first; a constructed tree that was never shared is
+        // not sealed). Flush the caches only after such a write.
+        if xdm::xdm_stats().sealed_writes != sealed_writes {
+            engine.invalidate_materialization();
+            engine.note_source_write();
+        }
     }
     Ok(value)
 }

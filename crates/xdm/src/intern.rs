@@ -18,7 +18,7 @@
 //!
 //! This module also hosts the **thread-local construction counters**
 //! (`nodes_built`, `subtrees_grafted`, `deep_copy_nodes_avoided`,
-//! `interned_hits`, `graft_cow_materializations`). They are thread-local
+//! `interned_hits`, `graft_cow_materializations`, `sealed_writes`). They are thread-local
 //! on purpose: one engine evaluates on one thread (the pool gives each
 //! worker a private engine), so per-thread deltas are exactly per-engine
 //! deltas, with no atomics on the node-allocation hot path.
@@ -226,6 +226,9 @@ pub struct XdmStats {
     pub interned_hits: u64,
     /// Grafts that were later materialized by copy-on-write.
     pub graft_cow_materializations: u64,
+    /// Node records changed in place in a sealed arena: the only
+    /// writes that can reach a tree a cache hands out.
+    pub sealed_writes: u64,
 }
 
 #[derive(Default)]
@@ -235,6 +238,7 @@ struct Counters {
     deep_copy_nodes_avoided: Cell<u64>,
     interned_hits: Cell<u64>,
     graft_cow_materializations: Cell<u64>,
+    sealed_writes: Cell<u64>,
 }
 
 thread_local! {
@@ -263,6 +267,7 @@ pub fn xdm_stats() -> XdmStats {
         deep_copy_nodes_avoided: c.deep_copy_nodes_avoided.get(),
         interned_hits: c.interned_hits.get(),
         graft_cow_materializations: c.graft_cow_materializations.get(),
+        sealed_writes: c.sealed_writes.get(),
     })
 }
 
@@ -279,6 +284,7 @@ impl XdmStats {
             graft_cow_materializations: self
                 .graft_cow_materializations
                 .wrapping_sub(base.graft_cow_materializations),
+            sealed_writes: self.sealed_writes.wrapping_sub(base.sealed_writes),
         }
     }
 }
@@ -294,6 +300,10 @@ pub(crate) fn count_graft(nodes_avoided: u64) {
 
 pub(crate) fn count_graft_cow() {
     bump(|c| &c.graft_cow_materializations);
+}
+
+pub(crate) fn count_sealed_write() {
+    bump(|c| &c.sealed_writes);
 }
 
 #[cfg(test)]

@@ -45,6 +45,7 @@
 //! flushes every cache that hands those trees out. See DESIGN.md §10.
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -52,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::atomic::AtomicValue;
 use crate::error::{ErrorCode, XdmError, XdmResult};
-use crate::intern::{count_graft, count_graft_cow, count_node_built};
+use crate::intern::{count_graft, count_graft_cow, count_node_built, count_sealed_write};
 use crate::qname::QName;
 
 /// Index of a node within its arena.
@@ -275,6 +276,17 @@ struct GraftLink {
     host_link: Option<Rc<GraftLink>>,
 }
 
+impl Drop for GraftLink {
+    /// Unlink the chain of host links in a loop: dropping each link
+    /// inside the next would recurse once per nested graft.
+    fn drop(&mut self) {
+        let mut next = self.host_link.take();
+        while let Some(link) = next {
+            next = Rc::try_unwrap(link).ok().and_then(|mut l| l.host_link.take());
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum NodeBody {
     Document {
@@ -353,6 +365,17 @@ impl NodeBody {
         }
     }
 
+    /// An attribute's value, or a text, comment or PI's content.
+    fn content(&self) -> Option<&Rc<str>> {
+        match self {
+            NodeBody::Attribute { value: c, .. }
+            | NodeBody::Text { content: c }
+            | NodeBody::Comment { content: c }
+            | NodeBody::Pi { content: c, .. } => Some(c),
+            _ => None,
+        }
+    }
+
     /// An element's attributes and declarations, made on first use;
     /// `None` for any other node.
     fn extra_mut(&mut self) -> Option<&mut ElementExtra> {
@@ -417,6 +440,9 @@ pub struct NodeArena {
     /// Lazily memoized subtree sizes (node count incl. attributes),
     /// computed on sealed arenas for graft accounting. 0 = unknown.
     sizes: Vec<u32>,
+    /// Whether a child slot ever grafted a subtree ([`Drop`] frees the
+    /// arenas grafts keep alive).
+    grafted: bool,
 }
 
 /// Shared, interiorly mutable arena pointer.
@@ -432,7 +458,9 @@ impl NodeArena {
     /// tree whose size is known before it is built: it never grows, so
     /// it keeps no empty slots.
     pub fn with_capacity(nodes: usize) -> SharedArena {
-        Rc::new(RefCell::new(NodeArena { nodes: Vec::with_capacity(nodes), ..NodeArena::default() }))
+        let arena = NodeArena::new();
+        arena.borrow_mut().nodes.reserve_exact(nodes);
+        arena
     }
 
     /// Make room for `additional` more nodes, for a builder that learns
@@ -479,7 +507,37 @@ impl NodeArena {
     }
 
     fn data_mut(&mut self, id: NodeId) -> &mut NodeData {
+        if self.sealed {
+            count_sealed_write();
+        }
         &mut self.nodes[id.0 as usize]
+    }
+}
+
+impl Drop for NodeArena {
+    /// Free the arenas that this arena's grafts alone keep alive, and
+    /// theirs, in a loop: dropping each inside its host would recurse
+    /// once per nested graft. An arena without grafts drops as a `Vec`.
+    fn drop(&mut self) {
+        if !self.grafted {
+            return;
+        }
+        let mut doomed = vec![std::mem::take(&mut self.nodes)];
+        while let Some(nodes) = doomed.pop() {
+            for mut node in nodes {
+                let Some(children) = node.body.children_mut() else { continue };
+                for e in children.as_mut_slice() {
+                    let ChildEntry::Graft(ctx) = std::mem::replace(e, ChildEntry::Local(NodeId(0)))
+                    else {
+                        continue;
+                    };
+                    let sub = Rc::try_unwrap(ctx).ok().and_then(|c| Rc::try_unwrap(c.sub).ok());
+                    if let Some(sub) = sub {
+                        doomed.push(std::mem::take(&mut sub.into_inner().nodes));
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -490,36 +548,36 @@ impl Default for NodeArena {
             nodes: Vec::new(),
             sealed: false,
             sizes: Vec::new(),
+            grafted: false,
         }
     }
 }
 
-/// Deep size (node records incl. attributes) of the subtree at `id`,
-/// following grafts; memoized per arena. Only meaningful on sealed
-/// arenas (the memo assumes a frozen structure).
-fn subtree_size(arena: &SharedArena, id: NodeId) -> u64 {
-    {
-        let a = arena.borrow();
-        if let Some(&s) = a.sizes.get(id.0 as usize) {
-            if s != 0 {
-                return u64::from(s);
-            }
-        }
-    }
-    let (attrs, entries) = {
-        let a = arena.borrow();
-        let d = a.data(id);
-        (d.body.attrs().len() as u64, d.children().to_vec())
+/// Deep size (node records incl. attributes) of the subtree at `root`,
+/// following grafts, memoized at `root`: a walk takes a memoized size
+/// for the whole subtree below it, so grafting a chain of grafts walks
+/// only the newest link. Only meaningful on sealed arenas (the memo
+/// assumes a frozen structure).
+fn subtree_size(root: &NodeHandle) -> u64 {
+    let memo = |n: &NodeHandle| {
+        n.arena.borrow().sizes.get(n.id.0 as usize).copied().filter(|&s| s != 0).map(u64::from)
     };
-    let mut total = 1 + attrs;
-    for e in &entries {
-        total += match e {
-            ChildEntry::Local(c) => subtree_size(arena, *c),
-            ChildEntry::Graft(ctx) => subtree_size(&ctx.sub, ctx.root),
-        };
+    if let Some(s) = memo(root) {
+        return s;
     }
-    let mut a = arena.borrow_mut();
-    let idx = id.0 as usize;
+    let mut total = 0;
+    root.walk().for_each(|n| match memo(n) {
+        Some(s) => {
+            total += s;
+            false
+        }
+        None => {
+            total += 1 + n.with(|d| d.body.attrs().len()) as u64;
+            true
+        }
+    });
+    let mut a = root.arena.borrow_mut();
+    let idx = root.id.0 as usize;
     if a.sizes.len() <= idx {
         a.sizes.resize(idx + 1, 0);
     }
@@ -568,34 +626,26 @@ fn chains_eq(a: &Option<Rc<GraftLink>>, b: &Option<Rc<GraftLink>>) -> bool {
 
 impl PartialEq for NodeHandle {
     fn eq(&self, other: &Self) -> bool {
-        match (self.resolve_if_moved(), other.resolve_if_moved()) {
-            (None, None) => {
-                Rc::ptr_eq(&self.arena, &other.arena)
-                    && self.id == other.id
-                    && chains_eq(&self.link, &other.link)
-            }
-            (a, b) => {
-                let a = a.unwrap_or_else(|| self.clone());
-                let b = b.unwrap_or_else(|| other.clone());
-                a == b
-            }
-        }
+        self.now(|a| {
+            other.now(|b| {
+                Rc::ptr_eq(&a.arena, &b.arena) && a.id == b.id && chains_eq(&a.link, &b.link)
+            })
+        })
     }
 }
 impl Eq for NodeHandle {}
 
 impl std::hash::Hash for NodeHandle {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.hash(state);
-        }
-        (Rc::as_ptr(&self.arena) as usize).hash(state);
-        self.id.hash(state);
-        let mut l = &self.link;
-        while let Some(x) = l {
-            (Rc::as_ptr(&x.ctx) as usize).hash(state);
-            l = &x.host_link;
-        }
+        self.now(|me| {
+            (Rc::as_ptr(&me.arena) as usize).hash(state);
+            me.id.hash(state);
+            let mut l = &me.link;
+            while let Some(x) = l {
+                (Rc::as_ptr(&x.ctx) as usize).hash(state);
+                l = &x.host_link;
+            }
+        })
     }
 }
 
@@ -742,12 +792,29 @@ impl NodeHandle {
         f(arena.data(self.id))
     }
 
+    /// Run `f` on this node where it is now: on the copy a
+    /// copy-on-write moved it to, if one did.
+    fn now<R>(&self, f: impl FnOnce(&NodeHandle) -> R) -> R {
+        match self.resolve_if_moved() {
+            Some(h) => f(&h),
+            None => f(self),
+        }
+    }
+
+    /// Read the node's record where it is now.
+    fn read<R>(&self, f: impl FnOnce(&NodeData) -> R) -> R {
+        self.now(|me| me.with(f))
+    }
+
+    /// The handle of node `id` of this node's arena, reached as this
+    /// node is.
+    fn at(&self, id: NodeId) -> NodeHandle {
+        NodeHandle { arena: self.arena.clone(), id, link: self.link.clone() }
+    }
+
     /// The node kind.
     pub fn kind(&self) -> NodeKind {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.kind();
-        }
-        self.with(NodeData::kind)
+        self.read(NodeData::kind)
     }
 
     /// The node name (elements and attributes; PI target is exposed as
@@ -760,120 +827,106 @@ impl NodeHandle {
     /// non-cloning twin of [`NodeHandle::name`] for tests that only
     /// compare it.
     pub fn with_name<R>(&self, f: impl FnOnce(Option<&QName>) -> R) -> R {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.with_name(f);
-        }
-        self.with(|d| f(d.name()))
+        self.read(|d| f(d.name()))
     }
 
     /// Parent node, if attached. At a graft root the parent is the
     /// host element the subtree was grafted into.
     pub fn parent(&self) -> Option<NodeHandle> {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.parent();
-        }
-        if let Some(link) = &self.link {
-            if self.id == link.ctx.root && Rc::ptr_eq(&self.arena, &link.ctx.sub) {
-                return match &*link.ctx.state.borrow() {
-                    GraftState::Live => Some(NodeHandle {
-                        arena: link.host_arena.clone(),
-                        id: link.host_id,
-                        link: link.host_link.clone(),
-                    }),
-                    // Detached from the host; Materialized is handled
-                    // by resolve_if_moved above.
-                    _ => None,
-                };
+        self.now(|me| {
+            if let Some(link) = &me.link {
+                if me.id == link.ctx.root && Rc::ptr_eq(&me.arena, &link.ctx.sub) {
+                    return match &*link.ctx.state.borrow() {
+                        GraftState::Live => Some(NodeHandle {
+                            arena: link.host_arena.clone(),
+                            id: link.host_id,
+                            link: link.host_link.clone(),
+                        }),
+                        // Detached from the host; `now` followed a
+                        // Materialized graft to the copy.
+                        _ => None,
+                    };
+                }
             }
-        }
-        self.with(|d| d.parent).map(|p| NodeHandle {
-            arena: self.arena.clone(),
-            id: p,
-            link: self.link.clone(),
+            me.with(|d| d.parent).map(|p| me.at(p))
         })
     }
 
+    /// The child in slot `e` of this node: the one place a read
+    /// crosses a graft, into the handle of the graft's root as this
+    /// host slot sees it.
     fn entry_handle(&self, e: &ChildEntry) -> NodeHandle {
         match e {
-            ChildEntry::Local(id) => NodeHandle {
-                arena: self.arena.clone(),
-                id: *id,
-                link: self.link.clone(),
-            },
-            ChildEntry::Graft(ctx) => graft_root(ctx, &self.arena, self.id, &self.link),
+            ChildEntry::Local(id) => self.at(*id),
+            ChildEntry::Graft(ctx) => {
+                let link = GraftLink {
+                    ctx: ctx.clone(),
+                    host_arena: self.arena.clone(),
+                    host_id: self.id,
+                    host_link: self.link.clone(),
+                };
+                NodeHandle { arena: ctx.sub.clone(), id: ctx.root, link: Some(Rc::new(link)) }
+            }
         }
     }
 
     /// Child nodes in order (document and element nodes).
     pub fn children(&self) -> Vec<NodeHandle> {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.children();
-        }
-        let arena = self.arena.borrow();
-        arena.data(self.id).children().iter().map(|e| self.entry_handle(e)).collect()
+        self.now(|me| me.with(|d| d.children().iter().map(|e| me.entry_handle(e)).collect()))
     }
 
     /// Run `f` on each child in order, without collecting the
     /// children. The tree is borrowed meanwhile: `f` may read it but
     /// must not change it.
     pub fn for_each_child(&self, mut f: impl FnMut(&NodeHandle)) {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.for_each_child(f);
-        }
-        let arena = self.arena.borrow();
-        for e in arena.data(self.id).children() {
-            f(&self.entry_handle(e));
-        }
+        self.now(|me| me.with(|d| d.children().iter().for_each(|e| f(&me.entry_handle(e)))))
     }
 
     /// The first child whose name's local part is `local`, found
     /// without collecting the children.
     pub fn first_child_named(&self, local: &str) -> Option<NodeHandle> {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.first_child_named(local);
-        }
-        let arena = self.arena.borrow();
-        arena
-            .data(self.id)
-            .children()
-            .iter()
-            .map(|e| self.entry_handle(e))
-            .find(|c| c.with_name(|q| q.is_some_and(|q| &*q.local == local)))
+        self.now(|me| {
+            me.with(|d| {
+                d.children()
+                    .iter()
+                    .map(|e| me.entry_handle(e))
+                    .find(|c| c.with_name(|q| q.is_some_and(|q| &*q.local == local)))
+            })
+        })
     }
 
     /// Whether the node has any child (document and element nodes).
     pub fn has_children(&self) -> bool {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.has_children();
-        }
-        self.with(|d| !d.children().is_empty())
+        self.read(|d| !d.children().is_empty())
     }
 
     /// Attribute nodes in order (element nodes).
     pub fn attributes(&self) -> Vec<NodeHandle> {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.attributes();
-        }
-        self.with(|d| d.body.attrs().to_vec())
-        .into_iter()
-        .map(|id| NodeHandle {
-            arena: self.arena.clone(),
-            id,
-            link: self.link.clone(),
+        self.now(|me| me.with(|d| d.body.attrs().iter().map(|&id| me.at(id)).collect()))
+    }
+
+    /// Run `f` on each attribute's name and value, in order, without
+    /// collecting them. The tree is borrowed meanwhile.
+    pub fn for_each_attribute(&self, mut f: impl FnMut(&QName, &str)) {
+        self.now(|me| {
+            let arena = me.arena.borrow();
+            for &id in arena.data(me.id).body.attrs() {
+                let body = &arena.data(id).body;
+                if let (NodeBody::Attribute { name, .. }, Some(v)) = (body, body.content()) {
+                    f(name, v);
+                }
+            }
         })
-        .collect()
     }
 
     /// Look up an attribute by expanded name, without collecting the
     /// attributes.
     pub fn attribute(&self, name: &QName) -> Option<NodeHandle> {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.attribute(name);
-        }
-        let arena = self.arena.borrow();
-        let body = &arena.data(self.id).body;
-        let id = body.attrs().iter().copied().find(|&a| arena.data(a).name() == Some(name))?;
-        Some(NodeHandle { arena: self.arena.clone(), id, link: self.link.clone() })
+        self.now(|me| {
+            let arena = me.arena.borrow();
+            let attrs = arena.data(me.id).body.attrs();
+            attrs.iter().find(|&&a| arena.data(a).name() == Some(name)).map(|&a| me.at(a))
+        })
     }
 
     /// The attribute's or text-ish node's own content string.
@@ -883,24 +936,15 @@ impl NodeHandle {
 
     /// Zero-copy access to an attribute's or text-ish node's content.
     pub fn content_shared(&self) -> Option<Rc<str>> {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.content_shared();
-        }
-        self.with(|d| match &d.body {
-            NodeBody::Attribute { value, .. } => Some(value.clone()),
-            NodeBody::Text { content }
-            | NodeBody::Comment { content }
-            | NodeBody::Pi { content, .. } => Some(content.clone()),
-            _ => None,
-        })
+        self.read(|d| d.body.content().cloned())
     }
 
-    /// Namespace declarations written on this element.
-    pub fn ns_decls(&self) -> Vec<(crate::intern::Symbol, crate::intern::Symbol)> {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.ns_decls();
-        }
-        self.with(|d| d.body.ns_decls().to_vec())
+    /// Run `f` on the namespace declarations written on this element.
+    pub fn with_ns_decls<R>(
+        &self,
+        f: impl FnOnce(&[(crate::intern::Symbol, crate::intern::Symbol)]) -> R,
+    ) -> R {
+        self.read(|d| f(d.body.ns_decls()))
     }
 
     /// Add a namespace declaration to an element.
@@ -922,8 +966,7 @@ impl NodeHandle {
         match self.kind() {
             NodeKind::Document | NodeKind::Element => {
                 // Fast path: the dominant `<e>text</e>` shape shares
-                // the text's Rc<str> straight out, skipping the
-                // recursive collector.
+                // the text's Rc<str> straight out, skipping the walk.
                 if let Some(t) = self.single_text_content() {
                     return t.as_ref().to_string();
                 }
@@ -938,29 +981,23 @@ impl NodeHandle {
     /// The single text child's shared content, if this element's
     /// entire content is exactly one local text node.
     fn single_text_content(&self) -> Option<Rc<str>> {
-        if let Some(h) = self.resolve_if_moved() {
-            return h.single_text_content();
-        }
-        let a = self.arena.borrow();
-        let [ChildEntry::Local(c)] = a.data(self.id).children() else { return None };
-        match &a.data(*c).body {
-            NodeBody::Text { content } => Some(content.clone()),
-            _ => None,
-        }
+        self.now(|me| {
+            let a = me.arena.borrow();
+            let [ChildEntry::Local(c)] = a.data(me.id).children() else { return None };
+            a.data(*c).body.content().filter(|_| a.data(*c).kind() == NodeKind::Text).cloned()
+        })
     }
 
     fn collect_text(&self, out: &mut String) {
-        for c in self.children() {
-            match c.kind() {
-                NodeKind::Text => {
-                    if let Some(t) = c.content_shared() {
-                        out.push_str(&t);
-                    }
+        self.walk().for_each(|n| {
+            n.with(|d| match &d.body {
+                NodeBody::Text { content } => {
+                    out.push_str(content);
+                    false
                 }
-                NodeKind::Element => c.collect_text(out),
-                _ => {}
-            }
-        }
+                body => matches!(body, NodeBody::Element { .. } | NodeBody::Document { .. }),
+            })
+        });
     }
 
     /// The typed value. Without schema validation every node is
@@ -978,10 +1015,7 @@ impl NodeHandle {
     /// The root of the tree containing this node (following graft
     /// links up into the host tree).
     pub fn root(&self) -> NodeHandle {
-        let mut cur = match self.resolve_if_moved() {
-            Some(h) => h,
-            None => self.clone(),
-        };
+        let mut cur = self.now(NodeHandle::clone);
         while let Some(p) = cur.parent() {
             cur = p;
         }
@@ -1000,6 +1034,14 @@ impl NodeHandle {
         }
         walk(self, &mut out);
         out
+    }
+
+    /// A document-order walk of this node's subtree, this node first.
+    pub fn walk(&self) -> Walk {
+        // Room for the depth of most trees, so that a walk allocates once.
+        let mut stack = Vec::with_capacity(8);
+        stack.push((self.now(NodeHandle::clone), 0));
+        Walk { stack, fresh: true, left: false }
     }
 
     /// Ancestors from parent to root.
@@ -1051,10 +1093,10 @@ impl NodeHandle {
     /// accepts, in axis order: document order on the forward axes
     /// ([`Axis::is_forward`]), nearest first on the others. `keep`
     /// sees each candidate's kind and borrowed name, so a path step
-    /// builds a handle only for a node its test matches. The child,
-    /// attribute and descendant axes walk the arena under one borrow.
-    /// `out` is any collection, a `Sequence` among them, so a step
-    /// that keeps one node need not build a vector for it.
+    /// keeps a handle only for a node its test matches. The descendant
+    /// axes run on [`NodeHandle::walk`]. `out` is any collection, a
+    /// `Sequence` among them, so a step that keeps one node need not
+    /// build a vector for it.
     pub fn walk_axis<T: From<NodeHandle>, E: Extend<T>>(
         &self,
         axis: Axis,
@@ -1070,15 +1112,20 @@ impl NodeHandle {
         };
         match axis {
             Axis::Child => {
-                walk_below(&me.arena, &me.arena.borrow(), &me.link, me.id, &mut keep, out, false);
+                let arena = me.arena.borrow();
+                for e in arena.data(me.id).children() {
+                    let c = me.entry_handle(e);
+                    if c.with(|d| keep(d.kind(), d.name())) {
+                        out.extend(Some(c.into()));
+                    }
+                }
             }
             Axis::Attribute => {
                 let arena = me.arena.borrow();
                 for &id in arena.data(me.id).body.attrs() {
                     let d = arena.data(id);
                     if keep(d.kind(), d.name()) {
-                        let link = me.link.clone();
-                        out.extend(Some(NodeHandle { arena: me.arena.clone(), id, link }.into()));
+                        out.extend(Some(me.at(id).into()));
                     }
                 }
             }
@@ -1087,7 +1134,14 @@ impl NodeHandle {
                 if axis == Axis::DescendantOrSelf {
                     keep_handle(self.clone(), out);
                 }
-                walk_below(&me.arena, &me.arena.borrow(), &me.link, me.id, &mut keep, out, true);
+                let mut walk = me.walk();
+                walk.next(); // `me` itself
+                walk.for_each(|n| {
+                    if n.with(|d| keep(d.kind(), d.name())) {
+                        out.extend(Some(n.clone().into()));
+                    }
+                    true
+                });
             }
             Axis::Parent => {
                 if let Some(p) = me.parent() {
@@ -1120,10 +1174,7 @@ impl NodeHandle {
     /// Structural path from the root, for document-order comparison.
     fn path(&self) -> Vec<PathStep> {
         let mut steps = Vec::new();
-        let mut cur = match self.resolve_if_moved() {
-            Some(h) => h,
-            None => self.clone(),
-        };
+        let mut cur = self.now(NodeHandle::clone);
         while let Some(p) = cur.parent() {
             let step = if cur.kind() == NodeKind::Attribute {
                 let idx = p
@@ -1178,10 +1229,7 @@ impl NodeHandle {
     /// node as a detached root (a freshly constructed tree, sealed on
     /// share).
     pub fn graftable_into(&self, target: &SharedArena) -> bool {
-        let me = match self.resolve_if_moved() {
-            Some(h) => h,
-            None => self.clone(),
-        };
+        let me = self.now(NodeHandle::clone);
         if me.kind() != NodeKind::Element || Rc::ptr_eq(&me.arena, target) {
             return false;
         }
@@ -1207,10 +1255,7 @@ impl NodeHandle {
                 ))
             }
         }
-        let sub = match sub_root.resolve_if_moved() {
-            Some(h) => h,
-            None => sub_root.clone(),
-        };
+        let sub = sub_root.now(NodeHandle::clone);
         if sub.kind() != NodeKind::Element {
             return Err(XdmError::new(
                 ErrorCode::XUTY0008,
@@ -1230,29 +1275,26 @@ impl NodeHandle {
             ));
         }
         sub.arena.borrow_mut().sealed = true;
-        let avoided = subtree_size(&sub.arena, sub.id);
-        count_graft(avoided);
-        let ctx = Rc::new(GraftCtx {
+        count_graft(subtree_size(&sub));
+        let entry = ChildEntry::Graft(Rc::new(GraftCtx {
             sub: sub.arena.clone(),
             root: sub.id,
             state: RefCell::new(GraftState::Live),
-        });
+        }));
         {
             let mut arena = me.arena.borrow_mut();
+            arena.grafted = true;
             let children = arena.data_mut(me.id).body.children_mut().expect("kind checked above");
-            children.push(ChildEntry::Graft(ctx.clone()));
+            children.push(entry.clone());
         }
-        Ok(graft_root(&ctx, &me.arena, me.id, &me.link))
+        Ok(me.entry_handle(&entry))
     }
 
     /// Resolve any materialized graft, then — if the handle still views
     /// a live grafted region — fire copy-on-write: materialize the
     /// outermost graft into its host arena and return the local copy.
     fn ensure_local(&self) -> NodeHandle {
-        let me = match self.resolve_if_moved() {
-            Some(h) => h,
-            None => self.clone(),
-        };
+        let me = self.now(NodeHandle::clone);
         let Some(link) = me.link.clone() else { return me };
         let mut outer = link;
         while let Some(next) = outer.host_link.clone() {
@@ -1266,66 +1308,81 @@ impl NodeHandle {
     }
 }
 
-/// The arena walk of [`NodeHandle::walk_axis`] below node `id` of `rc`
-/// (borrowed as `arena`, reached through `link`): test each child, and
-/// with `deep` each descendant, in document order, crossing into
-/// grafted arenas. A handle is built only for a node `keep` accepts.
-fn walk_below<T: From<NodeHandle>>(
-    rc: &SharedArena,
-    arena: &NodeArena,
-    link: &Option<Rc<GraftLink>>,
-    id: NodeId,
-    keep: &mut impl FnMut(NodeKind, Option<&QName>) -> bool,
-    out: &mut impl Extend<T>,
-    deep: bool,
-) {
-    for e in arena.data(id).children() {
-        match e {
-            ChildEntry::Local(c) => {
-                let d = arena.data(*c);
-                if keep(d.kind(), d.name()) {
-                    let link = link.clone();
-                    out.extend(Some(NodeHandle { arena: rc.clone(), id: *c, link }.into()));
-                }
-                if deep {
-                    walk_below(rc, arena, link, *c, keep, out, true);
-                }
+/// What a [`Walk`] step did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visit {
+    /// Reached [`Walk::node`]; its children come next unless
+    /// [`Walk::skip`] is called.
+    Enter,
+    /// Done with the children of [`Walk::node`].
+    Leave,
+}
+
+/// A document-order walk of a subtree ([`NodeHandle::walk`]). It keeps
+/// its place on an explicit stack of (open node, next child slot)
+/// pairs, so no tree depth can overflow the call stack, and it reaches
+/// each child through [`NodeHandle::entry_handle`], crossing grafts as
+/// the child axis does. Attributes are not steps: a visitor reads an
+/// element's attributes when it enters the element.
+pub struct Walk {
+    stack: Vec<(NodeHandle, usize)>,
+    /// The root is still to be entered.
+    fresh: bool,
+    /// The last step left the top node, which the next step pops.
+    left: bool,
+}
+
+impl Walk {
+    /// The next step, or `None` once the root has been left.
+    #[allow(clippy::should_implement_trait)] // it lends `node()`
+    pub fn next(&mut self) -> Option<Visit> {
+        if std::mem::take(&mut self.fresh) {
+            return Some(Visit::Enter);
+        }
+        if std::mem::take(&mut self.left) {
+            self.stack.pop();
+        }
+        let (top, next) = self.stack.last_mut()?;
+        match top.with(|d| d.children().get(*next).map(|e| top.entry_handle(e))) {
+            Some(child) => {
+                *next += 1;
+                self.stack.push((child, 0));
+                Some(Visit::Enter)
             }
-            ChildEntry::Graft(ctx) => {
-                let sub = ctx.sub.borrow();
-                let d = sub.data(ctx.root);
-                let kept = keep(d.kind(), d.name());
-                if !kept && !deep {
-                    continue;
-                }
-                let root = graft_root(ctx, rc, id, link);
-                let sub_link = root.link.clone();
-                if kept {
-                    out.extend(Some(root.into()));
-                }
-                if deep {
-                    walk_below(&ctx.sub, &sub, &sub_link, ctx.root, keep, out, true);
-                }
+            None => {
+                self.left = true;
+                Some(Visit::Leave)
             }
         }
     }
-}
 
-/// The handle of a graft's root as its host slot `(host_arena,
-/// host_id)` sees it, the host being reached through `host_link`.
-fn graft_root(
-    ctx: &Rc<GraftCtx>,
-    host_arena: &SharedArena,
-    host_id: NodeId,
-    host_link: &Option<Rc<GraftLink>>,
-) -> NodeHandle {
-    let link = GraftLink {
-        ctx: ctx.clone(),
-        host_arena: host_arena.clone(),
-        host_id,
-        host_link: host_link.clone(),
-    };
-    NodeHandle { arena: ctx.sub.clone(), id: ctx.root, link: Some(Rc::new(link)) }
+    /// The node the last step entered or left.
+    pub fn node(&self) -> &NodeHandle {
+        &self.stack.last().expect("a step was taken").0
+    }
+
+    /// Do not walk the children of the node just entered; no
+    /// [`Visit::Leave`] comes for it.
+    pub fn skip(&mut self) {
+        debug_assert!(!self.fresh && !self.left, "skip follows an Enter");
+        self.stack.pop();
+    }
+
+    /// The number of open nodes, the current one included: 1 at the
+    /// root.
+    pub(crate) fn depth(&self) -> usize {
+        self.stack.len()
+    }
+
+    /// Enter every remaining node, walking the children of those `f`
+    /// returns true for.
+    pub(crate) fn for_each(mut self, mut f: impl FnMut(&NodeHandle) -> bool) {
+        while let Some(v) = self.next() {
+            if v == Visit::Enter && !f(self.node()) {
+                self.skip();
+            }
+        }
+    }
 }
 
 /// Copy-on-write: replace the graft entry under `(host_arena,
@@ -1337,7 +1394,8 @@ fn materialize(ctx: &Rc<GraftCtx>, host_arena: &SharedArena, host_id: NodeId) {
     }
     count_graft_cow();
     let mut map = HashMap::new();
-    let new_root = copy_subtree_recording(&ctx.sub, ctx.root, host_arena, &mut map);
+    let root = NodeHandle::new(ctx.sub.clone(), ctx.root);
+    let new_root = copy_tree(&root, host_arena, Some(&mut map));
     {
         let mut host = host_arena.borrow_mut();
         host.data_mut(new_root).parent = Some(host_id);
@@ -1354,71 +1412,73 @@ fn materialize(ctx: &Rc<GraftCtx>, host_arena: &SharedArena, host_id: NodeId) {
     *ctx.state.borrow_mut() = GraftState::Materialized { map };
 }
 
-/// Raw deep copy of `(src, id)` into `target`, following nested graft
-/// entries, recording `(source stamp, source id) -> new id` for every
-/// copied node.
-fn copy_subtree_recording(
-    src: &SharedArena,
-    id: NodeId,
+/// The deep copy: copy the subtree at `src`, through any grafts, into
+/// `target` as a detached tree of fresh nodes, and return its root.
+/// With `map`, record every copied node's `(source arena stamp, source
+/// id) -> copy id`, for copy-on-write. `target` may be `src`'s own
+/// arena: no borrow of a source arena is held while `target` grows.
+fn copy_tree(
+    src: &NodeHandle,
     target: &SharedArena,
-    map: &mut HashMap<(u64, NodeId), NodeId>,
+    mut map: Option<&mut HashMap<(u64, NodeId), NodeId>>,
 ) -> NodeId {
-    let (stamp, body) = {
-        let a = src.borrow();
-        (a.stamp, a.data(id).body.clone())
-    };
-    match body {
-        NodeBody::Element { name, children, extra } => {
-            let ElementExtra { attrs, ns_decls } = extra.map(|x| *x).unwrap_or_default();
-            let slots = Children::with_capacity(children.as_slice().len());
-            let nid = target.borrow_mut().alloc(None, NodeBody::element(name, slots, ns_decls));
-            map.insert((stamp, id), nid);
-            for &a in attrs.as_slice() {
-                let na = copy_subtree_recording(src, a, target, map);
-                let mut t = target.borrow_mut();
-                t.data_mut(na).parent = Some(nid);
-                if let Some(x) = t.data_mut(nid).body.extra_mut() {
-                    x.attrs.push(na);
-                }
-            }
-            copy_entries(src, children, target, nid, map);
-            nid
+    let mut walk = src.walk();
+    let (mut root, mut parent) = (None, None);
+    while let Some(v) = walk.next() {
+        if v == Visit::Leave {
+            parent = parent.and_then(|p| target.borrow().data(p).parent);
+            continue;
         }
-        NodeBody::Document { children } => {
-            let slots = Children::with_capacity(children.as_slice().len());
-            let nid = target.borrow_mut().alloc(None, NodeBody::Document { children: slots });
-            map.insert((stamp, id), nid);
-            copy_entries(src, children, target, nid, map);
-            nid
-        }
-        leaf => {
-            let nid = target.borrow_mut().alloc(None, leaf);
-            map.insert((stamp, id), nid);
-            nid
-        }
-    }
-}
-
-fn copy_entries(
-    src: &SharedArena,
-    entries: Children,
-    target: &SharedArena,
-    parent: NodeId,
-    map: &mut HashMap<(u64, NodeId), NodeId>,
-) {
-    for e in entries.as_slice() {
-        let nc = match e {
-            ChildEntry::Local(c) => copy_subtree_recording(src, *c, target, map),
-            ChildEntry::Graft(ctx) => {
-                copy_subtree_recording(&ctx.sub, ctx.root, target, map)
-            }
+        let n = walk.node();
+        let (stamp, body, kids) = {
+            let a = n.arena.borrow();
+            let d = a.data(n.id);
+            let body = match &d.body {
+                NodeBody::Element { name, children, extra } => NodeBody::element(
+                    name.clone(),
+                    Children::with_capacity(children.as_slice().len()),
+                    extra.as_ref().map(|x| x.ns_decls.clone()).unwrap_or_default(),
+                ),
+                NodeBody::Document { children } => NodeBody::Document {
+                    children: Children::with_capacity(children.as_slice().len()),
+                },
+                leaf => leaf.clone(),
+            };
+            (a.stamp, body, d.children().len())
         };
-        let mut t = target.borrow_mut();
-        t.data_mut(nc).parent = Some(parent);
-        if let Some(children) = t.data_mut(parent).body.children_mut() {
-            children.push(ChildEntry::Local(nc));
+        let id = {
+            let mut t = target.borrow_mut();
+            let id = t.alloc(parent, body);
+            if let Some(p) = parent {
+                let slots = t.data_mut(p).body.children_mut().expect("a parent holds children");
+                slots.push(ChildEntry::Local(id));
+            }
+            id
+        };
+        root.get_or_insert(id);
+        if let Some(m) = map.as_deref_mut() {
+            m.insert((stamp, n.id), id);
+        }
+        for i in 0.. {
+            let attr = {
+                let a = n.arena.borrow();
+                a.data(n.id).body.attrs().get(i).map(|&aid| (aid, a.data(aid).body.clone()))
+            };
+            let Some((aid, body)) = attr else { break };
+            let mut t = target.borrow_mut();
+            let na = t.alloc(Some(id), body);
+            t.data_mut(id).body.extra_mut().expect("an element").attrs.push(na);
+            if let Some(m) = map.as_deref_mut() {
+                m.insert((stamp, aid), na);
+            }
+        }
+        if kids > 0 {
+            parent = Some(id);
+        } else {
+            walk.skip();
         }
     }
+    root.expect("a walk enters its root")
 }
 
 impl NodeHandle {
@@ -1443,57 +1503,7 @@ impl NodeHandle {
     /// Deep-copy this node (and subtree) into the target arena,
     /// producing a detached node with fresh identity.
     pub fn deep_copy_into(&self, target: &SharedArena) -> NodeHandle {
-        match self.kind() {
-            NodeKind::Document => {
-                let kids = self.children();
-                let body = NodeBody::Document { children: Children::with_capacity(kids.len()) };
-                let id = target.borrow_mut().alloc(None, body);
-                let copy = NodeHandle::new(target.clone(), id);
-                for c in kids {
-                    let cc = c.deep_copy_into(target);
-                    copy.push_child_raw(&cc);
-                }
-                copy
-            }
-            NodeKind::Element => {
-                let name = self.name().expect("element has name");
-                let kids = self.children();
-                let body =
-                    NodeBody::element(name, Children::with_capacity(kids.len()), self.ns_decls());
-                let id = target.borrow_mut().alloc(None, body);
-                let copy = NodeHandle::new(target.clone(), id);
-                for a in self.attributes() {
-                    let ac = a.deep_copy_into(target);
-                    copy.push_attribute_raw(&ac);
-                }
-                for c in kids {
-                    let cc = c.deep_copy_into(target);
-                    copy.push_child_raw(&cc);
-                }
-                copy
-            }
-            NodeKind::Attribute => NodeHandle::new_attribute(
-                target,
-                self.name().expect("attribute has name"),
-                self.content_shared().unwrap_or_else(|| Rc::from("")),
-            ),
-            NodeKind::Text => NodeHandle::new_text(
-                target,
-                self.content_shared().unwrap_or_else(|| Rc::from("")),
-            ),
-            NodeKind::Comment => NodeHandle::new_comment(
-                target,
-                self.content_shared().unwrap_or_else(|| Rc::from("")),
-            ),
-            NodeKind::Pi => {
-                let t = self.with_name(|q| q.map(|q| q.local.to_string()).unwrap_or_default());
-                NodeHandle::new_pi(
-                    target,
-                    t,
-                    self.content_shared().unwrap_or_else(|| Rc::from("")),
-                )
-            }
-        }
+        NodeHandle::new(target.clone(), copy_tree(self, target, None))
     }
 
     /// Deep-copy within a fresh arena (the XQuery `element {…}`
@@ -1612,10 +1622,7 @@ impl NodeHandle {
     /// copying; detaching *inside* a grafted region copies-on-write
     /// first.
     pub fn detach(&self) {
-        let me = match self.resolve_if_moved() {
-            Some(h) => h,
-            None => self.clone(),
-        };
+        let me = self.now(NodeHandle::clone);
         if let Some(link) = &me.link {
             if me.id == link.ctx.root && Rc::ptr_eq(&me.arena, &link.ctx.sub) {
                 {
@@ -1670,10 +1677,7 @@ impl NodeHandle {
         // copies the region first; the target's position is recomputed
         // through the recorded id map afterwards.
         let parent = parent.ensure_local();
-        let me = match self.resolve_if_moved() {
-            Some(h) => h,
-            None => self.clone(),
-        };
+        let me = self.now(NodeHandle::clone);
         let pos = parent
             .children()
             .iter()
@@ -1794,48 +1798,49 @@ impl NodeHandle {
 
     /// Deep structural equality (`fn:deep-equal` on nodes): same kind,
     /// name, attributes (order-insensitive), and children (order-
-    /// sensitive), ignoring node identity.
+    /// sensitive, comments and PIs ignored), ignoring node identity.
+    /// The two trees are walked in step.
     pub fn deep_equal(&self, other: &NodeHandle) -> bool {
-        if self.kind() != other.kind() || self.name() != other.name() {
-            return false;
-        }
-        match self.kind() {
-            NodeKind::Attribute | NodeKind::Text | NodeKind::Comment | NodeKind::Pi => {
-                self.content() == other.content()
-            }
-            NodeKind::Document | NodeKind::Element => {
-                let (mut a_attrs, mut b_attrs) = (self.attributes(), other.attributes());
-                if a_attrs.len() != b_attrs.len() {
-                    return false;
+        fn step(w: &mut Walk) -> Option<Visit> {
+            loop {
+                let v = w.next()?;
+                let ignored = || w.node().with(|d| matches!(d.kind(), NodeKind::Comment | NodeKind::Pi));
+                if v == Visit::Enter && w.depth() > 1 && ignored() {
+                    w.skip();
+                } else {
+                    return Some(v);
                 }
-                // Expanded-name sort without allocating clark strings.
-                let by_name = |x: &NodeHandle, y: &NodeHandle| match (x.name(), y.name())
-                {
-                    (Some(a), Some(b)) => a.cmp_expanded(&b),
-                    (a, b) => a.is_some().cmp(&b.is_some()),
-                };
-                a_attrs.sort_by(by_name);
-                b_attrs.sort_by(by_name);
-                if !a_attrs
-                    .iter()
-                    .zip(&b_attrs)
-                    .all(|(x, y)| x.name() == y.name() && x.content() == y.content())
-                {
-                    return false;
-                }
-                // Ignore comments and PIs in content comparison.
-                let filt = |v: Vec<NodeHandle>| -> Vec<NodeHandle> {
-                    v.into_iter()
-                        .filter(|c| {
-                            matches!(c.kind(), NodeKind::Element | NodeKind::Text)
-                        })
-                        .collect()
-                };
-                let (ac, bc) = (filt(self.children()), filt(other.children()));
-                ac.len() == bc.len()
-                    && ac.iter().zip(&bc).all(|(x, y)| x.deep_equal(y))
             }
         }
+        let (mut a, mut b) = (self.walk(), other.walk());
+        loop {
+            match (step(&mut a), step(&mut b)) {
+                (None, None) => return true,
+                (Some(Visit::Enter), Some(Visit::Enter)) if a.node().same_shallow(b.node()) => {}
+                (Some(Visit::Leave), Some(Visit::Leave)) => {}
+                _ => return false,
+            }
+        }
+    }
+
+    /// Whether two nodes have the same kind, name, content and
+    /// attributes, their children aside.
+    fn same_shallow(&self, other: &NodeHandle) -> bool {
+        // Attributes by expanded name, without allocating clark strings.
+        fn attrs<'a>(a: &'a NodeArena, d: &NodeData) -> Vec<&'a NodeData> {
+            let mut v: Vec<_> = d.body.attrs().iter().map(|&i| a.data(i)).collect();
+            v.sort_by(|p, q| {
+                p.name().zip(q.name()).map_or(Ordering::Equal, |(p, q)| p.cmp_expanded(q))
+            });
+            v
+        }
+        let (a, b) = (self.arena.borrow(), other.arena.borrow());
+        let (x, y) = (a.data(self.id), b.data(other.id));
+        fn shallow(n: &NodeData) -> (NodeKind, Option<&QName>, Option<&Rc<str>>) {
+            (n.kind(), n.name(), n.body.content())
+        }
+        shallow(x) == shallow(y)
+            && attrs(&a, x).into_iter().map(shallow).eq(attrs(&b, y).into_iter().map(shallow))
     }
 }
 

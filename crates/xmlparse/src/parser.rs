@@ -1,5 +1,6 @@
-//! The XML parser: a hand-rolled recursive-descent scanner that builds
-//! XDM trees with namespace resolution done on the fly.
+//! The XML parser: a hand-rolled scanner that builds XDM trees with
+//! namespace resolution done on the fly, in one loop over an explicit
+//! stack of open elements.
 
 use std::collections::HashMap;
 
@@ -43,37 +44,37 @@ fn err(msg: impl Into<String>, pos: usize) -> XdmError {
     )
 }
 
-/// Namespace scope: a stack of prefix→URI maps.
+/// The namespace declarations in force: one binding per prefix, and
+/// an undo log that closing an element rolls back to its mark. Resolving
+/// a prefix is one lookup, however deep the element.
 struct NsScope {
-    stack: Vec<HashMap<String, String>>,
+    in_force: HashMap<String, String>,
+    undo: Vec<(String, Option<String>)>,
 }
 
 impl NsScope {
     fn new() -> NsScope {
-        let mut base = HashMap::new();
-        base.insert("xml".to_string(), XML_NS.to_string());
-        NsScope { stack: vec![base] }
+        let in_force = HashMap::from([("xml".to_string(), XML_NS.to_string())]);
+        NsScope { in_force, undo: Vec::new() }
     }
 
-    fn push(&mut self, decls: &[(String, String)]) {
-        let mut m = HashMap::new();
-        for (p, u) in decls {
-            m.insert(p.clone(), u.clone());
+    fn declare(&mut self, prefix: &str, uri: &str) {
+        let shadowed = self.in_force.insert(prefix.to_string(), uri.to_string());
+        self.undo.push((prefix.to_string(), shadowed));
+    }
+
+    /// Undo every declaration made since `mark` (an earlier `undo.len()`).
+    fn close(&mut self, mark: usize) {
+        for (prefix, shadowed) in self.undo.drain(mark..).rev() {
+            match shadowed {
+                Some(uri) => self.in_force.insert(prefix, uri),
+                None => self.in_force.remove(&prefix),
+            };
         }
-        self.stack.push(m);
-    }
-
-    fn pop(&mut self) {
-        self.stack.pop();
     }
 
     fn resolve(&self, prefix: &str) -> Option<&str> {
-        for frame in self.stack.iter().rev() {
-            if let Some(u) = frame.get(prefix) {
-                return if u.is_empty() { None } else { Some(u) };
-            }
-        }
-        None
+        self.in_force.get(prefix).map(String::as_str).filter(|u| !u.is_empty())
     }
 }
 
@@ -109,53 +110,97 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The one parser loop. The open elements are an explicit stack
+    /// with the document node at the bottom, so any depth parses. With
+    /// only the document open, the loop is outside every element: it
+    /// skips whitespace, takes the XML declaration and a DOCTYPE before
+    /// the first element only, and accepts several top-level elements.
     fn parse_document(&mut self) -> XdmResult<NodeHandle> {
         let doc = NodeHandle::new_document();
         let mut ns = NsScope::new();
-        // Prolog: XML declaration, comments, PIs, DOCTYPE (skipped).
+        // (element, its raw name, the namespace scope's mark before it)
+        let mut open: Vec<(NodeHandle, &'a str, usize)> = vec![(doc.clone(), "", 0)];
+        let mut text = String::new();
+        let mut seen_element = false;
         loop {
-            self.skip_ws();
-            if self.starts_with("<?xml") {
-                let end = self.input[self.pos..]
-                    .find("?>")
-                    .ok_or_else(|| err("unterminated XML declaration", self.pos))?;
-                self.bump(end + 2);
+            let (parent, name, mark) = open.last().expect("the document stays open");
+            let outside = open.len() == 1;
+            if outside {
+                self.skip_ws();
+            } else if !matches!(self.peek(), Some(b'<') | None) || self.starts_with("<![CDATA[") {
+                self.parse_text(&mut text)?;
+                continue;
+            }
+            if !text.is_empty() {
+                let t = std::mem::take(&mut text);
+                if !self.options.strip_whitespace || !t.chars().all(char::is_whitespace) {
+                    parent.append_child(&NodeHandle::new_text(parent.arena(), t))?;
+                }
+            }
+            if !outside && self.starts_with("</") {
+                self.bump(2);
+                let close = self.parse_name()?;
+                if close != *name {
+                    return Err(err(
+                        format!("mismatched end tag: expected </{name}>, found </{close}>"),
+                        self.pos,
+                    ));
+                }
+                self.skip_ws();
+                self.expect(">")?;
+                ns.close(*mark);
+                open.pop();
             } else if self.starts_with("<!--") {
                 let c = self.parse_comment()?;
-                doc.append_child(&NodeHandle::new_comment(doc.arena(), c))?;
-            } else if self.starts_with("<!DOCTYPE") {
+                parent.append_child(&NodeHandle::new_comment(parent.arena(), c))?;
+            } else if outside && !seen_element && self.starts_with("<?xml") {
+                self.until("?>", "unterminated XML declaration")?;
+            } else if outside && !seen_element && self.starts_with("<!DOCTYPE") {
                 self.skip_doctype()?;
             } else if self.starts_with("<?") {
                 let (t, c) = self.parse_pi()?;
-                doc.append_child(&NodeHandle::new_pi(doc.arena(), t, c))?;
-            } else {
-                break;
-            }
-        }
-        if self.peek() != Some(b'<') {
-            return Err(err("expected root element", self.pos));
-        }
-        self.parse_element(&doc, &mut ns)?;
-        // Epilog.
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                let c = self.parse_comment()?;
-                doc.append_child(&NodeHandle::new_comment(doc.arena(), c))?;
-            } else if self.starts_with("<?") {
-                let (t, c) = self.parse_pi()?;
-                doc.append_child(&NodeHandle::new_pi(doc.arena(), t, c))?;
+                parent.append_child(&NodeHandle::new_pi(parent.arena(), t, c))?;
             } else if self.peek() == Some(b'<') {
-                // Fragment mode: multiple root elements are accepted.
-                self.parse_element(&doc, &mut ns)?;
+                let mark = ns.undo.len();
+                let parent = parent.clone();
+                let (elem, name, self_closing) = self.start_tag(&parent, &mut ns)?;
+                seen_element = true;
+                if self_closing {
+                    ns.close(mark);
+                } else {
+                    open.push((elem, name, mark));
+                }
+            } else if !outside {
+                return Err(err("unexpected end of input in element content", self.pos));
+            } else if !seen_element {
+                return Err(err("expected root element", self.pos));
+            } else if self.pos != self.input.len() {
+                return Err(err("trailing content after document end", self.pos));
             } else {
-                break;
+                return Ok(doc);
             }
         }
-        if self.pos != self.input.len() {
-            return Err(err("trailing content after document end", self.pos));
+    }
+
+    /// Character data up to the next markup that is not a CDATA
+    /// section: text runs, entity references and CDATA sections.
+    fn parse_text(&mut self, text: &mut String) -> XdmResult<()> {
+        loop {
+            if self.starts_with("<![CDATA[") {
+                self.bump(9);
+                text.push_str(self.until("]]>", "unterminated CDATA")?);
+            } else if self.peek() == Some(b'&') {
+                text.push(self.parse_entity()?);
+            } else if matches!(self.peek(), Some(b'<') | None) {
+                return Ok(());
+            } else {
+                let start = self.pos;
+                while !matches!(self.peek(), Some(b'<' | b'&') | None) {
+                    self.pos += 1;
+                }
+                text.push_str(&self.input[start..self.pos]);
+            }
         }
-        Ok(doc)
     }
 
     fn skip_doctype(&mut self) -> XdmResult<()> {
@@ -200,75 +245,64 @@ impl<'a> Parser<'a> {
         Ok(&self.input[start..self.pos])
     }
 
-    /// Parse one element (the `<` is current) and attach it to parent.
-    fn parse_element(&mut self, parent: &NodeHandle, ns: &mut NsScope) -> XdmResult<NodeHandle> {
+    /// Parse one start tag (the `<` is current), declare its namespace
+    /// declarations and attach the element to `parent`: the element,
+    /// its raw name, and whether the tag closed itself.
+    fn start_tag(
+        &mut self,
+        parent: &NodeHandle,
+        ns: &mut NsScope,
+    ) -> XdmResult<(NodeHandle, &'a str, bool)> {
         self.expect("<")?;
-        let name = self.parse_name()?.to_string();
+        let name = self.parse_name()?;
         // Attributes & namespace declarations.
-        let mut raw_attrs: Vec<(String, String)> = Vec::new();
-        let mut ns_decls: Vec<(String, String)> = Vec::new();
-        let self_closing;
-        loop {
+        let mut raw_attrs: Vec<(&'a str, String)> = Vec::new();
+        let mut ns_decls: Vec<(&'a str, String)> = Vec::new();
+        let self_closing = loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'/') => {
                     self.expect("/>")?;
-                    self_closing = true;
-                    break;
+                    break true;
                 }
                 Some(b'>') => {
                     self.bump(1);
-                    self_closing = false;
-                    break;
+                    break false;
                 }
                 Some(_) => {
-                    let aname = self.parse_name()?.to_string();
+                    let aname = self.parse_name()?;
                     self.skip_ws();
                     self.expect("=")?;
                     self.skip_ws();
                     let aval = self.parse_attr_value()?;
                     if aname == "xmlns" {
-                        ns_decls.push((String::new(), aval));
+                        ns_decls.push(("", aval));
                     } else if let Some(p) = aname.strip_prefix("xmlns:") {
-                        ns_decls.push((p.to_string(), aval));
+                        ns_decls.push((p, aval));
                     } else {
                         raw_attrs.push((aname, aval));
                     }
                 }
                 None => return Err(err("unterminated start tag", self.pos)),
             }
-        }
-        ns.push(&ns_decls);
-        let qname = self.resolve_qname(&name, ns, true)?;
-        let elem = NodeHandle::new_element(parent.arena(), qname);
+        };
         for (p, u) in &ns_decls {
-            elem.add_ns_decl(p.clone(), u.clone());
+            ns.declare(p, u);
+        }
+        let qname = self.resolve_qname(name, ns, true)?;
+        let elem = NodeHandle::new_element(parent.arena(), qname);
+        for (p, u) in ns_decls {
+            elem.add_ns_decl(p, u);
         }
         parent.append_child(&elem)?;
         for (aname, aval) in raw_attrs {
-            let aq = self.resolve_qname(&aname, ns, false)?;
+            let aq = self.resolve_qname(aname, ns, false)?;
             if elem.attribute(&aq).is_some() {
-                ns.pop();
                 return Err(err(format!("duplicate attribute {aname}"), self.pos));
             }
             elem.set_attribute(&NodeHandle::new_attribute(elem.arena(), aq, aval))?;
         }
-        if !self_closing {
-            self.parse_content(&elem, ns)?;
-            // parse_content consumed "</"
-            let close = self.parse_name()?;
-            if close != name {
-                ns.pop();
-                return Err(err(
-                    format!("mismatched end tag: expected </{name}>, found </{close}>"),
-                    self.pos,
-                ));
-            }
-            self.skip_ws();
-            self.expect(">")?;
-        }
-        ns.pop();
-        Ok(elem)
+        Ok((elem, name, self_closing))
     }
 
     fn resolve_qname(&self, raw: &str, ns: &NsScope, is_element: bool) -> XdmResult<QName> {
@@ -289,64 +323,6 @@ impl<'a> Parser<'a> {
                 } else {
                     Ok(QName::new(raw))
                 }
-            }
-        }
-    }
-
-    fn parse_content(&mut self, elem: &NodeHandle, ns: &mut NsScope) -> XdmResult<()> {
-        let mut text = String::new();
-        loop {
-            let flush =
-                |text: &mut String, elem: &NodeHandle, strip: bool| -> XdmResult<()> {
-                    if !text.is_empty() {
-                        let keep = !strip || !text.chars().all(char::is_whitespace);
-                        if keep {
-                            elem.append_child(&NodeHandle::new_text(
-                                elem.arena(),
-                                std::mem::take(text),
-                            ))?;
-                        } else {
-                            text.clear();
-                        }
-                    }
-                    Ok(())
-                };
-            if self.starts_with("</") {
-                flush(&mut text, elem, self.options.strip_whitespace)?;
-                self.bump(2);
-                return Ok(());
-            } else if self.starts_with("<!--") {
-                flush(&mut text, elem, self.options.strip_whitespace)?;
-                let c = self.parse_comment()?;
-                elem.append_child(&NodeHandle::new_comment(elem.arena(), c))?;
-            } else if self.starts_with("<![CDATA[") {
-                self.bump(9);
-                let end = self.input[self.pos..]
-                    .find("]]>")
-                    .ok_or_else(|| err("unterminated CDATA", self.pos))?;
-                text.push_str(&self.input[self.pos..self.pos + end]);
-                self.bump(end + 3);
-            } else if self.starts_with("<?") {
-                flush(&mut text, elem, self.options.strip_whitespace)?;
-                let (t, c) = self.parse_pi()?;
-                elem.append_child(&NodeHandle::new_pi(elem.arena(), t, c))?;
-            } else if self.peek() == Some(b'<') {
-                flush(&mut text, elem, self.options.strip_whitespace)?;
-                self.parse_element(elem, ns)?;
-            } else if self.peek() == Some(b'&') {
-                text.push(self.parse_entity()?);
-            } else if let Some(_b) = self.peek() {
-                // Consume a run of plain character data.
-                let start = self.pos;
-                while let Some(b) = self.peek() {
-                    if b == b'<' || b == b'&' {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                text.push_str(&self.input[start..self.pos]);
-            } else {
-                return Err(err("unexpected end of input in element content", self.pos));
             }
         }
     }
@@ -412,26 +388,25 @@ impl<'a> Parser<'a> {
         Ok(ch)
     }
 
-    fn parse_comment(&mut self) -> XdmResult<String> {
-        self.expect("<!--")?;
-        let end = self.input[self.pos..]
-            .find("-->")
-            .ok_or_else(|| err("unterminated comment", self.pos))?;
-        let content = self.input[self.pos..self.pos + end].to_string();
-        self.bump(end + 3);
-        Ok(content)
+    /// The text up to the next `end`, which is consumed too; `what`
+    /// names the construct if there is none.
+    fn until(&mut self, end: &str, what: &str) -> XdmResult<&'a str> {
+        let len = self.input[self.pos..].find(end).ok_or_else(|| err(what, self.pos))?;
+        let text = &self.input[self.pos..self.pos + len];
+        self.bump(len + end.len());
+        Ok(text)
     }
 
-    fn parse_pi(&mut self) -> XdmResult<(String, String)> {
+    fn parse_comment(&mut self) -> XdmResult<&'a str> {
+        self.expect("<!--")?;
+        self.until("-->", "unterminated comment")
+    }
+
+    fn parse_pi(&mut self) -> XdmResult<(&'a str, &'a str)> {
         self.expect("<?")?;
-        let target = self.parse_name()?.to_string();
+        let target = self.parse_name()?;
         self.skip_ws();
-        let end = self.input[self.pos..]
-            .find("?>")
-            .ok_or_else(|| err("unterminated processing instruction", self.pos))?;
-        let content = self.input[self.pos..self.pos + end].to_string();
-        self.bump(end + 2);
-        Ok((target, content))
+        Ok((target, self.until("?>", "unterminated processing instruction")?))
     }
 }
 

@@ -6,23 +6,23 @@
 //! are trusted to be consistent (they come from the parser or from
 //! query constructors which resolve prefixes at parse time).
 
-use std::collections::HashSet;
-
 use xdm::error::XdmResult;
-use xdm::node::{NodeHandle, NodeKind};
+use xdm::node::{NodeHandle, NodeKind, Visit};
+use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
+use xdm::Symbol;
 
 /// Serialize a node compactly.
 pub fn serialize(node: &NodeHandle) -> String {
     let mut out = String::new();
-    write_node(&mut out, node, None, &mut HashSet::new());
+    write_node(&mut out, node, false, &mut Vec::new());
     out
 }
 
 /// Serialize a node with two-space indentation.
 pub fn serialize_pretty(node: &NodeHandle) -> String {
     let mut out = String::new();
-    write_node(&mut out, node, Some(0), &mut HashSet::new());
+    write_node(&mut out, node, true, &mut Vec::new());
     out
 }
 
@@ -57,6 +57,8 @@ pub struct IncrementalSerializer {
     /// [`take_delta`]: IncrementalSerializer::take_delta
     emitted: usize,
     prev_atomic: bool,
+    /// [`write_node`]'s stack of open nodes, kept from item to item.
+    open: Vec<Open>,
 }
 
 impl IncrementalSerializer {
@@ -69,14 +71,14 @@ impl IncrementalSerializer {
     pub fn write_item(&mut self, item: &Item) {
         match item {
             Item::Node(n) => {
-                write_node(&mut self.out, n, None, &mut HashSet::new());
+                write_node(&mut self.out, n, false, &mut self.open);
                 self.prev_atomic = false;
             }
             Item::Atomic(a) => {
                 if self.prev_atomic {
                     self.out.push(' ');
                 }
-                self.out.push_str(&escape_text(&a.string_value()));
+                escape(&mut self.out, &a.string_shared(), false);
                 self.prev_atomic = true;
             }
         }
@@ -96,30 +98,37 @@ impl IncrementalSerializer {
     }
 }
 
-fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(c),
-        }
+/// Append `s` to `out`, escaped as text (`<`, `>`, `&`) or as a
+/// double-quoted attribute value (`<`, `&`, `"`).
+fn escape(out: &mut String, s: &str, attr: bool) {
+    let mut rest = s;
+    while let Some(i) = rest.find(['<', '&', if attr { '"' } else { '>' }]) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'&' => "&amp;",
+            _ => "&quot;",
+        });
+        rest = &rest[i + 1..];
     }
-    out
+    out.push_str(rest);
 }
 
-fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
+fn write_qname(out: &mut String, q: &QName) {
+    if let Some(p) = &q.prefix {
+        out.push_str(p);
+        out.push(':');
     }
-    out
+    out.push_str(&q.local);
+}
+
+/// Write `name="value"`, the value escaped.
+fn write_attribute(out: &mut String, name: &QName, value: &str) {
+    write_qname(out, name);
+    out.push_str("=\"");
+    escape(out, value, true);
+    out.push('"');
 }
 
 fn write_indent(out: &mut String, depth: usize) {
@@ -128,141 +137,138 @@ fn write_indent(out: &mut String, depth: usize) {
     }
 }
 
-fn write_node(
-    out: &mut String,
-    node: &NodeHandle,
+/// Write ` xmlns[:p]="uri"` unless that declaration is in force
+/// already, and put it in force.
+fn declare(out: &mut String, declared: &mut Vec<(Symbol, Symbol)>, prefix: &Symbol, uri: &Symbol) {
+    if declared.iter().any(|(p, u)| p == prefix && u == uri) {
+        return;
+    }
+    out.push_str(if prefix.is_empty() { " xmlns" } else { " xmlns:" });
+    out.push_str(prefix);
+    out.push_str("=\"");
+    escape(out, uri, true);
+    out.push('"');
+    declared.push((prefix.clone(), uri.clone()));
+}
+
+/// An open document or element: the declarations made before it, its
+/// own indent (pretty mode), whether its children stand on lines of
+/// their own, and how many it has entered.
+struct Open {
+    mark: usize,
     indent: Option<usize>,
-    declared: &mut HashSet<(xdm::Symbol, xdm::Symbol)>,
-) {
-    match node.kind() {
-        NodeKind::Document => {
-            let mut first = true;
-            for c in node.children() {
-                if !first
-                    && indent.is_some() {
-                        out.push('\n');
-                    }
-                write_node(out, &c, indent, declared);
-                first = false;
-            }
-        }
-        NodeKind::Element => {
-            let name = node.name().expect("element has name");
-            let lex = name.lexical();
-            if let Some(d) = indent {
-                if d > 0 {
-                    write_indent(out, d);
-                }
-            }
-            out.push('<');
-            out.push_str(&lex);
-            // Namespace declarations recorded on this element.
-            let mut local_declared: Vec<(xdm::Symbol, xdm::Symbol)> = Vec::new();
-            for (p, u) in node.ns_decls() {
-                let key = (p.clone(), u.clone());
-                if declared.contains(&key) {
-                    continue;
-                }
-                local_declared.push(key.clone());
-                declared.insert(key);
-                if p.is_empty() {
-                    out.push_str(&format!(" xmlns=\"{}\"", escape_attr(&u)));
-                } else {
-                    out.push_str(&format!(" xmlns:{}=\"{}\"", p, escape_attr(&u)));
-                }
-            }
-            // Synthesize a declaration for the element's own prefix if
-            // it is namespaced but nothing declares it (constructed
-            // nodes from query land here).
-            if let (Some(ns), maybe_prefix) = (&name.ns, &name.prefix) {
-                let p = maybe_prefix.clone().unwrap_or_default();
-                let key = (p.clone(), ns.clone());
-                if !declared.contains(&key) {
-                    local_declared.push(key.clone());
-                    declared.insert(key);
-                    if p.is_empty() {
-                        out.push_str(&format!(" xmlns=\"{}\"", escape_attr(ns)));
-                    } else {
-                        out.push_str(&format!(" xmlns:{}=\"{}\"", p, escape_attr(ns)));
-                    }
-                }
-            }
-            for a in node.attributes() {
-                let aname = a.name().expect("attribute has name");
-                // Synthesize prefixed-attribute namespace declarations.
-                if let (Some(ns), Some(p)) = (&aname.ns, &aname.prefix) {
-                    let key = (p.clone(), ns.clone());
-                    if !declared.contains(&key) {
-                        local_declared.push(key.clone());
-                        declared.insert(key);
-                        out.push_str(&format!(" xmlns:{}=\"{}\"", p, escape_attr(ns)));
-                    }
-                }
-                out.push_str(&format!(
-                    " {}=\"{}\"",
-                    aname.lexical(),
-                    escape_attr(&a.content().unwrap_or_default())
-                ));
-            }
-            let children = node.children();
-            if children.is_empty() {
-                out.push_str("/>");
-            } else {
-                out.push('>');
-                let element_only = indent.is_some()
-                    && children.iter().all(|c| {
-                        matches!(c.kind(), NodeKind::Element | NodeKind::Comment | NodeKind::Pi)
-                    });
-                for c in &children {
-                    if element_only {
-                        out.push('\n');
-                    }
-                    write_node(
-                        out,
-                        c,
-                        if element_only { indent.map(|d| d + 1) } else { None },
-                        declared,
-                    );
-                }
-                if element_only {
+    lines: bool,
+    document: bool,
+    entered: usize,
+}
+
+/// Serialize `node` into `out` as it is walked. In pretty mode an
+/// element whose content is all elements, comments and PIs puts each
+/// child on a line of its own, elements indented two spaces a level,
+/// and a document puts a line break between its children.
+fn write_node(out: &mut String, node: &NodeHandle, pretty: bool, open: &mut Vec<Open>) {
+    // The namespace declarations in force.
+    let mut declared: Vec<(Symbol, Symbol)> = Vec::new();
+    let mut walk = node.walk();
+    while let Some(v) = walk.next() {
+        let n = walk.node();
+        let kind = n.kind();
+        if v == Visit::Leave {
+            let o = open.pop().expect("an open node");
+            if kind == NodeKind::Element {
+                if o.lines {
                     out.push('\n');
-                    write_indent(out, indent.unwrap_or(0));
+                    write_indent(out, o.indent.unwrap_or(0));
                 }
                 out.push_str("</");
-                out.push_str(&lex);
+                n.with_name(|q| write_qname(out, q.expect("element has name")));
                 out.push('>');
             }
-            for key in local_declared {
-                declared.remove(&key);
-            }
+            declared.truncate(o.mark);
+            continue;
         }
-        NodeKind::Attribute => {
+        // This node's indent, and whether its parent breaks the line.
+        let (indent, newline) = match open.last_mut() {
+            None => (pretty.then_some(0), false),
+            Some(p) => {
+                p.entered += 1;
+                match (p.document, p.lines) {
+                    (true, _) => (p.indent, p.indent.is_some() && p.entered > 1),
+                    (false, true) => (p.indent.map(|d| d + 1), true),
+                    (false, false) => (None, false),
+                }
+            }
+        };
+        if newline {
+            out.push('\n');
+        }
+        let mark = declared.len();
+        let content = n.content_shared();
+        let content = content.as_deref().unwrap_or_default();
+        match kind {
+            NodeKind::Document => {
+                open.push(Open { mark, indent, lines: false, document: true, entered: 0 });
+                continue;
+            }
+            NodeKind::Element => {
+                let name = n.name().expect("element has name");
+                write_indent(out, indent.unwrap_or(0));
+                out.push('<');
+                write_qname(out, &name);
+                n.with_ns_decls(|decls| {
+                    for (p, u) in decls {
+                        declare(out, &mut declared, p, u);
+                    }
+                });
+                // Synthesize a declaration for the element's own prefix
+                // if it is namespaced but nothing declares it
+                // (constructed nodes from query land here).
+                if let Some(ns) = &name.ns {
+                    declare(out, &mut declared, &name.prefix.clone().unwrap_or_default(), ns);
+                }
+                n.for_each_attribute(|aname, value| {
+                    // Synthesize prefixed-attribute namespace declarations.
+                    if let (Some(ns), Some(p)) = (&aname.ns, &aname.prefix) {
+                        declare(out, &mut declared, p, ns);
+                    }
+                    out.push(' ');
+                    write_attribute(out, aname, value);
+                });
+                if n.has_children() {
+                    out.push('>');
+                    let mut lines = indent.is_some();
+                    if lines {
+                        // Element-only content: no text child.
+                        n.for_each_child(|c| lines &= c.kind() != NodeKind::Text);
+                    }
+                    open.push(Open { mark, indent, lines, document: false, entered: 0 });
+                    continue;
+                }
+                out.push_str("/>");
+                declared.truncate(mark);
+            }
             // A bare attribute serializes as name="value" (useful in
             // diagnostics; attributes normally ride on their element).
-            let aname = node.name().expect("attribute has name");
-            out.push_str(&format!(
-                "{}=\"{}\"",
-                aname.lexical(),
-                escape_attr(&node.content().unwrap_or_default())
-            ));
-        }
-        NodeKind::Text => out.push_str(&escape_text(&node.content().unwrap_or_default())),
-        NodeKind::Comment => {
-            out.push_str("<!--");
-            out.push_str(&node.content().unwrap_or_default());
-            out.push_str("-->");
-        }
-        NodeKind::Pi => {
-            let name = node.name().expect("pi has target");
-            out.push_str("<?");
-            out.push_str(&name.local);
-            let c = node.content().unwrap_or_default();
-            if !c.is_empty() {
-                out.push(' ');
-                out.push_str(&c);
+            NodeKind::Attribute => {
+                n.with_name(|q| write_attribute(out, q.expect("attribute has name"), content));
             }
-            out.push_str("?>");
+            NodeKind::Text => escape(out, content, false),
+            NodeKind::Comment => {
+                out.push_str("<!--");
+                out.push_str(content);
+                out.push_str("-->");
+            }
+            NodeKind::Pi => {
+                out.push_str("<?");
+                n.with_name(|q| out.push_str(&q.expect("pi has target").local));
+                if !content.is_empty() {
+                    out.push(' ');
+                    out.push_str(content);
+                }
+                out.push_str("?>");
+            }
         }
+        walk.skip();
     }
 }
 

@@ -28,7 +28,10 @@ pub struct Focus {
 /// Variable bindings live in one flat stack, innermost last, cut into
 /// scopes by start marks: a lookup scans from the top, so an inner
 /// binding shadows an outer one, and popping a scope truncates the
-/// stack to its mark. XQSE block variables are *assignable* and marked
+/// stack to its mark. A user function's call opens a *frame*, a scope
+/// that lookups and assignments do not cross: its body sees its
+/// parameters and the prolog's variables, never its caller's (XQuery
+/// 1.0 §4.15). XQSE block variables are *assignable* and marked
 /// as such, while XQuery `for`/`let` bindings are read-only (the
 /// paper, §III.B.5: "Block variables differ from let variables in that
 /// they can be assigned").
@@ -37,6 +40,9 @@ pub struct Env {
     /// Where each pushed scope starts in `vars`; the root scope starts
     /// at 0 and has no mark.
     scopes: Vec<usize>,
+    /// Where the innermost call frame starts in `vars`: no binding
+    /// below it is visible.
+    frame: usize,
     /// The current focus, if any.
     pub focus: Option<Focus>,
     /// Open pending-update list: present only inside an XQSE update
@@ -92,6 +98,7 @@ impl Env {
         Env {
             vars: Vec::new(),
             scopes: Vec::new(),
+            frame: 0,
             focus: None,
             pul: None,
             trace: Rc::new(RefCell::new(Vec::new())),
@@ -127,6 +134,21 @@ impl Env {
     /// block's. Assignability belongs to each binding, not the frame.
     pub fn push_scope(&mut self) {
         self.scopes.push(self.vars.len());
+    }
+
+    /// Open a function call's frame: a scope whose bindings are the
+    /// only ones visible until [`Env::pop_frame`] closes it with the
+    /// returned mark.
+    pub fn push_frame(&mut self) -> usize {
+        self.push_scope();
+        std::mem::replace(&mut self.frame, self.vars.len())
+    }
+
+    /// Close the frame [`Env::push_frame`] opened, dropping its
+    /// bindings.
+    pub fn pop_frame(&mut self, outer: usize) {
+        self.pop_scope();
+        self.frame = outer;
     }
 
     /// Pop the innermost scope, dropping its bindings.
@@ -169,7 +191,7 @@ impl Env {
     /// variable raises `XQSE0002` ("Any reference to such a variable …
     /// is an error until it has been initially assigned to", §III.B.5).
     pub fn lookup(&self, name: &QName) -> XdmResult<Option<Sequence>> {
-        match self.vars.iter().rev().find(|(n, _)| n == name) {
+        match self.vars[self.frame..].iter().rev().find(|(n, _)| n == name) {
             None => Ok(None),
             Some((_, b)) => match &b.value {
                 Some(v) => Ok(Some(v.clone())),
@@ -185,7 +207,7 @@ impl Env {
     /// declared by a block variable declaration may be assigned
     /// (`XQSE0001` otherwise).
     pub fn assign(&mut self, name: &QName, value: Sequence) -> XdmResult<()> {
-        if let Some((_, b)) = self.vars.iter_mut().rev().find(|(n, _)| n == name) {
+        if let Some((_, b)) = self.vars[self.frame..].iter_mut().rev().find(|(n, _)| n == name) {
             if !b.assignable {
                 return Err(XdmError::new(
                     ErrorCode::XQSE0001,
@@ -306,6 +328,21 @@ mod tests {
         env.assign(&q("acc"), Sequence::one(Item::integer(1))).unwrap();
         env.pop_scope();
         assert_eq!(env.lookup(&q("acc")).unwrap().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_call_frame_hides_the_callers_bindings() {
+        let mut env = Env::new();
+        env.push_scope();
+        env.declare_block_var(q("b"), Some(Sequence::one(Item::integer(7))), None);
+        let outer = env.push_frame();
+        assert!(matches!(env.lookup(&q("b")), Ok(None)));
+        assert!(env.assign(&q("b"), Sequence::empty()).is_err());
+        env.bind(q("p"), Sequence::one(Item::integer(1)));
+        assert_eq!(env.lookup(&q("p")).unwrap().unwrap().len(), 1);
+        env.pop_frame(outer);
+        assert!(matches!(env.lookup(&q("p")), Ok(None)));
+        assert_eq!(env.lookup(&q("b")).unwrap().unwrap().items()[0], Item::integer(7));
     }
 
     #[test]

@@ -1085,7 +1085,7 @@ impl<'e> Evaluator<'e> {
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         crate::depth::check_call_depth()?;
-        env.push_scope();
+        let outer = env.push_frame();
         let result = (|| {
             // Each argument is taken out of its slot, converted to its
             // parameter's type and bound in turn: the conversions run
@@ -1104,7 +1104,7 @@ impl<'e> Evaluator<'e> {
             }
             Ok(out)
         })();
-        env.pop_scope();
+        env.pop_frame(outer);
         result
     }
 

@@ -876,7 +876,7 @@ impl Unfold {
         loop {
             if let Some(ViewRun { tuple, params, stages }) = &mut self.run {
                 let skeleton = &self.skeleton;
-                while let Some((row, skel)) = in_view(cx, body, tuple, params, |vx| {
+                while let Some((row, skel)) = in_view(cx, body, params, |vx| {
                     let Some(row) = pull(stages, vx)? else { return Ok(None) };
                     let skel = vx.force(&row, skeleton)?;
                     Ok(Some((row, skel)))
@@ -886,7 +886,7 @@ impl Unfold {
                     if !cx.passes(&t, clause + 1)? {
                         continue;
                     }
-                    let full = in_view(cx, body, tuple, params, |vx| vx.force(&row, ret))?;
+                    let full = in_view(cx, body, params, |vx| vx.force(&row, ret))?;
                     if let Some(ty) = &decl.return_type {
                         ty.check(&full, || format!("result of {}", decl.name))?;
                     }
@@ -930,24 +930,23 @@ fn call_params(
     convert_params(decl, values)
 }
 
-/// Run `f` over the view's `body` in the scope `call_user_function`
-/// gives it: the caller's tuple, then the parameters, bound, and no
-/// focus.
+/// Run `f` over the view's `body` in the frame `call_user_function`
+/// gives it: the parameters bound, nothing of the caller's visible,
+/// and no focus.
 fn in_view<R>(
     cx: &mut Cx<'_, '_>,
     body: &Rc<[FlworClause]>,
-    tuple: &Tuple,
     params: &Tuple,
     f: impl FnOnce(&mut Cx<'_, '_>) -> XdmResult<R>,
 ) -> XdmResult<R> {
-    cx.env.push_scope();
-    for (n, v) in tuple.iter().chain(params) {
+    let outer = cx.env.push_frame();
+    for (n, v) in params {
         cx.env.bind(n.clone(), v.clone());
     }
     let focus = cx.env.focus.take();
     let out = f(&mut Cx { ev: cx.ev, env: &mut *cx.env, clauses: body, lazy: false });
     cx.env.focus = focus;
-    cx.env.pop_scope();
+    cx.env.pop_frame(outer);
     out
 }
 
@@ -959,9 +958,8 @@ fn in_view<R>(
 ///
 /// - every use of `$v` in `P` is `$v/N`, one predicate-free child step,
 ///   directly an operand of a value or general comparison, which
-///   atomizes it, so node identity and parents cannot leak;
-/// - `P` calls builtin functions only: a user function sees its
-///   caller's variables, so one called from `P` could read `$v`;
+///   atomizes it, so node identity and parents cannot leak (a user
+///   function called from `P` sees only its parameters and globals);
 /// - each such `N` names exactly one direct-constructor child of `<E>`,
 ///   and no enclosed expression in `<E>`'s content can yield an
 ///   element named `N` (see [`may_yield`]);
@@ -990,7 +988,7 @@ fn detect_unfold(
     let Some(Expr::Flwor { ret, .. }) = &decl.body else { return None };
     let Expr::DirectElement(elem) = &**ret else { return None };
     let mut names = Vec::new();
-    if !compared_children(cond, var, &mut names) || !calls_only_builtins(cond) {
+    if !compared_children(cond, var, &mut names) {
         return None;
     }
     if elem.content.iter().any(|c| matches!(c, DirectContent::Expr(e) if may_yield(e, &names))) {

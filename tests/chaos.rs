@@ -1833,6 +1833,88 @@ mod serve {
         pool.shutdown();
     }
 
+    /// How deep the documents of the deep-tree tests nest.
+    const DEEP: usize = 200_000;
+
+    /// `DEEP` nested `<a>` elements around the text `x`.
+    fn deep_document() -> String {
+        format!("{}x{}", "<a>".repeat(DEEP), "</a>".repeat(DEEP))
+    }
+
+    /// Answer `program` on a one-worker pool whose worker has parsed
+    /// and registered two `DEEP`-deep documents, `d` and `e`, then check
+    /// that the pool serves a normal request. `features` edits the
+    /// worker's features.
+    fn on_deep_documents(program: &str, features: fn(Features) -> Features) -> String {
+        let pool = ServePool::start(ServeSpec::new(1), move |_| {
+            let space = DataSpace::new();
+            space.engine().set_features(features(space.engine().features()));
+            for uri in ["d", "e"] {
+                let doc = xqse_repro::xmlparse::parse(&deep_document())?;
+                space.engine().register_document(uri, doc);
+            }
+            Ok(space)
+        });
+        let answer = pool.call(ServeRequest::Run { program: program.into() }).result.unwrap();
+        let next = pool.call(ServeRequest::Run { program: "1 + 1".into() });
+        assert_eq!(next.result.unwrap(), "2");
+        let report = pool.shutdown();
+        assert_eq!((report.offered, report.completed), (2, 2));
+        answer
+    }
+
+    /// A document nests as deep as memory allows: parsing it, walking
+    /// its descendants and dropping it each used to recurse once per
+    /// level and overflowed the worker's stack.
+    #[test]
+    fn serve_deep_document_descendants_are_counted() {
+        let count = on_deep_documents("fn:count(fn:doc(\"d\")/descendant::a)", |f| f);
+        assert_eq!(count, DEEP.to_string());
+    }
+
+    #[test]
+    fn serve_deep_document_string_value() {
+        assert_eq!(on_deep_documents("fn:string(fn:doc(\"d\"))", |f| f), "x");
+    }
+
+    #[test]
+    fn serve_deep_document_serializes() {
+        assert!(on_deep_documents("fn:doc(\"d\")", |f| f) == deep_document());
+    }
+
+    #[test]
+    fn serve_deep_documents_compare_deep_equal() {
+        assert_eq!(on_deep_documents("fn:deep-equal(fn:doc(\"d\"), fn:doc(\"e\"))", |f| f), "true");
+    }
+
+    /// A registered document is neither sealed nor detached, so a
+    /// constructor deep-copies it.
+    #[test]
+    fn serve_deep_document_copies_into_a_constructor() {
+        let copy = on_deep_documents("<x>{fn:doc(\"d\")}</x>", |f| f);
+        assert!(copy == format!("<x>{}</x>", deep_document()));
+    }
+
+    /// Each pass grafts the tree the last one built (`graft` is on
+    /// whatever `XQSE_FEATURES` says: without it each pass copies the
+    /// whole tree), so `$x` ends as a chain of `DEEP_GRAFTS` arenas. The insert into the innermost `a`
+    /// goes through every graft view and copies the whole chain on
+    /// write; counting walks the copy. Then the chain, the views and
+    /// the copy are dropped: each of these used to recurse once per
+    /// graft.
+    #[test]
+    fn serve_deep_graft_chain_copies_on_write_and_drops() {
+        const DEEP_GRAFTS: usize = 100_000;
+        let program = format!(
+            "{{ declare $x := <a/>; declare $i := 0; \
+             while ($i lt {DEEP_GRAFTS}) {{ set $x := <a>{{$x}}</a>; set $i := $i + 1; }} \
+             insert node <a/> into ($x/descendant::a)[fn:last()]; \
+             return value fn:count($x/descendant::a); }}"
+        );
+        let graft = |f| Features { graft: true, ..f };
+        assert_eq!(on_deep_documents(&program, graft), (DEEP_GRAFTS + 1).to_string());
+    }
+
     fn xa_sets(marker: &str) -> Vec<(usize, Vec<String>, String)> {
         vec![
             (0, vec!["LAST_NAME".into()], marker.to_string()),

@@ -300,3 +300,24 @@ fn nesting_at_the_parser_limit_runs_and_deeper_is_refused() {
     assert!(stderr.contains("[XPST0003]"), "{stderr}");
     assert!(stderr.contains("nesting deeper than 256 levels"), "{stderr}");
 }
+
+/// A 40,000-deep `--doc` loads and answers on `xqsh`'s evaluation
+/// thread in this (debug) build: the parser keeps its open elements on
+/// a stack of its own, and the descendant axis walks the same way.
+#[test]
+fn a_deep_document_loads_and_answers() {
+    const DEPTH: usize = 40_000;
+    let dir = std::env::temp_dir().join(format!("xqsh_cli_deep_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let xml_path = dir.join("deep.xml");
+    std::fs::write(&xml_path, format!("{}{}", "<a>".repeat(DEPTH), "</a>".repeat(DEPTH))).unwrap();
+    let doc = format!("d={}", xml_path.display());
+    for (query, answer) in
+        [("1", "1".to_string()), ("fn:count(fn:doc(\"d\")/descendant::a)", DEPTH.to_string())]
+    {
+        let (stdout, stderr, ok) = run_stdin(&["--doc", &doc], query);
+        assert!(ok, "{query}: {stderr}");
+        assert_eq!(stdout.trim(), answer, "{query}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

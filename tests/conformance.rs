@@ -292,3 +292,31 @@ fn validator_consistent_with_runtime() {
         );
     }
 }
+
+/// A user function's body sees its parameters and the prolog's
+/// variables, never its caller's (XQuery 1.0 §4.15): not a `let`
+/// binding around the call and not an XQSE block variable. The same
+/// holds in XQueryP's sequential mode.
+#[test]
+fn a_function_body_sees_only_its_parameters_and_the_prolog() {
+    let cases = [
+        (
+            "declare variable $x := 5; declare function local:f() { $x }; \
+             let $x := 1 return local:f()",
+            Ok("5"),
+        ),
+        ("declare function local:f() { $x }; let $x := 1 return local:f()", Err("XPST0008")),
+        (
+            "declare function local:f() { $b }; { declare $b := 7; return value local:f(); }",
+            Err("XPST0008"),
+        ),
+    ];
+    for (src, expected) in cases {
+        let engine = std::rc::Rc::new(xqse_repro::xqeval::Engine::new());
+        let xqueryp = xqse_repro::xqse::xqueryp::XqueryP::with_engine(engine);
+        for (mode, got) in [("xqse", Xqse::new().run(src)), ("xqueryp", xqueryp.run(src))] {
+            let got = got.map(|s| serialize_sequence(&s)).map_err(|e| e.code.local.to_string());
+            assert_eq!(got.as_deref().map_err(String::as_str), expected, "{mode}: {src}");
+        }
+    }
+}

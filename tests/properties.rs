@@ -18,7 +18,9 @@ use xqse_repro::xdm::node::{NodeHandle, NodeKind};
 use xqse_repro::xdm::error::{ErrorCode, XdmError};
 use xqse_repro::xdm::qname::QName;
 use xqse_repro::xdm::sequence::{Item, Sequence};
-use xqse_repro::xmlparse::{parse, serialize, serialize_sequence};
+use std::rc::Rc;
+
+use xqse_repro::xmlparse::{parse, serialize, serialize_pretty, serialize_sequence};
 use xqse_repro::xqeval::Features;
 use xqse_repro::xqse::Xqse;
 
@@ -101,10 +103,117 @@ fn build_tree(t: &TreeNode, arena: &xqse_repro::xdm::node::SharedArena) -> NodeH
     }
 }
 
+fn root_element(doc: &NodeHandle) -> NodeHandle {
+    doc.children().into_iter().find(|c| c.kind() == NodeKind::Element).unwrap()
+}
+
+/// A deep, wide tree: `depth` nested spine elements, `width` leaves
+/// under the spine element at `wide_at`, decorations drawn from `seed`,
+/// and every `graft_every` spine levels (never, for 0) the rest of the
+/// spine built in an arena of its own and grafted in. With `cow` a
+/// child is appended to the innermost spine element through the graft
+/// views, which copies the grafted parts on write.
+#[derive(Debug, Clone)]
+struct DeepTree {
+    depth: usize,
+    width: usize,
+    wide_at: usize,
+    seed: u64,
+    graft_every: usize,
+    cow: bool,
+}
+
+fn deep_tree_strategy() -> impl Strategy<Value = DeepTree> {
+    let shape = (1usize..=5000, 1usize..=5000, 0usize..5000);
+    (shape, 0i64..i64::MAX, 0usize..4, proptest::bool::ANY).prop_map(
+        |((depth, width, wide), seed, g, cow)| DeepTree {
+            depth,
+            width,
+            wide_at: wide % depth,
+            seed: seed as u64,
+            graft_every: [0, 1, depth.div_ceil(3), 97][g],
+            cow,
+        },
+    )
+}
+
+/// The text of spine levels `levels` of `t`, each level's element
+/// enclosing the next, the innermost holding no spine element: the
+/// part below is grafted there. The outermost declares the namespaces
+/// every part shares; an inner level may declare its own.
+fn deep_tree_text(t: &DeepTree, levels: std::ops::Range<usize>) -> String {
+    let mut rng = t.seed ^ levels.start as u64 | 1;
+    let mut draw = |n: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % n
+    };
+    const LEAVES: [&str; 6] =
+        ["<l/>", "t&amp;x", "<!--c-->", "<?pi data?>", "<![CDATA[<r&>]]>", "<p:l k=\"1\"/>"];
+    let (mut text, mut close) = (String::new(), Vec::new());
+    for level in levels.clone() {
+        let name = ["a", "p:b", "c", "q:e"][draw(4) as usize];
+        text.push_str(&format!("<{name} d=\"{level}\""));
+        if level == levels.start {
+            text.push_str(" xmlns=\"urn:d\" xmlns:p=\"urn:p\" xmlns:q=\"urn:q\"");
+        }
+        match draw(6) {
+            0 => text.push_str(" k=\"v&amp;&lt;&quot;\""),
+            1 => text.push_str(" q:z=\"2\""),
+            2 => text.push_str(&format!(" xmlns:r=\"urn:r{level}\" r:y=\"3\"")),
+            3 => text.push_str(" xmlns:p=\"urn:p\""),
+            _ => {}
+        }
+        text.push('>');
+        let leaves = if level == t.wide_at { t.width } else { draw(2) as usize };
+        for _ in 0..leaves {
+            text.push_str(LEAVES[draw(6) as usize]);
+        }
+        close.push(format!("{}</{name}>", ["<!--after-->", "z", ""][draw(3) as usize]));
+    }
+    text + &close.into_iter().rev().collect::<String>()
+}
+
+/// The spine element of level `level` below `root`.
+fn spine_element(root: &NodeHandle, level: usize) -> NodeHandle {
+    let d = QName::new("d");
+    let mut walk = root.walk();
+    while walk.next().is_some() {
+        let n = walk.node();
+        if n.attribute(&d).and_then(|a| a.content()) == Some(level.to_string()) {
+            return n.clone();
+        }
+    }
+    panic!("no spine element {level}")
+}
+
+/// Build `t`: parse each part's text and graft it into the innermost
+/// spine element of the part above, then copy on write.
+fn build_deep_tree(t: &DeepTree) -> NodeHandle {
+    let step = if t.graft_every == 0 { t.depth } else { t.graft_every };
+    let mut below: Option<NodeHandle> = None;
+    for start in (0..t.depth).step_by(step).rev() {
+        let end = (start + step).min(t.depth);
+        let part = root_element(&parse(&deep_tree_text(t, start..end)).unwrap());
+        if let Some(sub) = below.take() {
+            spine_element(&part, end - 1).graft_child(&sub).unwrap();
+        }
+        below = Some(part);
+    }
+    let tree = below.unwrap();
+    if t.cow {
+        let cow = NodeHandle::root_element(QName::with_ns("urn:d", "cow"));
+        spine_element(&tree, t.depth - 1).append_child(&cow).unwrap();
+    }
+    tree
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// parse(serialize(t)) is structurally equal to t.
+    /// parse(serialize(t)) is structurally equal to t, and serializing
+    /// it again gives the same bytes, compact and pretty.
     #[test]
     fn xml_serialize_parse_round_trip(t in tree_strategy()) {
         // Ensure a single element root.
@@ -126,6 +235,9 @@ proptest! {
             .find(|c| c.kind() == NodeKind::Element)
             .unwrap();
         prop_assert!(node.deep_equal(&back), "{xml}");
+        prop_assert_eq!(serialize(&back), xml);
+        let pretty = serialize_pretty(&node);
+        prop_assert_eq!(serialize_pretty(&root_element(&parse(&pretty).unwrap())), pretty);
     }
 
     /// Document order is a strict total order consistent over any pair
@@ -371,6 +483,37 @@ proptest! {
         let got: i64 = out.string_value().unwrap().parse().unwrap();
         // XQuery idiv truncates toward zero, like Rust's /.
         prop_assert_eq!(got, a + b * 2 - a / 7);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same three facts, a copy's and a string value's on trees up
+    /// to 5,000 levels deep and as wide, with attributes, namespace
+    /// declarations, comments, PIs and CDATA sections, built from
+    /// grafted parts with a copy-on-write through the graft views.
+    #[test]
+    fn deep_trees_round_trip_copy_and_concatenate(t in deep_tree_strategy()) {
+        let tree = build_deep_tree(&t);
+        let xml = serialize(&tree);
+        let back = root_element(&parse(&xml).unwrap());
+        prop_assert!(tree.deep_equal(&back));
+        prop_assert!(serialize(&back) == xml, "compact output is no fixed point");
+        let pretty = serialize_pretty(&tree);
+        let again = serialize_pretty(&root_element(&parse(&pretty).unwrap()));
+        prop_assert!(again == pretty, "pretty output is no fixed point");
+        let copy = tree.deep_copy();
+        prop_assert!(copy.deep_equal(&tree));
+        prop_assert!(serialize(&copy) == xml);
+        prop_assert!(copy != tree && !Rc::ptr_eq(copy.arena(), tree.arena()));
+        let text: String = tree
+            .descendants()
+            .iter()
+            .filter(|n| n.kind() == NodeKind::Text)
+            .map(|n| n.content().unwrap())
+            .collect();
+        prop_assert!(tree.string_value() == text);
     }
 }
 
