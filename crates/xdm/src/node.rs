@@ -43,6 +43,11 @@
 //! trees themselves, so an update statement whose target is such a
 //! node mutates the sealed arena in place; the statement engine then
 //! flushes every cache that hands those trees out. See DESIGN.md §10.
+//!
+//! ## Walks
+//!
+//! Every algorithm over a subtree runs on [`Walk`], which keeps its
+//! place on a heap stack, so no tree depth overflows the thread's stack.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -1321,8 +1326,8 @@ pub enum Visit {
 /// A document-order walk of a subtree ([`NodeHandle::walk`]). It keeps
 /// its place on an explicit stack of (open node, next child slot)
 /// pairs, so no tree depth can overflow the call stack, and it reaches
-/// each child through [`NodeHandle::entry_handle`], crossing grafts as
-/// the child axis does. Attributes are not steps: a visitor reads an
+/// each child through `entry_handle`, crossing grafts as the child axis
+/// does. Attributes are not steps: a visitor reads an
 /// element's attributes when it enters the element.
 pub struct Walk {
     stack: Vec<(NodeHandle, usize)>,

@@ -21,7 +21,8 @@ working tree's median over the rounds (printed with the precision
 exptab printed it with).
 
 Only one experiment runs at a time, and nothing else should compile
-or run meanwhile: the numbers are wall-clock times.
+or run meanwhile: the numbers are timings (wall-clock, or for E3 the
+thread's CPU time, which a slower host phase still moves).
 """
 
 import argparse
