@@ -1117,12 +1117,19 @@ impl NodeHandle {
         };
         match axis {
             Axis::Child => {
+                // A local child is tested where it lies, and gets a
+                // handle only if kept; a graft's root through its view.
                 let arena = me.arena.borrow();
                 for e in arena.data(me.id).children() {
-                    let c = me.entry_handle(e);
-                    if c.with(|d| keep(d.kind(), d.name())) {
-                        out.extend(Some(c.into()));
-                    }
+                    let kept = match e {
+                        ChildEntry::Local(c) => {
+                            let d = arena.data(*c);
+                            keep(d.kind(), d.name()).then(|| me.at(*c))
+                        }
+                        graft => Some(me.entry_handle(graft))
+                            .filter(|g| g.with(|d| keep(d.kind(), d.name()))),
+                    };
+                    out.extend(kept.map(Into::into));
                 }
             }
             Axis::Attribute => {
