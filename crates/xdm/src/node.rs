@@ -2356,6 +2356,55 @@ mod tests {
         assert_eq!(y.parent().unwrap(), view);
     }
 
+    /// Run `f` on a thread with a 256 KiB stack, where a drop that
+    /// recursed once per graft would overflow.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        let t = std::thread::Builder::new().stack_size(256 * 1024).spawn(f).unwrap();
+        t.join().unwrap();
+    }
+
+    /// `LINKS` elements, each in an arena of its own and grafting the
+    /// one before: the outermost, and the arenas it holds alive.
+    fn graft_chain(links: usize) -> (NodeHandle, Vec<SharedArena>) {
+        let mut top = NodeHandle::root_element(QName::new("a"));
+        let mut arenas = Vec::new();
+        for _ in 0..links {
+            let host = NodeHandle::root_element(QName::new("a"));
+            host.graft_child(&top).unwrap();
+            arenas.push(top.arena().clone());
+            top = host;
+        }
+        (top, arenas)
+    }
+
+    #[test]
+    fn a_long_graft_chain_drops_in_a_loop() {
+        on_small_stack(|| {
+            let (top, arenas) = graft_chain(100_000);
+            drop(arenas);
+            assert_eq!(subtree_size(&top), 100_001);
+            drop(top);
+        });
+    }
+
+    #[test]
+    fn a_view_through_many_grafts_drops_its_links_in_a_loop() {
+        on_small_stack(|| {
+            let (top, _arenas) = graft_chain(30_000);
+            let mut walk = top.walk();
+            let mut innermost = None;
+            while let Some(v) = walk.next() {
+                if v == Visit::Enter {
+                    innermost = Some(walk.node().clone());
+                }
+            }
+            drop(walk);
+            let innermost = innermost.unwrap();
+            assert!(innermost.link.is_some() && !innermost.has_children());
+            drop(innermost);
+        });
+    }
+
     #[test]
     fn single_text_fast_path_matches_collector() {
         let e = NodeHandle::root_element(QName::new("e"));
