@@ -391,6 +391,7 @@ fn register_cud(
         // Built once, not per call: the error label, the key element's
         // name, and each key column's position and element name.
         let what = format!("create{table}");
+        let names = xmlmap::RowNames::of(&schema);
         let key_name = QName::new(format!("{table}_KEY"));
         let key_cols: Result<Vec<(usize, QName)>, String> = schema
             .primary_key
@@ -406,10 +407,16 @@ fn register_cud(
             false,
             Rc::new(move |_env, args| {
                 let elem = one_element(&args, &what)?;
-                let row = xmlmap::xml_to_row(&schema, &elem)?;
+                let row = xmlmap::xml_to_row(&schema, &names, &elem)?;
                 let cols = key_cols
                     .as_ref()
                     .map_err(|msg| XdmError::new(ErrorCode::DSP0003, msg.clone()))?;
+                // A statement-position call discards the key: insert
+                // the row and build nothing.
+                if args.result_unused() {
+                    t.execute(Change::Insert(row))?;
+                    return Ok(Sequence::empty());
+                }
                 // The key element <TABLE_KEY>…</TABLE_KEY> returned on
                 // success, built to size before the row moves into the
                 // insert; each key value's text is made once.
@@ -430,13 +437,14 @@ fn register_cud(
         let t = t.clone();
         let schema = schema.clone();
         let what = format!("update{table}");
+        let names = xmlmap::RowNames::of(&schema);
         engine.register_external_procedure(
             QName::with_ns(ns, what.as_str()),
             1,
             false,
             Rc::new(move |_env, args| {
                 let elem = one_element(&args, &what)?;
-                let row = xmlmap::xml_to_row(&schema, &elem)?;
+                let row = xmlmap::xml_to_row(&schema, &names, &elem)?;
                 let cond = pk_condition(&schema, &row)?;
                 let set: Condition = schema
                     .columns

@@ -182,7 +182,7 @@ fn try_analyze_flwor(
         children: Vec::new(),
         unmapped: Vec::new(),
     };
-    analyze_shape_content(de, var, resolver, &mut node);
+    analyze_shape_content(de, &var.name, resolver, &mut node);
     Some(node)
 }
 
@@ -235,7 +235,7 @@ fn analyze_shape_content(
 fn single_field_column(de: &DirectElement, var: &QName) -> Option<String> {
     let [DirectContent::Expr(e)] = de.content.as_slice() else { return None };
     let inner = match e {
-        Expr::FunctionCall { name, args }
+        Expr::FunctionCall { name, args, .. }
             if (name.local == "data" || name.local == "string") && args.len() == 1 =>
         {
             &args[0]
@@ -244,7 +244,7 @@ fn single_field_column(de: &DirectElement, var: &QName) -> Option<String> {
     };
     let Expr::Path { start: PathStart::Expr(base), steps } = inner else { return None };
     let Expr::VarRef(v) = &**base else { return None };
-    if v != var {
+    if v.name != *var {
         return None;
     }
     match steps.as_slice() {

@@ -362,15 +362,16 @@ struct TableData {
     /// key their materialized XDM trees on this, so unchanged tables
     /// never pay a re-conversion (ISSUE 2 tentpole part 2).
     version: u64,
-    /// Lazily built secondary hash indexes: column name → value → row
-    /// ids. Built from the committed rows on the first indexed select or
-    /// staged lookup of a column, and maintained incrementally by every
-    /// install.
+    /// Lazily built secondary hash indexes: column position → value →
+    /// row ids. Built from the committed rows on the first indexed
+    /// select or staged lookup of a column, and maintained
+    /// incrementally by every install.
     indexes: Indexes,
 }
 
-/// A table's secondary indexes: column name → value → row ids.
-type Indexes = HashMap<String, HashMap<IndexKey, Vec<u64>>>;
+/// A table's secondary indexes, one slot per column by position: the
+/// column's value → row ids, once built.
+type Indexes = Vec<Option<HashMap<IndexKey, Vec<u64>>>>;
 
 /// A prepared branch: its staged changes, and the tables they are
 /// staged on (sorted by name), which commit locks.
@@ -540,6 +541,7 @@ impl Database {
             pk.push(at.ok_or_else(|| cerr(format!("PK column {c} not in table {}", schema.name)))?);
         }
         self.shared.table_order.lock().push(schema.name.clone());
+        let indexes = schema.columns.iter().map(|_| None).collect();
         catalog.insert(
             schema.name.clone(),
             Arc::new(RwLock::new(TableData {
@@ -548,7 +550,7 @@ impl Database {
                 rows: Vec::new(),
                 next_row_id: 1,
                 version: 1,
-                indexes: HashMap::new(),
+                indexes,
             })),
         );
         Ok(())
@@ -741,7 +743,8 @@ impl Database {
         self.table_handle(table)
             .map(|h| {
                 let t = h.read();
-                let mut cols: Vec<String> = t.indexes.keys().cloned().collect();
+                let built = t.schema.columns.iter().zip(&t.indexes).filter(|(_, i)| i.is_some());
+                let mut cols: Vec<String> = built.map(|(c, _)| c.name.clone()).collect();
                 cols.sort();
                 cols
             })
@@ -960,7 +963,7 @@ fn select_indexed_on(h: &TableHandle, cond: &Condition) -> XdmResult<(u64, Vec<R
             // only full scans snapshot the table).
             return Ok((t.version, scan_matching(&t.rows, &idx)));
         };
-        if let Some(map) = t.indexes.get(col) {
+        if let Some(map) = &t.indexes[col] {
             let ids = map.get(&key).map_or(&[][..], Vec::as_slice);
             return Ok((t.version, probe_sorted_ids(&t.rows, ids, &idx)));
         }
@@ -971,7 +974,7 @@ fn select_indexed_on(h: &TableHandle, cond: &Condition) -> XdmResult<(u64, Vec<R
     let mut t = h.write();
     let idx = cond_indices(&t.schema, cond)?;
     let TableData { schema, rows, indexes, version, .. } = &mut *t;
-    match probe_bucket(schema, rows, indexes, index_probe(schema, cond)) {
+    match probe_bucket(rows, indexes, index_probe(schema, cond)) {
         Some(ids) => Ok((*version, probe_sorted_ids(rows, ids, &idx))),
         None => Ok((*version, scan_matching(rows, &idx))),
     }
@@ -1113,7 +1116,7 @@ impl Staged {
     ) -> XdmResult<Vec<RowRef>> {
         let idx = cond_indices(&t.schema, cond)?;
         let TableData { schema, rows, indexes, .. } = t;
-        let bucket = probe_bucket(schema, rows, indexes, index_probe(schema, cond));
+        let bucket = probe_bucket(rows, indexes, index_probe(schema, cond));
         let untouched =
             candidates(rows, bucket).map(|(id, _)| id).filter(|id| !self.touches(ti, *id));
         let replaced = self.changed_in(ti).map(|(id, _)| id);
@@ -1164,13 +1167,11 @@ impl Staged {
         let TableData { schema, rows, indexes, pk, .. } = t;
         let probe = match pk[..] {
             [] => return Ok(()),
-            [c] if indexable_type(schema.columns[c].ty) => {
-                index_key(&row[c]).map(|key| (schema.columns[c].name.as_str(), key))
-            }
+            [c] if indexable_type(schema.columns[c].ty) => index_key(&row[c]).map(|key| (c, key)),
             _ => None,
         };
         let same = |r: &Row| pk.iter().all(|&c| r[c] == row[c]);
-        let taken = candidates(rows, probe_bucket(schema, rows, indexes, probe))
+        let taken = candidates(rows, probe_bucket(rows, indexes, probe))
             .any(|(id, r)| !self.touches(ti, id) && same(r))
             || self.rows_in(ti).any(same)
             || others
@@ -1259,12 +1260,12 @@ fn install(tables: &mut [RwLockWriteGuard<'_, TableData>], staged: Staged) {
     let Staged { changed, mut added } = staged;
     let mut changed = changed.into_iter().peekable();
     for (ti, t) in tables.iter_mut().enumerate() {
-        let TableData { schema, rows, next_row_id, version, indexes, .. } = &mut **t;
+        let TableData { rows, next_row_id, version, indexes, .. } = &mut **t;
         let mut removed = Vec::new();
         while let Some(((_, id), new)) = changed.next_if(|((at, _), _)| *at == ti) {
             // The row is pinned, so it is still there.
             let Ok(pos) = rows.binary_search_by_key(&id, |(rid, _)| *rid) else { continue };
-            reindex(schema, indexes, id, Some(&rows[pos].1), new.as_ref());
+            reindex(indexes, id, Some(&rows[pos].1), new.as_ref());
             match new {
                 Some(row) => rows[pos].1 = row,
                 None => removed.push(id),
@@ -1278,7 +1279,7 @@ fn install(tables: &mut [RwLockWriteGuard<'_, TableData>], staged: Staged) {
         for row in added.iter_mut().filter(|(at, _)| *at == ti).filter_map(|(_, r)| r.take()) {
             let id = *next_row_id;
             *next_row_id += 1;
-            reindex(schema, indexes, id, None, Some(&row));
+            reindex(indexes, id, None, Some(&row));
             rows.push((id, row));
         }
         *version += 1;
@@ -1287,15 +1288,9 @@ fn install(tables: &mut [RwLockWriteGuard<'_, TableData>], staged: Staged) {
 
 /// Move row `id` from `old`'s bucket to `new`'s in every built index of
 /// the table (`None`: no row).
-fn reindex(
-    schema: &TableSchema,
-    indexes: &mut Indexes,
-    id: u64,
-    old: Option<&Row>,
-    new: Option<&Row>,
-) {
-    for (col, map) in indexes.iter_mut() {
-        let Some(ci) = schema.col_index(col) else { continue };
+fn reindex(indexes: &mut Indexes, id: u64, old: Option<&Row>, new: Option<&Row>) {
+    for (ci, map) in indexes.iter_mut().enumerate() {
+        let Some(map) = map else { continue };
         let (old, new) = (old.map(|r| &r[ci]), new.map(|r| &r[ci]));
         if old == new {
             continue;
@@ -1355,20 +1350,17 @@ fn committed_row(rows: &[(u64, Row)], id: u64) -> Option<&Row> {
     Some(&rows[pos].1)
 }
 
-/// The ids in `probe`'s index bucket — a column and a value — building
-/// the column's index from the committed rows if absent; `None` when
-/// there is no probe.
+/// The ids in `probe`'s index bucket — a column position and a value —
+/// building the column's index from the committed rows if absent;
+/// `None` when there is no probe.
 fn probe_bucket<'t>(
-    schema: &TableSchema,
     rows: &[(u64, Row)],
     indexes: &'t mut Indexes,
-    probe: Option<(&str, IndexKey)>,
+    probe: Option<(usize, IndexKey)>,
 ) -> Option<&'t [u64]> {
     let (col, key) = probe?;
-    if !indexes.contains_key(col) {
-        indexes.insert(col.to_string(), build_index(schema, rows, col));
-    }
-    Some(indexes.get(col).and_then(|m| m.get(&key)).map_or(&[], Vec::as_slice))
+    let map = indexes[col].get_or_insert_with(|| build_index(rows, col));
+    Some(map.get(&key).map_or(&[], Vec::as_slice))
 }
 
 /// The committed rows that can match: those of an index `bucket` (in
@@ -1437,15 +1429,15 @@ fn index_key(v: &SqlValue) -> Option<IndexKey> {
 }
 
 /// First condition column with an indexable type (INTEGER, VARCHAR,
-/// BOOLEAN) and a non-NULL probe value, as `(column, key)`. `None`
-/// sends the caller down the filtered-scan path.
-fn index_probe<'c>(schema: &TableSchema, cond: &'c Condition) -> Option<(&'c str, IndexKey)> {
+/// BOOLEAN) and a non-NULL probe value, as `(column position, key)`.
+/// `None` sends the caller down the filtered-scan path.
+fn index_probe(schema: &TableSchema, cond: &Condition) -> Option<(usize, IndexKey)> {
     cond.iter().find_map(|(c, v)| {
-        let col = schema.column(c)?;
-        if !indexable_type(col.ty) {
+        let ci = schema.col_index(c)?;
+        if !indexable_type(schema.columns[ci].ty) {
             return None;
         }
-        index_key(v).map(|key| (c.as_str(), key))
+        index_key(v).map(|key| (ci, key))
     })
 }
 
@@ -1465,17 +1457,11 @@ fn probe_sorted_ids(rows: &[(u64, Row)], ids: &[u64], idx: &[(usize, SqlValue)])
     hits
 }
 
-fn build_index(
-    schema: &TableSchema,
-    rows: &[(u64, Row)],
-    col: &str,
-) -> HashMap<IndexKey, Vec<u64>> {
+fn build_index(rows: &[(u64, Row)], ci: usize) -> HashMap<IndexKey, Vec<u64>> {
     let mut map: HashMap<IndexKey, Vec<u64>> = HashMap::new();
-    if let Some(ci) = schema.col_index(col) {
-        for (id, r) in rows {
-            if let Some(key) = index_key(&r[ci]) {
-                map.entry(key).or_default().push(*id);
-            }
+    for (id, r) in rows {
+        if let Some(key) = index_key(&r[ci]) {
+            map.entry(key).or_default().push(*id);
         }
     }
     map

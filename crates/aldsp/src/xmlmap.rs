@@ -10,6 +10,7 @@ use std::io::Write as _;
 use std::rc::Rc;
 
 use xdm::error::{ErrorCode, XdmError, XdmResult};
+use xdm::intern::Symbol;
 use xdm::node::{NodeArena, NodeHandle};
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
@@ -87,16 +88,36 @@ pub fn rows_to_sequence(schema: &TableSchema, ns: &str, rows: &[Row]) -> Sequenc
         .collect()
 }
 
-/// Read an XML row view back into typed values. Missing elements map
-/// to NULL; namespaces are ignored on children (sources see local
-/// names), and the first child named after a column is its value. Of
-/// the bad values, the first column's is the one reported. The
-/// children are read in one pass and never collected. Each value is
-/// parsed from the column element's typed value, which shares its text
-/// node's string: a VARCHAR value is its one copy, and an INTEGER value
-/// copies nothing.
-pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
-    if !node.with_name(|q| q.is_some_and(|q| q.local == schema.name)) {
+/// A table's row element and column names, interned once: a generated
+/// procedure holds one, so reading a row view compares each child's
+/// name with a column's as symbols, by address, never by their text.
+#[derive(Debug, Clone)]
+pub struct RowNames {
+    table: Symbol,
+    columns: Vec<Symbol>,
+}
+
+impl RowNames {
+    /// The names of `schema`'s row element and columns, in column
+    /// order.
+    pub fn of(schema: &TableSchema) -> RowNames {
+        RowNames {
+            table: Symbol::intern(&schema.name),
+            columns: schema.columns.iter().map(|c| Symbol::intern(&c.name)).collect(),
+        }
+    }
+}
+
+/// Read an XML row view of `schema`'s table, whose interned names are
+/// `names`, back into typed values. Missing elements map to NULL;
+/// namespaces are ignored on children (sources see local names), and
+/// the first child named after a column is its value. Of the bad
+/// values, the first column's is the one reported. The children are
+/// read in one pass and never collected. Each value is parsed from the
+/// column element's typed value, which shares its text node's string: a
+/// VARCHAR value is its one copy, and an INTEGER value copies nothing.
+pub fn xml_to_row(schema: &TableSchema, names: &RowNames, node: &NodeHandle) -> XdmResult<Row> {
+    if !node.with_name(|q| q.is_some_and(|q| q.local.addr() == names.table.addr())) {
         return Err(XdmError::new(
             ErrorCode::DSP0003,
             format!(
@@ -115,7 +136,7 @@ pub fn xml_to_row(schema: &TableSchema, node: &NodeHandle) -> XdmResult<Row> {
     let mut bad: Option<(usize, XdmError)> = None;
     node.for_each_child(|c| {
         let at = c.with_name(|q| {
-            q.and_then(|q| schema.columns.iter().position(|col| q.local == col.name))
+            q.and_then(|q| names.columns.iter().position(|col| col.addr() == q.local.addr()))
         });
         let Some(i) = at else { return };
         if row[i].is_some() || bad.as_ref().is_some_and(|(b, _)| *b <= i) {
@@ -193,7 +214,7 @@ mod tests {
             SqlValue::Str("123".into()),
         ];
         let xml = row_to_xml(&schema(), "ld:x", &row);
-        let back = xml_to_row(&schema(), &xml).unwrap();
+        let back = xml_to_row(&schema(), &RowNames::of(&schema()), &xml).unwrap();
         assert_eq!(back, row);
     }
 
@@ -201,7 +222,7 @@ mod tests {
     fn null_round_trip() {
         let row = vec![SqlValue::Int(7), SqlValue::Str("C".into()), SqlValue::Null];
         let xml = row_to_xml(&schema(), "ld:x", &row);
-        let back = xml_to_row(&schema(), &xml).unwrap();
+        let back = xml_to_row(&schema(), &RowNames::of(&schema()), &xml).unwrap();
         assert_eq!(back[2], SqlValue::Null);
     }
 
@@ -217,7 +238,7 @@ mod tests {
     #[test]
     fn wrong_element_name_rejected() {
         let other = NodeHandle::root_element(QName::new("ORDER"));
-        assert!(xml_to_row(&schema(), &other).is_err());
+        assert!(xml_to_row(&schema(), &RowNames::of(&schema()), &other).is_err());
     }
 
     /// An element with the given `(name, text)` children.
@@ -235,17 +256,17 @@ mod tests {
     #[test]
     fn first_duplicate_child_wins() {
         let xml = customer(&[("CID", "7"), ("LAST_NAME", "Carey"), ("CID", "8")]);
-        let row = xml_to_row(&schema(), &xml).unwrap();
+        let row = xml_to_row(&schema(), &RowNames::of(&schema()), &xml).unwrap();
         assert_eq!(row, vec![SqlValue::Int(7), SqlValue::Str("Carey".into()), SqlValue::Null]);
         // A later duplicate is never parsed, so it cannot raise.
         let xml = customer(&[("CID", "7"), ("CID", "not-a-number")]);
-        assert_eq!(xml_to_row(&schema(), &xml).unwrap()[0], SqlValue::Int(7));
+        assert_eq!(xml_to_row(&schema(), &RowNames::of(&schema()), &xml).unwrap()[0], SqlValue::Int(7));
     }
 
     #[test]
     fn children_out_of_column_order() {
         let xml = customer(&[("SSN", "123"), ("OTHER", "x"), ("LAST_NAME", "Carey"), ("CID", "7")]);
-        let row = xml_to_row(&schema(), &xml).unwrap();
+        let row = xml_to_row(&schema(), &RowNames::of(&schema()), &xml).unwrap();
         assert_eq!(
             row,
             vec![SqlValue::Int(7), SqlValue::Str("Carey".into()), SqlValue::Str("123".into())]
@@ -267,10 +288,10 @@ mod tests {
             foreign_keys: vec![],
         };
         let xml = customer(&[("AGE", "old"), ("CID", "seven"), ("CID", "7")]);
-        let err = xml_to_row(&two_ints, &xml).unwrap_err();
+        let err = xml_to_row(&two_ints, &RowNames::of(&two_ints), &xml).unwrap_err();
         assert!(err.message.contains("seven"), "{err:?}");
         let xml = customer(&[("AGE", "old"), ("CID", "7"), ("AGE", "40")]);
-        let err = xml_to_row(&two_ints, &xml).unwrap_err();
+        let err = xml_to_row(&two_ints, &RowNames::of(&two_ints), &xml).unwrap_err();
         assert!(err.message.contains("old"), "{err:?}");
     }
 
@@ -281,6 +302,6 @@ mod tests {
         let cid = NodeHandle::new_element(&arena, QName::new("CID"));
         cid.append_child(&NodeHandle::new_text(&arena, "not-a-number")).unwrap();
         bad.append_child(&cid).unwrap();
-        assert!(xml_to_row(&schema(), &bad).is_err());
+        assert!(xml_to_row(&schema(), &RowNames::of(&schema()), &bad).is_err());
     }
 }

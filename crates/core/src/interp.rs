@@ -8,8 +8,8 @@ use xdm::sequence::{Item, Sequence};
 use xdm::types::SequenceType;
 
 use xqparser::ast::{
-    Block, CatchClause, Expr, Module, ProcedureDecl, QueryBody, Statement,
-    ValueStatement,
+    Binder, Block, CallSite, CatchClause, Expr, Module, ProcedureDecl, QueryBody, Statement,
+    ValueStatement, VarTarget,
 };
 
 use xqeval::context::Env;
@@ -122,17 +122,23 @@ impl Xqse {
     }
 
     fn run_prepared(&self, pq: &PreparedQuery, env: &mut Env) -> XdmResult<Sequence> {
-        match &pq.module().body {
+        let module = pq.module();
+        match &module.body {
             QueryBody::None => Ok(Sequence::empty()),
             QueryBody::Expr(_) => self.engine.execute_prepared_in(pq, env),
-            QueryBody::Block(b) => match exec_block(&self.engine, b, env)? {
-                Flow::Return(v) => Ok(v),
-                Flow::Normal => Ok(Sequence::empty()),
-                Flow::Break | Flow::Continue => Err(XdmError::new(
-                    ErrorCode::XQSE0003,
-                    "break()/continue() outside a loop",
-                )),
-            },
+            QueryBody::Block(b) => {
+                let caller = env.push_frame(module.frame.get() as usize);
+                let flow = exec_block(&self.engine, b, env);
+                env.pop_frame(caller);
+                match flow? {
+                    Flow::Return(v) => Ok(v),
+                    Flow::Normal => Ok(Sequence::empty()),
+                    Flow::Break | Flow::Continue => Err(XdmError::new(
+                        ErrorCode::XQSE0003,
+                        "break()/continue() outside a loop",
+                    )),
+                }
+            }
         }
     }
 
@@ -149,14 +155,15 @@ impl Xqse {
     }
 }
 
-/// Execute a user-defined procedure: fresh local context (procedures
-/// do not see the caller's local variables), parameters bound
-/// read-only, body block executed, `return value` or empty sequence.
+/// Execute a user-defined procedure in a frame of its own (procedures
+/// do not see the caller's local variables), as in a fresh context
+/// that shares only the trace sink: parameters in their slots, body
+/// block executed, `return value` or empty sequence.
 pub fn exec_procedure(
     engine: &Engine,
     decl: &ProcedureDecl,
     mut args: Args,
-    caller_env: &mut Env,
+    env: &mut Env,
 ) -> XdmResult<Sequence> {
     xqeval::depth::check_call_depth()?;
     if args.len() != decl.params.len() {
@@ -176,20 +183,22 @@ pub fn exec_procedure(
             format!("external procedure {} has no body", decl.name),
         )
     })?;
-    // Fresh environment sharing only the trace sink.
-    let mut env = Env::new();
-    env.trace = caller_env.trace.clone();
-    for (p, a) in decl.params.iter().zip(args.iter_mut()) {
-        let a = std::mem::take(a);
-        let a = match &p.ty {
-            Some(ty) => {
-                ty.convert(a, || format!("parameter ${} of {}", p.name, decl.name))?
-            }
-            None => a,
-        };
-        env.bind(p.name.clone(), a);
-    }
-    let out = match exec_block(engine, body, &mut env)? {
+    let caller = env.enter_procedure(decl.frame.get() as usize);
+    let flow = (|| {
+        for (slot, (p, a)) in decl.params.iter().zip(args.iter_mut()).enumerate() {
+            let a = std::mem::take(a);
+            let a = match &p.ty {
+                Some(ty) => {
+                    ty.convert(a, || format!("parameter ${} of {}", p.name, decl.name))?
+                }
+                None => a,
+            };
+            env.set(slot as u32, a);
+        }
+        exec_block(engine, body, env)
+    })();
+    env.leave_procedure(caller);
+    let out = match flow? {
         Flow::Return(v) => v,
         Flow::Normal => Sequence::empty(),
         Flow::Break | Flow::Continue => {
@@ -214,26 +223,26 @@ pub fn exec_procedure(
 }
 
 /// Execute a block: declarations in order, then statements in order
-/// (§III.B.5).
+/// (§III.B.5). Its variables' slots are emptied when it ends.
 pub fn exec_block(engine: &Engine, block: &Block, env: &mut Env) -> XdmResult<Flow> {
-    env.push_scope();
     let flow = exec_block_inner(engine, block, env);
-    env.pop_scope();
+    block.decls.iter().for_each(|d| env.clear(d.var.slot.get()));
     flow
 }
 
 fn exec_block_inner(engine: &Engine, block: &Block, env: &mut Env) -> XdmResult<Flow> {
     for decl in &block.decls {
-        let init = match &decl.init {
+        let slot = decl.var.slot.get();
+        match &decl.init {
             Some(vs) => {
                 let v = eval_value_statement(engine, vs, env)?;
-                let ty = decl.ty.clone().unwrap_or_else(SequenceType::any);
-                ty.check(&v, || format!("declare ${}", decl.var))?;
-                Some(v)
+                if let Some(ty) = &decl.ty {
+                    ty.check(&v, || format!("declare ${}", decl.var))?;
+                }
+                env.set(slot, v);
             }
-            None => None,
-        };
-        env.declare_block_var(decl.var.clone(), init, decl.ty.clone());
+            None => env.clear(slot),
+        }
     }
     for stmt in &block.statements {
         match exec_statement(engine, stmt, env)? {
@@ -252,12 +261,12 @@ pub fn exec_statement(
 ) -> XdmResult<Flow> {
     match stmt {
         Statement::Block(b) => exec_block(engine, b, env),
-        Statement::Set { var, value } => {
+        Statement::Set { var, ty, value } => {
             let v = eval_value_statement(engine, value, env)?;
             // "If the value statement raises an error, the variable is
             // left in its previous state" — guaranteed because we only
             // assign after successful evaluation.
-            env.assign(var, v)?;
+            assign(var, ty.get(), v, env)?;
             Ok(Flow::Normal)
         }
         Statement::Return(value) => {
@@ -330,11 +339,11 @@ pub fn exec_statement(
             // statement context (side effects allowed); anything else
             // evaluates like an update statement so that updating
             // function calls also work, and the value is discarded.
-            if let Expr::FunctionCall { name, args } = expr {
-                if let Some(p) = engine.procedure(name, args.len()) {
-                    call_proc_with(engine, p, args, env)?;
-                    return Ok(Flow::Normal);
-                }
+            // Its value is discarded, and an external procedure is told
+            // so.
+            if let Some((p, args)) = statement_procedure(engine, expr, false) {
+                call_proc_with(engine, p, args, true, env)?;
+                return Ok(Flow::Normal);
             }
             exec_update_like(engine, expr, env)?;
             Ok(Flow::Normal)
@@ -352,8 +361,8 @@ pub fn exec_statement(
 #[inline(never)]
 fn exec_iterate(
     engine: &Engine,
-    var: &QName,
-    pos: Option<&QName>,
+    var: &Binder,
+    pos: Option<&Binder>,
     over: &ValueStatement,
     body: &Block,
     env: &mut Env,
@@ -361,17 +370,20 @@ fn exec_iterate(
     // "First, the Value statement is executed once. It returns a
     // sequence of items called a binding sequence."
     let binding = eval_value_statement(engine, over, env)?;
+    let (slot, pos) = (var.slot.get(), pos.map(|p| p.slot.get()));
     for (i, item) in binding.into_iter().enumerate() {
         // Same cooperative point as `while`: iterate bodies run
         // updates/source calls per item.
         engine.budget_loop_check()?;
-        env.push_scope();
-        env.bind(var.clone(), Sequence::one(item));
+        env.set(slot, Sequence::one(item));
         if let Some(p) = pos {
-            env.bind(p.clone(), Sequence::one(Item::integer(i as i64 + 1)));
+            env.set(p, Sequence::one(Item::integer(i as i64 + 1)));
         }
         let flow = exec_block(engine, body, env);
-        env.pop_scope();
+        env.clear(slot);
+        if let Some(p) = pos {
+            env.clear(p);
+        }
         match flow? {
             Flow::Normal | Flow::Continue => {}
             Flow::Break => break,
@@ -430,12 +442,8 @@ pub fn eval_value_statement(
         ValueStatement::Expr(expr) => {
             // A *top-level* procedure call in a value statement runs in
             // statement context.
-            if let Expr::FunctionCall { name, args } = expr {
-                if let Some(p) = engine.procedure(name, args.len()) {
-                    if engine.function(name, args.len()).is_none() {
-                        return call_proc_with(engine, p, args, env);
-                    }
-                }
+            if let Some((p, args)) = statement_procedure(engine, expr, true) {
+                return call_proc_with(engine, p, args, false, env);
             }
             // Otherwise: ordinary expression evaluation — "the
             // expression must return an empty pending update list",
@@ -464,6 +472,47 @@ pub fn exec_procedure_block(
     }
 }
 
+/// The procedure `expr` calls in statement position, with the call's
+/// argument expressions: a call of a name that is no builtin, whose
+/// registry entry holds a procedure — and, when `unless_function`,
+/// no function, which a value statement would call instead.
+pub(crate) fn statement_procedure<'x>(
+    engine: &Engine,
+    expr: &'x Expr,
+    unless_function: bool,
+) -> Option<(ProcKind, &'x [Expr])> {
+    let Expr::FunctionCall { name, args, call: CallSite { builtin: None, entry } } = expr else {
+        return None;
+    };
+    let (entry, arity) = (entry.get(), args.len());
+    let p = engine.procedure_at(entry, name, arity)?;
+    if unless_function && engine.has_function_at(entry, name, arity) {
+        return None;
+    }
+    Some((p, args))
+}
+
+/// `set $var := v`: the block variable's slot, checked against its
+/// declared type `ty` (paper §III.B.6).
+pub(crate) fn assign(
+    var: &xqparser::ast::VarUse,
+    ty: Option<&SequenceType>,
+    v: Sequence,
+    env: &mut Env,
+) -> XdmResult<()> {
+    let VarTarget::Local(slot) = var.target.get() else {
+        return Err(XdmError::new(
+            ErrorCode::XQSE0001,
+            format!("assignment to undeclared variable ${}", var.name),
+        ));
+    };
+    if let Some(ty) = ty {
+        ty.check(&v, || format!("set ${}", var.name))?;
+    }
+    env.set(slot, v);
+    Ok(())
+}
+
 /// Call a procedure in statement context: user-defined or external,
 /// readonly or not.
 pub fn call_procedure_stmt(
@@ -482,26 +531,22 @@ pub fn call_procedure_stmt(
 }
 
 /// Call the procedure `p`, already looked up, on the arguments `args`
-/// evaluate to, in statement context. Out of line, so the statement
-/// frames a call recurses through do not hold its arguments.
+/// evaluate to, in statement context; `discarded` when the call is an
+/// expression statement, whose value nobody reads. Out of line, so the
+/// statement frames a call recurses through do not hold its arguments.
 #[inline(never)]
-fn call_proc_with(
+pub(crate) fn call_proc_with(
     engine: &Engine,
     p: ProcKind,
     args: &[Expr],
+    discarded: bool,
     env: &mut Env,
 ) -> XdmResult<Sequence> {
-    let argv = eval_args(engine, args, env)?;
-    call_proc(engine, p, argv, env)
-}
-
-/// A statement-position call's arguments, evaluated in order.
-pub(crate) fn eval_args(engine: &Engine, args: &[Expr], env: &mut Env) -> XdmResult<Args> {
-    let mut argv = Args::with_capacity(args.len());
-    for a in args {
-        argv.push(Evaluator::new(engine).eval(a, env)?);
+    let mut argv = Evaluator::new(engine).eval_args(args, env)?;
+    if discarded {
+        argv.discard_result();
     }
-    Ok(argv)
+    call_proc(engine, p, argv, env)
 }
 
 /// Call the procedure `p`, already looked up, in statement context.
@@ -552,7 +597,6 @@ fn exec_catch(
     e: &XdmError,
     env: &mut Env,
 ) -> XdmResult<Flow> {
-    env.push_scope();
     // "up to three optional variables … will be assigned the QName
     // identifying the error, its message, and any diagnostic items".
     let provided: [Sequence; 3] = [
@@ -566,9 +610,9 @@ fn exec_catch(
             .collect(),
     ];
     for (var, value) in clause.into_vars.iter().zip(provided) {
-        env.bind(var.clone(), value);
+        env.set(var.slot.get(), value);
     }
     let flow = exec_block(engine, &clause.body, env);
-    env.pop_scope();
+    clause.into_vars.iter().for_each(|var| env.clear(var.slot.get()));
     flow
 }

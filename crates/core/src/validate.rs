@@ -14,66 +14,26 @@
 //!   assignment can possibly precede them);
 //! - procedure calls inside expressions must target `readonly`
 //!   procedures (§III.A) — `XQSE0004` (checkable for procedures
-//!   declared in the same module).
+//!   declared in the same module);
+//! - every variable reference must name a variable in scope or a
+//!   global the prolog declares — `XPST0008`.
 //!
-//! [`validate_module`] returns *all* violations, so IDE-style callers
-//! (the paper's Figure 1 design view) can surface them together.
+//! These are the diagnostics of the one walk that resolves a module's
+//! names ([`xqeval::resolve`]): loading or preparing a module runs it
+//! and fails on the first `XPST0008` or `XQSE0001`; [`validate_module`]
+//! runs it with no engine and returns *all* violations, so IDE-style
+//! callers (the paper's Figure 1 design view) can surface them
+//! together.
 
-use std::collections::{HashMap, HashSet};
+use xdm::error::XdmError;
 
-use xdm::error::{ErrorCode, XdmError};
-use xdm::qname::QName;
+use xqparser::ast::Module;
 
-use xqparser::ast::*;
-
-/// A static diagnostic.
-#[derive(Debug, Clone)]
-pub struct Diagnostic {
-    /// The error family this would raise at runtime.
-    pub code: ErrorCode,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl Diagnostic {
-    fn new(code: ErrorCode, message: impl Into<String>) -> Diagnostic {
-        Diagnostic { code, message: message.into() }
-    }
-
-    /// Convert into a runtime-style error.
-    pub fn into_error(self) -> XdmError {
-        XdmError::new(self.code, self.message)
-    }
-}
+pub use xqeval::resolve::Diagnostic;
 
 /// Validate a whole module; returns every violation found.
 pub fn validate_module(module: &Module) -> Vec<Diagnostic> {
-    let mut v = Validator::new(module);
-    for p in &module.prolog.procedures {
-        if let Some(body) = &p.body {
-            let mut scope = Scope::new();
-            for param in &p.params {
-                scope.declare_readonly(param.name.clone());
-            }
-            v.check_block(body, &mut scope, 0);
-        }
-    }
-    for f in &module.prolog.functions {
-        if let Some(body) = &f.body {
-            let mut bound: HashSet<QName> =
-                f.params.iter().map(|p| p.name.clone()).collect();
-            v.check_expr(body, &mut bound);
-        }
-    }
-    if let QueryBody::Block(b) = &module.body {
-        let mut scope = Scope::new();
-        v.check_block(b, &mut scope, 0);
-    }
-    if let QueryBody::Expr(e) = &module.body {
-        let mut bound = HashSet::new();
-        v.check_expr(e, &mut bound);
-    }
-    v.diagnostics
+    xqeval::resolve::diagnose_module(module)
 }
 
 /// Validate and fail on the first violation (library convenience).
@@ -84,273 +44,10 @@ pub fn validate_module_strict(module: &Module) -> Result<(), XdmError> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum VarState {
-    /// Read-only binding (param, for/let, iterate var).
-    ReadOnly,
-    /// Block variable, definitely assigned.
-    Assigned,
-    /// Block variable declared without initializer, not yet assigned
-    /// on any path.
-    Unassigned,
-}
-
-struct Scope {
-    frames: Vec<HashMap<QName, VarState>>,
-}
-
-impl Scope {
-    fn new() -> Scope {
-        Scope { frames: vec![HashMap::new()] }
-    }
-
-    fn push(&mut self) {
-        self.frames.push(HashMap::new());
-    }
-
-    fn pop(&mut self) {
-        self.frames.pop();
-    }
-
-    fn declare_readonly(&mut self, name: QName) {
-        self.frames.last_mut().expect("frame").insert(name, VarState::ReadOnly);
-    }
-
-    fn declare_block(&mut self, name: QName, initialized: bool) {
-        self.frames.last_mut().expect("frame").insert(
-            name,
-            if initialized { VarState::Assigned } else { VarState::Unassigned },
-        );
-    }
-
-    fn get(&self, name: &QName) -> Option<VarState> {
-        self.frames.iter().rev().find_map(|f| f.get(name).copied())
-    }
-
-    /// Mark a block variable as assigned (innermost match).
-    fn mark_assigned(&mut self, name: &QName) {
-        for f in self.frames.iter_mut().rev() {
-            if let Some(s) = f.get_mut(name) {
-                if *s == VarState::Unassigned {
-                    *s = VarState::Assigned;
-                }
-                return;
-            }
-        }
-    }
-
-    fn visible(&self) -> HashSet<QName> {
-        self.frames.iter().flat_map(|f| f.keys().cloned()).collect()
-    }
-}
-
-struct Validator<'m> {
-    diagnostics: Vec<Diagnostic>,
-    /// Procedures declared in this module: name/arity → readonly.
-    procedures: HashMap<(QName, usize), bool>,
-    /// Functions declared in this module (to avoid false procedure
-    /// hits when a function shadows nothing).
-    functions: HashSet<(QName, usize)>,
-    _module: &'m Module,
-}
-
-impl<'m> Validator<'m> {
-    fn new(module: &'m Module) -> Validator<'m> {
-        Validator {
-            diagnostics: Vec::new(),
-            procedures: module
-                .prolog
-                .procedures
-                .iter()
-                .map(|p| ((p.name.clone(), p.params.len()), p.readonly))
-                .collect(),
-            functions: module
-                .prolog
-                .functions
-                .iter()
-                .map(|f| (f.name.clone(), f.params.len()))
-                .collect(),
-            _module: module,
-        }
-    }
-
-    fn check_block(&mut self, block: &Block, scope: &mut Scope, loop_depth: usize) {
-        scope.push();
-        for d in &block.decls {
-            if let Some(init) = &d.init {
-                self.check_value_statement(init, scope);
-            }
-            scope.declare_block(d.var.clone(), d.init.is_some());
-        }
-        for s in &block.statements {
-            self.check_statement(s, scope, loop_depth);
-        }
-        scope.pop();
-    }
-
-    fn check_statement(&mut self, s: &Statement, scope: &mut Scope, loop_depth: usize) {
-        match s {
-            Statement::Block(b) => self.check_block(b, scope, loop_depth),
-            Statement::Set { var, value } => {
-                self.check_value_statement(value, scope);
-                match scope.get(var) {
-                    Some(VarState::ReadOnly) => self.diagnostics.push(Diagnostic::new(
-                        ErrorCode::XQSE0001,
-                        format!("${var} is not a block variable and cannot be assigned"),
-                    )),
-                    Some(_) => scope.mark_assigned(var),
-                    None => self.diagnostics.push(Diagnostic::new(
-                        ErrorCode::XQSE0001,
-                        format!("assignment to undeclared variable ${var}"),
-                    )),
-                }
-            }
-            Statement::Return(v) => self.check_value_statement(v, scope),
-            Statement::If { cond, then, els } => {
-                self.check_scoped_expr(cond, scope);
-                // Branches may assign; conservatively treat post-state
-                // as the meet — we only *report* definite errors, so
-                // checking each branch against the pre-state is sound.
-                self.check_statement(then, scope, loop_depth);
-                if let Some(e) = els {
-                    self.check_statement(e, scope, loop_depth);
-                }
-            }
-            Statement::While { cond, body } => {
-                self.check_scoped_expr(cond, scope);
-                self.check_block(body, scope, loop_depth + 1);
-            }
-            Statement::Iterate { var, pos, over, body } => {
-                self.check_value_statement(over, scope);
-                scope.push();
-                scope.declare_readonly(var.clone());
-                if let Some(p) = pos {
-                    scope.declare_readonly(p.clone());
-                }
-                self.check_block(body, scope, loop_depth + 1);
-                scope.pop();
-            }
-            Statement::Try { body, catches } => {
-                self.check_block(body, scope, loop_depth);
-                for c in catches {
-                    scope.push();
-                    for v in &c.into_vars {
-                        scope.declare_readonly(v.clone());
-                    }
-                    self.check_block(&c.body, scope, loop_depth);
-                    scope.pop();
-                }
-            }
-            Statement::Continue => {
-                if loop_depth == 0 {
-                    self.diagnostics.push(Diagnostic::new(
-                        ErrorCode::XQSE0003,
-                        "continue() outside a while/iterate body",
-                    ));
-                }
-            }
-            Statement::Break => {
-                if loop_depth == 0 {
-                    self.diagnostics.push(Diagnostic::new(
-                        ErrorCode::XQSE0003,
-                        "break() outside a while/iterate body",
-                    ));
-                }
-            }
-            Statement::Update(e) => self.check_scoped_expr(e, scope),
-            Statement::ExprStatement(e) => {
-                // Top-level procedure calls are fine in statement
-                // position; check nested expressions.
-                if let Expr::FunctionCall { args, .. } = e {
-                    for a in args {
-                        self.check_scoped_expr(a, scope);
-                    }
-                } else {
-                    self.check_scoped_expr(e, scope);
-                }
-            }
-            Statement::ProcedureBlock(b) => self.check_block(b, scope, 0),
-        }
-    }
-
-    fn check_value_statement(&mut self, v: &ValueStatement, scope: &mut Scope) {
-        match v {
-            ValueStatement::ProcedureBlock(b) => self.check_block(b, scope, 0),
-            ValueStatement::Expr(e) => {
-                // Top-level procedure call allowed (§III.B.8 example).
-                if let Expr::FunctionCall { args, .. } = e {
-                    for a in args {
-                        self.check_scoped_expr(a, scope);
-                    }
-                } else {
-                    self.check_scoped_expr(e, scope);
-                }
-            }
-        }
-    }
-
-    fn check_scoped_expr(&mut self, e: &Expr, scope: &Scope) {
-        // Uninitialized-use check against the current scope state.
-        let mut bound = scope.visible();
-        // Variables that are declared-but-unassigned are *not* usable.
-        for q in scope.visible() {
-            if scope.get(&q) == Some(VarState::Unassigned) {
-                bound.remove(&q);
-                self.flag_use(e, &q);
-            }
-        }
-        let mut b = bound;
-        self.check_expr(e, &mut b);
-    }
-
-    fn flag_use(&mut self, e: &Expr, var: &QName) {
-        let mut used = false;
-        walk(e, &mut |x| {
-            if matches!(x, Expr::VarRef(v) if v == var) {
-                used = true;
-            }
-        });
-        if used {
-            self.diagnostics.push(Diagnostic::new(
-                ErrorCode::XQSE0002,
-                format!("block variable ${var} referenced before assignment"),
-            ));
-        }
-    }
-
-    /// Expression checks: side-effecting module-local procedures may
-    /// not be called from (nested) expression positions.
-    fn check_expr(&mut self, e: &Expr, _bound: &mut HashSet<QName>) {
-        walk(e, &mut |x| {
-            if let Expr::FunctionCall { name, args } = x {
-                let key = (name.clone(), args.len());
-                if !self.functions.contains(&key) {
-                    if let Some(readonly) = self.procedures.get(&key) {
-                        if !readonly {
-                            self.diagnostics.push(Diagnostic::new(
-                                ErrorCode::XQSE0004,
-                                format!(
-                                    "procedure {name} has side effects and cannot be \
-                                     called from an expression"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        });
-    }
-}
-
-/// Generic expression walker (pre-order).
-fn walk(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    e.for_each_child(&mut |c| walk(c, f));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xdm::error::ErrorCode;
     use xqparser::parse_module;
 
     fn diag_codes(src: &str) -> Vec<ErrorCode> {

@@ -24,7 +24,6 @@ use std::rc::Rc;
 
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 use xdm::sequence::Sequence;
-use xdm::types::SequenceType;
 
 use xqparser::ast::{Block, Expr, QueryBody, Statement, ValueStatement};
 
@@ -74,13 +73,14 @@ impl XqueryP {
         self.engine.set_features(Features { opt: false, join: false, ..callers });
         let result = (|| {
             let module = self.engine.load(src)?;
-            match &module.body {
+            let caller = env.push_frame(module.frame.get() as usize);
+            let out = match &module.body {
                 QueryBody::None => Ok(Sequence::empty()),
                 QueryBody::Expr(e) => Evaluator::new(&self.engine).eval(e, env),
-                QueryBody::Block(b) => {
-                    Ok(self.exec_block_value(b, env)?.value)
-                }
-            }
+                QueryBody::Block(b) => self.exec_block_value(b, env).map(|out| out.value),
+            };
+            env.pop_frame(caller);
+            out
         })();
         self.engine.set_features(callers);
         result
@@ -89,24 +89,24 @@ impl XqueryP {
     /// Execute a block, concatenating the values of its statements
     /// (the composability semantics of XQueryP).
     fn exec_block_value(&self, block: &Block, env: &mut Env) -> XdmResult<SeqOut> {
-        env.push_scope();
         let out = self.exec_block_inner(block, env);
-        env.pop_scope();
+        block.decls.iter().for_each(|d| env.clear(d.var.slot.get()));
         out
     }
 
     fn exec_block_inner(&self, block: &Block, env: &mut Env) -> XdmResult<SeqOut> {
         for decl in &block.decls {
-            let init = match &decl.init {
+            let slot = decl.var.slot.get();
+            match &decl.init {
                 Some(vs) => {
                     let v = self.eval_value(vs, env)?;
-                    let ty = decl.ty.clone().unwrap_or_else(SequenceType::any);
-                    ty.check(&v, || format!("declare ${}", decl.var))?;
-                    Some(v)
+                    if let Some(ty) = &decl.ty {
+                        ty.check(&v, || format!("declare ${}", decl.var))?;
+                    }
+                    env.set(slot, v);
                 }
-                None => None,
-            };
-            env.declare_block_var(decl.var.clone(), init, decl.ty.clone());
+                None => env.clear(slot),
+            }
         }
         let mut value = Sequence::empty();
         for stmt in &block.statements {
@@ -123,9 +123,9 @@ impl XqueryP {
         let normal = |value: Sequence| SeqOut { value, returned: false };
         match stmt {
             Statement::Block(b) => self.exec_block_value(b, env),
-            Statement::Set { var, value } => {
+            Statement::Set { var, ty, value } => {
                 let v = self.eval_value(value, env)?;
-                env.assign(var, v)?;
+                crate::interp::assign(var, ty.get(), v, env)?;
                 Ok(normal(Sequence::empty()))
             }
             Statement::Return(value) => {
@@ -169,18 +169,18 @@ impl XqueryP {
             Statement::Iterate { var, pos, over, body } => {
                 let binding = self.eval_value(over, env)?;
                 let mut acc = Sequence::empty();
+                let (slot, pos) = (var.slot.get(), pos.as_ref().map(|p| p.slot.get()));
                 for (i, item) in binding.into_iter().enumerate() {
                     self.engine.budget_loop_check()?;
-                    env.push_scope();
-                    env.bind(var.clone(), Sequence::one(item));
+                    env.set(slot, Sequence::one(item));
                     if let Some(p) = pos {
-                        env.bind(
-                            p.clone(),
-                            Sequence::one(xdm::sequence::Item::integer(i as i64 + 1)),
-                        );
+                        env.set(p, Sequence::one(xdm::sequence::Item::integer(i as i64 + 1)));
                     }
                     let out = self.exec_block_value(body, env);
-                    env.pop_scope();
+                    env.clear(slot);
+                    if let Some(p) = pos {
+                        env.clear(p);
+                    }
                     let out = out?;
                     acc.extend(out.value);
                     if out.returned {
@@ -194,7 +194,6 @@ impl XqueryP {
                 Err(e) => {
                     for clause in catches {
                         if clause.test.matches_name(Some(&e.code)) {
-                            env.push_scope();
                             let vals: [Sequence; 2] = [
                                 Sequence::one(xdm::sequence::Item::Atomic(
                                     xdm::atomic::AtomicValue::QName(e.code.clone()),
@@ -203,13 +202,11 @@ impl XqueryP {
                                     e.message.clone(),
                                 )),
                             ];
-                            for (var, value) in
-                                clause.into_vars.iter().zip(vals)
-                            {
-                                env.bind(var.clone(), value);
+                            for (var, value) in clause.into_vars.iter().zip(vals) {
+                                env.set(var.slot.get(), value);
                             }
                             let out = self.exec_block_value(&clause.body, env);
-                            env.pop_scope();
+                            clause.into_vars.iter().for_each(|var| env.clear(var.slot.get()));
                             return out;
                         }
                     }
@@ -256,12 +253,9 @@ impl XqueryP {
     /// top-level call of a procedure (and not of a function), giving
     /// the procedure's value; `None` for any other expression.
     fn procedure_call(&self, expr: &Expr, env: &mut Env) -> XdmResult<Option<Sequence>> {
-        let Expr::FunctionCall { name, args } = expr else { return Ok(None) };
-        let Some(p) = self.engine.procedure(name, args.len()) else { return Ok(None) };
-        if self.engine.function(name, args.len()).is_some() {
+        let Some((p, args)) = crate::interp::statement_procedure(&self.engine, expr, true) else {
             return Ok(None);
-        }
-        let argv = crate::interp::eval_args(&self.engine, args, env)?;
-        crate::interp::call_proc(&self.engine, p, argv, env).map(Some)
+        };
+        crate::interp::call_proc_with(&self.engine, p, args, false, env).map(Some)
     }
 }

@@ -138,9 +138,11 @@ fn write_indent(out: &mut String, depth: usize) {
 }
 
 /// Write ` xmlns[:p]="uri"` unless that declaration is in force
-/// already, and put it in force.
+/// already, and put it in force. The binding in force for a prefix is
+/// its innermost declaration: one an element in between rebound does
+/// not count.
 fn declare(out: &mut String, declared: &mut Vec<(Symbol, Symbol)>, prefix: &Symbol, uri: &Symbol) {
-    if declared.iter().any(|(p, u)| p == prefix && u == uri) {
+    if declared.iter().rev().find(|(p, _)| p == prefix).is_some_and(|(_, u)| u == uri) {
         return;
     }
     out.push_str(if prefix.is_empty() { " xmlns" } else { " xmlns:" });
@@ -222,9 +224,20 @@ fn write_node(out: &mut String, node: &NodeHandle, pretty: bool, open: &mut Vec<
                 });
                 // Synthesize a declaration for the element's own prefix
                 // if it is namespaced but nothing declares it
-                // (constructed nodes from query land here).
-                if let Some(ns) = &name.ns {
-                    declare(out, &mut declared, &name.prefix.clone().unwrap_or_default(), ns);
+                // (constructed nodes from query land here), and undeclare
+                // the default namespace for an element in none.
+                match &name.ns {
+                    Some(ns) => {
+                        declare(out, &mut declared, &name.prefix.clone().unwrap_or_default(), ns)
+                    }
+                    None if name.prefix.is_none() => {
+                        let default = declared.iter().rev().find(|(p, _)| p.is_empty());
+                        if default.is_some_and(|(_, u)| !u.is_empty()) {
+                            let none = Symbol::default();
+                            declare(out, &mut declared, &none, &none);
+                        }
+                    }
+                    None => {}
                 }
                 n.for_each_attribute(|aname, value| {
                     // Synthesize prefixed-attribute namespace declarations.
@@ -336,6 +349,41 @@ mod tests {
         let c = NodeHandle::new_element(e.arena(), QName::with_prefix_ns("t", "urn:t", "b"));
         e.append_child(&c).unwrap();
         assert_eq!(serialize(&e), "<t:a xmlns:t=\"urn:t\"><t:b/></t:a>");
+    }
+
+    /// A declaration an ancestor made is not in force once an element
+    /// in between rebinds its prefix, so the element that binds it back
+    /// writes it again, for a prefix and for the default namespace.
+    #[test]
+    fn a_prefix_bound_back_after_a_rebinding_is_declared_again() {
+        for (xml, inner, ns) in [
+            (
+                "<a xmlns:q=\"u1\"><b xmlns:q=\"u2\"><c xmlns:q=\"u1\" q:z=\"1\"/></b></a>",
+                "<c xmlns:q=\"u1\" q:z=\"1\"/>",
+                "u1",
+            ),
+            (
+                "<a xmlns=\"u1\"><b xmlns=\"u2\"><c xmlns=\"u1\"/></b></a>",
+                "<c xmlns=\"u1\"/>",
+                "u1",
+            ),
+        ] {
+            let doc = parse(xml).unwrap();
+            let s = serialize(&root_of(&doc));
+            assert_eq!(s, xml);
+            assert!(s.contains(inner), "{s}");
+            let again = parse(&s).unwrap();
+            let c = root_of(&again).children()[0].children()[0].clone();
+            let names: Vec<_> = std::iter::once(c.name().unwrap())
+                .chain(c.attributes().iter().filter_map(|a| a.name()).filter(|q| q.ns.is_some()))
+                .collect();
+            let c_ns = names[0].ns.as_deref();
+            assert_eq!(c_ns, if xml.contains("xmlns=") { Some(ns) } else { None });
+            for q in &names[1..] {
+                assert_eq!(q.ns.as_deref(), Some(ns), "{s}");
+            }
+            assert!(root_of(&again).deep_equal(&root_of(&doc)));
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! The dynamic context: variable scopes, focus, pending updates, trace.
+//! The dynamic context: variable slots in call frames, focus, pending
+//! updates, trace.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use xdm::error::{ErrorCode, XdmError, XdmResult};
-use xdm::qname::QName;
+use xdm::error::XdmResult;
 use xdm::sequence::{Item, Sequence};
-use xdm::types::SequenceType;
 
 use crate::update::Pul;
 
@@ -25,24 +24,22 @@ pub struct Focus {
 
 /// The dynamic evaluation context.
 ///
-/// Variable bindings live in one flat stack, innermost last, cut into
-/// scopes by start marks: a lookup scans from the top, so an inner
-/// binding shadows an outer one, and popping a scope truncates the
-/// stack to its mark. A user function's call opens a *frame*, a scope
-/// that lookups and assignments do not cross: its body sees its
-/// parameters and the prolog's variables, never its caller's (XQuery
-/// 1.0 §4.15). XQSE block variables are *assignable* and marked
-/// as such, while XQuery `for`/`let` bindings are read-only (the
-/// paper, §III.B.5: "Block variables differ from let variables in that
-/// they can be assigned").
+/// Variables live in one vector of slots, cut into *frames*: a
+/// function, procedure, global initializer or query body owns the
+/// slots of every variable declared in it, whose indexes the resolver
+/// ([`crate::resolve`]) gave them when the module was loaded or
+/// prepared. A call pushes its callee's frame onto the vector and pops
+/// it afterwards, so a body sees its own slots and never its caller's
+/// (XQuery 1.0 §4.15). Nothing is looked up by name: a slot index is
+/// relative to the innermost frame's base. An empty slot is an XQSE
+/// block variable not yet assigned ("Any reference to such a variable
+/// … is an error until it has been initially assigned to", §III.B.5);
+/// whether a variable may be assigned at all is settled before
+/// anything runs.
 pub struct Env {
-    vars: Vec<(QName, Binding)>,
-    /// Where each pushed scope starts in `vars`; the root scope starts
-    /// at 0 and has no mark.
-    scopes: Vec<usize>,
-    /// Where the innermost call frame starts in `vars`: no binding
-    /// below it is visible.
-    frame: usize,
+    slots: Vec<Option<Sequence>>,
+    /// Where the innermost frame starts in `slots`.
+    base: usize,
     /// The current focus, if any.
     pub focus: Option<Focus>,
     /// Open pending-update list: present only inside an XQSE update
@@ -77,13 +74,16 @@ pub struct Env {
     pub write_epoch: u64,
 }
 
-#[derive(Debug)]
-struct Binding {
-    value: Option<Sequence>,
-    assignable: bool,
-    /// Declared type of a block variable; assignments are checked
-    /// against it (paper §III.B.6).
-    ty: Option<SequenceType>,
+/// What a procedure's frame set aside of its caller's context: a
+/// procedure body runs as in a fresh context that shares only the
+/// trace sink ([`Env::enter_procedure`]).
+pub struct CallerContext {
+    base: usize,
+    focus: Option<Focus>,
+    pul: Option<Pul>,
+    join_cache: HashMap<(usize, u64), Rc<crate::eval::JoinCacheEntry>>,
+    ws_memo: HashMap<String, Sequence>,
+    write_epoch: u64,
 }
 
 impl Default for Env {
@@ -96,9 +96,8 @@ impl Env {
     /// An empty context.
     pub fn new() -> Env {
         Env {
-            vars: Vec::new(),
-            scopes: Vec::new(),
-            frame: 0,
+            slots: Vec::new(),
+            base: 0,
             focus: None,
             pul: None,
             trace: Rc::new(RefCell::new(Vec::new())),
@@ -130,100 +129,68 @@ impl Env {
         self.write_epoch += 1;
     }
 
-    /// Push a scope: a FLWOR tuple's, a function call's, or an XQSE
-    /// block's. Assignability belongs to each binding, not the frame.
-    pub fn push_scope(&mut self) {
-        self.scopes.push(self.vars.len());
+    /// Push a frame of `size` empty slots, which slot indexes address
+    /// until [`Env::pop_frame`] closes it with the returned mark. Once
+    /// the vector has grown to the deepest call, this allocates
+    /// nothing.
+    pub fn push_frame(&mut self, size: usize) -> usize {
+        let caller = self.base;
+        self.base = self.slots.len();
+        self.slots.resize(self.base + size, None);
+        caller
     }
 
-    /// Open a function call's frame: a scope whose bindings are the
-    /// only ones visible until [`Env::pop_frame`] closes it with the
-    /// returned mark.
-    pub fn push_frame(&mut self) -> usize {
-        self.push_scope();
-        std::mem::replace(&mut self.frame, self.vars.len())
+    /// Close the frame [`Env::push_frame`] opened, dropping its values.
+    pub fn pop_frame(&mut self, caller: usize) {
+        self.slots.truncate(self.base);
+        self.base = caller;
     }
 
-    /// Close the frame [`Env::push_frame`] opened, dropping its
-    /// bindings.
-    pub fn pop_frame(&mut self, outer: usize) {
-        self.pop_scope();
-        self.frame = outer;
-    }
-
-    /// Pop the innermost scope, dropping its bindings.
-    pub fn pop_scope(&mut self) {
-        debug_assert!(!self.scopes.is_empty(), "cannot pop the root scope");
-        if let Some(start) = self.scopes.pop() {
-            self.vars.truncate(start);
+    /// Push a procedure's frame: [`Env::push_frame`], with the focus,
+    /// the pending-update list, the memos and the write epoch set aside
+    /// for the call, so its body runs as in a fresh context sharing
+    /// only the trace sink.
+    pub fn enter_procedure(&mut self, size: usize) -> CallerContext {
+        CallerContext {
+            base: self.push_frame(size),
+            focus: self.focus.take(),
+            pul: self.pul.take(),
+            join_cache: std::mem::take(&mut self.join_cache),
+            ws_memo: std::mem::take(&mut self.ws_memo),
+            write_epoch: std::mem::take(&mut self.write_epoch),
         }
     }
 
-    /// Add a binding to the innermost scope, replacing one of the same
-    /// name already in that scope.
-    fn insert(&mut self, name: QName, binding: Binding) {
-        let start = self.scopes.last().copied().unwrap_or(0);
-        match self.vars[start..].iter_mut().find(|(n, _)| *n == name) {
-            Some(slot) => slot.1 = binding,
-            None => self.vars.push((name, binding)),
-        }
+    /// Close the frame [`Env::enter_procedure`] opened and give the
+    /// caller its context back.
+    pub fn leave_procedure(&mut self, caller: CallerContext) {
+        self.pop_frame(caller.base);
+        self.focus = caller.focus;
+        self.pul = caller.pul;
+        self.join_cache = caller.join_cache;
+        self.ws_memo = caller.ws_memo;
+        self.write_epoch = caller.write_epoch;
     }
 
-    /// Bind a read-only variable (for/let/function parameters).
-    pub fn bind(&mut self, name: QName, value: Sequence) {
-        self.insert(name, Binding { value: Some(value), assignable: false, ty: None });
+    /// The value in `slot` of the innermost frame: `None` for a block
+    /// variable not yet assigned.
+    #[inline]
+    pub fn get(&self, slot: u32) -> Option<&Sequence> {
+        self.slots[self.base + slot as usize].as_ref()
     }
 
-    /// Declare an XQSE block variable, optionally initialized and
-    /// optionally typed (implicitly `item()*` when untyped).
-    pub fn declare_block_var(
-        &mut self,
-        name: QName,
-        value: Option<Sequence>,
-        ty: Option<SequenceType>,
-    ) {
-        self.insert(name, Binding { value, assignable: true, ty });
+    /// Bind or assign `slot` of the innermost frame.
+    #[inline]
+    pub fn set(&mut self, slot: u32, value: Sequence) {
+        self.slots[self.base + slot as usize] = Some(value);
     }
 
-    /// Look up a variable: `Ok(None)` when no scope binds it (the
-    /// caller tries the prolog's globals before raising `XPST0008`, so
-    /// an unbound name builds no error). An uninitialized block
-    /// variable raises `XQSE0002` ("Any reference to such a variable …
-    /// is an error until it has been initially assigned to", §III.B.5).
-    pub fn lookup(&self, name: &QName) -> XdmResult<Option<Sequence>> {
-        match self.vars[self.frame..].iter().rev().find(|(n, _)| n == name) {
-            None => Ok(None),
-            Some((_, b)) => match &b.value {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(XdmError::new(
-                    ErrorCode::XQSE0002,
-                    format!("block variable ${name} referenced before assignment"),
-                )),
-            },
-        }
-    }
-
-    /// Assign to a block variable (`set $x := …`). Only variables
-    /// declared by a block variable declaration may be assigned
-    /// (`XQSE0001` otherwise).
-    pub fn assign(&mut self, name: &QName, value: Sequence) -> XdmResult<()> {
-        if let Some((_, b)) = self.vars[self.frame..].iter_mut().rev().find(|(n, _)| n == name) {
-            if !b.assignable {
-                return Err(XdmError::new(
-                    ErrorCode::XQSE0001,
-                    format!("${name} is not a block variable and cannot be assigned"),
-                ));
-            }
-            if let Some(ty) = &b.ty {
-                ty.check(&value, || format!("set ${name}"))?;
-            }
-            b.value = Some(value);
-            return Ok(());
-        }
-        Err(XdmError::new(
-            ErrorCode::XQSE0001,
-            format!("assignment to undeclared variable ${name}"),
-        ))
+    /// Empty `slot` of the innermost frame, dropping its value: its
+    /// scope has ended, or it is a block variable declared without a
+    /// value.
+    #[inline]
+    pub fn clear(&mut self, slot: u32) {
+        self.slots[self.base + slot as usize] = None;
     }
 
     /// Emit a trace message (fn:trace and the XQSE engine's own
@@ -250,99 +217,111 @@ impl Env {
         out
     }
 
-    /// The number of live scopes, the root scope included (used by
-    /// tests to verify balanced push/pop even across errors).
-    pub fn depth(&self) -> usize {
-        self.scopes.len() + 1
+    /// The slots of every frame on the stack (tests check that calls
+    /// pop what they push, errors included).
+    pub fn slots_in_use(&self) -> usize {
+        self.slots.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use xdm::error::ErrorCode;
+    use xdm::qname::QName;
+    use xqparser::ast::{QueryBody, Statement};
 
-    fn q(n: &str) -> QName {
-        QName::new(n)
+    fn int(i: i64) -> Sequence {
+        Sequence::one(Item::integer(i))
+    }
+
+    fn load_err(src: &str) -> QName {
+        Engine::new().load(src).map(|_| ()).unwrap_err().code.clone()
     }
 
     #[test]
     fn bind_and_lookup() {
         let mut env = Env::new();
-        env.bind(q("x"), Sequence::one(Item::integer(1)));
-        assert_eq!(env.lookup(&q("x")).unwrap().unwrap().len(), 1);
-        assert!(matches!(env.lookup(&q("y")), Ok(None)), "unbound, and no error built");
+        let caller = env.push_frame(2);
+        env.set(0, int(1));
+        assert_eq!(env.get(0).unwrap().len(), 1);
+        assert!(env.get(1).is_none(), "an empty slot, and no error built");
+        env.clear(0);
+        assert!(env.get(0).is_none());
+        env.pop_frame(caller);
+        assert_eq!(env.slots_in_use(), 0);
     }
 
     #[test]
     fn shadowing_and_scope_pop() {
-        let mut env = Env::new();
-        env.bind(q("x"), Sequence::one(Item::integer(1)));
-        env.push_scope();
-        env.bind(q("x"), Sequence::one(Item::integer(2)));
-        assert_eq!(
-            env.lookup(&q("x")).unwrap().unwrap().items()[0],
-            Item::integer(2)
-        );
-        env.pop_scope();
-        assert_eq!(
-            env.lookup(&q("x")).unwrap().unwrap().items()[0],
-            Item::integer(1)
-        );
+        // An inner binding of the same name gets a slot of its own, so
+        // the outer one reads its own value again after the inner
+        // scope ends.
+        let out = Engine::new()
+            .eval_expr_str("let $x := 1 return ((let $x := 2 return $x), $x)", &[])
+            .unwrap();
+        assert_eq!(out.items(), &[Item::integer(2), Item::integer(1)]);
     }
 
     #[test]
     fn let_variables_are_not_assignable() {
-        let mut env = Env::new();
-        env.bind(q("x"), Sequence::one(Item::integer(1)));
-        let err = env.assign(&q("x"), Sequence::empty()).unwrap_err();
-        assert!(err.is(ErrorCode::XQSE0001));
+        assert_eq!(
+            load_err("{ iterate $x over (1, 2) { set $x := 3; } }"),
+            ErrorCode::XQSE0001.qname()
+        );
+        assert_eq!(
+            load_err("declare procedure local:p($x) { set $x := 2; }; 1"),
+            ErrorCode::XQSE0001.qname()
+        );
     }
 
     #[test]
     fn block_variables_are_assignable() {
+        Engine::new().load("{ declare $x; set $x := 5; return value $x; }").unwrap();
+        // An unassigned block variable is an empty slot, which the
+        // evaluator reports as XQSE0002 when it is read.
         let mut env = Env::new();
-        env.push_scope();
-        env.declare_block_var(q("x"), None, None);
-        // Reference before assignment is XQSE0002.
-        let err = env.lookup(&q("x")).unwrap_err();
-        assert!(err.is(ErrorCode::XQSE0002));
-        env.assign(&q("x"), Sequence::one(Item::integer(5))).unwrap();
-        assert_eq!(env.lookup(&q("x")).unwrap().unwrap().items()[0], Item::integer(5));
+        let caller = env.push_frame(1);
+        assert!(env.get(0).is_none());
+        env.set(0, int(5));
+        assert_eq!(env.get(0).unwrap().items()[0], Item::integer(5));
+        env.pop_frame(caller);
     }
 
     #[test]
     fn assignment_to_undeclared_fails() {
-        let mut env = Env::new();
-        let err = env.assign(&q("nope"), Sequence::empty()).unwrap_err();
-        assert!(err.is(ErrorCode::XQSE0001));
+        assert_eq!(load_err("{ set $nope := 1; }"), ErrorCode::XQSE0001.qname());
     }
 
     #[test]
     fn assignment_crosses_expression_scopes() {
         // A `set` inside a while body assigns the block variable of
-        // the enclosing block.
-        let mut env = Env::new();
-        env.push_scope();
-        env.declare_block_var(q("acc"), Some(Sequence::empty()), None);
-        env.push_scope(); // e.g. loop-internal expression scope
-        env.assign(&q("acc"), Sequence::one(Item::integer(1))).unwrap();
-        env.pop_scope();
-        assert_eq!(env.lookup(&q("acc")).unwrap().unwrap().len(), 1);
+        // the enclosing block: both resolve to the same slot.
+        let m = Engine::new()
+            .load("{ declare $acc := (); while (fn:false()) { set $acc := 1; } }")
+            .unwrap();
+        let QueryBody::Block(b) = &m.body else { panic!("block body") };
+        let Statement::While { body, .. } = &b.statements[0] else { panic!("while") };
+        let Statement::Set { var, .. } = &body.statements[0] else { panic!("set") };
+        assert_eq!(
+            var.target.get(),
+            xqparser::ast::VarTarget::Local(b.decls[0].var.slot.get())
+        );
     }
 
     #[test]
     fn a_call_frame_hides_the_callers_bindings() {
         let mut env = Env::new();
-        env.push_scope();
-        env.declare_block_var(q("b"), Some(Sequence::one(Item::integer(7))), None);
-        let outer = env.push_frame();
-        assert!(matches!(env.lookup(&q("b")), Ok(None)));
-        assert!(env.assign(&q("b"), Sequence::empty()).is_err());
-        env.bind(q("p"), Sequence::one(Item::integer(1)));
-        assert_eq!(env.lookup(&q("p")).unwrap().unwrap().len(), 1);
+        let outer = env.push_frame(1);
+        env.set(0, int(7));
+        let caller = env.push_frame(1);
+        assert!(env.get(0).is_none(), "the callee's slot 0 is its own");
+        env.set(0, int(1));
+        env.pop_frame(caller);
+        assert_eq!(env.get(0).unwrap().items()[0], Item::integer(7));
         env.pop_frame(outer);
-        assert!(matches!(env.lookup(&q("p")), Ok(None)));
-        assert_eq!(env.lookup(&q("b")).unwrap().unwrap().items()[0], Item::integer(7));
+        assert_eq!(env.slots_in_use(), 0);
     }
 
     #[test]

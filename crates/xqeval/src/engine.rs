@@ -16,6 +16,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xdm::datetime::DateTime;
@@ -25,7 +26,7 @@ use xdm::node::NodeHandle;
 use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
-use xqparser::ast::{Expr, FunctionDecl, Module, ProcedureDecl, Prolog, QueryBody};
+use xqparser::ast::{Bound, Expr, FunctionDecl, Module, ProcedureDecl, Prolog, QueryBody};
 use xqparser::parser::parse_module;
 
 use crate::cache::Lru;
@@ -367,9 +368,14 @@ pub struct Engine {
 /// The engine state proper; see [`Engine`] for the field-by-field
 /// story. Private: all access goes through the handle's methods.
 struct EngineInner {
-    functions: RefCell<ByArity<FunctionKind>>,
-    procedures: RefCell<ByArity<ProcKind>>,
-    globals: RefCell<HashMap<QName, Sequence>>,
+    /// Process-unique: the call sites and global references this
+    /// engine resolved carry it, so another engine that meets them
+    /// looks their names up in its own registries instead.
+    id: u64,
+    /// Functions and procedures, one entry per name and arity.
+    callees: RefCell<Registry<Callee>>,
+    /// Global variables' values, one entry per name.
+    globals: RefCell<Registry<Option<Sequence>>>,
     documents: RefCell<HashMap<String, NodeHandle>>,
     proc_runner: RefCell<Option<ProcRunner>>,
     /// Fixed "current" instant for fn:current-date/dateTime —
@@ -426,11 +432,25 @@ struct EngineInner {
     xdm_base: Cell<xdm::XdmStats>,
 }
 
-/// A registry of functions or procedures, keyed by expanded name and
-/// then by arity slot, so a lookup borrows the caller's name.
-struct ByArity<T> {
-    by_name: HashMap<NameKey, Vec<Option<T>>, BuildHasherDefault<WordHasher>>,
+/// One registry entry per expanded name (and, for callees, arity).
+/// Entries are never removed: registration updates an entry in place,
+/// and a call site or global reference bound to an entry by index
+/// reads what the entry holds when it runs.
+struct Registry<T> {
+    by_name: HashMap<NameKey, Vec<Option<u32>>, BuildHasherDefault<WordHasher>>,
+    entries: Vec<T>,
 }
+
+/// What a function name of one arity calls: the function registered
+/// under it, or else the procedure.
+#[derive(Default)]
+struct Callee {
+    function: Option<FunctionKind>,
+    procedure: Option<ProcKind>,
+}
+
+/// The source of engine ids; 0 is no engine's.
+static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// An expanded name as the addresses of its interned namespace and
 /// local part ([`Symbol::addr`]): equal keys are equal names, and a
@@ -472,23 +492,40 @@ impl Hasher for WordHasher {
     }
 }
 
-impl<T> Default for ByArity<T> {
+impl<T: Default> Default for Registry<T> {
     fn default() -> Self {
-        ByArity { by_name: HashMap::default() }
+        Registry { by_name: HashMap::default(), entries: Vec::new() }
     }
 }
 
-impl<T> ByArity<T> {
-    fn get(&self, name: &QName, arity: usize) -> Option<&T> {
-        self.by_name.get(&NameKey::of(name))?.get(arity)?.as_ref()
+impl<T: Default> Registry<T> {
+    /// The entry of `name` at `arity` (0 for globals), if any.
+    fn find(&self, name: &QName, arity: usize) -> Option<u32> {
+        *self.by_name.get(&NameKey::of(name))?.get(arity)?
     }
 
-    fn insert(&mut self, name: QName, arity: usize, value: T) {
-        let slots = self.by_name.entry(NameKey::of(&name)).or_default();
+    /// The entry of `name` at `arity`, made empty if it is new.
+    fn entry(&mut self, name: &QName, arity: usize) -> u32 {
+        let slots = self.by_name.entry(NameKey::of(name)).or_default();
         if slots.len() <= arity {
-            slots.resize_with(arity + 1, || None);
+            slots.resize(arity + 1, None);
         }
-        slots[arity] = Some(value);
+        *slots[arity].get_or_insert_with(|| {
+            self.entries.push(T::default());
+            (self.entries.len() - 1) as u32
+        })
+    }
+
+    /// The entry a reference bound by `engine` reads: its own when it
+    /// was bound here, found by name when another engine bound it.
+    fn read(&self, engine: u64, bound: Bound, name: &QName, arity: usize) -> Option<&T> {
+        let i = if bound.engine == engine { Some(bound.entry) } else { self.find(name, arity) };
+        i.map(|i| &self.entries[i as usize])
+    }
+
+    fn get_mut(&mut self, name: &QName, arity: usize) -> &mut T {
+        let i = self.entry(name, arity);
+        &mut self.entries[i as usize]
     }
 }
 
@@ -515,9 +552,9 @@ impl Engine {
         let features = Features::from_env().unwrap_or_else(|e| panic!("{e}"));
         Engine {
             inner: Rc::new(EngineInner {
-                functions: RefCell::new(ByArity::default()),
-                procedures: RefCell::new(ByArity::default()),
-                globals: RefCell::new(HashMap::new()),
+                id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
+                callees: RefCell::new(Registry::default()),
+                globals: RefCell::new(Registry::default()),
                 documents: RefCell::new(HashMap::new()),
                 proc_runner: RefCell::new(None),
                 now: DateTime::parse("2007-12-07T10:30:00").expect("valid literal"),
@@ -621,9 +658,8 @@ impl Engine {
         arity: usize,
         f: ExternalFn,
     ) {
-        self.inner.functions
-            .borrow_mut()
-            .insert(name, arity, FunctionKind::External { f, updating: false });
+        self.inner.callees.borrow_mut().get_mut(&name, arity).function =
+            Some(FunctionKind::External { f, updating: false });
         self.inner.registry_gen.set(self.inner.registry_gen.get() + 1);
     }
 
@@ -637,20 +673,58 @@ impl Engine {
         readonly: bool,
         f: ExternalFn,
     ) {
-        self.inner.procedures
-            .borrow_mut()
-            .insert(name, arity, ProcKind::External { f, readonly });
+        self.inner.callees.borrow_mut().get_mut(&name, arity).procedure =
+            Some(ProcKind::External { f, readonly });
         self.inner.registry_gen.set(self.inner.registry_gen.get() + 1);
     }
 
     /// Bind a global variable (external variables, ALDSP parameters).
     pub fn set_global(&self, name: QName, value: Sequence) {
-        self.inner.globals.borrow_mut().insert(name, value);
+        *self.inner.globals.borrow_mut().get_mut(&name, 0) = Some(value);
     }
 
     /// Look up a global variable.
     pub fn global(&self, name: &QName) -> Option<Sequence> {
-        self.inner.globals.borrow().get(name).cloned()
+        let globals = self.inner.globals.borrow();
+        globals.find(name, 0).and_then(|i| globals.entries[i as usize].clone())
+    }
+
+    /// The value of the global `name`, which a reference resolved to
+    /// `bound`.
+    #[inline]
+    pub(crate) fn global_at(&self, bound: Bound, name: &QName) -> Option<Sequence> {
+        self.inner.globals.borrow().read(self.inner.id, bound, name, 0).cloned().flatten()
+    }
+
+    /// The entry of the global `name`, for a reference to bind.
+    pub(crate) fn global_entry(&self, name: &QName) -> Bound {
+        Bound { engine: self.inner.id, entry: self.inner.globals.borrow_mut().entry(name, 0) }
+    }
+
+    /// The registry entry of `name` at `arity`, for a call site to bind.
+    pub(crate) fn callee_entry(&self, name: &QName, arity: usize) -> Bound {
+        Bound { engine: self.inner.id, entry: self.inner.callees.borrow_mut().entry(name, arity) }
+    }
+
+    /// The function a call site bound to `bound` runs.
+    #[inline]
+    pub(crate) fn function_at(&self, bound: Bound, name: &QName, arity: usize) -> Option<FunctionKind> {
+        let callees = self.inner.callees.borrow();
+        callees.read(self.inner.id, bound, name, arity)?.function.clone()
+    }
+
+    /// The procedure a call site bound to `bound` runs.
+    #[inline]
+    pub fn procedure_at(&self, bound: Bound, name: &QName, arity: usize) -> Option<ProcKind> {
+        let callees = self.inner.callees.borrow();
+        callees.read(self.inner.id, bound, name, arity)?.procedure.clone()
+    }
+
+    /// Does a function of `name` at `arity` exist, for a call site
+    /// bound to `bound`?
+    pub fn has_function_at(&self, bound: Bound, name: &QName, arity: usize) -> bool {
+        let callees = self.inner.callees.borrow();
+        callees.read(self.inner.id, bound, name, arity).is_some_and(|c| c.function.is_some())
     }
 
     /// Register a document for `fn:doc`.
@@ -843,12 +917,12 @@ impl Engine {
 
     /// Look up a function by expanded name and arity.
     pub fn function(&self, name: &QName, arity: usize) -> Option<FunctionKind> {
-        self.inner.functions.borrow().get(name, arity).cloned()
+        self.function_at(Bound::default(), name, arity)
     }
 
     /// Look up a procedure by expanded name and arity.
     pub fn procedure(&self, name: &QName, arity: usize) -> Option<ProcKind> {
-        self.inner.procedures.borrow().get(name, arity).cloned()
+        self.procedure_at(Bound::default(), name, arity)
     }
 
     /// Parse a module and register its prolog declarations. Global
@@ -860,22 +934,27 @@ impl Engine {
         Ok(module)
     }
 
-    /// Register a pre-parsed module's prolog.
+    /// Resolve a pre-parsed module against this engine and register its
+    /// prolog. Resolution comes first: an undefined variable
+    /// (`XPST0008`) or a `set` of anything but a block variable
+    /// (`XQSE0001`) fails the load before any initializer runs.
     pub fn load_prolog(&self, module: &Module) -> XdmResult<()> {
+        crate::resolve::resolve_module(module, self)?;
         self.install_declarations(&module.prolog)?;
         // Global variables, in declaration order.
         for v in &module.prolog.variables {
             match &v.value {
                 Some(init) => {
                     let mut env = Env::new();
+                    env.push_frame(v.frame.get() as usize);
                     let value = Evaluator::new(self).eval(init, &mut env)?;
                     if let Some(ty) = &v.ty {
                         ty.check(&value, || format!("declare variable ${}", v.name))?;
                     }
-                    self.inner.globals.borrow_mut().insert(v.name.clone(), value);
+                    self.set_global(v.name.clone(), value);
                 }
                 None => {
-                    if !self.inner.globals.borrow().contains_key(&v.name) {
+                    if self.global(&v.name).is_none() {
                         return Err(XdmError::new(
                             ErrorCode::XPST0008,
                             format!("external variable ${} is unbound", v.name),
@@ -899,21 +978,22 @@ impl Engine {
                 format!("external {what} {name}#{arity} has no host binding"),
             )
         };
+        let mut callees = self.inner.callees.borrow_mut();
         for f in &prolog.functions {
             let arity = f.params.len();
-            let mut functions = self.inner.functions.borrow_mut();
+            let callee = callees.get_mut(&f.name, arity);
             if f.body.is_some() {
-                functions.insert(f.name.clone(), arity, FunctionKind::User(f.clone()));
-            } else if functions.get(&f.name, arity).is_none() {
+                callee.function = Some(FunctionKind::User(f.clone()));
+            } else if callee.function.is_none() {
                 return Err(unbound("function", &f.name, arity));
             }
         }
         for p in &prolog.procedures {
             let arity = p.params.len();
-            let mut procedures = self.inner.procedures.borrow_mut();
+            let callee = callees.get_mut(&p.name, arity);
             if p.body.is_some() {
-                procedures.insert(p.name.clone(), arity, ProcKind::User(p.clone()));
-            } else if procedures.get(&p.name, arity).is_none() {
+                callee.procedure = Some(ProcKind::User(p.clone()));
+            } else if callee.procedure.is_none() {
                 return Err(unbound("procedure", &p.name, arity));
             }
         }
@@ -968,8 +1048,8 @@ impl Engine {
             if v.value.is_none() {
                 continue;
             }
-            if let Some(val) = self.inner.globals.borrow().get(&v.name) {
-                globals.push((v.name.clone(), val.clone()));
+            if let Some(val) = self.global(&v.name) {
+                globals.push((v.name.clone(), val));
             }
         }
         Ok(Rc::new(PreparedQuery {
@@ -985,9 +1065,8 @@ impl Engine {
     /// it was compiled with even if another module shadowed it since.
     fn reinstall_prolog(&self, pq: &PreparedQuery) -> XdmResult<()> {
         self.install_declarations(&pq.module.prolog)?;
-        let mut globals = self.inner.globals.borrow_mut();
         for (name, val) in &pq.globals {
-            globals.insert(name.clone(), val.clone());
+            self.set_global(name.clone(), val.clone());
         }
         Ok(())
     }
@@ -998,14 +1077,20 @@ impl Engine {
         self.execute_prepared_in(pq, &mut env)
     }
 
-    /// Execute a prepared plan in a caller-provided context.
+    /// Execute a prepared plan in a caller-provided context, in a frame
+    /// of the body's own.
     pub fn execute_prepared_in(
         &self,
         pq: &PreparedQuery,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         match body_expr(pq)? {
-            Some(e) => Evaluator::new(self).eval(e, env),
+            Some(e) => {
+                let caller = env.push_frame(pq.module.frame.get() as usize);
+                let out = Evaluator::new(self).eval(e, env);
+                env.pop_frame(caller);
+                out
+            }
             None => Ok(Sequence::empty()),
         }
     }
@@ -1035,11 +1120,16 @@ impl Engine {
     ) -> XdmResult<()> {
         let Some(e) = body_expr(pq)? else { return Ok(()) };
         let ev = Evaluator::new(self);
-        let mut items = crate::flwor::items(&ev, e, env)?;
-        while let Some(item) = items.next(&ev, env)? {
-            sink(item)?;
-        }
-        Ok(())
+        let caller = env.push_frame(pq.module.frame.get() as usize);
+        let out = (|| {
+            let mut items = crate::flwor::items(&ev, e, env)?;
+            while let Some(item) = items.next(&ev, env)? {
+                sink(item)?;
+            }
+            Ok(())
+        })();
+        env.pop_frame(caller);
+        out
     }
 
     /// Prepare a module and evaluate its query body, which must be an
@@ -1059,13 +1149,18 @@ impl Engine {
         extra_ns: &[(&str, &str)],
     ) -> XdmResult<Sequence> {
         let expr = xqparser::parser::parse_expr(src, extra_ns)?;
-        let mut env = Env::new();
-        Evaluator::new(self).eval(&expr, &mut env)
+        self.eval_in(&expr, &mut Env::new())
     }
 
-    /// Evaluate a parsed expression in a given context.
+    /// Resolve a parsed expression against this engine, as a body of
+    /// its own whose free variables are globals, and evaluate it in a
+    /// given context.
     pub fn eval_in(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
-        Evaluator::new(self).eval(expr, env)
+        let frame = crate::resolve::resolve_expr(expr, self)?;
+        let caller = env.push_frame(frame as usize);
+        let out = Evaluator::new(self).eval(expr, env);
+        env.pop_frame(caller);
+        out
     }
 
     /// Call a registered function or readonly procedure by name.

@@ -22,7 +22,7 @@ use xdm::atomic::{to_f64, AtomicType, AtomicValue};
 use xdm::decimal::Decimal;
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 use xdm::node::{NodeArena, NodeHandle, NodeKind, SharedArena};
-use xdm::qname::{QName, FN_NS, XS_NS};
+use xdm::qname::{QName, XS_NS};
 use xdm::sequence::{Item, Sequence};
 
 
@@ -172,7 +172,9 @@ impl<'e> Evaluator<'e> {
         Evaluator { engine }
     }
 
-    /// Evaluate an expression to a sequence.
+    /// Evaluate an expression to a sequence. The expression must be
+    /// resolved ([`crate::resolve`]) and the frame its slots belong to
+    /// pushed on `env`, as [`Engine::eval_in`] does for a lone one.
     pub fn eval(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
         // Per-request budget: one fuel unit per evaluation step. The
         // no-budget path is a single `Cell<bool>` read (see the
@@ -180,11 +182,12 @@ impl<'e> Evaluator<'e> {
         self.engine.budget_step()?;
         match expr {
             Expr::Literal(a) => Ok(Sequence::one(Item::Atomic(a.clone()))),
-            Expr::VarRef(name) => match env.lookup(name)? {
-                Some(v) => Ok(v),
-                None => self.engine.global(name).ok_or_else(|| {
-                    XdmError::new(ErrorCode::XPST0008, format!("undefined variable ${name}"))
-                }),
+            Expr::VarRef(u) => match u.target.get() {
+                VarTarget::Local(slot) => env.get(slot).cloned().ok_or_else(|| unassigned(&u.name)),
+                VarTarget::Global(bound) => {
+                    self.engine.global_at(bound, &u.name).ok_or_else(|| undefined(&u.name))
+                }
+                VarTarget::Unresolved => Err(undefined(&u.name)),
             },
             Expr::ContextItem => env
                 .focus
@@ -244,13 +247,13 @@ impl<'e> Evaluator<'e> {
             }
             Expr::Flwor { clauses, ret } => flwor::drain(self, clauses, ret, env),
             Expr::Path { start, steps } => self.eval_path(start, steps, env),
-            Expr::Filter { base, predicates } => {
+            Expr::Filter { base, predicates, window } => {
                 // A positional first predicate (`[k]`, `[position() lt
                 // N]`, …) takes its window directly, pulling a FLWOR no
                 // further than the window's edge.
-                let window = match predicates.split_first() {
-                    Some((first, rest)) if self.engine.features().lazy => {
-                        positional_window(first).map(|win| (win, rest))
+                let window = match (window, predicates.split_first()) {
+                    (Some(w), Some((first, rest))) if self.engine.features().lazy => {
+                        window_range(*w, first).map(|win| (win, rest))
                     }
                     _ => None,
                 };
@@ -263,7 +266,7 @@ impl<'e> Evaluator<'e> {
                 }
                 Ok(seq)
             }
-            Expr::FunctionCall { name, args } => self.eval_call(name, args, env),
+            Expr::FunctionCall { name, args, call } => self.eval_call(name, args, call, env),
             Expr::DirectElement(de) => {
                 // XDM allocation ceiling: one admission unit up front,
                 // then the built tree settles at its real cost — one
@@ -273,7 +276,7 @@ impl<'e> Evaluator<'e> {
                 // nodes it shares were charged when first built).
                 self.engine.budget_charge_memory(1)?;
                 let before = xdm::xdm_stats();
-                let arena = NodeArena::with_capacity(template_nodes(de));
+                let arena = NodeArena::with_capacity(de.template);
                 let node = self.build_direct_element(de, &arena, env)?;
                 self.settle_construction_memory(&arena, &before)?;
                 Ok(Sequence::one(Item::Node(node)))
@@ -302,22 +305,37 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    /// A function call: its arguments, evaluated into [`Args`], go to a
-    /// builtin or to the registered callee. Out of line, so the inline
-    /// argument slots are on the stack only while a call is made.
+    /// A function call: its arguments, evaluated into [`Args`], go to
+    /// the builtin or the registered callee its site resolved to. Out
+    /// of line, so the inline argument slots are on the stack only
+    /// while a call is made.
     #[inline(never)]
-    fn eval_call(&self, name: &QName, args: &[Expr], env: &mut Env) -> XdmResult<Sequence> {
-        if let Some(r) = self.try_streaming_call(name, args, env) {
-            return r;
+    fn eval_call(
+        &self,
+        name: &QName,
+        args: &[Expr],
+        call: &CallSite,
+        env: &mut Env,
+    ) -> XdmResult<Sequence> {
+        if let Some(b) = call.builtin {
+            if let Some(r) = self.try_streaming_call(b, args, env) {
+                return r;
+            }
         }
+        let mut argv = self.eval_args(args, env)?;
+        match call.builtin {
+            Some(b) => functions::call(self.engine, env, b, &name.local, &mut argv),
+            None => self.call_registered(name, call.entry.get(), argv, env),
+        }
+    }
+
+    /// A call's arguments, evaluated in order.
+    pub fn eval_args(&self, args: &[Expr], env: &mut Env) -> XdmResult<Args> {
         let mut argv = Args::with_capacity(args.len());
         for a in args {
             argv.push(self.eval(a, env)?);
         }
-        match functions::dispatch(self.engine, env, name, &mut argv) {
-            Some(r) => r,
-            None => self.call_registered(name, argv, env),
-        }
+        Ok(argv)
     }
 
     /// The arms of [`Evaluator::eval`] that rows, pages and profiles
@@ -418,12 +436,11 @@ impl<'e> Evaluator<'e> {
                         None => true, // default
                     };
                     if matches {
-                        env.push_scope();
-                        if let Some(var) = &case.var {
-                            env.bind(var.clone(), v.clone());
-                        }
+                        let Some(var) = &case.var else { return self.eval(&case.body, env) };
+                        let slot = var.slot.get();
+                        env.set(slot, v);
                         let out = self.eval(&case.body, env);
-                        env.pop_scope();
+                        env.clear(slot);
                         return out;
                     }
                 }
@@ -615,7 +632,6 @@ impl<'e> Evaluator<'e> {
                 Ok(Sequence::empty())
             }
             Expr::Transform { copies, modify, ret } => {
-                env.push_scope();
                 let result = (|| {
                     for (var, src) in copies {
                         let v = self.eval(src, env)?;
@@ -626,7 +642,7 @@ impl<'e> Evaluator<'e> {
                             ));
                         };
                         let copy = n.deep_copy();
-                        env.bind(var.clone(), Sequence::one(Item::Node(copy)));
+                        env.set(var.slot.get(), Sequence::one(Item::Node(copy)));
                     }
                     // Open a nested PUL for the modify clause, apply at
                     // the end of the clause (transform snapshot).
@@ -639,7 +655,7 @@ impl<'e> Evaluator<'e> {
                     pul.apply()?;
                     self.eval(ret, env)
                 })();
-                env.pop_scope();
+                copies.iter().for_each(|(var, _)| env.clear(var.slot.get()));
                 result
             }
             _ => unreachable!("evaluated by Evaluator::eval"),
@@ -696,13 +712,13 @@ impl<'e> Evaluator<'e> {
     fn eval_quantified(
         &self,
         quantifier: Quantifier,
-        bindings: &[(QName, Expr)],
+        bindings: &[(Binder, Expr)],
         satisfies: &Expr,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         fn walk(
             this: &Evaluator<'_>,
-            bindings: &[(QName, Expr)],
+            bindings: &[(Binder, Expr)],
             satisfies: &Expr,
             env: &mut Env,
             every: bool,
@@ -714,11 +730,11 @@ impl<'e> Evaluator<'e> {
                     // quantifier's short-circuit stops a FLWOR source
                     // at the deciding item.
                     let mut items = flwor::items(this, src, env)?;
+                    let slot = var.slot.get();
                     while let Some(item) = items.next(this, env)? {
-                        env.push_scope();
-                        env.bind(var.clone(), Sequence::one(item));
+                        env.set(slot, Sequence::one(item));
                         let r = walk(this, rest, satisfies, env, every);
-                        env.pop_scope();
+                        env.clear(slot);
                         let r = r?;
                         if r != every {
                             // some: found true → short-circuit true;
@@ -886,23 +902,21 @@ impl<'e> Evaluator<'e> {
     #[inline(never)]
     fn try_streaming_call(
         &self,
-        name: &QName,
+        b: Builtin,
         args: &[Expr],
         env: &mut Env,
     ) -> Option<XdmResult<Sequence>> {
-        if !self.engine.features().lazy || name.ns.as_deref() != Some(FN_NS) {
+        if !self.engine.features().lazy {
             return None;
         }
-        // `call_function` consults builtins before user registries, so
-        // a `fn:`-namespace match here can never shadow a user function.
-        match (&*name.local, args.len()) {
-            (f @ ("exists" | "empty"), 1) => Some((|| {
+        // A builtin is called before any user registry is consulted,
+        // so intercepting one can never shadow a user function.
+        match b {
+            Builtin::Exists | Builtin::Empty => Some((|| {
                 let found = flwor::items(self, &args[0], env)?.next(self, env)?.is_some();
-                Ok(Sequence::one(Item::boolean(found == (f == "exists"))))
+                Ok(Sequence::one(Item::boolean(found == (b == Builtin::Exists))))
             })()),
-            ("subsequence", 2) | ("subsequence", 3) => {
-                Some(self.streaming_subsequence(args, env))
-            }
+            Builtin::Subsequence => Some(self.streaming_subsequence(args, env)),
             _ => None,
         }
     }
@@ -932,14 +946,11 @@ impl<'e> Evaluator<'e> {
             return None;
         }
         fn counted_arg(e: &Expr) -> Option<&Expr> {
-            let Expr::FunctionCall { name, args } = e else { return None };
-            if name.ns.as_deref() == Some(FN_NS)
-                && name.local == "count"
-                && args.len() == 1
-            {
-                Some(&args[0])
-            } else {
-                None
+            match e {
+                Expr::FunctionCall { args, call, .. } if call.builtin == Some(Builtin::Count) => {
+                    Some(&args[0])
+                }
+                _ => None,
             }
         }
         let (counted, bound, count_on_left) = match (counted_arg(l), counted_arg(r)) {
@@ -995,7 +1006,7 @@ impl<'e> Evaluator<'e> {
 
     // -------------------------------------------------------- functions
 
-    /// Call a function/procedure with pre-evaluated arguments.
+    /// Call a function/procedure by name with pre-evaluated arguments.
     pub fn call_function(
         &self,
         name: &QName,
@@ -1006,20 +1017,22 @@ impl<'e> Evaluator<'e> {
         let mut args = Args::from(args);
         match functions::dispatch(self.engine, env, name, &mut args) {
             Some(r) => r,
-            None => self.call_registered(name, args, env),
+            None => self.call_registered(name, Bound::default(), args, env),
         }
     }
 
     /// Call a registered function or readonly procedure, once `name`
-    /// proved not to be a builtin.
+    /// proved not to be a builtin; `entry` is the registry entry its
+    /// call site resolved to.
     fn call_registered(
         &self,
         name: &QName,
+        entry: Bound,
         mut args: Args,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         // 2. Registered functions.
-        match self.engine.function(name, args.len()) {
+        match self.engine.function_at(entry, name, args.len()) {
             Some(FunctionKind::User(decl)) => self.call_user_function(&decl, &mut args, env),
             Some(FunctionKind::External { f, updating }) => {
                 if updating && env.pul.is_none() {
@@ -1030,14 +1043,20 @@ impl<'e> Evaluator<'e> {
                 }
                 f(env, args)
             }
-            None => self.call_procedure(name, args, env),
+            None => self.call_procedure(name, entry, args, env),
         }
     }
 
     /// Call a readonly procedure from an expression, once `name` proved
     /// to be no function. Out of line: rows call functions.
     #[inline(never)]
-    fn call_procedure(&self, name: &QName, args: Args, env: &mut Env) -> XdmResult<Sequence> {
+    fn call_procedure(
+        &self,
+        name: &QName,
+        entry: Bound,
+        args: Args,
+        env: &mut Env,
+    ) -> XdmResult<Sequence> {
         // 3. Procedures — only readonly ones may be called from
         //    expression context (§III.A: "Procedure calls cannot be
         //    used in place of function calls in an XQuery expression
@@ -1052,7 +1071,7 @@ impl<'e> Evaluator<'e> {
                 ),
             )
         };
-        match self.engine.procedure(name, args.len()) {
+        match self.engine.procedure_at(entry, name, args.len()) {
             Some(ProcKind::External { f, readonly }) => {
                 if !readonly {
                     return Err(side_effects());
@@ -1085,13 +1104,14 @@ impl<'e> Evaluator<'e> {
         env: &mut Env,
     ) -> XdmResult<Sequence> {
         crate::depth::check_call_depth()?;
-        let outer = env.push_frame();
+        let caller = env.push_frame(decl.frame.get() as usize);
         let result = (|| {
-            // Each argument is taken out of its slot, converted to its
-            // parameter's type and bound in turn: the conversions run
-            // in `convert_params`'s order, and no list of them is built.
-            for (p, a) in decl.params.iter().zip(args.iter_mut()) {
-                env.bind(p.name.clone(), convert_param(decl, p, std::mem::take(a))?);
+            // Each argument is taken out of its place, converted to its
+            // parameter's type and bound to its slot in turn: the
+            // conversions run in `convert_params`'s order, and no list
+            // of them is built.
+            for (slot, (p, a)) in decl.params.iter().zip(args.iter_mut()).enumerate() {
+                env.set(slot as u32, convert_param(decl, p, std::mem::take(a))?);
             }
             // Function bodies see no outer focus.
             let saved_focus = env.focus.take();
@@ -1104,7 +1124,7 @@ impl<'e> Evaluator<'e> {
             }
             Ok(out)
         })();
-        env.pop_frame(outer);
+        env.pop_frame(caller);
         result
     }
 
@@ -1294,17 +1314,26 @@ fn one_atomic(seq: &Sequence, what: &str) -> XdmResult<AtomicValue> {
     })
 }
 
-/// A user function's parameters bound to its arguments, each converted
-/// to its declared type by the function conversion rules, in order.
-pub(crate) fn convert_params(
-    decl: &FunctionDecl,
-    args: Vec<Sequence>,
-) -> XdmResult<Vec<(QName, Sequence)>> {
+/// A user function's arguments, each converted to its parameter's
+/// declared type by the function conversion rules, in order: the values
+/// of its first slots.
+pub(crate) fn convert_params(decl: &FunctionDecl, args: Vec<Sequence>) -> XdmResult<Vec<Sequence>> {
     let mut params = Vec::with_capacity(args.len());
     for (p, a) in decl.params.iter().zip(args) {
-        params.push((p.name.clone(), convert_param(decl, p, a)?));
+        params.push(convert_param(decl, p, a)?);
     }
     Ok(params)
+}
+
+/// The error a read of a variable nothing defines raises.
+fn undefined(name: &QName) -> XdmError {
+    XdmError::new(ErrorCode::XPST0008, format!("undefined variable ${name}"))
+}
+
+/// The error a read of a block variable not yet assigned raises
+/// (§III.B.5).
+fn unassigned(name: &QName) -> XdmError {
+    XdmError::new(ErrorCode::XQSE0002, format!("block variable ${name} referenced before assignment"))
 }
 
 /// Argument `a` converted to parameter `p`'s declared type.
@@ -1548,88 +1577,29 @@ fn general_comp_holds(op: GeneralComp, o: Ordering) -> bool {
     }
 }
 
-/// Recognize a first predicate that selects by position alone, and
-/// the 0-based window it selects: a numeric literal, or `position()`
-/// compared against a numeric literal with an operator that bounds a
-/// prefix. `ge`/`gt`/`ne` shapes keep the whole tail and gain nothing
-/// from streaming, so they are not recognized.
-fn positional_window(pred: &Expr) -> Option<Range<usize>> {
-    // `[k]`: only an integral position matches; any other numeric
-    // selects nothing from any sequence.
-    let exact = |k: f64| {
-        if k.fract() == 0.0 {
-            functions::position_window(k, k + 1.0)
-        } else {
-            0..0
-        }
+/// The 0-based window a positional first predicate of shape `w`
+/// selects, read from its numeric literal.
+fn window_range(w: Window, pred: &Expr) -> Option<Range<usize>> {
+    let at = match w {
+        Window::At(at) | Window::Below(at) | Window::UpTo(at) => at,
     };
-    // `position() le N` keeps `p < floor(N) + 1`.
-    let up_to = |bound: f64, inclusive: bool| {
-        functions::position_window(1.0, if inclusive { bound.floor() + 1.0 } else { bound })
-    };
-    if let Some(a) = numeric_literal(pred) {
-        return to_f64(&a).ok().map(exact);
-    }
-    #[derive(Clone, Copy)]
-    enum Rel {
-        Eq,
-        Lt,
-        Le,
-        Gt,
-        Ge,
-    }
-    let (rel, l, r) = match pred {
-        Expr::General(op, l, r) => {
-            let rel = match op {
-                GeneralComp::Eq => Rel::Eq,
-                GeneralComp::Lt => Rel::Lt,
-                GeneralComp::Le => Rel::Le,
-                GeneralComp::Gt => Rel::Gt,
-                GeneralComp::Ge => Rel::Ge,
-                GeneralComp::Ne => return None,
-            };
-            (rel, &**l, &**r)
-        }
-        Expr::Value(op, l, r) => {
-            let rel = match op {
-                ValueComp::Eq => Rel::Eq,
-                ValueComp::Lt => Rel::Lt,
-                ValueComp::Le => Rel::Le,
-                ValueComp::Gt => Rel::Gt,
-                ValueComp::Ge => Rel::Ge,
-                ValueComp::Ne => return None,
-            };
-            (rel, &**l, &**r)
-        }
+    let literal = match (at, pred) {
+        (LiteralAt::Whole, e) => e,
+        (LiteralAt::Left, Expr::General(_, l, _) | Expr::Value(_, l, _)) => &**l,
+        (LiteralAt::Right, Expr::General(_, _, r) | Expr::Value(_, _, r)) => &**r,
         _ => return None,
     };
-    let is_position = |e: &Expr| -> bool {
-        matches!(e, Expr::FunctionCall { name, args }
-            if args.is_empty()
-                && name.ns.as_deref() == Some(FN_NS)
-                && name.local == "position")
-    };
-    let bound_of = |e: &Expr| numeric_literal(e).and_then(|a| to_f64(&a).ok());
-    if is_position(l) {
-        let bound = bound_of(r)?;
-        return match rel {
-            Rel::Eq => Some(exact(bound)),
-            Rel::Lt => Some(up_to(bound, false)),
-            Rel::Le => Some(up_to(bound, true)),
-            Rel::Gt | Rel::Ge => None,
-        };
-    }
-    if is_position(r) {
-        let bound = bound_of(l)?;
-        // Flipped operand order: `N gt position()` keeps a prefix.
-        return match rel {
-            Rel::Eq => Some(exact(bound)),
-            Rel::Gt => Some(up_to(bound, false)),
-            Rel::Ge => Some(up_to(bound, true)),
-            Rel::Lt | Rel::Le => None,
-        };
-    }
-    None
+    let Expr::Literal(a) = literal else { return None };
+    let k = to_f64(a).ok()?;
+    Some(match w {
+        // `[k]`: only an integral position matches; any other numeric
+        // selects nothing from any sequence.
+        Window::At(_) if k.fract() == 0.0 => functions::position_window(k, k + 1.0),
+        Window::At(_) => 0..0,
+        Window::Below(_) => functions::position_window(1.0, k),
+        // `position() le N` keeps `p < floor(N) + 1`.
+        Window::UpTo(_) => functions::position_window(1.0, k.floor() + 1.0),
+    })
 }
 
 fn predicate_truth(v: &Sequence, position: usize) -> XdmResult<bool> {
@@ -1699,23 +1669,6 @@ fn require_pul(env: &mut Env) -> XdmResult<&mut Pul> {
             "updating expression evaluated outside an update statement",
         )
     })
-}
-
-/// The nodes a direct constructor's template makes, which its arena is
-/// sized to: one per element, attribute and literal text, comment or
-/// PI, and one per enclosed expression (the one text node or element
-/// most of them make). Counted per evaluation: a walk of the template,
-/// which is small beside building it.
-fn template_nodes(de: &DirectElement) -> usize {
-    let content: usize = de
-        .content
-        .iter()
-        .map(|c| match c {
-            DirectContent::Element(e) => template_nodes(e),
-            _ => 1,
-        })
-        .sum();
-    1 + de.attributes.len() + content
 }
 
 /// The child slots a computed constructor's evaluated content fills:

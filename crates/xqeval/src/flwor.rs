@@ -46,7 +46,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use xdm::error::XdmResult;
-use xdm::qname::{QName, FN_NS, XS_NS};
+use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 use xdm::types::{Occurrence, SequenceType};
 use xqparser::ast::*;
@@ -58,8 +58,9 @@ use crate::eval::{
 };
 use crate::functions;
 
-/// A binding tuple: the variables bound by the clauses so far.
-type Tuple = Vec<(QName, Sequence)>;
+/// A binding tuple: the slots the clauses so far bound, and their
+/// values.
+type Tuple = Vec<(u32, Sequence)>;
 
 /// Evaluate a FLWOR expression to completion on the caller's `Env`.
 pub(crate) fn drain(
@@ -69,30 +70,31 @@ pub(crate) fn drain(
     env: &mut Env,
 ) -> XdmResult<Sequence> {
     match &clauses[..] {
-        [FlworClause::For { var, pos: None, source }] => drain_for(ev, var, source, ret, env),
+        [FlworClause::For { var, pos: None, source }] => {
+            drain_for(ev, var.slot.get(), source, ret, env)
+        }
         _ => drain_pipeline(ev, clauses, ret, env),
     }
 }
 
 /// [`drain`] of a lone `for` without a positional variable. It is never
 /// rewritten (every rewrite consumes the `where` after its `for`), so it
-/// runs in place: no operator chain, no tuples, and the same scopes,
-/// steps and order as the pipeline's plain `for`.
+/// runs in place: no operator chain, no tuples, and the same steps and
+/// order as the pipeline's plain `for`.
 #[inline(never)]
 fn drain_for(
     ev: &Evaluator<'_>,
-    var: &QName,
+    slot: u32,
     source: &Expr,
     ret: &Expr,
     env: &mut Env,
 ) -> XdmResult<Sequence> {
-    let items = scoped(env, &[], |env| ev.eval(source, env))?;
+    let items = ev.eval(source, env)?;
     let mut out = Sequence::empty();
     for item in items {
-        env.push_scope();
-        env.bind(var.clone(), Sequence::one(item));
+        env.set(slot, Sequence::one(item));
         let v = ev.eval(ret, env);
-        env.pop_scope();
+        env.clear(slot);
         out.extend(v?);
     }
     Ok(out)
@@ -138,13 +140,11 @@ pub(crate) fn window(
     env: &mut Env,
     win: Range<usize>,
 ) -> XdmResult<Sequence> {
-    if let Expr::FunctionCall { name, args } = e {
-        if let [s, p] = &args[..] {
-            if name.local == "tokenize" && name.ns.as_deref() == Some(FN_NS) {
-                let s = ev.eval(s, env)?;
-                let p = ev.eval(p, env)?;
-                return functions::tokenize(&s, &p, win);
-            }
+    if let Expr::FunctionCall { args, call, .. } = e {
+        if let (Some(Builtin::Tokenize), [s, p]) = (call.builtin, &args[..]) {
+            let s = ev.eval(s, env)?;
+            let p = ev.eval(p, env)?;
+            return functions::tokenize(&s, &p, win);
         }
     }
     if !matches!(e, Expr::Flwor { .. }) {
@@ -270,7 +270,7 @@ impl Cursor {
         ev: &Evaluator<'_>,
         e: &Expr,
         env: &Env,
-        outer: &[(QName, Sequence)],
+        outer: &[(u32, Sequence)],
     ) -> XdmResult<Option<Cursor>> {
         let Expr::Flwor { clauses, ret } = e else { return Ok(None) };
         if !ev.engine.features().lazy || env.pul.is_some() {
@@ -378,14 +378,15 @@ fn count_pull(engine: &Engine) -> XdmResult<()> {
     Ok(())
 }
 
-/// Run `f` with `tuple` bound in a scope of its own.
-fn scoped<R>(env: &mut Env, tuple: &[(QName, Sequence)], f: impl FnOnce(&mut Env) -> R) -> R {
-    env.push_scope();
-    for (n, v) in tuple {
-        env.bind(n.clone(), v.clone());
+/// Run `f` with `tuple` bound, emptying its slots again after.
+fn scoped<R>(env: &mut Env, tuple: &[(u32, Sequence)], f: impl FnOnce(&mut Env) -> R) -> R {
+    for (slot, v) in tuple {
+        env.set(*slot, v.clone());
     }
     let out = f(env);
-    env.pop_scope();
+    for (slot, _) in tuple {
+        env.clear(*slot);
+    }
     out
 }
 
@@ -503,7 +504,7 @@ fn pull(stages: &mut [Stage], cx: &mut Cx<'_, '_>) -> XdmResult<Option<Tuple>> {
             if let Some(ty) = ty {
                 ty.check(&v, || format!("let ${var}"))?;
             }
-            t.push((var.clone(), v));
+            t.push((var.slot.get(), v));
             Ok(Some(t))
         }
         Stage::Where(i) => {
@@ -588,9 +589,9 @@ impl ForOp {
                 while let Some(item) = x.items.next(cx.ev, cx.env)? {
                     x.bound += 1;
                     let mut t = x.tuple.clone();
-                    t.push((var.clone(), Sequence::one(item)));
+                    t.push((var.slot.get(), Sequence::one(item)));
                     if let Some(p) = pos {
-                        t.push((p.clone(), Sequence::one(Item::integer(x.bound as i64))));
+                        t.push((p.slot.get(), Sequence::one(Item::integer(x.bound as i64))));
                     }
                     if !x.check || cx.passes(&t, self.clause + 1)? {
                         return Ok(Some(t));
@@ -711,11 +712,12 @@ impl ForOp {
 /// variable.
 fn choose_source(
     engine: &Engine,
-    var: &QName,
+    var: &Binder,
     source: &Expr,
     next: Option<&FlworClause>,
 ) -> Source {
     let features = engine.features();
+    let var = VarTarget::Local(var.slot.get());
     if features.opt {
         if let Some(pd) = detect_pushdown(engine, var, source, next) {
             return Source::Pushdown(pd);
@@ -761,7 +763,7 @@ fn key_operand(clauses: &[FlworClause], i: usize, side: usize) -> &Expr {
 /// predicate-free child/attribute path on `$v`. Returns the key steps
 /// and the side of `K`.
 fn detect_join(
-    var: &QName,
+    var: VarTarget,
     source: &Expr,
     next: Option<&FlworClause>,
 ) -> Option<(Vec<Step>, usize)> {
@@ -771,7 +773,7 @@ fn detect_join(
     }
     let key_of = |e: &Expr| -> Option<Vec<Step>> {
         let Expr::Path { start: PathStart::Expr(base), steps } = e else { return None };
-        let is_key = matches!(&**base, Expr::VarRef(v) if v == var)
+        let is_key = matches!(&**base, Expr::VarRef(v) if v.target.get() == var)
             && steps.iter().all(|s| {
                 matches!(s.axis, Axis::Child | Axis::Attribute) && s.predicates.is_empty()
             });
@@ -801,11 +803,11 @@ struct Pushdown {
 /// relational row XML), and `K` does not reference `$v`.
 fn detect_pushdown(
     engine: &Engine,
-    var: &QName,
+    var: VarTarget,
     source: &Expr,
     next: Option<&FlworClause>,
 ) -> Option<Pushdown> {
-    let Expr::FunctionCall { name, args } = source else { return None };
+    let Expr::FunctionCall { name, args, .. } = source else { return None };
     if !args.is_empty() {
         return None;
     }
@@ -823,10 +825,10 @@ fn detect_pushdown(
 
 /// The name `N` when `e` is `$var/N`: one predicate-free child step
 /// with a name test.
-fn child_step<'e>(e: &'e Expr, var: &QName) -> Option<&'e QName> {
+fn child_step(e: &Expr, var: VarTarget) -> Option<&QName> {
     let Expr::Path { start: PathStart::Expr(base), steps } = e else { return None };
     let [st] = &steps[..] else { return None };
-    if !matches!(&**base, Expr::VarRef(v) if v == var)
+    if !matches!(&**base, Expr::VarRef(v) if v.target.get() == var)
         || st.axis != Axis::Child
         || !st.predicates.is_empty()
     {
@@ -853,8 +855,8 @@ struct Unfold {
 struct ViewRun {
     /// The caller's tuple.
     tuple: Tuple,
-    /// The parameters, bound to the converted arguments.
-    params: Tuple,
+    /// The converted arguments: the values of the view's first slots.
+    params: Vec<Sequence>,
     stages: Vec<Stage>,
 }
 
@@ -876,22 +878,22 @@ impl Unfold {
         loop {
             if let Some(ViewRun { tuple, params, stages }) = &mut self.run {
                 let skeleton = &self.skeleton;
-                while let Some((row, skel)) = in_view(cx, body, params, |vx| {
+                while let Some((row, skel)) = in_view(cx, &decl, params, |vx| {
                     let Some(row) = pull(stages, vx)? else { return Ok(None) };
                     let skel = vx.force(&row, skeleton)?;
                     Ok(Some((row, skel)))
                 })? {
                     let mut t = tuple.clone();
-                    t.push((var.clone(), skel));
+                    t.push((var.slot.get(), skel));
                     if !cx.passes(&t, clause + 1)? {
                         continue;
                     }
-                    let full = in_view(cx, body, params, |vx| vx.force(&row, ret))?;
+                    let full = in_view(cx, &decl, params, |vx| vx.force(&row, ret))?;
                     if let Some(ty) = &decl.return_type {
                         ty.check(&full, || format!("result of {}", decl.name))?;
                     }
                     t.pop();
-                    t.push((var.clone(), full));
+                    t.push((var.slot.get(), full));
                     return Ok(Some(t));
                 }
                 self.run = None;
@@ -916,7 +918,7 @@ fn call_params(
     decl: &FunctionDecl,
     source: &Expr,
     tuple: &Tuple,
-) -> XdmResult<Tuple> {
+) -> XdmResult<Vec<Sequence>> {
     let Expr::FunctionCall { args, .. } = source else {
         unreachable!("planned from a function call")
     };
@@ -930,23 +932,26 @@ fn call_params(
     convert_params(decl, values)
 }
 
-/// Run `f` over the view's `body` in the frame `call_user_function`
-/// gives it: the parameters bound, nothing of the caller's visible,
-/// and no focus.
+/// Run `f` over the view's body in the frame `call_user_function`
+/// gives it: the parameters in its first slots, nothing of the
+/// caller's visible, and no focus.
 fn in_view<R>(
     cx: &mut Cx<'_, '_>,
-    body: &Rc<[FlworClause]>,
-    params: &Tuple,
+    decl: &FunctionDecl,
+    params: &[Sequence],
     f: impl FnOnce(&mut Cx<'_, '_>) -> XdmResult<R>,
 ) -> XdmResult<R> {
-    let outer = cx.env.push_frame();
-    for (n, v) in params {
-        cx.env.bind(n.clone(), v.clone());
+    let Some(Expr::Flwor { clauses: body, .. }) = &decl.body else {
+        unreachable!("planned from a FLWOR view")
+    };
+    let caller = cx.env.push_frame(decl.frame.get() as usize);
+    for (slot, v) in params.iter().enumerate() {
+        cx.env.set(slot as u32, v.clone());
     }
     let focus = cx.env.focus.take();
     let out = f(&mut Cx { ev: cx.ev, env: &mut *cx.env, clauses: body, lazy: false });
     cx.env.focus = focus;
-    cx.env.pop_frame(outer);
+    cx.env.pop_frame(caller);
     out
 }
 
@@ -967,17 +972,18 @@ fn in_view<R>(
 ///   again for the full `<E>` gives the value `P` was tested on.
 fn detect_unfold(
     engine: &Engine,
-    var: &QName,
+    var: VarTarget,
     source: &Expr,
     next: Option<&FlworClause>,
 ) -> Option<Unfold> {
-    let Expr::FunctionCall { name, args } = source else { return None };
+    let Expr::FunctionCall { name, args, call } = source else { return None };
     let Some(FlworClause::Where(cond)) = next else { return None };
     // Builtins are dispatched before user functions.
-    if matches!(name.ns.as_deref(), Some(FN_NS | XS_NS)) {
+    if call.builtin.is_some() {
         return None;
     }
-    let Some(FunctionKind::User(decl)) = engine.function(name, args.len()) else {
+    let Some(FunctionKind::User(decl)) = engine.function_at(call.entry.get(), name, args.len())
+    else {
         return None;
     };
     if decl.updating
@@ -1006,12 +1012,12 @@ fn detect_unfold(
             _ => return None,
         }
     }
-    let skeleton = Expr::DirectElement(Box::new(DirectElement {
-        name: elem.name.clone(),
-        attributes: Vec::new(),
-        ns_decls: elem.ns_decls.clone(),
+    let skeleton = Expr::DirectElement(Box::new(DirectElement::new(
+        elem.name.clone(),
+        Vec::new(),
+        elem.ns_decls.clone(),
         content,
-    }));
+    )));
     // The compared children are built twice for a row that passes, in
     // the skeleton and in the full `<E>`: both must have one value.
     if !calls_only_builtins(&skeleton) {
@@ -1022,7 +1028,7 @@ fn detect_unfold(
 
 /// Collect into `names` the children `$var/N` that `e` compares, or
 /// return false when `e` uses `$var` in any other way.
-fn compared_children(e: &Expr, var: &QName, names: &mut Vec<QName>) -> bool {
+fn compared_children(e: &Expr, var: VarTarget, names: &mut Vec<QName>) -> bool {
     match e {
         Expr::Value(_, l, r) | Expr::General(_, l, r) => [l, r].into_iter().all(|o| {
             match child_step(o, var) {
@@ -1035,7 +1041,7 @@ fn compared_children(e: &Expr, var: &QName, names: &mut Vec<QName>) -> bool {
                 None => compared_children(o, var, names),
             }
         }),
-        Expr::VarRef(v) => v != var,
+        Expr::VarRef(v) => v.target.get() != var,
         _ => {
             let mut ok = true;
             e.for_each_child(&mut |c| ok = ok && compared_children(c, var, names));
@@ -1048,8 +1054,8 @@ fn compared_children(e: &Expr, var: &QName, names: &mut Vec<QName>) -> bool {
 /// the same bindings gives the same value: only a source or procedure
 /// call could answer differently the second time.
 fn calls_only_builtins(e: &Expr) -> bool {
-    if let Expr::FunctionCall { name, .. } = e {
-        if !matches!(name.ns.as_deref(), Some(FN_NS | XS_NS)) {
+    if let Expr::FunctionCall { call, .. } = e {
+        if call.builtin.is_none() {
             return false;
         }
     }
@@ -1068,13 +1074,11 @@ fn may_yield(e: &Expr, names: &[QName]) -> bool {
         Expr::DirectElement(d) => names.contains(&d.name),
         Expr::Flwor { ret, .. } => may_yield(ret, names),
         Expr::If(_, then, els) => may_yield(then, names) || may_yield(els, names),
-        Expr::FunctionCall { name, args } => {
-            name.ns.as_deref() != Some(FN_NS)
-                || !matches!(
-                    (&*name.local, args.len()),
-                    ("data" | "string" | "count" | "number", 1) | ("string-join", 2)
-                )
-        }
+        Expr::FunctionCall { args, call, .. } => !matches!(
+            (call.builtin, args.len()),
+            (Some(Builtin::Data | Builtin::String | Builtin::Count | Builtin::Number), 1)
+                | (Some(Builtin::StringJoin), 2)
+        ),
         _ => true,
     }
 }
@@ -1176,7 +1180,7 @@ fn join_index(
     // epoch-stamped — any write then invalidates, which is the
     // baseline's blanket policy.
     let cap = match source {
-        Expr::FunctionCall { name, args } if args.is_empty() => {
+        Expr::FunctionCall { name, args, .. } if args.is_empty() => {
             engine.features().opt.then(|| engine.source_capability(name)).flatten()
         }
         _ => None,
@@ -1239,11 +1243,11 @@ fn expr_refs_any_var(e: &Expr) -> bool {
 }
 
 /// Does the expression reference the given variable?
-fn expr_refs_var(e: &Expr, var: &QName) -> bool {
-    refs_var(e, &|v| v == var)
+fn expr_refs_var(e: &Expr, var: VarTarget) -> bool {
+    refs_var(e, &|v| v.target.get() == var)
 }
 
-fn refs_var(e: &Expr, hit: &impl Fn(&QName) -> bool) -> bool {
+fn refs_var(e: &Expr, hit: &impl Fn(&VarUse) -> bool) -> bool {
     if let Expr::VarRef(v) = e {
         return hit(v);
     }

@@ -1,11 +1,13 @@
 //! The builtin function library (`fn:` and `xs:` namespaces).
 //!
-//! [`dispatch`] resolves a call by expanded name and arity and either
-//! executes it (`Some(result)`) or leaves the arguments untouched
-//! because the name is not a builtin (`None`), in which case the
-//! evaluator consults the user / external registries with them. A
-//! call's arguments arrive as [`Args`], which holds up to three
-//! inline and is what every kind of callee takes.
+//! A call site names its builtin (`xqparser::ast::Builtin`, resolved
+//! from its name and arity when it is parsed), and [`call`] executes
+//! it. A call made by name goes through [`dispatch`], which looks the
+//! builtin up first and leaves the arguments untouched when the name is
+//! not one (`None`), in which case the evaluator consults the user /
+//! external registries with them. A call's arguments arrive as
+//! [`Args`], which holds up to three inline and is what every kind of
+//! callee takes.
 
 use std::cmp::Ordering;
 use std::ops::{Deref, DerefMut, Range};
@@ -14,7 +16,8 @@ use std::rc::Rc;
 use xdm::atomic::{to_f64, AtomicType, AtomicValue};
 use xdm::decimal::Decimal;
 use xdm::error::{ErrorCode, XdmError, XdmResult};
-use xdm::qname::{QName, FN_NS, XS_NS};
+use xdm::qname::QName;
+use xqparser::ast::Builtin;
 use xdm::sequence::{Item, Sequence};
 
 use crate::context::Env;
@@ -28,14 +31,18 @@ use crate::regex_lite::Regex;
 /// (`fn:concat` of many parts) is a `Vec`. Indexing, `get`, `len`,
 /// `remove`, `swap_remove` and `into_iter` mean what they mean on a
 /// `Vec`.
-pub enum Args {
+///
+/// A call in statement position, whose value is discarded, says so
+/// ([`Args::result_unused`]): an external procedure may then skip
+/// building a value nobody reads.
+pub struct Args {
+    held: Held,
+    unused: bool,
+}
+
+enum Held {
     /// The first `len` slots hold the arguments; the rest are empty.
-    Inline {
-        /// The argument slots.
-        slots: [Sequence; Args::INLINE],
-        /// How many slots hold an argument.
-        len: usize,
-    },
+    Inline { slots: [Sequence; Args::INLINE], len: usize },
     /// More arguments than fit inline.
     Heap(Vec<Sequence>),
 }
@@ -46,51 +53,64 @@ impl Args {
 
     /// Room for exactly `n` arguments: inline up to [`Args::INLINE`].
     pub fn with_capacity(n: usize) -> Args {
-        if n <= Args::INLINE {
-            Args::Inline { slots: Default::default(), len: 0 }
+        let held = if n <= Args::INLINE {
+            Held::Inline { slots: Default::default(), len: 0 }
         } else {
-            Args::Heap(Vec::with_capacity(n))
-        }
+            Held::Heap(Vec::with_capacity(n))
+        };
+        Args { held, unused: false }
     }
 
     /// Append one of the arguments room was made for.
     pub fn push(&mut self, arg: Sequence) {
-        match self {
-            Args::Inline { slots, len } => {
+        match &mut self.held {
+            Held::Inline { slots, len } => {
                 slots[*len] = arg;
                 *len += 1;
             }
-            Args::Heap(v) => v.push(arg),
+            Held::Heap(v) => v.push(arg),
         }
     }
 
     /// Remove and return the argument at `i`, shifting the later ones
     /// down.
     pub fn remove(&mut self, i: usize) -> Sequence {
-        match self {
-            Args::Inline { slots, len } => {
+        match &mut self.held {
+            Held::Inline { slots, len } => {
                 assert!(i < *len, "argument {i} of {len}");
                 let out = std::mem::take(&mut slots[i]);
                 slots[i..*len].rotate_left(1);
                 *len -= 1;
                 out
             }
-            Args::Heap(v) => v.remove(i),
+            Held::Heap(v) => v.remove(i),
         }
     }
 
     /// Remove and return the argument at `i`, moving the last one into
     /// its place.
     pub fn swap_remove(&mut self, i: usize) -> Sequence {
-        match self {
-            Args::Inline { slots, len } => {
+        match &mut self.held {
+            Held::Inline { slots, len } => {
                 assert!(i < *len, "argument {i} of {len}");
                 *len -= 1;
                 slots.swap(i, *len);
                 std::mem::take(&mut slots[*len])
             }
-            Args::Heap(v) => v.swap_remove(i),
+            Held::Heap(v) => v.swap_remove(i),
         }
+    }
+
+    /// Mark the call's value as discarded: the call is a statement.
+    pub fn discard_result(&mut self) {
+        self.unused = true;
+    }
+
+    /// Is the call's value discarded? Then the callee need not build
+    /// it; what it does otherwise, and the errors it raises, stay the
+    /// same.
+    pub fn result_unused(&self) -> bool {
+        self.unused
     }
 }
 
@@ -118,16 +138,16 @@ impl IntoIterator for Args {
     type IntoIter = ArgsIntoIter;
 
     fn into_iter(self) -> ArgsIntoIter {
-        match self {
-            Args::Inline { slots, len } => ArgsIntoIter::Inline(slots.into_iter().take(len)),
-            Args::Heap(v) => ArgsIntoIter::Heap(v.into_iter()),
+        match self.held {
+            Held::Inline { slots, len } => ArgsIntoIter::Inline(slots.into_iter().take(len)),
+            Held::Heap(v) => ArgsIntoIter::Heap(v.into_iter()),
         }
     }
 }
 
 impl From<Vec<Sequence>> for Args {
     fn from(v: Vec<Sequence>) -> Args {
-        Args::Heap(v)
+        Args { held: Held::Heap(v), unused: false }
     }
 }
 
@@ -135,18 +155,18 @@ impl Deref for Args {
     type Target = [Sequence];
 
     fn deref(&self) -> &[Sequence] {
-        match self {
-            Args::Inline { slots, len } => &slots[..*len],
-            Args::Heap(v) => v,
+        match &self.held {
+            Held::Inline { slots, len } => &slots[..*len],
+            Held::Heap(v) => v,
         }
     }
 }
 
 impl DerefMut for Args {
     fn deref_mut(&mut self) -> &mut [Sequence] {
-        match self {
-            Args::Inline { slots, len } => &mut slots[..*len],
-            Args::Heap(v) => v,
+        match &mut self.held {
+            Held::Inline { slots, len } => &mut slots[..*len],
+            Held::Heap(v) => v,
         }
     }
 }
@@ -160,10 +180,23 @@ pub(crate) fn dispatch(
     name: &QName,
     args: &mut Args,
 ) -> Option<XdmResult<Sequence>> {
-    match name.ns.as_deref() {
-        Some(FN_NS) => dispatch_fn(engine, env, &name.local, args),
-        Some(XS_NS) => Some(xs_constructor(&name.local, args)),
-        _ => None,
+    let b = Builtin::lookup(name, args.len())?;
+    Some(call(engine, env, b, &name.local, args))
+}
+
+/// Execute the builtin `b`, which a call of `local` with `args`
+/// resolved to ([`Builtin::lookup`]); it may take its arguments out of
+/// `args`.
+pub(crate) fn call(
+    engine: &Engine,
+    env: &mut Env,
+    b: Builtin,
+    local: &str,
+    args: &mut Args,
+) -> XdmResult<Sequence> {
+    match b {
+        Builtin::Xs => xs_constructor(local, args),
+        b => call_fn(engine, env, b, local, args),
     }
 }
 
@@ -311,30 +344,32 @@ fn atomic_total_cmp(a: &AtomicValue, b: &AtomicValue) -> XdmResult<Ordering> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn dispatch_fn(
+fn call_fn(
     engine: &Engine,
     env: &mut Env,
+    b: Builtin,
     local: &str,
     args: &mut Args,
-) -> Option<XdmResult<Sequence>> {
+) -> XdmResult<Sequence> {
+    use Builtin as B;
     let arity = args.len();
-    let result: XdmResult<Sequence> = match (local, arity) {
+    match (b, arity) {
         // ---------------------------------------------------- accessors
-        ("data", 1) => Ok(args[0].iter().map(|it| Item::Atomic(it.atomize())).collect()),
-        ("string", 0) => (|| {
+        (B::Data, 1) => Ok(args[0].iter().map(|it| Item::Atomic(it.atomize())).collect()),
+        (B::String, 0) => (|| {
             let it = context_item(env, "fn:string")?;
             Ok(str_seq(it.string_value()))
         })(),
-        ("string", 1) => args[0].string_value().map(str_seq),
-        ("string-length", 0) => (|| {
+        (B::String, 1) => args[0].string_value().map(str_seq),
+        (B::StringLength, 0) => (|| {
             let it = context_item(env, "fn:string-length")?;
             Ok(int_seq(it.string_value().chars().count() as i64))
         })(),
-        ("string-length", 1) => {
+        (B::StringLength, 1) => {
             one_string(&args[0], "fn:string-length")
                 .map(|s| int_seq(s.chars().count() as i64))
         }
-        ("node-name", 1) => (|| {
+        (B::NodeName, 1) => (|| {
             match args[0].zero_or_one()? {
                 None => Ok(Sequence::empty()),
                 Some(Item::Node(n)) => Ok(match n.name() {
@@ -344,12 +379,12 @@ fn dispatch_fn(
                 Some(_) => Err(err(ErrorCode::XPTY0004, "fn:node-name expects a node")),
             }
         })(),
-        ("local-name", 1) | ("name", 1) => (|| {
+        (B::LocalName, 1) | (B::Name, 1) => (|| {
             match args[0].zero_or_one()? {
                 None => Ok(str_seq(String::new())),
                 Some(Item::Node(n)) => Ok(str_seq(match n.name() {
                     Some(q) => {
-                        if local == "name" {
+                        if b == B::Name {
                             q.lexical()
                         } else {
                             q.local.to_string()
@@ -360,7 +395,7 @@ fn dispatch_fn(
                 Some(_) => Err(err(ErrorCode::XPTY0004, "expected a node")),
             }
         })(),
-        ("namespace-uri", 1) => (|| {
+        (B::NamespaceUri, 1) => (|| {
             match args[0].zero_or_one()? {
                 None => Ok(str_seq(String::new())),
                 Some(Item::Node(n)) => Ok(str_seq(
@@ -369,7 +404,7 @@ fn dispatch_fn(
                 Some(_) => Err(err(ErrorCode::XPTY0004, "expected a node")),
             }
         })(),
-        ("root", 1) => (|| {
+        (B::Root, 1) => (|| {
             match args[0].zero_or_one()? {
                 None => Ok(Sequence::empty()),
                 Some(Item::Node(n)) => Ok(Sequence::one(Item::Node(n.root()))),
@@ -377,23 +412,23 @@ fn dispatch_fn(
             }
         })(),
         // ---------------------------------------------------- sequences
-        ("empty", 1) => Ok(bool_seq(args[0].is_empty())),
-        ("exists", 1) => Ok(bool_seq(!args[0].is_empty())),
-        ("count", 1) => Ok(int_seq(args[0].len() as i64)),
-        ("position", 0) => (|| {
+        (B::Empty, 1) => Ok(bool_seq(args[0].is_empty())),
+        (B::Exists, 1) => Ok(bool_seq(!args[0].is_empty())),
+        (B::Count, 1) => Ok(int_seq(args[0].len() as i64)),
+        (B::Position, 0) => (|| {
             let f = env.focus.as_ref().ok_or_else(|| {
                 err(ErrorCode::XPDY0002, "fn:position: no context")
             })?;
             Ok(int_seq(f.position as i64))
         })(),
-        ("last", 0) => (|| {
+        (B::Last, 0) => (|| {
             let f = env
                 .focus
                 .as_ref()
                 .ok_or_else(|| err(ErrorCode::XPDY0002, "fn:last: no context"))?;
             Ok(int_seq(f.size as i64))
         })(),
-        ("distinct-values", 1) => {
+        (B::DistinctValues, 1) => {
             let mut seen: Vec<AtomicValue> = Vec::new();
             for a in args[0].atomized() {
                 let dup = seen.iter().any(|s| {
@@ -405,7 +440,7 @@ fn dispatch_fn(
             }
             Ok(seen.into_iter().map(Item::Atomic).collect())
         },
-        ("insert-before", 3) => (|| {
+        (B::InsertBefore, 3) => (|| {
             let pos = one_integer(&args[1], "fn:insert-before")?.max(1) as usize;
             let mut items: Vec<Item> = args[0].items().to_vec();
             let at = (pos - 1).min(items.len());
@@ -413,7 +448,7 @@ fn dispatch_fn(
             items.splice(at..at, ins);
             Ok(Sequence::from_items(items))
         })(),
-        ("remove", 2) => (|| {
+        (B::Remove, 2) => (|| {
             let pos = one_integer(&args[1], "fn:remove")?;
             let items: Vec<Item> = args[0]
                 .items()
@@ -424,12 +459,12 @@ fn dispatch_fn(
                 .collect();
             Ok(Sequence::from_items(items))
         })(),
-        ("reverse", 1) => {
+        (B::Reverse, 1) => {
             let mut items: Vec<Item> = args[0].items().to_vec();
             items.reverse();
             Ok(Sequence::from_items(items))
         }
-        ("subsequence", 2) | ("subsequence", 3) => (|| {
+        (B::Subsequence, 2) | (B::Subsequence, 3) => (|| {
             let start = one_double(&args[1], "fn:subsequence")?;
             let len = match args.get(2) {
                 Some(l) => Some(one_double(l, "fn:subsequence")?),
@@ -438,7 +473,7 @@ fn dispatch_fn(
             let win = rounded_window(start, len);
             Ok(slice(args.swap_remove(0), win))
         })(),
-        ("index-of", 2) => (|| {
+        (B::IndexOf, 2) => (|| {
             let needle = one_atomic(&args[1], "fn:index-of")?;
             let mut out = Vec::new();
             for (i, a) in args[0].atomized().into_iter().enumerate() {
@@ -448,23 +483,23 @@ fn dispatch_fn(
             }
             Ok(Sequence::from_items(out))
         })(),
-        ("zero-or-one", 1) => match args[0].len() {
+        (B::ZeroOrOne, 1) => match args[0].len() {
             0 | 1 => Ok(args.remove(0)),
             _ => Err(err(ErrorCode::FORG0003, "fn:zero-or-one: more than one item")),
         },
-        ("one-or-more", 1) => match args[0].len() {
+        (B::OneOrMore, 1) => match args[0].len() {
             0 => Err(err(ErrorCode::FORG0004, "fn:one-or-more: empty sequence")),
             _ => Ok(args.remove(0)),
         },
-        ("exactly-one", 1) => match args[0].len() {
+        (B::ExactlyOne, 1) => match args[0].len() {
             1 => Ok(args.remove(0)),
             n => Err(err(
                 ErrorCode::FORG0005,
                 format!("fn:exactly-one: got {n} items"),
             )),
         },
-        ("unordered", 1) => Ok(args.remove(0)),
-        ("deep-equal", 2) => (|| {
+        (B::Unordered, 1) => Ok(args.remove(0)),
+        (B::DeepEqual, 2) => (|| {
             let (a, b) = (&args[0], &args[1]);
             if a.len() != b.len() {
                 return Ok(bool_seq(false));
@@ -484,7 +519,7 @@ fn dispatch_fn(
             Ok(bool_seq(true))
         })(),
         // --------------------------------------------------- aggregates
-        ("sum", 1) | ("sum", 2) => (|| {
+        (B::Sum, 1) | (B::Sum, 2) => (|| {
             let atoms = args[0].atomized();
             if atoms.is_empty() {
                 return if arity == 2 {
@@ -499,7 +534,7 @@ fn dispatch_fn(
             }
             numeric_fold(&atoms, "fn:sum", |acc, v| acc.checked_add(v))
         })(),
-        ("avg", 1) => (|| {
+        (B::Avg, 1) => (|| {
             let atoms = args[0].atomized();
             if atoms.is_empty() {
                 return Ok(Sequence::empty());
@@ -525,12 +560,12 @@ fn dispatch_fn(
                 )),
             }
         })(),
-        ("min", 1) | ("max", 1) => (|| {
+        (B::Min, 1) | (B::Max, 1) => (|| {
             let atoms = coerce_comparable(args[0].atomized())?;
             if atoms.is_empty() {
                 return Ok(Sequence::empty());
             }
-            let want = if local == "min" { Ordering::Less } else { Ordering::Greater };
+            let want = if b == B::Min { Ordering::Less } else { Ordering::Greater };
             let mut best = atoms[0].clone();
             for a in &atoms[1..] {
                 // NaN poisons min/max.
@@ -544,7 +579,7 @@ fn dispatch_fn(
             Ok(Sequence::one(Item::Atomic(best)))
         })(),
         // ------------------------------------------------------ numeric
-        ("abs", 1) => (|| {
+        (B::Abs, 1) => (|| {
             match opt_atomic(&args[0], "fn:abs")? {
                 None => Ok(Sequence::empty()),
                 Some(AtomicValue::Integer(i)) => Ok(int_seq(i.abs())),
@@ -554,30 +589,30 @@ fn dispatch_fn(
                 Some(v) => Ok(Sequence::one(Item::double(to_f64(&v)?.abs()))),
             }
         })(),
-        ("floor", 1) | ("ceiling", 1) | ("round", 1) => (|| {
+        (B::Floor, 1) | (B::Ceiling, 1) | (B::Round, 1) => (|| {
             match opt_atomic(&args[0], local)? {
                 None => Ok(Sequence::empty()),
                 Some(AtomicValue::Integer(i)) => Ok(int_seq(i)),
                 Some(AtomicValue::Decimal(d)) => {
-                    let r = match local {
-                        "floor" => d.floor(),
-                        "ceiling" => d.ceiling(),
+                    let r = match b {
+                        B::Floor => d.floor(),
+                        B::Ceiling => d.ceiling(),
                         _ => d.round(),
                     };
                     Ok(Sequence::one(Item::Atomic(AtomicValue::Decimal(r))))
                 }
                 Some(v) => {
                     let d = to_f64(&v)?;
-                    let r = match local {
-                        "floor" => d.floor(),
-                        "ceiling" => d.ceil(),
+                    let r = match b {
+                        B::Floor => d.floor(),
+                        B::Ceiling => d.ceil(),
                         _ => round_half_up(d),
                     };
                     Ok(Sequence::one(Item::double(r)))
                 }
             }
         })(),
-        ("number", 0) | ("number", 1) => (|| {
+        (B::Number, 0) | (B::Number, 1) => (|| {
             let v = if arity == 0 {
                 Some(context_item(env, "fn:number")?.atomize())
             } else {
@@ -593,20 +628,20 @@ fn dispatch_fn(
             Ok(Sequence::one(Item::double(d)))
         })(),
         // ------------------------------------------------------ strings
-        ("concat", n) if n >= 2 => (|| {
+        (B::Concat, n) if n >= 2 => (|| {
             let mut out = String::new();
             for a in args.iter() {
                 out.push_str(&one_string(a, "fn:concat")?);
             }
             Ok(str_seq(out))
         })(),
-        ("string-join", 2) => (|| {
+        (B::StringJoin, 2) => (|| {
             let sep = one_string(&args[1], "fn:string-join")?;
             let parts: Vec<String> =
                 args[0].atomized().iter().map(|a| a.string_value()).collect();
             Ok(str_seq(parts.join(&sep)))
         })(),
-        ("substring", 2) | ("substring", 3) => (|| {
+        (B::Substring, 2) | (B::Substring, 3) => (|| {
             let s = one_string(&args[0], "fn:substring")?;
             let chars: Vec<char> = s.chars().collect();
             let start = one_double(&args[1], "fn:substring")?;
@@ -618,29 +653,29 @@ fn dispatch_fn(
             let n = chars.len();
             Ok(str_seq(chars[win.start.min(n)..win.end.min(n)].iter().collect()))
         })(),
-        ("upper-case", 1) => one_string(&args[0], local).map(|s| str_seq(s.to_uppercase())),
-        ("lower-case", 1) => one_string(&args[0], local).map(|s| str_seq(s.to_lowercase())),
-        ("contains", 2) => (|| {
+        (B::UpperCase, 1) => one_string(&args[0], local).map(|s| str_seq(s.to_uppercase())),
+        (B::LowerCase, 1) => one_string(&args[0], local).map(|s| str_seq(s.to_lowercase())),
+        (B::Contains, 2) => (|| {
             let s = one_string(&args[0], local)?;
             let t = one_string(&args[1], local)?;
             Ok(bool_seq(s.contains(&t)))
         })(),
-        ("starts-with", 2) => (|| {
+        (B::StartsWith, 2) => (|| {
             let s = one_string(&args[0], local)?;
             let t = one_string(&args[1], local)?;
             Ok(bool_seq(s.starts_with(&t)))
         })(),
-        ("ends-with", 2) => (|| {
+        (B::EndsWith, 2) => (|| {
             let s = one_string(&args[0], local)?;
             let t = one_string(&args[1], local)?;
             Ok(bool_seq(s.ends_with(&t)))
         })(),
-        ("substring-before", 2) => (|| {
+        (B::SubstringBefore, 2) => (|| {
             let s = one_string(&args[0], local)?;
             let t = one_string(&args[1], local)?;
             Ok(str_seq(s.find(&t).map(|i| s[..i].to_string()).unwrap_or_default()))
         })(),
-        ("substring-after", 2) => (|| {
+        (B::SubstringAfter, 2) => (|| {
             let s = one_string(&args[0], local)?;
             let t = one_string(&args[1], local)?;
             Ok(str_seq(
@@ -649,7 +684,7 @@ fn dispatch_fn(
                     .unwrap_or_default(),
             ))
         })(),
-        ("normalize-space", 0) | ("normalize-space", 1) => (|| {
+        (B::NormalizeSpace, 0) | (B::NormalizeSpace, 1) => (|| {
             let s = if arity == 0 {
                 context_item(env, local)?.string_value()
             } else {
@@ -657,7 +692,7 @@ fn dispatch_fn(
             };
             Ok(str_seq(s.split_whitespace().collect::<Vec<_>>().join(" ")))
         })(),
-        ("translate", 3) => (|| {
+        (B::Translate, 3) => (|| {
             let s = one_string(&args[0], local)?;
             let from: Vec<char> = one_string(&args[1], local)?.chars().collect();
             let to: Vec<char> = one_string(&args[2], local)?.chars().collect();
@@ -670,23 +705,23 @@ fn dispatch_fn(
                 .collect();
             Ok(str_seq(out))
         })(),
-        ("tokenize", 2) => tokenize(&args[0], &args[1], 0..usize::MAX),
-        ("matches", 2) => (|| {
+        (B::Tokenize, 2) => tokenize(&args[0], &args[1], 0..usize::MAX),
+        (B::Matches, 2) => (|| {
             let s = one_string(&args[0], local)?;
             let p = one_string(&args[1], local)?;
             Ok(bool_seq(Regex::compile(&p)?.is_match(&s)))
         })(),
-        ("replace", 3) => (|| {
+        (B::Replace, 3) => (|| {
             let s = one_string(&args[0], local)?;
             let p = one_string(&args[1], local)?;
             let r = one_string(&args[2], local)?;
             Ok(str_seq(Regex::compile(&p)?.replace(&s, &r)?))
         })(),
-        ("string-to-codepoints", 1) => (|| {
+        (B::StringToCodepoints, 1) => (|| {
             let s = one_string(&args[0], local)?;
             Ok(s.chars().map(|c| Item::integer(c as i64)).collect())
         })(),
-        ("codepoints-to-string", 1) => (|| {
+        (B::CodepointsToString, 1) => (|| {
             let mut out = String::new();
             for a in args[0].atomized() {
                 let cp = match a.cast_to(AtomicType::Integer)? {
@@ -704,13 +739,13 @@ fn dispatch_fn(
             Ok(str_seq(out))
         })(),
         // ------------------------------------------------------ boolean
-        ("not", 1) => args[0].effective_boolean().map(|b| bool_seq(!b)),
-        ("boolean", 1) => args[0].effective_boolean().map(bool_seq),
-        ("true", 0) => Ok(bool_seq(true)),
-        ("false", 0) => Ok(bool_seq(false)),
+        (B::Not, 1) => args[0].effective_boolean().map(|b| bool_seq(!b)),
+        (B::Boolean, 1) => args[0].effective_boolean().map(bool_seq),
+        (B::True, 0) => Ok(bool_seq(true)),
+        (B::False, 0) => Ok(bool_seq(false)),
         // -------------------------------------------------- error/trace
-        ("error", 0) => Err(XdmError::new(ErrorCode::FOER0000, "fn:error()")),
-        ("error", 1) | ("error", 2) | ("error", 3) => (|| {
+        (B::Error, 0) => Err(XdmError::new(ErrorCode::FOER0000, "fn:error()")),
+        (B::Error, 1) | (B::Error, 2) | (B::Error, 3) => (|| {
             let code = match opt_atomic(&args[0], "fn:error")? {
                 Some(AtomicValue::QName(q)) => q,
                 None => ErrorCode::FOER0000.qname(),
@@ -733,7 +768,7 @@ fn dispatch_fn(
             };
             Err(XdmError::with_code(code, msg).diagnostics(diagnostics))
         })(),
-        ("trace", 1) | ("trace", 2) => (|| {
+        (B::Trace, 1) | (B::Trace, 2) => (|| {
             let rendered: Vec<String> =
                 args[0].iter().map(|i| i.string_value()).collect();
             let label = if arity == 2 {
@@ -749,7 +784,7 @@ fn dispatch_fn(
             Ok(args[0].clone())
         })(),
         // ------------------------------------------------------- QNames
-        ("QName", 2) => (|| {
+        (B::QName, 2) => (|| {
             let ns = one_string(&args[0], "fn:QName")?;
             let lex = one_string(&args[1], "fn:QName")?;
             let q = QName::parse_lexical(&lex)
@@ -760,14 +795,14 @@ fn dispatch_fn(
                 local: q.local,
             }))))
         })(),
-        ("local-name-from-QName", 1) => (|| {
+        (B::LocalNameFromQName, 1) => (|| {
             match opt_atomic(&args[0], local)? {
                 None => Ok(Sequence::empty()),
                 Some(AtomicValue::QName(q)) => Ok(str_seq(q.local.to_string())),
                 Some(_) => Err(err(ErrorCode::XPTY0004, "expected xs:QName")),
             }
         })(),
-        ("namespace-uri-from-QName", 1) => (|| {
+        (B::NamespaceUriFromQName, 1) => (|| {
             match opt_atomic(&args[0], local)? {
                 None => Ok(Sequence::empty()),
                 Some(AtomicValue::QName(q)) => {
@@ -777,7 +812,7 @@ fn dispatch_fn(
             }
         })(),
         // ---------------------------------------------------- documents
-        ("doc", 1) => (|| {
+        (B::Doc, 1) => (|| {
             let uri = one_string(&args[0], "fn:doc")?;
             match engine.document(&uri) {
                 Some(d) => Ok(Sequence::one(Item::Node(d))),
@@ -787,18 +822,18 @@ fn dispatch_fn(
                 )),
             }
         })(),
-        ("doc-available", 1) => (|| {
+        (B::DocAvailable, 1) => (|| {
             let uri = one_string(&args[0], "fn:doc-available")?;
             Ok(bool_seq(engine.document(&uri).is_some()))
         })(),
         // -------------------------------------------------------- dates
-        ("current-dateTime", 0) => Ok(Sequence::one(Item::Atomic(
+        (B::CurrentDateTime, 0) => Ok(Sequence::one(Item::Atomic(
             AtomicValue::DateTime(engine.now()),
         ))),
-        ("current-date", 0) => Ok(Sequence::one(Item::Atomic(AtomicValue::Date(
+        (B::CurrentDate, 0) => Ok(Sequence::one(Item::Atomic(AtomicValue::Date(
             engine.now().date,
         )))),
-        ("year-from-date", 1) | ("month-from-date", 1) | ("day-from-date", 1) => {
+        (B::YearFromDate, 1) | (B::MonthFromDate, 1) | (B::DayFromDate, 1) => {
             (|| {
                 let d = match opt_atomic(&args[0], local)? {
                     None => return Ok(Sequence::empty()),
@@ -813,19 +848,19 @@ fn dispatch_fn(
                         }
                     },
                 };
-                Ok(int_seq(match local {
-                    "year-from-date" => d.year as i64,
-                    "month-from-date" => d.month as i64,
+                Ok(int_seq(match b {
+                    B::YearFromDate => d.year as i64,
+                    B::MonthFromDate => d.month as i64,
                     _ => d.day as i64,
                 }))
             })()
         }
-        ("year-from-dateTime", 1)
-        | ("month-from-dateTime", 1)
-        | ("day-from-dateTime", 1)
-        | ("hours-from-dateTime", 1)
-        | ("minutes-from-dateTime", 1)
-        | ("seconds-from-dateTime", 1) => (|| {
+        (B::YearFromDateTime, 1)
+        | (B::MonthFromDateTime, 1)
+        | (B::DayFromDateTime, 1)
+        | (B::HoursFromDateTime, 1)
+        | (B::MinutesFromDateTime, 1)
+        | (B::SecondsFromDateTime, 1) => (|| {
             let dt = match opt_atomic(&args[0], local)? {
                 None => return Ok(Sequence::empty()),
                 Some(AtomicValue::DateTime(dt)) => dt,
@@ -839,16 +874,16 @@ fn dispatch_fn(
                     }
                 },
             };
-            Ok(int_seq(match local {
-                "year-from-dateTime" => dt.date.year as i64,
-                "month-from-dateTime" => dt.date.month as i64,
-                "day-from-dateTime" => dt.date.day as i64,
-                "hours-from-dateTime" => dt.hour as i64,
-                "minutes-from-dateTime" => dt.minute as i64,
+            Ok(int_seq(match b {
+                B::YearFromDateTime => dt.date.year as i64,
+                B::MonthFromDateTime => dt.date.month as i64,
+                B::DayFromDateTime => dt.date.day as i64,
+                B::HoursFromDateTime => dt.hour as i64,
+                B::MinutesFromDateTime => dt.minute as i64,
                 _ => dt.second as i64,
             }))
         })(),
-        ("compare", 2) => (|| {
+        (B::Compare, 2) => (|| {
             let (a, b) = (
                 opt_atomic(&args[0], "fn:compare")?,
                 opt_atomic(&args[1], "fn:compare")?,
@@ -864,9 +899,8 @@ fn dispatch_fn(
                 _ => Ok(Sequence::empty()),
             }
         })(),
-        _ => return None,
-    };
-    Some(result)
+        (b, n) => unreachable!("{b:?} resolved at arity {n}, which it does not take"),
+    }
 }
 
 /// Coerce untyped atomics to double for aggregation order (per F&O).

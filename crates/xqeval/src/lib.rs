@@ -30,6 +30,7 @@ pub mod features;
 pub(crate) mod flwor;
 pub mod functions;
 pub mod regex_lite;
+pub mod resolve;
 pub mod update;
 
 pub use budget::{Budget, BudgetClock, BudgetExceeded};

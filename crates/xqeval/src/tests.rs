@@ -1523,3 +1523,39 @@ fn constructors_built_to_their_template_keep_their_meaning() {
     same_everywhere("document { 'x', 'y', <a/> }", Ok("x y<a/>"));
     same_everywhere("let $e := element e { <x><y/></x> } return $e/x/y/../.. is $e", Ok("true"));
 }
+
+/// Every `fn:` name and arity the parser resolves to a builtin is one
+/// the dispatcher implements: calling each on integer arguments may
+/// raise an error, never reach the dispatcher's unreachable arm.
+#[test]
+fn every_resolved_builtin_runs_at_its_arity() {
+    use xdm::qname::FN_NS;
+    use xqparser::ast::Builtin;
+    let names = [
+        "data", "string", "string-length", "node-name", "local-name", "name", "namespace-uri",
+        "root", "empty", "exists", "count", "position", "last", "distinct-values",
+        "insert-before", "remove", "reverse", "subsequence", "index-of", "zero-or-one",
+        "one-or-more", "exactly-one", "unordered", "deep-equal", "sum", "avg", "min", "max",
+        "abs", "floor", "ceiling", "round", "number", "concat", "string-join", "substring",
+        "upper-case", "lower-case", "contains", "starts-with", "ends-with", "substring-before",
+        "substring-after", "normalize-space", "translate", "tokenize", "matches", "replace",
+        "string-to-codepoints", "codepoints-to-string", "not", "boolean", "true", "false",
+        "error", "trace", "QName", "local-name-from-QName", "namespace-uri-from-QName", "doc",
+        "doc-available", "current-dateTime", "current-date", "year-from-date",
+        "month-from-date", "day-from-date", "year-from-dateTime", "month-from-dateTime",
+        "day-from-dateTime", "hours-from-dateTime", "minutes-from-dateTime",
+        "seconds-from-dateTime", "compare",
+    ];
+    let engine = Engine::new();
+    let mut resolved = 0;
+    for local in names {
+        for arity in 0..5 {
+            let Some(b) = Builtin::lookup(&QName::with_ns(FN_NS, local), arity) else { continue };
+            let mut args = crate::Args::with_capacity(arity);
+            (0..arity).for_each(|_| args.push(Sequence::one(Item::integer(1))));
+            let _ = crate::functions::call(&engine, &mut Env::new(), b, local, &mut args);
+            resolved += 1;
+        }
+    }
+    assert!(resolved > names.len(), "{resolved} resolved calls");
+}

@@ -9,12 +9,259 @@
 //! engine permits only for `readonly` procedures (checked at runtime,
 //! per §III.A of the paper).
 
+use std::cell::{Cell, OnceCell};
+use std::fmt;
 use std::rc::Rc;
 
 use xdm::atomic::AtomicValue;
 use xdm::intern::Symbol;
 use xdm::qname::QName;
 use xdm::types::SequenceType;
+
+pub use crate::builtin::Builtin;
+
+// ---------------------------------------------------------------------
+// Resolved facts
+// ---------------------------------------------------------------------
+
+/// A fact about a node that holds for every execution: written once,
+/// when the module the node belongs to is loaded or prepared, and read
+/// by the evaluator instead of working it out again. Facts are not part
+/// of the program text: two nodes that differ only in their facts are
+/// equal, and `Debug` shows none.
+#[derive(Clone, Default)]
+pub struct Fact<T: Copy>(Cell<T>);
+
+impl<T: Copy> Fact<T> {
+    /// The fact.
+    #[inline]
+    pub fn get(&self) -> T {
+        self.0.get()
+    }
+
+    /// Record the fact.
+    pub fn set(&self, value: T) {
+        self.0.set(value);
+    }
+}
+
+impl<T: Copy> PartialEq for Fact<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T: Copy> fmt::Debug for Fact<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("_")
+    }
+}
+
+/// A [`Fact`] that is not `Copy`: recorded once, then read by
+/// reference.
+#[derive(Clone)]
+pub struct FactOnce<T>(OnceCell<T>);
+
+impl<T> Default for FactOnce<T> {
+    fn default() -> Self {
+        FactOnce(OnceCell::new())
+    }
+}
+
+impl<T> FactOnce<T> {
+    /// The fact, once recorded.
+    pub fn get(&self) -> Option<&T> {
+        self.0.get()
+    }
+
+    /// Record the fact; a fact already recorded stays as it is.
+    pub fn set(&self, value: T) {
+        let _ = self.0.set(value);
+    }
+}
+
+impl<T> PartialEq for FactOnce<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> fmt::Debug for FactOnce<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("_")
+    }
+}
+
+/// An entry of one engine's registry: which engine (a process-unique
+/// id, 0 for none) and which entry in it. A call site or global
+/// reference bound to an entry reads what the entry holds when it runs,
+/// so a later registration is what the next call sees.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bound {
+    /// The engine that made the entry; 0 when unbound.
+    pub engine: u64,
+    /// The entry's index in that engine's registry.
+    pub entry: u32,
+}
+
+/// A variable that a construct binds: its name, and its slot in the
+/// frame it belongs to (the function, procedure, global initializer or
+/// query body around it).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Binder {
+    /// The variable name.
+    pub name: QName,
+    /// The variable's slot in its frame.
+    pub slot: Fact<u32>,
+}
+
+impl Binder {
+    /// An unresolved binder.
+    pub fn new(name: QName) -> Binder {
+        Binder { name, slot: Fact::default() }
+    }
+}
+
+impl fmt::Display for Binder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.name.fmt(f)
+    }
+}
+
+/// What a variable reference reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum VarTarget {
+    /// Not resolved yet.
+    #[default]
+    Unresolved,
+    /// A slot of the enclosing frame.
+    Local(u32),
+    /// A global variable, by its entry in the engine's globals.
+    Global(Bound),
+}
+
+/// A variable reference `$name`, or the target of a `set`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VarUse {
+    /// The variable name.
+    pub name: QName,
+    /// What the name resolved to.
+    pub target: Fact<VarTarget>,
+}
+
+impl VarUse {
+    /// An unresolved reference.
+    pub fn new(name: QName) -> VarUse {
+        VarUse { name, target: Fact::default() }
+    }
+}
+
+/// A function call site: the builtin it names, known when it is
+/// parsed, or else the registry entry its name resolved to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CallSite {
+    /// The builtin, when the name and arity are one.
+    pub builtin: Option<Builtin>,
+    /// The entry of the engine's function and procedure registry.
+    pub entry: Fact<Bound>,
+}
+
+/// Which operand of a positional first predicate holds its literal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LiteralAt {
+    /// The predicate is the literal: `[k]`.
+    Whole,
+    /// The left operand: `[N gt position()]`.
+    Left,
+    /// The right operand: `[position() lt N]`.
+    Right,
+}
+
+/// The shape of a first predicate that selects by position alone: the
+/// window it takes is read from its numeric literal when it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Window {
+    /// The one position `k`: `[k]`, `[position() = k]`.
+    At(LiteralAt),
+    /// The positions before `N`: `[position() lt N]`.
+    Below(LiteralAt),
+    /// The positions up to `N`: `[position() le N]`.
+    UpTo(LiteralAt),
+}
+
+impl Window {
+    /// The window `pred` takes as a first predicate, if it selects by
+    /// position alone: a numeric literal, or `position()` compared
+    /// against one with an operator that bounds a prefix. `ge`/`gt`/
+    /// `ne` shapes keep the whole tail and gain nothing from a window,
+    /// so they are not recognized.
+    pub fn of(pred: &Expr) -> Option<Window> {
+        if numeric_literal(pred) {
+            return Some(Window::At(LiteralAt::Whole));
+        }
+        #[derive(Clone, Copy)]
+        enum Rel {
+            Eq,
+            Lt,
+            Le,
+            Gt,
+            Ge,
+        }
+        let (rel, l, r) = match pred {
+            Expr::General(op, l, r) => {
+                let rel = match op {
+                    GeneralComp::Eq => Rel::Eq,
+                    GeneralComp::Lt => Rel::Lt,
+                    GeneralComp::Le => Rel::Le,
+                    GeneralComp::Gt => Rel::Gt,
+                    GeneralComp::Ge => Rel::Ge,
+                    GeneralComp::Ne => return None,
+                };
+                (rel, &**l, &**r)
+            }
+            Expr::Value(op, l, r) => {
+                let rel = match op {
+                    ValueComp::Eq => Rel::Eq,
+                    ValueComp::Lt => Rel::Lt,
+                    ValueComp::Le => Rel::Le,
+                    ValueComp::Gt => Rel::Gt,
+                    ValueComp::Ge => Rel::Ge,
+                    ValueComp::Ne => return None,
+                };
+                (rel, &**l, &**r)
+            }
+            _ => return None,
+        };
+        let is_position = |e: &Expr| {
+            matches!(e, Expr::FunctionCall { call, .. } if call.builtin == Some(Builtin::Position))
+        };
+        if is_position(l) && numeric_literal(r) {
+            let at = LiteralAt::Right;
+            return match rel {
+                Rel::Eq => Some(Window::At(at)),
+                Rel::Lt => Some(Window::Below(at)),
+                Rel::Le => Some(Window::UpTo(at)),
+                Rel::Gt | Rel::Ge => None,
+            };
+        }
+        if is_position(r) && numeric_literal(l) {
+            // Flipped operand order: `N gt position()` keeps a prefix.
+            let at = LiteralAt::Left;
+            return match rel {
+                Rel::Eq => Some(Window::At(at)),
+                Rel::Gt => Some(Window::Below(at)),
+                Rel::Ge => Some(Window::UpTo(at)),
+                Rel::Lt | Rel::Le => None,
+            };
+        }
+        None
+    }
+}
+
+/// Is `e` a numeric literal?
+fn numeric_literal(e: &Expr) -> bool {
+    matches!(e, Expr::Literal(a) if a.type_of().is_numeric())
+}
 
 // ---------------------------------------------------------------------
 // Expressions (XQuery 1.0 + XQuery Update Facility)
@@ -165,16 +412,16 @@ pub enum FlworClause {
     /// `for $v at $p in expr`
     For {
         /// Binding variable.
-        var: QName,
+        var: Binder,
         /// Optional positional variable.
-        pos: Option<QName>,
+        pos: Option<Binder>,
         /// Binding sequence expression.
         source: Expr,
     },
     /// `let $v as T := expr`
     Let {
         /// Binding variable.
-        var: QName,
+        var: Binder,
         /// Optional declared type.
         ty: Option<SequenceType>,
         /// Bound expression.
@@ -244,6 +491,11 @@ pub struct DirectElement {
     pub ns_decls: Vec<(Symbol, Symbol)>,
     /// Child content.
     pub content: Vec<DirectContent>,
+    /// The nodes the template makes, which a constructor's arena is
+    /// sized to: one per element, attribute and literal text, comment
+    /// or PI, and one per enclosed expression (the one text node or
+    /// element most of them make).
+    pub template: usize,
 }
 
 /// A name that is either fixed or computed (computed constructors).
@@ -274,7 +526,7 @@ pub enum InsertPos {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypeswitchCase {
     /// Optional case variable.
-    pub var: Option<QName>,
+    pub var: Option<Binder>,
     /// The sequence type to match (None for `default`).
     pub ty: Option<SequenceType>,
     /// The branch body.
@@ -287,7 +539,7 @@ pub enum Expr {
     /// A literal atomic value.
     Literal(AtomicValue),
     /// `$name`
-    VarRef(QName),
+    VarRef(VarUse),
     /// `.`
     ContextItem,
     /// The comma operator (sequence construction).
@@ -327,7 +579,7 @@ pub enum Expr {
         /// Which quantifier.
         quantifier: Quantifier,
         /// The in-bindings.
-        bindings: Vec<(QName, Expr)>,
+        bindings: Vec<(Binder, Expr)>,
         /// The test.
         satisfies: Box<Expr>,
     },
@@ -351,6 +603,9 @@ pub enum Expr {
         base: Box<Expr>,
         /// Predicates applied in order.
         predicates: Vec<Expr>,
+        /// The window the first predicate takes, when it selects by
+        /// position alone ([`Window::of`]).
+        window: Option<Window>,
     },
     /// Dynamic function-ish calls: `name(args…)`. At evaluation this
     /// may resolve to a builtin, a user function, an external source
@@ -360,6 +615,8 @@ pub enum Expr {
         name: QName,
         /// Argument expressions.
         args: Vec<Expr>,
+        /// What the name resolved to.
+        call: CallSite,
     },
     /// Direct element constructor.
     DirectElement(Box<DirectElement>),
@@ -413,7 +670,7 @@ pub enum Expr {
     /// XUF `copy $v := e (,…) modify m return r` (transform).
     Transform {
         /// The copy bindings.
-        copies: Vec<(QName, Expr)>,
+        copies: Vec<(Binder, Expr)>,
         /// The updating body.
         modify: Box<Expr>,
         /// The result expression.
@@ -442,6 +699,18 @@ impl Expr {
     /// Convenience string literal.
     pub fn str(s: impl Into<std::rc::Rc<str>>) -> Expr {
         Expr::Literal(AtomicValue::String(s.into()))
+    }
+
+    /// A call of `name` on `args`, with its builtin looked up.
+    pub fn call(name: QName, args: Vec<Expr>) -> Expr {
+        let builtin = Builtin::lookup(&name, args.len());
+        Expr::FunctionCall { name, args, call: CallSite { builtin, entry: Fact::default() } }
+    }
+
+    /// `base[predicates]`, with the first predicate's window worked out.
+    pub fn filter(base: Expr, predicates: Vec<Expr>) -> Expr {
+        let window = predicates.first().and_then(Window::of);
+        Expr::Filter { base: Box::new(base), predicates, window }
     }
 
     /// Is this expression *syntactically* an updating expression (XUF
@@ -516,7 +785,7 @@ impl Expr {
                 }
                 steps.iter().for_each(|s| s.predicates.iter().for_each(&mut *f));
             }
-            Expr::Filter { base, predicates } => {
+            Expr::Filter { base, predicates, .. } => {
                 f(base);
                 predicates.iter().for_each(f);
             }
@@ -554,6 +823,24 @@ impl Expr {
 }
 
 impl DirectElement {
+    /// A constructor, with its template size counted.
+    pub fn new(
+        name: QName,
+        attributes: Vec<(QName, Vec<AttrContent>)>,
+        ns_decls: Vec<(Symbol, Symbol)>,
+        content: Vec<DirectContent>,
+    ) -> DirectElement {
+        let nested: usize = content
+            .iter()
+            .map(|c| match c {
+                DirectContent::Element(e) => e.template,
+                _ => 1,
+            })
+            .sum();
+        let template = 1 + attributes.len() + nested;
+        DirectElement { name, attributes, ns_decls, content, template }
+    }
+
     /// Visit the expressions enclosed in this constructor's attributes
     /// and content, descending through nested direct constructors.
     fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
@@ -582,7 +869,7 @@ impl DirectElement {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockVarDecl {
     /// The variable name.
-    pub var: QName,
+    pub var: Binder,
     /// Optional declared type (implicitly `item()*`).
     pub ty: Option<SequenceType>,
     /// Optional initializing statement.
@@ -615,7 +902,7 @@ pub struct CatchClause {
     /// The error-code name test (`*`, `*:*`, `prefix:*`, `*:local`, QName).
     pub test: NodeTest,
     /// Up to three `into` variables: code, message, diagnostics.
-    pub into_vars: Vec<QName>,
+    pub into_vars: Vec<Binder>,
     /// The handler body.
     pub body: Block,
 }
@@ -628,7 +915,9 @@ pub enum Statement {
     /// `set $v := vs`
     Set {
         /// Target variable (must be a block variable).
-        var: QName,
+        var: VarUse,
+        /// The target's declared type, when it has one.
+        ty: FactOnce<SequenceType>,
         /// The value statement.
         value: ValueStatement,
     },
@@ -653,9 +942,9 @@ pub enum Statement {
     /// `iterate $v at $p over vs { … }`
     Iterate {
         /// The iteration variable.
-        var: QName,
+        var: Binder,
         /// The optional positional variable.
-        pos: Option<QName>,
+        pos: Option<Binder>,
         /// The binding-sequence value statement.
         over: ValueStatement,
         /// The loop body.
@@ -711,6 +1000,8 @@ pub struct FunctionDecl {
     pub body: Option<Expr>,
     /// `declare updating function` (XUF).
     pub updating: bool,
+    /// The slots its frame holds: its parameters first, in order.
+    pub frame: Fact<u32>,
 }
 
 /// `declare [readonly] procedure …` — the XQSE addition.
@@ -727,6 +1018,8 @@ pub struct ProcedureDecl {
     /// `readonly` — an "XQSE function": no side effects, callable from
     /// expressions.
     pub readonly: bool,
+    /// The slots its frame holds: its parameters first, in order.
+    pub frame: Fact<u32>,
 }
 
 /// `declare variable $v as T := e` (or `external`).
@@ -738,6 +1031,8 @@ pub struct VarDecl {
     pub ty: Option<SequenceType>,
     /// The initializer, or `None` for `external`.
     pub value: Option<Expr>,
+    /// The slots the initializer's frame holds.
+    pub frame: Fact<u32>,
 }
 
 /// The prolog.
@@ -787,6 +1082,8 @@ pub struct Module {
     pub prolog: Prolog,
     /// The body.
     pub body: QueryBody,
+    /// The slots the body's frame holds.
+    pub frame: Fact<u32>,
 }
 
 #[cfg(test)]

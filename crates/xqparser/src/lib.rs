@@ -36,6 +36,7 @@
 //! ```
 
 pub mod ast;
+pub mod builtin;
 pub mod lexer;
 pub mod parser;
 pub mod unparse;

@@ -275,6 +275,11 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A `$variable` a construct binds.
+    pub(crate) fn parse_binder(&mut self) -> XdmResult<Binder> {
+        self.parse_var_name().map(Binder::new)
+    }
+
     // -- sequence types ---------------------------------------------------
 
     pub(crate) fn parse_sequence_type(&mut self) -> XdmResult<SequenceType> {
@@ -834,7 +839,7 @@ impl<'a> Parser<'a> {
             if preds.is_empty() {
                 Ok(base)
             } else {
-                Ok(Expr::Filter { base: Box::new(base), predicates: preds })
+                Ok(Expr::filter(base, preds))
             }
         }
     }
@@ -1008,7 +1013,7 @@ impl<'a> Parser<'a> {
             }
             Tok::Var(_, _) => {
                 let q = self.parse_var_name()?;
-                Ok(Expr::VarRef(q))
+                Ok(Expr::VarRef(VarUse::new(q)))
             }
             Tok::Dot => {
                 self.next()?;
@@ -1081,7 +1086,7 @@ impl<'a> Parser<'a> {
             }
         }
         self.expect_tok(Tok::RParen)?;
-        Ok(Expr::FunctionCall { name, args })
+        Ok(Expr::call(name, args))
     }
 
     fn parse_computed_named(&mut self, kind: String) -> XdmResult<Expr> {
@@ -1117,9 +1122,9 @@ impl<'a> Parser<'a> {
             if self.peek_kw("for")? && matches!(self.peek2()?.tok, Tok::Var(_, _)) {
                 self.next()?;
                 loop {
-                    let var = self.parse_var_name()?;
+                    let var = self.parse_binder()?;
                     let pos = if self.eat_kw("at")? {
-                        Some(self.parse_var_name()?)
+                        Some(self.parse_binder()?)
                     } else {
                         None
                     };
@@ -1133,7 +1138,7 @@ impl<'a> Parser<'a> {
             } else if self.peek_kw("let")? && matches!(self.peek2()?.tok, Tok::Var(_, _)) {
                 self.next()?;
                 loop {
-                    let var = self.parse_var_name()?;
+                    let var = self.parse_binder()?;
                     let ty = if self.eat_kw("as")? {
                         Some(self.parse_sequence_type()?)
                     } else {
@@ -1197,7 +1202,7 @@ impl<'a> Parser<'a> {
         };
         let mut bindings = Vec::new();
         loop {
-            let var = self.parse_var_name()?;
+            let var = self.parse_binder()?;
             self.expect_kw("in")?;
             let src = self.parse_expr_single()?;
             bindings.push((var, src));
@@ -1230,7 +1235,7 @@ impl<'a> Parser<'a> {
         let mut cases = Vec::new();
         while self.eat_kw("case")? {
             let var = if matches!(self.peek()?.tok, Tok::Var(_, _)) {
-                let v = self.parse_var_name()?;
+                let v = self.parse_binder()?;
                 self.expect_kw("as")?;
                 Some(v)
             } else {
@@ -1243,7 +1248,7 @@ impl<'a> Parser<'a> {
         }
         self.expect_kw("default")?;
         let var = if matches!(self.peek()?.tok, Tok::Var(_, _)) {
-            Some(self.parse_var_name()?)
+            Some(self.parse_binder()?)
         } else {
             None
         };
@@ -1316,7 +1321,7 @@ impl<'a> Parser<'a> {
         self.next()?; // copy
         let mut copies = Vec::new();
         loop {
-            let var = self.parse_var_name()?;
+            let var = self.parse_binder()?;
             self.expect_tok(Tok::ColonEq)?;
             let e = self.parse_expr_single()?;
             copies.push((var, e));
@@ -1501,7 +1506,7 @@ impl<'a> Parser<'a> {
                 self.lx.bump(1);
             }
             let ns_decls = ns_decls.iter().map(|(p, u)| (Symbol::intern(p), Symbol::intern(u)));
-            Ok(DirectElement { name, attributes, ns_decls: ns_decls.collect(), content })
+            Ok(DirectElement::new(name, attributes, ns_decls.collect(), content))
         })();
         self.default_element_ns = saved_default;
         self.pop_ns_frame();

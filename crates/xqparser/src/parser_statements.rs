@@ -28,7 +28,7 @@ impl<'a> Parser<'a> {
             QueryBody::Expr(self.parse_expr_top()?)
         };
         self.expect_eof()?;
-        Ok(Module { prolog, body })
+        Ok(Module { prolog, body, frame: Fact::default() })
     }
 
     fn parse_prolog(&mut self) -> XdmResult<Prolog> {
@@ -100,7 +100,7 @@ impl<'a> Parser<'a> {
                         self.expect_tok(Tok::ColonEq)?;
                         Some(self.parse_expr_single()?)
                     };
-                    prolog.variables.push(VarDecl { name, ty, value });
+                    prolog.variables.push(VarDecl { name, ty, value, frame: Fact::default() });
                     self.expect_tok(Tok::Semi)?;
                 }
                 "function" => {
@@ -200,7 +200,14 @@ impl<'a> Parser<'a> {
             self.expect_tok(Tok::RBrace)?;
             Some(e)
         };
-        Ok(Rc::new(FunctionDecl { name, params, return_type, body, updating }))
+        Ok(Rc::new(FunctionDecl {
+            name,
+            params,
+            return_type,
+            body,
+            updating,
+            frame: Fact::default(),
+        }))
     }
 
     fn parse_procedure_decl(&mut self, readonly: bool) -> XdmResult<Rc<ProcedureDecl>> {
@@ -216,7 +223,14 @@ impl<'a> Parser<'a> {
         } else {
             Some(self.parse_block()?)
         };
-        Ok(Rc::new(ProcedureDecl { name, params, return_type, body, readonly }))
+        Ok(Rc::new(ProcedureDecl {
+            name,
+            params,
+            return_type,
+            body,
+            readonly,
+            frame: Fact::default(),
+        }))
     }
 
     // -- blocks and statements ------------------------------------------
@@ -232,7 +246,7 @@ impl<'a> Parser<'a> {
         {
             self.next()?; // declare
             loop {
-                let var = self.parse_var_name()?;
+                let var = self.parse_binder()?;
                 let ty = if self.eat_kw("as")? {
                     Some(self.parse_sequence_type()?)
                 } else {
@@ -283,10 +297,10 @@ impl<'a> Parser<'a> {
             Tok::Name(None, kw) => match kw.as_str() {
                 "set" if matches!(self.peek2()?.tok, Tok::Var(_, _)) => {
                     self.next()?;
-                    let var = self.parse_var_name()?;
+                    let var = VarUse::new(self.parse_var_name()?);
                     self.expect_tok(Tok::ColonEq)?;
                     let value = self.parse_value_statement()?;
-                    Ok((Statement::Set { var, value }, false))
+                    Ok((Statement::Set { var, ty: FactOnce::default(), value }, false))
                 }
                 "return" if self.peek2()?.tok.is_name("value") => {
                     self.next()?;
@@ -333,9 +347,9 @@ impl<'a> Parser<'a> {
                 }
                 "iterate" if matches!(self.peek2()?.tok, Tok::Var(_, _)) => {
                     self.next()?;
-                    let var = self.parse_var_name()?;
+                    let var = self.parse_binder()?;
                     let pos = if self.eat_kw("at")? {
-                        Some(self.parse_var_name()?)
+                        Some(self.parse_binder()?)
                     } else {
                         None
                     };
@@ -355,7 +369,7 @@ impl<'a> Parser<'a> {
                         let mut into_vars = Vec::new();
                         if self.eat_kw("into")? {
                             loop {
-                                into_vars.push(self.parse_var_name()?);
+                                into_vars.push(self.parse_binder()?);
                                 if !matches!(self.peek()?.tok, Tok::Comma) {
                                     break;
                                 }

@@ -279,7 +279,7 @@ fn parent_shorthand() {
 #[test]
 fn function_calls() {
     match e("fn:concat('a', 'b', 'c')") {
-        Expr::FunctionCall { name, args } => {
+        Expr::FunctionCall { name, args, .. } => {
             assert_eq!(name.local, "concat");
             assert_eq!(name.ns.as_deref(), Some(xdm::qname::FN_NS));
             assert_eq!(args.len(), 3);

@@ -123,8 +123,31 @@ fn params(ps: &[Param]) -> String {
 /// QName in a form the parser can re-resolve: Clark-free lexical name;
 /// callers are expected to re-parse in a context with the same
 /// namespace declarations (unparse_module emits them).
-fn lex(q: &QName) -> String {
-    q.lexical()
+/// Something written as a QName: a name, or the name of a variable.
+trait Named {
+    fn qname(&self) -> &QName;
+}
+
+impl Named for QName {
+    fn qname(&self) -> &QName {
+        self
+    }
+}
+
+impl Named for Binder {
+    fn qname(&self) -> &QName {
+        &self.name
+    }
+}
+
+impl Named for VarUse {
+    fn qname(&self) -> &QName {
+        &self.name
+    }
+}
+
+fn lex(q: &impl Named) -> String {
+    q.qname().lexical()
 }
 
 fn ty(t: &SequenceType) -> String {
@@ -372,7 +395,7 @@ fn expr(out: &mut String, e: &Expr) {
             }
             out.push(')');
         }
-        Expr::Filter { base, predicates } => {
+        Expr::Filter { base, predicates, .. } => {
             out.push('(');
             expr(out, base);
             out.push(')');
@@ -382,7 +405,7 @@ fn expr(out: &mut String, e: &Expr) {
                 out.push(']');
             }
         }
-        Expr::FunctionCall { name, args } => {
+        Expr::FunctionCall { name, args, .. } => {
             let _ = write!(out, "{}(", lex(name));
             for (i, a) in args.iter().enumerate() {
                 if i > 0 {
@@ -626,7 +649,7 @@ fn direct_element(out: &mut String, de: &DirectElement) {
 fn statement(out: &mut String, s: &Statement) {
     match s {
         Statement::Block(b) => block(out, b),
-        Statement::Set { var, value } => {
+        Statement::Set { var, value, .. } => {
             let _ = write!(out, "set ${} := ", lex(var));
             value_statement(out, value);
             out.push(';');

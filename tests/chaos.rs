@@ -2745,6 +2745,51 @@ mod budget {
         }
     }
 
+    /// Count guard for the budget layer: use case 3's copy of
+    /// `etl_space(500)` under a fully armed budget charges an exact
+    /// number of evaluation steps and reads its clock an exact number
+    /// of times per batch, with every evaluation layer on. The clock
+    /// counts its reads and never advances, so nothing here depends on
+    /// timing. A change that adds or drops an evaluation step, or a
+    /// deadline check, on a copied row moves one of the two numbers.
+    #[test]
+    fn budget_steps_and_clock_reads_per_etl_batch_are_exact() {
+        const ROWS: usize = 500;
+        let f = xqse_bench::etl_space(ROWS as i64);
+        f.space.engine().set_features(Features::ALL);
+        let reads = Arc::new(AtomicU64::new(0));
+        let counted = reads.clone();
+        let clock: BudgetClock = Arc::new(move || {
+            counted.fetch_add(1, Ordering::Relaxed);
+            0
+        });
+        let copy_all = QName::with_ns("ld:Employees", "copyAllToEMP2");
+        let mut batches = Vec::new();
+        for _ in 0..3 {
+            let held = f.dst.row_count("EMP2").unwrap();
+            f.dst
+                .execute(vec![WriteOp::Delete {
+                    table: "EMP2".into(),
+                    cond: vec![],
+                    expect_rows: held,
+                }])
+                .unwrap();
+            let budget = Arc::new(
+                Budget::with_clock(clock.clone())
+                    .deadline_in(3_600_000)
+                    .limit_fuel(u64::MAX / 4),
+            );
+            reads.store(0, Ordering::Relaxed);
+            f.space.engine().set_budget(Some(budget.clone()));
+            let copied = f.space.xqse().call_procedure(&copy_all, Vec::new(), &mut Env::new());
+            f.space.engine().set_budget(None);
+            assert_eq!(copied.unwrap().string_value().unwrap(), ROWS.to_string());
+            batches.push((budget.steps_taken(), reads.load(Ordering::Relaxed)));
+        }
+        println!("budget per etl batch (steps, clock reads): {batches:?}");
+        assert_eq!(batches, vec![(15_003, 243); 3], "budget steps or clock reads moved");
+    }
+
     /// Budget overhead guard for the no-limit serving path: running
     /// the same workload with a fully armed budget (real-time
     /// deadline far in the future + fuel ceiling) must stay within 5%

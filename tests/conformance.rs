@@ -320,3 +320,122 @@ fn a_function_body_sees_only_its_parameters_and_the_prolog() {
         }
     }
 }
+
+/// Programs whose names do not resolve fail when they are loaded or
+/// prepared, before any statement runs: an undefined variable is
+/// XPST0008, and a `set` of anything but a block variable is XQSE0001.
+/// XQSE's grammar puts no statement where a `let` variable is in
+/// scope, so the `set` cases target the read-only bindings a statement
+/// can see: an `iterate` variable, a procedure parameter, a global.
+#[test]
+fn unresolved_names_fail_before_anything_runs() {
+    use std::rc::Rc;
+    use xqse_repro::xdm::error::XdmResult;
+    use xqse_repro::xdm::sequence::Sequence;
+    use xqse_repro::xqeval::{Engine, Env};
+    use xqse_repro::xqse::xqueryp::XqueryP;
+
+    let cases = [
+        ("declare function local:f() { $x }; let $x := 1 return local:f()", "XPST0008"),
+        (
+            "declare function local:f() { $b }; { declare $b := 7; return value local:f(); }",
+            "XPST0008",
+        ),
+        (
+            "{ declare $i := 0; while ($i lt 3) { set $i := $i + 1; fn:trace($i, 'step'); } \
+             return value $nope; }",
+            "XPST0008",
+        ),
+        ("declare function local:f($a) { $a + $b }; fn:trace(1, 'ran')", "XPST0008"),
+        (
+            "declare variable $g := fn:trace(1, 'initializer'); \
+             declare procedure local:p() { return value $missing; }; 1",
+            "XPST0008",
+        ),
+        ("{ fn:trace(1, 'ran'); iterate $v over (1, 2) { set $v := 3; } }", "XQSE0001"),
+        ("declare procedure local:p($a) { set $a := 1; }; fn:trace(1, 'ran')", "XQSE0001"),
+        ("declare variable $g := 1; { fn:trace(1, 'ran'); set $g := 2; }", "XQSE0001"),
+        ("{ fn:trace(1, 'ran'); set $ghost := 1; }", "XQSE0001"),
+    ];
+    for (src, code) in cases {
+        let engine = Engine::new();
+        let err = engine.prepare(src).map(|_| ()).unwrap_err();
+        assert_eq!(err.code.local, code, "prepare: {src}: {err}");
+        let err = Engine::new().load(src).map(|_| ()).unwrap_err();
+        assert_eq!(err.code.local, code, "load: {src}: {err}");
+        let xqueryp = XqueryP::with_engine(Rc::new(Engine::new()));
+        type Run<'a> = &'a dyn Fn(&mut Env) -> XdmResult<Sequence>;
+        let modes: [(&str, Run); 2] = [
+            ("xqse", &|env| Xqse::new().run_with_env(src, env)),
+            ("xqueryp", &|env| xqueryp.run_with_env(src, env)),
+        ];
+        for (mode, run) in modes {
+            let mut env = Env::new();
+            let err = run(&mut env).unwrap_err();
+            assert_eq!(err.code.local, code, "{mode}: {src}: {err}");
+            assert!(env.trace_messages().is_empty(), "{mode} ran something: {src}");
+        }
+    }
+}
+
+/// A procedure that inserts a row and then reads an undefined variable
+/// fails with XPST0008 when its module loads: the insert never runs.
+#[test]
+fn an_undefined_variable_after_an_insert_leaves_the_table_unchanged() {
+    let f = xqse_bench::etl_space(3);
+    let prolog = "declare namespace emp2 = \"ld:backup/EMP2\"; \
+                  declare namespace t = \"urn:t\"; \
+                  declare procedure t:copy() { \
+                    emp2:createEMP2(<EMP2><EmpId>1</EmpId></EMP2>); \
+                    return value $nope; };";
+    for src in [format!("{prolog} {{ return value t:copy(); }}"), format!("{prolog} 1")] {
+        let err = f.space.xqse().run(&src).unwrap_err();
+        assert_eq!(err.code.local, "XPST0008", "{src}: {err}");
+        assert_eq!(f.dst.row_count("EMP2").unwrap(), 0, "{src}");
+    }
+    // The same insert with the variable defined does land.
+    let ok = "declare namespace emp2 = \"ld:backup/EMP2\"; \
+              { emp2:createEMP2(<EMP2><EmpId>1</EmpId></EMP2>); return value 1; }";
+    f.space.xqse().run(ok).unwrap();
+    assert_eq!(f.dst.row_count("EMP2").unwrap(), 1);
+}
+
+/// A call site is bound to its registry entry, not to what the entry
+/// held when the module was loaded: a function registered after the
+/// module loads can be called from it, a plan prepared before an
+/// external is registered again calls the new registration, and
+/// another engine running the plan calls its own.
+#[test]
+fn call_sites_follow_the_registry() {
+    use std::rc::Rc;
+    use xqse_repro::xdm::qname::QName;
+    use xqse_repro::xdm::sequence::{Item, Sequence};
+    use xqse_repro::xqeval::{Engine, ExternalFn};
+
+    let engine = Engine::new();
+    let late = QName::with_ns("urn:x", "late");
+    engine
+        .load("declare namespace x = \"urn:x\"; declare function local:g() { x:late(2) };")
+        .unwrap();
+    let err = engine.eval_expr_str("local:g()", &[]).unwrap_err();
+    assert_eq!(err.code.local, "XPST0017", "nothing registered yet: {err}");
+    let times = |k: i64| -> ExternalFn {
+        Rc::new(move |_, args| {
+            let n = args[0].items()[0].atomize().string_value().parse::<i64>().unwrap();
+            Ok(Sequence::one(Item::integer(n * k)))
+        })
+    };
+    engine.register_external_function(late.clone(), 1, times(10));
+    assert_eq!(serialize_sequence(&engine.eval_expr_str("local:g()", &[]).unwrap()), "20");
+
+    let plan = engine.prepare("declare namespace x = \"urn:x\"; x:late(3)").unwrap();
+    assert_eq!(serialize_sequence(&engine.execute_prepared(&plan).unwrap()), "30");
+    engine.register_external_function(late.clone(), 1, times(100));
+    assert_eq!(serialize_sequence(&engine.execute_prepared(&plan).unwrap()), "300");
+
+    // The binding belongs to the engine that made it: another engine
+    // running the same plan calls its own registration.
+    let other = Engine::new();
+    other.register_external_function(late, 1, times(7));
+    assert_eq!(serialize_sequence(&other.execute_prepared(&plan).unwrap()), "21");
+}

@@ -7,7 +7,9 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use xqse_repro::xqparser::ast::{BinaryOp, Expr, FlworClause, GeneralComp, Quantifier};
+use xqse_repro::xqparser::ast::{
+    BinaryOp, Binder, Expr, FlworClause, GeneralComp, Quantifier, VarUse,
+};
 use xqse_repro::xqparser::parser::parse_expr;
 use xqse_repro::xqparser::unparse::unparse_expr;
 use xqse_repro::xdm::atomic::AtomicValue;
@@ -59,22 +61,22 @@ fn closed_expr() -> impl Strategy<Value = Expr> {
             (var_name(), inner.clone(), inner.clone()).prop_map(|(v, src, ret)| {
                 Expr::Flwor {
                     clauses: vec![FlworClause::For {
-                        var: v.clone(),
+                        var: Binder::new(v.clone()),
                         pos: None,
                         source: Box::new(src).as_ref().clone(),
                     }]
                     .into(),
-                    ret: Rc::new(Expr::Comma(vec![Expr::VarRef(v), ret])),
+                    ret: Rc::new(Expr::Comma(vec![Expr::VarRef(VarUse::new(v)), ret])),
                 }
             }),
             // quantified
             (var_name(), inner.clone(), inner.clone()).prop_map(|(v, src, sat)| {
                 Expr::Quantified {
                     quantifier: Quantifier::Some,
-                    bindings: vec![(v.clone(), src)],
+                    bindings: vec![(Binder::new(v.clone()), src)],
                     satisfies: Box::new(Expr::General(
                         GeneralComp::Eq,
-                        Box::new(Expr::VarRef(v)),
+                        Box::new(Expr::VarRef(VarUse::new(v))),
                         Box::new(sat),
                     )),
                 }

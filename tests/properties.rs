@@ -29,8 +29,24 @@ use xqse_repro::xqse::Xqse;
 /// A recursive tree model we can render to XML and compare.
 #[derive(Debug, Clone)]
 enum TreeNode {
-    Element { name: String, attrs: Vec<(String, String)>, children: Vec<TreeNode> },
+    Element { name: String, ns: Ns, attrs: Vec<(String, String)>, children: Vec<TreeNode> },
     Text(String),
+}
+
+/// An element's namespace binding: none, or a prefix (`""` for the
+/// default namespace) bound to one of two URIs. Nested elements rebind
+/// the prefixes back and forth, and an element whose prefix is `q`
+/// carries a `q:z` attribute in its namespace.
+type Ns = Option<(&'static str, &'static str)>;
+
+fn ns_strategy() -> impl Strategy<Value = Ns> {
+    prop_oneof![
+        Just(None),
+        Just(Some(("", "u1"))),
+        Just(Some(("", "u2"))),
+        Just(Some(("q", "u1"))),
+        Just(Some(("q", "u2"))),
+    ]
 }
 
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -60,8 +76,9 @@ fn text_strategy() -> impl Strategy<Value = String> {
 fn tree_strategy() -> impl Strategy<Value = TreeNode> {
     let leaf = prop_oneof![
         text_strategy().prop_map(TreeNode::Text),
-        name_strategy().prop_map(|n| TreeNode::Element {
+        (name_strategy(), ns_strategy()).prop_map(|(n, ns)| TreeNode::Element {
             name: n,
+            ns,
             attrs: vec![],
             children: vec![]
         }),
@@ -69,23 +86,49 @@ fn tree_strategy() -> impl Strategy<Value = TreeNode> {
     leaf.prop_recursive(3, 24, 4, |inner| {
         (
             name_strategy(),
+            ns_strategy(),
             proptest::collection::vec((name_strategy(), text_strategy()), 0..3),
             proptest::collection::vec(inner, 0..4),
         )
-            .prop_map(|(name, mut attrs, children)| {
+            .prop_map(|(name, ns, mut attrs, children)| {
                 // Attribute names must be unique.
                 attrs.sort_by(|a, b| a.0.cmp(&b.0));
                 attrs.dedup_by(|a, b| a.0 == b.0);
-                TreeNode::Element { name, attrs, children }
+                TreeNode::Element { name, ns, attrs, children }
             })
     })
+}
+
+/// Every element's and attribute's namespace URI, in document order.
+fn namespace_uris(n: &NodeHandle, out: &mut Vec<Option<String>>) {
+    if n.kind() == NodeKind::Element {
+        out.push(n.name().unwrap().ns.map(|u| u.to_string()));
+        for a in n.attributes() {
+            out.push(a.name().unwrap().ns.map(|u| u.to_string()));
+        }
+    }
+    for c in n.children() {
+        namespace_uris(&c, out);
+    }
 }
 
 fn build_tree(t: &TreeNode, arena: &xqse_repro::xdm::node::SharedArena) -> NodeHandle {
     match t {
         TreeNode::Text(s) => NodeHandle::new_text(arena, s.clone()),
-        TreeNode::Element { name, attrs, children } => {
-            let e = NodeHandle::new_element(arena, QName::new(name.clone()));
+        TreeNode::Element { name, ns, attrs, children } => {
+            let qname = match ns {
+                None => QName::new(name.clone()),
+                Some(("", uri)) => QName::with_ns(*uri, name.clone()),
+                Some((prefix, uri)) => QName::with_prefix_ns(*prefix, *uri, name.clone()),
+            };
+            let e = NodeHandle::new_element(arena, qname);
+            if let Some((prefix, uri)) = ns {
+                e.add_ns_decl(*prefix, *uri);
+                if !prefix.is_empty() {
+                    let z = QName::with_prefix_ns(*prefix, *uri, "z");
+                    e.set_attribute(&NodeHandle::new_attribute(arena, z, "1")).unwrap();
+                }
+            }
             for (an, av) in attrs {
                 e.set_attribute(&NodeHandle::new_attribute(
                     arena,
@@ -221,6 +264,7 @@ proptest! {
             e @ TreeNode::Element { .. } => e,
             other => TreeNode::Element {
                 name: "root".into(),
+                ns: None,
                 attrs: vec![],
                 children: vec![other],
             },
@@ -235,6 +279,10 @@ proptest! {
             .find(|c| c.kind() == NodeKind::Element)
             .unwrap();
         prop_assert!(node.deep_equal(&back), "{xml}");
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        namespace_uris(&node, &mut want);
+        namespace_uris(&back, &mut got);
+        prop_assert_eq!(got, want, "namespace URIs moved: {}", xml);
         prop_assert_eq!(serialize(&back), xml);
         let pretty = serialize_pretty(&node);
         prop_assert_eq!(serialize_pretty(&root_element(&parse(&pretty).unwrap())), pretty);

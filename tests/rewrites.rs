@@ -363,13 +363,13 @@ fn ineligible_views_are_not_unfolded_and_still_agree() {
 /// prolog's variables, never the caller's: a view whose `where` calls
 /// one on other values unfolds and agrees under every consumer, and a
 /// function that reads the row's variable is an undefined-variable
-/// error in every mode.
+/// error in every mode, raised when the module is prepared.
 #[test]
 fn a_user_function_in_the_where_unfolds_and_does_not_see_the_row() {
     let prolog = "declare function local:v() { for $i in (1, 2, 3) \
            return <R><K>{$i}</K><V>{$i * 2}</V></R> }; \
-         declare function local:inc($x) { $x + 1 }; \
-         declare function local:k() { fn:exists($r/V) };";
+         declare function local:inc($x) { $x + 1 };";
+    let reads_r = "declare function local:k() { fn:exists($r/V) };";
     let flwor = "for $n in (0, 2) for $r in local:v() where $r/K eq local:inc($n) \
          return <hit n=\"{$n}\">{fn:data($r/V)}</hit>";
     for &(consumer, wrap) in CONSUMERS {
@@ -382,7 +382,7 @@ fn a_user_function_in_the_where_unfolds_and_does_not_see_the_row() {
     assert_eq!(out.unwrap(), "<hit n=\"0\">2</hit><hit n=\"2\">6</hit>");
     let reads_the_row = "for $r in local:v() where local:k() return $r/K";
     for mode in [Mode::Lazy, Mode::Drained, Mode::Reference] {
-        let (out, _) = run(&format!("{prolog}{reads_the_row}"), mode);
+        let (out, _) = run(&format!("{prolog}{reads_r}{reads_the_row}"), mode);
         assert_eq!(out.unwrap_err(), "XPST0008", "{mode:?}");
     }
 }
