@@ -1155,7 +1155,11 @@ declare procedure uc1:deleteByCID($cid as xs:string) as empty-sequence()
 /// E13: prepared-plan reuse — parse + prolog-load a program once and
 /// re-execute the plan many times, vs. the pre-plan-cache behaviour
 /// of re-parsing the program text on every call (the `-batch`
-/// baseline).
+/// baseline). Two arms run N different texts through the plan cache:
+/// N texts of one shape, which differ only in a literal of the body and
+/// share one plan (each text is lexed, not parsed), and N texts of N
+/// shapes, each of which pays the lexer pass and a parse. Each asserts
+/// its plan misses: 1 and N.
 fn e13_prepared(full: bool, reps: usize, r: &Reporter) {
     use std::rc::Rc;
     use xqeval::{Engine, Env};
@@ -1189,7 +1193,21 @@ fn e13_prepared(full: bool, reps: usize, r: &Reporter) {
           concat(local:tier($seed), '/', string(local:limit($seed)))\n\
         };\n\
         local:band(688)";
+    let prolog = &src[..src.len() - "local:band(688)".len()];
     let iters: &[usize] = if full { &[100, 1000] } else { &[50, 200] };
+    // `n` texts through `eval_query`, with the plan cache on; each rep
+    // asserts its plan misses.
+    let distinct = |n: usize, text: &dyn Fn(usize) -> String, misses: usize, expect: usize| {
+        median_secs(reps, || {
+            let engine = Rc::new(Engine::new());
+            engine.set_features(Features { batch: true, ..engine.features() });
+            for i in 0..n {
+                let got = engine.eval_query(&text(i)).expect("eval");
+                assert_eq!(got.len(), expect);
+            }
+            assert_eq!(engine.opt_stats().plan_misses, misses as u64, "E13 plan misses");
+        })
+    };
     let mut rows = Vec::new();
     for &n in iters {
         let engine = Rc::new(Engine::new());
@@ -1203,6 +1221,13 @@ fn e13_prepared(full: bool, reps: usize, r: &Reporter) {
                 assert_eq!(got.len(), expect.len());
             }
         });
+        let shape = distinct(n, &|i| format!("{prolog}local:band({})", 600 + i), 1, expect.len());
+        let miss = distinct(
+            n,
+            &|i| format!("{prolog}let $v{i} := {} return local:band($v{i})", 600 + i),
+            n,
+            expect.len(),
+        );
         let reparse = median_secs(reps, || {
             let engine = Rc::new(Engine::new());
             // `-batch`: plan cache off, parse per call.
@@ -1215,14 +1240,18 @@ fn e13_prepared(full: bool, reps: usize, r: &Reporter) {
         rows.push(vec![
             n.to_string(),
             format!("{:.3}", prepared * 1e3),
+            format!("{:.3}", shape * 1e3),
+            format!("{:.3}", miss * 1e3),
             format!("{:.3}", reparse * 1e3),
             format!("{:.1}x", reparse / prepared),
+            format!("{:.1}x", miss / shape),
         ]);
     }
     r.table(
         "E13",
-        "E13 prepared-plan reuse: prepare once + execute N times vs re-parse per call",
-        &["iters", "prepared_ms", "reparse_ms", "reparse/prepared"],
+        "E13 prepared-plan reuse: prepare once + execute N times, N texts of one shape, \
+         N texts of N shapes, and re-parse per call",
+        &["iters", "prepared_ms", "shape_ms", "miss_ms", "reparse_ms", "reparse/prepared", "miss/shape"],
         &rows,
     );
 }

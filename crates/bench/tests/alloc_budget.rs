@@ -156,22 +156,28 @@ const PAGE_STARTS: [usize; 3] = [1, 341, 695];
 #[test]
 fn page_allocations_stay_within_budget() {
     let f = etl_space(5000);
-    f.space.engine().set_features(Features::ALL);
+    let engine = f.space.engine();
+    engine.set_features(Features::ALL);
     let read = |text: &str| {
         let before = allocations();
         let out = f.space.xqse().run_with_env(text, &mut Env::new()).expect("page");
         assert_eq!(out.len(), 20);
         allocations() - before
     };
+    // Warm: the plan, the table's index and its keyed-select entry for
+    // `D3` are built by the first read and reused by the others. The
+    // plan is prepared from a page none of the measured ones is, so each
+    // is read through a new text of a cached shape: lexed, not parsed,
+    // and run with its own offset.
+    read(&page(2));
     let [first, centred, last] = PAGE_STARTS.map(|start| {
         let text = page(start);
-        // Warm: the plan, the table's index and its keyed-select entry
-        // for `D3` are built by the first read and reused by the others.
         read(&text);
         let n = read(&text);
         assert_eq!(n, read(&text), "the count must repeat from page to page");
         n
     });
+    assert_eq!(engine.opt_stats().plan_misses, 1, "the pages are one shape");
     println!("alloc_budget: {centred} allocations per centred page");
     println!("alloc_budget: {first}/{centred}/{last} allocations per first/centred/last page");
     assert!(centred <= PAGE_BUDGET, "{centred} allocations per page; the budget is {PAGE_BUDGET}");
@@ -183,14 +189,18 @@ fn page_allocations_stay_within_budget() {
     );
 }
 
-/// The per-page count measured on this code (104), plus 5 %. It was
+/// The per-page count measured on this code (95), plus 5 %: a page read
+/// through a new text of a cached shape, which builds its two literal
+/// values (the slot list and `'D3'`) where a text cached as is built
+/// none. It was 104 while every plan copied its source's column names
+/// twice and passing over a window's first candidate bound it, and
 /// 105 while variables were bound by name in a stack of scopes. With
 /// constructors grown one push at a time and one-child elements holding
 /// a `Vec`, a centred page made 207; with copied string values and
 /// boxed singleton sequences, 577; one that bound each pushed-down row before its start made
 /// 1,594 (the last 2,656); one whose rows were each re-checked against
 /// the `where` made 6,274.
-const PAGE_BUDGET: u64 = 109;
+const PAGE_BUDGET: u64 = 99;
 
 /// Serializing the centred page's reply writes each row straight into
 /// the output as it walks it: its count is one walk stack per row plus

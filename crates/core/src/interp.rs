@@ -88,12 +88,12 @@ impl Xqse {
     /// [`Xqse::run`] against a caller-provided context (lets callers
     /// inspect `fn:trace` output or pre-bind state).
     pub fn run_with_env(&self, src: &str, env: &mut Env) -> XdmResult<Sequence> {
-        // Route through the prepared-plan cache: repeated evaluations
-        // of the same source text (REPL lines, benchmark reps,
-        // per-item `iterate` bodies) parse and prolog-load once, then
-        // re-execute the cached plan. With plan caching disabled
-        // (`-batch` or `-opt`) `prepare` degenerates to the old
-        // load-then-run path.
+        // Route through the prepared-plan cache: the texts of one
+        // shape (REPL lines, benchmark reps, per-item `iterate` bodies,
+        // pages that differ in their offset) parse and prolog-load
+        // once, then re-execute the cached plan with their own literal
+        // values. With plan caching disabled (`-batch` or `-opt`)
+        // `prepare` degenerates to the old load-then-run path.
         let pq = self.engine.prepare(src)?;
         self.run_prepared(&pq, env)
     }
@@ -122,14 +122,10 @@ impl Xqse {
     }
 
     fn run_prepared(&self, pq: &PreparedQuery, env: &mut Env) -> XdmResult<Sequence> {
-        let module = pq.module();
-        match &module.body {
-            QueryBody::None => Ok(Sequence::empty()),
-            QueryBody::Expr(_) => self.engine.execute_prepared_in(pq, env),
+        match &pq.module().body {
+            QueryBody::None | QueryBody::Expr(_) => self.engine.execute_prepared_in(pq, env),
             QueryBody::Block(b) => {
-                let caller = env.push_frame(module.frame.get() as usize);
-                let flow = exec_block(&self.engine, b, env);
-                env.pop_frame(caller);
+                let flow = pq.run_body(env, |_, env| exec_block(&self.engine, b, env));
                 match flow? {
                     Flow::Return(v) => Ok(v),
                     Flow::Normal => Ok(Sequence::empty()),

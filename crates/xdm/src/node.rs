@@ -85,7 +85,7 @@ pub enum NodeKind {
 
 /// The XPath axes a path step can walk from a node
 /// ([`NodeHandle::walk_axis`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// `child::` (default)
     Child,

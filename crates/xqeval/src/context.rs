@@ -5,8 +5,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use xdm::atomic::AtomicValue;
 use xdm::error::XdmResult;
 use xdm::sequence::{Item, Sequence};
+use xqparser::ast::LiteralSlot;
 
 use crate::update::Pul;
 
@@ -72,6 +74,11 @@ pub struct Env {
     /// Epoch-stamped join-cache entries from earlier statements then
     /// fail revalidation.
     pub write_epoch: u64,
+    /// The values of the literal slots of the text whose body is
+    /// running ([`crate::engine::PreparedQuery::run_body`]): the plan a
+    /// text shares with the other texts of its shape reads its own
+    /// values from here. Set for one execution and restored after it.
+    pub(crate) literals: Option<Rc<[AtomicValue]>>,
 }
 
 /// What a procedure's frame set aside of its caller's context: a
@@ -104,7 +111,15 @@ impl Env {
             join_cache: HashMap::new(),
             ws_memo: HashMap::new(),
             write_epoch: 0,
+            literals: None,
         }
+    }
+
+    /// The value of a literal slot: the running text's, or the parsed
+    /// one when a body is evaluated on its own.
+    #[inline]
+    pub(crate) fn literal<'s>(&'s self, slot: &'s LiteralSlot) -> &'s AtomicValue {
+        self.literals.as_ref().and_then(|l| l.get(slot.index as usize)).unwrap_or(&slot.value)
     }
 
     /// Drop every memoized join index *and* advance the write epoch —

@@ -19,6 +19,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use xdm::atomic::AtomicValue;
 use xdm::datetime::DateTime;
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 use xdm::intern::Symbol;
@@ -27,7 +28,8 @@ use xdm::qname::QName;
 use xdm::sequence::{Item, Sequence};
 
 use xqparser::ast::{Bound, Expr, FunctionDecl, Module, ProcedureDecl, Prolog, QueryBody};
-use xqparser::parser::parse_module;
+use xqparser::parser::{parse_module, parse_query};
+use xqparser::shape::{self, Literal, Shape};
 
 use crate::cache::Lru;
 use crate::functions::Args;
@@ -308,15 +310,24 @@ impl OptCounters {
     }
 }
 
-/// A query compiled once and executable many times: the parsed module
-/// (whose prolog is already loaded into the engine) and the values its
-/// initialized globals computed.
+/// A query compiled once and executable many times: a plan, which
+/// every text of the query's shape shares, and the values of the
+/// literal slots of the text it was prepared for.
 ///
 /// Obtained from [`Engine::prepare`]; executed with
 /// [`Engine::execute_prepared`]. This is the paper-era mediation-tier
 /// shape — data-service functions are compiled once at deployment and
 /// served many times — applied to our `eval_query` path.
+#[derive(Clone)]
 pub struct PreparedQuery {
+    plan: Rc<Plan>,
+    /// The values of the body's literal slots, read from this text.
+    literals: Rc<[AtomicValue]>,
+}
+
+/// What the texts of one shape share: the parsed module (whose prolog
+/// is already loaded into the engine) and what loading its prolog did.
+struct Plan {
     module: Module,
     /// *Initialized* global variable values computed by the prolog
     /// load, re-installed verbatim on every plan-cache hit
@@ -325,17 +336,41 @@ pub struct PreparedQuery {
     /// and must read through to the engine's live globals map so
     /// [`Engine::set_global`] re-binds are observed by cached plans.
     globals: Vec<(QName, Sequence)>,
+    /// The `fn:trace` lines the initializers emitted while the prolog
+    /// loaded, which each execution emits before its body.
+    init_trace: Vec<String>,
     /// Registry generation this plan was prepared against (the
     /// "prolog fingerprint" half of the cache key). A global
     /// initializer may call an external function, so a later external
     /// registration invalidates the plan and its captured `globals`.
     gen: u64,
+    /// The shape the plan is cached under; `None` when the plan cache
+    /// is off and the text was parsed verbatim.
+    shape: Option<Shape>,
 }
 
 impl PreparedQuery {
     /// The parsed module.
     pub fn module(&self) -> &Module {
-        &self.module
+        &self.plan.module
+    }
+
+    /// Run `f` on the module's body in `env`, in a frame of the body's
+    /// own and with this text's literal values: the prolog's trace
+    /// lines are emitted first, and the caller's frame and values come
+    /// back after, so a nested execution on `env` neither sees nor
+    /// overwrites them.
+    pub fn run_body<R>(&self, env: &mut Env, f: impl FnOnce(&Module, &mut Env) -> R) -> R {
+        let module = &self.plan.module;
+        for line in &self.plan.init_trace {
+            env.emit_trace(line.as_str());
+        }
+        let caller = env.push_frame(module.frame.get() as usize);
+        let saved = env.literals.replace(self.literals.clone());
+        let out = f(module, env);
+        env.literals = saved;
+        env.pop_frame(caller);
+        out
     }
 }
 
@@ -385,8 +420,9 @@ struct EngineInner {
     /// source closures registered at introspection time observe
     /// changes live.
     features: Rc<Cell<Features>>,
-    /// Pushdown capabilities by arity-0 read-function name.
-    capabilities: RefCell<HashMap<QName, SourceCapability>>,
+    /// Pushdown capabilities by arity-0 read-function name, shared with
+    /// the plans that use them.
+    capabilities: RefCell<HashMap<QName, Rc<SourceCapability>>>,
     /// Flush hooks for per-source materialization caches; invoked by
     /// [`Engine::invalidate_materialization`] when an update statement
     /// may have mutated cached trees in place.
@@ -403,8 +439,17 @@ struct EngineInner {
     /// "prolog fingerprint" that invalidates cached plans prepared
     /// against an older registry.
     registry_gen: Cell<u64>,
-    /// LRU cache of prepared plans, keyed by query source text.
-    plan_cache: RefCell<Lru<String, Rc<PreparedQuery>>>,
+    /// LRU cache of prepared plans, keyed by the digest of their shape
+    /// ([`shape::digest`]) and checked against the shape on a hit.
+    plan_cache: RefCell<Lru<u64, PreparedQuery>>,
+    /// Which literal tokens of a text the parser made slots, by the
+    /// hash of the text's outline ([`shape::scan`]), as the last plan
+    /// prepared for that outline found: what a lookup leaves out of a
+    /// text's digest. Sized with `plan_cache`.
+    plan_slots: RefCell<Lru<u64, Rc<[u32]>>>,
+    /// The literal tokens of the text being prepared, kept between
+    /// calls so that a lookup allocates no list.
+    plan_literals: RefCell<Vec<Literal>>,
     /// Optimizer counters.
     opt: Rc<OptCounters>,
     /// Fast-path flag mirroring `budget.is_some()`: the evaluator hot
@@ -564,6 +609,8 @@ impl Engine {
                 write_listeners: RefCell::new(Vec::new()),
                 registry_gen: Cell::new(0),
                 plan_cache: RefCell::new(Lru::new(PLAN_CACHE_CAPACITY)),
+                plan_slots: RefCell::new(Lru::new(PLAN_CACHE_CAPACITY)),
+                plan_literals: RefCell::new(Vec::new()),
                 opt: Rc::new(OptCounters::default()),
                 budget_active: Cell::new(false),
                 budget_raw: Cell::new(std::ptr::null()),
@@ -772,16 +819,17 @@ impl Engine {
     /// Resize the prepared-plan cache (shrinking evicts LRU entries).
     pub fn set_plan_cache_capacity(&self, cap: usize) {
         self.inner.plan_cache.borrow_mut().set_capacity(cap);
+        self.inner.plan_slots.borrow_mut().set_capacity(cap);
     }
 
     /// Advertise a pushdown capability for a registered arity-0 read
     /// function.
     pub fn register_source_capability(&self, name: QName, cap: SourceCapability) {
-        self.inner.capabilities.borrow_mut().insert(name, cap);
+        self.inner.capabilities.borrow_mut().insert(name, Rc::new(cap));
     }
 
     /// The pushdown capability of a read function, if advertised.
-    pub fn source_capability(&self, name: &QName) -> Option<SourceCapability> {
+    pub fn source_capability(&self, name: &QName) -> Option<Rc<SourceCapability>> {
         self.inner.capabilities.borrow().get(name).cloned()
     }
 
@@ -926,7 +974,9 @@ impl Engine {
     }
 
     /// Parse a module and register its prolog declarations. Global
-    /// variable initializers are evaluated immediately, in order.
+    /// variable initializers are evaluated immediately, in order. There
+    /// is no caller context, so the `fn:trace` lines an initializer
+    /// emits are dropped (a prepared query's executions emit them).
     /// Returns the parsed module (the body is *not* executed here).
     pub fn load(&self, src: &str) -> XdmResult<Module> {
         let module = parse_module(src)?;
@@ -937,15 +987,24 @@ impl Engine {
     /// Resolve a pre-parsed module against this engine and register its
     /// prolog. Resolution comes first: an undefined variable
     /// (`XPST0008`) or a `set` of anything but a block variable
-    /// (`XQSE0001`) fails the load before any initializer runs.
+    /// (`XQSE0001`) fails the load before any initializer runs. The
+    /// initializers' `fn:trace` lines are dropped.
     pub fn load_prolog(&self, module: &Module) -> XdmResult<()> {
+        self.load_prolog_traced(module).map(drop)
+    }
+
+    /// [`Engine::load_prolog`], returning the `fn:trace` lines the
+    /// initializers emitted.
+    fn load_prolog_traced(&self, module: &Module) -> XdmResult<Vec<String>> {
         crate::resolve::resolve_module(module, self)?;
         self.install_declarations(&module.prolog)?;
+        let trace = Rc::new(RefCell::new(Vec::new()));
         // Global variables, in declaration order.
         for v in &module.prolog.variables {
             match &v.value {
                 Some(init) => {
                     let mut env = Env::new();
+                    env.trace = trace.clone();
                     env.push_frame(v.frame.get() as usize);
                     let value = Evaluator::new(self).eval(init, &mut env)?;
                     if let Some(ty) = &v.ty {
@@ -963,7 +1022,7 @@ impl Engine {
                 }
             }
         }
-        Ok(())
+        Ok(trace.take())
     }
 
     /// Register a prolog's function and procedure declarations. The
@@ -1002,41 +1061,82 @@ impl Engine {
 
     /// Prepare a query: parse it and load its prolog — once — and
     /// return a plan executable many times via
-    /// [`Engine::execute_prepared`].
+    /// [`Engine::execute_prepared`], with this text's values.
     ///
-    /// With the plan cache enabled ([`Features::batching`]),
-    /// plans are memoized by source text and revalidated against the
-    /// registry generation ("prolog fingerprint"); a hit skips the
-    /// parse and the prolog load entirely, re-installing the plan's
-    /// own prolog declarations and captured *initialized* global
-    /// values so the plan always executes against the prolog it was
-    /// compiled with. External variables (ALDSP parameters) are not
-    /// captured: they read through to the live globals map, so
-    /// [`Engine::set_global`] re-binds between executions are
-    /// honored without invalidating the plan. With
-    /// the cache disabled this degenerates to parse-per-call.
-    pub fn prepare(&self, src: &str) -> XdmResult<Rc<PreparedQuery>> {
+    /// With the plan cache enabled ([`Features::batching`]), plans are
+    /// memoized by *shape* ([`xqparser::shape`]): texts that differ
+    /// only in the literals of their query body share one plan, and a
+    /// text whose shape is cached is lexed, not parsed, and runs the
+    /// plan with its own literal values. A plan is revalidated against
+    /// the registry generation ("prolog fingerprint"); a hit skips the
+    /// parse and the prolog load entirely, re-installing the plan's own
+    /// prolog declarations and captured *initialized* global values so
+    /// the plan always executes against the prolog it was compiled
+    /// with. External variables (ALDSP parameters) are not captured:
+    /// they read through to the live globals map, so
+    /// [`Engine::set_global`] re-binds between executions are honored
+    /// without invalidating the plan. With the cache disabled every
+    /// text is parsed verbatim, its literals plain.
+    pub fn prepare(&self, src: &str) -> XdmResult<PreparedQuery> {
         if !self.features().batching() {
-            return self.prepare_uncached(src);
+            let module = parse_module(src)?;
+            return self.prepare_module(module, Rc::from([]), None);
         }
-        let gen = self.inner.registry_gen.get();
-        let hit = self.inner.plan_cache.borrow_mut().get(src).cloned();
+        // Taken, not borrowed: a global initializer may prepare a text
+        // of its own.
+        let mut lits = std::mem::take(&mut *self.inner.plan_literals.borrow_mut());
+        let prepared = self.prepare_cached(src, &mut lits);
+        *self.inner.plan_literals.borrow_mut() = lits;
+        prepared
+    }
+
+    fn prepare_cached(&self, src: &str, lits: &mut Vec<Literal>) -> XdmResult<PreparedQuery> {
+        let outline = shape::scan(src, lits);
+        let lits: &[Literal] = if outline.is_some() { lits } else { &[] };
+        let digest = match outline {
+            Some(o) => {
+                let slots = self.inner.plan_slots.borrow_mut().get(&o).cloned();
+                shape::digest(o, src, lits, slots.as_deref().unwrap_or_default())
+            }
+            None => shape::exact_digest(src),
+        };
+        let hit = self.inner.plan_cache.borrow_mut().get(&digest).cloned();
         if let Some(pq) = hit {
-            if pq.gen == gen {
-                OptCounters::bump(&self.inner.opt.plan_hits);
-                self.reinstall_prolog(&pq)?;
-                return Ok(pq);
+            let gen = self.inner.registry_gen.get();
+            if let (true, Some(shape)) = (pq.plan.gen == gen, &pq.plan.shape) {
+                if shape.matches(src, lits) {
+                    OptCounters::bump(&self.inner.opt.plan_hits);
+                    self.reinstall_prolog(&pq.plan)?;
+                    if shape.text() == src {
+                        return Ok(pq);
+                    }
+                    let literals = shape::slot_values(src, lits, shape.slots());
+                    return Ok(PreparedQuery { plan: pq.plan, literals });
+                }
             }
         }
         OptCounters::bump(&self.inner.opt.plan_misses);
-        let pq = self.prepare_uncached(src)?;
-        self.inner.plan_cache.borrow_mut().insert(src.to_string(), pq.clone());
+        let (module, slots) = parse_query(src)?;
+        let literals = slots.iter().map(|(_, value)| value.clone()).collect();
+        let shape =
+            Shape::new(src, outline.map(|_| lits), slots.iter().map(|(span, _)| span));
+        let (digest, slots) = (shape.digest(outline), shape.slots().clone());
+        let pq = self.prepare_module(module, literals, Some(shape))?;
+        if let Some(o) = outline {
+            self.inner.plan_slots.borrow_mut().insert(o, slots);
+        }
+        self.inner.plan_cache.borrow_mut().insert(digest, pq.clone());
         Ok(pq)
     }
 
-    fn prepare_uncached(&self, src: &str) -> XdmResult<Rc<PreparedQuery>> {
-        let module = parse_module(src)?;
-        self.load_prolog(&module)?;
+    /// Load a parsed module's prolog and make it a plan.
+    fn prepare_module(
+        &self,
+        module: Module,
+        literals: Rc<[AtomicValue]>,
+        shape: Option<Shape>,
+    ) -> XdmResult<PreparedQuery> {
+        let init_trace = self.load_prolog_traced(&module)?;
         let mut globals = Vec::new();
         for v in &module.prolog.variables {
             // Capture only *initialized* declarations. External
@@ -1052,20 +1152,18 @@ impl Engine {
                 globals.push((v.name.clone(), val));
             }
         }
-        Ok(Rc::new(PreparedQuery {
-            module,
-            globals,
-            gen: self.inner.registry_gen.get(),
-        }))
+        let gen = self.inner.registry_gen.get();
+        let plan = Plan { module, globals, init_trace, gen, shape };
+        Ok(PreparedQuery { plan: Rc::new(plan), literals })
     }
 
     /// Re-install a cached plan's own prolog declarations and global
     /// values (cheap map inserts, no parsing, no initializer
     /// re-evaluation) so a plan-cache hit executes against the prolog
     /// it was compiled with even if another module shadowed it since.
-    fn reinstall_prolog(&self, pq: &PreparedQuery) -> XdmResult<()> {
-        self.install_declarations(&pq.module.prolog)?;
-        for (name, val) in &pq.globals {
+    fn reinstall_prolog(&self, plan: &Plan) -> XdmResult<()> {
+        self.install_declarations(&plan.module.prolog)?;
+        for (name, val) in &plan.globals {
             self.set_global(name.clone(), val.clone());
         }
         Ok(())
@@ -1084,15 +1182,10 @@ impl Engine {
         pq: &PreparedQuery,
         env: &mut Env,
     ) -> XdmResult<Sequence> {
-        match body_expr(pq)? {
-            Some(e) => {
-                let caller = env.push_frame(pq.module.frame.get() as usize);
-                let out = Evaluator::new(self).eval(e, env);
-                env.pop_frame(caller);
-                out
-            }
+        pq.run_body(env, |module, env| match body_expr(module)? {
+            Some(e) => Evaluator::new(self).eval(e, env),
             None => Ok(Sequence::empty()),
-        }
+        })
     }
 
     /// The same as [`Engine::execute_prepared_in`]. Kept only because
@@ -1118,24 +1211,20 @@ impl Engine {
         env: &mut Env,
         sink: &mut dyn FnMut(Item) -> XdmResult<()>,
     ) -> XdmResult<()> {
-        let Some(e) = body_expr(pq)? else { return Ok(()) };
-        let ev = Evaluator::new(self);
-        let caller = env.push_frame(pq.module.frame.get() as usize);
-        let out = (|| {
+        pq.run_body(env, |module, env| {
+            let Some(e) = body_expr(module)? else { return Ok(()) };
+            let ev = Evaluator::new(self);
             let mut items = crate::flwor::items(&ev, e, env)?;
             while let Some(item) = items.next(&ev, env)? {
                 sink(item)?;
             }
             Ok(())
-        })();
-        env.pop_frame(caller);
-        out
+        })
     }
 
     /// Prepare a module and evaluate its query body, which must be an
     /// expression (use the `xqse` crate for block bodies). With the
-    /// plan cache enabled, repeated evaluation of the same source text
-    /// parses once.
+    /// plan cache enabled, the texts of one shape parse once.
     pub fn eval_query(&self, src: &str) -> XdmResult<Sequence> {
         let pq = self.prepare(src)?;
         self.execute_prepared(&pq)
@@ -1176,8 +1265,8 @@ impl Engine {
 
 /// A plan's query body, which must be an expression (or absent): block
 /// bodies belong to the `xqse` statement engine.
-fn body_expr(pq: &PreparedQuery) -> XdmResult<Option<&Expr>> {
-    match &pq.module.body {
+fn body_expr(module: &Module) -> XdmResult<Option<&Expr>> {
+    match &module.body {
         QueryBody::Expr(e) => Ok(Some(e)),
         QueryBody::None => Ok(None),
         QueryBody::Block(_) => Err(XdmError::new(

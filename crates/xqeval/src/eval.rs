@@ -164,6 +164,9 @@ pub struct JoinCacheEntry {
     /// the entry's key, held so that no other AST can reuse the
     /// address while the entry lives.
     pub clauses: Rc<[FlworClause]>,
+    /// The values of the literal slots the source expression read, in
+    /// source order: another text of its shape may read others.
+    pub literals: Vec<AtomicValue>,
 }
 
 impl<'e> Evaluator<'e> {
@@ -253,7 +256,7 @@ impl<'e> Evaluator<'e> {
                 // further than the window's edge.
                 let window = match (window, predicates.split_first()) {
                     (Some(w), Some((first, rest))) if self.engine.features().lazy => {
-                        window_range(*w, first).map(|win| (win, rest))
+                        window_range(*w, first, env).map(|win| (win, rest))
                     }
                     _ => None,
                 };
@@ -301,7 +304,8 @@ impl<'e> Evaluator<'e> {
             | Expr::Delete(..)
             | Expr::Replace { .. }
             | Expr::Rename { .. }
-            | Expr::Transform { .. } => self.eval_cold(expr, env),
+            | Expr::Transform { .. }
+            | Expr::Slot(_) => self.eval_cold(expr, env),
         }
     }
 
@@ -339,15 +343,17 @@ impl<'e> Evaluator<'e> {
     }
 
     /// The arms of [`Evaluator::eval`] that rows, pages and profiles
-    /// do not evaluate: ranges, unary and node/set operators,
-    /// quantifiers, `typeswitch`, the computed constructors,
-    /// instance/treat/cast/castable and the update expressions. Kept
+    /// do not evaluate, or evaluate a few times per text: ranges, unary
+    /// and node/set operators, quantifiers, `typeswitch`, the computed
+    /// constructors, instance/treat/cast/castable, the update
+    /// expressions and a query body's literal slots. Kept
     /// out of line so that `eval`'s own stack frame, which every
     /// expression node pays once per level of nesting and recursion,
     /// holds only what the hot arms need.
     #[inline(never)]
     fn eval_cold(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
         match expr {
+            Expr::Slot(s) => Ok(Sequence::one(Item::Atomic(env.literal(s).clone()))),
             Expr::Range(lo, hi) => {
                 let lo = self.eval_opt_integer(lo, env)?;
                 let hi = self.eval_opt_integer(hi, env)?;
@@ -954,8 +960,8 @@ impl<'e> Evaluator<'e> {
             }
         }
         let (counted, bound, count_on_left) = match (counted_arg(l), counted_arg(r)) {
-            (Some(x), _) => (x, numeric_literal(r)?, true),
-            (_, Some(x)) => (x, numeric_literal(l)?, false),
+            (Some(x), _) => (x, numeric_literal(r, env)?, true),
+            (_, Some(x)) => (x, numeric_literal(l, env)?, false),
             _ => return None,
         };
         let b = to_f64(&bound).ok()?;
@@ -1546,13 +1552,20 @@ enum CountCmp {
     Value(ValueComp),
 }
 
-fn numeric_literal(e: &Expr) -> Option<AtomicValue> {
-    if let Expr::Literal(a) = e {
-        if a.type_of().is_numeric() {
-            return Some(a.clone());
-        }
+/// The value of `e` when it is a numeric literal: a slot's is the
+/// running text's.
+fn numeric_literal(e: &Expr, env: &Env) -> Option<AtomicValue> {
+    let a = literal(e, env)?;
+    a.type_of().is_numeric().then(|| a.clone())
+}
+
+/// The value of `e` when it is a literal.
+fn literal<'a>(e: &'a Expr, env: &'a Env) -> Option<&'a AtomicValue> {
+    match e {
+        Expr::Literal(a) => Some(a),
+        Expr::Slot(s) => Some(env.literal(s)),
+        _ => None,
     }
-    None
 }
 
 fn value_comp_holds(op: ValueComp, o: Ordering) -> bool {
@@ -1579,18 +1592,17 @@ fn general_comp_holds(op: GeneralComp, o: Ordering) -> bool {
 
 /// The 0-based window a positional first predicate of shape `w`
 /// selects, read from its numeric literal.
-fn window_range(w: Window, pred: &Expr) -> Option<Range<usize>> {
+fn window_range(w: Window, pred: &Expr, env: &Env) -> Option<Range<usize>> {
     let at = match w {
         Window::At(at) | Window::Below(at) | Window::UpTo(at) => at,
     };
-    let literal = match (at, pred) {
+    let literal_at = match (at, pred) {
         (LiteralAt::Whole, e) => e,
         (LiteralAt::Left, Expr::General(_, l, _) | Expr::Value(_, l, _)) => &**l,
         (LiteralAt::Right, Expr::General(_, _, r) | Expr::Value(_, _, r)) => &**r,
         _ => return None,
     };
-    let Expr::Literal(a) = literal else { return None };
-    let k = to_f64(a).ok()?;
+    let k = to_f64(literal(literal_at, env)?).ok()?;
     Some(match w {
         // `[k]`: only an integral position matches; any other numeric
         // selects nothing from any sequence.

@@ -327,6 +327,9 @@ impl Cursor {
     /// Otherwise one tuple or item is stepped over.
     fn pass(&mut self, ev: &Evaluator<'_>, env: &mut Env, n: usize) -> XdmResult<usize> {
         let element = matches!(*self.ret, Expr::DirectElement(_) | Expr::ComputedElement(..));
+        if element && !self.done && self.pending.is_none() {
+            self.expand_last(ev, env)?;
+        }
         let k = match self.stages.last() {
             Some(Stage::For(op)) if element && !self.done && self.pending.is_none() => {
                 op.passable().min(n)
@@ -351,6 +354,24 @@ impl Cursor {
             op.advance(k);
         }
         Ok(k)
+    }
+
+    /// Open the last operator's next expansion when it is a `for` that
+    /// has none, binding no tuple, so that [`Cursor::pass`] passes over
+    /// its first candidate in place too.
+    fn expand_last(&mut self, ev: &Evaluator<'_>, env: &mut Env) -> XdmResult<()> {
+        let Cursor { clauses, outer, stages, .. } = self;
+        let Some((Stage::For(op), input)) = stages.split_last_mut() else { return Ok(()) };
+        if op.expansion.is_some() || matches!(op.source, Source::Unfold(_)) {
+            return Ok(());
+        }
+        let opened = scoped(env, outer, |env| {
+            let mut cx = Cx { ev, env, clauses, lazy: true };
+            op.expansion = op.open(input, &mut cx)?;
+            Ok(())
+        });
+        self.done = opened.is_err();
+        opened
     }
 }
 
@@ -787,7 +808,7 @@ fn detect_join(
 
 /// A detected pushdown opportunity.
 struct Pushdown {
-    cap: SourceCapability,
+    cap: Rc<SourceCapability>,
     col: String,
     class: ColClass,
     /// The key's side of the `where` clause.
@@ -1070,7 +1091,7 @@ fn calls_only_builtins(e: &Expr) -> bool {
 /// every return is one of those cannot; anything else might.
 fn may_yield(e: &Expr, names: &[QName]) -> bool {
     match e {
-        Expr::Literal(_) => false,
+        Expr::Literal(_) | Expr::Slot(_) => false,
         Expr::DirectElement(d) => names.contains(&d.name),
         Expr::Flwor { ret, .. } => may_yield(ret, names),
         Expr::If(_, then, els) => may_yield(then, names) || may_yield(els, names),
@@ -1161,16 +1182,20 @@ fn join_index(
 ) -> XdmResult<Rc<JoinCacheEntry>> {
     let engine = cx.ev.engine;
     let opt = engine.opt_counters();
-    // The key is the source expression's address. The entry holds the
-    // clause list that expression lives in, so no other program's AST
-    // can take the address while the entry is cached.
-    let cache_key = (source as *const Expr as usize, steps_fingerprint(key_steps));
+    // The key is the source expression's address, the key steps and
+    // the values of the literal slots the source reads, which differ
+    // between two texts of one shape. The entry holds the clause list
+    // that expression lives in, so no other program's AST can take the
+    // address while the entry is cached.
+    let cache_key = (source as *const Expr as usize, fingerprint(key_steps, source, cx.env));
     if let Some(hit) = cx.env.join_cache.get(&cache_key).cloned() {
-        if hit.stamp.is_current(cx.env) {
-            OptCounters::bump(&opt.join_hits);
-            return Ok(hit);
+        if reads_literals(source, cx.env, &hit.literals) {
+            if hit.stamp.is_current(cx.env) {
+                OptCounters::bump(&opt.join_hits);
+                return Ok(hit);
+            }
+            OptCounters::bump(&opt.join_invalidations);
         }
-        OptCounters::bump(&opt.join_invalidations);
         cx.env.join_cache.remove(&cache_key);
     }
     OptCounters::bump(&opt.join_misses);
@@ -1198,7 +1223,10 @@ fn join_index(
         None => CacheStamp::Epoch(cx.env.write_epoch),
     };
     let idx = index_rows(cx, &seq, key_steps)?;
-    let entry = Rc::new(JoinCacheEntry { seq, idx, stamp, clauses: cx.clauses.clone() });
+    let mut literals = Vec::new();
+    for_each_slot(source, &mut |s| literals.push(cx.env.literal(s).clone()));
+    let clauses = cx.clauses.clone();
+    let entry = Rc::new(JoinCacheEntry { seq, idx, stamp, clauses, literals });
     cx.env.join_cache.insert(cache_key, entry.clone());
     Ok(entry)
 }
@@ -1227,14 +1255,41 @@ fn index_rows(
     Ok(Some(idx))
 }
 
-fn steps_fingerprint(steps: &[Step]) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
+/// The hash of a join's key steps (predicate-free, so an axis and a
+/// test each) and of the values of the literal slots its source reads.
+fn fingerprint(steps: &[Step], source: &Expr, env: &Env) -> u64 {
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    use xdm::atomic::AtomicValue;
     let mut h = DefaultHasher::new();
     for s in steps {
-        format!("{:?}|{:?}", s.axis, s.test).hash(&mut h);
+        (s.axis, &s.test).hash(&mut h);
     }
+    // A slot holds a string, integer, decimal or double.
+    for_each_slot(source, &mut |s| match env.literal(s) {
+        AtomicValue::String(v) => v.hash(&mut h),
+        AtomicValue::Integer(i) => i.hash(&mut h),
+        AtomicValue::Double(d) => d.to_bits().hash(&mut h),
+        other => other.string_value().hash(&mut h),
+    });
     h.finish()
+}
+
+/// Does `source` read the literal values `values`, in order?
+fn reads_literals(source: &Expr, env: &Env, values: &[xdm::atomic::AtomicValue]) -> bool {
+    let (mut n, mut same) = (0, true);
+    for_each_slot(source, &mut |s| {
+        same = same && values.get(n) == Some(env.literal(s));
+        n += 1;
+    });
+    same && n == values.len()
+}
+
+/// Visit the literal slots `e` reads, in source order.
+fn for_each_slot<'a>(e: &'a Expr, f: &mut impl FnMut(&'a LiteralSlot)) {
+    match e {
+        Expr::Slot(s) => f(s),
+        _ => e.for_each_child(&mut |c| for_each_slot(c, f)),
+    }
 }
 
 /// Does the expression reference any variable at all?

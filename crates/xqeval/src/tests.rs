@@ -1030,15 +1030,17 @@ fn plan_cache_disabled_with_batch_kill_switch() {
 fn plan_cache_capacity_is_bounded() {
     let engine = Engine::new();
     engine.set_plan_cache_capacity(2);
+    // Four shapes: texts that differ only in their literals would share
+    // one plan.
+    let src = |i: usize| format!("let $v{i} := {i} return $v{i} + {i}");
     for i in 0..4 {
-        let src = format!("{i} + {i}");
-        engine.eval_query(&src).unwrap();
+        engine.eval_query(&src(i)).unwrap();
     }
     // Re-running the oldest source misses (it was evicted)…
-    engine.eval_query("0 + 0").unwrap();
+    engine.eval_query(&src(0)).unwrap();
     assert_eq!(engine.opt_stats().plan_misses, 5);
     // …while the newest still hits.
-    engine.eval_query("3 + 3").unwrap();
+    engine.eval_query(&src(3)).unwrap();
     assert_eq!(engine.opt_stats().plan_hits, 1);
 }
 
@@ -1102,6 +1104,33 @@ fn prepared_plans_match_parse_per_call() {
     }
     let s = cached.opt_stats();
     assert_eq!((s.plan_misses, s.plan_hits), (rows.len() as u64, rows.len() as u64));
+}
+
+#[test]
+fn initializer_trace_lines_reach_every_execution() {
+    // An initializer runs once, when its plan is prepared; the lines it
+    // traced are emitted again by every execution, before the body's,
+    // so a miss, a hit, another text of the shape and `-batch` print
+    // the same lines.
+    let src = |n: i64| {
+        format!("declare variable $g := fn:trace(1, 'init'); fn:trace($g + {n}, 'body')")
+    };
+    let lines = |engine: &Engine, n: i64| {
+        let mut env = Env::new();
+        let out = engine.execute_prepared_in(&engine.prepare(&src(n)).unwrap(), &mut env);
+        assert_eq!(as_string(&out.unwrap()), (n + 1).to_string());
+        env.trace_messages()
+    };
+    let want = |n: i64| vec!["init: 1".to_string(), format!("body: {}", n + 1)];
+    let cached = Engine::new();
+    cached.set_features(Features::ALL);
+    let per_call = Engine::new();
+    per_call.set_features(Features { batch: false, ..Features::ALL });
+    for (n, engine) in [(0, &cached), (0, &cached), (5, &cached), (0, &per_call), (5, &per_call)] {
+        assert_eq!(lines(engine, n), want(n), "{}", engine.features());
+    }
+    let s = cached.opt_stats();
+    assert_eq!((s.plan_misses, s.plan_hits), (1, 2));
 }
 
 #[test]

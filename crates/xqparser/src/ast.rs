@@ -258,9 +258,10 @@ impl Window {
     }
 }
 
-/// Is `e` a numeric literal?
+/// Is `e` a numeric literal? A slot's type is the same in every text of
+/// its shape.
 fn numeric_literal(e: &Expr) -> bool {
-    matches!(e, Expr::Literal(a) if a.type_of().is_numeric())
+    matches!(e, Expr::Literal(a) | Expr::Slot(LiteralSlot { value: a, .. }) if a.type_of().is_numeric())
 }
 
 // ---------------------------------------------------------------------
@@ -346,7 +347,7 @@ pub enum SetOp {
 pub use xdm::node::Axis;
 
 /// A node test within a path step or a catch clause.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum NodeTest {
     /// A (resolved) QName test.
     Name(QName),
@@ -377,7 +378,7 @@ impl NodeTest {
 }
 
 /// Node kind tests.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum KindTest {
     /// `node()`
     AnyKind,
@@ -533,6 +534,18 @@ pub struct TypeswitchCase {
     pub body: Expr,
 }
 
+/// A literal of a main module's query body, whose value each execution
+/// reads from the text it runs: texts that differ only in such literals
+/// share one prepared plan ([`crate::parser::parse_query`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LiteralSlot {
+    /// Its index among the body's literals, in source order.
+    pub index: u32,
+    /// The value the parsed text holds, which an evaluation reads when
+    /// it is given no values of its own.
+    pub value: AtomicValue,
+}
+
 /// The expression grammar.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -676,6 +689,8 @@ pub enum Expr {
         /// The result expression.
         ret: Box<Expr>,
     },
+    /// A literal of the query body, as a slot.
+    Slot(LiteralSlot),
 }
 
 /// Where a path expression starts.
@@ -733,7 +748,7 @@ impl Expr {
     /// walks are short recursions over this.
     pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         match self {
-            Expr::Literal(_) | Expr::VarRef(_) | Expr::ContextItem => {}
+            Expr::Literal(_) | Expr::Slot(_) | Expr::VarRef(_) | Expr::ContextItem => {}
             Expr::Comma(v) => v.iter().for_each(f),
             Expr::Range(a, b)
             | Expr::Binary(_, a, b)

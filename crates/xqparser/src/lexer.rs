@@ -8,28 +8,34 @@
 //!
 //! Comments `(: … :)` nest and are skipped as whitespace.
 
+use std::borrow::Cow;
+use std::fmt;
+
+use xdm::atomic::AtomicValue;
+use xdm::decimal::Decimal;
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 
-/// A token kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+/// A token kind. Names, decimals and strings borrow the source, so
+/// lexing a text allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'a> {
     /// A name, possibly prefixed: (`prefix?`, `local`). Keywords
     /// arrive as unprefixed names.
-    Name(Option<String>, String),
+    Name(Option<&'a str>, &'a str),
     /// `$name` — (`prefix?`, `local`).
-    Var(Option<String>, String),
+    Var(Option<&'a str>, &'a str),
     /// `prefix:*`
-    PrefixWildcard(String),
+    PrefixWildcard(&'a str),
     /// `*:local`
-    LocalWildcard(String),
+    LocalWildcard(&'a str),
     /// `*:*`
     FullWildcard,
-    /// A string literal (escapes already decoded).
-    Str(String),
+    /// A string literal, its escapes checked.
+    Str(StrLit<'a>),
     /// An integer literal.
     Int(i64),
     /// A decimal literal (raw text; exactness preserved).
-    Dec(String),
+    Dec(&'a str),
     /// A double literal.
     Dbl(f64),
     /// `(`
@@ -92,18 +98,96 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// Is this token the given unprefixed keyword/name?
     pub fn is_name(&self, kw: &str) -> bool {
-        matches!(self, Tok::Name(None, n) if n == kw)
+        matches!(self, Tok::Name(None, n) if *n == kw)
+    }
+
+    /// The value of a literal token, `None` for any other token. A
+    /// decimal beyond `xs:decimal`'s range is an error.
+    pub fn literal_value(&self) -> Option<XdmResult<AtomicValue>> {
+        Some(Ok(match *self {
+            Tok::Int(i) => AtomicValue::Integer(i),
+            Tok::Dec(s) => match Decimal::parse(s) {
+                Ok(d) => AtomicValue::Decimal(d),
+                Err(e) => return Some(Err(e)),
+            },
+            Tok::Dbl(d) => AtomicValue::Double(d),
+            Tok::Str(s) => AtomicValue::String(s.value().into()),
+            _ => return None,
+        }))
     }
 }
 
+/// A string literal as written: the text between its quotes, whose
+/// escapes the lexer has checked. [`StrLit::value`] decodes it.
+#[derive(Clone, Copy, PartialEq)]
+pub struct StrLit<'a> {
+    raw: &'a str,
+    quote: u8,
+    /// The literal holds a doubled quote or a reference.
+    escaped: bool,
+}
+
+impl<'a> StrLit<'a> {
+    /// The literal's value: its text with each doubled quote and each
+    /// entity or character reference decoded. Borrowed when it has
+    /// none.
+    pub fn value(&self) -> Cow<'a, str> {
+        if !self.escaped {
+            return Cow::Borrowed(self.raw);
+        }
+        let mut out = String::with_capacity(self.raw.len());
+        let mut rest = self.raw;
+        while let Some(c) = rest.chars().next() {
+            if c as u32 == u32::from(self.quote) {
+                // A doubled quote: the lexer let no single one through.
+                out.push(c);
+                rest = &rest[2..];
+            } else if let (true, Some(semi)) = (c == '&', rest.find(';')) {
+                out.push(entity(&rest[1..semi]).unwrap_or(char::REPLACEMENT_CHARACTER));
+                rest = &rest[semi + 1..];
+            } else {
+                out.push(c);
+                rest = &rest[c.len_utf8()..];
+            }
+        }
+        Cow::Owned(out)
+    }
+}
+
+impl fmt::Debug for StrLit<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.value(), f)
+    }
+}
+
+/// The character the reference `&body;` stands for, or the lexer's
+/// complaint about it.
+fn entity(body: &str) -> Result<char, String> {
+    let bad = || "bad character reference".to_string();
+    Ok(match body {
+        "lt" => '<',
+        "gt" => '>',
+        "amp" => '&',
+        "quot" => '"',
+        "apos" => '\'',
+        _ if body.starts_with("#x") || body.starts_with("#X") => {
+            u32::from_str_radix(&body[2..], 16).ok().and_then(char::from_u32).ok_or_else(bad)?
+        }
+        _ if body.starts_with('#') => {
+            body[1..].parse::<u32>().ok().and_then(char::from_u32).ok_or_else(bad)?
+        }
+        _ => return Err(format!("unknown entity &{body};")),
+    })
+}
+
 /// A token with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// The kind.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Start byte offset.
     pub start: usize,
     /// End byte offset (exclusive).
@@ -229,60 +313,41 @@ impl<'a> Lexer<'a> {
         &self.src[start..self.pos]
     }
 
-    fn read_string(&mut self, quote: u8) -> XdmResult<String> {
+    fn read_string(&mut self, quote: u8) -> XdmResult<StrLit<'a>> {
         debug_assert_eq!(self.peek_byte(), Some(quote));
         self.pos += 1;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut escaped = false;
         loop {
             match self.peek_byte() {
                 None => return Err(self.err("unterminated string literal")),
                 Some(b) if b == quote => {
                     // Doubled quote is an escape.
                     if self.bytes.get(self.pos + 1) == Some(&quote) {
-                        out.push(quote as char);
+                        escaped = true;
                         self.pos += 2;
                     } else {
+                        let raw = &self.src[start..self.pos];
                         self.pos += 1;
-                        return Ok(out);
+                        return Ok(StrLit { raw, quote, escaped });
                     }
                 }
                 Some(b'&') => {
                     let semi = self.src[self.pos..]
                         .find(';')
                         .ok_or_else(|| self.err("unterminated entity reference"))?;
-                    let body = &self.src[self.pos + 1..self.pos + semi];
-                    let c = match body {
-                        "lt" => '<',
-                        "gt" => '>',
-                        "amp" => '&',
-                        "quot" => '"',
-                        "apos" => '\'',
-                        _ if body.starts_with("#x") || body.starts_with("#X") => {
-                            u32::from_str_radix(&body[2..], 16)
-                                .ok()
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| self.err("bad character reference"))?
-                        }
-                        _ if body.starts_with('#') => body[1..]
-                            .parse::<u32>()
-                            .ok()
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| self.err("bad character reference"))?,
-                        _ => return Err(self.err(format!("unknown entity &{body};"))),
-                    };
-                    out.push(c);
+                    entity(&self.src[self.pos + 1..self.pos + semi]).map_err(|m| self.err(m))?;
+                    escaped = true;
                     self.pos += semi + 1;
                 }
-                Some(_) => {
-                    let c = self.src[self.pos..].chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                // Quotes and `&` are ASCII, so stepping over a
+                // multibyte character byte by byte meets neither.
+                Some(_) => self.pos += 1,
             }
         }
     }
 
-    fn read_number(&mut self) -> XdmResult<Tok> {
+    fn read_number(&mut self) -> XdmResult<Tok<'a>> {
         let start = self.pos;
         while matches!(self.peek_byte(), Some(b) if b.is_ascii_digit()) {
             self.pos += 1;
@@ -320,7 +385,7 @@ impl<'a> Lexer<'a> {
                 .map(Tok::Dbl)
                 .map_err(|_| self.err(format!("bad double literal {text}")))
         } else if is_decimal {
-            Ok(Tok::Dec(text.to_string()))
+            Ok(Tok::Dec(text))
         } else {
             text.parse::<i64>()
                 .map(Tok::Int)
@@ -329,7 +394,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Produce the next token.
-    pub fn next_token(&mut self) -> XdmResult<Token> {
+    pub fn next_token(&mut self) -> XdmResult<Token<'a>> {
         self.skip_trivia()?;
         let start = self.pos;
         let Some(b) = self.peek_byte() else {
@@ -354,12 +419,12 @@ impl<'a> Lexer<'a> {
                 if !matches!(self.peek_byte(), Some(c) if is_name_start(c)) {
                     return Err(self.err("expected variable name after '$'"));
                 }
-                let first = self.read_ncname().to_string();
+                let first = self.read_ncname();
                 if self.peek_byte() == Some(b':')
                     && matches!(self.bytes.get(self.pos + 1), Some(&c) if is_name_start(c))
                 {
                     self.pos += 1;
-                    let local = self.read_ncname().to_string();
+                    let local = self.read_ncname();
                     Tok::Var(Some(first), local)
                 } else {
                     Tok::Var(None, first)
@@ -487,8 +552,7 @@ impl<'a> Lexer<'a> {
                         }
                         Some(&c) if is_name_start(c) => {
                             self.pos += 2;
-                            let local = self.read_ncname().to_string();
-                            Tok::LocalWildcard(local)
+                            Tok::LocalWildcard(self.read_ncname())
                         }
                         _ => {
                             self.pos += 1;
@@ -501,12 +565,12 @@ impl<'a> Lexer<'a> {
                 }
             }
             c if is_name_start(c) => {
-                let first = self.read_ncname().to_string();
+                let first = self.read_ncname();
                 if self.peek_byte() == Some(b':') {
                     match self.bytes.get(self.pos + 1) {
                         Some(&c2) if is_name_start(c2) => {
                             self.pos += 1;
-                            let local = self.read_ncname().to_string();
+                            let local = self.read_ncname();
                             Tok::Name(Some(first), local)
                         }
                         Some(&b'*') => {
@@ -531,7 +595,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         let mut lx = Lexer::new(src);
         let mut out = Vec::new();
         loop {
@@ -548,10 +612,10 @@ mod tests {
         assert_eq!(
             toks("for $x in cus:CUSTOMER"),
             vec![
-                Tok::Name(None, "for".into()),
-                Tok::Var(None, "x".into()),
-                Tok::Name(None, "in".into()),
-                Tok::Name(Some("cus".into()), "CUSTOMER".into()),
+                Tok::Name(None, "for"),
+                Tok::Var(None, "x"),
+                Tok::Name(None, "in"),
+                Tok::Name(Some("cus"), "CUSTOMER"),
             ]
         );
     }
@@ -561,9 +625,9 @@ mod tests {
         assert_eq!(
             toks("child::a"),
             vec![
-                Tok::Name(None, "child".into()),
+                Tok::Name(None, "child"),
                 Tok::ColonColon,
-                Tok::Name(None, "a".into()),
+                Tok::Name(None, "a"),
             ]
         );
     }
@@ -571,8 +635,8 @@ mod tests {
     #[test]
     fn wildcards() {
         assert_eq!(toks("*"), vec![Tok::Star]);
-        assert_eq!(toks("p:*"), vec![Tok::PrefixWildcard("p".into())]);
-        assert_eq!(toks("*:x"), vec![Tok::LocalWildcard("x".into())]);
+        assert_eq!(toks("p:*"), vec![Tok::PrefixWildcard("p")]);
+        assert_eq!(toks("*:x"), vec![Tok::LocalWildcard("x")]);
         assert_eq!(toks("*:*"), vec![Tok::FullWildcard]);
         assert_eq!(toks("2 * 3"), vec![Tok::Int(2), Tok::Star, Tok::Int(3)]);
     }
@@ -580,20 +644,30 @@ mod tests {
     #[test]
     fn numbers() {
         assert_eq!(toks("42"), vec![Tok::Int(42)]);
-        assert_eq!(toks("3.14"), vec![Tok::Dec("3.14".into())]);
-        assert_eq!(toks(".5"), vec![Tok::Dec(".5".into())]);
+        assert_eq!(toks("3.14"), vec![Tok::Dec("3.14")]);
+        assert_eq!(toks(".5"), vec![Tok::Dec(".5")]);
         assert_eq!(toks("1e3"), vec![Tok::Dbl(1000.0)]);
         assert_eq!(toks("1.5E-1"), vec![Tok::Dbl(0.15)]);
         // `1 to 2` range over ints and the `..` trap.
         assert_eq!(toks("1..2"), vec![Tok::Int(1), Tok::DotDot, Tok::Int(2)]);
     }
 
+    fn string_value(src: &str) -> String {
+        match toks(src)[..] {
+            [Tok::Str(s)] => s.value().into_owned(),
+            ref other => panic!("not one string literal: {other:?}"),
+        }
+    }
+
     #[test]
     fn strings_with_escapes() {
-        assert_eq!(toks("\"a\"\"b\""), vec![Tok::Str("a\"b".into())]);
-        assert_eq!(toks("'it''s'"), vec![Tok::Str("it's".into())]);
-        assert_eq!(toks("\"x&amp;y\""), vec![Tok::Str("x&y".into())]);
-        assert_eq!(toks("\"&#65;\""), vec![Tok::Str("A".into())]);
+        assert_eq!(string_value("\"a\"\"b\""), "a\"b");
+        assert_eq!(string_value("'it''s'"), "it's");
+        assert_eq!(string_value("\"x&amp;y\""), "x&y");
+        assert_eq!(string_value("\"&#65;\""), "A");
+        assert_eq!(string_value("'h\u{e9}&#x41;&lt;'"), "h\u{e9}A<");
+        // A literal without escapes borrows the source.
+        assert!(matches!(toks("'plain'")[..], [Tok::Str(s)] if matches!(s.value(), Cow::Borrowed("plain"))));
     }
 
     #[test]
@@ -601,19 +675,19 @@ mod tests {
         assert_eq!(
             toks("a := b << c >> d <= e >= f != g"),
             vec![
-                Tok::Name(None, "a".into()),
+                Tok::Name(None, "a"),
                 Tok::ColonEq,
-                Tok::Name(None, "b".into()),
+                Tok::Name(None, "b"),
                 Tok::LtLt,
-                Tok::Name(None, "c".into()),
+                Tok::Name(None, "c"),
                 Tok::GtGt,
-                Tok::Name(None, "d".into()),
+                Tok::Name(None, "d"),
                 Tok::Le,
-                Tok::Name(None, "e".into()),
+                Tok::Name(None, "e"),
                 Tok::Ge,
-                Tok::Name(None, "f".into()),
+                Tok::Name(None, "f"),
                 Tok::Ne,
-                Tok::Name(None, "g".into()),
+                Tok::Name(None, "g"),
             ]
         );
     }
@@ -637,7 +711,7 @@ mod tests {
     fn prefixed_variables() {
         assert_eq!(
             toks("$ns1:profile"),
-            vec![Tok::Var(Some("ns1".into()), "profile".into())]
+            vec![Tok::Var(Some("ns1"), "profile")]
         );
     }
 

@@ -39,10 +39,11 @@ pub mod ast;
 pub mod builtin;
 pub mod lexer;
 pub mod parser;
+pub mod shape;
 pub mod unparse;
 
 #[cfg(test)]
 mod tests;
 
 pub use ast::*;
-pub use parser::{parse_expr, parse_module};
+pub use parser::{parse_expr, parse_module, parse_query};

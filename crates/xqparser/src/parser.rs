@@ -10,10 +10,10 @@
 mod statements;
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 
 use xdm::atomic::{AtomicType, AtomicValue};
-use xdm::decimal::Decimal;
 use xdm::error::{ErrorCode, XdmError, XdmResult};
 use xdm::intern::Symbol;
 use xdm::qname::{QName, FN_NS, XML_NS, XS_NS};
@@ -39,6 +39,21 @@ pub fn parse_module(src: &str) -> XdmResult<Module> {
     Parser::new(src, &[]).parse_module()
 }
 
+/// The span and value of each literal slot of a query body, by index.
+pub type Slots = Vec<(Range<usize>, AtomicValue)>;
+
+/// Parse a main module whose query body's literals are slots
+/// ([`LiteralSlot`]): each literal token the body reads, numbered in
+/// source order, whose value an execution may take from another text of
+/// the same shape ([`crate::shape`]). Literals of the prolog and the
+/// text of direct constructors stay plain. Also returns each slot's
+/// span and value, by index.
+pub fn parse_query(src: &str) -> XdmResult<(Module, Slots)> {
+    let mut p = Parser::new(src, &[]);
+    let module = p.parse_module_with_slots()?;
+    Ok((module, p.slots.unwrap_or_default()))
+}
+
 /// Parse a standalone expression with optional extra namespace
 /// bindings (prefix → URI).
 pub fn parse_expr(src: &str, extra_ns: &[(&str, &str)]) -> XdmResult<Expr> {
@@ -50,13 +65,17 @@ pub fn parse_expr(src: &str, extra_ns: &[(&str, &str)]) -> XdmResult<Expr> {
 
 pub(crate) struct Parser<'a> {
     lx: Lexer<'a>,
-    buf: VecDeque<Token>,
+    buf: VecDeque<Token<'a>>,
     ns: Vec<HashMap<String, String>>,
     pub(crate) default_element_ns: Option<String>,
     pub(crate) default_function_ns: String,
     pub(crate) boundary_space_preserve: bool,
     /// Nesting levels entered so far ([`MAX_NESTING`]).
     depth: usize,
+    /// The span and value of each query body literal read so far, when
+    /// they are to be slots ([`parse_query`]); `None` outside a body,
+    /// and for a module parsed by [`parse_module`].
+    slots: Option<Slots>,
 }
 
 impl<'a> Parser<'a> {
@@ -78,6 +97,7 @@ impl<'a> Parser<'a> {
             default_function_ns: FN_NS.to_string(),
             boundary_space_preserve: false,
             depth: 0,
+            slots: None,
         }
     }
 
@@ -91,22 +111,22 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    pub(crate) fn peek(&mut self) -> XdmResult<&Token> {
+    pub(crate) fn peek(&mut self) -> XdmResult<&Token<'a>> {
         self.fill(1)?;
         Ok(&self.buf[0])
     }
 
-    pub(crate) fn peek2(&mut self) -> XdmResult<&Token> {
+    pub(crate) fn peek2(&mut self) -> XdmResult<&Token<'a>> {
         self.fill(2)?;
         Ok(&self.buf[1])
     }
 
-    pub(crate) fn peek3(&mut self) -> XdmResult<&Token> {
+    pub(crate) fn peek3(&mut self) -> XdmResult<&Token<'a>> {
         self.fill(3)?;
         Ok(&self.buf[2])
     }
 
-    pub(crate) fn next(&mut self) -> XdmResult<Token> {
+    pub(crate) fn next(&mut self) -> XdmResult<Token<'a>> {
         self.fill(1)?;
         Ok(self.buf.pop_front().expect("filled"))
     }
@@ -147,7 +167,7 @@ impl<'a> Parser<'a> {
         self.err_at(pos, msg)
     }
 
-    pub(crate) fn expect_tok(&mut self, tok: Tok) -> XdmResult<Token> {
+    pub(crate) fn expect_tok(&mut self, tok: Tok<'a>) -> XdmResult<Token<'a>> {
         let t = self.next()?;
         if t.tok == tok {
             Ok(t)
@@ -192,7 +212,7 @@ impl<'a> Parser<'a> {
         if t.tok == Tok::Eof {
             Ok(())
         } else {
-            let (start, tok) = (t.start, t.tok.clone());
+            let (start, tok) = (t.start, t.tok);
             Err(self.err_at(start, format!("unexpected trailing {tok:?}")))
         }
     }
@@ -259,7 +279,7 @@ impl<'a> Parser<'a> {
     pub(crate) fn parse_qname(&mut self, ctx: NameCtx) -> XdmResult<QName> {
         let t = self.next()?;
         match t.tok {
-            Tok::Name(p, l) => self.resolve_name(p.as_deref(), &l, ctx, t.start),
+            Tok::Name(p, l) => self.resolve_name(p, l, ctx, t.start),
             other => Err(self.err_at(t.start, format!("expected name, found {other:?}"))),
         }
     }
@@ -268,7 +288,7 @@ impl<'a> Parser<'a> {
     pub(crate) fn parse_var_name(&mut self) -> XdmResult<QName> {
         let t = self.next()?;
         match t.tok {
-            Tok::Var(p, l) => self.resolve_name(p.as_deref(), &l, NameCtx::Plain, t.start),
+            Tok::Var(p, l) => self.resolve_name(p, l, NameCtx::Plain, t.start),
             other => {
                 Err(self.err_at(t.start, format!("expected $variable, found {other:?}")))
             }
@@ -309,13 +329,13 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_item_type(&mut self) -> XdmResult<ItemType> {
-        let t = self.peek()?.clone();
+        let t = *self.peek()?;
         let Tok::Name(prefix, local) = &t.tok else {
             return Err(self.err_at(t.start, "expected item type"));
         };
         let is_paren = self.peek2()?.tok == Tok::LParen;
         if prefix.is_none() && is_paren {
-            match local.as_str() {
+            match *local {
                 "item" => {
                     self.next()?;
                     self.expect_tok(Tok::LParen)?;
@@ -426,9 +446,9 @@ impl<'a> Parser<'a> {
 
     fn parse_expr_single_here(&mut self) -> XdmResult<Expr> {
         // Keyword-led expression forms (keywords are contextual).
-        let t = self.peek()?.clone();
+        let t = *self.peek()?;
         if let Tok::Name(None, kw) = &t.tok {
-            match kw.as_str() {
+            match *kw {
                 "for" | "let" if matches!(self.peek2()?.tok, Tok::Var(_, _)) => {
                     return self.parse_flwor()
                 }
@@ -486,7 +506,7 @@ impl<'a> Parser<'a> {
 
     fn parse_comparison(&mut self) -> XdmResult<Expr> {
         let left = self.parse_range()?;
-        let t = self.peek()?.clone();
+        let t = *self.peek()?;
         let make = |c: fn(Box<Expr>, Box<Expr>) -> Expr,
                     s: &mut Self,
                     left: Expr|
@@ -505,7 +525,7 @@ impl<'a> Parser<'a> {
             Tok::LtLt => make(|a, b| Expr::Node(NodeComp::Precedes, a, b), self, left),
             Tok::GtGt => make(|a, b| Expr::Node(NodeComp::Follows, a, b), self, left),
             Tok::Name(None, kw) => {
-                let vc = match kw.as_str() {
+                let vc = match *kw {
                     "eq" => Some(ValueComp::Eq),
                     "ne" => Some(ValueComp::Ne),
                     "lt" => Some(ValueComp::Lt),
@@ -518,7 +538,7 @@ impl<'a> Parser<'a> {
                     self.next()?;
                     let right = self.parse_range()?;
                     Ok(Expr::Value(vc, Box::new(left), Box::new(right)))
-                } else if kw == "is" {
+                } else if *kw == "is" {
                     self.next()?;
                     let right = self.parse_range()?;
                     Ok(Expr::Node(NodeComp::Is, Box::new(left), Box::new(right)))
@@ -565,7 +585,7 @@ impl<'a> Parser<'a> {
         loop {
             let op = match &self.peek()?.tok {
                 Tok::Star => Some(BinaryOp::Mul),
-                Tok::Name(None, k) => match k.as_str() {
+                Tok::Name(None, k) => match *k {
                     "div" => Some(BinaryOp::Div),
                     "idiv" => Some(BinaryOp::IDiv),
                     "mod" => Some(BinaryOp::Mod),
@@ -778,7 +798,7 @@ impl<'a> Parser<'a> {
     /// A step expression in first position: an axis step or a filter
     /// (primary + predicates).
     fn parse_step_expr(&mut self) -> XdmResult<Expr> {
-        let t = self.peek()?.clone();
+        let t = *self.peek()?;
         let is_axis_step = match &t.tok {
             Tok::At | Tok::DotDot => true,
             Tok::Star
@@ -786,10 +806,10 @@ impl<'a> Parser<'a> {
             | Tok::LocalWildcard(_)
             | Tok::FullWildcard => true,
             Tok::Name(None, n) => {
-                let n2 = self.peek2()?.tok.clone();
+                let n2 = self.peek2()?.tok;
                 // Computed constructors: `element N {`, `element {`,
                 // `text {`, etc. are primaries, not name-test steps.
-                let is_computed_ctor = match n.as_str() {
+                let is_computed_ctor = match *n {
                     "element" | "attribute" | "processing-instruction" => {
                         n2 == Tok::LBrace
                             || (matches!(n2, Tok::Name(_, _))
@@ -805,7 +825,7 @@ impl<'a> Parser<'a> {
                 } else if n2 == Tok::LParen {
                     // Kind tests are steps; anything else is a call.
                     matches!(
-                        n.as_str(),
+                        *n,
                         "node"
                             | "text"
                             | "comment"
@@ -845,7 +865,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_axis_step(&mut self) -> XdmResult<Step> {
-        let t = self.peek()?.clone();
+        let t = *self.peek()?;
         let (axis, explicit) = match &t.tok {
             Tok::At => {
                 self.next()?;
@@ -866,7 +886,7 @@ impl<'a> Parser<'a> {
                 return Ok(step);
             }
             Tok::Name(None, n) if self.peek2()?.tok == Tok::ColonColon => {
-                let axis = match n.as_str() {
+                let axis = match *n {
                     "child" => Axis::Child,
                     "attribute" => Axis::Attribute,
                     "descendant" => Axis::Descendant,
@@ -904,15 +924,15 @@ impl<'a> Parser<'a> {
         match t.tok {
             Tok::Star => Ok(NodeTest::AnyName),
             Tok::FullWildcard => Ok(NodeTest::AnyName),
-            Tok::LocalWildcard(l) => Ok(NodeTest::AnyNs(l)),
+            Tok::LocalWildcard(l) => Ok(NodeTest::AnyNs(l.to_string())),
             Tok::PrefixWildcard(p) => {
-                let uri = self.resolve_prefix(&p).ok_or_else(|| {
+                let uri = self.resolve_prefix(p).ok_or_else(|| {
                     self.err_at(t.start, format!("undeclared namespace prefix {p:?}"))
                 })?;
                 Ok(NodeTest::NsWildcard(Some(uri)))
             }
             Tok::Name(None, n) if self.peek()?.tok == Tok::LParen => {
-                let kind = match n.as_str() {
+                let kind = match n {
                     "node" => {
                         self.expect_tok(Tok::LParen)?;
                         self.expect_tok(Tok::RParen)?;
@@ -950,12 +970,12 @@ impl<'a> Parser<'a> {
                         let target = match &self.peek()?.tok {
                             Tok::RParen => None,
                             Tok::Str(s) => {
-                                let s = s.clone();
+                                let s = s.value().into_owned();
                                 self.next()?;
                                 Some(s)
                             }
                             Tok::Name(None, n) => {
-                                let s = n.clone();
+                                let s = n.to_string();
                                 self.next()?;
                                 Some(s)
                             }
@@ -979,7 +999,7 @@ impl<'a> Parser<'a> {
                 } else {
                     NameCtx::Element
                 };
-                let q = self.resolve_name(p.as_deref(), &l, ctx, t.start)?;
+                let q = self.resolve_name(p, l, ctx, t.start)?;
                 Ok(NodeTest::Name(q))
             }
             other => Err(self.err_at(t.start, format!("expected node test, found {other:?}"))),
@@ -989,28 +1009,19 @@ impl<'a> Parser<'a> {
     // -- primaries ------------------------------------------------------
 
     fn parse_primary(&mut self) -> XdmResult<Expr> {
-        let t = self.peek()?.clone();
+        let t = *self.peek()?;
+        if let Some(value) = t.tok.literal_value() {
+            let value = value.map_err(|e| self.err_at(t.start, e.message.clone()))?;
+            self.next()?;
+            return Ok(match &mut self.slots {
+                Some(slots) => {
+                    slots.push((t.start..t.end, value.clone()));
+                    Expr::Slot(LiteralSlot { index: (slots.len() - 1) as u32, value })
+                }
+                None => Expr::Literal(value),
+            });
+        }
         match &t.tok {
-            Tok::Int(i) => {
-                let i = *i;
-                self.next()?;
-                Ok(Expr::Literal(AtomicValue::Integer(i)))
-            }
-            Tok::Dec(s) => {
-                let d = Decimal::parse(s).map_err(|e| self.err_at(t.start, e.message.clone()))?;
-                self.next()?;
-                Ok(Expr::Literal(AtomicValue::Decimal(d)))
-            }
-            Tok::Dbl(d) => {
-                let d = *d;
-                self.next()?;
-                Ok(Expr::Literal(AtomicValue::Double(d)))
-            }
-            Tok::Str(s) => {
-                let s = s.as_str().into();
-                self.next()?;
-                Ok(Expr::Literal(AtomicValue::String(s)))
-            }
             Tok::Var(_, _) => {
                 let q = self.parse_var_name()?;
                 Ok(Expr::VarRef(VarUse::new(q)))
@@ -1031,24 +1042,24 @@ impl<'a> Parser<'a> {
             Tok::Lt => self.parse_direct_constructor(t.start),
             Tok::Name(None, kw) => {
                 // Computed constructors.
-                match kw.as_str() {
+                match *kw {
                     "element" | "attribute" | "processing-instruction"
                         if matches!(
                             self.peek2()?.tok,
                             Tok::Name(_, _) | Tok::LBrace
                         ) =>
                     {
-                        return self.parse_computed_named(kw.clone())
+                        return self.parse_computed_named(kw.to_string())
                     }
                     "text" | "comment" | "document"
                         if self.peek2()?.tok == Tok::LBrace =>
                     {
-                        let kind = kw.clone();
+                        let kind = *kw;
                         self.next()?;
                         self.expect_tok(Tok::LBrace)?;
                         let e = self.parse_expr_top()?;
                         self.expect_tok(Tok::RBrace)?;
-                        return Ok(match kind.as_str() {
+                        return Ok(match kind {
                             "text" => Expr::ComputedText(Box::new(e)),
                             "comment" => Expr::ComputedComment(Box::new(e)),
                             _ => Expr::ComputedDocument(Box::new(e)),
@@ -1068,7 +1079,7 @@ impl<'a> Parser<'a> {
     fn parse_call_or_error(&mut self, pos: usize) -> XdmResult<Expr> {
         // Must be a function call: QName "(" args ")".
         if self.peek2()?.tok != Tok::LParen {
-            let t = self.peek()?.clone();
+            let t = *self.peek()?;
             return Err(self.err_at(
                 pos,
                 format!("unexpected name {:?} (not a function call)", t.tok),

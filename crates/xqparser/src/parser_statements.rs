@@ -20,6 +20,17 @@ impl<'a> Parser<'a> {
     /// block), then EOF.
     pub(crate) fn parse_module(&mut self) -> XdmResult<Module> {
         let prolog = self.parse_prolog()?;
+        self.parse_body(prolog)
+    }
+
+    /// [`Parser::parse_module`], with the body's literals read as slots.
+    pub(crate) fn parse_module_with_slots(&mut self) -> XdmResult<Module> {
+        let prolog = self.parse_prolog()?;
+        self.slots = Some(Vec::new());
+        self.parse_body(prolog)
+    }
+
+    fn parse_body(&mut self, prolog: Prolog) -> XdmResult<Module> {
         let body = if self.peek()?.tok == Tok::Eof {
             QueryBody::None
         } else if self.peek()?.tok == Tok::LBrace {
@@ -40,9 +51,9 @@ impl<'a> Parser<'a> {
             // Inside a block body, `declare $x` is a block decl — but
             // at prolog level `declare` is always followed by a
             // keyword name, so a `$` means we've gone too far.
-            let t2 = self.peek2()?.tok.clone();
+            let t2 = self.peek2()?.tok;
             let Tok::Name(None, what) = t2 else { break };
-            match what.as_str() {
+            match what {
                 "namespace" => {
                     self.next()?;
                     self.next()?;
@@ -52,8 +63,8 @@ impl<'a> Parser<'a> {
                     };
                     self.expect_tok(Tok::Eq)?;
                     let uri = self.parse_string_literal()?;
-                    self.bind_ns(&prefix, &uri);
-                    prolog.namespaces.push((prefix, uri));
+                    self.bind_ns(prefix, &uri);
+                    prolog.namespaces.push((prefix.to_string(), uri));
                     self.expect_tok(Tok::Semi)?;
                 }
                 "default" => {
@@ -155,7 +166,7 @@ impl<'a> Parser<'a> {
     fn parse_string_literal(&mut self) -> XdmResult<String> {
         let t = self.next()?;
         match t.tok {
-            Tok::Str(s) => Ok(s),
+            Tok::Str(s) => Ok(s.value().into_owned()),
             other => {
                 Err(self.err_at(t.start, format!("expected string literal, found {other:?}")))
             }
@@ -291,10 +302,10 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_statement_here(&mut self) -> XdmResult<(Statement, bool)> {
-        let t = self.peek()?.clone();
+        let t = *self.peek()?;
         match &t.tok {
             Tok::LBrace => Ok((Statement::Block(self.parse_block()?), true)),
-            Tok::Name(None, kw) => match kw.as_str() {
+            Tok::Name(None, kw) => match *kw {
                 "set" if matches!(self.peek2()?.tok, Tok::Var(_, _)) => {
                     self.next()?;
                     let var = VarUse::new(self.parse_var_name()?);
@@ -439,15 +450,15 @@ impl<'a> Parser<'a> {
         match t.tok {
             Tok::Star => Ok(NodeTest::AnyName),
             Tok::FullWildcard => Ok(NodeTest::AnyName),
-            Tok::LocalWildcard(l) => Ok(NodeTest::AnyNs(l)),
+            Tok::LocalWildcard(l) => Ok(NodeTest::AnyNs(l.to_string())),
             Tok::PrefixWildcard(p) => {
-                let uri = self.resolve_prefix(&p).ok_or_else(|| {
+                let uri = self.resolve_prefix(p).ok_or_else(|| {
                     self.err_at(t.start, format!("undeclared namespace prefix {p:?}"))
                 })?;
                 Ok(NodeTest::NsWildcard(Some(uri)))
             }
             Tok::Name(p, l) => {
-                let q = self.resolve_name(p.as_deref(), &l, NameCtx::Plain, t.start)?;
+                let q = self.resolve_name(p, l, NameCtx::Plain, t.start)?;
                 Ok(NodeTest::Name(q))
             }
             other => {

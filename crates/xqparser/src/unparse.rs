@@ -169,7 +169,7 @@ fn string_lit(out: &mut String, s: &str) {
 
 fn expr(out: &mut String, e: &Expr) {
     match e {
-        Expr::Literal(a) => match a {
+        Expr::Literal(a) | Expr::Slot(LiteralSlot { value: a, .. }) => match a {
             AtomicValue::String(s) => string_lit(out, s),
             AtomicValue::Integer(i) => {
                 // Negative literals print in unary-minus form so that

@@ -34,9 +34,11 @@
 //! before the error report on stderr (see DESIGN.md §11).
 //!
 //! `--repl` reads stdin line by line, evaluating each non-empty line
-//! as its own program against one shared engine and context. Repeated
-//! lines hit the engine's prepared-plan cache instead of re-parsing —
-//! `--explain` after a repeated line shows `plan cache hits` climbing.
+//! as its own program against one shared engine and context. Lines of
+//! one shape — repeated, or differing only in the literals of their
+//! query body — hit the engine's prepared-plan cache instead of
+//! re-parsing: `--explain` after such a line shows `plan cache hits`
+//! climbing.
 //!
 //! `--serve-bench N` starts the concurrent serving layer
 //! (`aldsp::pool::ServePool`) with N workers over the demo dataspace
@@ -431,8 +433,9 @@ fn run() -> ExitCode {
 
     if repl {
         // One engine, one context: every line is its own program, but
-        // repeated program texts re-execute the cached prepared plan
-        // instead of being parsed and prolog-loaded again.
+        // program texts of one shape re-execute the cached prepared
+        // plan, each with its own literal values, instead of being
+        // parsed and prolog-loaded again.
         let xqse = Xqse::with_engine(engine.clone());
         let mut env = Env::new();
         let mut failed = false;

@@ -321,3 +321,14 @@ fn a_deep_document_loads_and_answers() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn a_global_initializers_trace_reaches_the_caller() {
+    let src = "declare variable $g := fn:trace(1, \"init\"); fn:trace($g, \"body\")";
+    for features in [&[][..], &["--features", "-batch"][..]] {
+        let (stdout, stderr, ok) = run_stdin(&[&["--trace"], features].concat(), src);
+        assert!(ok, "{features:?}: {stderr}");
+        assert_eq!(stdout.trim(), "1");
+        assert_eq!(stderr, "trace: init: 1\ntrace: body: 1\n", "{features:?}");
+    }
+}

@@ -439,3 +439,76 @@ fn call_sites_follow_the_registry() {
     other.register_external_function(late, 1, times(7));
     assert_eq!(serialize_sequence(&other.execute_prepared(&plan).unwrap()), "21");
 }
+
+/// Near-miss pairs for the plan cache's shape rule: (a, b, whether they
+/// are one shape). Texts share a plan only when they differ in nothing
+/// but the values of their query body's literals; a literal's type, the
+/// prolog, a direct constructor's text and attributes, comments and
+/// whitespace are all part of the shape.
+const NEAR_MISSES: &[(&str, &str, bool)] = &[
+    // A slot's value.
+    ("1 + 2", "3 + 40", true),
+    ("fn:concat('a', \"b\")", "fn:concat('it''s', \"&amp;&#65;\")", true),
+    ("(1.5, 2e0, .5)", "(0.25, 1e3, 7.)", true),
+    ("for $i in (1, 2, 3) where $i gt 1 return <r>{$i * 2}</r>", "for $i in (1, 2, 3) where $i gt 2 return <r>{$i * 5}</r>", true),
+    ("(10, 20, 30)[2]", "(10, 20, 30)[7]", true),
+    ("fn:count(1 to 10) gt 3", "fn:count(1 to 10) gt 30", true),
+    ("xs:integer('12') + 1", "xs:integer('x') + 1", true),
+    ("1 idiv 2", "1 idiv 0", true),
+    ("<a n='v'>{'x'}{1}</a>", "<a n='v'>{'yy'}{22}</a>", true),
+    ("{ declare $x := 1; return value $x + 0.5; }", "{ declare $x := 9; return value $x + 2.5; }", true),
+    ("declare variable $p := 10; $p + 1", "declare variable $p := 10; $p + 2", true),
+    // A literal's type.
+    ("1", "1.0", false),
+    ("1", "'1'", false),
+    ("1.0", "1e0", false),
+    ("(1, 2)[1]", "(1, 2)[1.0]", false),
+    // A prolog literal.
+    ("declare variable $x := 1; $x", "declare variable $x := 2; $x", false),
+    ("declare function local:f() { 1 }; local:f()", "declare function local:f() { 2 }; local:f()", false),
+    // Constructor text, or an attribute value.
+    ("<a>1</a>", "<a>2</a>", false),
+    ("<a b='1'/>", "<a b='2'/>", false),
+    // A comment.
+    ("1 (: 1 :)", "1 (: 2 :)", false),
+    // Whitespace inside a constructor, or around a token.
+    ("<a>x {1}</a>", "<a>x  {1}</a>", false),
+    ("1 + 2", "1  + 2", false),
+    // A text the lexer cannot read is cached by its exact text.
+    ("(<a>it's</a>, 1)", "(<a>it's</a>, 2)", false),
+    // So is one whose slot is no literal token: the lexer reads the
+    // attribute value `"{'x'}"` as one string.
+    ("<a n=\"{'x'}\"/>", "<a n=\"{'yy'}\"/>", false),
+];
+
+/// Each near-miss pair runs in both orders on one engine and one `Env`,
+/// and each text's result or error code must be what a verbatim parse
+/// of it gives on an engine with every layer off. With the plan cache
+/// on, a pair of one shape is parsed once.
+#[test]
+fn texts_of_one_shape_share_a_plan_and_near_misses_do_not() {
+    use xqse_repro::xqeval::{Env, Features};
+    let outcome = |xqse: &Xqse, src: &str, env: &mut Env| match xqse.run_with_env(src, env) {
+        Ok(seq) => Ok(serialize_sequence(&seq)),
+        Err(e) => Err(e.code.local.to_string()),
+    };
+    let verbatim = |src: &str| {
+        let xqse = Xqse::new();
+        xqse.engine().set_features(Features::NONE);
+        outcome(&xqse, src, &mut Env::new())
+    };
+    for &(a, b, shared) in NEAR_MISSES {
+        for (first, second) in [(a, b), (b, a)] {
+            let xqse = Xqse::new();
+            let mut env = Env::new();
+            for src in [first, second] {
+                assert_eq!(outcome(&xqse, src, &mut env), verbatim(src), "{src} after {first}");
+            }
+            let s = xqse.engine().opt_stats();
+            if xqse.engine().features().batching() {
+                let misses = if shared { 1 } else { 2 };
+                assert_eq!((s.plan_misses, s.plan_hits), (misses, 2 - misses), "{first} / {second}");
+            }
+        }
+    }
+}

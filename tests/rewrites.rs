@@ -724,6 +724,28 @@ fn join_cache_entries_outlive_an_evicted_plan() {
         assert_eq!(serialize_sequence(&new), "NEW NEW2", "features {features}");
         assert_eq!(engine.opt_stats().join_misses, 2, "features {features}");
     }
+    // Two texts of one shape run one plan, so their join sources are
+    // one expression at one address; the entry is keyed on the values
+    // of the literal slots the source reads as well.
+    let join = |v: &str| {
+        format!(
+            "for $a in (1, 2) for $b in (<b><k>1</k><v>{{'{v}'}}</v></b>, \
+             <b><k>2</k><v>{{'{v}2'}}</v></b>) where $b/k eq $a return fn:data($b/v)"
+        )
+    };
+    for features in [Features::ALL, Features { lazy: false, ..Features::ALL }] {
+        let xqse = Xqse::new();
+        let engine = xqse.engine();
+        engine.set_features(features);
+        let mut env = Env::new();
+        for (v, hits) in [("OLD", 0), ("NEW", 0), ("NEW", 1), ("OLD", 2)] {
+            let out = xqse.run_with_env(&join(v), &mut env).expect("join");
+            assert_eq!(serialize_sequence(&out), format!("{v} {v}2"), "features {features}");
+            assert_eq!(engine.opt_stats().join_hits, hits, "{v}, features {features}");
+        }
+        let s = engine.opt_stats();
+        assert_eq!((s.plan_misses, s.plan_hits), (1, 3), "one shape, features {features}");
+    }
 }
 
 /// A window passes over the candidates before its start without binding
@@ -765,4 +787,150 @@ fn deep_pages_run_out_of_fuel_where_binding_each_candidate_did() {
         assert!(out.unwrap_err().ends_with("FUEL_EXHAUSTED"), "{page}");
         assert_eq!((taken, got), (short, short_pulled), "{page}");
     }
+}
+
+/// Query bodies with literals of all four types in filters, `[k]`
+/// windows, `count(E) op N`, pushed-down `where`s, a view unfold, joins,
+/// constructors and errors. Each `#i`, `#d`, `#e` and `#s` is an
+/// integer, decimal, double or string literal ([`fill`]); a block
+/// template runs under no consumer.
+const TEMPLATES: &[(&str, bool)] = &[
+    ("(1 to 20)[. mod #i eq #i]", false),
+    ("for $i in 1 to 30 where $i mod #i eq 0 return <r n=\"{$i}\">{$i * #d}</r>", false),
+    ("(for $i in 1 to 30 return <r>{$i}</r>)[#i]", false),
+    ("(for $i in 1 to 30 return <r>{$i}</r>)[position() lt #i]", false),
+    ("(for $i in 1 to 30 return <r>{$i}</r>)[#e]", false),
+    ("(for $i in 1 to 30 return <r>{$i}</r>)[#d]", false),
+    ("fn:count(for $i in 1 to 50 where $i mod 2 eq 0 return $i) gt #i", false),
+    ("fn:count(for $i in 1 to 50 return $i) le #d", false),
+    ("#e lt fn:count(for $i in 1 to 50 return $i)", false),
+    ("for $cc in cre:CREDIT_CARD() where $cc/CID eq #i return <cc>{fn:data($cc/CCID)}</cc>", false),
+    ("for $c in cus:CUSTOMER() where $c/LAST_NAME eq #s return <c>{fn:data($c/CID)}</c>", false),
+    ("for $p in ns1:getProfile() where $p/CID eq #s return fn:data($p/LAST_NAME)", false),
+    (
+        "for $a in (#i, #i) for $b in (<b><k>1</k><v>{#s}</v></b>, <b><k>2</k><v>{#s}</v></b>) \
+         where $b/k eq $a return fn:data($b/v)",
+        false,
+    ),
+    ("<r a='fixed'>{#s, #d, #e, #i}<x>{fn:string-length(#s)}</x></r>", false),
+    ("xs:integer(#s) + #i", false),
+    ("#i idiv #i", false),
+    (
+        "{ declare $s := 0; iterate $i over 1 to #i { set $s := $s + $i * #d; } \
+         return value ($s, #s); }",
+        true,
+    ),
+    ("{ declare $n := #i; while ($n gt #e) { set $n := $n - 1; } return value <n>{$n}</n>; }", true),
+];
+
+/// `template` with its placeholders filled from the `k`th choice on:
+/// texts of one shape for different `k`. [`TEMPLATES`]' `t`th template
+/// is filled for `k` = `t` and `t + 1`, and the choices are ordered so
+/// that those texts include keys that match rows and keys that do not,
+/// `idiv 0`, `mod 0` and strings that are not integers.
+fn fill(template: &str, k: usize) -> String {
+    let values: [(&str, &[&str]); 4] = [
+        ("#i", &["1", "2", "3", "5", "0", "7", "40"]),
+        ("#d", &["0.5", "1.0", "2.25", ".5", "3."]),
+        ("#e", &["1e0", "2.5e0", "3E1", "0e0", "1.5e-1"]),
+        ("#s", &["'x'", "'it''s'", "'Wong'", "'5'", "'2'", "\"&amp;\"", "'12'", "'Smith'"]),
+    ];
+    let mut out = template.to_string();
+    let mut n = k;
+    while let Some((at, (hole, choices))) =
+        values.iter().filter_map(|v| out.find(v.0).map(|at| (at, v))).min_by_key(|(at, _)| *at)
+    {
+        out.replace_range(at..at + hole.len(), choices[n % choices.len()]);
+        n += 3;
+    }
+    out
+}
+
+/// Run `a` and then `b` on one demo space, one engine and one `Env`,
+/// with every layer on: each one's serialization (or error code), and
+/// the engine's counters.
+fn run_pair(a: &str, b: &str, lazy: bool) -> ([Result<String, String>; 2], OptStats) {
+    let space = demo_space();
+    let (xqse, engine) = (space.xqse(), space.engine());
+    engine.set_features(Features { lazy, ..Features::ALL });
+    let mut env = Env::new();
+    let outs = [a, b].map(|src| {
+        let out = if lazy {
+            let mut ser = IncrementalSerializer::new();
+            xqse.run_to_sink(src, &mut env, &mut |item| {
+                ser.write_item(&item);
+                Ok(())
+            })
+            .map(|()| ser.finish())
+        } else {
+            xqse.run_with_env(src, &mut env).map(|s| serialize_sequence(&s))
+        };
+        out.map_err(|e| e.code.to_string())
+    });
+    (outs, engine.opt_stats())
+}
+
+/// What a verbatim parse of `src` gives on a demo space with every
+/// layer off.
+fn verbatim(src: &str) -> Result<String, String> {
+    let space = demo_space();
+    space.engine().set_features(Features::NONE);
+    let out = space.xqse().run_with_env(src, &mut Env::new());
+    out.map(|s| serialize_sequence(&s)).map_err(|e| e.code.to_string())
+}
+
+/// Two texts of one shape run on one engine and one `Env` share a plan,
+/// and each gives what a verbatim parse of it gives, pulled and drained,
+/// under every consumer.
+#[test]
+fn texts_of_one_shape_run_one_plan_with_their_own_literals() {
+    for (t, &(template, block)) in TEMPLATES.iter().enumerate() {
+        let consumers = if block { &CONSUMERS[..1] } else { CONSUMERS };
+        for &(consumer, wrap) in consumers {
+            let [a, b] = [t, t + 1].map(|k| format!("{PROLOG}{}", wrap.replace("{}", &fill(template, k))));
+            let want = [verbatim(&a), verbatim(&b)];
+            for lazy in [true, false] {
+                let what = format!("{template} / {consumer} / lazy {lazy}");
+                let (got, s) = run_pair(&a, &b, lazy);
+                assert_eq!(got, want, "{what}\n{a}\n{b}");
+                assert_eq!((s.plan_misses, s.plan_hits), (1, 1), "one shape: {what}");
+            }
+        }
+    }
+}
+
+/// The benchmark's `page_query` texts: every page of 20 rows of each of
+/// `etl_space(5000)`'s seven departments, 252 texts of one shape. One
+/// engine parses the first and runs each other through its plan with
+/// its own department and offset, and every page holds its slice of the
+/// department.
+#[test]
+fn every_page_text_runs_one_plan() {
+    const ROWS: i64 = 5000;
+    let f = xqse_bench::etl_space(ROWS);
+    let engine = f.space.engine();
+    engine.set_features(Features::ALL);
+    let mut texts = 0;
+    for dept in 0..7 {
+        let ids: Vec<i64> = (1..=ROWS).filter(|i| i % 7 == dept).collect();
+        for (page, rows) in ids.chunks(20).enumerate() {
+            let text = format!(
+                "declare namespace ens1 = \"ld:hr/EMPLOYEE\";\n\
+                 fn:subsequence(for $e in ens1:EMPLOYEE() where $e/DeptNo eq 'D{dept}' \
+                 return <row><id>{{fn:data($e/EmployeeID)}}</id><name>{{fn:data($e/Name)}}</name></row>, \
+                 {}, 20)",
+                page * 20 + 1
+            );
+            let out = f.space.xqse().run_with_env(&text, &mut Env::new()).expect("page");
+            let want: String = rows
+                .iter()
+                .map(|i| format!("<row><id>{i}</id><name>First{i} Last{i}</name></row>"))
+                .collect();
+            assert_eq!(serialize_sequence(&out), want, "{text}");
+            texts += 1;
+        }
+    }
+    assert_eq!(texts, 252);
+    let s = engine.opt_stats();
+    assert_eq!((s.plan_misses, s.plan_hits), (1, 251));
 }
