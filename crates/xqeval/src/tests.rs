@@ -1107,6 +1107,36 @@ fn prepared_plans_match_parse_per_call() {
 }
 
 #[test]
+fn a_nested_execution_keeps_its_callers_literal_values() {
+    // An external function that runs another text on its caller's
+    // `Env`: the caller, a second text of its shape, must read its own
+    // values after the call returns, and the nested text its own.
+    let engine = Engine::new();
+    engine.set_features(Features::ALL);
+    let nested = engine.clone();
+    engine.register_external_function(
+        QName::with_ns("urn:x", "nested"),
+        1,
+        Rc::new(move |env, args| {
+            let n = args[0].string_value().unwrap();
+            let pq = nested.prepare(&format!("{n} * 100"))?;
+            nested.execute_prepared_in(&pq, env)
+        }),
+    );
+    let caller = |n: i64, m: i64, s: &str| {
+        format!("declare namespace x = 'urn:x'; (x:nested({n}), {m}, '{s}')")
+    };
+    let run = |src: &str| {
+        let pq = engine.prepare(src).unwrap();
+        as_string(&engine.execute_prepared_in(&pq, &mut Env::new()).unwrap())
+    };
+    assert_eq!(run(&caller(2, 7, "a")), "200 7 a");
+    assert_eq!(run(&caller(3, 8, "b")), "300 8 b");
+    let s = engine.opt_stats();
+    assert_eq!((s.plan_misses, s.plan_hits), (2, 2), "two shapes, each run twice");
+}
+
+#[test]
 fn initializer_trace_lines_reach_every_execution() {
     // An initializer runs once, when its plan is prepared; the lines it
     // traced are emitted again by every execution, before the body's,
