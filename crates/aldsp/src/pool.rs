@@ -39,15 +39,20 @@
 //!   panicking request answers its client with a typed
 //!   `aldsp:SRC_UNAVAILABLE` error instead of deadlocking every
 //!   client blocked on the dead worker's queue.
+//! * **A hand-off wakes only a waiting thread.** The queue signals a
+//!   worker or a producer only when one is blocked on it, and a reply
+//!   unparks its client only when the client parked; both after
+//!   releasing the lock. Each caller blocks on its reply, so this
+//!   hand-off is the whole cost the pool adds to a short request.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{JoinHandle, Thread};
 
 use xdm::error::{XdmError, XdmResult};
 use xdm::sequence::{Item, Sequence};
@@ -247,35 +252,64 @@ struct Job {
     budget: Option<Arc<Budget>>,
 }
 
-#[derive(Default)]
+/// Where a worker leaves one request's reply for the client thread that
+/// made the request. The client parks until the reply is there, and
+/// `fill` unparks it only when it parked, after releasing the lock, so
+/// the client never wakes into a held lock.
 struct ReplySlot {
-    slot: Mutex<Option<ServeReply>>,
-    ready: Condvar,
+    state: Mutex<SlotState>,
+    /// The thread that made the call and waits for the reply.
+    caller: Thread,
+}
+
+#[derive(Default)]
+struct SlotState {
+    reply: Option<ServeReply>,
+    /// The caller found no reply and parks (or is about to).
+    parked: bool,
 }
 
 impl ReplySlot {
+    /// A slot for a reply to the calling thread.
+    fn for_current_thread() -> ReplySlot {
+        ReplySlot { state: Mutex::new(SlotState::default()), caller: std::thread::current() }
+    }
+
     fn fill(&self, reply: ServeReply) {
-        if let Ok(mut guard) = self.slot.lock() {
-            *guard = Some(reply);
-            self.ready.notify_all();
+        // A poisoned slot still unparks the caller, whose `wait` then
+        // answers with the fallback instead of hanging.
+        let parked = match self.state.lock() {
+            Ok(mut state) => {
+                state.reply = Some(reply);
+                state.parked
+            }
+            Err(_) => true,
+        };
+        if parked {
+            self.caller.unpark();
         }
     }
 
+    /// Take the reply, parking until it is there. A spurious return
+    /// from `park`, or a token left by an earlier call's `fill`, costs
+    /// one more check.
     fn wait(&self) -> ServeReply {
-        let fallback = || ServeReply {
-            worker: usize::MAX,
-            result: Err(crate::errors::AldspCode::SrcUnavailable
-                .error("serve pool reply channel poisoned")),
-        };
-        let Ok(mut guard) = self.slot.lock() else { return fallback() };
         loop {
-            if let Some(reply) = guard.take() {
-                return reply;
+            match self.state.lock() {
+                Ok(mut state) => match state.reply.take() {
+                    Some(reply) => return reply,
+                    None => state.parked = true,
+                },
+                Err(_) => {
+                    return ServeReply {
+                        worker: usize::MAX,
+                        result: Err(
+                            AldspCode::SrcUnavailable.error("serve pool reply channel poisoned")
+                        ),
+                    }
+                }
             }
-            guard = match self.ready.wait(guard) {
-                Ok(g) => g,
-                Err(_) => return fallback(),
-            };
+            std::thread::park();
         }
     }
 }
@@ -283,6 +317,10 @@ impl ReplySlot {
 struct QueueInner {
     jobs: VecDeque<Job>,
     closed: bool,
+    /// Workers blocked in `pop`.
+    waiting_workers: usize,
+    /// Producers blocked in `push`.
+    waiting_producers: usize,
 }
 
 /// Why [`Queue::try_push`] refused a job.
@@ -296,6 +334,12 @@ enum Refused {
 /// Bounded MPMC queue on std `Mutex`/`Condvar`: producers block when
 /// full, workers block when empty, `close` wakes everyone for a
 /// drain-then-exit shutdown.
+///
+/// A push signals `not_empty` only when a worker waits, and a pop
+/// signals `not_full` only when a producer waits, after releasing the
+/// lock. A waiter counts itself under the lock before it waits, so a
+/// push or pop that changes the queue after that sees the count and
+/// signals; the waiter re-checks its condition when it wakes.
 struct Queue {
     inner: Mutex<QueueInner>,
     not_empty: Condvar,
@@ -306,7 +350,12 @@ struct Queue {
 impl Queue {
     fn new(capacity: usize) -> Queue {
         Queue {
-            inner: Mutex::new(QueueInner { jobs: VecDeque::new(), closed: false }),
+            inner: Mutex::new(QueueInner {
+                jobs: VecDeque::new(),
+                closed: false,
+                waiting_workers: 0,
+                waiting_producers: 0,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
@@ -322,12 +371,15 @@ impl Queue {
                 return false;
             }
             if inner.jobs.len() < self.capacity {
-                inner.jobs.push_back(job);
-                self.not_empty.notify_one();
+                self.enqueue(inner, job);
                 return true;
             }
+            inner.waiting_producers += 1;
             inner = match self.not_full.wait(inner) {
-                Ok(g) => g,
+                Ok(mut g) => {
+                    g.waiting_producers -= 1;
+                    g
+                }
                 Err(_) => return false,
             };
         }
@@ -337,16 +389,25 @@ impl Queue {
     /// is full. Admission control for the overload path — the caller
     /// turns a refusal into an immediate `aldsp:OVERLOADED` reply.
     fn try_push(&self, job: Job) -> Result<(), Refused> {
-        let Ok(mut inner) = self.inner.lock() else { return Err(Refused::Closed) };
+        let Ok(inner) = self.inner.lock() else { return Err(Refused::Closed) };
         if inner.closed {
             return Err(Refused::Closed);
         }
         if inner.jobs.len() >= self.capacity {
             return Err(Refused::Full);
         }
-        inner.jobs.push_back(job);
-        self.not_empty.notify_one();
+        self.enqueue(inner, job);
         Ok(())
+    }
+
+    /// Append `job`, release the lock, and wake one worker if any waits.
+    fn enqueue(&self, mut inner: MutexGuard<'_, QueueInner>, job: Job) {
+        inner.jobs.push_back(job);
+        let wake = inner.waiting_workers > 0;
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
     }
 
     /// Dequeue, blocking while empty. `None` means closed **and**
@@ -355,14 +416,22 @@ impl Queue {
         let Ok(mut inner) = self.inner.lock() else { return None };
         loop {
             if let Some(job) = inner.jobs.pop_front() {
-                self.not_full.notify_one();
+                let wake = inner.waiting_producers > 0;
+                drop(inner);
+                if wake {
+                    self.not_full.notify_one();
+                }
                 return Some(job);
             }
             if inner.closed {
                 return None;
             }
+            inner.waiting_workers += 1;
             inner = match self.not_empty.wait(inner) {
-                Ok(g) => g,
+                Ok(mut g) => {
+                    g.waiting_workers -= 1;
+                    g
+                }
                 Err(_) => return None,
             };
         }
@@ -510,7 +579,7 @@ impl ServePool {
     /// blocking the client, never by shedding).
     pub fn call(&self, request: ServeRequest) -> ServeReply {
         self.counters.offered.fetch_add(1, Ordering::Relaxed);
-        let reply = Arc::new(ReplySlot::default());
+        let reply = Arc::new(ReplySlot::for_current_thread());
         let job = Job { request, reply: reply.clone(), budget: self.make_budget() };
         if !self.queue.push(job) {
             self.counters.shed.fetch_add(1, Ordering::Relaxed);
@@ -529,7 +598,7 @@ impl ServePool {
     /// reply exactly like [`ServePool::call`].
     pub fn offer(&self, request: ServeRequest) -> ServeReply {
         self.counters.offered.fetch_add(1, Ordering::Relaxed);
-        let reply = Arc::new(ReplySlot::default());
+        let reply = Arc::new(ReplySlot::for_current_thread());
         let job = Job { request, reply: reply.clone(), budget: self.make_budget() };
         match self.queue.try_push(job) {
             Ok(()) => reply.wait(),
@@ -761,28 +830,7 @@ pub fn drive_closed_loop(
     requests: &[ServeRequest],
     clients: usize,
 ) -> (Vec<ServeReply>, std::time::Duration) {
-    let clients = clients.max(1);
-    let started = std::time::Instant::now();
-    let replies: Mutex<Vec<(usize, ServeReply)>> = Mutex::new(Vec::new());
-    let next: AtomicU64 = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..clients {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                if i >= requests.len() {
-                    break;
-                }
-                let reply = pool.call(requests[i].clone());
-                if let Ok(mut sink) = replies.lock() {
-                    sink.push((i, reply));
-                }
-            });
-        }
-    });
-    let elapsed = started.elapsed();
-    let mut indexed = replies.into_inner().unwrap_or_default();
-    indexed.sort_by_key(|(i, _)| *i);
-    (indexed.into_iter().map(|(_, r)| r).collect(), elapsed)
+    drive(pool, requests, clients, ServePool::call)
 }
 
 /// The overload driver: like [`drive_closed_loop`] but each client
@@ -798,26 +846,243 @@ pub fn drive_open_loop(
     requests: &[ServeRequest],
     clients: usize,
 ) -> (Vec<ServeReply>, std::time::Duration) {
-    let clients = clients.max(1);
+    drive(pool, requests, clients, ServePool::offer)
+}
+
+/// Both drivers: `clients` threads take the next request index in
+/// turn, serve it through `entry`, and keep their own replies, which
+/// are put back in request order at the end.
+fn drive(
+    pool: &ServePool,
+    requests: &[ServeRequest],
+    clients: usize,
+    entry: fn(&ServePool, ServeRequest) -> ServeReply,
+) -> (Vec<ServeReply>, std::time::Duration) {
     let started = std::time::Instant::now();
-    let replies: Mutex<Vec<(usize, ServeReply)>> = Mutex::new(Vec::new());
-    let next: AtomicU64 = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..clients {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                if i >= requests.len() {
-                    break;
-                }
-                let reply = pool.offer(requests[i].clone());
-                if let Ok(mut sink) = replies.lock() {
-                    sink.push((i, reply));
-                }
-            });
-        }
+    let next = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, ServeReply)> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..clients.max(1))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut replies = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(request) = requests.get(i) else { return replies };
+                        replies.push((i, entry(pool, request.clone())));
+                    }
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
     let elapsed = started.elapsed();
-    let mut indexed = replies.into_inner().unwrap_or_default();
     indexed.sort_by_key(|(i, _)| *i);
     (indexed.into_iter().map(|(_, r)| r).collect(), elapsed)
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+mod tests {
+    //! The hand-off protocol, one wait path at a time. Each test forces
+    //! its interleaving by waiting until the waiter has counted (or
+    //! marked) itself under the lock, which it does just before it
+    //! waits; none sleeps. A lost wake-up shows as a thread that never
+    //! answers, which the test reports after [`LOST`].
+
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// How long a test waits for a woken thread before it calls the
+    /// wake-up lost.
+    const LOST: Duration = Duration::from_secs(30);
+
+    fn job() -> Job {
+        Job {
+            request: ServeRequest::Run { program: "1".to_string() },
+            reply: Arc::new(ReplySlot::for_current_thread()),
+            budget: None,
+        }
+    }
+
+    fn reply(text: &str) -> ServeReply {
+        ServeReply { worker: 0, result: Ok(text.to_string()) }
+    }
+
+    /// The result of `f`, run on a thread of its own.
+    struct Answer<T> {
+        rx: mpsc::Receiver<T>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    fn on_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Answer<T> {
+        let (tx, rx) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        Answer { rx, thread }
+    }
+
+    impl<T> Answer<T> {
+        /// Join the thread and take its result. A thread that panicked
+        /// fails the test with its panic, and one that has not answered
+        /// within [`LOST`] fails it with `lost` and is left blocked.
+        fn get(self, lost: &str) -> T {
+            match self.rx.recv_timeout(LOST) {
+                Ok(answer) => {
+                    self.thread.join().unwrap();
+                    answer
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => panic!("{lost}"),
+                Err(mpsc::RecvTimeoutError::Disconnected) => match self.thread.join() {
+                    Err(panic) => std::panic::resume_unwind(panic),
+                    Ok(()) => unreachable!("the thread ended without an answer"),
+                },
+            }
+        }
+    }
+
+    /// Wait until `count` of the queue reads 1 under its lock: the
+    /// counted thread has released the lock inside `Condvar::wait`.
+    fn until_one_waits(queue: &Queue, count: fn(&QueueInner) -> usize) {
+        until(|| count(&queue.inner.lock().unwrap()) == 1);
+    }
+
+    /// Wait until the slot's caller has found no reply and parks.
+    fn until_parked(slot: &ReplySlot) {
+        until(|| slot.state.lock().unwrap().parked);
+    }
+
+    fn until(done: impl Fn() -> bool) {
+        let started = std::time::Instant::now();
+        while !done() {
+            assert!(started.elapsed() < LOST, "no thread came to wait");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_worker_waiting_in_pop_is_woken_by_push_and_by_try_push() {
+        for try_push in [false, true] {
+            let queue = Arc::new(Queue::new(4));
+            let q = queue.clone();
+            let popped = on_thread(move || q.pop().is_some());
+            until_one_waits(&queue, |q| q.waiting_workers);
+            if try_push {
+                assert!(queue.try_push(job()).is_ok());
+            } else {
+                assert!(queue.push(job()));
+            }
+            assert!(popped.get("the waiting worker was not woken"));
+            assert_eq!(queue.inner.lock().unwrap().waiting_workers, 0);
+        }
+    }
+
+    #[test]
+    fn a_producer_waiting_on_a_full_queue_is_woken_by_pop() {
+        let queue = Arc::new(Queue::new(1));
+        assert!(queue.push(job()));
+        let q = queue.clone();
+        let pushed = on_thread(move || q.push(job()));
+        until_one_waits(&queue, |q| q.waiting_producers);
+        assert!(queue.pop().is_some());
+        assert!(pushed.get("the waiting producer was not woken"));
+        let inner = queue.inner.lock().unwrap();
+        assert_eq!((inner.jobs.len(), inner.waiting_producers), (1, 0));
+    }
+
+    #[test]
+    fn close_wakes_a_waiting_worker_and_a_waiting_producer() {
+        let empty = Arc::new(Queue::new(1));
+        let q = empty.clone();
+        let popped = on_thread(move || q.pop().is_none());
+        until_one_waits(&empty, |q| q.waiting_workers);
+
+        let full = Arc::new(Queue::new(1));
+        assert!(full.push(job()));
+        let q = full.clone();
+        let pushed = on_thread(move || q.push(job()));
+        until_one_waits(&full, |q| q.waiting_producers);
+
+        empty.close();
+        full.close();
+        assert!(popped.get("close did not wake the worker"));
+        assert!(!pushed.get("close did not wake the producer"));
+        // Drain, then exit: the job queued before the close is served.
+        assert!(full.pop().is_some());
+        assert!(full.pop().is_none());
+    }
+
+    #[test]
+    fn a_reply_filled_before_its_client_waits_is_taken_without_parking() {
+        let slot = Arc::new(ReplySlot::for_current_thread());
+        let s = slot.clone();
+        std::thread::spawn(move || s.fill(reply("early"))).join().unwrap();
+        assert_eq!(slot.wait().result.unwrap(), "early");
+        assert!(!slot.state.lock().unwrap().parked, "the client parked for a reply already there");
+    }
+
+    #[test]
+    fn a_reply_filled_after_its_client_parks_wakes_it() {
+        let (slots, slot) = mpsc::channel();
+        let answer = on_thread(move || {
+            let slot = Arc::new(ReplySlot::for_current_thread());
+            slots.send(slot.clone()).unwrap();
+            slot.wait()
+        });
+        let slot: Arc<ReplySlot> = slot.recv().unwrap();
+        until_parked(&slot);
+        slot.fill(reply("late"));
+        let answer = answer.get("the parked client was not woken");
+        assert_eq!(answer.result.unwrap(), "late");
+    }
+
+    #[test]
+    fn a_poisoned_reply_slot_answers_its_parked_client() {
+        let (slots, slot) = mpsc::channel();
+        let answer = on_thread(move || {
+            let slot = Arc::new(ReplySlot::for_current_thread());
+            slots.send(slot.clone()).unwrap();
+            slot.wait()
+        });
+        let slot: Arc<ReplySlot> = slot.recv().unwrap();
+        until_parked(&slot);
+        let s = slot.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _held = s.state.lock();
+            panic!("poison the reply slot");
+        });
+        assert!(poisoner.join().is_err());
+        slot.fill(reply("lost"));
+        let answer = answer.get("the poisoned slot left its client parked");
+        let err = answer.result.unwrap_err();
+        assert_eq!(AldspCode::of(&err), Some(AldspCode::SrcUnavailable), "{err}");
+        assert_eq!(answer.worker, usize::MAX);
+    }
+
+    #[test]
+    fn a_one_slot_queue_serves_eight_clients_through_two_workers() {
+        const CALLS: usize = 20_000;
+        let outcome = on_thread(|| {
+            let spec = ServeSpec { queue_capacity: 1, ..ServeSpec::new(2) };
+            let pool = ServePool::start(spec, |_| Ok(DataSpace::new()));
+            let requests = vec![ServeRequest::Run { program: "1".to_string() }; CALLS];
+            let (replies, _) = drive_closed_loop(&pool, &requests, 8);
+            (replies, pool.shutdown())
+        });
+        let (replies, report) = outcome.get("the pool stopped answering: a wake-up was lost");
+        assert_eq!(replies.len(), CALLS);
+        for r in &replies {
+            match &r.result {
+                Ok(text) => assert_eq!(text, "1"),
+                Err(e) => panic!("worker {}: {e}", r.worker),
+            }
+        }
+        assert_eq!(report.offered, CALLS as u64);
+        assert_eq!((report.completed, report.shed, report.cancelled), (CALLS as u64, 0, 0));
+        assert_eq!(report.served.iter().sum::<u64>(), CALLS as u64);
+    }
 }

@@ -91,7 +91,7 @@ impl Reporter {
 const USAGE: &str = "usage: exptab [quick | full] [--json] [--out DIR] [--only ID]\n\
     \x20 quick (the default) or full: the scales of the run\n\
     \x20 --json: also write BENCH_<ID>.json, into DIR (default: .)\n\
-    \x20 --only ID: run that experiment only (E1-E14, E16, E17)";
+    \x20 --only ID: run that experiment only (E1-E14, E16-E18)";
 
 /// Print the usage to stderr, and exit with `code`.
 fn usage(code: u8) -> ExitCode {
@@ -147,6 +147,7 @@ fn main() -> ExitCode {
         ("E14", &|| e14_serve(full, &r)),
         ("E16", &|| e16_zero_copy(full, reps, &r)),
         ("E17", &|| e17_lazy_streaming(full, reps, &r)),
+        ("E18", &|| e18_handoff(full, reps, &r)),
     ];
     // `--only E3` reruns a single experiment (`scripts/exptab_ab.py`
     // alternates one experiment between two builds with it).
@@ -161,6 +162,84 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// E18: the serving pool's hand-off. Closed-loop `Run { program: "1" }`
+/// round trips, whose service takes well under a microsecond, three
+/// ways: `direct` on this thread through the path a worker's
+/// `serve_one` takes (`run_to_sink` into an `IncrementalSerializer`),
+/// `pool-1` with one client, and `pool-2` (two workers) with two.
+/// `per_req_us` is what a client waits per request, and `handoff_us`
+/// that minus `direct`'s: what the queue and the reply add. E14 cannot
+/// show it, since its 2 ms source waits hide it. Every reply must be
+/// `1`; each cell is the median of `reps` runs, the arms alternating.
+fn e18_handoff(full: bool, reps: usize, r: &Reporter) {
+    use aldsp::pool::{drive_closed_loop, ServePool, ServeRequest, ServeSpec};
+    use aldsp::service::DataSpace;
+
+    const PROGRAM: &str = "1";
+    let requests = if full { 100_000 } else { 20_000 };
+    let reqs = vec![ServeRequest::Run { program: PROGRAM.to_string() }; requests];
+    // `pool-N` runs N workers and N clients.
+    let pools = [1usize, 2];
+
+    let space = DataSpace::new();
+    let direct = || {
+        let mut env = xqeval::Env::new();
+        let mut ser = xmlparse::IncrementalSerializer::new();
+        space
+            .xqse()
+            .run_to_sink(PROGRAM, &mut env, &mut |item| {
+                ser.write_item(&item);
+                Ok(())
+            })
+            .expect("E18 direct run");
+        assert_eq!(ser.finish(), PROGRAM, "E18 direct reply");
+    };
+    direct();
+
+    let mut direct_us = Vec::with_capacity(reps);
+    let mut pooled_us = vec![Vec::with_capacity(reps); pools.len()];
+    for _ in 0..reps {
+        let started = std::time::Instant::now();
+        for _ in 0..requests {
+            direct();
+        }
+        direct_us.push(started.elapsed().as_secs_f64() * 1e6 / requests as f64);
+        for (samples, &workers) in pooled_us.iter_mut().zip(&pools) {
+            let pool = ServePool::start(ServeSpec::new(workers), |_| Ok(DataSpace::new()));
+            drive_closed_loop(&pool, &reqs[..64], workers);
+            let (replies, elapsed) = drive_closed_loop(&pool, &reqs, workers);
+            pool.shutdown();
+            for reply in &replies {
+                assert_eq!(reply.result.as_deref().expect("E18 pooled run"), PROGRAM);
+            }
+            samples.push(elapsed.as_secs_f64() * 1e6 * workers as f64 / requests as f64);
+        }
+    }
+
+    let direct_us = median(direct_us);
+    let row = |mode: &str, workers: &str, clients: usize, us: f64| {
+        vec![
+            mode.to_string(),
+            workers.to_string(),
+            clients.to_string(),
+            requests.to_string(),
+            format!("{us:.2}"),
+            format!("{:.2}", us - direct_us),
+            format!("{:.0}", clients as f64 * 1e6 / us),
+        ]
+    };
+    let mut rows = vec![row("direct", "-", 1, direct_us)];
+    for (samples, &workers) in pooled_us.into_iter().zip(&pools) {
+        rows.push(row(&format!("pool-{workers}"), &workers.to_string(), workers, median(samples)));
+    }
+    r.table(
+        "E18",
+        "E18 serving-pool hand-off (closed loop, Run { program: \"1\" })",
+        &["mode", "workers", "clients", "requests", "per_req_us", "handoff_us", "qps"],
+        &rows,
+    );
 }
 
 /// E17: pipelined lazy evaluation ablation. Three early-exit read

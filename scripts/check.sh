@@ -58,6 +58,10 @@ run cargo test -q $NET --test chaos xa_
 # with post-recovery atomicity and monotonic table versions), and the
 # pooled-vs-sequential read-equivalence property.
 run cargo test -q $NET --test chaos serve_
+# The pool's hand-off protocol tests (every wait path, and a one-slot
+# queue under eight clients) again in a release build, where a lost
+# wake-up is likelier to show.
+run cargo test -q $NET --release -p aldsp pool::
 
 # Request-budget gate (PR 8): the cancel-at-every-XA-protocol-point
 # stall matrix (a budget must never split a distributed transaction),
