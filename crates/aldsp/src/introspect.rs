@@ -150,6 +150,10 @@ fn seal_sequence(seq: &Sequence) {
     }
 }
 
+/// A cached row set: the table version it was served at, the thread's
+/// sealed-write count it was built under, and its sealed trees.
+type Stamped = (u64, u64, Sequence);
+
 fn register_read_all(
     engine: &Engine,
     db: &Database,
@@ -162,12 +166,19 @@ fn register_read_all(
     let features = engine.features_handle();
     let counters = engine.opt_counters();
 
-    // Versioned XDM materialization cache: `(table version, tree)`.
-    // The table→XML conversion is the dominant per-call cost of the
-    // read method; the version stamp makes reuse exact — any committed
-    // write to the table bumps its version and forces a rebuild, while
-    // writes to *other* tables leave this entry valid.
-    let mat: Rc<RefCell<Option<(u64, Sequence)>>> = Rc::new(RefCell::new(None));
+    // Both caches below hand out their sealed trees themselves, so an
+    // in-place write may edit a cached tree. Each entry keeps the
+    // thread's sealed-write count (`xdm::sealed_writes`) it was built
+    // under beside its version, and a lookup treats an entry whose
+    // count moved as absent (counted in `mat_invalidations`).
+    //
+    // Versioned XDM materialization cache: `(table version, sealed
+    // writes, tree)`. The table→XML conversion is the dominant
+    // per-call cost of the read method; the version stamp makes reuse
+    // exact — any committed write to the table bumps its version and
+    // forces a rebuild, while writes to *other* tables leave this
+    // entry valid.
+    let mat: Rc<RefCell<Option<Stamped>>> = Rc::new(RefCell::new(None));
     // Versioned per-key select cache, one level down: the table's one
     // keyed-read path (pushdown point-selects and `getBy<PK>`) reuses
     // the converted rows of a key it has already read at the same
@@ -176,22 +187,12 @@ fn register_read_all(
     // stamped with the version the select *served*, so a row set read
     // from a stale snapshot never revalidates. `-batch` restores
     // per-call probes.
-    let select_cache: Rc<RefCell<xqeval::Lru<String, (u64, Sequence)>>> =
+    let select_cache: Rc<RefCell<xqeval::Lru<String, Stamped>>> =
         Rc::new(RefCell::new(xqeval::Lru::new(SELECT_CACHE_CAPACITY)));
     // A lookup writes its key into this one buffer and probes by
     // `&str`, so a hit builds no `String`; only a miss's insert copies
     // the key.
     let probe_key = RefCell::new(String::new());
-    {
-        // Update statements may have mutated cached nodes in place:
-        // both caches go.
-        let mat = mat.clone();
-        let select_cache = select_cache.clone();
-        engine.register_mat_flusher(Rc::new(move || {
-            *mat.borrow_mut() = None;
-            select_cache.borrow_mut().clear();
-        }));
-    }
 
     // Pushdown capability: the mediator may replace a FLWOR
     // scan-then-filter over this read function with indexed
@@ -219,9 +220,12 @@ fn register_read_all(
                 ck.push('\u{1}');
                 ck.push_str(key);
                 let live = t.version();
-                if let Some((served, seq)) = select_cache.borrow_mut().get(ck.as_str()) {
+                if let Some((served, writes, seq)) = select_cache.borrow_mut().get(ck.as_str()) {
                     if *served == live {
-                        return Ok(seq.clone());
+                        if *writes == xdm::sealed_writes() {
+                            return Ok(seq.clone());
+                        }
+                        OptCounters::bump(&counters.mat_invalidations);
                     }
                 }
             }
@@ -248,7 +252,7 @@ fn register_read_all(
             if batching {
                 seal_sequence(&seq);
                 let ck = format!("{col}\u{1}{key}");
-                select_cache.borrow_mut().insert(ck, (served, seq.clone()));
+                select_cache.borrow_mut().insert(ck, (served, xdm::sealed_writes(), seq.clone()));
             }
             Ok(seq)
         })
@@ -264,7 +268,7 @@ fn register_read_all(
             // The read function last served this snapshot (under
             // breaker-open degradation it is *older* than the live
             // version, so derived caches stamp themselves stale).
-            Some((v, _)) => *v,
+            Some((v, _, _)) => *v,
             None => t.version(),
         }) as Rc<dyn Fn() -> u64>
     };
@@ -286,32 +290,32 @@ fn register_read_all(
                 let rows = db.scan(&table)?;
                 return Ok(xmlmap::rows_to_sequence(&schema, &ns, &rows));
             }
-            let known = mat.borrow().as_ref().map(|(v, _)| *v);
-            let (ver, rows) = t.scan_if_changed(known)?;
-            match rows {
-                None => {
-                    // Version unchanged: the cached tree is exact.
-                    if let Some((_, seq)) = &*mat.borrow() {
-                        OptCounters::bump(&counters.mat_hits);
-                        return Ok(seq.clone());
-                    }
-                    // Defensive: a flusher ran between the version
-                    // probe and here — rebuild from a full scan.
-                    let rows = db.scan(&table)?;
-                    let seq = xmlmap::rows_to_sequence(&schema, &ns, &rows);
-                    seal_sequence(&seq);
-                    OptCounters::bump(&counters.mat_misses);
-                    *mat.borrow_mut() = Some((ver, seq.clone()));
+            let writes = xdm::sealed_writes();
+            let current = match &*mat.borrow() {
+                Some((v, w, seq)) if *w == writes => Some((*v, seq.clone())),
+                Some(_) => {
+                    OptCounters::bump(&counters.mat_invalidations);
+                    None
+                }
+                None => None,
+            };
+            let (ver, rows) = t.scan_if_changed(current.as_ref().map(|(v, _)| *v))?;
+            match (rows, current) {
+                // The table is still at the current entry's version:
+                // its tree is exact.
+                (None, Some((_, seq))) => {
+                    OptCounters::bump(&counters.mat_hits);
                     Ok(seq)
                 }
-                Some(rows) => {
+                // Without a known version the scan always returns rows.
+                (rows, _) => {
                     OptCounters::bump(&counters.mat_misses);
-                    let seq = xmlmap::rows_to_sequence(&schema, &ns, &rows);
+                    let seq = xmlmap::rows_to_sequence(&schema, &ns, &rows.unwrap_or_default());
                     seal_sequence(&seq);
                     // Key on the version the scan *served* (under an
                     // outage this is the stale snapshot's version, so
                     // recovery forces a rebuild).
-                    *mat.borrow_mut() = Some((ver, seq.clone()));
+                    *mat.borrow_mut() = Some((ver, writes, seq.clone()));
                     Ok(seq)
                 }
             }
@@ -562,22 +566,6 @@ pub fn introspect_web_service(
     ws: &Rc<WebService>,
 ) -> XdmResult<DataService> {
     let ns = format!("ld:ws/{}", ws.name);
-    // Handlers are arbitrary closures: a procedure call, update
-    // statement, or datagraph submission may change what the service
-    // would answer. The statement engine reports those through
-    // `Engine::note_source_write`; bump the service's read-through
-    // epoch there so the persistent response cache stops serving
-    // pre-write responses on the normal path (stale-read degradation
-    // still may, explicitly counted).
-    {
-        let ws2 = ws.clone();
-        engine.register_write_listener(Rc::new(move || ws2.invalidate_read_through()));
-        // A call also returns the very nodes the response cache holds,
-        // so an update statement may have edited a cached response in
-        // place: its flush drops the cache, as it does the tables'.
-        let ws2 = ws.clone();
-        engine.register_mat_flusher(Rc::new(move || ws2.clear_response_cache()));
-    }
     let mut methods = Vec::new();
     for op_name in ws.operation_names() {
         let qname = QName::with_ns(ns.clone(), op_name.clone());

@@ -738,7 +738,7 @@ impl Database {
     }
 
     /// Columns of `table` that currently have a built secondary index
-    /// (diagnostics; `xqsh --explain`).
+    /// (diagnostics; this module's tests read it).
     pub fn indexed_columns(&self, table: &str) -> Vec<String> {
         self.table_handle(table)
             .map(|h| {

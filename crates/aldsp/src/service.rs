@@ -7,6 +7,11 @@
 //! programs, ad-hoc queries, and higher-level logical services —
 //! here, as registrations on the shared [`xqse::Xqse`] engine.
 
+// The data space's read and write paths hand out cached trees and
+// commit source writes: their failures surface as XQSE-catchable
+// errors, never as panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -295,8 +300,12 @@ impl DataSpace {
     }
 
     /// Register a web-service source: one library data service with a
-    /// method per operation.
-    pub fn register_web_service(&self, ws: WebService) -> XdmResult<String> {
+    /// method per operation. The service's read-through epoch becomes
+    /// the engine's source-write count, so every write the engine
+    /// counts ([`xqeval::Engine::note_source_write`]) stops the fresh
+    /// read path serving pre-write responses.
+    pub fn register_web_service(&self, mut ws: WebService) -> XdmResult<String> {
+        ws.write_epoch = self.engine().source_writes();
         let ws = Rc::new(ws);
         let svc = introspect::introspect_web_service(self.engine(), &ws)?;
         let name = svc.name.clone();
@@ -462,7 +471,7 @@ impl DataSpace {
                 )
             })?;
         let ovr = meta.borrow().update_override.clone();
-        let out = self.access().run(&graph.service, Op::Submit, || match &ovr {
+        self.commit(&graph.service, || match &ovr {
             UpdateOverride::None => self.default_submit_raw(graph),
             UpdateOverride::Rust(f) => f(self, graph),
             UpdateOverride::Procedure(name) => {
@@ -477,12 +486,17 @@ impl DataSpace {
                     )], &mut env)
                     .map(|_| ())
             }
-        });
+        })
+    }
+
+    /// Run one data-space write under the source's access policy and,
+    /// once it has committed, count it as a source write: it may have
+    /// changed what dependent sources would answer (web-service
+    /// handlers are arbitrary closures), so their read-through caches
+    /// must not keep serving pre-write responses on the fresh path.
+    fn commit(&self, service: &str, write: impl FnMut() -> XdmResult<()>) -> XdmResult<()> {
+        let out = self.access().run(service, Op::Submit, write);
         if out.is_ok() {
-            // A committed submission may have changed what dependent
-            // sources would answer (web-service handlers are arbitrary
-            // closures); their read-through caches must not keep
-            // serving pre-submit responses on the fresh path.
             self.engine().note_source_write();
         }
         out
@@ -555,8 +569,7 @@ impl DataSpace {
         })?;
         let plan = decompose::decompose_create(&lineage, instance)?;
         *self.last_decomposition.borrow_mut() = plan.iter_sql().collect();
-        self.access()
-            .run(service, Op::Submit, || decompose::execute(self, plan.clone()))
+        self.commit(service, || decompose::execute(self, plan.clone()))
     }
 
     /// Delete a logical instance (children first, then the top row).
@@ -570,15 +583,13 @@ impl DataSpace {
         })?;
         let plan = decompose::decompose_delete(&lineage, instance)?;
         *self.last_decomposition.borrow_mut() = plan.iter_sql().collect();
-        self.access()
-            .run(service, Op::Submit, || decompose::execute(self, plan.clone()))
+        self.commit(service, || decompose::execute(self, plan.clone()))
     }
 
     /// The default update path: decompose against lineage and execute
     /// under two-phase commit across the affected sources.
     pub fn default_submit(&self, graph: &DataGraph) -> XdmResult<()> {
-        self.access()
-            .run(&graph.service, Op::Submit, || self.default_submit_raw(graph))
+        self.commit(&graph.service, || self.default_submit_raw(graph))
     }
 
     fn default_submit_raw(&self, graph: &DataGraph) -> XdmResult<()> {

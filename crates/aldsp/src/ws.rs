@@ -7,6 +7,10 @@
 //! introspection → library-data-service → XQuery-call path as the
 //! paper's document-style credit-rating service.
 
+// A service hands out the trees its response cache holds: its failures
+// surface as XQSE-catchable errors, never as panics.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -29,6 +33,10 @@ const RESPONSE_CACHE_CAPACITY: usize = 8_192;
 /// An operation implementation: request sequence in, response
 /// sequence out.
 pub type WsHandler = Rc<dyn Fn(&Sequence) -> XdmResult<Sequence>>;
+
+/// A cached response: the write epoch and the thread's sealed-write
+/// count it was stored under, and its sealed trees.
+type Stamped = (u64, u64, Sequence);
 
 /// WSDL-like metadata plus implementation for one operation.
 #[derive(Clone)]
@@ -61,21 +69,26 @@ pub struct WebService {
     order: Vec<String>,
     access: Rc<RefCell<Access>>,
     /// Bounded (LRU) response store keyed by request fingerprint,
-    /// each entry stamped with the [`WebService::write_epoch`] it was
+    /// each entry stamped with the [`WebService::write_epoch`] and the
+    /// thread's sealed-write count ([`xdm::sealed_writes`]) it was
     /// inserted under. Serves two roles: the stale-read fallback when
     /// the service is down (any epoch — staleness is explicit and
     /// counted there), and the read-through cache for repeated
     /// identical requests when the engine's batch layer is on
     /// (current epoch only — see [`WebService::cached`]). Entries are
-    /// the very nodes [`WebService::call`] returned, so an update
-    /// statement clears it ([`WebService::clear_response_cache`]).
-    response_cache: Rc<RefCell<Lru<String, (u64, Sequence)>>>,
-    /// Bumped by [`WebService::invalidate_read_through`] whenever a
-    /// statement may have written a source: handlers are arbitrary
-    /// closures, so a procedure call or submission may change what
-    /// the service would answer, and the *fresh* read path must not
-    /// keep serving pre-write responses.
-    write_epoch: Rc<Cell<u64>>,
+    /// the very nodes [`WebService::call`] returned, so an in-place
+    /// write may have edited one: neither role serves an entry whose
+    /// sealed-write count moved.
+    response_cache: Rc<RefCell<Lru<String, Stamped>>>,
+    /// Moves whenever a statement may have written a source: handlers
+    /// are arbitrary closures, so a procedure call or submission may
+    /// change what the service would answer, and the *fresh* read path
+    /// must not keep serving pre-write responses. A registered service
+    /// reads its engine's source-write count
+    /// ([`xqeval::Engine::source_writes`], bound by
+    /// [`crate::service::DataSpace::register_web_service`]); a
+    /// service on its own keeps a private one.
+    pub(crate) write_epoch: Rc<Cell<u64>>,
 }
 
 impl WebService {
@@ -106,21 +119,21 @@ impl WebService {
         self.response_cache.borrow().len()
     }
 
-    /// Insert a response stamped with the current write epoch,
-    /// counting any forced LRU eviction in
+    /// Insert a response stamped with the current write epoch and
+    /// sealed-write count, counting any forced LRU eviction in
     /// [`crate::ResilienceStats::cache_evictions`].
     fn cache_insert(&self, key: String, resp: Sequence) {
         // The cached trees are served by reference to many
         // evaluations: seal them so the zero-copy constructor path can
         // graft them instead of deep-copying. Mutation through a graft
-        // copies on write; an update statement that edits a returned
-        // response itself edits this copy, and clears the cache.
+        // copies on write; a write to a returned response itself edits
+        // this copy, moves the sealed-write count, and so retires it.
         for item in resp.iter() {
             if let Item::Node(n) = item {
                 n.seal();
             }
         }
-        let entry = (self.write_epoch.get(), resp);
+        let entry = (self.write_epoch.get(), xdm::sealed_writes(), resp);
         if self.response_cache.borrow_mut().insert(key, entry).is_some() {
             self.note_eviction();
         }
@@ -137,37 +150,19 @@ impl WebService {
     /// it was stored — the batch layer's normal-path read-through must
     /// never serve a pre-write response as if it were fresh (entries
     /// from older epochs remain available to the explicit, counted
-    /// stale-read degradation path only). Refreshes the entry's LRU
-    /// recency on a hit: the read-through path is the reason an entry
-    /// is worth keeping.
+    /// stale-read degradation path only) — *and* no sealed arena was
+    /// written in place since. Refreshes the entry's LRU recency on a
+    /// hit: the read-through path is the reason an entry is worth
+    /// keeping.
     pub fn cached(&self, name: &str, request: &Sequence) -> Option<Sequence> {
         let key = request_fingerprint(name, request);
         let epoch = self.write_epoch.get();
         match self.response_cache.borrow_mut().get(&key) {
-            Some((e, resp)) if *e == epoch => Some(resp.clone()),
+            Some((e, w, resp)) if *e == epoch && *w == xdm::sealed_writes() => {
+                Some(resp.clone())
+            }
             _ => None,
         }
-    }
-
-    /// Invalidate the fresh read-through path: responses cached before
-    /// this call stop being served by [`WebService::cached`], though
-    /// they stay resident for stale-read degradation. Wired to
-    /// [`xqeval::Engine::note_source_write`] at introspection time, so
-    /// every statement that may have written a source (procedure call,
-    /// update statement, datagraph submission) bumps the epoch — the
-    /// cross-call companion of the per-evaluation `ws_memo` clear in
-    /// `Env::note_write`.
-    pub fn invalidate_read_through(&self) {
-        self.write_epoch.set(self.write_epoch.get() + 1);
-    }
-
-    /// Drop every cached response, whatever its epoch. Registered as a
-    /// materialization flusher at introspection time: an update
-    /// statement may have edited in place a response this cache still
-    /// holds, and neither the read-through nor the stale-read path may
-    /// serve it afterwards.
-    pub(crate) fn clear_response_cache(&self) {
-        self.response_cache.borrow_mut().clear();
     }
 
     /// Install (or replace) the fault-injection / resilience handle
@@ -237,8 +232,12 @@ impl WebService {
             },
             // Stale-read fallback: any resident response qualifies,
             // whatever its epoch — this path is the explicit, counted
-            // degraded read.
-            || self.response_cache.borrow().peek(&key).map(|(_, r)| r.clone()),
+            // degraded read — unless a sealed arena was written in
+            // place since it was stored.
+            || match self.response_cache.borrow().peek(&key) {
+                Some((_, w, r)) if *w == xdm::sealed_writes() => Some(r.clone()),
+                _ => None,
+            },
         )
     }
 
@@ -355,6 +354,7 @@ pub fn credit_score(ssn: &str, last_name: &str) -> u32 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use xmlparse::parse;
@@ -482,9 +482,10 @@ mod tests {
         assert_eq!(svc.call("val", &req).unwrap().items()[0].string_value(), "1");
         assert!(svc.cached("val", &req).is_some(), "read-through warm");
 
-        // The write (reported by the engine's write listeners).
+        // The write: a registered service's epoch is its engine's
+        // source-write count, which the write moves.
         state.set(2);
-        svc.invalidate_read_through();
+        svc.write_epoch.set(svc.write_epoch.get() + 1);
         assert!(
             svc.cached("val", &req).is_none(),
             "fresh path must not serve the pre-write response"
@@ -508,7 +509,7 @@ mod tests {
             resilience: Some(Arc::clone(&res)),
         });
         state.set(3);
-        svc.invalidate_read_through();
+        svc.write_epoch.set(svc.write_epoch.get() + 1);
         let r = svc.call("val", &req).unwrap();
         assert_eq!(r.items()[0].string_value(), "2", "outage serves the stale entry");
         assert_eq!(res.lock().stats().stale_reads, 1, "counted as a stale read");

@@ -106,12 +106,16 @@ fn batch_allocations(f: &EtlFixture) -> u64 {
 fn etl_row_allocations_stay_within_budget() {
     let f = etl_space(ROWS);
     f.space.engine().set_features(Features::ALL);
+    let writes = xdm::sealed_writes();
     // Warm: the table→XDM tree, the keyed-select cache and the plan
     // state are built by the first batch and reused by the others.
     batch_allocations(&f);
     let first = batch_allocations(&f);
     let second = batch_allocations(&f);
     assert_eq!(first, second, "the count must repeat from batch to batch");
+    // A write to a sealed arena would make every cache miss at its next
+    // lookup, the `getByEmployeeID` hit each row takes among them.
+    assert_eq!(xdm::sealed_writes(), writes, "the batches wrote a sealed arena");
     let per_row = first as f64 / ROWS as f64;
     println!("alloc_budget: {per_row:.2} allocations per copied row ({first} per {ROWS} rows)");
     assert!(per_row <= BUDGET, "{per_row:.2} allocations per row exceeds the budget of {BUDGET}");
@@ -158,6 +162,7 @@ fn page_allocations_stay_within_budget() {
     let f = etl_space(5000);
     let engine = f.space.engine();
     engine.set_features(Features::ALL);
+    let writes = xdm::sealed_writes();
     let read = |text: &str| {
         let before = allocations();
         let out = f.space.xqse().run_with_env(text, &mut Env::new()).expect("page");
@@ -178,6 +183,7 @@ fn page_allocations_stay_within_budget() {
         n
     });
     assert_eq!(engine.opt_stats().plan_misses, 1, "the pages are one shape");
+    assert_eq!(xdm::sealed_writes(), writes, "the pages wrote a sealed arena");
     println!("alloc_budget: {centred} allocations per centred page");
     println!("alloc_budget: {first}/{centred}/{last} allocations per first/centred/last page");
     assert!(centred <= PAGE_BUDGET, "{centred} allocations per page; the budget is {PAGE_BUDGET}");

@@ -407,20 +407,14 @@ pub(crate) fn exec_update_like(
     env.pul = saved;
     let value = result?;
     let had_updates = !pul.is_empty();
-    let sealed_writes = xdm::xdm_stats().sealed_writes;
     pul.apply()?;
     if had_updates {
         // Node-level updates may have mutated trees that memoized join
-        // indexes share: drop them and advance the write epoch.
+        // indexes share: drop them and advance the write epoch. The
+        // source caches check themselves: an in-place write to a
+        // sealed arena moves the count their entries were built under
+        // (`xdm::sealed_writes`).
         env.invalidate_caches();
-        // A cache hands out sealed trees, and only an in-place write to
-        // a sealed arena can reach one (a write through a graft view
-        // copies first; a constructed tree that was never shared is
-        // not sealed). Flush the caches only after such a write.
-        if xdm::xdm_stats().sealed_writes != sealed_writes {
-            engine.invalidate_materialization();
-            engine.note_source_write();
-        }
     }
     Ok(value)
 }
@@ -561,9 +555,9 @@ pub(crate) fn call_proc(
                 // effects land through source procedures, not PUL node
                 // edits). Bump the write epoch only: version-stamped
                 // cache entries over sources it did not touch survive.
-                // Cross-call web-service read-through caches are
-                // notified too (the per-Env ws_memo clear alone does
-                // not reach them).
+                // The engine's source-write count moves too: web-service
+                // read-through caches read it as their epoch (the
+                // per-Env ws_memo clear alone does not reach them).
                 env.note_write();
                 engine.note_source_write();
             }

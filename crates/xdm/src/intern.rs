@@ -271,6 +271,12 @@ pub fn xdm_stats() -> XdmStats {
     })
 }
 
+/// This thread's [`XdmStats::sealed_writes`] alone: one thread-local
+/// read, for the source caches that check it on every lookup.
+pub fn sealed_writes() -> u64 {
+    COUNTERS.with(|c| c.sealed_writes.get())
+}
+
 impl XdmStats {
     /// Counter-wise difference since `base` (wrapping-safe).
     pub fn since(&self, base: &XdmStats) -> XdmStats {

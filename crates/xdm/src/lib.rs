@@ -33,7 +33,7 @@ pub use atomic::AtomicValue;
 pub use decimal::Decimal;
 pub use datetime::{Date, DateTime};
 pub use error::{ErrorCode, XdmError, XdmResult};
-pub use intern::{xdm_stats, Symbol, XdmStats};
+pub use intern::{sealed_writes, xdm_stats, Symbol, XdmStats};
 pub use node::{NodeArena, NodeHandle, NodeId, NodeKind, SharedArena};
 pub use qname::QName;
 pub use sequence::{Item, Sequence};

@@ -40,9 +40,10 @@
 //! arena in place, and results that grafted it then see the change —
 //! the eager-copy model would have isolated them. Mutating through a
 //! graft view copies on write. But a source cache hands out its sealed
-//! trees themselves, so an update statement whose target is such a
-//! node mutates the sealed arena in place; the statement engine then
-//! flushes every cache that hands those trees out. See DESIGN.md §10.
+//! trees themselves, so any writer whose target is such a node mutates
+//! the sealed arena in place. Each such write moves the thread's
+//! [`crate::sealed_writes`] count, and a cache entry built under an
+//! older count is refused at its next lookup. See DESIGN.md §10.
 //!
 //! ## Walks
 //!

@@ -127,7 +127,11 @@ pub struct OptStats {
     pub mat_hits: u64,
     /// Materialization-cache misses (tree rebuilt).
     pub mat_misses: u64,
-    /// Materialization-cache flushes forced by update statements.
+    /// Source-cache entries refused because the thread's sealed-write
+    /// count ([`xdm::sealed_writes`]) moved since they were built: a
+    /// table's materialized rows or a keyed-select row set, which an
+    /// in-place write to a sealed arena may have edited. The lookup
+    /// rebuilds from the table.
     pub mat_invalidations: u64,
     /// FLWOR where-clauses rewritten to source point-selects.
     pub pushdown_rewrites: u64,
@@ -423,18 +427,14 @@ struct EngineInner {
     /// Pushdown capabilities by arity-0 read-function name, shared with
     /// the plans that use them.
     capabilities: RefCell<HashMap<QName, Rc<SourceCapability>>>,
-    /// Flush hooks for per-source materialization caches; invoked by
-    /// [`Engine::invalidate_materialization`] when an update statement
-    /// may have mutated cached trees in place.
-    mat_flushers: RefCell<Vec<Rc<dyn Fn()>>>,
-    /// Hooks notified by [`Engine::note_source_write`] whenever a
-    /// statement may have written *some* source (procedure calls,
-    /// update statements, datagraph submissions) — the cross-call
-    /// companion of [`crate::Env::note_write`]. Web-service sources
-    /// register an epoch bump here so their persistent read-through
-    /// response caches stop serving pre-write responses on the fresh
-    /// path (stale-read degradation still may).
-    write_listeners: RefCell<Vec<Rc<dyn Fn()>>>,
+    /// Bumped by [`Engine::note_source_write`] whenever a statement
+    /// may have written *some* source (non-readonly procedure calls,
+    /// committed data-space writes) — the cross-call companion of
+    /// [`crate::Env::note_write`]. Web-service sources read it as their
+    /// read-through epoch, so their response caches stop serving
+    /// pre-write responses on the fresh path (stale-read degradation
+    /// still may).
+    source_writes: Rc<Cell<u64>>,
     /// Bumped on every external function/procedure registration — the
     /// "prolog fingerprint" that invalidates cached plans prepared
     /// against an older registry.
@@ -452,15 +452,11 @@ struct EngineInner {
     plan_literals: RefCell<Vec<Literal>>,
     /// Optimizer counters.
     opt: Rc<OptCounters>,
-    /// Fast-path flag mirroring `budget.is_some()`: the evaluator hot
-    /// loop reads this one `Cell<bool>` per step and skips all budget
-    /// bookkeeping when no budget is installed, keeping the no-budget
-    /// path within its 5% overhead guard.
-    budget_active: Cell<bool>,
     /// Raw mirror of the `Arc` in `budget`, for the per-step hot
     /// path: reading `Option<Arc<_>>` out of a `RefCell` costs a
     /// borrow-flag round-trip per evaluation step, which the armed
-    /// overhead guard can see. Null when no budget is installed;
+    /// overhead guard can see. The no-budget path is one null check of
+    /// this `Cell`. Null when no budget is installed;
     /// otherwise valid exactly as long as `budget` holds the owning
     /// `Arc` (both are updated together in [`Engine::set_budget`],
     /// and `Engine` is `!Sync`, so no other thread can swap them
@@ -605,14 +601,12 @@ impl Engine {
                 now: DateTime::parse("2007-12-07T10:30:00").expect("valid literal"),
                 features: Rc::new(Cell::new(features)),
                 capabilities: RefCell::new(HashMap::new()),
-                mat_flushers: RefCell::new(Vec::new()),
-                write_listeners: RefCell::new(Vec::new()),
+                source_writes: Rc::new(Cell::new(0)),
                 registry_gen: Cell::new(0),
                 plan_cache: RefCell::new(Lru::new(PLAN_CACHE_CAPACITY)),
                 plan_slots: RefCell::new(Lru::new(PLAN_CACHE_CAPACITY)),
                 plan_literals: RefCell::new(Vec::new()),
                 opt: Rc::new(OptCounters::default()),
-                budget_active: Cell::new(false),
                 budget_raw: Cell::new(std::ptr::null()),
                 budget: RefCell::new(None),
                 xdm_base: Cell::new(xdm::xdm_stats()),
@@ -625,7 +619,6 @@ impl Engine {
     /// source-access layers read ([`crate::budget::current_budget`]).
     pub fn set_budget(&self, budget: Option<Arc<crate::budget::Budget>>) {
         crate::budget::set_current_budget(budget.clone());
-        self.inner.budget_active.set(budget.is_some());
         self.inner.budget_raw.set(
             budget.as_ref().map_or(std::ptr::null(), Arc::as_ptr),
         );
@@ -655,13 +648,6 @@ impl Engine {
     /// The budget currently installed on this engine, if any.
     pub fn budget(&self) -> Option<Arc<crate::budget::Budget>> {
         self.inner.budget.borrow().clone()
-    }
-
-    /// Is a budget installed? One `Cell` read — the evaluator's
-    /// per-step fast path.
-    #[inline]
-    pub fn budget_active(&self) -> bool {
-        self.inner.budget_active.get()
     }
 
     /// Hot-loop charge: one fuel unit (plus strided deadline /
@@ -833,39 +819,19 @@ impl Engine {
         self.inner.capabilities.borrow().get(name).cloned()
     }
 
-    /// Register a hook that flushes a per-source materialization
-    /// cache.
-    pub fn register_mat_flusher(&self, f: Rc<dyn Fn()>) {
-        self.inner.mat_flushers.borrow_mut().push(f);
-    }
-
-    /// Flush every registered materialization cache and count one
-    /// invalidation per flusher. Called by the statement engine after
-    /// update statements, whose pending-update lists may mutate nodes
-    /// that cached trees share.
-    pub fn invalidate_materialization(&self) {
-        for f in self.inner.mat_flushers.borrow().iter() {
-            f();
-        }
-        let n = self.inner.mat_flushers.borrow().len() as u64;
-        self.inner.opt.mat_invalidations.set(self.inner.opt.mat_invalidations.get() + n);
-    }
-
-    /// Register a hook to be notified on [`Engine::note_source_write`]
-    /// (web-service read-through caches invalidate themselves here).
-    pub fn register_write_listener(&self, f: Rc<dyn Fn()>) {
-        self.inner.write_listeners.borrow_mut().push(f);
-    }
-
-    /// Notify every write listener that a statement may have written a
-    /// source. Called by the statement engine alongside
-    /// [`crate::Env::note_write`] (non-readonly procedure calls,
-    /// update statements) and by the ALDSP tier after datagraph
-    /// submissions.
+    /// Count a statement that may have written a source. Called by
+    /// the statement engine alongside [`crate::Env::note_write`]
+    /// (non-readonly procedure calls) and by the ALDSP tier after
+    /// committed data-space writes.
     pub fn note_source_write(&self) {
-        for f in self.inner.write_listeners.borrow().iter() {
-            f();
-        }
+        let n = &self.inner.source_writes;
+        n.set(n.get() + 1);
+    }
+
+    /// The counter [`Engine::note_source_write`] bumps, shared: a
+    /// web-service source reads it as its read-through epoch.
+    pub fn source_writes(&self) -> Rc<Cell<u64>> {
+        self.inner.source_writes.clone()
     }
 
     /// Record the outcome of one crash-recovery pass over the 2PC

@@ -180,8 +180,8 @@ impl<'e> Evaluator<'e> {
     /// pushed on `env`, as [`Engine::eval_in`] does for a lone one.
     pub fn eval(&self, expr: &Expr, env: &mut Env) -> XdmResult<Sequence> {
         // Per-request budget: one fuel unit per evaluation step. The
-        // no-budget path is a single `Cell<bool>` read (see the
-        // `budget_overhead_guard` in tests/chaos.rs).
+        // no-budget path is one null check of the engine's budget
+        // pointer (see the `budget_overhead_guard` in tests/chaos.rs).
         self.engine.budget_step()?;
         match expr {
             Expr::Literal(a) => Ok(Sequence::one(Item::Atomic(a.clone()))),

@@ -71,9 +71,12 @@ run cargo test -q $NET --release -p aldsp pool::
 run cargo test -q $NET --test chaos budget_
 
 # Lints. Clippy may be absent in minimal toolchains; warn, don't fail.
-# Note: the optimizer-layer modules (xqeval/engine.rs, aldsp/rel.rs,
-# aldsp/introspect.rs) carry in-source `#![deny(clippy::unwrap_used)]`,
-# so this pass also rejects panicking unwraps on those read paths.
+# Note: thirteen modules on the read, write and serving paths carry an
+# in-source deny, so this pass also rejects panics there:
+# `#![deny(clippy::unwrap_used)]` in xqeval/engine.rs, xqeval/cache.rs
+# and aldsp/introspect.rs; `#![deny(clippy::unwrap_used,
+# clippy::expect_used, clippy::panic)]` in xqeval/budget.rs and
+# aldsp/{rel,pool,resilience,fault,journal,decompose,errors,ws,service}.rs.
 if cargo clippy --version >/dev/null 2>&1; then
     run cargo clippy $NET --workspace --all-targets -- -D warnings
 else

@@ -776,6 +776,52 @@ fn degraded_keyed_select_is_never_cached_as_fresh() {
     assert_eq!(read(scanned), "Zed");
 }
 
+/// A cached read hands out its own sealed trees, and an SDO data graph
+/// wraps them as they are, so a client's `set_value` edits the cached
+/// row in place. The edit moves the thread's sealed-write count: the
+/// next read of the same key, or of the whole table, refuses the edited
+/// entry and answers what the table holds, as plain evaluation does.
+#[test]
+fn sdo_edits_to_a_cached_read_leave_no_edited_copy_cached() {
+    let reads = |features: Features| {
+        let d = demo::build(3, 1, 1).unwrap();
+        d.space.engine().set_features(features);
+        let get =
+            |method: &str, args: Vec<Sequence>| d.space.get("db1/CUSTOMER", method, args).unwrap();
+        let in_table = |cid: String| {
+            let cid = SqlValue::Int(cid.parse().unwrap());
+            d.db1
+                .select("CUSTOMER", &vec![("CID".into(), cid)])
+                .unwrap()[0][2]
+                .lexical()
+        };
+        let mut out = Vec::new();
+        for (method, args, edit) in [
+            ("getByCID", vec![Sequence::one(Item::string("2"))], "EDITED"),
+            ("CUSTOMER", vec![], "EDITED2"),
+        ] {
+            let g = get(method, args.clone());
+            let cid = g.get_value(0, &["CID"]).unwrap();
+            g.set_value(0, &["LAST_NAME"], edit).unwrap();
+            let again = get(method, args).get_value(0, &["LAST_NAME"]).unwrap();
+            out.push((again, in_table(cid)));
+        }
+        (out, d.space.engine().opt_stats().mat_invalidations)
+    };
+    let (optimized, refused) = reads(Features::ALL);
+    let (plain, plain_refused) = reads(Features::NONE);
+    for (again, table) in &optimized {
+        assert_eq!(again, table, "the re-read answers what the table holds");
+    }
+    assert_eq!(optimized[0].1, "Borkar");
+    assert_eq!(optimized, plain);
+    assert_eq!(
+        (refused, plain_refused),
+        (2, 0),
+        "one refused entry per edited cache"
+    );
+}
+
 // --------------------------------------------------- join-cache stamps
 
 fn salaried_schema() -> TableSchema {
@@ -1141,6 +1187,124 @@ fn node_update_to_a_service_response_leaves_no_edited_copy_cached() {
             assert_eq!(read(), Err(Some(AldspCode::SrcUnavailable)), "outage read: {what}");
         }
     }
+}
+
+/// A host that edits a service response in place
+/// (`NodeHandle::replace_value`) edits the service's cached copy: the
+/// response cache hands out its own sealed trees. Neither the
+/// read-through path nor the stale-read fallback may serve the edited
+/// copy afterwards, with every layer on or off.
+#[test]
+fn host_edit_to_a_service_response_leaves_no_edited_copy_cached() {
+    use xqse_repro::aldsp::ws::{credit_score, WebService};
+
+    const PROLOG: &str = "declare namespace cre = \"ld:ws/CreditRating\"; \
+                          declare namespace cr = \"urn:cr\";";
+    const CALL: &str = "cre:getCreditRating(<cr:getCreditRating>\
+                        <cr:lastName>L</cr:lastName><cr:ssn>S</cr:ssn>\
+                        </cr:getCreditRating>)";
+    let call = format!("{PROLOG} {CALL}");
+    let query = format!("{PROLOG} fn:string({CALL}/cr:value)");
+    let rating = credit_score("S", "L").to_string();
+    for features in [Features::ALL, Features::NONE] {
+        let space = DataSpace::new();
+        space
+            .register_web_service(WebService::credit_rating("urn:cr"))
+            .unwrap();
+        space.engine().set_features(features);
+        let edit = || {
+            let resp = space.xqse().run(&call).unwrap();
+            let Some(Item::Node(r)) = resp.iter().next() else {
+                panic!("a response element ({features})")
+            };
+            r.children()[0].replace_value("0").unwrap();
+        };
+        let read = || {
+            let out = space.xqse().run(&query).map_err(|e| AldspCode::of(&e));
+            out.map(|s| s.iter().map(|i| i.string_value()).collect::<String>())
+        };
+
+        edit();
+        assert_eq!(read(), Ok(rating.clone()), "healthy re-read: {features}");
+
+        edit();
+        space.install_resilience(Resilience::new(Policy::default()));
+        space.install_fault_injector(FaultInjector::new(
+            FaultPlan::new().rule(FaultRule::any_op("CreditRating", FaultKind::Permanent)),
+        ));
+        assert_eq!(
+            read(),
+            Err(Some(AldspCode::SrcUnavailable)),
+            "outage read: {features}"
+        );
+    }
+}
+
+/// Every committed data-space write counts as a source write, so a
+/// service whose answer depends on the tables is not read through at
+/// its pre-write response: `create_instance`, `delete_instance` and a
+/// host's direct `default_submit` commit through the path `submit`
+/// takes. Runs under the ambient feature set.
+#[test]
+fn data_space_writes_reach_the_service_read_through() {
+    use std::rc::Rc;
+    use xqse_repro::aldsp::ws::WebService;
+
+    let d = demo::build(3, 1, 1).unwrap();
+    let mut svc = WebService::new("Tables", "urn:tables");
+    let db1 = d.db1.clone();
+    svc.add_operation(
+        "customers",
+        "req",
+        "resp",
+        Rc::new(move |_req| {
+            Ok(Sequence::one(Item::string(
+                db1.row_count("CUSTOMER")?.to_string(),
+            )))
+        }),
+    );
+    let db1 = d.db1.clone();
+    svc.add_operation(
+        "lastName",
+        "req",
+        "resp",
+        Rc::new(move |_req| {
+            let rows = db1.select("CUSTOMER", &vec![("CID".into(), SqlValue::Int(1))])?;
+            Ok(Sequence::one(Item::string(rows[0][2].lexical())))
+        }),
+    );
+    d.space.register_web_service(svc).unwrap();
+    let read = |op: &str| {
+        let q = format!("declare namespace t = \"ld:ws/Tables\"; t:{op}('k')");
+        let out = d.space.xqse().run(&q).unwrap();
+        out.iter().map(|i| i.string_value()).collect::<String>()
+    };
+
+    let xml = "<CustomerProfile><CID>99</CID><LAST_NAME>New</LAST_NAME>\
+               <FIRST_NAME>Person</FIRST_NAME>\
+               <Orders><ORDER><OID>990</OID><CID>99</CID><STATUS>OPEN</STATUS></ORDER></Orders>\
+               <CreditCards/></CustomerProfile>";
+    let doc = xqse_repro::xmlparse::parse(xml).unwrap();
+    let inst = doc.children()[0].clone();
+    assert_eq!(read("customers"), "3");
+    d.space.create_instance("CustomerProfile", &inst).unwrap();
+    assert_eq!(read("customers"), "4", "after create_instance");
+    d.space.delete_instance("CustomerProfile", &inst).unwrap();
+    assert_eq!(read("customers"), "3", "after delete_instance");
+
+    let before = read("lastName");
+    let g = d
+        .space
+        .get(
+            "CustomerProfile",
+            "getProfileById",
+            vec![Sequence::one(Item::string("1"))],
+        )
+        .unwrap();
+    g.set_value(0, &["LAST_NAME"], "Direct").unwrap();
+    d.space.default_submit(&g).unwrap();
+    assert_ne!(before, "Direct");
+    assert_eq!(read("lastName"), "Direct", "after default_submit");
 }
 
 // ---------------------------------------------------------------------------

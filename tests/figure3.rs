@@ -202,6 +202,43 @@ fn figure4_full_cycle_carrey_to_carey() {
     assert_eq!(rows[0][2], SqlValue::Str("Carey".into()));
 }
 
+/// The Figure-4 cycle the `profile_update` benchmark runs writes no
+/// sealed arena: the profile is built in its own arena, and the card's
+/// `BRAND`, grafted from the cached `CREDIT_CARD` row, is copied into
+/// it on write. A write to a sealed arena makes every source cache on
+/// the thread miss at its next lookup, so this count guards their hits.
+#[test]
+fn figure4_cycles_write_no_sealed_arena() {
+    let d = demo::build(4, 2, 2).unwrap();
+    d.space.engine().set_features(Features::ALL);
+    let before = xqse_repro::xdm::xdm_stats();
+    for cycle in 0..10 {
+        let cid = Sequence::one(Item::string((cycle % 4 + 1).to_string()));
+        let g = d
+            .space
+            .get("CustomerProfile", "getProfileById", vec![cid])
+            .unwrap();
+        g.set_value(0, &["LAST_NAME"], &format!("Last{cycle}"))
+            .unwrap();
+        g.set_value(
+            0,
+            &["CreditCards", "CREDIT_CARD", "BRAND"],
+            &format!("Brand{cycle}"),
+        )
+        .unwrap();
+        d.space.submit(&g).unwrap();
+    }
+    let s = xqse_repro::xdm::xdm_stats().since(&before);
+    assert_eq!(
+        s.graft_cow_materializations, 10,
+        "each BRAND edit copies its graft"
+    );
+    assert_eq!(
+        s.sealed_writes, 0,
+        "sealed writes over ten get, edit and submit cycles"
+    );
+}
+
 #[test]
 fn submitting_unchanged_graph_is_a_noop() {
     let d = demo::build(2, 1, 1).unwrap();
